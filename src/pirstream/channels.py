@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .decoder import UmDistanceProfile, check_guarantee
+from .decoder import UmDistanceProfile, _erasure_violation, check_guarantee
 from .errors import InvalidParams
 from .protocol import Block, ERASED, ERRORED, ResponseStream
 from .seeds import derive_rng
@@ -21,9 +21,11 @@ from .seeds import derive_rng
 class ErasureSchedule:
     """Set of erased block indices (1-based) within a stream of ell+M blocks.
 
-    Valid schedules have every burst of consecutive erasures at most eps
-    long and at most eps erased blocks inside any window of N consecutive
-    blocks, so each burst is resolvable within its window.
+    Valid schedules follow the erasure rule that ``recover_window``
+    enforces: every burst of consecutive erasures at most eps long and at
+    most eps erased blocks inside any window of N consecutive blocks,
+    clipped at the stream end, so each burst is resolvable within its
+    window.
     """
 
     erased: frozenset
@@ -37,20 +39,8 @@ class ErasureSchedule:
         return self.ell + self.memory
 
     def is_valid(self) -> bool:
-        if any(not 1 <= b <= self.stream_len for b in self.erased):
-            return False
-        for b in self.erased:
-            run = 1
-            while b + run in self.erased:
-                run += 1
-            if b - 1 not in self.erased and run > self.burst:
-                return False
-        for start in range(1, self.stream_len - self.window + 2):
-            cnt = sum(1 for b in range(start, start + self.window)
-                      if b in self.erased)
-            if cnt > self.burst:
-                return False
-        return True
+        return _erasure_violation(self.erased, self.stream_len, self.window,
+                                  self.burst) is None
 
     def to_csv(self) -> str:
         lines = ["block,server,kind"]

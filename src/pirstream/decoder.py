@@ -4,12 +4,17 @@ Three decoders share the same front half (erasure-decode each block in
 the star-product code, strip the interference, keep the desired-file
 combination on the support):
 
-* ``recover_plain``   -- sequential peeling, one stripe per iteration;
-* ``recover_window``  -- opportunistic window solves that ride through
-  bursts of block erasures and otherwise behave like plain peeling;
+* ``recover_plain``   -- sequential peeling, one stripe per block;
+* ``recover_window``  -- the same peeling, waiting out bursts of block
+  erasures for up to a window of N blocks;
 * ``decode_um``       -- the unit-memory error decoder: per-block
   decoding in the sum code, coset decoding outward from the anchors,
   then Viterbi over the reduced trellis of stripe hypotheses.
+
+The first two are one peeling kernel (``_peel``): plain recovery runs it
+with a one-block window on a stream that has no erasures.  The erasure
+rule that ``recover_window`` enforces, and that
+``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
 
 ``check_guarantee`` evaluates the designed-extended-row-distance budget
 that makes ``decode_um`` provably exact.
@@ -24,6 +29,7 @@ from .errors import (
     DecodingFailure,
     InconsistentBlock,
     InconsistentSystem,
+    InconsistentWord,
     InvalidParams,
     RankDeficient,
     UncorrectablePattern,
@@ -93,17 +99,17 @@ class RecoveredFile:
         return len(self.stripes)
 
 
-# --- shared front half -------------------------------------------------------
+# --- peeling ------------------------------------------------------------------
 
-def _desired_combination(scheme: PirScheme, block) -> dict:
+def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> dict:
     """Strip the interference from one intact block.
 
-    Erasure-decodes each sub-round in the star-product code with the
-    sub-support treated as erased, and returns {j: u_j} on the support,
-    where u_j is the remaining combination of desired-file symbols.
+    Erasure-decodes each sub-round in the star-product code ``star`` with
+    the sub-support treated as erased, and returns {j: u_j} on the
+    support, where u_j is the remaining combination of desired-file
+    symbols.
     """
     f = scheme.field
-    star = scheme.star_code()
     out = {}
     for r, part in enumerate(scheme.sub_supports):
         word = list(block.parts[r])
@@ -117,85 +123,133 @@ def _desired_combination(scheme: PirScheme, block) -> dict:
     return out
 
 
-def _support_solve(scheme: PirScheme, rhs: dict):
-    """Solve X . (G scaled by the z=0 offsets) on the support for one stripe."""
+def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFile:
+    """Sequential peeling that waits out erased blocks.
+
+    Each block's stripe joins the unknowns; each intact block's desired
+    combination joins the pending equations.  After every intact block the
+    pending equations, with the known stripes subtracted, are solved for
+    all unknowns at once; a stripe solved from its own block alone is
+    ``direct``, any other is ``window-solved``.  Once the oldest unknown
+    stripe is ``window - 1`` blocks behind, a failed solve is final.
+    Intact termination blocks with nothing unknown must reduce to zero.
+    """
     f = scheme.field
-    g = scheme.storage_code.generator_matrix()
-    rows = [[f.mul(_offset(scheme, 0, j), g[r][j]) for r in range(scheme.k)]
-            for j in sorted(rhs)]
-    b = [rhs[j] for j in sorted(rhs)]
-    return tuple(solve_unique(f, rows, b))
+    code = scheme.storage_code
+    star = scheme.star_code()
+    g = code.generator_matrix()
+    k, ell, memory = scheme.k, stream.ell, scheme.memory
+    offsets = {j: [rows[z][j] for z in range(memory + 1)]
+               for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
+               for j in part}
+    known: dict[int, tuple] = {}
+    provenance: dict[int, str] = {}
+    unknown: list[int] = []
+    pending: list[tuple[int, dict]] = []
+
+    def solve(deadline: bool):
+        cols = [(xi, r) for xi in unknown for r in range(k)]
+        col_index = {c: i for i, c in enumerate(cols)}
+        rows, rhs = [], []
+        for s, u in pending:
+            for j, val in u.items():
+                row = [0] * len(cols)
+                acc = val
+                for z in range(memory + 1):
+                    prev = s - z
+                    if prev < 1 or prev > ell:
+                        continue
+                    off = offsets[j][z]
+                    if prev in known:
+                        y = code.encode(list(known[prev]))[j]
+                        acc = f.sub(acc, f.mul(off, y))
+                    else:
+                        for r in range(k):
+                            row[col_index[(prev, r)]] = f.mul(off, g[r][j])
+                rows.append(row)
+                rhs.append(acc)
+        if not cols:
+            if any(rhs):
+                raise InconsistentBlock(f"termination block {pending[0][0]} "
+                                        f"disagrees with decoded stripes")
+            pending.clear()
+            return
+        if len(rows) < len(cols):
+            if deadline:
+                raise UncorrectablePattern(
+                    f"stripes {unknown} ran out of equations")
+            return
+        last = pending[-1][0]
+        try:
+            sol = solve_unique(f, rows, rhs)
+        except RankDeficient:
+            if deadline:
+                raise
+            return
+        except InconsistentSystem as exc:
+            raise InconsistentBlock(f"block {last}: {exc}") from exc
+        how = DIRECT if unknown == [last] and len(pending) == 1 else WINDOW
+        for xi in unknown:
+            base = col_index[(xi, 0)]
+            known[xi] = tuple(sol[base: base + k])
+            provenance[xi] = how
+        unknown.clear()
+        pending.clear()
+
+    for xi in range(1, ell + memory + 1):
+        if xi <= ell:
+            unknown.append(xi)
+        block = stream.block(xi)
+        intact = block.status != ERASED
+        if intact:
+            pending.append((xi, _desired_combination(scheme, star, block)))
+        due = bool(unknown) and xi >= unknown[0] + window - 1
+        if intact or due:
+            solve(due)
+    if unknown:
+        solve(True)
+    return RecoveredFile(tuple(known[xi] for xi in range(1, ell + 1)),
+                         tuple(provenance[xi] for xi in range(1, ell + 1)))
 
 
 def recover_plain(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     """Sequential peeling recovery; needs every block intact."""
     if scheme.variant not in (PLAIN, BLOCK):
         raise InvalidParams(f"recover_plain does not apply to {scheme.variant}")
-    f = scheme.field
-    code = scheme.storage_code
-    ell, memory = stream.ell, scheme.memory
-    known: dict[int, tuple] = {}
-    provenance = []
-    for xi in range(1, ell + memory + 1):
-        block = stream.block(xi)
-        if block.parts is None:
+    for xi in range(1, len(stream.blocks) + 1):
+        if stream.block(xi).status == ERASED:
             raise UncorrectablePattern(f"block {xi} is erased")
-        u = _desired_combination(scheme, block)
-        rhs = {}
-        for j, val in u.items():
-            acc = val
-            for z in range(1, memory + 1):
-                prev = xi - z
-                if 1 <= prev <= ell:
-                    y = code.encode(list(known[prev]))[j]
-                    acc = f.sub(acc, f.mul(_offset(scheme, z, j), y))
-            rhs[j] = acc
-        if xi <= ell:
-            try:
-                known[xi] = _support_solve(scheme, rhs)
-            except InconsistentSystem as exc:
-                raise InconsistentBlock(f"block {xi}: {exc}") from exc
-            provenance.append(DIRECT)
-        else:
-            if any(rhs.values()):
-                raise InconsistentBlock(
-                    f"termination block {xi} disagrees with decoded stripes")
-    return RecoveredFile(tuple(known[xi] for xi in range(1, ell + 1)),
-                         tuple(provenance))
-
-
-def _offset(scheme: PirScheme, z: int, j: int) -> int:
-    for r, part in enumerate(scheme.sub_supports):
-        if j in part:
-            return scheme.e_offsets[r][z][j]
-    return 0
+    return _peel(stream, scheme, window=1)
 
 
 # --- window decoding ---------------------------------------------------------
 
-def _validate_erasures(stream: ResponseStream, scheme: PirScheme):
-    erased = [xi for xi in range(1, len(stream.blocks) + 1)
-              if stream.block(xi).status == ERASED]
-    eps, window = scheme.burst, scheme.window
-    runs = []
-    for b in erased:
+def _erasure_violation(erased, stream_len: int, window: int, eps: int):
+    """Why a set of erased blocks breaks the erasure rule, or None.
+
+    The rule: every erased block lies in 1..stream_len, every burst of
+    consecutive erasures is at most eps blocks long, and every window of
+    ``window`` consecutive blocks, clipped at the stream end, holds at
+    most eps erasures.
+    """
+    erased = set(erased)
+    for b in sorted(erased):
+        if not 1 <= b <= stream_len:
+            return f"block {b} outside the stream of {stream_len} blocks"
         if b - 1 in erased:
             continue
         run = 1
         while b + run in erased:
             run += 1
-        runs.append((b, run))
-    for b, run in runs:
         if run > eps:
-            raise UncorrectablePattern(
-                f"burst of {run} erasures at block {b} exceeds eps={eps}")
-    stream_len = len(stream.blocks)
-    erased_set = set(erased)
-    for start in range(1, stream_len - window + 2):
-        cnt = sum(1 for b in range(start, start + window) if b in erased_set)
+            return f"burst of {run} erasures at block {b} exceeds eps={eps}"
+    # a clipped window starting later is contained in the last full one
+    for start in range(1, max(stream_len - window, 0) + 2):
+        end = min(start + window, stream_len + 1)
+        cnt = sum(1 for b in range(start, end) if b in erased)
         if cnt > eps:
-            raise UncorrectablePattern(
-                f"{cnt} erasures in the {window}-block window at {start}")
+            return f"{cnt} erasures in the {window}-block window at {start}"
+    return None
 
 
 def recover_window(stream: ResponseStream, scheme: PirScheme,
@@ -211,95 +265,13 @@ def recover_window(stream: ResponseStream, scheme: PirScheme,
         raise InvalidParams(f"recover_window needs the block-erasure variant")
     if certificate is not None:
         _check_certificate(scheme, certificate)
-    _validate_erasures(stream, scheme)
-    f = scheme.field
-    code = scheme.storage_code
-    g = code.generator_matrix()
-    ell, memory, window = stream.ell, scheme.memory, scheme.window
-    known: dict[int, tuple] = {}
-    provenance: dict[int, str] = {}
-    unknown: list[int] = []
-    pending: list[tuple[int, dict]] = []
-
-    def try_batch(deadline: bool):
-        cols = [(xi, r) for xi in unknown for r in range(scheme.k)]
-        col_index = {c: i for i, c in enumerate(cols)}
-        rows, rhs = [], []
-        for s, u in pending:
-            for j, val in u.items():
-                row = [0] * len(cols)
-                acc = val
-                for z in range(memory + 1):
-                    prev = s - z
-                    if prev < 1 or prev > ell:
-                        continue
-                    off = _offset(scheme, z, j)
-                    if prev in known:
-                        y = code.encode(list(known[prev]))[j]
-                        acc = f.sub(acc, f.mul(off, y))
-                    else:
-                        for r in range(scheme.k):
-                            row[col_index[(prev, r)]] = f.mul(off, g[r][j])
-                rows.append(row)
-                rhs.append(acc)
-        if len(rows) < len(cols):
-            if deadline:
-                raise UncorrectablePattern(
-                    f"stripes {unknown} ran out of equations")
-            return False
-        try:
-            sol = solve_unique(f, rows, rhs)
-        except RankDeficient:
-            if deadline:
-                raise
-            return False
-        except InconsistentSystem as exc:
-            raise InconsistentBlock(str(exc)) from exc
-        for xi in unknown:
-            base = col_index[(xi, 0)]
-            known[xi] = tuple(sol[base: base + scheme.k])
-            provenance[xi] = WINDOW
-        unknown.clear()
-        pending.clear()
-        return True
-
-    for xi in range(1, ell + memory + 1):
-        block = stream.block(xi)
-        if block.status == ERASED:
-            if xi <= ell:
-                unknown.append(xi)
-        else:
-            u = _desired_combination(scheme, block)
-            if not unknown:
-                rhs = {}
-                for j, val in u.items():
-                    acc = val
-                    for z in range(1, memory + 1):
-                        prev = xi - z
-                        if 1 <= prev <= ell:
-                            y = code.encode(list(known[prev]))[j]
-                            acc = f.sub(acc, f.mul(_offset(scheme, z, j), y))
-                    rhs[j] = acc
-                if xi <= ell:
-                    try:
-                        known[xi] = _support_solve(scheme, rhs)
-                    except InconsistentSystem as exc:
-                        raise InconsistentBlock(f"block {xi}: {exc}") from exc
-                    provenance[xi] = DIRECT
-                elif any(rhs.values()):
-                    raise InconsistentBlock(
-                        f"termination block {xi} disagrees with decoded stripes")
-                continue
-            if xi <= ell:
-                unknown.append(xi)
-            pending.append((xi, u))
-            try_batch(deadline=False)
-        if unknown and xi >= unknown[0] + window - 1:
-            try_batch(deadline=True)
-    if unknown:
-        try_batch(deadline=True)
-    return RecoveredFile(tuple(known[xi] for xi in range(1, ell + 1)),
-                         tuple(provenance[xi] for xi in range(1, ell + 1)))
+    erased = [xi for xi in range(1, len(stream.blocks) + 1)
+              if stream.block(xi).status == ERASED]
+    reason = _erasure_violation(erased, len(stream.blocks), scheme.window,
+                                scheme.burst)
+    if reason is not None:
+        raise UncorrectablePattern(reason)
+    return _peel(stream, scheme, scheme.window)
 
 
 def _check_certificate(scheme: PirScheme, certificate):

@@ -1,9 +1,12 @@
 """Exact dense linear algebra over a finite field.
 
 Matrices are lists of equal-length lists of canonical field integers.
-Everything here is plain Gaussian elimination; over an exact field there
-are no tolerance questions, and the instances in this library are small
-enough that asymptotics do not matter.
+Everything here rests on one forward-elimination loop (``_echelon``):
+``mat_rank`` counts its pivots, ``rref`` adds a back-elimination pass,
+and the solvers read their answer off the ``rref`` of the augmented
+matrix.  Over an exact field there are no tolerance questions, and the
+instances in this library are small enough that asymptotics do not
+matter.
 """
 
 from __future__ import annotations
@@ -12,14 +15,18 @@ from .errors import InconsistentSystem, RankDeficient
 from .fields import Field
 
 
-def mat_rank(field: Field, rows) -> int:
-    """Rank by forward elimination; does not modify the input."""
+def _echelon(field: Field, rows):
+    """Forward elimination to row echelon form with unit pivots.
+
+    Returns (new_rows, pivot_columns); the input is not modified.
+    """
     mul, sub, inv = field.mul, field.sub, field.inv
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         piv = None
@@ -41,42 +48,33 @@ def mat_rank(field: Field, rows) -> int:
                 for c in range(col, ncols):
                     if prow[c]:
                         row[c] = sub(row[c], mul(f, prow[c]))
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def mat_rank(field: Field, rows) -> int:
+    """Rank by forward elimination; does not modify the input."""
+    return len(_echelon(field, rows)[1])
 
 
 def rref(field: Field, rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    mul, sub, inv = field.mul, field.sub, field.inv
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pinv = inv(prow[col])
-        if pinv != 1:
-            prow = m[rank] = [mul(pinv, v) for v in prow]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
+    """Reduced row echelon form; returns (new_rows, pivot_columns).
+
+    Forward elimination, then each pivot row, from the last up, clears
+    its pivot column in the rows above it.
+    """
+    mul, sub = field.mul, field.sub
+    m, pivots = _echelon(field, rows)
+    for i in range(len(pivots) - 1, 0, -1):
+        col = pivots[i]
+        prow = m[i]
+        for r in range(i):
+            f = m[r][col]
+            if f:
                 row = m[r]
-                for c in range(col, ncols):
+                for c in range(col, len(row)):
                     if prow[c]:
                         row[c] = sub(row[c], mul(f, prow[c]))
-        pivots.append(col)
-        rank += 1
     return m, pivots
 
 
@@ -90,22 +88,30 @@ def row_spaces_equal(field: Field, a, b) -> bool:
     return row_space_basis(field, a) == row_space_basis(field, b)
 
 
+def _solve_augmented(field: Field, a, b):
+    """Reduce [A | b]; returns (x, rank of A) with free variables set to 0,
+    or (None, rank of A) if the system is inconsistent."""
+    n = len(a[0]) if a else 0
+    m, pivots = rref(field, [list(row) + [bv] for row, bv in zip(a, b)])
+    if n in pivots:
+        return None, len(pivots) - 1
+    x = [0] * n
+    for r, col in enumerate(pivots):
+        x[col] = m[r][-1]
+    return x, len(pivots)
+
+
 def solve_unique(field: Field, a, b):
     """Solve A x = b for the unique x; A is m x n with m >= n.
 
     Raises RankDeficient if A has column rank < n and InconsistentSystem
     if the equations are contradictory.
     """
-    n = len(a[0]) if a else 0
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    m, pivots = rref(field, aug)
-    if len(aug[0]) - 1 in pivots:
+    x, rank = _solve_augmented(field, a, b)
+    if x is None:
         raise InconsistentSystem("no solution: inconsistent right-hand side")
-    if len(pivots) < n:
-        raise RankDeficient(f"column rank {len(pivots)} < {n}")
-    x = [0] * n
-    for r, col in enumerate(pivots):
-        x[col] = m[r][-1]
+    if rank < len(x):
+        raise RankDeficient(f"column rank {rank} < {len(x)}")
     return x
 
 
@@ -114,15 +120,7 @@ def solve_any(field: Field, a, b):
 
     Returns None if the system is inconsistent.
     """
-    n = len(a[0]) if a else 0
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    m, pivots = rref(field, aug)
-    if n in pivots:
-        return None
-    x = [0] * n
-    for r, col in enumerate(pivots):
-        x[col] = m[r][-1]
-    return x
+    return _solve_augmented(field, a, b)[0]
 
 
 def left_kernel_basis(field: Field, rows):
@@ -169,19 +167,6 @@ def vec_mat(field: Field, x, a):
             for c in range(ncols):
                 if row[c]:
                     out[c] = add(out[c], mul(xi, row[c]))
-    return out
-
-
-def mat_vec(field: Field, a, x):
-    """Matrix times column vector."""
-    mul, add = field.mul, field.add
-    out = []
-    for row in a:
-        acc = 0
-        for v, xv in zip(row, x):
-            if v and xv:
-                acc = add(acc, mul(v, xv))
-        out.append(acc)
     return out
 
 

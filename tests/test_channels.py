@@ -58,6 +58,15 @@ def test_schedule_validity():
     assert not too_dense.is_valid()
     spaced = ErasureSchedule(frozenset({1, 4}), 4, 1, 3, 1)
     assert spaced.is_valid()
+    # a stream shorter than the window: the one window is clipped at the
+    # stream end and still holds at most eps erasures
+    short_dense = ErasureSchedule(frozenset({1, 2, 4, 5}), 3, 2, 6, 2)
+    assert not short_dense.is_valid()
+    assert not ErasureSchedule(frozenset({1, 3, 5}), 3, 2, 6, 2).is_valid()
+    assert ErasureSchedule(frozenset({1, 5}), 3, 2, 6, 2).is_valid()
+    short = gen_burst_patterns(3, 2, 6, 2, "exhaustive")
+    assert short_dense not in short
+    assert all(len(p.erased) <= 2 for p in short)
 
 
 def test_random_burst_mode_valid_and_deterministic():

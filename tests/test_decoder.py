@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from pirstream.channels import ErasureSchedule, ErrorSchedule, apply_erasures, apply_errors, gen_burst_patterns, gen_error_schedule
 from pirstream.decoder import (
@@ -12,7 +13,9 @@ from pirstream.decoder import (
 )
 from pirstream.errors import (
     DecodingFailure,
+    InconsistentBlock,
     InvalidParams,
+    PirstreamError,
     RankDeficient,
     UncorrectablePattern,
 )
@@ -22,6 +25,7 @@ from pirstream.linalg import mat_rank
 from pirstream.protocol import (
     Block,
     ERASED,
+    ERRORED,
     ResponseStream,
     block_scheme,
     byzantine_scheme,
@@ -30,7 +34,8 @@ from pirstream.protocol import (
     run_protocol,
     storage_encode,
 )
-from pirstream.recovering import build_A
+from pirstream.rates import min_gamma
+from pirstream.recovering import build_A, minimal_gamma
 from pirstream.seeds import derive_rng, derive_seed
 
 GF16 = Field(2, 4)
@@ -53,6 +58,16 @@ def setup_block(seed=11, ell=4):
     sysm = storage_encode(files, C6)
     stream = run_protocol(sysm, sch, derive_seed(seed, "run"))
     return sch, files, stream
+
+
+def flip_symbol(stream, b, j, delta=1):
+    """The stream with symbol j of block b's first sub-round changed."""
+    blocks = list(stream.blocks)
+    parts = [list(p) for p in blocks[b - 1].parts]
+    parts[0][j] = GF16.add(parts[0][j], delta)
+    blocks[b - 1] = Block(ERRORED, tuple(tuple(p) for p in parts))
+    return ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
+                          tuple(blocks), stream.downloaded)
 
 
 def setup_byz(seed=9, ell=3, desired=0):
@@ -124,6 +139,16 @@ def test_recover_plain_rejects_erased():
         recover_plain(erased, sch)
 
 
+def test_off_support_corruption_is_an_inconsistent_block():
+    # the star-code cross-check on the off-support positions catches it
+    for setup, decode in ((setup_plain, recover_plain),
+                          (setup_block, recover_window)):
+        sch, files, stream = setup()
+        for j in set(range(6)) - set(sch.support):
+            with pytest.raises(InconsistentBlock):
+                decode(flip_symbol(stream, 2, j), sch)
+
+
 # --- window ------------------------------------------------------------------
 
 def test_burst_window_matrix_full_rank():
@@ -152,13 +177,18 @@ def test_window_no_erasures_matches_plain():
 
 
 def test_window_single_burst_exhaustive():
+    # a stripe is direct exactly when its own block alone solved it; the
+    # burst and the stripes waiting with it are window-solved, and with
+    # b = ell the termination block solves the last stripe
+    D, W = "direct", "window-solved"
+    expected = {1: (W, W, W, D), 2: (D, W, W, W), 3: (D, D, W, W),
+                4: (D, D, D, W), 5: (D, D, D, D)}
     sch, files, stream = setup_block()
-    for b in range(1, 6):
+    for b, provenance in expected.items():
         sched = ErasureSchedule(frozenset({b}), 4, 1, 3, 1)
         rec = recover_window(apply_erasures(stream, sched), sch)
         assert rec.stripes == files[1], b
-        if b <= 4:
-            assert rec.provenance[b - 1] == "window-solved"
+        assert rec.provenance == provenance, b
 
 
 def test_window_all_admissible_schedules():
@@ -186,6 +216,15 @@ def test_window_dense_pattern_rejected():
     sch, files, stream = setup_block()
     bad = apply_erasures(stream, ErasureSchedule(frozenset({1, 3}), 4, 1, 3, 1))
     with pytest.raises(UncorrectablePattern):
+        recover_window(bad, sch)
+    # ell+M = 5 < N = 6: the one window is clipped at the stream end
+    sch = block_scheme(C6, t=1, eps=2, window=6, m=2, desired=0,
+                       support=(2, 3, 4, 5))
+    files = random_files(GF16, 2, 3, 2, derive_rng(4, "short"))
+    stream = run_protocol(storage_encode(files, C6), sch, 4)
+    bad = apply_erasures(stream, ErasureSchedule(frozenset({1, 2, 4, 5}),
+                                                 3, 2, 6, 2))
+    with pytest.raises(UncorrectablePattern, match="6-block window at 1"):
         recover_window(bad, sch)
 
 
@@ -358,3 +397,53 @@ def test_decode_um_wrong_variant():
     sch, files, stream = setup_plain()
     with pytest.raises(InvalidParams):
         decode_um(stream, sch)
+
+
+@st.composite
+def small_block_setups(draw):
+    """A GF(16) block scheme whose support locators are recovering, with a
+    stream of random files."""
+    n = draw(st.sampled_from((6, 10)))
+    t = draw(st.integers(1, 2))
+    eps = draw(st.integers(1, 2))
+    window = draw(st.integers(eps + 1, eps + 3))
+    ell = draw(st.integers(eps + 1, 6))
+    code = C6 if n == 6 else C10
+    need = max(min_gamma(2, window, eps), minimal_gamma(2, eps))
+    assume(need <= n)
+    support = tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=need,
+                                         max_size=n, unique=True))))
+    assume(build_A(GF16, 2, eps, [code.locators[j] for j in support]).verdict)
+    desired = draw(st.integers(0, 1))
+    sch = block_scheme(code, t=t, eps=eps, window=window, m=2,
+                       desired=desired, support=support)
+    seed = draw(st.integers(0, 2 ** 32))
+    files = random_files(GF16, 2, ell, 2, derive_rng(seed, "files"))
+    stream = run_protocol(storage_encode(files, code), sch,
+                          derive_seed(seed, "run"))
+    return sch, files[desired], stream
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(small_block_setups(), st.data())
+def test_window_decodes_every_admissible_schedule(setup, data):
+    sch, desired, stream = setup
+    ell = stream.ell
+    schedules = gen_burst_patterns(ell, sch.burst, sch.window, sch.burst,
+                                   "exhaustive")
+    for sched in schedules:
+        rec = recover_window(apply_erasures(stream, sched), sch)
+        assert rec.stripes == desired, sorted(sched.erased)
+    # one changed symbol in an intact block: any outcome but a crash
+    sched = data.draw(st.sampled_from(schedules))
+    intact = [b for b in range(1, ell + sch.memory + 1) if b not in sched.erased]
+    b = data.draw(st.sampled_from(intact))
+    j = data.draw(st.integers(0, sch.n - 1))
+    delta = data.draw(st.integers(1, 15))
+    noisy = flip_symbol(apply_erasures(stream, sched), b, j, delta)
+    try:
+        recover_window(noisy, sch)
+    except PirstreamError:
+        pass
