@@ -343,9 +343,18 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     # Chains run at maximal depth, straight through other anchored blocks:
     # an anchor with more errors than the per-block radius can be a
     # miscorrection, and stopping there would suppress the correct
-    # candidates its neighbours can still derive.
+    # candidates its neighbours can still derive.  A chain does stop at a
+    # state (block, incoming stripe) that some chain of its direction has
+    # already extended: each step depends on that state alone, so the rest
+    # of the chain would repeat the same decodes and add the same
+    # candidates.  Chains from correct anchors merge onto the true path
+    # after one step, which is where this saves the bulk of the decodes.
+    fwd_seen: set = set()
+    bwd_seen: set = set()
+
     def forward(s, prev_stripe):
-        while s <= ell:
+        while s <= ell and (s, prev_stripe) not in fwd_seen:
+            fwd_seen.add((s, prev_stripe))
             block = stream.block(s)
             if block.parts is None:
                 return
@@ -360,7 +369,8 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             s += 1
 
     def backward(s, cur_stripe):
-        while s >= 2:
+        while s >= 2 and (s, cur_stripe) not in bwd_seen:
+            bwd_seen.add((s, cur_stripe))
             block = stream.block(s)
             if block.parts is None:
                 return

@@ -4,14 +4,15 @@ and star products.
 A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
 polynomial f of degree < k evaluated at distinct locators a_j.  Erasure
 decoding interpolates through k surviving positions and cross-checks the
-rest; error decoding solves the Berlekamp-Welch key equation, which is
-plenty at the block lengths used here and never miscorrects beyond the
-bounded-minimum-distance radius.
+rest; error decoding solves the Berlekamp-Welch key equation once, at
+the full bounded-minimum-distance radius, which is plenty at the block
+lengths used here and never miscorrects beyond that radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DecodingFailure,
@@ -161,22 +162,40 @@ class GrsCode:
 
         Returns (message, error_positions) for the unique codeword within
         Hamming distance < d/2 of the word, or raises DecodingFailure.
+
+        One solve at the radius emax = (d-1)//2 decides it.  With at most
+        emax errors, every solution (Q, E) with E monic of degree emax has
+        Q/E = f, since Q1*E0 - Q0*E1 has degree < k + 2*emax <= n and
+        vanishes at all n locators.  Conversely, any solution at any e <= emax
+        whose Q/E is a polynomial g of degree < k agrees with the word
+        wherever E(a_j) != 0, so g lies within e of it: when no codeword is
+        within emax, no smaller e can succeed either.
         """
         f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
         emax = (self.d - 1) // 2
         ys = [f.div(w, v) for w, v in zip(word, self.multipliers)]
-        for e in range(emax, -1, -1):
-            msg = self._bw_attempt(ys, e)
-            if msg is None:
-                continue
-            cw = self.encode(msg)
-            errors = frozenset(j for j in range(self.n) if cw[j] != word[j])
-            if len(errors) <= emax:
-                return msg, errors
-        raise DecodingFailure(
-            f"no codeword within distance {emax} of the received word")
+        msg = self._bw_attempt(ys, emax)
+        if msg is None:
+            raise DecodingFailure(
+                f"no codeword within distance {emax} of the received word")
+        cw = self.encode(msg)
+        return msg, frozenset(j for j in range(self.n) if cw[j] != word[j])
+
+    @cached_property
+    def _locator_powers(self):
+        """a_j^i for every position j and 0 <= i < k + (d-1)//2, the
+        powers a Berlekamp-Welch row at any e <= (d-1)//2 needs."""
+        f = self.field
+        top = self.k + (self.d - 1) // 2
+        table = []
+        for a in self.locators:
+            row = [1]
+            for _ in range(top - 1):
+                row.append(f.mul(row[-1], a))
+            table.append(row)
+        return table
 
     def _bw_attempt(self, ys, e):
         # unknowns: Q_0..Q_{k+e-1}, E_0..E_{e-1}; E monic of degree e.
@@ -185,12 +204,9 @@ class GrsCode:
         k = self.k
         nq = k + e
         rows, rhs = [], []
-        for j in range(self.n):
-            a = self.locators[j]
-            row = [f.pow(a, i) for i in range(nq)]
-            row += [f.neg(f.mul(ys[j], f.pow(a, i))) for i in range(e)]
-            rows.append(row)
-            rhs.append(f.mul(ys[j], f.pow(a, e)))
+        for y, pw in zip(ys, self._locator_powers):
+            rows.append(pw[:nq] + [f.neg(f.mul(y, p)) for p in pw[:e]])
+            rhs.append(f.mul(y, pw[e]))
         sol = solve_any(f, rows, rhs)
         if sol is None:
             return None

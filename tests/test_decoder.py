@@ -364,6 +364,24 @@ def test_decode_um_across_shapes():
             assert rec.stripes == files[0], (n, k, t, sched.weights(5))
 
 
+def test_decode_um_coset_chains_decode_each_state_once(monkeypatch):
+    # on a clean stream every anchor is correct, so every chain merges onto
+    # the true path after one step: one forward and one backward pass of
+    # ell coset decodes each, not one pass per anchor
+    ell = 8
+    sch, files, stream = setup_byz(ell=ell)
+    calls: dict[int, int] = {}
+    bmd_decode = GrsCode.bmd_decode
+
+    def counted(code, word):
+        calls[code.k] = calls.get(code.k, 0) + 1
+        return bmd_decode(code, word)
+    monkeypatch.setattr(GrsCode, "bmd_decode", counted)
+    assert decode_um(stream, sch).stripes == files[0]
+    coset_k = 2 * 2 + 2 - 1
+    assert calls[coset_k] <= 2 * ell
+
+
 def test_window_eps2_bursts():
     code = GrsCode(GF16, 8, 2, tuple(range(1, 9)))
     support = (4, 5, 6, 7)
@@ -447,3 +465,43 @@ def test_window_decodes_every_admissible_schedule(setup, data):
         recover_window(noisy, sch)
     except PirstreamError:
         pass
+
+
+@st.composite
+def small_byzantine_setups(draw):
+    """A GF(16) unit-memory Byzantine scheme, a stream of random files,
+    and symbol errors within the guarantee of its distance profile."""
+    n = draw(st.sampled_from((8, 10, 12)))
+    t = draw(st.integers(1, 2))
+    ell = draw(st.integers(1, 5))
+    desired = draw(st.integers(0, 1))
+    code = GrsCode(GF16, n, 2, tuple(range(1, n + 1)))
+    sch = byzantine_scheme(code, t=t, m=2, desired=desired)
+    seed = draw(st.integers(0, 2 ** 32))
+    files = random_files(GF16, 2, ell, 2, derive_rng(seed, "files"))
+    stream = run_protocol(storage_encode(files, code), sch,
+                          derive_seed(seed, "run"))
+    # a pair of blocks carries fewer than dbar(1)/2 errors, so no block
+    # weight above that cap can pass the guarantee check
+    profile = UmDistanceProfile.for_byzantine(n, 2, t)
+    cap = (profile.dbar(1) - 1) // 2
+    weights = draw(st.lists(st.integers(0, cap), min_size=ell + 1,
+                            max_size=ell + 1))
+    assume(check_guarantee(weights, profile))
+    entries = []
+    for b, w in enumerate(weights, 1):
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=w, max_size=w,
+                               unique=True)):
+            entries.append((b, j, draw(st.integers(0, 15))))
+    schedule = ErrorSchedule(tuple(entries), "manual")
+    noisy = apply_errors(stream, schedule, 16, derive_seed(seed, "values"))
+    return sch, files[desired], noisy
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(small_byzantine_setups())
+def test_decode_um_recovers_every_budget_respecting_schedule(setup):
+    sch, desired, noisy = setup
+    assert decode_um(noisy, sch).stripes == desired

@@ -60,20 +60,25 @@ def test_bmd_examples():
 
 
 def test_bmd_exhaustive_against_codebook():
-    codebook = [tuple(cw) for cw in RS42.codewords()]
-    assert len(codebook) == 25
-    for word in itertools.product(range(5), repeat=4):
-        within = [(hamming(word, cw), cw) for cw in codebook if hamming(word, cw) <= 1]
-        try:
-            msg, errors = RS42.bmd_decode(list(word))
-            cw = tuple(RS42.encode(msg))
-            # never returns a codeword at distance >= 2
-            assert hamming(word, cw) <= 1
-            assert len(within) == 1 and within[0][1] == cw
-            assert errors == frozenset(
-                j for j in range(4) if cw[j] != word[j])
-        except DecodingFailure:
-            assert len(within) == 0
+    # RS51 has emax = 2, so a word at distance 1 from a codeword must decode
+    # from the one Berlekamp-Welch solve at e = 2
+    rs51 = GrsCode(GF5, 5, 1, (0, 1, 2, 3, 4))
+    for code, size in ((RS42, 25), (rs51, 5)):
+        emax = (code.d - 1) // 2
+        codebook = [tuple(cw) for cw in code.codewords()]
+        assert len(codebook) == size
+        for word in itertools.product(range(5), repeat=code.n):
+            within = [cw for cw in codebook if hamming(word, cw) <= emax]
+            try:
+                msg, errors = code.bmd_decode(list(word))
+                cw = tuple(code.encode(msg))
+                # never returns a codeword beyond the radius
+                assert hamming(word, cw) <= emax
+                assert within == [cw]
+                assert errors == frozenset(
+                    j for j in range(code.n) if cw[j] != word[j])
+            except DecodingFailure:
+                assert within == []
 
 
 def test_mds_weight_property():
