@@ -2,7 +2,7 @@
 
 Four commands: ``simulate`` (end-to-end trials through a channel),
 ``rates`` (rate-curve CSV sweeps), ``recovering-search`` (randomized
-locator search), ``privacy-audit`` (exhaustive collusion check).
+locator search), ``privacy-audit`` (exact collusion check).
 
 Exit codes: 0 success, 2 config error, 3 decode failure in a guaranteed
 regime or audit failure, 4 a search probability missed its expected band.
@@ -11,12 +11,13 @@ regime or audit failure, 4 a search probability missed its expected band.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import channels, decoder, protocol, rates, recovering
-from .config import build_scheme, load_config
+from .config import _int, _int_list, build_scheme, load_config
 from .errors import ConfigError, PirstreamError
 from .fields import Field, factorize
 from .rates import verify_accounting
@@ -110,12 +111,17 @@ def _simulate_range(scheme, ell, channel, seed, lo, hi, schedules):
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     field, code, scheme, ell = build_scheme(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.run.get("seed", "0"))
-    trials = args.trials if args.trials is not None else int(cfg.run.get("trials", "1"))
-    workers = args.workers if args.workers is not None else int(cfg.run.get("workers", "1"))
+    seed = args.seed if args.seed is not None else _int(
+        "run", "seed", cfg.run.get("seed", "0"))
+    trials = args.trials if args.trials is not None else _int(
+        "run", "trials", cfg.run.get("trials", "1"))
+    workers = args.workers if args.workers is not None else _int(
+        "run", "workers", cfg.run.get("workers", "1"))
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     channel = dict(cfg.channel)
+    if "b" in channel:
+        _int("channel", "b", channel["b"])
     kind = channel.get("kind", "none")
     if kind == "block-erasure" and scheme.variant != protocol.BLOCK:
         raise ConfigError("[channel] block-erasure needs the block-erasure variant")
@@ -198,7 +204,7 @@ def cmd_rates(args) -> int:
         cfg = load_config(args.config)
         for key in params:
             if key in cfg.rates:
-                params[key] = int(cfg.rates[key])
+                params[key] = _int("rates", key, cfg.rates[key])
     text = rates_csv(**params)
     sys.stdout.write(text)
     _write_out(args.out, text)
@@ -232,8 +238,8 @@ def parse_search_rows(raw: str):
         parts = token.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(f"[search] row {token!r}; expected k:M:q[:gamma]")
-        k, M, q = (int(x) for x in parts[:3])
-        gamma = int(parts[3]) if len(parts) == 4 else None
+        k, M, q = (_int("search", "rows", x) for x in parts[:3])
+        gamma = _int("search", "rows", parts[3]) if len(parts) == 4 else None
         rows.append((k, M, q, gamma))
     return rows
 
@@ -250,14 +256,18 @@ def cmd_recovering_search(args) -> int:
             rows = parse_search_rows(cfg.search["rows"])
         if "bands" in cfg.search:
             for token in cfg.search["bands"].replace(",", " ").split():
-                lo, hi = (float(x) for x in token.split(":"))
+                try:
+                    lo, hi = (float(x) for x in token.split(":"))
+                except ValueError:
+                    raise ConfigError(f"[search] bands entry {token!r}; "
+                                      "expected lo:hi") from None
                 bands.append((lo, hi))
             if len(bands) != len(rows):
                 raise ConfigError("[search] bands must match rows one-to-one")
         if args.trials is None and "trials" in cfg.search:
-            trials = int(cfg.search["trials"])
+            trials = _int("search", "trials", cfg.search["trials"])
         if args.seed is None and "seed" in cfg.search:
-            seed = int(cfg.search["seed"])
+            seed = _int("search", "seed", cfg.search["seed"])
     if not rows:
         raise ConfigError("recovering-search needs [search] rows = k:M:q[:gamma] ...")
     lines = ["k,M,N,q,gamma,trials,p_full"]
@@ -277,18 +287,31 @@ def cmd_recovering_search(args) -> int:
 
 # --- privacy-audit -----------------------------------------------------------
 
+def _audit_sets(raw: str, n: int):
+    """Colluding sets from ``[audit] sets``: entries split by ``;``, each
+    a list of distinct servers in 0..n-1."""
+    sets = []
+    for token in raw.split(";"):
+        token = token.strip()
+        if not token:
+            continue
+        servers = tuple(_int_list("audit", "sets", token))
+        if any(not 0 <= j < n for j in servers):
+            raise ConfigError(
+                f"[audit] sets entry {token!r}: servers must be in [0, {n - 1}]")
+        if len(set(servers)) != len(servers):
+            raise ConfigError(f"[audit] sets entry {token!r} repeats a server")
+        sets.append(servers)
+    return sets
+
+
 def cmd_privacy_audit(args) -> int:
     cfg = load_config(args.config)
     field, code, scheme, ell = build_scheme(cfg)
-    limit = int(cfg.audit.get("limit", str(1 << 20)))
+    limit = _int("audit", "limit", cfg.audit.get("limit", str(1 << 20)))
     if "sets" in cfg.audit and cfg.audit["sets"]:
-        colluding_sets = []
-        for token in cfg.audit["sets"].split(";"):
-            token = token.strip()
-            if token:
-                colluding_sets.append(tuple(int(x) for x in token.replace(",", " ").split()))
+        colluding_sets = _audit_sets(cfg.audit["sets"], scheme.n)
     else:
-        import itertools
         colluding_sets = list(itertools.combinations(range(scheme.n), scheme.t))
     lines = []
     all_pass = True
@@ -339,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_recovering_search)
 
     p_audit = sub.add_parser("privacy-audit",
-                             help="exhaustive collusion audit")
+                             help="exact collusion audit")
     common(p_audit)
     p_audit.set_defaults(func=cmd_privacy_audit)
     return parser

@@ -1,5 +1,10 @@
 """Storage encoding, query generation, honest-server responses, and the
-exhaustive collusion audit for all three scheme variants.
+exact collusion audit for all three scheme variants.
+
+The audit never enumerates joint masking draws.  Each query row draws
+its own masking codeword, independently of the others, so the joint law
+of what a colluding set sees is the product of the per-row laws; it is
+exact to count each row's q^dim draws once and compare row by row.
 
 Conventions: file, stripe, and server indices are 0-based in code;
 protocol iterations run 1..ell+M to keep the zero-padded virtual stripes
@@ -10,7 +15,9 @@ randomness enters through an explicit seed at run time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AuditTooLarge,
@@ -410,19 +417,57 @@ def run_protocol(system: StorageSystem, scheme: PirScheme,
 
 @dataclass(frozen=True)
 class AuditReport:
+    """Outcome of ``privacy_audit`` for one colluding set.
+
+    ``row_laws[i][row]`` maps a query row restricted to the colluding set
+    to the number of masking codewords that give it when index i is
+    wanted; ``distributions[i]`` maps a joint view (one restricted row per
+    query row) to its number of joint draws, the product of its row
+    counts, and is built from the row laws when first read.
+    """
+
     identical: bool
     enumerated: int
     colluding: tuple
     witness: tuple | None   # (index_a, index_b, view, count_a, count_b)
-    distributions: tuple    # per candidate index: dict view -> count
+    row_laws: tuple         # per candidate index: per row, dict row -> count
+
+    @cached_property
+    def distributions(self) -> tuple:
+        joint = []
+        for laws in self.row_laws:
+            counts = {}
+            for combo in itertools.product(*(law.items() for law in laws)):
+                view = tuple(row for row, _ in combo)
+                counts[view] = math.prod(c for _, c in combo)
+            joint.append(counts)
+        return tuple(joint)
 
 
 def privacy_audit(scheme: PirScheme, colluding, limit: int = 1 << 20) -> AuditReport:
     """Exact joint query distribution seen by a colluding set, for every
-    candidate desired index, by enumerating all masking draws.
+    candidate desired index, as a product of per-row laws.
 
-    The views are identically distributed for a correct scheme; a broken
-    scheme yields a concrete divergence witness.
+    Every query row adds its own independently drawn masking codeword, so
+    the joint law of a view is the product of the per-row laws: a view's
+    count over the (q^dim)^rows joint draws is the product of its rows'
+    counts over the q^dim draws of one row.  Each row law is counted once,
+    from one table of the masking codewords restricted to the colluding
+    set, shifted by that row's offset.  Two products of probability laws
+    are equal iff their factors are (summing out every row but one gives
+    back that row's factor), so the views are identically distributed iff
+    every row's law is the same for every index.
+
+    A broken scheme yields a concrete divergence witness: the first view,
+    in sorted order over the union of both supports, whose joint counts
+    differ, with the index pair and both counts.  A depth-first walk over
+    the rows in sorted order finds it.  It drops a prefix whose counts are
+    both 0, or equal with every remaining row law equal; any other prefix
+    holds such a view (all row laws have the same total mass), so the walk
+    never backs out of a prefix it entered.
+
+    ``enumerated`` is still the number of joint draws, and ``limit``
+    bounds it as when they were enumerated one by one.
     """
     colluding = tuple(sorted(set(colluding)))
     if any(not 0 <= j < scheme.n for j in colluding):
@@ -449,40 +494,54 @@ def privacy_audit(scheme: PirScheme, colluding, limit: int = 1 << 20) -> AuditRe
         cw = scheme.retrieval_code.encode(msg)
         restricted.append(tuple(cw[j] for j in colluding))
 
-    def offsets_for(desired):
-        offs = []
+    def row_law(offset):
+        law: dict = {}
+        for cw in restricted:
+            shifted = tuple(f.add(a, b) for a, b in zip(cw, offset))
+            law[shifted] = law.get(shifted, 0) + 1
+        return law
+
+    def row_laws_for(desired):
+        laws = []
         for r in range(scheme.rounds):
             for row in range(scheme.query_rows):
                 z, s = divmod(row, scheme.m)
                 if s == desired:
-                    offs.append(tuple(scheme.e_offsets[r][z][j] for j in colluding))
+                    laws.append(row_law(
+                        tuple(scheme.e_offsets[r][z][j] for j in colluding)))
                 else:
-                    offs.append((0,) * len(colluding))
-        return offs
+                    laws.append(row_law((0,) * len(colluding)))
+        return tuple(laws)
 
-    distributions = []
-    for i in range(scheme.m):
-        offs = offsets_for(i)
-        counts: dict = {}
-        for draw in itertools.product(range(codewords), repeat=total_rows):
-            view = tuple(
-                tuple(f.add(restricted[c][pos], offs[row][pos])
-                      for pos in range(len(colluding)))
-                for row, c in enumerate(draw)
-            )
-            counts[view] = counts.get(view, 0) + 1
-        distributions.append(counts)
-
+    row_laws = tuple(row_laws_for(i) for i in range(scheme.m))
     witness = None
-    base = distributions[0]
     for i in range(1, scheme.m):
-        other = distributions[i]
-        for view in sorted(set(base) | set(other)):
-            ca, cb = base.get(view, 0), other.get(view, 0)
-            if ca != cb:
-                witness = (0, i, view, ca, cb)
-                break
-        if witness:
+        if row_laws[i] != row_laws[0]:
+            view, ca, cb = _first_divergence(row_laws[0], row_laws[i])
+            witness = (0, i, view, ca, cb)
             break
-    return AuditReport(witness is None, combos, colluding, witness,
-                       tuple(distributions))
+    return AuditReport(witness is None, combos, colluding, witness, row_laws)
+
+
+def _first_divergence(laws_a, laws_b):
+    """(view, count_a, count_b) for the first view, in sorted order, whose
+    joint counts under two unequal products of row laws differ."""
+    rows = len(laws_a)
+    # settled[r]: the laws of rows r.. agree, so equal counts stay equal
+    settled = [True] * (rows + 1)
+    for r in range(rows - 1, -1, -1):
+        settled[r] = settled[r + 1] and laws_a[r] == laws_b[r]
+
+    def walk(r, prefix, ca, cb):
+        if r == rows:
+            return prefix, ca, cb
+        la, lb = laws_a[r], laws_b[r]
+        for row in sorted(la.keys() | lb.keys()):
+            na, nb = ca * la.get(row, 0), cb * lb.get(row, 0)
+            if na != nb or (na and not settled[r + 1]):
+                found = walk(r + 1, prefix + (row,), na, nb)
+                if found:
+                    return found
+        return None
+
+    return walk(0, (), 1, 1)

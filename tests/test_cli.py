@@ -246,6 +246,50 @@ def test_privacy_audit_cli(tmp_path, capsys):
     assert out.count("PASS") == 4
 
 
+@pytest.mark.parametrize("command, text, names", [
+    ("privacy-audit", AUDIT_CFG + "[audit]\nsets = 0,x\n", "[audit] sets"),
+    ("privacy-audit", AUDIT_CFG + "[audit]\nlimit = lots\n", "[audit] limit"),
+    ("recovering-search", "[search]\nrows = 3:2:x\n", "[search] rows"),
+    ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
+     "[search] bands"),
+    ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = many"),
+     "[search] trials"),
+    ("simulate", PLAIN_CFG.replace("seed = 11", "seed = eleven"), "[run] seed"),
+    ("simulate", BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = two"),
+     "[channel] b"),
+    ("rates", "[rates]\nell = 1e2\n", "[rates] ell"),
+], ids=["audit-sets", "audit-limit", "search-rows", "search-bands",
+        "search-trials", "run-seed", "channel-b", "rates-ell"])
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,
+                                             names):
+    path = write(tmp_path, "c.ini", text)
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err
+
+
+@pytest.mark.parametrize("sets, problem", [
+    ("0 1;0 9", "servers must be in [0, 3]"),
+    ("0 0", "repeats a server"),
+    ("-1", "servers must be in [0, 3]"),
+], ids=["out-of-range", "repeated", "negative"])
+def test_privacy_audit_sets_are_validated(tmp_path, capsys, sets, problem):
+    cfg = AUDIT_CFG.replace("t = 1", "t = 2") + f"[audit]\nsets = {sets}\n"
+    path = write(tmp_path, "a.ini", cfg)
+    assert main(["privacy-audit", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[audit] sets entry" in captured.err and problem in captured.err
+
+
+def test_privacy_audit_explicit_sets(tmp_path, capsys):
+    cfg = AUDIT_CFG + "[audit]\nsets = 2; 0,;\n"
+    path = write(tmp_path, "a.ini", cfg)
+    assert main(["privacy-audit", "--config", path]) == 0
+    assert capsys.readouterr().out == ("T=[2] PASS enumerated=25\n"
+                                       "T=[0] PASS enumerated=25\n")
+
+
 def test_simulate_deeper_memory(tmp_path, capsys):
     cfg = PLAIN_CFG.replace("ell = 4", "ell = 10").replace(
         "memory = 1", "memory = 2")

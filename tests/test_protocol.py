@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from pirstream.errors import (
     AuditTooLarge,
@@ -233,6 +235,145 @@ def test_privacy_audit_guards():
     sch0 = plain_scheme(RS42, t=1, memory=0, m=2, desired=0, support=(0, 1))
     with pytest.raises(InvalidParams):
         privacy_audit(sch0, (0, 1))   # |T| > t
+
+
+def _enumerate_audit(scheme, colluding, limit=1 << 20):
+    """The audit by joint enumeration: every masking draw of every query
+    row at once, (q^dim)^rows of them.  Returns the five report values
+    (identical, enumerated, colluding, witness, distributions)."""
+    colluding = tuple(sorted(set(colluding)))
+    f = scheme.field
+    dim = scheme.retrieval_code.k
+    codewords = f.q ** dim
+    total_rows = scheme.rounds * scheme.query_rows
+    combos = codewords ** total_rows
+    if combos > limit:
+        raise AuditTooLarge(f"{combos} masking draws exceed the limit {limit}")
+    restricted = []
+    for packed in range(codewords):
+        msg = []
+        v = packed
+        for _ in range(dim):
+            msg.append(v % f.q)
+            v //= f.q
+        cw = scheme.retrieval_code.encode(msg)
+        restricted.append(tuple(cw[j] for j in colluding))
+
+    def offsets_for(desired):
+        offs = []
+        for r in range(scheme.rounds):
+            for row in range(scheme.query_rows):
+                z, s = divmod(row, scheme.m)
+                if s == desired:
+                    offs.append(tuple(scheme.e_offsets[r][z][j] for j in colluding))
+                else:
+                    offs.append((0,) * len(colluding))
+        return offs
+
+    distributions = []
+    for i in range(scheme.m):
+        offs = offsets_for(i)
+        counts: dict = {}
+        for draw in itertools.product(range(codewords), repeat=total_rows):
+            view = tuple(
+                tuple(f.add(restricted[c][pos], offs[row][pos])
+                      for pos in range(len(colluding)))
+                for row, c in enumerate(draw)
+            )
+            counts[view] = counts.get(view, 0) + 1
+        distributions.append(counts)
+
+    witness = None
+    base = distributions[0]
+    for i in range(1, scheme.m):
+        other = distributions[i]
+        for view in sorted(set(base) | set(other)):
+            ca, cb = base.get(view, 0), other.get(view, 0)
+            if ca != cb:
+                witness = (0, i, view, ca, cb)
+                break
+        if witness:
+            break
+    return witness is None, combos, colluding, witness, tuple(distributions)
+
+
+GF4 = Field(2, 2)
+GF7 = Field(7)
+# two sub-rounds: |J| = 3 > d*-1 = 2 splits the support into (0, 1) and (2,);
+# one file keeps it at 4^4 joint draws (two files would take 4^8)
+BLOCK_TWO_ROUNDS = block_scheme(GrsCode(GF4, 3, 1, (1, 2, 3)), t=1, eps=1,
+                                window=2, m=1, desired=0, support=(0, 1, 2))
+
+# an under-dimensioned masking code whose first differing row law (z=1)
+# follows two rows whose laws agree (z=0), so the witness walk must descend
+# through prefixes with equal counts
+C4 = GrsCode(GF5, 4, 1, (1, 2, 3, 4))
+BROKEN_MEMORY_ONE = plain_scheme(C4, t=2, memory=1, m=2, desired=0,
+                                 support=(2, 3), retrieval_code=C4)
+
+
+@st.composite
+def tiny_audited_schemes(draw):
+    """Plain schemes over GF(4), GF(5) or GF(7) with at most 4096 joint
+    masking draws; a retrieval code of dimension below t is
+    under-dimensioned, so its audits can fail."""
+    f = draw(st.sampled_from((GF4, GF5, GF7)))
+    memory = draw(st.integers(0, 2))
+    m = draw(st.integers(2, 3))
+    t = draw(st.integers(1, 2))
+    dim = draw(st.integers(1, t))
+    assume(f.q ** (dim * (memory + 1) * m) <= 4096)
+    k = draw(st.integers(1, min(2, (f.q - t) // 2)))
+    n = draw(st.integers(2 * k + t - 1, f.q - 1))
+    code = GrsCode(f, n, k, tuple(range(1, n + 1)))
+    size = draw(st.integers(k, n - (k + t - 1)))
+    support = draw(st.permutations(range(n)))[:size]
+    return plain_scheme(code, t, memory, m, draw(st.integers(0, m - 1)),
+                        support,
+                        retrieval_code=GrsCode(f, n, dim, code.locators))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(tiny_audited_schemes())
+@example(BLOCK_TWO_ROUNDS)
+@example(BROKEN_MEMORY_ONE)
+def test_privacy_audit_matches_joint_enumeration(scheme):
+    for size in range(scheme.t + 1):
+        for colluding in itertools.combinations(range(scheme.n), size):
+            rep = privacy_audit(scheme, colluding)
+            identical, enumerated, coll, witness, dists = \
+                _enumerate_audit(scheme, colluding)
+            assert (rep.identical, rep.enumerated, rep.colluding,
+                    rep.witness) == (identical, enumerated, coll, witness)
+            assert [list(d.items()) for d in rep.distributions] == \
+                [list(d.items()) for d in dists]
+    # both refuse one joint draw past the limit
+    for audit in (privacy_audit, _enumerate_audit):
+        with pytest.raises(AuditTooLarge):
+            audit(scheme, (), limit=rep.enumerated - 1)
+
+
+def test_privacy_audit_adds_per_row_not_per_joint_draw(monkeypatch):
+    # the privacy-audit benchmark shape: GF(13), n=5, k=2, t=2, m=2, M=0
+    gf13 = Field(13)
+    sch = plain_scheme(GrsCode(gf13, 5, 2, (1, 2, 3, 4, 5)), t=2, memory=0,
+                       m=2, desired=0, support=(3, 4))
+    calls = [0]
+    add = Field.add
+
+    def counting_add(self, a, b):
+        calls[0] += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(Field, "add", counting_add)
+    rep = privacy_audit(sch, (0, 1))
+    assert rep.identical and rep.enumerated == 13 ** 4
+    # 169 encodes of 10 adds for the restricted codewords, then
+    # m * rows * q^t * |T| = 2 * 2 * 169 * 2 adds for the row laws; the
+    # joint enumeration made 230,178
+    assert calls[0] <= 1690 + 1352
 
 
 def test_derive_seed_stable():
