@@ -287,9 +287,9 @@ def cmd_recovering_search(args) -> int:
 
 # --- privacy-audit -----------------------------------------------------------
 
-def _audit_sets(raw: str, n: int):
+def _audit_sets(raw: str, n: int, t: int):
     """Colluding sets from ``[audit] sets``: entries split by ``;``, each
-    a list of distinct servers in 0..n-1."""
+    a list of at most t distinct servers in 0..n-1."""
     sets = []
     for token in raw.split(";"):
         token = token.strip()
@@ -301,6 +301,9 @@ def _audit_sets(raw: str, n: int):
                 f"[audit] sets entry {token!r}: servers must be in [0, {n - 1}]")
         if len(set(servers)) != len(servers):
             raise ConfigError(f"[audit] sets entry {token!r} repeats a server")
+        if len(servers) > t:
+            raise ConfigError(
+                f"[audit] sets entry {token!r} has more than t = {t} servers")
         sets.append(servers)
     return sets
 
@@ -310,7 +313,7 @@ def cmd_privacy_audit(args) -> int:
     field, code, scheme, ell = build_scheme(cfg)
     limit = _int("audit", "limit", cfg.audit.get("limit", str(1 << 20)))
     if "sets" in cfg.audit and cfg.audit["sets"]:
-        colluding_sets = _audit_sets(cfg.audit["sets"], scheme.n)
+        colluding_sets = _audit_sets(cfg.audit["sets"], scheme.n, scheme.t)
     else:
         colluding_sets = list(itertools.combinations(range(scheme.n), scheme.t))
     lines = []

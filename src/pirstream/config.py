@@ -61,7 +61,7 @@ def _int_list(section, key, raw):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=path)

@@ -7,9 +7,23 @@ therefore equality of elements, and vectors/matrices throughout the
 library are plain lists of these integers together with the owning
 :class:`Field`.
 
-Multiplication uses exp/log tables for q <= 2^16 and falls back to
-polynomial reduction above that, which keeps the rank computations that
-dominate the locator searches fast.
+The scalar methods (``add``, ``sub``, ``mul``, ``inv``, ``pow``) are the
+reference arithmetic.  Extension fields with q <= 2^16 multiply through
+exp/log tables, odd-characteristic extensions with q <= 2^9 also add
+through a table, and everything else reduces polynomials.
+
+The two per-symbol loops that dominate the library, the row update of
+Gaussian elimination and the evaluation of a GRS codeword, run through
+``Field.kernel``, which the field picks once at construction:
+
+* GF(p): integer arithmetic mod p, inline;
+* GF(2^s) with tables (q <= 2^16): ``row[c] ^= exp[log f + log v]``
+  with the pivot row's logs taken once, and Horner's rule on logs;
+* any other field (odd-characteristic extensions, GF(2^s) past the
+  tables): the scalar methods, one call per symbol.
+
+Each kernel computes exactly what the scalar methods would; only the
+number of ``Field`` method calls differs.
 """
 
 from __future__ import annotations
@@ -164,12 +178,140 @@ def _pack(digits, p):
     return v
 
 
+# --- per-field kernels for the per-symbol loops ------------------------------
+#
+# Every kernel has the same four methods:
+#   scale(row, f)              -> the list f*row
+#   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
+#                                 row with row[col] != 0; prow is zero left
+#                                 of col, and only its nonzero entries are
+#                                 visited
+#   points(locators, mults)    -> the evaluation points of a GRS code, in the
+#                                 kernel's own form (built once per code)
+#   evaluate(coeffs, points)   -> [v * f(a) for each point (a, v)], f given
+#                                 by its coefficients, low to high
+
+
+class _ScalarKernel:
+    """The scalar ``Field`` methods, one call per symbol."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: "Field"):
+        self.field = field
+
+    def scale(self, row, f):
+        mul = self.field.mul
+        return [mul(f, v) for v in row]
+
+    def eliminate(self, rows, col, prow):
+        mul, sub = self.field.mul, self.field.sub
+        terms = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
+        for row in rows:
+            f = row[col]
+            if f:
+                for c, v in terms:
+                    row[c] = sub(row[c], mul(f, v))
+
+    def points(self, locators, multipliers):
+        return tuple(zip(locators, multipliers))
+
+    def evaluate(self, coeffs, points):
+        mul, add = self.field.mul, self.field.add
+        rev = coeffs[::-1]
+        out = []
+        for a, v in points:
+            acc = 0
+            for c in rev:
+                acc = add(mul(acc, a), c)
+            out.append(mul(v, acc))
+        return out
+
+
+class _PrimeKernel:
+    """GF(p): integer arithmetic reduced mod p."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def scale(self, row, f):
+        p = self.p
+        return [f * v % p for v in row]
+
+    def eliminate(self, rows, col, prow):
+        p = self.p
+        terms = [(c, p - prow[c]) for c in range(col, len(prow)) if prow[c]]
+        for row in rows:
+            f = row[col]
+            if f:
+                for c, nv in terms:
+                    row[c] = (row[c] + f * nv) % p
+
+    def points(self, locators, multipliers):
+        return tuple(zip(locators, multipliers))
+
+    def evaluate(self, coeffs, points):
+        p = self.p
+        rev = coeffs[::-1]
+        out = []
+        for a, v in points:
+            acc = 0
+            for c in rev:
+                acc = (acc * a + c) % p
+            out.append(acc * v % p)
+        return out
+
+
+class _BinaryKernel:
+    """GF(2^s) with exp/log tables: products are exp[log a + log b], sums
+    are XOR.  A zero factor needs no branch: log[0] points at the zeros
+    that end exp (``Field._build_mul_tables``)."""
+
+    __slots__ = ("exp", "log")
+
+    def __init__(self, exp, log):
+        self.exp = exp
+        self.log = log
+
+    def scale(self, row, f):
+        exp, log = self.exp, self.log
+        lf = log[f]
+        return [exp[lf + log[v]] for v in row]
+
+    def eliminate(self, rows, col, prow):
+        exp, log = self.exp, self.log
+        terms = [(c, log[prow[c]]) for c in range(col, len(prow)) if prow[c]]
+        for row in rows:
+            f = row[col]
+            if f:
+                lf = log[f]
+                for c, lv in terms:
+                    row[c] ^= exp[lf + lv]
+
+    def points(self, locators, multipliers):
+        log = self.log
+        return tuple((log[a], log[v]) for a, v in zip(locators, multipliers))
+
+    def evaluate(self, coeffs, points):
+        exp, log = self.exp, self.log
+        rev = coeffs[::-1]
+        out = []
+        for la, lv in points:
+            acc = 0
+            for c in rev:
+                acc = exp[log[acc] + la] ^ c
+            out.append(exp[log[acc] + lv])
+        return out
+
+
 class Field:
     """Context object for GF(p^s): parameters, tables, and arithmetic on ints."""
 
     __slots__ = (
         "p", "s", "q", "modulus", "_exp", "_log", "_add_table",
-        "_q1_factors",
+        "_q1_factors", "kernel",
     )
 
     def __init__(self, p: int, s: int = 1, modulus=None):
@@ -199,6 +341,12 @@ class Field:
             self._build_mul_tables()
         if s > 1 and p != 2 and self.q <= _ADD_TABLE_LIMIT:
             self._build_add_table()
+        if s == 1:
+            self.kernel = _PrimeKernel(p)
+        elif p == 2 and self._exp is not None:
+            self.kernel = _BinaryKernel(self._exp, self._log)
+        else:
+            self.kernel = _ScalarKernel(self)
 
     # -- construction helpers ------------------------------------------
 
@@ -242,12 +390,16 @@ class Field:
                 break
         if g is None:  # q == 2
             g = 1
-        exp = [0] * (2 * (self.q - 1))
-        log = [0] * self.q
+        # exp holds the powers of g twice over, so that the sum of two logs
+        # needs no reduction, then zeros; log[0] points at the first zero.
+        # Hence exp[log[a] + log[b]] == a*b for all a, b, zero included.
+        q1 = self.q - 1
+        exp = [0] * (4 * q1 + 1)
+        log = [2 * q1] * self.q
         x = 1
-        for i in range(self.q - 1):
+        for i in range(q1):
             exp[i] = x
-            exp[i + self.q - 1] = x
+            exp[i + q1] = x
             log[x] = i
             x = self._raw_mul(x, g)
         self._exp = exp

@@ -122,13 +122,22 @@ class GrsCode:
         ]
 
     def encode(self, message):
+        """The codeword (v_j m(a_j))_j of the message polynomial m.
+
+        Evaluation runs through the field's kernel (``Field.kernel``):
+        Horner's rule on table logs, mod p, or with the scalar methods,
+        at points the code converts once (``_points``).  A locator
+        a_j = 0 gives v_j m_0.  Entry j equals
+        ``field.mul(v_j, poly_eval(field, message, a_j))``.
+        """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
-        f = self.field
-        return [
-            f.mul(v, poly_eval(f, message, a))
-            for a, v in zip(self.locators, self.multipliers)
-        ]
+        return self.field.kernel.evaluate(message, self._points)
+
+    @cached_property
+    def _points(self):
+        """(a_j, v_j) for every position, in the field kernel's form."""
+        return self.field.kernel.points(self.locators, self.multipliers)
 
     def erasure_decode(self, word, erased=None):
         """Recover the message from a word with erased positions.
@@ -150,8 +159,9 @@ class GrsCode:
         xs = [self.locators[j] for j in base]
         ys = [f.div(word[j], self.multipliers[j]) for j in base]
         coeffs = lagrange_interpolate(f, xs, ys)
-        for j in surviving[self.k:]:
-            expect = f.mul(self.multipliers[j], poly_eval(f, coeffs, self.locators[j]))
+        surplus = surviving[self.k:]
+        expected = f.kernel.evaluate(coeffs, [self._points[j] for j in surplus])
+        for j, expect in zip(surplus, expected):
             if expect != word[j]:
                 raise InconsistentWord(
                     f"surviving position {j} disagrees with interpolation")
@@ -201,11 +211,12 @@ class GrsCode:
         # unknowns: Q_0..Q_{k+e-1}, E_0..E_{e-1}; E monic of degree e.
         # Q(a_j) - y_j E(a_j) = 0  with E = x^e + sum E_i x^i
         f = self.field
+        scale = f.kernel.scale
         k = self.k
         nq = k + e
         rows, rhs = [], []
         for y, pw in zip(ys, self._locator_powers):
-            rows.append(pw[:nq] + [f.neg(f.mul(y, p)) for p in pw[:e]])
+            rows.append(pw[:nq] + scale(pw[:e], f.neg(y)))
             rhs.append(f.mul(y, pw[e]))
         sol = solve_any(f, rows, rhs)
         if sol is None:

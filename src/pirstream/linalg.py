@@ -4,9 +4,13 @@ Matrices are lists of equal-length lists of canonical field integers.
 Everything here rests on one forward-elimination loop (``_echelon``):
 ``mat_rank`` counts its pivots, ``rref`` adds a back-elimination pass,
 and the solvers read their answer off the ``rref`` of the augmented
-matrix.  Over an exact field there are no tolerance questions, and the
-instances in this library are small enough that asymptotics do not
-matter.
+matrix.  Over an exact field there are no tolerance questions.
+
+The row update ``row -= f * prow`` and the pivot-row scaling run through
+the field's kernel (``Field.kernel``, see ``fields``): per pivot, the
+kernel lists the nonzero entries of the pivot row once and updates every
+row that needs it, with table or mod-p arithmetic inline instead of one
+``Field.mul``/``Field.sub`` call per symbol.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ def _echelon(field: Field, rows):
 
     Returns (new_rows, pivot_columns); the input is not modified.
     """
-    mul, sub, inv = field.mul, field.sub, field.inv
+    kernel = field.kernel
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -38,16 +42,10 @@ def _echelon(field: Field, rows):
             continue
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
-        pinv = inv(prow[col])
+        pinv = field.inv(prow[col])
         if pinv != 1:
-            prow = m[rank] = [mul(pinv, v) for v in prow]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f:
-                row = m[r]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        row[c] = sub(row[c], mul(f, prow[c]))
+            prow = m[rank] = kernel.scale(prow, pinv)
+        kernel.eliminate(m[rank + 1:], col, prow)
         pivots.append(col)
     return m, pivots
 
@@ -63,18 +61,9 @@ def rref(field: Field, rows):
     Forward elimination, then each pivot row, from the last up, clears
     its pivot column in the rows above it.
     """
-    mul, sub = field.mul, field.sub
     m, pivots = _echelon(field, rows)
     for i in range(len(pivots) - 1, 0, -1):
-        col = pivots[i]
-        prow = m[i]
-        for r in range(i):
-            f = m[r][col]
-            if f:
-                row = m[r]
-                for c in range(col, len(row)):
-                    if prow[c]:
-                        row[c] = sub(row[c], mul(f, prow[c]))
+        field.kernel.eliminate(m[:i], pivots[i], m[i])
     return m, pivots
 
 

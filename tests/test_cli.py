@@ -272,7 +272,8 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,
     ("0 1;0 9", "servers must be in [0, 3]"),
     ("0 0", "repeats a server"),
     ("-1", "servers must be in [0, 3]"),
-], ids=["out-of-range", "repeated", "negative"])
+    ("0 1;0 1 2", "has more than t = 2 servers"),
+], ids=["out-of-range", "repeated", "negative", "more-than-t"])
 def test_privacy_audit_sets_are_validated(tmp_path, capsys, sets, problem):
     cfg = AUDIT_CFG.replace("t = 1", "t = 2") + f"[audit]\nsets = {sets}\n"
     path = write(tmp_path, "a.ini", cfg)
@@ -284,6 +285,15 @@ def test_privacy_audit_sets_are_validated(tmp_path, capsys, sets, problem):
 
 def test_privacy_audit_explicit_sets(tmp_path, capsys):
     cfg = AUDIT_CFG + "[audit]\nsets = 2; 0,;\n"
+    path = write(tmp_path, "a.ini", cfg)
+    assert main(["privacy-audit", "--config", path]) == 0
+    assert capsys.readouterr().out == ("T=[2] PASS enumerated=25\n"
+                                       "T=[0] PASS enumerated=25\n")
+
+
+def test_privacy_audit_sets_split_at_spaced_semicolons(tmp_path, capsys):
+    # only "#" starts an inline comment; a spaced ";" still splits sets
+    cfg = AUDIT_CFG + "[audit]\nsets = 2 ; 0  # both sets\n; a full-line comment\n"
     path = write(tmp_path, "a.ini", cfg)
     assert main(["privacy-audit", "--config", path]) == 0
     assert capsys.readouterr().out == ("T=[2] PASS enumerated=25\n"

@@ -151,3 +151,29 @@ def test_bmd_radius_random():
         got, errors = code.bmd_decode(word)
         assert got == msg
         assert errors == frozenset(pos)
+
+
+def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
+    # The sum code of the byzantine-fixed benchmark: GF(2^8), n=16, k=9.
+    # Elimination and encoding run in the field's kernel, so the scalar
+    # Field.mul calls left are O(n): dividing out the multipliers, the BW
+    # right-hand side and the polynomial division, 77 here.  One Field.mul
+    # call per symbol in the row update made about 2000 per decode.
+    f = Field(2, 8)
+    locs = tuple(range(1, 17))
+    code = GrsCode(f, 16, 9, locs, tuple(f.pow(a, -3) for a in locs))
+    rng = random.Random(8)
+    msg = [rng.randrange(256) for _ in range(9)]
+    word = code.encode(msg)
+    for j in (2, 7, 11):
+        word[j] ^= 0x5A
+    assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))  # warm tables
+    calls = [0]
+    mul = Field.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+    monkeypatch.setattr(Field, "mul", counted)
+    assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))
+    assert calls[0] <= 100

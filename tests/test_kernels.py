@@ -1,0 +1,151 @@
+"""The field kernels against the scalar Field methods.
+
+Elimination and GRS evaluation run through ``Field.kernel``; the oracle
+here is the same elimination and evaluation written with one
+``Field.mul``/``Field.sub`` call per symbol.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from pirstream.errors import InconsistentSystem, RankDeficient
+from pirstream.fields import Field
+from pirstream.grs import GrsCode, poly_eval
+from pirstream.linalg import _echelon, mat_rank, rref, solve_any, solve_unique
+
+# One field per kernel path, and both prime sizes the benchmark uses.
+FIELDS = {
+    "GF(2)": Field(2),
+    "GF(2^4)": Field(2, 4),
+    "GF(2^8)": Field(2, 8),
+    "GF(13)": Field(13),
+    "GF(251)": Field(251),
+    "GF(9)": Field(3, 2),          # odd characteristic: scalar methods
+    "GF(17^4)": Field(17, 4),      # q > 2^16: no tables at all
+}
+KERNEL_OF = {
+    "GF(2)": "_PrimeKernel", "GF(2^4)": "_BinaryKernel",
+    "GF(2^8)": "_BinaryKernel", "GF(13)": "_PrimeKernel",
+    "GF(251)": "_PrimeKernel", "GF(9)": "_ScalarKernel",
+    "GF(17^4)": "_ScalarKernel",
+}
+
+
+def scalar_echelon(f, rows):
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pinv = f.inv(m[rank][col])
+        m[rank] = [f.mul(pinv, v) for v in m[rank]]
+        for r in range(rank + 1, len(m)):
+            fac = m[r][col]
+            m[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m, pivots
+
+
+def scalar_rref(f, rows):
+    m, pivots = scalar_echelon(f, rows)
+    for i, col in enumerate(pivots):
+        for r in range(i):
+            fac = m[r][col]
+            m[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[r], m[i])]
+    return m, pivots
+
+
+def scalar_solve(f, a, b):
+    """(x with free variables 0, rank of A), or (None, rank) if inconsistent."""
+    n = len(a[0])
+    m, pivots = scalar_rref(f, [list(r) + [v] for r, v in zip(a, b)])
+    if n in pivots:
+        return None, len(pivots) - 1
+    x = [0] * n
+    for r, col in enumerate(pivots):
+        x[col] = m[r][-1]
+    return x, len(pivots)
+
+
+@st.composite
+def matrices(draw, f):
+    """Matrices with zero rows, zero columns and dependent rows mixed in."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for r in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        m[r] = [0] * ncols
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in m:
+            row[c] = 0
+    if nrows > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(nrows)))[:2]
+        fac = draw(st.integers(0, f.q - 1))
+        m[dst] = [f.mul(fac, v) for v in m[src]]
+    return m
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_each_field_picks_its_kernel(name):
+    assert type(FIELDS[name].kernel).__name__ == KERNEL_OF[name]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_elimination_matches_the_scalar_oracle(name, data):
+    f = FIELDS[name]
+    m = data.draw(matrices(f))
+    before = [list(r) for r in m]
+    echelon, pivots = scalar_echelon(f, m)
+    assert _echelon(f, m) == (echelon, pivots)
+    assert mat_rank(f, m) == len(pivots)
+    assert rref(f, m) == scalar_rref(f, m)
+    assert m == before
+    c = data.draw(st.integers(0, f.q - 1))
+    assert f.kernel.scale(m[0], c) == [f.mul(c, v) for v in m[0]]
+
+    x0 = data.draw(st.lists(st.integers(0, f.q - 1), min_size=len(m[0]),
+                            max_size=len(m[0])))
+    image = [0] * len(m)
+    for r, row in enumerate(m):
+        for v, xv in zip(row, x0):
+            image[r] = f.add(image[r], f.mul(v, xv))
+    b = data.draw(st.one_of(st.just(image), st.lists(
+        st.integers(0, f.q - 1), min_size=len(m), max_size=len(m))))
+    x, rank = scalar_solve(f, m, b)
+    assert solve_any(f, m, b) == x
+    if x is None:
+        with pytest.raises(InconsistentSystem):
+            solve_unique(f, m, b)
+    elif rank < len(x):
+        with pytest.raises(RankDeficient):
+            solve_unique(f, m, b)
+    else:
+        assert solve_unique(f, m, b) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_encode_matches_the_scalar_oracle(name, data):
+    f = FIELDS[name]
+    n = data.draw(st.integers(1, min(f.q, 9)))
+    k = data.draw(st.integers(1, n))
+    locs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=n - 1,
+                              max_size=n - 1, unique=True))
+    if 0 not in locs and data.draw(st.booleans()):
+        locs.insert(data.draw(st.integers(0, len(locs))), 0)    # locator 0
+    else:
+        locs.append(next(a for a in range(f.q) if a not in locs))
+    mults = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    msg = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, f.q - 1)),
+                             min_size=k, max_size=k))
+    code = GrsCode(f, n, k, tuple(locs), tuple(mults))
+    expect = [f.mul(v, poly_eval(f, msg, a)) for a, v in zip(locs, mults)]
+    assert code.encode(msg) == expect
+    assert code.encode(tuple(msg)) == expect
