@@ -172,14 +172,23 @@ class ErrorSchedule:
 
 def gen_error_schedule(profile: UmDistanceProfile, ell: int, memory: int,
                        n: int, q: int, mode: str, seed: int,
-                       b: int | None = None,
-                       max_weight: int | None = None) -> ErrorSchedule:
+                       b: int | None = None) -> ErrorSchedule:
     """Draw one error schedule.
 
     'budget' rejection-samples until the guarantee check passes, so every
     emitted schedule is decodable by design; 'fixed-byzantine' corrupts
     the same b servers in every block; 'none' is empty; 'random' ignores
     the budget.
+
+    Each attempt draws from its own ``derive_rng(seed, "errors",
+    attempt)``: per block a weight up to (dbar(1) - 1) // 2, then that
+    many servers and proposed values.  A budget attempt is dropped as
+    soon as the weights drawn so far fail ``check_guarantee``, before
+    the positions of that block are drawn.  A failing prefix fails the
+    whole schedule, and the next attempt does not depend on how far this
+    one got, so the law of the accepted schedules is the same as
+    checking complete draws.  After 10,000 rejected attempts budget mode
+    raises ``InvalidParams``.
     """
     stream_len = ell + memory
     if mode == "none":
@@ -197,7 +206,8 @@ def gen_error_schedule(profile: UmDistanceProfile, ell: int, memory: int,
         return ErrorSchedule(entries, mode)
     if mode not in ("budget", "random"):
         raise InvalidParams(f"unknown mode {mode!r}")
-    cap = max_weight if max_weight is not None else (profile.dbar(1) - 1) // 2
+    budget = mode == "budget"
+    cap = (profile.dbar(1) - 1) // 2
     for attempt in range(10000):
         rng = derive_rng(seed, "errors", attempt)
         entries = []
@@ -205,9 +215,11 @@ def gen_error_schedule(profile: UmDistanceProfile, ell: int, memory: int,
         for blk in range(1, stream_len + 1):
             w = rng.randint(0, cap)
             weights.append(w)
+            if budget and not check_guarantee(weights, profile):
+                break
             for j in sorted(rng.sample(range(n), w)):
                 entries.append((blk, j, rng.randrange(q)))
-        if mode == "random" or check_guarantee(weights, profile):
+        else:           # every block drawn without breaking the budget
             return ErrorSchedule(tuple(entries), mode)
     raise InvalidParams("could not sample a budget-respecting schedule")
 

@@ -17,7 +17,9 @@ rule that ``recover_window`` enforces, and that
 ``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
 
 ``check_guarantee`` evaluates the designed-extended-row-distance budget
-that makes ``decode_um`` provably exact.
+that makes ``decode_um`` provably exact, in one linear scan over the
+block weights; the budget sampler of ``channels`` calls it on every
+weight prefix it draws.
 """
 
 from __future__ import annotations
@@ -75,15 +77,25 @@ def check_guarantee(weights, profile: UmDistanceProfile) -> bool:
     A deviation of iota stripes touches iota+1 blocks (each stripe feeds
     two adjacent blocks), which is why the iota-th distance guards the
     (iota+1)-block window; single blocks are bounded through their pairs.
+
+    One pass over the weights: with x_b = 2*w_b - d_alpha, a window of
+    two or more blocks breaks the budget iff its x-sum reaches
+    d1 + d2 - 2*d_alpha, so it is enough to carry the largest x-sum of a
+    window that ends at the previous block (Kadane's scan).  Every window
+    of a prefix is a window of the whole list, so a prefix that fails
+    means the whole list fails.
     """
-    weights = list(weights)
-    total = len(weights)
-    for start in range(total - 1):
-        acc = weights[start]
-        for iota in range(1, total - start):
-            acc += weights[start + iota]
-            if 2 * acc >= profile.dbar(iota):
-                return False
+    d_alpha = profile.d_alpha
+    limit = profile.d1 + profile.d2 - 2 * d_alpha
+    best = None          # largest x-sum of a window ending at the last block
+    for w in weights:
+        x = 2 * w - d_alpha
+        if best is None:
+            best = x
+            continue
+        if best + x >= limit:
+            return False
+        best = x + max(best, 0)
     return True
 
 

@@ -308,12 +308,17 @@ def server_respond(system: StorageSystem, scheme: PirScheme, query, xi: int,
     """Inner product of one query vector with the server's stacked column
     of the M+1 stripes involved in iteration xi (zero-padded at the ends)."""
     f = system.field
+    m = scheme.m
+    encoded = system.encoded
     acc = 0
     for z in range(scheme.memory + 1):
-        for s in range(scheme.m):
-            qv = query[z * scheme.m + s]
+        if not 1 <= xi - z <= len(encoded):
+            continue            # zero padding contributes nothing
+        stripe = encoded[xi - z - 1]
+        for s in range(m):
+            qv = query[z * m + s]
             if qv:
-                yv = system.stored_symbol(xi - z, s, j)
+                yv = stripe[s][j]
                 if yv:
                     acc = f.add(acc, f.mul(qv, yv))
     return acc

@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pirstream import channels
 from pirstream.channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -13,7 +17,7 @@ from pirstream.errors import InvalidParams
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
 from pirstream.protocol import ERASED, ERRORED, byzantine_scheme, random_files, run_protocol, storage_encode
-from pirstream.seeds import derive_rng
+from pirstream.seeds import derive_rng, derive_seed
 
 GF16 = Field(2, 4)
 C10 = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
@@ -92,6 +96,92 @@ def test_budget_mode_respects_guarantee():
     for i in range(30):
         sched = gen_error_schedule(PROF, 3, 1, 10, 16, "budget", seed=100 + i)
         assert check_guarantee(sched.weights(4), PROF)
+
+
+def full_draw_schedule(profile, ell, memory, n, q, mode, seed):
+    """The budget sampler that draws every block of an attempt before it
+    checks the budget once; returns the schedule and its attempt count."""
+    cap = (profile.dbar(1) - 1) // 2
+    for attempt in range(10000):
+        rng = derive_rng(seed, "errors", attempt)
+        entries = []
+        weights = []
+        for blk in range(1, ell + memory + 1):
+            w = rng.randint(0, cap)
+            weights.append(w)
+            for j in sorted(rng.sample(range(n), w)):
+                entries.append((blk, j, rng.randrange(q)))
+        if mode == "random" or check_guarantee(weights, profile):
+            return ErrorSchedule(tuple(entries), mode), attempt + 1
+    raise InvalidParams("could not sample a budget-respecting schedule")
+
+
+def counting_attempts(monkeypatch):
+    """Count the per-attempt ``derive_rng(seed, "errors", i)`` calls of
+    ``gen_error_schedule``."""
+    attempts = []
+    orig = channels.derive_rng
+
+    def rng(master, *labels):
+        if labels[:1] == ("errors",) and isinstance(labels[-1], int):
+            attempts.append(labels[-1])
+        return orig(master, *labels)
+    monkeypatch.setattr(channels, "derive_rng", rng)
+    return attempts
+
+
+# (field order, n, k, t): GF(16) shapes and the benchmark's GF(2^8) shape
+SAMPLER_SHAPES = ((16, 8, 2, 1), (16, 10, 2, 2), (16, 12, 2, 1),
+                  (256, 16, 3, 1), (256, 12, 3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SAMPLER_SHAPES), st.integers(1, 8), st.integers(0, 1),
+       st.sampled_from(("budget", "random")), st.integers(0, 2 ** 32))
+def test_budget_sampler_matches_full_draws(shape, ell, memory, mode, seed):
+    q, n, k, t = shape
+    profile = UmDistanceProfile.for_byzantine(n, k, t)
+    expected, expected_attempts = full_draw_schedule(
+        profile, ell, memory, n, q, mode, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        attempts = counting_attempts(mp)
+        sched = gen_error_schedule(profile, ell, memory, n, q, mode, seed)
+    assert sched == expected
+    assert attempts == list(range(expected_attempts))
+
+
+# The benchmark's byzantine-budget shape, whose sampler gives up at seed 11,
+# trial 4 after 10,000 rejected attempts.
+GIVE_UP = (UmDistanceProfile.for_byzantine(16, 3, 1), 20, 1, 16, 256,
+           "budget", derive_seed(11, "errors", 4))
+
+
+def test_budget_sampler_gives_up_like_full_draws(monkeypatch):
+    with pytest.raises(InvalidParams) as expected:
+        full_draw_schedule(*GIVE_UP)
+    attempts = counting_attempts(monkeypatch)
+    with pytest.raises(InvalidParams) as raised:
+        gen_error_schedule(*GIVE_UP)
+    assert str(raised.value) == str(expected.value)
+    assert attempts == list(range(10000))
+
+
+def test_budget_sampler_stops_an_attempt_at_its_first_failing_block(monkeypatch):
+    # drawing all 21 blocks of each rejected attempt would make 21 weight
+    # draws per attempt
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+    monkeypatch.setattr(channels, "derive_rng", lambda master, *labels:
+                        CountingRandom(derive_seed(master, *labels)))
+    attempts = counting_attempts(monkeypatch)
+    with pytest.raises(InvalidParams):
+        gen_error_schedule(*GIVE_UP)
+    assert len(attempts) == 10000
+    assert len(draws) < 5 * len(attempts)
 
 
 def test_fixed_byzantine_same_servers():

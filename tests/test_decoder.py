@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from pirstream.channels import ErasureSchedule, ErrorSchedule, apply_erasures, apply_errors, gen_burst_patterns, gen_error_schedule
 from pirstream.decoder import (
@@ -282,6 +282,34 @@ def test_check_guarantee_examples():
     assert not check_guarantee([4, 4, 0, 0], prof)
     assert check_guarantee([2, 2, 2, 2], prof)
     assert not check_guarantee([3, 2, 3, 3], prof)
+
+
+def guarantee_by_windows(weights, profile):
+    """The budget check written out window by window, O(L^2)."""
+    total = len(weights)
+    for start in range(total - 1):
+        acc = weights[start]
+        for iota in range(1, total - start):
+            acc += weights[start + iota]
+            if 2 * acc >= profile.dbar(iota):
+                return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@example(4, 6, 6, [])
+@example(4, 6, 7, [9])
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 12),
+       st.lists(st.integers(0, 12), max_size=12))
+def test_check_guarantee_matches_the_window_oracle(d_alpha, d1, d2, weights):
+    profile = UmDistanceProfile(d_alpha, d1, d2)
+    ok = check_guarantee(weights, profile)
+    assert ok == guarantee_by_windows(weights, profile)
+    prefixes = [check_guarantee(weights[:b], profile)
+                for b in range(len(weights) + 1)]
+    # once a prefix fails, every longer prefix and the whole list fail
+    assert prefixes == sorted(prefixes, reverse=True)
+    assert prefixes[-1] == ok
 
 
 # --- unit-memory error decoding ------------------------------------------------
