@@ -23,7 +23,7 @@ from .decoder import (
     recover_plain,
     recover_window,
 )
-from .fields import Field, FieldElement, parse_field_spec
+from .fields import Field, parse_field_spec
 from .grs import GrsCode, star_product_code
 from .protocol import (
     AuditReport,
@@ -41,7 +41,6 @@ from .protocol import (
     run_protocol,
     server_respond,
     storage_encode,
-    stream_from_csv,
 )
 from .rates import (
     RateReport,
@@ -59,7 +58,6 @@ from .recovering import (
     construct_regset,
     construct_unit_memory,
     minimal_gamma,
-    random_search,
 )
 
 __version__ = "0.1.0"

@@ -42,12 +42,6 @@ class ErasureSchedule:
         return _erasure_violation(self.erased, self.stream_len, self.window,
                                   self.burst) is None
 
-    def to_csv(self) -> str:
-        lines = ["block,server,kind"]
-        for b in sorted(self.erased):
-            lines.append(f"{b},,erase")
-        return "\n".join(lines) + "\n"
-
 
 def gen_burst_patterns(ell: int, memory: int, window: int, eps: int,
                        mode: str, seed: int | None = None,
@@ -114,27 +108,6 @@ def gen_burst_patterns(ell: int, memory: int, window: int, eps: int,
     raise InvalidParams(f"unknown mode {mode!r}")
 
 
-def erasure_schedule_from_csv(text: str, ell: int, memory: int, window: int,
-                              eps: int) -> ErasureSchedule:
-    blocks = set()
-    for ln in text.strip().splitlines()[1:]:
-        b, _, kind = ln.split(",")
-        if kind != "erase":
-            raise InvalidParams(f"unexpected schedule row kind {kind!r}")
-        blocks.add(int(b))
-    return ErasureSchedule(frozenset(blocks), ell, memory, window, eps)
-
-
-def error_schedule_from_csv(text: str, mode: str = "replay") -> "ErrorSchedule":
-    entries = []
-    for ln in text.strip().splitlines()[1:]:
-        b, j, kind = ln.split(",")
-        if kind != "error":
-            raise InvalidParams(f"unexpected schedule row kind {kind!r}")
-        entries.append((int(b), int(j), 0))
-    return ErrorSchedule(tuple(entries), mode)
-
-
 def apply_erasures(stream: ResponseStream, schedule: ErasureSchedule) -> ResponseStream:
     blocks = list(stream.blocks)
     for b in schedule.erased:
@@ -162,12 +135,6 @@ class ErrorSchedule:
         for b, _, _ in self.entries:
             w[b - 1] += 1
         return w
-
-    def to_csv(self) -> str:
-        lines = ["block,server,kind"]
-        for b, j, _ in self.entries:
-            lines.append(f"{b},{j},error")
-        return "\n".join(lines) + "\n"
 
 
 def gen_error_schedule(profile: UmDistanceProfile, ell: int, memory: int,

@@ -268,6 +268,8 @@ def cmd_recovering_search(args) -> int:
             trials = _int("search", "trials", cfg.search["trials"])
         if args.seed is None and "seed" in cfg.search:
             seed = _int("search", "seed", cfg.search["seed"])
+    if trials < 1:
+        raise ConfigError(f"[search] trials = {trials} must be >= 1")
     if not rows:
         raise ConfigError("recovering-search needs [search] rows = k:M:q[:gamma] ...")
     lines = ["k,M,N,q,gamma,trials,p_full"]

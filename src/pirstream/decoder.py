@@ -106,10 +106,6 @@ class RecoveredFile:
     stripes: tuple
     provenance: tuple
 
-    @property
-    def ell(self) -> int:
-        return len(self.stripes)
-
 
 # --- peeling ------------------------------------------------------------------
 
@@ -264,19 +260,18 @@ def _erasure_violation(erased, stream_len: int, window: int, eps: int):
     return None
 
 
-def recover_window(stream: ResponseStream, scheme: PirScheme,
-                   certificate=None) -> RecoveredFile:
+def recover_window(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     """Window recovery through erasure bursts.
 
     Intact stretches decode stripe-per-block exactly like recover_plain;
     a burst defers its stripes until the window provides a full-rank
-    stacked system, which the recovering certificate of the support
-    locators guarantees.
+    stacked system.  That is guaranteed when the support locators have
+    the recovering property (``recovering.build_A(...).verdict``); without
+    it a burst's solve can fail at its deadline.  A stream that breaks
+    the erasure rule raises ``UncorrectablePattern`` before any decoding.
     """
     if scheme.variant != BLOCK:
         raise InvalidParams(f"recover_window needs the block-erasure variant")
-    if certificate is not None:
-        _check_certificate(scheme, certificate)
     erased = [xi for xi in range(1, len(stream.blocks) + 1)
               if stream.block(xi).status == ERASED]
     reason = _erasure_violation(erased, len(stream.blocks), scheme.window,
@@ -284,15 +279,6 @@ def recover_window(stream: ResponseStream, scheme: PirScheme,
     if reason is not None:
         raise UncorrectablePattern(reason)
     return _peel(stream, scheme, scheme.window)
-
-
-def _check_certificate(scheme: PirScheme, certificate):
-    locs = tuple(scheme.storage_code.locators[j] for j in scheme.support)
-    if (certificate.k != scheme.k or certificate.M != scheme.memory
-            or set(certificate.locators) != set(locs)):
-        raise InvalidParams("certificate does not match the scheme support")
-    if not certificate.verdict:
-        raise RankDeficient("support locators lack the recovering property")
 
 
 # --- unit-memory error decoding ----------------------------------------------

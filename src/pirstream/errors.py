@@ -23,10 +23,6 @@ class ZeroElement(PirstreamError):
     pass
 
 
-class FieldMismatch(PirstreamError):
-    pass
-
-
 class OrderNotDividing(PirstreamError):
     pass
 

@@ -9,8 +9,7 @@ library are plain lists of these integers together with the owning
 
 The scalar methods (``add``, ``sub``, ``mul``, ``inv``, ``pow``) are the
 reference arithmetic.  Extension fields with q <= 2^16 multiply through
-exp/log tables, odd-characteristic extensions with q <= 2^9 also add
-through a table, and everything else reduces polynomials.
+exp/log tables, and everything else reduces polynomials.
 
 The two per-symbol loops that dominate the library, the row update of
 Gaussian elimination and the evaluation of a GRS codeword, run through
@@ -29,7 +28,7 @@ number of ``Field`` method calls differs.
 from __future__ import annotations
 
 from .errors import (
-    FieldMismatch,
+    InvalidParams,
     NonPrimeCharacteristic,
     OrderNotDividing,
     ReducibleModulus,
@@ -38,7 +37,6 @@ from .errors import (
 )
 
 _TABLE_LIMIT = 1 << 16
-_ADD_TABLE_LIMIT = 1 << 9
 
 
 def is_prime(n: int) -> bool:
@@ -310,8 +308,7 @@ class Field:
     """Context object for GF(p^s): parameters, tables, and arithmetic on ints."""
 
     __slots__ = (
-        "p", "s", "q", "modulus", "_exp", "_log", "_add_table",
-        "_q1_factors", "kernel",
+        "p", "s", "q", "modulus", "_exp", "_log", "_q1_factors", "kernel",
     )
 
     def __init__(self, p: int, s: int = 1, modulus=None):
@@ -336,11 +333,8 @@ class Field:
         self._q1_factors = tuple(factorize(self.q - 1))
         self._exp = None
         self._log = None
-        self._add_table = None
         if s > 1 and self.q <= _TABLE_LIMIT:
             self._build_mul_tables()
-        if s > 1 and p != 2 and self.q <= _ADD_TABLE_LIMIT:
-            self._build_add_table()
         if s == 1:
             self.kernel = _PrimeKernel(p)
         elif p == 2 and self._exp is not None:
@@ -405,17 +399,6 @@ class Field:
         self._exp = exp
         self._log = log
 
-    def _build_add_table(self):
-        q, p, s = self.q, self.p, self.s
-        table = [0] * (q * q)
-        for a in range(q):
-            da = _unpack(a, p, s)
-            row = a * q
-            for b in range(q):
-                db = _unpack(b, p, s)
-                table[row + b] = _pack([(x + y) % p for x, y in zip(da, db)], p)
-        self._add_table = table
-
     # -- arithmetic on canonical ints ------------------------------------
 
     def add(self, a, b):
@@ -423,8 +406,6 @@ class Field:
             return a ^ b
         if self.s == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a * self.q + b]
         da = _unpack(a, self.p, self.s)
         db = _unpack(b, self.p, self.s)
         return _pack([(x + y) % self.p for x, y in zip(da, db)], self.p)
@@ -490,25 +471,6 @@ class Field:
                 return a
         raise OrderNotDividing(f"no element of order {e} found")  # unreachable
 
-    # -- elements ---------------------------------------------------------
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.q if self.s == 1 else value)
-
-    def element(self, value: int) -> "FieldElement":
-        return self(value)
-
-    def elements(self):
-        return range(self.q)
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -523,124 +485,23 @@ class Field:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.s})"
 
-    def spec_string(self) -> str:
-        """Render as a CLI field spec, e.g. "2^4:13"."""
-        if self.s == 1:
-            return str(self.p)
-        packed = _pack(list(self.modulus), self.p)
-        return f"{self.p}^{self.s}:{packed:x}"
-
-
-class FieldElement:
-    """Wrapper over a canonical integer with operator overloading.
-
-    Hot paths in the library work on raw ints through :class:`Field`; this
-    class is the convenience surface for interactive use and tests.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        if not 0 <= value < field.q:
-            raise ValueError(f"value {value} outside [0, {field.q - 1}]")
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q if self.field.s == 1 else other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def order(self) -> int:
-        return self.field.order(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.field!r}({self.value})"
-
 
 def parse_field_spec(spec: str) -> Field:
     """Parse "p", "p^s" or "p^s:modulus-hex" into a Field.
 
     The modulus hex encodes the full monic polynomial packed in base p,
-    e.g. "2^4:13" is x^4+x+1 (0x13 = 19 = 16+2+1).
+    e.g. "2^4:13" is x^4+x+1 (0x13 = 19 = 16+2+1).  A spec that is not of
+    this form raises ``InvalidParams``.
     """
-    spec = spec.strip()
-    mod_part = None
-    if ":" in spec:
-        spec, mod_part = spec.split(":", 1)
-    if "^" in spec:
-        p_str, s_str = spec.split("^", 1)
-        p, s = int(p_str), int(s_str)
-    else:
-        p, s = int(spec), 1
-    modulus = None
-    if mod_part is not None:
-        packed = int(mod_part, 16)
-        modulus = _unpack(packed, p, s + 1)
+    body, colon, mod_part = spec.strip().partition(":")
+    p_str, caret, s_str = body.partition("^")
+    try:
+        p = int(p_str)
+        s = int(s_str) if caret else 1
+        packed = int(mod_part, 16) if colon else None
+    except ValueError:
+        raise InvalidParams(
+            f"field spec {spec!r} is not p, p^s or p^s:modulus-hex") from None
+    # Field rejects p < 2 before it reads the modulus
+    modulus = _unpack(packed, p, s + 1) if packed is not None and p > 1 else None
     return Field(p, s, modulus)

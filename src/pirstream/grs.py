@@ -23,7 +23,7 @@ from .errors import (
     TooManyErasures,
 )
 from .fields import Field
-from .linalg import row_space_basis, solve_any
+from .linalg import solve_any
 
 
 def poly_eval(field: Field, coeffs, x):
@@ -231,13 +231,6 @@ class GrsCode:
             return None
         return msg[:k]
 
-    def contains(self, word) -> bool:
-        try:
-            self.erasure_decode(list(word))
-            return True
-        except InconsistentWord:
-            return False
-
     def codewords(self):
         """All q^k codewords; only sensible for tiny codes in tests."""
         f = self.field
@@ -265,15 +258,3 @@ def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:
     f = c1.field
     mults = tuple(f.mul(a, b) for a, b in zip(c1.multipliers, c2.multipliers))
     return GrsCode(f, c1.n, k, c1.locators, mults)
-
-
-def star_span_basis(c1: GrsCode, c2: GrsCode):
-    """Row-space basis of all pairwise star products; oracle for the above."""
-    f = c1.field
-    g1 = c1.generator_matrix()
-    g2 = c2.generator_matrix()
-    products = []
-    for r1 in g1:
-        for r2 in g2:
-            products.append([f.mul(a, b) for a, b in zip(r1, r2)])
-    return row_space_basis(f, products)

@@ -73,10 +73,6 @@ def row_space_basis(field: Field, rows):
     return m[: len(pivots)]
 
 
-def row_spaces_equal(field: Field, a, b) -> bool:
-    return row_space_basis(field, a) == row_space_basis(field, b)
-
-
 def _solve_augmented(field: Field, a, b):
     """Reduce [A | b]; returns (x, rank of A) with free variables set to 0,
     or (None, rank of A) if the system is inconsistent."""
@@ -157,9 +153,3 @@ def vec_mat(field: Field, x, a):
                 if row[c]:
                     out[c] = add(out[c], mul(xi, row[c]))
     return out
-
-
-def star(field: Field, u, v):
-    """Coordinate-wise (star) product of two equal-length vectors."""
-    mul = field.mul
-    return [mul(a, b) for a, b in zip(u, v)]

@@ -131,11 +131,6 @@ class PirScheme:
         return self.storage_code.k
 
     @property
-    def d_star(self) -> int:
-        """Distance of the star product of storage and retrieval codes."""
-        return self.n - (self.k + self.t - 1) + 1
-
-    @property
     def rounds(self) -> int:
         return len(self.sub_supports)
 
@@ -167,13 +162,8 @@ def _conv_offsets(code: GrsCode, memory: int, parts):
 
 
 def plain_scheme(code: GrsCode, t: int, memory: int, m: int, desired: int,
-                 support, retrieval_code: GrsCode | None = None) -> PirScheme:
-    """Memory-M streaming scheme; one stripe resolved per iteration.
-
-    ``retrieval_code`` overrides the default RS(n, t) masking code; meant
-    for fault injection in tests (e.g. an underdimensioned code whose
-    collusion audit must fail).
-    """
+                 support) -> PirScheme:
+    """Memory-M streaming scheme; one stripe resolved per iteration."""
     _common_checks(code, t, m, desired)
     if memory < 0:
         raise InvalidParams("memory must be >= 0")
@@ -188,8 +178,8 @@ def plain_scheme(code: GrsCode, t: int, memory: int, m: int, desired: int,
         raise SupportTooSmall(f"|J|={len(support)} < k={code.k}")
     if len(support) > d_star_1:
         raise SupportTooLarge(f"|J|={len(support)} > d*-1={d_star_1}")
-    return PirScheme(PLAIN, code, retrieval_code or _default_retrieval(code, t),
-                     t, m, memory, desired, support, (support,),
+    return PirScheme(PLAIN, code, _default_retrieval(code, t), t, m, memory,
+                     desired, support, (support,),
                      _conv_offsets(code, memory, (support,)))
 
 
@@ -336,9 +326,6 @@ class Block:
     status: str
     parts: tuple | None
 
-    def part(self, r: int = 0):
-        return self.parts[r]
-
 
 @dataclass(frozen=True)
 class ResponseStream:
@@ -359,40 +346,6 @@ class ResponseStream:
     def block(self, xi: int) -> Block:
         """Block of iteration xi, 1-based."""
         return self.blocks[xi - 1]
-
-    def to_csv(self) -> str:
-        lines = ["block,server,symbol"]
-        for xi, blk in enumerate(self.blocks, start=1):
-            if blk.parts is None:
-                continue
-            for part in blk.parts:
-                for j, v in enumerate(part):
-                    lines.append(f"{xi},{j},{v}")
-        return "\n".join(lines) + "\n"
-
-
-def stream_from_csv(text: str, n: int, ell: int, memory: int,
-                    rounds: int = 1) -> ResponseStream:
-    """Rebuild a stream from the flat CSV layout; blocks with no rows are
-    erased.  Per-block rows must appear in emission order."""
-    rows: dict[int, list[int]] = {}
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    for ln in lines[1:]:
-        xi, j, v = (int(x) for x in ln.split(","))
-        rows.setdefault(xi, []).append(v)
-    blocks = []
-    downloaded = (ell + memory) * rounds * n
-    for xi in range(1, ell + memory + 1):
-        if xi not in rows:
-            blocks.append(Block(ERASED, None))
-            continue
-        flat = rows[xi]
-        if len(flat) != rounds * n:
-            raise InvalidParams(f"block {xi} has {len(flat)} symbols, "
-                                f"expected {rounds * n}")
-        parts = tuple(tuple(flat[r * n: (r + 1) * n]) for r in range(rounds))
-        blocks.append(Block(INTACT, parts))
-    return ResponseStream(n, ell, memory, rounds, tuple(blocks), downloaded)
 
 
 def run_protocol(system: StorageSystem, scheme: PirScheme,

@@ -96,13 +96,8 @@ class RateReport:
     bound: Fraction             # variant's displayed rate bound
     padded: bool                # sub-round ceiling made the formula inexact
 
-    @property
-    def gap(self) -> Fraction:
-        return self.bound - self.simulated_rate
 
-
-def expected_downloads(variant: str, n: int, ell: int, memory: int,
-                       rounds: int) -> int:
+def expected_downloads(n: int, ell: int, memory: int, rounds: int) -> int:
     """Structural download count: every server answers once per sub-round
     of every iteration, erased or not."""
     return (ell + memory) * rounds * n
@@ -117,7 +112,7 @@ def verify_accounting(*, variant: str, n: int, k: int, t: int, ell: int,
     Raises AccountingMismatch when the counter disagrees with the
     structural count, which honest simulations never trigger.
     """
-    expected = expected_downloads(variant, n, ell, memory, rounds)
+    expected = expected_downloads(n, ell, memory, rounds)
     if downloaded != expected:
         raise AccountingMismatch(
             f"counted {downloaded} downloaded symbols, expected {expected}")

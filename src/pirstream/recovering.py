@@ -64,20 +64,15 @@ def _component_block(field: Field, k, locators, z):
     return rows
 
 
-def build_A(field: Field, k: int, M: int, locators, check: bool = True) -> RecoveringMatrix:
-    """Assemble the (2M+1)k x (M+1)gamma banded matrix and compute its rank.
-
-    ``check=False`` skips the precondition validation so tests can probe
-    degenerate inputs such as duplicated locators.
-    """
+def build_A(field: Field, k: int, M: int, locators) -> RecoveringMatrix:
+    """Assemble the (2M+1)k x (M+1)gamma banded matrix and compute its rank."""
     locators = tuple(locators)
     gamma = len(locators)
-    if check:
-        if len(set(locators)) != gamma:
-            raise DuplicateLocators("locators must be pairwise distinct")
-        if gamma < minimal_gamma(k, M):
-            raise TooFewLocators(
-                f"gamma={gamma} below minimum {minimal_gamma(k, M)}")
+    if len(set(locators)) != gamma:
+        raise DuplicateLocators("locators must be pairwise distinct")
+    if gamma < minimal_gamma(k, M):
+        raise TooFewLocators(
+            f"gamma={gamma} below minimum {minimal_gamma(k, M)}")
     blocks = {z: _component_block(field, k, locators, z) for z in range(1, M + 2)}
     n_block_rows = 2 * M + 1
     n_block_cols = M + 1
@@ -156,26 +151,18 @@ def construct_unit_memory(field: Field, k: int):
     return tuple(field.pow(sigma, i) for i in range(1, gamma + 1))
 
 
-def random_search(field: Field, k: int, M: int, trials: int, seed: int,
-                  gamma: int | None = None) -> float:
-    """Fraction of uniformly drawn distinct locator sets whose matrix has
-    full rank; reproduces the published search table.
-
-    Locators are sampled without replacement from the whole field, zero
-    included: only that convention reproduces the published k=3, M=2,
-    q=16 search probability.
-    """
-    hits, total = random_search_counts(field, k, M, trials, seed, gamma)
-    return hits / total
-
-
 def random_search_counts(field: Field, k: int, M: int, trials: int, seed: int,
                          gamma: int | None = None,
                          start_trial: int = 0):
-    """(full-rank count, trials) over trial indices [start, start+trials).
+    """(full-rank count, trials) over trial indices [start, start+trials):
+    hits / trials is the fraction of uniformly drawn distinct locator sets
+    whose matrix has full rank, as in the published search table.
 
-    Per-trial seeds are derived from the master seed so that splitting the
-    range across workers cannot change the outcome.
+    Locators are sampled without replacement from the whole field, zero
+    included: only that convention reproduces the published k=3, M=2,
+    q=16 search probability.  Per-trial seeds are derived from the master
+    seed so that splitting the range across workers cannot change the
+    outcome.
     """
     if gamma is None:
         gamma = minimal_gamma(k, M)

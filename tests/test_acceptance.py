@@ -5,6 +5,7 @@ These run the full-size workloads (10000-trial searches, 1000-trial
 decoding campaigns); the rest of the suite uses smaller counts.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -43,7 +44,7 @@ from pirstream.recovering import (
     construct_regset,
     construct_unit_memory,
     minimal_gamma,
-    random_search,
+    random_search_counts,
 )
 from pirstream.seeds import derive_rng, derive_seed
 
@@ -94,7 +95,9 @@ def test_criterion_1_search_probabilities():
         ]
         for k, M, q, lo, hi in rows:
             field = field_of(q, 2, {16: 4, 256: 8}[q])
-            p = random_search(field, k, M, trials=10000, seed=20240)
+            hits, trials = random_search_counts(field, k, M, trials=10000,
+                                                seed=20240)
+            p = hits / trials
             assert lo <= p <= hi, (k, M, q, p)
         elapsed = time.time() - start
         print(f"  search runtime {elapsed:.1f}s")
@@ -239,8 +242,8 @@ def test_criterion_7_privacy_audit():
             rep = privacy_audit(sch2, (j,))
             assert rep.identical and rep.enumerated == 256
         c10 = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
-        broken = plain_scheme(
-            c10, t=2, memory=0, m=2, desired=0, support=(5, 6),
+        broken = dataclasses.replace(
+            plain_scheme(c10, t=2, memory=0, m=2, desired=0, support=(5, 6)),
             retrieval_code=GrsCode(GF16, 10, 1, tuple(range(1, 11))))
         rep = privacy_audit(broken, (4, 5))
         assert not rep.identical and rep.witness is not None

@@ -207,10 +207,10 @@ def test_apply_errors_changes_exactly_listed_symbols():
     assert out.block(2).status == ERRORED
     assert out.block(1) == stream.block(1)
     diffs2 = [j for j in range(10)
-              if out.block(2).part(0)[j] != stream.block(2).part(0)[j]]
+              if out.block(2).parts[0][j] != stream.block(2).parts[0][j]]
     assert diffs2 == [4]
     diffs3 = [j for j in range(10)
-              if out.block(3).part(0)[j] != stream.block(3).part(0)[j]]
+              if out.block(3).parts[0][j] != stream.block(3).parts[0][j]]
     assert diffs3 == [1]
 
 
@@ -218,9 +218,17 @@ def test_apply_errors_never_noop():
     stream = byz_stream()
     for seed in range(30):
         sched = gen_error_schedule(PROF, 3, 1, 10, 16, "budget", seed=seed)
-        out = apply_errors(stream, sched, q=16, seed=seed)
-        for b, j, _ in sched.entries:
-            assert out.block(b).part(0)[j] != stream.block(b).part(0)[j]
+        # the drawn values, every value 0, and every value equal to the
+        # stored symbol: each entry must still change its symbol
+        stored = tuple((b, j, stream.block(b).parts[0][j])
+                       for b, j, _ in sched.entries)
+        for entries in (sched.entries,
+                        tuple((b, j, 0) for b, j, _ in sched.entries),
+                        stored):
+            out = apply_errors(stream, ErrorSchedule(entries, "manual"),
+                               q=16, seed=seed)
+            for b, j, _ in entries:
+                assert out.block(b).parts[0][j] != stream.block(b).parts[0][j]
 
 
 def test_apply_errors_deterministic():
@@ -231,27 +239,6 @@ def test_apply_errors_deterministic():
     assert a.blocks == b.blocks
 
 
-def test_error_schedule_csv():
-    sched = ErrorSchedule(((2, 4, 7),), "manual")
-    assert sched.to_csv() == "block,server,kind\n2,4,error\n"
-    es = ErasureSchedule(frozenset({3, 1}), 4, 1, 3, 1)
-    assert es.to_csv() == "block,server,kind\n1,,erase\n3,,erase\n"
-
-
 def test_gen_burst_bad_mode():
     with pytest.raises(InvalidParams):
         gen_burst_patterns(4, 1, 3, 1, "nope")
-
-
-def test_schedule_csv_replay():
-    from pirstream.channels import erasure_schedule_from_csv, error_schedule_from_csv
-    es = ErasureSchedule(frozenset({1, 4}), 4, 1, 3, 1)
-    back = erasure_schedule_from_csv(es.to_csv(), 4, 1, 3, 1)
-    assert back.erased == es.erased
-    sched = ErrorSchedule(((2, 4, 7), (3, 1, 2)), "manual")
-    replay = error_schedule_from_csv(sched.to_csv())
-    assert [(b, j) for b, j, _ in replay.entries] == [(2, 4), (3, 1)]
-    stream = byz_stream()
-    out = apply_errors(stream, replay, q=16, seed=3)
-    for b, j, _ in replay.entries:
-        assert out.block(b).part(0)[j] != stream.block(b).part(0)[j]

@@ -254,12 +254,17 @@ def test_privacy_audit_cli(tmp_path, capsys):
      "[search] bands"),
     ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = many"),
      "[search] trials"),
+    ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = 0"),
+     "[search] trials"),
+    ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = -3"),
+     "[search] trials"),
     ("simulate", PLAIN_CFG.replace("seed = 11", "seed = eleven"), "[run] seed"),
     ("simulate", BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = two"),
      "[channel] b"),
     ("rates", "[rates]\nell = 1e2\n", "[rates] ell"),
 ], ids=["audit-sets", "audit-limit", "search-rows", "search-bands",
-        "search-trials", "run-seed", "channel-b", "rates-ell"])
+        "search-trials", "search-trials-zero", "search-trials-negative",
+        "run-seed", "channel-b", "rates-ell"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,
                                              names):
     path = write(tmp_path, "c.ini", text)

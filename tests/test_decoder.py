@@ -16,7 +16,6 @@ from pirstream.errors import (
     InconsistentBlock,
     InvalidParams,
     PirstreamError,
-    RankDeficient,
     UncorrectablePattern,
 )
 from pirstream.fields import Field
@@ -228,21 +227,6 @@ def test_window_dense_pattern_rejected():
         recover_window(bad, sch)
 
 
-def test_window_certificate_paths():
-    sch, files, stream = setup_block()
-    cert = build_A(GF16, 2, 1, tuple(C6.locators[j] for j in sch.support))
-    rec = recover_window(stream, sch, certificate=cert)
-    assert rec.stripes == files[1]
-    wrong = build_A(GF16, 2, 1, (1, 2, 3))
-    with pytest.raises(InvalidParams):
-        recover_window(stream, sch, certificate=wrong)
-    fake = build_A(GF16, 2, 1,
-                   tuple(C6.locators[j] for j in sch.support), check=False)
-    object.__setattr__(fake, "rank", 0)
-    with pytest.raises(RankDeficient):
-        recover_window(stream, sch, certificate=fake)
-
-
 def test_window_wrong_variant():
     sch, files, stream = setup_plain()
     with pytest.raises(InvalidParams):
@@ -423,7 +407,7 @@ def test_window_eps2_bursts():
     pats += gen_burst_patterns(6, 2, 5, 2, "shifted-family")
     assert len(pats) > 50
     for p in pats:
-        rec = recover_window(apply_erasures(stream, p), sch, certificate=cert)
+        rec = recover_window(apply_erasures(stream, p), sch)
         assert rec.stripes == files[1], sorted(p.erased)
 
 

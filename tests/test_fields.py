@@ -1,15 +1,17 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pirstream.errors import (
-    FieldMismatch,
+    InvalidParams,
     NonPrimeCharacteristic,
     OrderNotDividing,
     ReducibleModulus,
     ZeroElement,
     ZeroInverse,
 )
-from pirstream.fields import Field, FieldElement, parse_field_spec
+from pirstream.fields import Field, parse_field_spec
 
 GF5 = Field(5)
 GF7 = Field(7)
@@ -31,7 +33,8 @@ def test_construction_examples():
 
 def test_default_modulus_is_lowest_irreducible():
     assert Field(2, 4).modulus == (1, 1, 0, 0, 1)
-    assert Field(2, 8).spec_string() == "2^8:11b"
+    assert Field(2, 8).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)   # 0x11b
+    assert Field(3, 2).modulus == (1, 0, 1)                     # x^2 + 1
 
 
 def test_basic_arithmetic():
@@ -110,31 +113,19 @@ def test_large_field_beyond_tables():
     assert f.pow(a, f.q - 1) == 1
 
 
-def test_element_wrapper():
-    a = GF16(5)
-    b = GF16(9)
-    assert isinstance(a + b, FieldElement)
-    assert (a + b).value == GF16.add(5, 9)
-    assert (a * b).value == GF16.mul(5, 9)
-    assert (a / b) * b == a
-    assert (-a) == a                      # characteristic 2
-    assert a ** 0 == GF16(1)
-    assert a.order() == GF16.order(5)
-    assert int(a) == 5
-    assert hash(GF16(5)) == hash(a)
-    with pytest.raises(FieldMismatch):
-        a + GF5(1)
-    with pytest.raises(ZeroInverse):
-        GF16(0).inverse()
-
-
 def test_field_spec_round_trip():
     assert parse_field_spec("2^4:13") == GF16
     assert parse_field_spec("2^4") == GF16
     assert parse_field_spec("5").q == 5
-    assert GF16.spec_string() == "2^4:13"
-    f = parse_field_spec(Field(3, 2).spec_string())
-    assert f == GF9
+    assert parse_field_spec("2^8:11b") == Field(2, 8)
+    assert parse_field_spec("3^2:a") == GF9
+
+
+@pytest.mark.parametrize("spec", ["abc", "2^x", "2^4:zz", "", "2^", "2^4:"],
+                         ids=repr)
+def test_malformed_field_spec_is_typed(spec):
+    with pytest.raises(InvalidParams, match=re.escape(f"field spec {spec!r}")):
+        parse_field_spec(spec)
 
 
 def test_field_equality():

@@ -13,7 +13,7 @@ from pirstream.errors import (
     TooManyErasures,
 )
 from pirstream.fields import Field
-from pirstream.grs import GrsCode, star_product_code, star_span_basis
+from pirstream.grs import GrsCode, star_product_code
 from pirstream.linalg import row_space_basis
 
 GF5 = Field(5)
@@ -23,6 +23,16 @@ RS42 = GrsCode(GF5, 4, 2, (1, 2, 3, 4))
 
 def hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
+
+
+def star_span_basis(c1: GrsCode, c2: GrsCode):
+    """Row-space basis of all coordinate-wise products of the generator
+    rows of two codes: the oracle for ``star_product_code``."""
+    f = c1.field
+    products = [[f.mul(a, b) for a, b in zip(r1, r2)]
+                for r1 in c1.generator_matrix()
+                for r2 in c2.generator_matrix()]
+    return row_space_basis(f, products)
 
 
 def test_encode_examples():

@@ -88,7 +88,6 @@ def test_verify_accounting_plain():
     assert rep.formula_rate == Fraction(8, 30)
     assert rep.bound == Fraction(8, 15)
     assert not rep.padded
-    assert rep.gap == rep.bound - rep.simulated_rate
     with pytest.raises(AccountingMismatch):
         verify_accounting(variant="plain_conv", n=6, k=2, t=1, ell=4,
                           memory=1, rounds=1, gamma=3, N=None, eps=None,

@@ -17,7 +17,7 @@ from pirstream.recovering import (
     construct_regset,
     construct_unit_memory,
     minimal_gamma,
-    random_search,
+    random_search_counts,
 )
 
 GF7 = Field(7)
@@ -45,8 +45,6 @@ def test_matrix_shape_and_band():
 def test_duplicate_locators():
     with pytest.raises(DuplicateLocators):
         build_A(GF16, 2, 1, (3, 3, 5))
-    rm = build_A(GF16, 2, 1, (3, 3, 5), check=False)
-    assert rm.rank < 6 and not rm.verdict
 
 
 def test_too_few_locators():
@@ -127,14 +125,13 @@ def test_rank_monotone_in_gamma():
 
 
 def test_random_search_smoke():
-    p = random_search(GF16, 2, 1, 200, seed=3)
-    assert p == 1.0   # char 2, k=2: every distinct triple has the property
+    hits, trials = random_search_counts(GF16, 2, 1, 200, seed=3)
+    assert hits == trials == 200   # char 2, k=2: every distinct triple has it
     with pytest.raises(FieldTooSmall):
-        random_search(Field(2, 1), 2, 1, 10, seed=0)
+        random_search_counts(Field(2, 1), 2, 1, 10, seed=0)
 
 
 def test_random_search_deterministic_and_splittable():
-    from pirstream.recovering import random_search_counts
     h1, _ = random_search_counts(GF16, 4, 1, 100, seed=9)
     h2a, _ = random_search_counts(GF16, 4, 1, 50, seed=9, start_trial=0)
     h2b, _ = random_search_counts(GF16, 4, 1, 50, seed=9, start_trial=50)
@@ -146,5 +143,6 @@ def test_random_search_larger_parameters():
     f64 = Field(2, 6)
     for k, M, lo, hi in [(8, 1, 0.90, 1.00), (9, 2, 0.92, 1.00),
                          (4, 3, 0.93, 1.00)]:
-        p = random_search(f64, k, M, trials=500, seed=555)
+        hits, trials = random_search_counts(f64, k, M, trials=500, seed=555)
+        p = hits / trials
         assert lo <= p <= hi, (k, M, p)
