@@ -59,6 +59,37 @@ def _erasure_schedules(channel, ell, scheme, seed, trials):
         seed=derive_seed(seed, "erasure-schedules"), count=trials)
 
 
+# The modes each [channel] kind handles.
+_CHANNEL_MODES = {
+    "none": (),
+    "block-erasure": ("exhaustive", "shifted-family", "random"),
+    "symbol-errors": ("budget", "random", "fixed-byzantine", "none"),
+}
+
+
+def _check_channel(channel, scheme) -> str:
+    """The [channel] kind, once every value in the section is one that a
+    trial can use; checked before any trial runs."""
+    kind = channel.get("kind", "none")
+    if kind not in _CHANNEL_MODES:
+        raise ConfigError(f"[channel] kind = {kind!r}; expected one of "
+                          f"{sorted(_CHANNEL_MODES)}")
+    modes = _CHANNEL_MODES[kind]
+    if "mode" in channel and channel["mode"] not in modes:
+        raise ConfigError(f"[channel] mode = {channel['mode']!r}; kind = {kind} "
+                          f"takes {', '.join(modes) if modes else 'no mode'}")
+    b = _int("channel", "b", channel["b"]) if "b" in channel else None
+    if channel.get("mode") == "fixed-byzantine" and (
+            b is None or not 0 <= b <= scheme.n):
+        raise ConfigError(f"[channel] mode = fixed-byzantine needs [channel] b "
+                          f"in [0, {scheme.n}], got {'none' if b is None else b}")
+    if kind == "block-erasure" and scheme.variant != protocol.BLOCK:
+        raise ConfigError("[channel] block-erasure needs the block-erasure variant")
+    if kind == "symbol-errors" and scheme.variant != protocol.BYZANTINE:
+        raise ConfigError("[channel] symbol-errors needs the byzantine variant")
+    return kind
+
+
 def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
     field = scheme.field
     files = protocol.random_files(
@@ -118,15 +149,10 @@ def cmd_simulate(args) -> int:
     workers = args.workers if args.workers is not None else _int(
         "run", "workers", cfg.run.get("workers", "1"))
     if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+        source = "[run] trials" if args.trials is None else "--trials"
+        raise ConfigError(f"{source} = {trials} must be >= 1")
     channel = dict(cfg.channel)
-    if "b" in channel:
-        _int("channel", "b", channel["b"])
-    kind = channel.get("kind", "none")
-    if kind == "block-erasure" and scheme.variant != protocol.BLOCK:
-        raise ConfigError("[channel] block-erasure needs the block-erasure variant")
-    if kind == "symbol-errors" and scheme.variant != protocol.BYZANTINE:
-        raise ConfigError("[channel] symbol-errors needs the byzantine variant")
+    kind = _check_channel(channel, scheme)
     schedules = None
     if kind == "block-erasure":
         schedules = _erasure_schedules(channel, ell, scheme, seed, trials)
@@ -313,7 +339,6 @@ def _audit_sets(raw: str, n: int, t: int):
 def cmd_privacy_audit(args) -> int:
     cfg = load_config(args.config)
     field, code, scheme, ell = build_scheme(cfg)
-    limit = _int("audit", "limit", cfg.audit.get("limit", str(1 << 20)))
     if "sets" in cfg.audit and cfg.audit["sets"]:
         colluding_sets = _audit_sets(cfg.audit["sets"], scheme.n, scheme.t)
     else:
@@ -321,15 +346,15 @@ def cmd_privacy_audit(args) -> int:
     lines = []
     all_pass = True
     for colluders in colluding_sets:
-        report = protocol.privacy_audit(scheme, colluders, limit=limit)
+        report = protocol.privacy_audit(scheme, colluders)
         if report.identical:
             lines.append(f"T={list(colluders)} PASS enumerated={report.enumerated}")
         else:
             all_pass = False
-            a, b, view, ca, cb = report.witness
+            r, z, offset = report.witness
             lines.append(
-                f"T={list(colluders)} FAIL witness: view={view} has count {ca} "
-                f"for index {a} but {cb} for index {b}")
+                f"T={list(colluders)} FAIL witness: sub-round {r} lag {z} "
+                f"offset {list(offset)} is outside the masking code on T")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     _write_out(args.out, text)

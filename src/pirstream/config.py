@@ -31,6 +31,19 @@ _VARIANTS = {
 }
 
 
+# Every key a command reads, aliases included; any other key is an error.
+_KEYS = {
+    "scheme": {"variant", "field", "q", "n", "k", "t", "m", "ell", "desired",
+               "locators", "memory", "support", "epsilon", "window",
+               "n_window"},
+    "channel": {"kind", "mode", "b"},
+    "run": {"seed", "trials", "workers"},
+    "search": {"rows", "bands", "trials", "seed"},
+    "rates": {"n", "k", "t", "ell"},
+    "audit": {"sets"},
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a command needs, already cross-validated."""
@@ -82,6 +95,8 @@ def load_config(path: str) -> ExperimentConfig:
         if target is None:
             raise ConfigError(f"unknown section [{section}] in {path}")
         for key, value in parser.items(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key [{section}] {key} in {path}")
             target[key] = value.strip()
     return cfg
 

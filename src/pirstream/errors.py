@@ -67,10 +67,6 @@ class SupportTooSmall(PirstreamError):
     pass
 
 
-class AuditTooLarge(PirstreamError):
-    pass
-
-
 class InvalidParams(PirstreamError):
     pass
 

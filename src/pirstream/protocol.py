@@ -1,10 +1,11 @@
 """Storage encoding, query generation, honest-server responses, and the
 exact collusion audit for all three scheme variants.
 
-The audit never enumerates joint masking draws.  Each query row draws
-its own masking codeword, independently of the others, so the joint law
-of what a colluding set sees is the product of the per-row laws; it is
-exact to count each row's q^dim draws once and compare row by row.
+The audit never enumerates masking draws.  Each query row draws its own
+masking codeword, so what a colluding set sees has the same law for
+every desired index iff each desired-file offset, restricted to the set,
+lies in the row space of the masking code restricted to it: one rank
+test per offset row.
 
 Conventions: file, stripe, and server indices are 0-based in code;
 protocol iterations run 1..ell+M to keep the zero-padded virtual stripes
@@ -14,13 +15,9 @@ randomness enters through an explicit seed at run time.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
-    AuditTooLarge,
     InvalidParams,
     ShapeMismatch,
     SupportTooLarge,
@@ -375,57 +372,32 @@ def run_protocol(system: StorageSystem, scheme: PirScheme,
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of ``privacy_audit`` for one colluding set.
-
-    ``row_laws[i][row]`` maps a query row restricted to the colluding set
-    to the number of masking codewords that give it when index i is
-    wanted; ``distributions[i]`` maps a joint view (one restricted row per
-    query row) to its number of joint draws, the product of its row
-    counts, and is built from the row laws when first read.
-    """
+    """Outcome of ``privacy_audit`` for one colluding set."""
 
     identical: bool
     enumerated: int
     colluding: tuple
-    witness: tuple | None   # (index_a, index_b, view, count_a, count_b)
-    row_laws: tuple         # per candidate index: per row, dict row -> count
-
-    @cached_property
-    def distributions(self) -> tuple:
-        joint = []
-        for laws in self.row_laws:
-            counts = {}
-            for combo in itertools.product(*(law.items() for law in laws)):
-                view = tuple(row for row, _ in combo)
-                counts[view] = math.prod(c for _, c in combo)
-            joint.append(counts)
-        return tuple(joint)
+    witness: tuple | None   # (sub_round, lag, offset restricted to colluding)
 
 
-def privacy_audit(scheme: PirScheme, colluding, limit: int = 1 << 20) -> AuditReport:
-    """Exact joint query distribution seen by a colluding set, for every
-    candidate desired index, as a product of per-row laws.
+def privacy_audit(scheme: PirScheme, colluding) -> AuditReport:
+    """Exact check that a colluding set sees the same query law for every
+    candidate desired index, decided by ranks.
 
-    Every query row adds its own independently drawn masking codeword, so
-    the joint law of a view is the product of the per-row laws: a view's
-    count over the (q^dim)^rows joint draws is the product of its rows'
-    counts over the q^dim draws of one row.  Each row law is counted once,
-    from one table of the masking codewords restricted to the colluding
-    set, shifted by that row's offset.  Two products of probability laws
-    are equal iff their factors are (summing out every row but one gives
-    back that row's factor), so the views are identically distributed iff
-    every row's law is the same for every index.
+    The colluding set T sees each query row as a uniformly drawn masking
+    codeword restricted to T, plus the desired-file offset e_{r,z} on the
+    desired row and nothing on the others; rows draw their masking
+    independently.  A row's law is the uniform law on the restricted
+    masking code shifted by its offset, and equals the unshifted one iff
+    the offset lies in that code's row space.  So the views agree for
+    every index iff each restricted offset adds nothing to the rank of the
+    restricted retrieval generator; with one file there is nothing to
+    compare.
 
-    A broken scheme yields a concrete divergence witness: the first view,
-    in sorted order over the union of both supports, whose joint counts
-    differ, with the index pair and both counts.  A depth-first walk over
-    the rows in sorted order finds it.  It drops a prefix whose counts are
-    both 0, or equal with every remaining row law equal; any other prefix
-    holds such a view (all row laws have the same total mass), so the walk
-    never backs out of a prefix it entered.
-
-    ``enumerated`` is still the number of joint draws, and ``limit``
-    bounds it as when they were enumerated one by one.
+    ``witness`` is the first (sub-round, lag) in order whose restricted
+    offset is outside the masking code on T, with that offset.
+    ``enumerated`` is the number of joint masking draws,
+    q^(dim * rounds * rows), that an exhaustive audit would enumerate.
     """
     colluding = tuple(sorted(set(colluding)))
     if any(not 0 <= j < scheme.n for j in colluding):
@@ -434,72 +406,16 @@ def privacy_audit(scheme: PirScheme, colluding, limit: int = 1 << 20) -> AuditRe
         raise InvalidParams(
             f"|T|={len(colluding)} exceeds the designed collusion level t={scheme.t}")
     f = scheme.field
-    dim = scheme.retrieval_code.k
-    codewords = f.q ** dim
-    total_rows = scheme.rounds * scheme.query_rows
-    combos = codewords ** total_rows
-    if combos > limit:
-        raise AuditTooLarge(f"{combos} masking draws exceed the limit {limit}")
-
-    # per-message restriction of the masking codeword to the colluding columns
-    restricted = []
-    for packed in range(codewords):
-        msg = []
-        v = packed
-        for _ in range(dim):
-            msg.append(v % f.q)
-            v //= f.q
-        cw = scheme.retrieval_code.encode(msg)
-        restricted.append(tuple(cw[j] for j in colluding))
-
-    def row_law(offset):
-        law: dict = {}
-        for cw in restricted:
-            shifted = tuple(f.add(a, b) for a, b in zip(cw, offset))
-            law[shifted] = law.get(shifted, 0) + 1
-        return law
-
-    def row_laws_for(desired):
-        laws = []
-        for r in range(scheme.rounds):
-            for row in range(scheme.query_rows):
-                z, s = divmod(row, scheme.m)
-                if s == desired:
-                    laws.append(row_law(
-                        tuple(scheme.e_offsets[r][z][j] for j in colluding)))
-                else:
-                    laws.append(row_law((0,) * len(colluding)))
-        return tuple(laws)
-
-    row_laws = tuple(row_laws_for(i) for i in range(scheme.m))
+    enumerated = f.q ** (scheme.retrieval_code.k * scheme.rounds * scheme.query_rows)
     witness = None
-    for i in range(1, scheme.m):
-        if row_laws[i] != row_laws[0]:
-            view, ca, cb = _first_divergence(row_laws[0], row_laws[i])
-            witness = (0, i, view, ca, cb)
-            break
-    return AuditReport(witness is None, combos, colluding, witness, row_laws)
-
-
-def _first_divergence(laws_a, laws_b):
-    """(view, count_a, count_b) for the first view, in sorted order, whose
-    joint counts under two unequal products of row laws differ."""
-    rows = len(laws_a)
-    # settled[r]: the laws of rows r.. agree, so equal counts stay equal
-    settled = [True] * (rows + 1)
-    for r in range(rows - 1, -1, -1):
-        settled[r] = settled[r + 1] and laws_a[r] == laws_b[r]
-
-    def walk(r, prefix, ca, cb):
-        if r == rows:
-            return prefix, ca, cb
-        la, lb = laws_a[r], laws_b[r]
-        for row in sorted(la.keys() | lb.keys()):
-            na, nb = ca * la.get(row, 0), cb * lb.get(row, 0)
-            if na != nb or (na and not settled[r + 1]):
-                found = walk(r + 1, prefix + (row,), na, nb)
-                if found:
-                    return found
-        return None
-
-    return walk(0, (), 1, 1)
+    if scheme.m > 1:
+        masking = [[row[j] for j in colluding]
+                   for row in scheme.retrieval_code.generator_matrix()]
+        rank = mat_rank(f, masking)
+        outside = (
+            (r, z, seen)
+            for r, offsets in enumerate(scheme.e_offsets)
+            for z, seen in enumerate(tuple(e[j] for j in colluding) for e in offsets)
+            if mat_rank(f, masking + [list(seen)]) > rank)
+        witness = next(outside, None)
+    return AuditReport(witness is None, enumerated, colluding, witness)

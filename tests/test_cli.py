@@ -1,11 +1,14 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+from pirstream import cli
 from pirstream.cli import main, parse_search_rows, rates_csv
 from pirstream.config import load_config, build_scheme
 from pirstream.errors import ConfigError
+from pirstream.grs import GrsCode
 
 PLAIN_CFG = """\
 [scheme]
@@ -248,7 +251,6 @@ def test_privacy_audit_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, text, names", [
     ("privacy-audit", AUDIT_CFG + "[audit]\nsets = 0,x\n", "[audit] sets"),
-    ("privacy-audit", AUDIT_CFG + "[audit]\nlimit = lots\n", "[audit] limit"),
     ("recovering-search", "[search]\nrows = 3:2:x\n", "[search] rows"),
     ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
      "[search] bands"),
@@ -259,18 +261,92 @@ def test_privacy_audit_cli(tmp_path, capsys):
     ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = -3"),
      "[search] trials"),
     ("simulate", PLAIN_CFG.replace("seed = 11", "seed = eleven"), "[run] seed"),
+    ("simulate", PLAIN_CFG.replace("trials = 3", "trials = 0"), "[run] trials"),
     ("simulate", BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = two"),
      "[channel] b"),
     ("rates", "[rates]\nell = 1e2\n", "[rates] ell"),
-], ids=["audit-sets", "audit-limit", "search-rows", "search-bands",
+], ids=["audit-sets", "search-rows", "search-bands",
         "search-trials", "search-trials-zero", "search-trials-negative",
-        "run-seed", "channel-b", "rates-ell"])
+        "run-seed", "run-trials-zero", "channel-b", "rates-ell"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,
                                              names):
     path = write(tmp_path, "c.ini", text)
     assert main([command, "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and names in err
+
+
+def test_simulate_trials_flag_below_one_names_the_flag(tmp_path, capsys):
+    path = write(tmp_path, "c.ini", PLAIN_CFG)
+    assert main(["simulate", "--config", path, "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --trials = 0 must be >= 1\n"
+
+
+@pytest.mark.parametrize("command, text, names", [
+    ("privacy-audit", AUDIT_CFG + "[audit]\nlimit = 100\n", "[audit] limit"),
+    ("simulate", PLAIN_CFG.replace("memory = 1", "memory = 1\neps = 2"),
+     "[scheme] eps"),
+    ("simulate", BYZ_CFG.replace("kind = symbol-errors", "kinds = symbol-errors"),
+     "[channel] kinds"),
+], ids=["audit-limit", "scheme-eps", "channel-kinds"])
+def test_unknown_keys_are_config_errors(tmp_path, capsys, command, text, names):
+    path = write(tmp_path, "c.ini", text)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: unknown key ")
+    assert names in captured.err
+
+
+@pytest.mark.parametrize("text, names", [
+    (BYZ_CFG.replace("kind = symbol-errors", "kind = symbol-error"),
+     "[channel] kind"),
+    (BYZ_CFG.replace("mode = budget", "mode = budjet"), "[channel] mode"),
+    (BLOCK_CFG.replace("mode = exhaustive", "mode = randm"), "[channel] mode"),
+    (PLAIN_CFG + "[channel]\nmode = random\n", "[channel] mode"),
+    (BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine"), "[channel] b"),
+    (BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = 11"),
+     "[channel] b"),
+    (BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = -1"),
+     "[channel] b"),
+], ids=["kind-typo", "symbol-errors-mode", "block-erasure-mode",
+        "mode-without-kind", "fixed-byzantine-no-b", "b-above-n", "b-negative"])
+def test_channel_values_are_checked_before_any_trial(tmp_path, capsys, text,
+                                                     names):
+    path = write(tmp_path, "c.ini", text)
+    assert main(["simulate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and names in captured.err
+
+
+def test_privacy_audit_at_the_byzantine_fixed_shape(tmp_path, capsys):
+    # 256^(1*1*4) = 2^32 joint draws per set, decided by ranks
+    cfg = ("[scheme]\nvariant = byzantine\nfield = 2^8\nn = 16\nk = 3\n"
+           "t = 1\nm = 2\nell = 20\n")
+    path = write(tmp_path, "a.ini", cfg)
+    assert main(["privacy-audit", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"T=[{j}] PASS enumerated={2 ** 32}" for j in range(16)]
+
+
+def test_privacy_audit_fail_line_names_the_witness(tmp_path, capsys,
+                                                   monkeypatch):
+    # a masking code of dimension 1 < t = 2: on T = (0, 1) it is spanned by
+    # (1, 1), which misses the offset (1, 0) of the support (0,)
+    def under_dimensioned(cfg):
+        field, code, scheme, ell = build_scheme(cfg)
+        masking = GrsCode(field, code.n, 1, code.locators)
+        return field, code, dataclasses.replace(scheme, retrieval_code=masking), ell
+
+    monkeypatch.setattr(cli, "build_scheme", under_dimensioned)
+    cfg = AUDIT_CFG.replace("t = 1", "t = 2") + "[audit]\nsets = 0 1 ; 1 2\n"
+    path = write(tmp_path, "a.ini", cfg)
+    assert main(["privacy-audit", "--config", path]) == 3
+    assert capsys.readouterr().out == (
+        "T=[0, 1] FAIL witness: sub-round 0 lag 0 offset [1, 0] is outside "
+        "the masking code on T\n"
+        "T=[1, 2] PASS enumerated=25\n")
 
 
 @pytest.mark.parametrize("sets, problem", [

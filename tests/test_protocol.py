@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from pirstream.errors import (
-    AuditTooLarge,
     InconsistentWord,
     InvalidParams,
     ShapeMismatch,
@@ -28,6 +27,7 @@ from pirstream.protocol import (
 )
 from pirstream.seeds import derive_rng, derive_seed
 
+GF4 = Field(2, 2)
 GF5 = Field(5)
 GF16 = Field(2, 4)
 C6 = GrsCode(GF16, 6, 2, tuple(range(1, 7)))
@@ -207,8 +207,7 @@ def test_privacy_audit_instances():
     # q=5, n=4, t=1, m=2, M=0: 25 masking draws
     sch = plain_scheme(RS42, t=1, memory=0, m=2, desired=0, support=(0, 1))
     rep = privacy_audit(sch, (2,))
-    assert rep.identical and rep.enumerated == 25
-    assert set(rep.distributions[0].values()) == {1}   # uniform marginal
+    assert rep.identical and rep.enumerated == 25 and rep.witness is None
     # q=4, n=3, t=1, m=2, M=1: 256 draws
     gf4 = Field(2, 2)
     c3 = GrsCode(gf4, 3, 1, (1, 2, 3))
@@ -232,33 +231,48 @@ def test_privacy_audit_negative_control():
         plain_scheme(C10, t=2, memory=0, m=2, desired=0, support=(5, 6)), 1)
     rep = privacy_audit(broken, (4, 5))
     assert not rep.identical
-    a, b, view, ca, cb = rep.witness
-    assert (a, b) == (0, 1) and ca != cb
+    # e_{0,0} is 1 on the support (5, 6); the masking code on T = (4, 5) is
+    # spanned by (1, 1), which misses (0, 1)
+    assert rep.witness == (0, 0, (0, 1))
     honest = plain_scheme(C10, t=2, memory=0, m=2, desired=0, support=(5, 6))
     assert privacy_audit(honest, (4, 5)).identical
 
 
+def test_privacy_audit_witness_takes_sub_rounds_in_order():
+    # |J| = 2 > d*-1 = 1: the support splits into sub-rounds (0,) and (1,);
+    # the dimension-1 masking code is (c, c) on any pair of servers
+    broken = under_dimensioned(
+        block_scheme(GrsCode(GF4, 3, 1, (1, 2, 3)), t=2, eps=1, window=2, m=2,
+                     desired=0, support=(0, 1)), 1)
+    assert broken.rounds == 2
+    # both sub-rounds leave the masking code on (0, 1); the first names it
+    assert privacy_audit(broken, (0, 1)).witness == (0, 0, (1, 0))
+    # sub-round 0 has no offset on (1, 2)
+    assert privacy_audit(broken, (1, 2)).witness == (1, 0, (1, 0))
+
+
 def test_privacy_audit_guards():
     sch = worked_scheme()
-    with pytest.raises(AuditTooLarge):
-        privacy_audit(sch, (0,))   # 16^6 draws
+    rep = privacy_audit(sch, (0,))   # 16^6 joint draws, decided by ranks
+    assert rep.identical and rep.enumerated == 16 ** 6
+    with pytest.raises(InvalidParams):
+        privacy_audit(sch, (6,))   # no server 6
     sch0 = plain_scheme(RS42, t=1, memory=0, m=2, desired=0, support=(0, 1))
     with pytest.raises(InvalidParams):
         privacy_audit(sch0, (0, 1))   # |T| > t
 
 
-def _enumerate_audit(scheme, colluding, limit=1 << 20):
+def _enumerate_audit(scheme, colluding):
     """The audit by joint enumeration: every masking draw of every query
-    row at once, (q^dim)^rows of them.  Returns the five report values
-    (identical, enumerated, colluding, witness, distributions)."""
+    row at once, (q^dim)^rows of them.  Returns (identical, enumerated,
+    colluding, restricted): whether the joint view law is the same for
+    every desired index, and the set of masking codewords restricted to
+    the colluding set."""
     colluding = tuple(sorted(set(colluding)))
     f = scheme.field
     dim = scheme.retrieval_code.k
     codewords = f.q ** dim
     total_rows = scheme.rounds * scheme.query_rows
-    combos = codewords ** total_rows
-    if combos > limit:
-        raise AuditTooLarge(f"{combos} masking draws exceed the limit {limit}")
     restricted = []
     for packed in range(codewords):
         msg = []
@@ -292,31 +306,19 @@ def _enumerate_audit(scheme, colluding, limit=1 << 20):
             )
             counts[view] = counts.get(view, 0) + 1
         distributions.append(counts)
-
-    witness = None
-    base = distributions[0]
-    for i in range(1, scheme.m):
-        other = distributions[i]
-        for view in sorted(set(base) | set(other)):
-            ca, cb = base.get(view, 0), other.get(view, 0)
-            if ca != cb:
-                witness = (0, i, view, ca, cb)
-                break
-        if witness:
-            break
-    return witness is None, combos, colluding, witness, tuple(distributions)
+    identical = all(d == distributions[0] for d in distributions)
+    return identical, codewords ** total_rows, colluding, set(restricted)
 
 
-GF4 = Field(2, 2)
 GF7 = Field(7)
 # two sub-rounds: |J| = 3 > d*-1 = 2 splits the support into (0, 1) and (2,);
 # one file keeps it at 4^4 joint draws (two files would take 4^8)
 BLOCK_TWO_ROUNDS = block_scheme(GrsCode(GF4, 3, 1, (1, 2, 3)), t=1, eps=1,
                                 window=2, m=1, desired=0, support=(0, 1, 2))
 
-# an under-dimensioned masking code whose first differing row law (z=1)
-# follows two rows whose laws agree (z=0), so the witness walk must descend
-# through prefixes with equal counts
+# an under-dimensioned masking code whose offset at lag 1 leaves the
+# masking code on T = (2, 3) while the lag-0 offset stays inside, so the
+# witness is not the first offset tested
 C4 = GrsCode(GF5, 4, 1, (1, 2, 3, 4))
 BROKEN_MEMORY_ONE = under_dimensioned(
     plain_scheme(C4, t=2, memory=1, m=2, desired=0, support=(2, 3)), 1)
@@ -353,16 +355,21 @@ def test_privacy_audit_matches_joint_enumeration(scheme):
     for size in range(scheme.t + 1):
         for colluding in itertools.combinations(range(scheme.n), size):
             rep = privacy_audit(scheme, colluding)
-            identical, enumerated, coll, witness, dists = \
+            identical, enumerated, coll, restricted = \
                 _enumerate_audit(scheme, colluding)
-            assert (rep.identical, rep.enumerated, rep.colluding,
-                    rep.witness) == (identical, enumerated, coll, witness)
-            assert [list(d.items()) for d in rep.distributions] == \
-                [list(d.items()) for d in dists]
-    # both refuse one joint draw past the limit
-    for audit in (privacy_audit, _enumerate_audit):
-        with pytest.raises(AuditTooLarge):
-            audit(scheme, (), limit=rep.enumerated - 1)
+            assert (rep.identical, rep.enumerated, rep.colluding) == \
+                (identical, enumerated, coll)
+            if rep.identical:
+                assert rep.witness is None
+                continue
+            # the witness is the first (sub-round, lag) whose restricted
+            # offset misses every restricted masking codeword
+            r, z, offset = rep.witness
+            assert offset == tuple(scheme.e_offsets[r][z][j] for j in coll)
+            assert offset not in restricted
+            earlier = [e for rr, offsets in enumerate(scheme.e_offsets)
+                       for zz, e in enumerate(offsets) if (rr, zz) < (r, z)]
+            assert all(tuple(e[j] for j in coll) in restricted for e in earlier)
 
 
 def test_privacy_audit_adds_per_row_not_per_joint_draw(monkeypatch):
@@ -371,19 +378,21 @@ def test_privacy_audit_adds_per_row_not_per_joint_draw(monkeypatch):
     sch = plain_scheme(GrsCode(gf13, 5, 2, (1, 2, 3, 4, 5)), t=2, memory=0,
                        m=2, desired=0, support=(3, 4))
     calls = [0]
-    add = Field.add
 
-    def counting_add(self, a, b):
-        calls[0] += 1
-        return add(self, a, b)
+    def counting(method):
+        def call(self, *args):
+            calls[0] += 1
+            return method(self, *args)
+        return call
 
-    monkeypatch.setattr(Field, "add", counting_add)
+    for name in ("add", "mul"):
+        monkeypatch.setattr(Field, name, counting(getattr(Field, name)))
     rep = privacy_audit(sch, (0, 1))
     assert rep.identical and rep.enumerated == 13 ** 4
-    # 169 encodes of 10 adds for the restricted codewords, then
-    # m * rows * q^t * |T| = 2 * 2 * 169 * 2 adds for the row laws; the
-    # joint enumeration made 230,178
-    assert calls[0] <= 1690 + 1352
+    # the 2 x 5 retrieval generator (10 muls) and two small eliminations
+    # in the mod-p kernel; counting one row's 169 masking draws took 1690
+    # adds, and the joint enumeration 230,178
+    assert calls[0] < 13 ** 2
 
 
 def test_derive_seed_stable():
