@@ -54,7 +54,6 @@ from .rates import (
 from .recovering import (
     RecoveringMatrix,
     build_A,
-    check_direct_sum,
     construct_regset,
     construct_unit_memory,
     minimal_gamma,

@@ -15,6 +15,7 @@ import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import channels, decoder, protocol, rates, recovering
 from .config import _int, _int_list, build_scheme, load_config
@@ -50,16 +51,15 @@ def _fmt(x: Fraction) -> str:
 # --- simulate ----------------------------------------------------------------
 
 def _erasure_schedules(channel, ell, scheme, seed, trials):
-    mode = channel.get("mode", "exhaustive")
-    if mode in ("exhaustive", "shifted-family"):
+    if channel.mode in ("exhaustive", "shifted-family"):
         return channels.gen_burst_patterns(
-            ell, scheme.memory, scheme.window, scheme.burst, mode)
+            ell, scheme.memory, scheme.window, scheme.burst, channel.mode)
     return channels.gen_burst_patterns(
         ell, scheme.memory, scheme.window, scheme.burst, "random",
         seed=derive_seed(seed, "erasure-schedules"), count=trials)
 
 
-# The modes each [channel] kind handles.
+# The modes each [channel] kind handles; the first one is the default.
 _CHANNEL_MODES = {
     "none": (),
     "block-erasure": ("exhaustive", "shifted-family", "random"),
@@ -67,27 +67,48 @@ _CHANNEL_MODES = {
 }
 
 
-def _check_channel(channel, scheme) -> str:
-    """The [channel] kind, once every value in the section is one that a
-    trial can use; checked before any trial runs."""
-    kind = channel.get("kind", "none")
+class _Channel(NamedTuple):
+    """The [channel] section, resolved: mode carries its default (None for
+    kind none), b is None unless given."""
+
+    kind: str
+    mode: str | None
+    b: int | None
+
+
+def _check_channel(section, scheme) -> _Channel:
+    """The [channel] section, once every value in it is one that a trial
+    can use; checked before any trial runs."""
+    kind = section.get("kind", "none")
     if kind not in _CHANNEL_MODES:
         raise ConfigError(f"[channel] kind = {kind!r}; expected one of "
                           f"{sorted(_CHANNEL_MODES)}")
     modes = _CHANNEL_MODES[kind]
-    if "mode" in channel and channel["mode"] not in modes:
-        raise ConfigError(f"[channel] mode = {channel['mode']!r}; kind = {kind} "
+    if "mode" in section and section["mode"] not in modes:
+        raise ConfigError(f"[channel] mode = {section['mode']!r}; kind = {kind} "
                           f"takes {', '.join(modes) if modes else 'no mode'}")
-    b = _int("channel", "b", channel["b"]) if "b" in channel else None
-    if channel.get("mode") == "fixed-byzantine" and (
-            b is None or not 0 <= b <= scheme.n):
+    mode = section.get("mode", modes[0] if modes else None)
+    b = _int("channel", "b", section["b"]) if "b" in section else None
+    if mode == "fixed-byzantine" and (b is None or not 0 <= b <= scheme.n):
         raise ConfigError(f"[channel] mode = fixed-byzantine needs [channel] b "
                           f"in [0, {scheme.n}], got {'none' if b is None else b}")
     if kind == "block-erasure" and scheme.variant != protocol.BLOCK:
         raise ConfigError("[channel] block-erasure needs the block-erasure variant")
     if kind == "symbol-errors" and scheme.variant != protocol.BYZANTINE:
         raise ConfigError("[channel] symbol-errors needs the byzantine variant")
-    return kind
+    return _Channel(kind, mode, b)
+
+
+def _guaranteed(channel, scheme, ell) -> bool:
+    """Whether every trial must decode: the channel is not random, and a
+    fixed Byzantine weight b per block keeps within the error budget."""
+    if channel.mode == "random":
+        return False
+    if channel.mode == "fixed-byzantine":
+        prof = decoder.UmDistanceProfile.for_byzantine(
+            scheme.n, scheme.k, scheme.t)
+        return decoder.check_guarantee([channel.b] * (ell + scheme.memory), prof)
+    return True
 
 
 def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
@@ -98,22 +119,19 @@ def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
     stream = protocol.run_protocol(system, scheme,
                                    derive_seed(seed, "protocol", trial))
     downloaded = stream.downloaded
-    kind = channel.get("kind", "none")
     desc = "clean"
     try:
-        if kind == "block-erasure":
+        if channel.kind == "block-erasure":
             sched = schedules[trial % len(schedules)]
             desc = "erased=" + "+".join(str(b) for b in sorted(sched.erased))
             stream = channels.apply_erasures(stream, sched)
             rec = decoder.recover_window(stream, scheme)
-        elif kind == "symbol-errors":
+        elif channel.kind == "symbol-errors":
             prof = decoder.UmDistanceProfile.for_byzantine(
                 scheme.n, scheme.k, scheme.t)
             sched = channels.gen_error_schedule(
-                prof, ell, scheme.memory, scheme.n, field.q,
-                channel.get("mode", "budget"),
-                derive_seed(seed, "errors", trial),
-                b=int(channel["b"]) if "b" in channel else None)
+                prof, ell, scheme.memory, scheme.n, field.q, channel.mode,
+                derive_seed(seed, "errors", trial), b=channel.b)
             desc = f"weights={sched.weights(ell + scheme.memory)}"
             stream = channels.apply_errors(stream, sched, field.q,
                                            derive_seed(seed, "values", trial))
@@ -151,12 +169,11 @@ def cmd_simulate(args) -> int:
     if trials < 1:
         source = "[run] trials" if args.trials is None else "--trials"
         raise ConfigError(f"{source} = {trials} must be >= 1")
-    channel = dict(cfg.channel)
-    kind = _check_channel(channel, scheme)
+    channel = _check_channel(cfg.channel, scheme)
     schedules = None
-    if kind == "block-erasure":
+    if channel.kind == "block-erasure":
         schedules = _erasure_schedules(channel, ell, scheme, seed, trials)
-        if channel.get("mode", "exhaustive") in ("exhaustive", "shifted-family"):
+        if channel.mode in ("exhaustive", "shifted-family"):
             trials = len(schedules)
     results = []
     if workers > 1:
@@ -180,7 +197,6 @@ def cmd_simulate(args) -> int:
         variant=scheme.variant, n=scheme.n, k=scheme.k, t=scheme.t, ell=ell,
         memory=scheme.memory, rounds=scheme.rounds, gamma=gamma,
         N=scheme.window, eps=scheme.burst, downloaded=downloaded)
-    guaranteed = channel.get("mode", "budget" if kind == "symbol-errors" else "") != "random"
     lines = [
         f"variant={scheme.variant} n={scheme.n} k={scheme.k} t={scheme.t} "
         f"m={scheme.m} ell={ell} M={scheme.memory} rounds={scheme.rounds}",
@@ -199,7 +215,7 @@ def cmd_simulate(args) -> int:
         for trial, ok, dl, desc in results:
             csv_lines.append(f"{trial},{int(ok)},{dl},{desc}")
         _write_out(args.out, "\n".join(csv_lines) + "\n")
-    if ok_count < trials and guaranteed:
+    if ok_count < trials and _guaranteed(channel, scheme, ell):
         return EXIT_DECODE
     return EXIT_OK
 

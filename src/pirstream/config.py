@@ -21,21 +21,13 @@ from .protocol import (
     plain_scheme,
 )
 
-_VARIANTS = {
-    "plain": PLAIN,
-    "plain_conv": PLAIN,
-    "block-erasure": BLOCK,
-    "block_erasure": BLOCK,
-    "byzantine": BYZANTINE,
-    "byzantine_um": BYZANTINE,
-}
+_VARIANTS = {"plain": PLAIN, "block-erasure": BLOCK, "byzantine": BYZANTINE}
 
 
-# Every key a command reads, aliases included; any other key is an error.
+# Every key a command reads; any other key is an error.
 _KEYS = {
-    "scheme": {"variant", "field", "q", "n", "k", "t", "m", "ell", "desired",
-               "locators", "memory", "support", "epsilon", "window",
-               "n_window"},
+    "scheme": {"variant", "field", "n", "k", "t", "m", "ell", "desired",
+               "locators", "memory", "support", "epsilon", "window"},
     "channel": {"kind", "mode", "b"},
     "run": {"seed", "trials", "workers"},
     "search": {"rows", "bands", "trials", "seed"},
@@ -102,7 +94,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_field(scheme_cfg: dict) -> Field:
-    spec = scheme_cfg.get("field") or scheme_cfg.get("q")
+    spec = scheme_cfg.get("field")
     if not spec:
         raise ConfigError("[scheme] field (e.g. 2^4 or 2^4:13) is required")
     try:
@@ -118,7 +110,7 @@ def build_scheme(cfg: ExperimentConfig):
     variant = _VARIANTS.get(variant_raw)
     if variant is None:
         raise ConfigError(f"[scheme] variant = {variant_raw!r}; expected one of "
-                          f"{sorted(set(_VARIANTS))}")
+                          f"{sorted(_VARIANTS)}")
     field = build_field(sc)
     for key in ("n", "k", "t", "m", "ell"):
         if key not in sc:
@@ -146,7 +138,7 @@ def build_scheme(cfg: ExperimentConfig):
             scheme = plain_scheme(code, t, memory, m, desired, support)
         elif variant == BLOCK:
             eps = _int("scheme", "epsilon", sc.get("epsilon", "1"), 1)
-            window = _int("scheme", "window", sc.get("window", sc.get("n_window", "0")), 2)
+            window = _int("scheme", "window", sc.get("window", "0"), 2)
             support = _support(sc, n, default_size=None)
             scheme = block_scheme(code, t, eps, window, m, desired, support)
         else:

@@ -345,16 +345,9 @@ class Field:
     # -- construction helpers ------------------------------------------
 
     def _raw_mul(self, a, b):
-        pa = _unpack(a, self.p, self.s)
-        pb = _unpack(b, self.p, self.s)
-        prod = [0] * (2 * self.s - 1)
-        for i, ai in enumerate(pa):
-            if ai:
-                for j, bj in enumerate(pb):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % self.p
-        red = _poly_mod(prod, list(self.modulus), self.p)
-        return _pack(red + [0] * (self.s - len(red)), self.p)
+        p = self.p
+        return _pack(_poly_mulmod(_unpack(a, p, self.s), _unpack(b, p, self.s),
+                                  self.modulus, p), p)
 
     def _order_raw(self, a, mul):
         e = self.q - 1

@@ -2,11 +2,13 @@
 and star products.
 
 A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
-polynomial f of degree < k evaluated at distinct locators a_j.  Erasure
-decoding interpolates through k surviving positions and cross-checks the
-rest; error decoding solves the Berlekamp-Welch key equation once, at
-the full bounded-minimum-distance radius, which is plenty at the block
-lengths used here and never miscorrects beyond that radius.
+polynomial f of degree < k evaluated at distinct locators a_j.  Both
+decoders solve through ``linalg.solve_any`` on rows of one table of
+locator powers (``_locator_powers``).  Erasure decoding solves the k x k
+Vandermonde system of k surviving positions and cross-checks the rest;
+error decoding solves the Berlekamp-Welch key equation once, at the full
+bounded-minimum-distance radius, which is plenty at the block lengths
+used here and never miscorrects beyond that radius.
 """
 
 from __future__ import annotations
@@ -24,23 +26,6 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import solve_any
-
-
-def poly_eval(field: Field, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def poly_mul(field: Field, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return out
 
 
 def poly_divmod(field: Field, num, den):
@@ -61,24 +46,6 @@ def poly_divmod(field: Field, num, den):
                 num[i - dd + j] = field.sub(num[i - dd + j], field.mul(f, den[j]))
     rem = num[:dd] if dd else [0]
     return quot, rem
-
-
-def lagrange_interpolate(field: Field, xs, ys):
-    """Coefficients (low-to-high) of the unique poly of degree < len(xs)."""
-    k = len(xs)
-    coeffs = [0] * k
-    for i in range(k):
-        num = [1]
-        denom = 1
-        for m in range(k):
-            if m == i:
-                continue
-            num = poly_mul(field, num, [field.neg(xs[m]), 1])
-            denom = field.mul(denom, field.sub(xs[i], xs[m]))
-        scale = field.mul(ys[i], field.inv(denom))
-        for j in range(len(num)):
-            coeffs[j] = field.add(coeffs[j], field.mul(scale, num[j]))
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -115,9 +82,10 @@ class GrsCode:
         return self.n - self.k + 1
 
     def generator_matrix(self):
-        f = self.field
+        """The k x n matrix whose row i is (v_j a_j^i)_j."""
+        mul = self.field.mul
         return [
-            [f.mul(self.multipliers[j], f.pow(self.locators[j], i)) for j in range(self.n)]
+            [mul(v, pw[i]) for v, pw in zip(self.multipliers, self._locator_powers)]
             for i in range(self.k)
         ]
 
@@ -127,8 +95,8 @@ class GrsCode:
         Evaluation runs through the field's kernel (``Field.kernel``):
         Horner's rule on table logs, mod p, or with the scalar methods,
         at points the code converts once (``_points``).  A locator
-        a_j = 0 gives v_j m_0.  Entry j equals
-        ``field.mul(v_j, poly_eval(field, message, a_j))``.
+        a_j = 0 gives v_j m_0.  Each entry is what the scalar ``Field``
+        methods give for v_j m(a_j).
         """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
@@ -143,7 +111,10 @@ class GrsCode:
         """Recover the message from a word with erased positions.
 
         Erasures are the ``None`` entries of ``word`` plus any indices in
-        ``erased``.  Surplus surviving positions are cross-checked so that
+        ``erased``.  The message solves the Vandermonde system
+        sum_i m_i a_j^i = w_j / v_j on the first k surviving positions j
+        (``linalg.solve_any``; distinct locators make the solution
+        unique).  Surplus surviving positions are cross-checked so that
         corrupted non-codewords are reported instead of silently decoded.
         """
         f = self.field
@@ -156,9 +127,9 @@ class GrsCode:
                 f"{len(erased)} erasures > n-k = {self.n - self.k}")
         surviving = [j for j in range(self.n) if j not in erased]
         base = surviving[: self.k]
-        xs = [self.locators[j] for j in base]
+        rows = [self._locator_powers[j][: self.k] for j in base]
         ys = [f.div(word[j], self.multipliers[j]) for j in base]
-        coeffs = lagrange_interpolate(f, xs, ys)
+        coeffs = solve_any(f, rows, ys)
         surplus = surviving[self.k:]
         expected = f.kernel.evaluate(coeffs, [self._points[j] for j in surplus])
         for j, expect in zip(surplus, expected):
@@ -195,8 +166,9 @@ class GrsCode:
 
     @cached_property
     def _locator_powers(self):
-        """a_j^i for every position j and 0 <= i < k + (d-1)//2, the
-        powers a Berlekamp-Welch row at any e <= (d-1)//2 needs."""
+        """a_j^i for every position j and 0 <= i < k + (d-1)//2: the
+        generator matrix, erasure decoding and a Berlekamp-Welch row at
+        any e <= (d-1)//2 read their powers here."""
         f = self.field
         top = self.k + (self.d - 1) // 2
         table = []
@@ -230,19 +202,6 @@ class GrsCode:
         if any(quot[k:]):
             return None
         return msg[:k]
-
-    def codewords(self):
-        """All q^k codewords; only sensible for tiny codes in tests."""
-        f = self.field
-
-        def rec(prefix):
-            if len(prefix) == self.k:
-                yield self.encode(prefix)
-                return
-            for v in range(f.q):
-                yield from rec(prefix + [v])
-
-        yield from rec([])
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

@@ -4,7 +4,11 @@ Matrices are lists of equal-length lists of canonical field integers.
 Everything here rests on one forward-elimination loop (``_echelon``):
 ``mat_rank`` counts its pivots, ``rref`` adds a back-elimination pass,
 and the solvers read their answer off the ``rref`` of the augmented
-matrix.  Over an exact field there are no tolerance questions.
+matrix.  Over an exact field there are no tolerance questions.  Every
+solve and rank in the package runs here: the decoders' window and
+support solves, GRS erasure decoding (a k x k Vandermonde system) and
+Berlekamp-Welch decoding, the rank of the recovering matrix A and the
+collusion audit's ranks.
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
 the field's kernel (``Field.kernel``, see ``fields``): per pivot, the
@@ -67,12 +71,6 @@ def rref(field: Field, rows):
     return m, pivots
 
 
-def row_space_basis(field: Field, rows):
-    """Basis (RREF rows) of the row space."""
-    m, pivots = rref(field, rows)
-    return m[: len(pivots)]
-
-
 def _solve_augmented(field: Field, a, b):
     """Reduce [A | b]; returns (x, rank of A) with free variables set to 0,
     or (None, rank of A) if the system is inconsistent."""
@@ -106,50 +104,3 @@ def solve_any(field: Field, a, b):
     Returns None if the system is inconsistent.
     """
     return _solve_augmented(field, a, b)[0]
-
-
-def left_kernel_basis(field: Field, rows):
-    """Basis of {x : x A = 0} via elimination on [A | I]."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = []
-    for i, row in enumerate(rows):
-        ident = [0] * nrows
-        ident[i] = 1
-        aug.append(list(row) + ident)
-    m, _ = rref(field, aug)
-    basis = []
-    for row in m:
-        if all(v == 0 for v in row[:ncols]):
-            tail = row[ncols:]
-            if any(tail):
-                basis.append(tail)
-    return basis
-
-
-def intersect_row_spaces(field: Field, a, b):
-    """Basis of rowspace(A) ∩ rowspace(B)."""
-    if not a or not b:
-        return []
-    stacked = [list(r) for r in a] + [list(r) for r in b]
-    na = len(a)
-    basis = []
-    for ker in left_kernel_basis(field, stacked):
-        u = ker[:na]
-        vec = vec_mat(field, u, a)
-        if any(vec):
-            basis.append(vec)
-    return row_space_basis(field, basis) if basis else []
-
-
-def vec_mat(field: Field, x, a):
-    """Row vector times matrix."""
-    mul, add = field.mul, field.add
-    ncols = len(a[0])
-    out = [0] * ncols
-    for xi, row in zip(x, a):
-        if xi:
-            for c in range(ncols):
-                if row[c]:
-                    out[c] = add(out[c], mul(xi, row[c]))
-    return out

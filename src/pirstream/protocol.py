@@ -59,13 +59,6 @@ class StorageSystem:
     def n(self) -> int:
         return self.code.n
 
-    def stored_symbol(self, xi: int, s: int, j: int) -> int:
-        """Encoded symbol of stripe xi (1-based) of file s at server j;
-        stripes outside [1, ell] are the zero padding."""
-        if xi < 1 or xi > self.ell:
-            return 0
-        return self.encoded[xi - 1][s][j]
-
 
 def storage_encode(files, code: GrsCode) -> StorageSystem:
     files = tuple(tuple(tuple(stripe) for stripe in f) for f in files)

@@ -2,10 +2,11 @@
 
 The central object is the banded block matrix A built from a candidate
 locator set: the burst-recovery window is solvable exactly when A has
-full row rank (2M+1)k.  This module assembles A, computes its rank by
-exact elimination, cross-checks the verdict through the equivalent
-direct-sum criterion, provides the two explicit constructions that
-guarantee full rank, and runs the randomized locator search.
+full row rank (2M+1)k.  This module assembles A from one table of
+locator powers, computes its rank by exact elimination
+(``linalg.mat_rank``), provides the two explicit constructions that
+guarantee full rank, and runs the randomized locator search.  The
+equivalent direct-sum criterion is a test oracle and lives in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     TooFewLocators,
 )
 from .fields import Field
-from .linalg import intersect_row_spaces, mat_rank
+from .linalg import mat_rank
 from .seeds import derive_seed
 
 
@@ -53,17 +54,6 @@ class RecoveringMatrix:
         return self.rank == self.full_rank
 
 
-def _component_block(field: Field, k, locators, z):
-    """k x gamma block: Vandermonde rows scaled per column by a^((z-1)k)."""
-    rows = []
-    for r in range(k):
-        rows.append([
-            field.mul(field.pow(a, r), field.pow(a, (z - 1) * k))
-            for a in locators
-        ])
-    return rows
-
-
 def build_A(field: Field, k: int, M: int, locators) -> RecoveringMatrix:
     """Assemble the (2M+1)k x (M+1)gamma banded matrix and compute its rank."""
     locators = tuple(locators)
@@ -73,49 +63,24 @@ def build_A(field: Field, k: int, M: int, locators) -> RecoveringMatrix:
     if gamma < minimal_gamma(k, M):
         raise TooFewLocators(
             f"gamma={gamma} below minimum {minimal_gamma(k, M)}")
-    blocks = {z: _component_block(field, k, locators, z) for z in range(1, M + 2)}
-    n_block_rows = 2 * M + 1
-    n_block_cols = M + 1
+    # powers[e][j] = a_j^e for e < (M+1)k.  Band block z = 0..M is the
+    # Vandermonde block scaled per column by a^(zk): its row r is powers[r + zk].
+    mul = field.mul
+    powers = [[1] * gamma]
+    for _ in range((M + 1) * k - 1):
+        powers.append([mul(p, a) for p, a in zip(powers[-1], locators)])
+    zero = [0] * gamma
     rows = []
-    for bi in range(1, n_block_rows + 1):
+    for bi in range(2 * M + 1):
         for r in range(k):
             row = []
-            for bj in range(1, n_block_cols + 1):
-                z = bi - bj + 1
-                if 1 <= z <= M + 1:
-                    row.extend(blocks[z][r])
-                else:
-                    row.extend([0] * gamma)
+            for bj in range(M + 1):
+                z = bi - bj
+                row.extend(powers[r + z * k] if 0 <= z <= M else zero)
             rows.append(row)
     rank = mat_rank(field, rows)
     return RecoveringMatrix(field, k, M, gamma, locators,
                             tuple(tuple(r) for r in rows), rank)
-
-
-def check_direct_sum(field: Field, k: int, M: int, locators) -> bool:
-    """Equivalent criterion: <G1> + sum_i (<G1> ∩ <G_-M>) V_i is direct.
-
-    Requires nonzero locators since G_-M uses negative locator powers.
-    Must always agree with the rank verdict of ``build_A``.
-    """
-    locators = tuple(locators)
-    if len(set(locators)) != len(locators):
-        raise DuplicateLocators("locators must be pairwise distinct")
-    if len(locators) < minimal_gamma(k, M):
-        raise TooFewLocators(
-            f"gamma={len(locators)} below minimum {minimal_gamma(k, M)}")
-    if any(a == 0 for a in locators):
-        raise InvalidParams("direct-sum criterion needs invertible locators")
-    g1 = _component_block(field, k, locators, 1)
-    g_minus_m = _component_block(field, k, locators, -M)
-    inter = intersect_row_spaces(field, g1, g_minus_m)
-    target_dim = k + M * len(inter)
-    stacked = [list(r) for r in g1]
-    for i in range(1, M + 1):
-        scale = [field.pow(a, i * k) for a in locators]
-        for row in inter:
-            stacked.append([field.mul(v, s) for v, s in zip(row, scale)])
-    return mat_rank(field, stacked) == target_dim
 
 
 def construct_regset(field: Field, k: int, M: int, gamma: int):

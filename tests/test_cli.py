@@ -235,6 +235,25 @@ def test_simulate_unguaranteed_regime_reports_only(tmp_path, capsys):
     assert "trials=5" in out
 
 
+@pytest.mark.parametrize("b, within_budget", [(2, True), (3, False)])
+def test_fixed_byzantine_is_guaranteed_only_within_the_budget(
+        tmp_path, capsys, b, within_budget):
+    # GF(16) n=10 k=2 t=2: d_alpha = 4, d1 = d2 = 6, so b errors on every
+    # block keep within the budget iff 2(2b - 4) < d1 + d2 - 2 d_alpha = 4
+    cfg = BYZ_CFG.replace("mode = budget", f"mode = fixed-byzantine\nb = {b}")
+    path = write(tmp_path, "c.ini", cfg)
+    # an over-budget b may defeat the decoder; its FAIL lines are reported,
+    # but a regime the decoder does not guarantee exits 0
+    assert main(["simulate", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    if within_budget:
+        assert lines[1].startswith("trials=10 ok=10 ") and not fails
+    else:
+        assert lines[1].startswith("trials=10 ok=0 ") and len(fails) == 10
+        assert all("DecodingFailure" in line for line in fails)
+
+
 def test_search_rows_parse():
     rows = parse_search_rows("2:1:16, 3:2:64:6")
     assert rows == [(2, 1, 16, None), (3, 2, 64, 6)]
@@ -288,7 +307,11 @@ def test_simulate_trials_flag_below_one_names_the_flag(tmp_path, capsys):
      "[scheme] eps"),
     ("simulate", BYZ_CFG.replace("kind = symbol-errors", "kinds = symbol-errors"),
      "[channel] kinds"),
-], ids=["audit-limit", "scheme-eps", "channel-kinds"])
+    ("simulate", PLAIN_CFG.replace("field = 2^4", "q = 2^4"), "[scheme] q"),
+    ("simulate", BLOCK_CFG.replace("window = 3", "n_window = 3"),
+     "[scheme] n_window"),
+], ids=["audit-limit", "scheme-eps", "channel-kinds", "scheme-q",
+        "scheme-n-window"])
 def test_unknown_keys_are_config_errors(tmp_path, capsys, command, text, names):
     path = write(tmp_path, "c.ini", text)
     assert main([command, "--config", path]) == 2
@@ -296,6 +319,21 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys, command, text, names):
     assert captured.out == ""
     assert captured.err.startswith("config error: unknown key ")
     assert names in captured.err
+
+
+@pytest.mark.parametrize("variant", ["plain_conv", "block_erasure",
+                                     "byzantine_um", "plian"])
+def test_unknown_variants_are_config_errors(tmp_path, capsys, variant):
+    # the internal names printed on the first simulate line are not
+    # config spellings
+    path = write(tmp_path, "c.ini",
+                 PLAIN_CFG.replace("variant = plain", f"variant = {variant}"))
+    assert main(["simulate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: [scheme] variant = {variant!r}; expected one of "
+        "['block-erasure', 'byzantine', 'plain']\n")
 
 
 @pytest.mark.parametrize("text, names", [

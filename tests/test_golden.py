@@ -1,0 +1,76 @@
+"""The CLI contract: stdout, exit code and ``--out`` CSV of fixed-seed runs
+on the benchmark configs, byte for byte.
+
+Each case has ``golden/<case>.out`` (stdout), ``golden/<case>.rc`` (exit
+code) and, for ``simulate``, ``golden/<case>.csv`` (the ``--out`` file).
+A change that alters any of them on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from pirstream.cli import main
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+CONFIGS = HERE.parent / "perfbench" / "configs"
+
+SIM = ["--seed", "11", "--workers", "1"]
+CASES = {
+    "simulate-plain-stream": ["simulate", "plain-stream", *SIM, "--trials", "2"],
+    "simulate-byzantine-fixed": ["simulate", "byzantine-fixed", *SIM, "--trials", "2"],
+    "simulate-burst-window": ["simulate", "burst-window", *SIM, "--trials", "5"],
+    "simulate-byzantine-budget": ["simulate", "byzantine-budget", *SIM,
+                                  "--trials", "5"],
+    "privacy-audit-privacy-audit": ["privacy-audit", "privacy-audit"],
+    "privacy-audit-plain-stream": ["privacy-audit", "plain-stream"],
+    "recovering-search-locator-search": ["recovering-search", "locator-search",
+                                         "--seed", "1", "--trials", "500"],
+}
+
+
+def run_case(name, out_dir):
+    """(exit code, stdout, stderr, --out CSV or None) of one case."""
+    command, config, *rest = CASES[name]
+    argv = [command, "--config", str(CONFIGS / f"{config}.ini"), *rest]
+    csv_path = Path(out_dir) / f"{name}.csv"
+    if command == "simulate":
+        argv += ["--out", str(csv_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    csv = csv_path.read_text(encoding="utf-8") if command == "simulate" else None
+    return rc, out.getvalue(), err.getvalue(), csv
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(tmp_path, name):
+    rc, out, err, csv = run_case(name, tmp_path)
+    assert err == ""
+    assert rc == int((GOLDEN / f"{name}.rc").read_text())
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    if csv is not None:
+        assert csv == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        rc, out, err, _ = run_case(name, GOLDEN)
+        if err:
+            sys.exit(f"{name}: unexpected stderr: {err}")
+        (GOLDEN / f"{name}.rc").write_text(f"{rc}\n")
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        print(f"{name}: rc={rc}")
+
+
+if __name__ == "__main__":
+    regenerate()

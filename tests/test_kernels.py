@@ -8,10 +8,12 @@ here is the same elimination and evaluation written with one
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pirstream.errors import InconsistentSystem, RankDeficient
+from pirstream.errors import InconsistentSystem, InconsistentWord, RankDeficient
 from pirstream.fields import Field
-from pirstream.grs import GrsCode, poly_eval
+from pirstream.grs import GrsCode
 from pirstream.linalg import _echelon, mat_rank, rref, solve_any, solve_unique
+
+from oracles import poly_eval
 
 # One field per kernel path, and both prime sizes the benchmark uses.
 FIELDS = {
@@ -149,3 +151,35 @@ def test_encode_matches_the_scalar_oracle(name, data):
     expect = [f.mul(v, poly_eval(f, msg, a)) for a, v in zip(locs, mults)]
     assert code.encode(msg) == expect
     assert code.encode(tuple(msg)) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_erasure_decode_round_trips(name, data):
+    # locator 0 sits at position 0, which is never erased, so it is always
+    # among the k base positions the Vandermonde system is solved on
+    f = FIELDS[name]
+    n = data.draw(st.integers(2, min(f.q, 9)))
+    k = data.draw(st.integers(1, n - 1))
+    locs = [0] + data.draw(st.lists(st.integers(1, f.q - 1), min_size=n - 1,
+                                    max_size=n - 1, unique=True))
+    mults = data.draw(st.lists(st.integers(min(2, f.q - 1), f.q - 1),
+                               min_size=n, max_size=n))
+    msg = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k, max_size=k))
+    code = GrsCode(f, n, k, tuple(locs), tuple(mults))
+    word = code.encode(msg)
+    erased = data.draw(st.sets(st.integers(1, n - 1), max_size=n - k))
+    if data.draw(st.booleans()):
+        received = [None if j in erased else v for j, v in enumerate(word)]
+        assert code.erasure_decode(received) == msg
+    else:
+        # positions named in ``erased`` are ignored whatever they hold
+        received = [f.q - 1 - v if j in erased else v for j, v in enumerate(word)]
+        assert code.erasure_decode(received, erased) == msg
+    surplus = [j for j in range(n) if j not in erased][k:]
+    if surplus:
+        j = data.draw(st.sampled_from(surplus))
+        delta = data.draw(st.integers(1, f.q - 1))
+        received[j] = f.add(received[j], delta)
+        with pytest.raises(InconsistentWord):
+            code.erasure_decode(received, erased)

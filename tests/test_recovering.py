@@ -13,12 +13,13 @@ from pirstream.errors import (
 from pirstream.fields import Field
 from pirstream.recovering import (
     build_A,
-    check_direct_sum,
     construct_regset,
     construct_unit_memory,
     minimal_gamma,
     random_search_counts,
 )
+
+from oracles import check_direct_sum
 
 GF7 = Field(7)
 GF16 = Field(2, 4)
@@ -40,6 +41,22 @@ def test_matrix_shape_and_band():
     # top-left block is the plain Vandermonde on the locators
     assert rm.matrix[0][:3] == (1, 1, 1)
     assert rm.matrix[1][:3] == (3, 7, 9)
+    # every entry: block (bi, bj) with 0 <= z = bi - bj <= M holds
+    # a_j^(r + zk) in its row r, every other block is zero
+    for f, k, M, locs in [(GF16, 2, 1, (3, 7, 9)), (GF16, 2, 1, (0, 5, 9)),
+                          (GF7, 2, 2, (6, 0, 3, 5)),
+                          (Field(3, 2), 3, 2, (1, 0, 2, 4, 8, 7))]:
+        gamma = len(locs)
+        rm = build_A(f, k, M, locs)
+        assert len(rm.matrix) == (2 * M + 1) * k
+        for i, row in enumerate(rm.matrix):
+            bi, r = divmod(i, k)
+            assert len(row) == (M + 1) * gamma
+            for c, v in enumerate(row):
+                bj, j = divmod(c, gamma)
+                z = bi - bj
+                expect = f.pow(locs[j], r + z * k) if 0 <= z <= M else 0
+                assert v == expect, (f, k, M, locs, i, c)
 
 
 def test_duplicate_locators():
