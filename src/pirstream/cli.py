@@ -50,15 +50,6 @@ def _fmt(x: Fraction) -> str:
 
 # --- simulate ----------------------------------------------------------------
 
-def _erasure_schedules(channel, ell, scheme, seed, trials):
-    if channel.mode in ("exhaustive", "shifted-family"):
-        return channels.gen_burst_patterns(
-            ell, scheme.memory, scheme.window, scheme.burst, channel.mode)
-    return channels.gen_burst_patterns(
-        ell, scheme.memory, scheme.window, scheme.burst, "random",
-        seed=derive_seed(seed, "erasure-schedules"), count=trials)
-
-
 # The modes each [channel] kind handles; the first one is the default.
 _CHANNEL_MODES = {
     "none": (),
@@ -69,11 +60,13 @@ _CHANNEL_MODES = {
 
 class _Channel(NamedTuple):
     """The [channel] section, resolved: mode carries its default (None for
-    kind none), b is None unless given."""
+    kind none), b is None unless given, and profile is the error budget
+    that kind symbol-errors draws against (None for the other kinds)."""
 
     kind: str
     mode: str | None
     b: int | None
+    profile: decoder.UmDistanceProfile | None
 
 
 def _check_channel(section, scheme) -> _Channel:
@@ -89,6 +82,9 @@ def _check_channel(section, scheme) -> _Channel:
                           f"takes {', '.join(modes) if modes else 'no mode'}")
     mode = section.get("mode", modes[0] if modes else None)
     b = _int("channel", "b", section["b"]) if "b" in section else None
+    if b is not None and mode != "fixed-byzantine":
+        raise ConfigError(f"[channel] b is read only by mode = fixed-byzantine "
+                          f"(kind = {kind}, mode = {mode or 'none'})")
     if mode == "fixed-byzantine" and (b is None or not 0 <= b <= scheme.n):
         raise ConfigError(f"[channel] mode = fixed-byzantine needs [channel] b "
                           f"in [0, {scheme.n}], got {'none' if b is None else b}")
@@ -96,7 +92,11 @@ def _check_channel(section, scheme) -> _Channel:
         raise ConfigError("[channel] block-erasure needs the block-erasure variant")
     if kind == "symbol-errors" and scheme.variant != protocol.BYZANTINE:
         raise ConfigError("[channel] symbol-errors needs the byzantine variant")
-    return _Channel(kind, mode, b)
+    profile = None
+    if kind == "symbol-errors":
+        profile = decoder.UmDistanceProfile.for_byzantine(
+            scheme.n, scheme.k, scheme.t)
+    return _Channel(kind, mode, b, profile)
 
 
 def _guaranteed(channel, scheme, ell) -> bool:
@@ -105,13 +105,14 @@ def _guaranteed(channel, scheme, ell) -> bool:
     if channel.mode == "random":
         return False
     if channel.mode == "fixed-byzantine":
-        prof = decoder.UmDistanceProfile.for_byzantine(
-            scheme.n, scheme.k, scheme.t)
-        return decoder.check_guarantee([channel.b] * (ell + scheme.memory), prof)
+        return decoder.check_guarantee([channel.b] * (ell + scheme.memory),
+                                       channel.profile)
     return True
 
 
 def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
+    """(decoded correctly, symbols downloaded, channel description) of one
+    trial: the channel first, then the variant's decoder once."""
     field = scheme.field
     files = protocol.random_files(
         field, scheme.m, ell, scheme.k, derive_rng(seed, "files", trial))
@@ -125,18 +126,14 @@ def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
             sched = schedules[trial % len(schedules)]
             desc = "erased=" + "+".join(str(b) for b in sorted(sched.erased))
             stream = channels.apply_erasures(stream, sched)
-            rec = decoder.recover_window(stream, scheme)
         elif channel.kind == "symbol-errors":
-            prof = decoder.UmDistanceProfile.for_byzantine(
-                scheme.n, scheme.k, scheme.t)
             sched = channels.gen_error_schedule(
-                prof, ell, scheme.memory, scheme.n, field.q, channel.mode,
-                derive_seed(seed, "errors", trial), b=channel.b)
+                channel.profile, ell, scheme.memory, scheme.n, field.q,
+                channel.mode, derive_seed(seed, "errors", trial), b=channel.b)
             desc = f"weights={sched.weights(ell + scheme.memory)}"
             stream = channels.apply_errors(stream, sched, field.q,
                                            derive_seed(seed, "values", trial))
-            rec = decoder.decode_um(stream, scheme)
-        elif scheme.variant == protocol.PLAIN:
+        if scheme.variant == protocol.PLAIN:
             rec = decoder.recover_plain(stream, scheme)
         elif scheme.variant == protocol.BLOCK:
             rec = decoder.recover_window(stream, scheme)
@@ -148,13 +145,22 @@ def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
     return ok, downloaded, desc
 
 
-def _simulate_range(scheme, ell, channel, seed, lo, hi, schedules):
-    results = []
-    for trial in range(lo, hi):
-        ok, downloaded, desc = _run_one_trial(
-            scheme, ell, channel, seed, trial, schedules)
-        results.append((trial, ok, downloaded, desc))
-    return results
+def _fan_out(fn, total, workers, *args) -> list:
+    """[fn(*args, lo, hi), ...] over [0, total) split into one contiguous
+    span per worker, in span order; one span in this process when
+    ``workers`` <= 1."""
+    if workers <= 1:
+        return [fn(*args, 0, total)]
+    chunk = -(-total // workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args, lo, min(lo + chunk, total))
+                   for lo in range(0, total, chunk)]
+        return [fut.result() for fut in futures]
+
+
+def _simulate_range(scheme, ell, channel, seed, schedules, lo, hi):
+    return [(trial, *_run_one_trial(scheme, ell, channel, seed, trial, schedules))
+            for trial in range(lo, hi)]
 
 
 def cmd_simulate(args) -> int:
@@ -172,24 +178,15 @@ def cmd_simulate(args) -> int:
     channel = _check_channel(cfg.channel, scheme)
     schedules = None
     if channel.kind == "block-erasure":
-        schedules = _erasure_schedules(channel, ell, scheme, seed, trials)
-        if channel.mode in ("exhaustive", "shifted-family"):
+        # seed and count matter only to mode = random; the other modes
+        # enumerate their schedules, one trial each
+        schedules = channels.gen_burst_patterns(
+            ell, scheme.memory, scheme.window, scheme.burst, channel.mode,
+            seed=derive_seed(seed, "erasure-schedules"), count=trials)
+        if channel.mode != "random":
             trials = len(schedules)
-    results = []
-    if workers > 1:
-        chunk = -(-trials // workers)
-        spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_range, scheme, ell, channel, seed, lo, hi,
-                            schedules)
-                for lo, hi in spans
-            ]
-            for fut in futures:
-                results.extend(fut.result())
-    else:
-        results = _simulate_range(scheme, ell, channel, seed, 0, trials, schedules)
-    results.sort()
+    results = list(itertools.chain.from_iterable(_fan_out(
+        _simulate_range, trials, workers, scheme, ell, channel, seed, schedules)))
     ok_count = sum(1 for _, ok, _, _ in results if ok)
     downloaded = results[0][2] if results else 0
     gamma = len(scheme.support)
@@ -255,23 +252,10 @@ def cmd_rates(args) -> int:
 
 # --- recovering-search -------------------------------------------------------
 
-def _search_row(k, M, q, gamma, trials, seed, workers) -> float:
-    field = field_for_order(q)
-    if workers > 1:
-        chunk = -(-trials // workers)
-        spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        hits = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(recovering.random_search_counts, field, k, M,
-                            hi - lo, seed, gamma, lo)
-                for lo, hi in spans
-            ]
-            for fut in futures:
-                hits += fut.result()[0]
-        return hits / trials
-    hits, _ = recovering.random_search_counts(field, k, M, trials, seed, gamma)
-    return hits / trials
+def _search_range(field, k, M, gamma, seed, lo, hi) -> int:
+    hits, _ = recovering.random_search_counts(field, k, M, hi - lo, seed,
+                                              gamma, lo)
+    return hits
 
 
 def parse_search_rows(raw: str):
@@ -287,31 +271,27 @@ def parse_search_rows(raw: str):
 
 
 def cmd_recovering_search(args) -> int:
-    rows = []
+    cfg = load_config(args.config)
+    rows = parse_search_rows(cfg.search.get("rows", ""))
     bands = []
-    trials = args.trials if args.trials is not None else 10000
-    seed = args.seed if args.seed is not None else 0
+    if "bands" in cfg.search:
+        for token in cfg.search["bands"].replace(",", " ").split():
+            try:
+                lo, hi = (float(x) for x in token.split(":"))
+            except ValueError:
+                raise ConfigError(f"[search] bands entry {token!r}; "
+                                  "expected lo:hi") from None
+            bands.append((lo, hi))
+        if len(bands) != len(rows):
+            raise ConfigError("[search] bands must match rows one-to-one")
+    trials = args.trials if args.trials is not None else _int(
+        "search", "trials", cfg.search.get("trials", "10000"))
+    seed = args.seed if args.seed is not None else _int(
+        "search", "seed", cfg.search.get("seed", "0"))
     workers = args.workers if args.workers is not None else 1
-    if args.config:
-        cfg = load_config(args.config)
-        if "rows" in cfg.search:
-            rows = parse_search_rows(cfg.search["rows"])
-        if "bands" in cfg.search:
-            for token in cfg.search["bands"].replace(",", " ").split():
-                try:
-                    lo, hi = (float(x) for x in token.split(":"))
-                except ValueError:
-                    raise ConfigError(f"[search] bands entry {token!r}; "
-                                      "expected lo:hi") from None
-                bands.append((lo, hi))
-            if len(bands) != len(rows):
-                raise ConfigError("[search] bands must match rows one-to-one")
-        if args.trials is None and "trials" in cfg.search:
-            trials = _int("search", "trials", cfg.search["trials"])
-        if args.seed is None and "seed" in cfg.search:
-            seed = _int("search", "seed", cfg.search["seed"])
     if trials < 1:
-        raise ConfigError(f"[search] trials = {trials} must be >= 1")
+        source = "[search] trials" if args.trials is None else "--trials"
+        raise ConfigError(f"{source} = {trials} must be >= 1")
     if not rows:
         raise ConfigError("recovering-search needs [search] rows = k:M:q[:gamma] ...")
     lines = ["k,M,N,q,gamma,trials,p_full"]
@@ -319,7 +299,8 @@ def cmd_recovering_search(args) -> int:
     for idx, (k, M, q, gamma) in enumerate(rows):
         if gamma is None:
             gamma = recovering.minimal_gamma(k, M)
-        p = _search_row(k, M, q, gamma, trials, seed, workers)
+        p = sum(_fan_out(_search_range, trials, workers,
+                         field_for_order(q), k, M, gamma, seed)) / trials
         lines.append(f"{k},{M},{2 * M + 1},{q},{gamma},{trials},{p:.4f}")
         if bands and not bands[idx][0] <= p <= bands[idx][1]:
             missed = True
@@ -386,31 +367,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "with convolutional queries over coded storage.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def command(name, func, help, *int_flags, config_required=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=config_required,
                        help="experiment config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag in int_flags:
+            p.add_argument(flag, type=int, default=None)
         p.add_argument("--out", default=None, help="write CSV/report here")
+        p.set_defaults(func=func)
 
-    p_sim = sub.add_parser("simulate", help="end-to-end simulation trials")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_rates = sub.add_parser("rates", help="rate-curve CSV sweeps")
-    common(p_rates, config_required=False)
-    p_rates.set_defaults(func=cmd_rates)
-
-    p_search = sub.add_parser("recovering-search",
-                              help="randomized locator search")
-    common(p_search)
-    p_search.set_defaults(func=cmd_recovering_search)
-
-    p_audit = sub.add_parser("privacy-audit",
-                             help="exact collusion audit")
-    common(p_audit)
-    p_audit.set_defaults(func=cmd_privacy_audit)
+    trial_flags = ("--seed", "--trials", "--workers")
+    command("simulate", cmd_simulate, "end-to-end simulation trials",
+            *trial_flags)
+    command("rates", cmd_rates, "rate-curve CSV sweeps", config_required=False)
+    command("recovering-search", cmd_recovering_search,
+            "randomized locator search", *trial_flags)
+    # the audit runs serially; --workers is accepted so that one argument
+    # list with --workers serves every command
+    command("privacy-audit", cmd_privacy_audit, "exact collusion audit",
+            "--workers")
     return parser
 
 

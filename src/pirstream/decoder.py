@@ -309,24 +309,30 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     c_int = scheme.star_code()
     saturated = c_int.d
     zero = (0,) * k
+    encodings: dict[tuple, list] = {}
 
-    def enc(stripe):
-        return code.encode(list(stripe))
-
-    def sub_scaled(word, offsets, stripe):
-        y = enc(stripe)
-        return [f.sub(w, f.mul(o, v)) for w, o, v in zip(word, offsets, y)]
+    def residual(xi, cur=None, prev=None):
+        """Block xi's word minus e1*cur and e2*prev, for the stripes given;
+        each stripe is encoded once per call of decode_um."""
+        word = list(stream.block(xi).parts[0])
+        for stripe, offsets in ((cur, e1), (prev, e2)):
+            if stripe is None:
+                continue
+            if stripe not in encodings:
+                encodings[stripe] = code.encode(list(stripe))
+            word = [f.sub(w, f.mul(o, v))
+                    for w, o, v in zip(word, offsets, encodings[stripe])]
+        return word
 
     candidates: dict[int, set] = {xi: set() for xi in range(1, ell + 1)}
     anchored: dict[int, tuple] = {}
 
     # step 1: per-block decoding in the sum code
     for xi in range(1, ell + 2):
-        block = stream.block(xi)
-        if block.parts is None:
+        if stream.block(xi).parts is None:
             continue
         try:
-            msg, errors = c_sum.bmd_decode(list(block.parts[0]))
+            msg, errors = c_sum.bmd_decode(residual(xi))
         except DecodingFailure:
             continue
         cur = tuple(msg[:k])
@@ -353,12 +359,10 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     def forward(s, prev_stripe):
         while s <= ell and (s, prev_stripe) not in fwd_seen:
             fwd_seen.add((s, prev_stripe))
-            block = stream.block(s)
-            if block.parts is None:
+            if stream.block(s).parts is None:
                 return
-            residual = sub_scaled(block.parts[0], e2, prev_stripe)
             try:
-                msg, _ = c_fwd.bmd_decode(residual)
+                msg, _ = c_fwd.bmd_decode(residual(s, prev=prev_stripe))
             except DecodingFailure:
                 return
             cur = tuple(msg[:k])
@@ -369,12 +373,10 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     def backward(s, cur_stripe):
         while s >= 2 and (s, cur_stripe) not in bwd_seen:
             bwd_seen.add((s, cur_stripe))
-            block = stream.block(s)
-            if block.parts is None:
+            if stream.block(s).parts is None:
                 return
-            residual = sub_scaled(block.parts[0], e1, cur_stripe)
             try:
-                msg, _ = c_bwd.bmd_decode(residual)
+                msg, _ = c_bwd.bmd_decode(residual(s, cur=cur_stripe))
             except DecodingFailure:
                 return
             prev = tuple(msg[k + t - 1:])
@@ -389,68 +391,41 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         if xi - 1 >= 1:
             backward(xi - 1, prev)
 
-    # step 3: Viterbi over the reduced trellis
-    stages: list[list] = [[zero]]
-    for xi in range(1, ell + 1):
-        stages.append(sorted(candidates[xi]) + [_BOT])
-    stages.append([zero])
-
-    enc_cache: dict[tuple, list] = {}
-
-    def encoded(stripe):
-        if stripe not in enc_cache:
-            enc_cache[stripe] = enc(stripe)
-        return enc_cache[stripe]
-
+    # step 3: Viterbi over the reduced trellis, from the zero state before
+    # block 1 to the zero state after block ell+1
     def branch_metric(xi, a, b):
-        block = stream.block(xi)
-        if block.parts is None:
+        if stream.block(xi).parts is None:
             return 0
         if a is _BOT or b is _BOT:
             return saturated
-        word = list(block.parts[0])
-        ya, yb = encoded(a), encoded(b)
-        residual = [
-            f.sub(w, f.add(f.mul(o1, v1), f.mul(o2, v2)))
-            for w, o1, v1, o2, v2 in zip(word, e1, yb, e2, ya)
-        ]
         try:
-            _, errors = c_int.bmd_decode(residual)
+            _, errors = c_int.bmd_decode(residual(xi, cur=b, prev=a))
         except DecodingFailure:
             return saturated
         return 2 * len(errors)
 
-    costs = [{zero: 0}]
-    back: list[dict] = [{}]
+    cost = {zero: 0}
+    back: list[dict] = []
     for xi in range(1, ell + 2):
-        cost: dict = {}
-        prev_nodes = stages[xi - 1]
-        ptr: dict = {}
-        for b in stages[xi]:
-            best = None
-            best_prev = None
-            for a in prev_nodes:
-                base = costs[xi - 1].get(a)
-                if base is None:
-                    continue
+        nodes = sorted(candidates[xi]) + [_BOT] if xi <= ell else [zero]
+        new_cost, ptr = {}, {}
+        for b in nodes:
+            for a, base in cost.items():
                 total = base + branch_metric(xi, a, b)
-                if best is None or total < best:
-                    best = total
-                    best_prev = a
-            if best is not None:
-                cost[b] = best
-                ptr[b] = best_prev
-        costs.append(cost)
+                if b not in new_cost or total < new_cost[b]:
+                    new_cost[b] = total
+                    ptr[b] = a
+        cost = new_cost
         back.append(ptr)
         logger.debug("block %d: status=%s candidates=%d best=%s",
-                     xi, stream.block(xi).status, len(stages[xi]),
-                     min(cost.values()) if cost else None)
+                     xi, stream.block(xi).status, len(nodes),
+                     min(cost.values()))
 
-    if zero not in costs[ell + 1]:
-        raise DecodingFailure("no trellis path reaches the terminated state")
+    # every stage has a cost for each node: block 1 starts from the zero
+    # state and every branch metric is finite
     path = [zero]
-    for xi in range(ell + 1, 0, -1):
-        path.append(back[xi][path[-1]])
+    for ptr in reversed(back):
+        path.append(ptr[path[-1]])
     path.reverse()
     stripes = path[1: ell + 1]
     if any(s is _BOT for s in stripes):

@@ -157,13 +157,7 @@ def plain_scheme(code: GrsCode, t: int, memory: int, m: int, desired: int,
     _common_checks(code, t, m, desired)
     if memory < 0:
         raise InvalidParams("memory must be >= 0")
-    support = tuple(sorted(set(support)))
-    if any(not 0 <= j < code.n for j in support):
-        raise InvalidParams("support indices out of range")
-    d_star_1 = code.n - (code.k + t - 1)
-    if d_star_1 < 1:
-        raise InvalidParams(f"star-product distance degenerate: n={code.n}, "
-                            f"k={code.k}, t={t}")
+    support, d_star_1 = _support_and_limit(code, t, support)
     if len(support) < code.k:
         raise SupportTooSmall(f"|J|={len(support)} < k={code.k}")
     if len(support) > d_star_1:
@@ -181,13 +175,7 @@ def block_scheme(code: GrsCode, t: int, eps: int, window: int, m: int,
     _common_checks(code, t, m, desired)
     if not window > eps >= 1:
         raise InvalidParams(f"need N > eps >= 1, got N={window}, eps={eps}")
-    support = tuple(sorted(set(support)))
-    if any(not 0 <= j < code.n for j in support):
-        raise InvalidParams("support indices out of range")
-    d_star_1 = code.n - (code.k + t - 1)
-    if d_star_1 < 1:
-        raise InvalidParams(f"star-product distance degenerate: n={code.n}, "
-                            f"k={code.k}, t={t}")
+    support, d_star_1 = _support_and_limit(code, t, support)
     gamma = len(support)
     need = min_gamma(code.k, window, eps)
     if gamma < need:
@@ -231,6 +219,19 @@ def _common_checks(code: GrsCode, t: int, m: int, desired: int):
         raise InvalidParams("need at least one file")
     if not 0 <= desired < m:
         raise InvalidParams(f"desired index {desired} outside [0, {m - 1}]")
+
+
+def _support_and_limit(code: GrsCode, t: int, support):
+    """The support, sorted and deduplicated, and d*-1 = n-(k+t-1): the
+    most support positions one sub-round of the star-product code holds."""
+    support = tuple(sorted(set(support)))
+    if any(not 0 <= j < code.n for j in support):
+        raise InvalidParams("support indices out of range")
+    d_star_1 = code.n - (code.k + t - 1)
+    if d_star_1 < 1:
+        raise InvalidParams(f"star-product distance degenerate: n={code.n}, "
+                            f"k={code.k}, t={t}")
+    return support, d_star_1
 
 
 def _assert_split_unique(scheme: PirScheme):

@@ -301,6 +301,25 @@ def test_simulate_trials_flag_below_one_names_the_flag(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --trials = 0 must be >= 1\n"
 
 
+def test_search_trials_flag_below_one_names_the_flag(tmp_path, capsys):
+    path = write(tmp_path, "s.ini", SEARCH_CFG)
+    assert main(["recovering-search", "--config", path, "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --trials = 0 must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--seed", "1"],
+    ["rates", "--workers", "2"],
+    ["privacy-audit", "--config", "a.ini", "--trials", "1"],
+    ["privacy-audit", "--config", "a.ini", "--seed", "1"],
+], ids=["rates-seed", "rates-workers", "audit-trials", "audit-seed"])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, text, names", [
     ("privacy-audit", AUDIT_CFG + "[audit]\nlimit = 100\n", "[audit] limit"),
     ("simulate", PLAIN_CFG.replace("memory = 1", "memory = 1\neps = 2"),
@@ -347,8 +366,11 @@ def test_unknown_variants_are_config_errors(tmp_path, capsys, variant):
      "[channel] b"),
     (BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = -1"),
      "[channel] b"),
+    (BYZ_CFG.replace("mode = budget", "mode = budget\nb = 7"), "[channel] b"),
+    (PLAIN_CFG + "[channel]\nkind = none\nb = 1\n", "[channel] b"),
 ], ids=["kind-typo", "symbol-errors-mode", "block-erasure-mode",
-        "mode-without-kind", "fixed-byzantine-no-b", "b-above-n", "b-negative"])
+        "mode-without-kind", "fixed-byzantine-no-b", "b-above-n", "b-negative",
+        "b-with-budget", "b-with-kind-none"])
 def test_channel_values_are_checked_before_any_trial(tmp_path, capsys, text,
                                                      names):
     path = write(tmp_path, "c.ini", text)

@@ -394,6 +394,25 @@ def test_decode_um_coset_chains_decode_each_state_once(monkeypatch):
     assert calls[coset_k] <= 2 * ell
 
 
+def test_decode_um_encodes_each_stripe_once(monkeypatch):
+    # the block, coset and trellis steps share one encoding per stripe
+    sch, files, stream = setup_byz(ell=6)
+    noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7), (5, 1, 3)), "manual"),
+                         16, 4)
+    encodes: dict[tuple, int] = {}
+    encode = GrsCode.encode
+
+    def counted(code, message):
+        if code is sch.storage_code:
+            key = tuple(message)
+            encodes[key] = encodes.get(key, 0) + 1
+        return encode(code, message)
+    monkeypatch.setattr(GrsCode, "encode", counted)
+    assert decode_um(noisy, sch).stripes == files[0]
+    assert set(files[0]) <= set(encodes)
+    assert max(encodes.values()) == 1
+
+
 def test_window_eps2_bursts():
     code = GrsCode(GF16, 8, 2, tuple(range(1, 9)))
     support = (4, 5, 6, 7)
