@@ -148,7 +148,7 @@ def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
 def _fan_out(fn, total, workers, *args) -> list:
     """[fn(*args, lo, hi), ...] over [0, total) split into one contiguous
     span per worker, in span order; one span in this process when
-    ``workers`` <= 1."""
+    ``workers`` is 1."""
     if workers <= 1:
         return [fn(*args, 0, total)]
     chunk = -(-total // workers)
@@ -175,6 +175,9 @@ def cmd_simulate(args) -> int:
     if trials < 1:
         source = "[run] trials" if args.trials is None else "--trials"
         raise ConfigError(f"{source} = {trials} must be >= 1")
+    if workers < 1:
+        source = "[run] workers" if args.workers is None else "--workers"
+        raise ConfigError(f"{source} = {workers} must be >= 1")
     channel = _check_channel(cfg.channel, scheme)
     schedules = None
     if channel.kind == "block-erasure":
@@ -292,6 +295,8 @@ def cmd_recovering_search(args) -> int:
     if trials < 1:
         source = "[search] trials" if args.trials is None else "--trials"
         raise ConfigError(f"{source} = {trials} must be >= 1")
+    if workers < 1:
+        raise ConfigError(f"--workers = {workers} must be >= 1")
     if not rows:
         raise ConfigError("recovering-search needs [search] rows = k:M:q[:gamma] ...")
     lines = ["k,M,N,q,gamma,trials,p_full"]

@@ -11,9 +11,10 @@ The scalar methods (``add``, ``sub``, ``mul``, ``inv``, ``pow``) are the
 reference arithmetic.  Extension fields with q <= 2^16 multiply through
 exp/log tables, and everything else reduces polynomials.
 
-The two per-symbol loops that dominate the library, the row update of
-Gaussian elimination and the evaluation of a GRS codeword, run through
-``Field.kernel``, which the field picks once at construction:
+The per-symbol loops that dominate the library, the row update of
+Gaussian elimination, the evaluation of a GRS codeword and the dot
+products of GRS syndromes, run through ``Field.kernel``, which the field
+picks once at construction:
 
 * GF(p): integer arithmetic mod p, inline;
 * GF(2^s) with tables (q <= 2^16): ``row[c] ^= exp[log f + log v]``
@@ -178,7 +179,7 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same four methods:
+# Every kernel has the same five methods:
 #   scale(row, f)              -> the list f*row
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
@@ -188,6 +189,7 @@ def _pack(digits, p):
 #                                 kernel's own form (built once per code)
 #   evaluate(coeffs, points)   -> [v * f(a) for each point (a, v)], f given
 #                                 by its coefficients, low to high
+#   dot(xs, ys)                -> sum of x * y over the pairs of entries
 
 
 class _ScalarKernel:
@@ -225,6 +227,13 @@ class _ScalarKernel:
             out.append(mul(v, acc))
         return out
 
+    def dot(self, xs, ys):
+        mul, add = self.field.mul, self.field.add
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
+
 
 class _PrimeKernel:
     """GF(p): integer arithmetic reduced mod p."""
@@ -260,6 +269,9 @@ class _PrimeKernel:
                 acc = (acc * a + c) % p
             out.append(acc * v % p)
         return out
+
+    def dot(self, xs, ys):
+        return sum(x * y for x, y in zip(xs, ys)) % self.p
 
 
 class _BinaryKernel:
@@ -302,6 +314,13 @@ class _BinaryKernel:
                 acc = exp[log[acc] + la] ^ c
             out.append(exp[log[acc] + lv])
         return out
+
+    def dot(self, xs, ys):
+        exp, log = self.exp, self.log
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc ^= exp[log[x] + log[y]]
+        return acc
 
 
 class Field:

@@ -3,12 +3,15 @@ and star products.
 
 A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
 polynomial f of degree < k evaluated at distinct locators a_j.  Both
-decoders solve through ``linalg.solve_any`` on rows of one table of
-locator powers (``_locator_powers``).  Erasure decoding solves the k x k
-Vandermonde system of k surviving positions and cross-checks the rest;
-error decoding solves the Berlekamp-Welch key equation once, at the full
-bounded-minimum-distance radius, which is plenty at the block lengths
-used here and never miscorrects beyond that radius.
+decoders solve through ``linalg.solve_any``.  Erasure decoding solves
+the k x k Vandermonde system of k surviving positions, read off one
+table of locator powers (``_locator_powers``), and cross-checks the
+rest.  Error decoding takes the n-k syndromes of the word against one
+table of parity checks (``_parity_checks``), solves the key equation in
+syndrome form once, at the full bounded-minimum-distance radius, for an
+error locator, and erasure-decodes with the locator's roots erased.  At
+the block lengths used here one solve at that radius is plenty, and it
+never miscorrects beyond the radius.
 """
 
 from __future__ import annotations
@@ -26,26 +29,6 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import solve_any
-
-
-def poly_divmod(field: Field, num, den):
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    if den == [0] or not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dd = len(den) - 1
-    inv_lead = field.inv(den[-1])
-    quot = [0] * max(1, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            f = field.mul(c, inv_lead)
-            quot[i - dd] = f
-            for j in range(dd + 1):
-                num[i - dd + j] = field.sub(num[i - dd + j], field.mul(f, den[j]))
-    rem = num[:dd] if dd else [0]
-    return quot, rem
 
 
 @dataclass(frozen=True)
@@ -139,69 +122,93 @@ class GrsCode:
         return coeffs
 
     def bmd_decode(self, word):
-        """Bounded-minimum-distance decoding via the Berlekamp-Welch system.
+        """Bounded-minimum-distance decoding from the syndromes of the word.
 
         Returns (message, error_positions) for the unique codeword within
-        Hamming distance < d/2 of the word, or raises DecodingFailure.
+        Hamming distance e = (d-1)//2 of the word, or raises
+        DecodingFailure.
 
-        One solve at the radius emax = (d-1)//2 decides it.  With at most
-        emax errors, every solution (Q, E) with E monic of degree emax has
-        Q/E = f, since Q1*E0 - Q0*E1 has degree < k + 2*emax <= n and
-        vanishes at all n locators.  Conversely, any solution at any e <= emax
-        whose Q/E is a polynomial g of degree < k agrees with the word
-        wherever E(a_j) != 0, so g lies within e of it: when no codeword is
-        within emax, no smaller e can succeed either.
+        The n-k syndromes S_i = sum_j u_j a_j^i w_j are the parity checks
+        of the dual code (``_parity_checks``); all zero means a codeword.
+        Otherwise one solve of the Hankel key equation
+        sum_{c<e} E_c S_{i+c} = -S_{i+e}, i < n-k-e (Peterson,
+        Gorenstein-Zierler), gives a monic error locator E of degree e.
+        The positions where E vanishes are erased and ``erasure_decode``
+        recovers the message from the rest.
+
+        This is the Berlekamp-Welch key equation in syndrome form, with
+        y_j = w_j / v_j: a monic E of degree e admits a Q of degree < k+e
+        with Q(a_j) = y_j E(a_j) at every position iff (y_j E(a_j))_j lies
+        in RS(n, k+e) with unit multipliers, iff its first n-k-e parity
+        checks sum_j lambda_j a_j^i y_j E(a_j) vanish, and those are the
+        Hankel equations.  With at most e errors, every solution has
+        Q/E = f, since Q1*E0 - Q0*E1 has degree < k + 2e <= n and vanishes
+        at all n locators; so E vanishes at every error, and the positions
+        left after erasing its roots all agree with the codeword.  When
+        no codeword is within e, the erasure decode cannot succeed either:
+        a message it returned would agree with the word everywhere but at
+        the at most e roots of E.  So every solution gives the same
+        answer as the Berlekamp-Welch solve.
         """
         f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
-        emax = (self.d - 1) // 2
-        ys = [f.div(w, v) for w, v in zip(word, self.multipliers)]
-        msg = self._bw_attempt(ys, emax)
-        if msg is None:
-            raise DecodingFailure(
-                f"no codeword within distance {emax} of the received word")
-        cw = self.encode(msg)
-        return msg, frozenset(j for j in range(self.n) if cw[j] != word[j])
+        e = (self.d - 1) // 2
+        far = f"no codeword within distance {e} of the received word"
+        kernel = f.kernel
+        syndromes = [kernel.dot(row, word) for row in self._parity_checks]
+        roots = []
+        if any(syndromes):
+            # at e = 0 the rows are empty and the system is inconsistent
+            rows = [syndromes[i:i + e] for i in range(self.n - self.k - e)]
+            locator = solve_any(f, rows, [f.neg(s) for s in syndromes[e:]])
+            if locator is None:
+                raise DecodingFailure(far)
+            values = kernel.evaluate(locator + [1], self._points)
+            roots = [j for j, v in enumerate(values) if v == 0]
+        try:
+            msg = self.erasure_decode(word, roots)
+        except InconsistentWord:
+            raise DecodingFailure(far) from None
+        # erasure_decode checked every other position against msg
+        expected = kernel.evaluate(msg, [self._points[j] for j in roots])
+        return msg, frozenset(
+            j for j, c in zip(roots, expected) if c != word[j])
 
     @cached_property
     def _locator_powers(self):
-        """a_j^i for every position j and 0 <= i < k + (d-1)//2: the
-        generator matrix, erasure decoding and a Berlekamp-Welch row at
-        any e <= (d-1)//2 read their powers here."""
+        """a_j^i for every position j and 0 <= i < k: the generator matrix
+        and erasure decoding read their powers here."""
         f = self.field
-        top = self.k + (self.d - 1) // 2
         table = []
         for a in self.locators:
             row = [1]
-            for _ in range(top - 1):
+            for _ in range(self.k - 1):
                 row.append(f.mul(row[-1], a))
             table.append(row)
         return table
 
-    def _bw_attempt(self, ys, e):
-        # unknowns: Q_0..Q_{k+e-1}, E_0..E_{e-1}; E monic of degree e.
-        # Q(a_j) - y_j E(a_j) = 0  with E = x^e + sum E_i x^i
+    @cached_property
+    def _parity_checks(self):
+        """Row i < n-k is (u_j a_j^i)_j with u_j = lambda_j / v_j and
+        lambda_j = 1 / prod_{l != j} (a_j - a_l): a generator matrix of the
+        dual code.  sum_j lambda_j g(a_j) is the coefficient of x^(n-1) in
+        the interpolant of g, so it vanishes for deg g <= n-2, and with
+        g = m x^i for every codeword (v_j m(a_j))_j."""
         f = self.field
-        scale = f.kernel.scale
-        k = self.k
-        nq = k + e
-        rows, rhs = [], []
-        for y, pw in zip(ys, self._locator_powers):
-            rows.append(pw[:nq] + scale(pw[:e], f.neg(y)))
-            rhs.append(f.mul(y, pw[e]))
-        sol = solve_any(f, rows, rhs)
-        if sol is None:
-            return None
-        qpoly = sol[:nq] or [0]
-        epoly = sol[nq:] + [1]
-        quot, rem = poly_divmod(f, qpoly, epoly)
-        if any(rem):
-            return None
-        msg = quot[:k] + [0] * max(0, k - len(quot))
-        if any(quot[k:]):
-            return None
-        return msg[:k]
+        locs = self.locators
+        row = []
+        for a, v in zip(locs, self.multipliers):
+            prod = v
+            for b in locs:
+                if b != a:
+                    prod = f.mul(prod, f.sub(a, b))
+            row.append(f.inv(prod))
+        rows = []
+        for _ in range(self.n - self.k):
+            rows.append(row)
+            row = [f.mul(u, a) for u, a in zip(row, locs)]
+        return rows
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

@@ -6,7 +6,8 @@ route: with the scalar ``Field`` methods, by enumeration, or through an
 equivalent criterion.
 """
 
-from pirstream.linalg import mat_rank, rref
+from pirstream.errors import DecodingFailure
+from pirstream.linalg import mat_rank, rref, solve_any
 
 
 def poly_eval(field, coeffs, x):
@@ -29,6 +30,56 @@ def codewords(code):
             yield from rec(prefix + [v])
 
     yield from rec([])
+
+
+# --- Berlekamp-Welch ----------------------------------------------------------
+
+def poly_divmod(field, num, den):
+    """(quotient, remainder) of num / den, coefficients low to high."""
+    num = list(num)
+    while len(den) > 1 and den[-1] == 0:
+        den = den[:-1]
+    if not any(den):
+        raise ZeroDivisionError("polynomial division by zero")
+    dd = len(den) - 1
+    inv_lead = field.inv(den[-1])
+    quot = [0] * max(1, len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            fac = field.mul(c, inv_lead)
+            quot[i - dd] = fac
+            for j in range(dd + 1):
+                num[i - dd + j] = field.sub(num[i - dd + j], field.mul(fac, den[j]))
+    rem = num[:dd] if dd else [0]
+    return quot, rem
+
+
+def bw_decode(code, word):
+    """``GrsCode.bmd_decode`` by the Berlekamp-Welch system: find Q of
+    degree < k+e and monic E of degree e = (d-1)//2 with
+    Q(a_j) = y_j E(a_j), y_j = w_j / v_j, at every position, and return
+    (Q/E, the positions where its codeword differs from the word), or
+    raise DecodingFailure if there is no solution or E does not divide Q
+    into a polynomial of degree < k."""
+    f = code.field
+    k, e = code.k, (code.d - 1) // 2
+    rows, rhs = [], []
+    for a, w, v in zip(code.locators, word, code.multipliers):
+        y = f.div(w, v)
+        powers = [f.pow(a, i) for i in range(k + e + 1)]
+        rows.append(powers[:k + e] + [f.neg(f.mul(y, p)) for p in powers[:e]])
+        rhs.append(f.mul(y, powers[e]))
+    sol = solve_any(f, rows, rhs)
+    if sol is None:
+        raise DecodingFailure("Berlekamp-Welch system is inconsistent")
+    quot, rem = poly_divmod(f, sol[:k + e], sol[k + e:] + [1])
+    if any(rem) or any(quot[k:]):
+        raise DecodingFailure("E does not divide Q into a message")
+    msg = quot[:k] + [0] * (k - len(quot))
+    cw = [f.mul(v, poly_eval(f, msg, a))
+          for a, v in zip(code.locators, code.multipliers)]
+    return msg, frozenset(j for j, (c, w) in enumerate(zip(cw, word)) if c != w)
 
 
 def stored_symbol(system, xi, s, j):

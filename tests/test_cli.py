@@ -307,6 +307,23 @@ def test_search_trials_flag_below_one_names_the_flag(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --trials = 0 must be >= 1\n"
 
 
+@pytest.mark.parametrize("command, config, extra, message", [
+    ("simulate", PLAIN_CFG, ["--workers", "0"], "--workers = 0"),
+    ("simulate", PLAIN_CFG, ["--workers", "-3"], "--workers = -3"),
+    ("simulate", PLAIN_CFG + "workers = 0\n", [], "[run] workers = 0"),
+    ("recovering-search", SEARCH_CFG, ["--workers", "0"], "--workers = 0"),
+    ("recovering-search", SEARCH_CFG, ["--workers", "-3"], "--workers = -3"),
+], ids=["simulate-flag-zero", "simulate-flag-negative", "run-workers-zero",
+        "search-flag-zero", "search-flag-negative"])
+def test_workers_below_one_name_their_source(tmp_path, capsys, command, config,
+                                             extra, message):
+    path = write(tmp_path, "c.ini", config)
+    assert main([command, "--config", path, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {message} must be >= 1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["rates", "--seed", "1"],
     ["rates", "--workers", "2"],

@@ -15,7 +15,7 @@ from pirstream.errors import (
 from pirstream.fields import Field
 from pirstream.grs import GrsCode, star_product_code
 
-from oracles import codewords, row_space_basis
+from oracles import bw_decode, codewords, row_space_basis
 
 GF5 = Field(5)
 GF16 = Field(2, 4)
@@ -72,9 +72,11 @@ def test_bmd_examples():
 
 def test_bmd_exhaustive_against_codebook():
     # RS51 has emax = 2, so a word at distance 1 from a codeword must decode
-    # from the one Berlekamp-Welch solve at e = 2
+    # from the one key-equation solve at e = 2, whose locator has a root
+    # that is not an error; grs52 has locator 0 and non-unit multipliers
     rs51 = GrsCode(GF5, 5, 1, (0, 1, 2, 3, 4))
-    for code, size in ((RS42, 25), (rs51, 5)):
+    grs52 = GrsCode(GF5, 5, 2, (3, 0, 4, 1, 2), (2, 3, 1, 4, 2))
+    for code, size in ((RS42, 25), (rs51, 5), (grs52, 25)):
         emax = (code.d - 1) // 2
         codebook = [tuple(cw) for cw in codewords(code)]
         assert len(codebook) == size
@@ -166,10 +168,11 @@ def test_bmd_radius_random():
 
 def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     # The sum code of the byzantine-fixed benchmark: GF(2^8), n=16, k=9.
-    # Elimination and encoding run in the field's kernel, so the scalar
-    # Field.mul calls left are O(n): dividing out the multipliers, the BW
-    # right-hand side and the polynomial division, 77 here.  One Field.mul
-    # call per symbol in the row update made about 2000 per decode.
+    # Syndromes, elimination and evaluation run in the field's kernel and
+    # the parity checks are built once per code, so the scalar Field.mul
+    # calls left are O(k): erasure decoding divides out the multipliers of
+    # its k base positions, 9 here.  One Field.mul call per symbol in the
+    # row update made about 2000 per decode.
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 9, locs, tuple(f.pow(a, -3) for a in locs))
@@ -188,3 +191,38 @@ def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     monkeypatch.setattr(Field, "mul", counted)
     assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))
     assert calls[0] <= 100
+
+
+DIFF_FIELDS = [GF5, GF16, Field(2, 8), Field(251), Field(3, 2)]
+
+
+def decode_or_fail(decode, code, word):
+    try:
+        return decode(code, word)
+    except DecodingFailure:
+        return "failure"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_bmd_decode_matches_berlekamp_welch(f, data):
+    # message, error set and failure agree with the Berlekamp-Welch oracle
+    # for codes with locator 0 and non-unit multipliers and words with any
+    # number of corrupted positions, beyond the radius included
+    n = data.draw(st.integers(1, min(f.q, 12)))
+    k = data.draw(st.integers(1, n))
+    locs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=n,
+                              max_size=n, unique=True))
+    if 0 not in locs and data.draw(st.booleans()):
+        locs[data.draw(st.integers(0, n - 1))] = 0
+    mults = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    code = GrsCode(f, n, k, tuple(locs), tuple(mults))
+    msg = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k, max_size=k))
+    word = code.encode(msg)
+    bad = data.draw(st.sets(st.integers(0, n - 1)))
+    for j in bad:
+        word[j] = f.add(word[j], data.draw(st.integers(1, f.q - 1)))
+    got = decode_or_fail(GrsCode.bmd_decode, code, word)
+    assert got == decode_or_fail(bw_decode, code, word)
+    if len(bad) <= (code.d - 1) // 2:
+        assert got == (msg, frozenset(bad))

@@ -1,8 +1,9 @@
 """The field kernels against the scalar Field methods.
 
-Elimination and GRS evaluation run through ``Field.kernel``; the oracle
-here is the same elimination and evaluation written with one
-``Field.mul``/``Field.sub`` call per symbol.
+Elimination, GRS evaluation and syndrome dot products run through
+``Field.kernel``; the oracle here is the same elimination, evaluation
+and sum of products written with one ``Field.mul``/``Field.sub`` or
+``Field.add`` call per symbol.
 """
 
 import pytest
@@ -151,6 +152,21 @@ def test_encode_matches_the_scalar_oracle(name, data):
     expect = [f.mul(v, poly_eval(f, msg, a)) for a, v in zip(locs, mults)]
     assert code.encode(msg) == expect
     assert code.encode(tuple(msg)) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_dot_matches_the_scalar_oracle(name, data):
+    f = FIELDS[name]
+    size = data.draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    xs = data.draw(st.lists(entry, min_size=size, max_size=size))
+    ys = data.draw(st.lists(entry, min_size=size, max_size=size))
+    expect = 0
+    for x, y in zip(xs, ys):
+        expect = f.add(expect, f.mul(x, y))
+    assert f.kernel.dot(xs, ys) == expect
+    assert f.kernel.dot(tuple(xs), ys) == expect
 
 
 @settings(max_examples=300, deadline=None)
