@@ -299,29 +299,27 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         raise InvalidParams("decode_um needs the unit-memory error variant")
     f = scheme.field
     code = scheme.storage_code
-    n, k, t = scheme.n, scheme.k, scheme.t
+    k, t = scheme.k, scheme.t
     ell = stream.ell
-    locs = code.locators
     e1, e2 = scheme.e_offsets[0]
-    c_sum = GrsCode(f, n, 3 * k + t - 1, locs, e1)
-    c_fwd = GrsCode(f, n, 2 * k + t - 1, locs, e1)   # desired + interference
-    c_bwd = GrsCode(f, n, 2 * k + t - 1, locs)       # interference + delayed
-    c_int = scheme.star_code()
+    c_sum, c_fwd, c_bwd, c_int = scheme.um_codes
     saturated = c_int.d
     zero = (0,) * k
-    encodings: dict[tuple, list] = {}
+    scaled: dict[tuple, tuple] = {}
 
     def residual(xi, cur=None, prev=None):
         """Block xi's word minus e1*cur and e2*prev, for the stripes given;
-        each stripe is encoded once per call of decode_um."""
+        each stripe is encoded, and scaled by e1 and e2, once per call of
+        decode_um."""
         word = list(stream.block(xi).parts[0])
-        for stripe, offsets in ((cur, e1), (prev, e2)):
+        for stripe, side in ((cur, 0), (prev, 1)):
             if stripe is None:
                 continue
-            if stripe not in encodings:
-                encodings[stripe] = code.encode(list(stripe))
-            word = [f.sub(w, f.mul(o, v))
-                    for w, o, v in zip(word, offsets, encodings[stripe])]
+            if stripe not in scaled:
+                y = code.encode(list(stripe))
+                scaled[stripe] = tuple([f.mul(o, v) for o, v in zip(offsets, y)]
+                                       for offsets in (e1, e2))
+            word = [f.sub(w, v) for w, v in zip(word, scaled[stripe][side])]
         return word
 
     candidates: dict[int, set] = {xi: set() for xi in range(1, ell + 1)}

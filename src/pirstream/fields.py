@@ -162,6 +162,21 @@ def _default_modulus(p, s):
     raise ReducibleModulus(f"no irreducible polynomial of degree {s} over GF({p})")
 
 
+def _xor_mulmod(a, b, mod, s):
+    """a * b in GF(2^s) on packed ints by shift and XOR: the packed bits
+    are the coefficients, and ``mod`` is the packed modulus, x^s included."""
+    acc = 0
+    top = 1 << s
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= mod
+    return acc
+
+
 def _unpack(value, p, s):
     digits = []
     for _ in range(s):
@@ -389,9 +404,16 @@ class Field:
         return result
 
     def _build_mul_tables(self):
+        if self.p == 2:
+            mod, s = _pack(self.modulus, 2), self.s
+
+            def mul(a, b):
+                return _xor_mulmod(a, b, mod, s)
+        else:
+            mul = self._raw_mul
         g = None
         for cand in range(2, self.q):
-            if self._order_raw(cand, self._raw_mul) == self.q - 1:
+            if self._order_raw(cand, mul) == self.q - 1:
                 g = cand
                 break
         if g is None:  # q == 2
@@ -407,7 +429,7 @@ class Field:
             exp[i] = x
             exp[i + q1] = x
             log[x] = i
-            x = self._raw_mul(x, g)
+            x = mul(x, g)
         self._exp = exp
         self._log = log
 

@@ -2,17 +2,20 @@
 and star products.
 
 A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
-polynomial f of degree < k evaluated at distinct locators a_j.  Both
-decoders solve through ``linalg.solve_any``.  Erasure decoding solves
-the k x k Vandermonde system of k surviving positions, read off one
-table of locator powers (``_locator_powers``), and cross-checks the
-rest.  Error decoding takes the n-k syndromes of the word against one
-table of parity checks (``_parity_checks``), solves the key equation in
-syndrome form once, at the full bounded-minimum-distance radius, for an
-error locator, and erasure-decodes with the locator's roots erased.  At
-the block lengths used here one solve at that radius is plenty, and it
-never miscorrects beyond the radius.
-"""
+polynomial f of degree < k evaluated at distinct locators a_j.  Erasure
+decoding solves the k x k Vandermonde system of k surviving positions
+through ``linalg.solve_any``, read off one table of locator powers
+(``_locator_powers``), and cross-checks the rest.  Error decoding takes
+the n-k syndromes of the word against one table of parity checks
+(``_parity_checks``) and solves the key equation in syndrome form once,
+at the full bounded-minimum-distance radius, for an error locator.
+Forney's formula gives the error values at the locator's roots from the
+first syndromes, a check that they reproduce all n-k syndromes rejects
+words beyond the radius, and the message is read off k positions of the
+corrected word through a per-code inverse (``_message_map``, one
+``linalg.rref`` per code).  So each BMD decode makes at most one
+elimination; at the block lengths used here one solve at the full radius
+is plenty, and it never miscorrects beyond the radius."""
 
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .errors import (
     TooManyErasures,
 )
 from .fields import Field
-from .linalg import solve_any
+from .linalg import rref, solve_any
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,12 @@ class GrsCode:
         Otherwise one solve of the Hankel key equation
         sum_{c<e} E_c S_{i+c} = -S_{i+e}, i < n-k-e (Peterson,
         Gorenstein-Zierler), gives a monic error locator E of degree e.
-        The positions where E vanishes are erased and ``erasure_decode``
-        recovers the message from the rest.
+        Forney's formula takes the values at the rho positions where E
+        vanishes from S_0..S_{rho-1} (``_error_values``), and one pass
+        checks that those values reproduce all n-k syndromes.  The message
+        is read off the first k symbols of the corrected word through a
+        per-code inverse (``_message_map``); the key equation is the only
+        elimination.
 
         This is the Berlekamp-Welch key equation in syndrome form, with
         y_j = w_j / v_j: a monic E of degree e admits a Q of degree < k+e
@@ -143,12 +150,13 @@ class GrsCode:
         checks sum_j lambda_j a_j^i y_j E(a_j) vanish, and those are the
         Hankel equations.  With at most e errors, every solution has
         Q/E = f, since Q1*E0 - Q0*E1 has degree < k + 2e <= n and vanishes
-        at all n locators; so E vanishes at every error, and the positions
-        left after erasing its roots all agree with the codeword.  When
-        no codeword is within e, the erasure decode cannot succeed either:
-        a message it returned would agree with the word everywhere but at
-        the at most e roots of E.  So every solution gives the same
-        answer as the Berlekamp-Welch solve.
+        at all n locators; so E vanishes at every error, the first rho
+        syndromes determine the values on the roots (a rho x rho
+        Vandermonde system, rho <= e <= n-k), and the check passes.
+        When no codeword is within e, the check cannot pass: values that
+        reproduce every syndrome leave a codeword that differs from the
+        word only on the at most e roots of E.  So every solution gives
+        the same answer as the Berlekamp-Welch solve.
         """
         f = self.field
         if len(word) != self.n:
@@ -156,8 +164,10 @@ class GrsCode:
         e = (self.d - 1) // 2
         far = f"no codeword within distance {e} of the received word"
         kernel = f.kernel
-        syndromes = [kernel.dot(row, word) for row in self._parity_checks]
-        roots = []
+        checks = self._parity_checks
+        syndromes = [kernel.dot(row, word) for row in checks]
+        corrected = word
+        errors = frozenset()
         if any(syndromes):
             # at e = 0 the rows are empty and the system is inconsistent
             rows = [syndromes[i:i + e] for i in range(self.n - self.k - e)]
@@ -166,14 +176,50 @@ class GrsCode:
                 raise DecodingFailure(far)
             values = kernel.evaluate(locator + [1], self._points)
             roots = [j for j, v in enumerate(values) if v == 0]
-        try:
-            msg = self.erasure_decode(word, roots)
-        except InconsistentWord:
-            raise DecodingFailure(far) from None
-        # erasure_decode checked every other position against msg
-        expected = kernel.evaluate(msg, [self._points[j] for j in roots])
-        return msg, frozenset(
-            j for j, c in zip(roots, expected) if c != word[j])
+            if not roots:
+                raise DecodingFailure(far)
+            found = self._error_values(roots, syndromes)
+            for row, s in zip(checks, syndromes):
+                if kernel.dot([row[j] for j in roots], found) != s:
+                    raise DecodingFailure(far)
+            corrected = list(word)
+            for j, v in zip(roots, found):
+                corrected[j] = f.sub(word[j], v)
+            errors = frozenset(j for j, v in zip(roots, found) if v)
+        base = corrected[: self.k]
+        return [kernel.dot(row, base) for row in self._message_map], errors
+
+    def _error_values(self, roots, syndromes):
+        """Forney's formula: the error values e_j at the positions ``roots``
+        with sum_l u_j e_j a_l^i = S_i for i < rho = len(roots), where a_l
+        is the l-th root's locator.
+
+        With y_l = u_j e_j, sum_l y_l / (x - a_l) is
+        sum_i (sum_l y_l a_l^i) x^(-i-1).  Multiplied by
+        Lambda(x) = prod_l (x - a_l) (``lam``, low to high) it is a
+        polynomial Omega of degree < rho, whose coefficients need only the
+        terms i < rho, that is S_0..S_{rho-1}; and
+        Omega(a_l) = y_l Lambda'(a_l).
+        """
+        f = self.field
+        points = [self.locators[j] for j in roots]
+        rho = len(points)
+        lam = [1]
+        for a in points:
+            lam = [f.sub(lo, f.mul(a, hi)) for lo, hi in zip([0] + lam, lam + [0])]
+        dot = f.kernel.dot
+        omega = [dot(lam[m + 1:], syndromes[: rho - m]) for m in range(rho)]
+        found = []
+        for j, a in zip(roots, points):
+            num = 0
+            for c in reversed(omega):
+                num = f.add(f.mul(num, a), c)
+            den = self._parity_checks[0][j]
+            for b in points:
+                if b != a:
+                    den = f.mul(den, f.sub(a, b))
+            found.append(f.div(num, den))
+        return found
 
     @cached_property
     def _locator_powers(self):
@@ -209,6 +255,20 @@ class GrsCode:
             rows.append(row)
             row = [f.mul(u, a) for u, a in zip(row, locs)]
         return rows
+
+    @cached_property
+    def _message_map(self):
+        """Row i maps the first k symbols of a codeword to the message's
+        coefficient i: the inverse of the k x k Vandermonde system on
+        those positions, built with one ``rref`` of [V | I], with the
+        multipliers divided out."""
+        f = self.field
+        k = self.k
+        rows = [list(self._locator_powers[j]) + [int(i == j) for i in range(k)]
+                for j in range(k)]
+        inverse, _ = rref(f, rows)
+        inv_v = [f.inv(v) for v in self.multipliers[:k]]
+        return [[f.mul(x, w) for x, w in zip(row[k:], inv_v)] for row in inverse]
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

@@ -16,6 +16,7 @@ randomness enters through an explicit seed at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InvalidParams,
@@ -58,6 +59,14 @@ class StorageSystem:
     @property
     def n(self) -> int:
         return self.code.n
+
+    @cached_property
+    def server_columns(self) -> tuple:
+        """server_columns[j] holds server j's symbols of stripe ell, then of
+        stripe ell-1, down to stripe 1, files in order within a stripe."""
+        return tuple(
+            tuple(word[j] for stripe in reversed(self.encoded) for word in stripe)
+            for j in range(self.n))
 
 
 def storage_encode(files, code: GrsCode) -> StorageSystem:
@@ -130,6 +139,19 @@ class PirScheme:
 
     def star_code(self) -> GrsCode:
         return star_product_code(self.storage_code, self.retrieval_code)
+
+    @cached_property
+    def um_codes(self) -> tuple:
+        """(sum, forward coset, backward coset, star) codes of unit-memory
+        decoding, for the byzantine variant.  They depend on the scheme
+        alone, so each is built, with its tables, once per scheme."""
+        code, f, n, k, t = self.storage_code, self.field, self.n, self.k, self.t
+        locs = code.locators
+        e1 = self.e_offsets[0][0]
+        return (GrsCode(f, n, 3 * k + t - 1, locs, e1),
+                GrsCode(f, n, 2 * k + t - 1, locs, e1),  # desired + interference
+                GrsCode(f, n, 2 * k + t - 1, locs),      # interference + delayed
+                self.star_code())
 
 
 def _default_retrieval(code: GrsCode, t: int) -> GrsCode:
@@ -287,22 +309,21 @@ def make_queries(scheme: PirScheme, seed: int) -> QuerySet:
 def server_respond(system: StorageSystem, scheme: PirScheme, query, xi: int,
                    j: int) -> int:
     """Inner product of one query vector with the server's stacked column
-    of the M+1 stripes involved in iteration xi (zero-padded at the ends)."""
-    f = system.field
-    m = scheme.m
-    encoded = system.encoded
-    acc = 0
-    for z in range(scheme.memory + 1):
-        if not 1 <= xi - z <= len(encoded):
-            continue            # zero padding contributes nothing
-        stripe = encoded[xi - z - 1]
-        for s in range(m):
-            qv = query[z * m + s]
-            if qv:
-                yv = stripe[s][j]
-                if yv:
-                    acc = f.add(acc, f.mul(qv, yv))
-    return acc
+    of the M+1 stripes involved in iteration xi (zero-padded at the ends).
+
+    Query entry z*m + s pairs with file s of stripe xi - z.  Server j's
+    column lists the stripes from the last one down
+    (``StorageSystem.server_columns``), so the stripes of iteration xi
+    inside 1..ell are one slice of it, and the query entries of the
+    padding drop out.
+    """
+    m, ell = scheme.m, system.ell
+    hi, lo = min(xi, ell), max(xi - scheme.memory, 1)
+    if lo > hi:
+        return 0
+    column = system.server_columns[j][(ell - hi) * m: (ell - lo + 1) * m]
+    return system.field.kernel.dot(query[(xi - hi) * m: (xi - lo + 1) * m],
+                                   column)
 
 
 INTACT = "intact"

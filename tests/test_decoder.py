@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -411,6 +412,28 @@ def test_decode_um_encodes_each_stripe_once(monkeypatch):
     assert decode_um(noisy, sch).stripes == files[0]
     assert set(files[0]) <= set(encodes)
     assert max(encodes.values()) == 1
+
+
+def test_decode_um_builds_each_code_once_per_scheme(monkeypatch):
+    # the sum, coset and star codes live on the scheme, so a second
+    # decode_um call reuses their parity-check tables
+    sch, files, stream = setup_byz(ell=4)
+    noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7),), "manual"), 16, 4)
+    builds: dict[int, list] = {}
+    table = GrsCode._parity_checks.func
+
+    def counted(code):
+        builds.setdefault(id(code), []).append(code)
+        return table(code)
+    prop = cached_property(counted)
+    prop.__set_name__(GrsCode, "_parity_checks")
+    monkeypatch.setattr(GrsCode, "_parity_checks", prop)
+    for _ in range(2):
+        assert decode_um(noisy, sch).stripes == files[0]
+    assert all(len(codes) == 1 for codes in builds.values())
+    k, t = sch.k, sch.t
+    assert sorted(codes[0].k for codes in builds.values()) == [
+        k + t - 1, 2 * k + t - 1, 2 * k + t - 1, 3 * k + t - 1]
 
 
 def test_window_eps2_bursts():

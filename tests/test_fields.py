@@ -105,6 +105,24 @@ def test_pow_matches_repeated_mul(f, a, e):
     assert f.pow(a, e) == expect
 
 
+@pytest.mark.parametrize("f", [Field(2, s) for s in range(2, 9)]
+                         + [Field(2, 4, (1, 0, 0, 1, 1))], ids=repr)
+def test_binary_tables_match_the_polynomial_construction(f):
+    # the shift-and-XOR tables equal the ones built with _raw_mul's list
+    # polynomials: same generator, same powers, zeros after them
+    q1 = f.q - 1
+    g = next(c for c in range(2, f.q) if f._order_raw(c, f._raw_mul) == q1)
+    exp = [0] * (4 * q1 + 1)
+    log = [2 * q1] * f.q
+    x = 1
+    for i in range(q1):
+        exp[i] = exp[i + q1] = x
+        log[x] = i
+        x = f._raw_mul(x, g)
+    assert f._exp == exp
+    assert f._log == log
+
+
 def test_large_field_beyond_tables():
     f = Field(17, 4)   # q = 83521, no exp/log tables
     assert f.q > 1 << 16

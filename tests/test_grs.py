@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pirstream import grs
 from pirstream.errors import (
     DecodingFailure,
     DegenerateProduct,
@@ -15,7 +16,7 @@ from pirstream.errors import (
 from pirstream.fields import Field
 from pirstream.grs import GrsCode, star_product_code
 
-from oracles import bw_decode, codewords, row_space_basis
+from oracles import bw_decode, codewords, poly_eval, row_space_basis
 
 GF5 = Field(5)
 GF16 = Field(2, 4)
@@ -169,10 +170,11 @@ def test_bmd_radius_random():
 def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     # The sum code of the byzantine-fixed benchmark: GF(2^8), n=16, k=9.
     # Syndromes, elimination and evaluation run in the field's kernel and
-    # the parity checks are built once per code, so the scalar Field.mul
-    # calls left are O(k): erasure decoding divides out the multipliers of
-    # its k base positions, 9 here.  One Field.mul call per symbol in the
-    # row update made about 2000 per decode.
+    # the parity checks and the message map are built once per code, so
+    # the scalar Field.mul calls left are O(rho^2) in the number of
+    # locator roots rho: Forney's formula builds Lambda from the roots and
+    # evaluates Omega and Lambda' at each, 27 here.  One Field.mul call per
+    # symbol in the row update made about 2000 per decode.
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 9, locs, tuple(f.pow(a, -3) for a in locs))
@@ -191,6 +193,58 @@ def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     monkeypatch.setattr(Field, "mul", counted)
     assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))
     assert calls[0] <= 100
+
+
+def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
+    # the Hankel key equation is the only solve; a codeword needs none,
+    # and erasure decoding is never called
+    code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
+    msg = [5, 0, 11]
+    word = code.encode(msg)
+    solves = [0]
+    solve_any = grs.solve_any
+
+    def counted(*args):
+        solves[0] += 1
+        return solve_any(*args)
+
+    def refuse(*args):
+        raise AssertionError("bmd_decode called erasure_decode")
+    monkeypatch.setattr(grs, "solve_any", counted)
+    monkeypatch.setattr(GrsCode, "erasure_decode", refuse)
+    assert code.bmd_decode(word) == (msg, frozenset())
+    assert solves[0] == 0
+    word[4] ^= 9
+    word[7] ^= 1
+    assert code.bmd_decode(word) == (msg, frozenset({4, 7}))
+    assert solves[0] == 1
+
+
+def test_bmd_split_locator_beyond_radius_fails_the_syndrome_check(monkeypatch):
+    # RS(6, 1) over GF(7) corrects e = 2.  This word is at distance >= 3
+    # from every codeword, yet its key-equation locator x^2 + 5x has the
+    # root 2, a locator of the code.  The Forney value on that one root
+    # reproduces S_0 only; without the check on all n-k syndromes the
+    # decoder would return the zero codeword, at distance 4.
+    gf7 = Field(7)
+    code = GrsCode(gf7, 6, 1, (1, 2, 3, 4, 5, 6))
+    word = [0, 0, 1, 2, 4, 3]
+    assert all(hamming(word, cw) > 2 for cw in codewords(code))
+    locators = []
+    solve_any = grs.solve_any
+
+    def spy(*args):
+        locators.append(solve_any(*args))
+        return locators[-1]
+    monkeypatch.setattr(grs, "solve_any", spy)
+    with pytest.raises(DecodingFailure):
+        code.bmd_decode(word)
+    [locator] = locators
+    roots = [a for a in code.locators
+             if poly_eval(gf7, locator + [1], a) == 0]
+    assert roots == [2]
+    with pytest.raises(DecodingFailure):
+        bw_decode(code, word)
 
 
 DIFF_FIELDS = [GF5, GF16, Field(2, 8), Field(251), Field(3, 2)]
