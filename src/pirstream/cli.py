@@ -266,9 +266,12 @@ def parse_search_rows(raw: str):
     for token in raw.replace(",", " ").split():
         parts = token.split(":")
         if len(parts) not in (3, 4):
-            raise ConfigError(f"[search] row {token!r}; expected k:M:q[:gamma]")
+            raise ConfigError(f"[search] rows entry {token!r}; expected k:M:q[:gamma]")
         k, M, q = (_int("search", "rows", x) for x in parts[:3])
         gamma = _int("search", "rows", parts[3]) if len(parts) == 4 else None
+        if k < 1 or M < 0:
+            raise ConfigError(
+                f"[search] rows entry {token!r} needs k >= 1 and M >= 0")
         rows.append((k, M, q, gamma))
     return rows
 

@@ -409,6 +409,14 @@ def privacy_audit(scheme: PirScheme, colluding) -> AuditReport:
     restricted retrieval generator; with one file there is nothing to
     compare.
 
+    For the schemes this package builds the masking code is a GRS code of
+    dimension t, which is MDS: any t of its generator's columns form a
+    column-scaled Vandermonde matrix on distinct locators, so any |T| <= t
+    columns are independent.  The restricted generator then has rank |T|,
+    its row space is all of F^|T|, and every offset lies in it.  So the
+    audit passes as soon as that rank equals |T|, and stacks offsets only
+    for a masking code of lower rank on T (a library caller's own code).
+
     ``witness`` is the first (sub-round, lag) in order whose restricted
     offset is outside the masking code on T, with that offset.
     ``enumerated`` is the number of joint masking draws,
@@ -427,10 +435,12 @@ def privacy_audit(scheme: PirScheme, colluding) -> AuditReport:
         masking = [[row[j] for j in colluding]
                    for row in scheme.retrieval_code.generator_matrix()]
         rank = mat_rank(f, masking)
-        outside = (
-            (r, z, seen)
-            for r, offsets in enumerate(scheme.e_offsets)
-            for z, seen in enumerate(tuple(e[j] for j in colluding) for e in offsets)
-            if mat_rank(f, masking + [list(seen)]) > rank)
-        witness = next(outside, None)
+        if rank < len(colluding):
+            outside = (
+                (r, z, seen)
+                for r, offsets in enumerate(scheme.e_offsets)
+                for z, seen in enumerate(tuple(e[j] for j in colluding)
+                                         for e in offsets)
+                if mat_rank(f, masking + [list(seen)]) > rank)
+            witness = next(outside, None)
     return AuditReport(witness is None, enumerated, colluding, witness)

@@ -7,17 +7,28 @@ locator powers, computes its rank by exact elimination
 (``linalg.mat_rank``), provides the two explicit constructions that
 guarantee full rank, and runs the randomized locator search.  The
 equivalent direct-sum criterion is a test oracle and lives in the tests.
+
+The rank depends only on the set's orbit under scaling.  Multiplying
+every locator by c != 0 multiplies row (block i, r) of A by c^(r+ik) and
+block column j by c^(-jk), as the entry a^(r+(i-j)k) becomes
+(ca)^(r+(i-j)k); a zero locator's column keeps its single 1 at exponent
+0.  Permuting the locators permutes the columns inside each block
+column.  Neither changes the rank, so ``build_A`` ranks one canonical
+set per orbit and remembers the answer: the 4,368 five-sets of GF(16)
+fall into 292 orbits.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import (
     DuplicateLocators,
     FieldTooSmall,
     InvalidParams,
+    LocatorMismatch,
     NoSuitableSubgroup,
     OddGamma,
     OrderNotDividing,
@@ -27,23 +38,71 @@ from .fields import Field
 from .linalg import mat_rank
 from .seeds import derive_seed
 
+# Orbits whose rank is remembered.  2:1:256, the largest published search
+# row, has about 10.8k orbits (C(256, 3) / 255), so every published row
+# keeps all of its orbits; a larger search only recomputes some ranks.
+_ORBIT_MEMO_SIZE = 1 << 15
+
 
 def minimal_gamma(k: int, M: int) -> int:
     """Smallest admissible locator count ceil((2M+1)k/(M+1))."""
+    if k < 1 or M < 0:
+        raise InvalidParams(f"need k >= 1 and M >= 0, got k={k}, M={M}")
     return -((-(2 * M + 1) * k) // (M + 1))
+
+
+def _assemble(field: Field, k: int, M: int, locators):
+    """Rows of the (2M+1)k x (M+1)gamma banded matrix A on ``locators``."""
+    # powers[e][j] = a_j^e for e < (M+1)k.  Band block z = 0..M is the
+    # Vandermonde block scaled per column by a^(zk): its row r is powers[r + zk].
+    mul = field.mul
+    powers = [[1] * len(locators)]
+    for _ in range((M + 1) * k - 1):
+        powers.append([mul(p, a) for p, a in zip(powers[-1], locators)])
+    zero = [0] * len(locators)
+    rows = []
+    for bi in range(2 * M + 1):
+        for r in range(k):
+            row = []
+            for bj in range(M + 1):
+                z = bi - bj
+                row.extend(powers[r + z * k] if 0 <= z <= M else zero)
+            rows.append(row)
+    return rows
+
+
+def _canonical(field: Field, locators) -> tuple:
+    """The least sorted set c * S over the c that map a member of S to 1."""
+    nonzero = [a for a in locators if a]
+    if not nonzero:
+        return tuple(sorted(locators))
+    scale, inv = field.kernel.scale, field.inv
+    return min(tuple(sorted(scale(locators, inv(a)))) for a in nonzero)
+
+
+@lru_cache(maxsize=_ORBIT_MEMO_SIZE)
+def _orbit_rank(field: Field, k: int, M: int, canonical: tuple) -> int:
+    return mat_rank(field, _assemble(field, k, M, canonical))
 
 
 @dataclass(frozen=True)
 class RecoveringMatrix:
-    """Assembled window matrix with its rank verdict."""
+    """Window matrix of a locator set with its rank verdict.
+
+    ``matrix`` is assembled on first read; the rank does not need it.
+    """
 
     field: Field
     k: int
     M: int
     gamma: int
     locators: tuple
-    matrix: tuple
     rank: int
+
+    @cached_property
+    def matrix(self) -> tuple:
+        return tuple(tuple(r) for r in
+                     _assemble(self.field, self.k, self.M, self.locators))
 
     @property
     def full_rank(self) -> int:
@@ -55,32 +114,27 @@ class RecoveringMatrix:
 
 
 def build_A(field: Field, k: int, M: int, locators) -> RecoveringMatrix:
-    """Assemble the (2M+1)k x (M+1)gamma banded matrix and compute its rank."""
+    """Rank verdict of the (2M+1)k x (M+1)gamma banded matrix A.
+
+    Scaling every locator by c != 0 scales row (block i, r) of A by
+    c^(r+ik) and block column j by c^(-jk); permuting the locators
+    permutes columns within each block column.  So the rank is a function
+    of the set's scaling orbit, and it is computed once per orbit, on the
+    orbit's canonical set, and remembered.  The returned ``matrix`` is
+    built on the given locators, in their order, when first read.
+    """
     locators = tuple(locators)
     gamma = len(locators)
+    least = minimal_gamma(k, M)
+    if any(not 0 <= a < field.q for a in locators):
+        raise LocatorMismatch(
+            f"locators must lie in 0..{field.q - 1}, got {locators}")
     if len(set(locators)) != gamma:
         raise DuplicateLocators("locators must be pairwise distinct")
-    if gamma < minimal_gamma(k, M):
-        raise TooFewLocators(
-            f"gamma={gamma} below minimum {minimal_gamma(k, M)}")
-    # powers[e][j] = a_j^e for e < (M+1)k.  Band block z = 0..M is the
-    # Vandermonde block scaled per column by a^(zk): its row r is powers[r + zk].
-    mul = field.mul
-    powers = [[1] * gamma]
-    for _ in range((M + 1) * k - 1):
-        powers.append([mul(p, a) for p, a in zip(powers[-1], locators)])
-    zero = [0] * gamma
-    rows = []
-    for bi in range(2 * M + 1):
-        for r in range(k):
-            row = []
-            for bj in range(M + 1):
-                z = bi - bj
-                row.extend(powers[r + z * k] if 0 <= z <= M else zero)
-            rows.append(row)
-    rank = mat_rank(field, rows)
-    return RecoveringMatrix(field, k, M, gamma, locators,
-                            tuple(tuple(r) for r in rows), rank)
+    if gamma < least:
+        raise TooFewLocators(f"gamma={gamma} below minimum {least}")
+    rank = _orbit_rank(field, k, M, _canonical(field, locators))
+    return RecoveringMatrix(field, k, M, gamma, locators, rank)
 
 
 def construct_regset(field: Field, k: int, M: int, gamma: int):

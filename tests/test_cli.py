@@ -259,6 +259,9 @@ def test_search_rows_parse():
     assert rows == [(2, 1, 16, None), (3, 2, 64, 6)]
     with pytest.raises(ConfigError):
         parse_search_rows("2:1")
+    for bad in ("2:-1:16", "0:1:16", "-2:1:16"):
+        with pytest.raises(ConfigError, match=r"\[search\] rows"):
+            parse_search_rows(f"2:1:16 {bad}")
 
 
 def test_privacy_audit_cli(tmp_path, capsys):
@@ -271,6 +274,8 @@ def test_privacy_audit_cli(tmp_path, capsys):
 @pytest.mark.parametrize("command, text, names", [
     ("privacy-audit", AUDIT_CFG + "[audit]\nsets = 0,x\n", "[audit] sets"),
     ("recovering-search", "[search]\nrows = 3:2:x\n", "[search] rows"),
+    ("recovering-search", "[search]\nrows = 2:-1:16\n", "[search] rows"),
+    ("recovering-search", "[search]\nrows = 0:1:16\n", "[search] rows"),
     ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
      "[search] bands"),
     ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = many"),
@@ -284,7 +289,8 @@ def test_privacy_audit_cli(tmp_path, capsys):
     ("simulate", BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = two"),
      "[channel] b"),
     ("rates", "[rates]\nell = 1e2\n", "[rates] ell"),
-], ids=["audit-sets", "search-rows", "search-bands",
+], ids=["audit-sets", "search-rows", "search-rows-negative-memory",
+        "search-rows-zero-k", "search-bands",
         "search-trials", "search-trials-zero", "search-trials-negative",
         "run-seed", "run-trials-zero", "channel-b", "rates-ell"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from pirstream import protocol
 from pirstream.errors import (
     InconsistentWord,
     InvalidParams,
@@ -14,6 +15,7 @@ from pirstream.errors import (
 )
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
+from pirstream.linalg import mat_rank
 from pirstream.protocol import (
     block_scheme,
     byzantine_scheme,
@@ -391,10 +393,29 @@ def test_privacy_audit_adds_per_row_not_per_joint_draw(monkeypatch):
         monkeypatch.setattr(Field, name, counting(getattr(Field, name)))
     rep = privacy_audit(sch, (0, 1))
     assert rep.identical and rep.enumerated == 13 ** 4
-    # the 2 x 5 retrieval generator (10 muls) and two small eliminations
+    # the 2 x 5 retrieval generator (10 muls) and one small elimination
     # in the mod-p kernel; counting one row's 169 masking draws took 1690
     # adds, and the joint enumeration 230,178
     assert calls[0] < 13 ** 2
+
+
+def test_privacy_audit_passes_on_full_rank_without_stacking(monkeypatch):
+    # a dimension-t GRS masking code has rank |T| on any |T| <= t servers
+    ranks = []
+
+    def counted(field, rows):
+        ranks.append(len(rows))
+        return mat_rank(field, rows)
+    monkeypatch.setattr(protocol, "mat_rank", counted)
+    sch = plain_scheme(C10, t=2, memory=0, m=2, desired=0, support=(5, 6))
+    for colluding in [(4, 5), (0, 9), (6,)]:
+        ranks.clear()
+        assert privacy_audit(sch, colluding).identical
+        assert ranks == [2]   # the 2 x |T| restricted generator only
+    broken = under_dimensioned(sch, 1)
+    ranks.clear()
+    assert not privacy_audit(broken, (4, 5)).identical
+    assert ranks == [1, 2]    # rank 1 < |T| = 2: the first offset is stacked
 
 
 def test_derive_seed_stable():

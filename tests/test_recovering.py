@@ -1,16 +1,23 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pirstream import recovering
 from pirstream.errors import (
     DuplicateLocators,
     FieldTooSmall,
+    InvalidParams,
+    LocatorMismatch,
     NoSuitableSubgroup,
     OddGamma,
     OrderNotDividing,
     TooFewLocators,
 )
 from pirstream.fields import Field
+from pirstream.linalg import mat_rank
 from pirstream.recovering import (
     build_A,
     construct_regset,
@@ -59,6 +66,13 @@ def test_matrix_shape_and_band():
                 assert v == expect, (f, k, M, locs, i, c)
 
 
+def test_matrix_is_assembled_on_first_read():
+    rm = build_A(GF16, 2, 1, (9, 3, 7))
+    assert "matrix" not in vars(rm)
+    assert rm.matrix[1][:3] == (9, 3, 7)
+    assert vars(rm)["matrix"] is rm.matrix
+
+
 def test_duplicate_locators():
     with pytest.raises(DuplicateLocators):
         build_A(GF16, 2, 1, (3, 3, 5))
@@ -67,6 +81,24 @@ def test_duplicate_locators():
 def test_too_few_locators():
     with pytest.raises(TooFewLocators):
         build_A(GF16, 2, 1, (3, 5))
+
+
+def test_locators_outside_the_field():
+    before = recovering._orbit_rank.cache_info()
+    for locs in [(3, 7, 16), (3, 7, -1)]:
+        with pytest.raises(LocatorMismatch):
+            build_A(GF16, 2, 1, locs)
+    assert recovering._orbit_rank.cache_info() == before
+
+
+@pytest.mark.parametrize("k, M", [(0, 1), (-1, 1), (2, -1)])
+def test_k_below_one_or_negative_memory(k, M):
+    with pytest.raises(InvalidParams):
+        build_A(GF16, k, M, (3, 7, 9))
+    with pytest.raises(InvalidParams):
+        minimal_gamma(k, M)
+    with pytest.raises(InvalidParams):
+        random_search_counts(GF16, k, M, 10, seed=0)
 
 
 def test_gf7_subgroup_instance():
@@ -163,3 +195,48 @@ def test_random_search_larger_parameters():
         hits, trials = random_search_counts(f64, k, M, trials=500, seed=555)
         p = hits / trials
         assert lo <= p <= hi, (k, M, p)
+
+
+@pytest.mark.parametrize("k, M, p_full", [
+    (2, 1, Fraction(1)), (4, 1, Fraction(85, 91)), (3, 2, Fraction(125, 182))])
+def test_every_minimal_set_of_the_q16_rows(k, M, p_full):
+    # each set's memoised rank is the rank of its own matrix, and the exact
+    # full-rank fractions are the values the search rows estimate
+    gamma = minimal_gamma(k, M)
+    hits = total = 0
+    for locs in itertools.combinations(range(16), gamma):
+        rm = build_A(GF16, k, M, locs)
+        assert rm.rank == mat_rank(GF16, rm.matrix), locs
+        hits += rm.verdict
+        total += 1
+    assert Fraction(hits, total) == p_full
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Field(13), Field(3, 2), Field(2, 6)]),
+       st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (1, 3)]),
+       st.integers(0, 1), st.data())
+def test_rank_is_invariant_under_scaling_and_permutation(f, shape, extra, data):
+    k, M = shape
+    gamma = min(minimal_gamma(k, M) + extra, f.q)
+    locs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=gamma,
+                              max_size=gamma, unique=True))
+    c = data.draw(st.integers(1, f.q - 1))
+    moved = data.draw(st.permutations([f.mul(c, a) for a in locs]))
+    direct = mat_rank(f, build_A(f, k, M, moved).matrix)
+    assert build_A(f, k, M, locs).rank == direct
+    assert build_A(f, k, M, moved).rank == direct
+
+
+def test_search_ranks_each_scaling_orbit_once(monkeypatch):
+    # the 4,368 five-sets of GF(16) fall into 292 scaling orbits
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return mat_rank(field, rows)
+    monkeypatch.setattr(recovering, "mat_rank", counted)
+    recovering._orbit_rank.cache_clear()
+    hits, trials = random_search_counts(GF16, 3, 2, 4000, seed=12)
+    assert trials == 4000 and 0 < hits < trials
+    assert 0 < len(calls) <= 292
