@@ -272,6 +272,10 @@ def parse_search_rows(raw: str):
         if k < 1 or M < 0:
             raise ConfigError(
                 f"[search] rows entry {token!r} needs k >= 1 and M >= 0")
+        least = recovering.minimal_gamma(k, M)
+        if gamma is not None and not least <= gamma <= q:
+            raise ConfigError(
+                f"[search] rows entry {token!r} needs {least} <= gamma <= q")
         rows.append((k, M, q, gamma))
     return rows
 

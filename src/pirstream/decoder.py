@@ -12,7 +12,9 @@ combination on the support):
   then Viterbi over the reduced trellis of stripe hypotheses.
 
 The first two are one peeling kernel (``_peel``): plain recovery runs it
-with a one-block window on a stream that has no erasures.  The erasure
+with a one-block window on a stream that has no erasures.  It derives
+each intact block's equations once, when the block arrives, and stacks
+them again for each solve attempt of a window.  The erasure
 rule that ``recover_window`` enforces, and that
 ``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
 
@@ -134,13 +136,21 @@ def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> dict:
 def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFile:
     """Sequential peeling that waits out erased blocks.
 
-    Each block's stripe joins the unknowns; each intact block's desired
-    combination joins the pending equations.  After every intact block the
-    pending equations, with the known stripes subtracted, are solved for
-    all unknowns at once; a stripe solved from its own block alone is
-    ``direct``, any other is ``window-solved``.  Once the oldest unknown
-    stripe is ``window - 1`` blocks behind, a failed solve is final.
-    Intact termination blocks with nothing unknown must reduce to zero.
+    Each block's stripe joins the unknowns.  When an intact block joins,
+    its desired combination becomes one equation per support position,
+    derived once: a coefficient fragment over the run of unknown stripes
+    the position touches, and a right-hand side with the known stripes
+    subtracted (each known stripe encoded once per position).  No solve
+    can change what is known while the block waits, so the equation holds
+    as derived until a solve clears it.
+
+    After every intact block the pending equations are solved for all
+    unknowns at once: the rows are counted first, and only a system with
+    enough of them is stacked, each fragment at its column offset.  A
+    stripe solved from its own block alone is ``direct``, any other is
+    ``window-solved``.  Once the oldest unknown stripe is ``window - 1``
+    blocks behind, a failed solve is final.  Intact termination blocks
+    with nothing unknown must reduce to zero.
     """
     f = scheme.field
     code = scheme.storage_code
@@ -150,43 +160,54 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     offsets = {j: [rows[z][j] for z in range(memory + 1)]
                for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
                for j in part}
+    # the coefficients of stripe s-z in position j of block s
+    coefficients = {j: [[f.mul(off, g[r][j]) for r in range(k)] for off in offs]
+                    for j, offs in offsets.items()}
     known: dict[int, tuple] = {}
     provenance: dict[int, str] = {}
     unknown: list[int] = []
-    pending: list[tuple[int, dict]] = []
+    # (block, [(first unknown stripe touched, fragment, right-hand side)])
+    pending: list[tuple[int, list]] = []
+
+    def equations(s, u):
+        """Block s's equations, one per support position; the stripes the
+        block touches run oldest first, known ones before unknown ones."""
+        out = []
+        for j, acc in u.items():
+            first, fragment = None, []
+            for prev in range(max(s - memory, 1), min(s, ell) + 1):
+                off = offsets[j][s - prev]
+                if prev in known:
+                    y = code.encode(list(known[prev]))[j]
+                    acc = f.sub(acc, f.mul(off, y))
+                else:
+                    if first is None:
+                        first = prev
+                    fragment += coefficients[j][s - prev]
+            out.append((first, fragment, acc))
+        return out
 
     def solve(deadline: bool):
-        cols = [(xi, r) for xi in unknown for r in range(k)]
-        col_index = {c: i for i, c in enumerate(cols)}
-        rows, rhs = [], []
-        for s, u in pending:
-            for j, val in u.items():
-                row = [0] * len(cols)
-                acc = val
-                for z in range(memory + 1):
-                    prev = s - z
-                    if prev < 1 or prev > ell:
-                        continue
-                    off = offsets[j][z]
-                    if prev in known:
-                        y = code.encode(list(known[prev]))[j]
-                        acc = f.sub(acc, f.mul(off, y))
-                    else:
-                        for r in range(k):
-                            row[col_index[(prev, r)]] = f.mul(off, g[r][j])
-                rows.append(row)
-                rhs.append(acc)
+        cols = k * len(unknown)
         if not cols:
-            if any(rhs):
+            if any(rhs for _, eqs in pending for _, _, rhs in eqs):
                 raise InconsistentBlock(f"termination block {pending[0][0]} "
                                         f"disagrees with decoded stripes")
             pending.clear()
             return
-        if len(rows) < len(cols):
+        if sum(len(eqs) for _, eqs in pending) < cols:
             if deadline:
                 raise UncorrectablePattern(
                     f"stripes {unknown} ran out of equations")
             return
+        rows, rhs = [], []
+        for _, eqs in pending:
+            for first, fragment, acc in eqs:
+                row = [0] * cols
+                at = (first - unknown[0]) * k if fragment else 0
+                row[at: at + len(fragment)] = fragment
+                rows.append(row)
+                rhs.append(acc)
         last = pending[-1][0]
         try:
             sol = solve_unique(f, rows, rhs)
@@ -197,9 +218,8 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
         except InconsistentSystem as exc:
             raise InconsistentBlock(f"block {last}: {exc}") from exc
         how = DIRECT if unknown == [last] and len(pending) == 1 else WINDOW
-        for xi in unknown:
-            base = col_index[(xi, 0)]
-            known[xi] = tuple(sol[base: base + k])
+        for i, xi in enumerate(unknown):
+            known[xi] = tuple(sol[i * k: (i + 1) * k])
             provenance[xi] = how
         unknown.clear()
         pending.clear()
@@ -210,7 +230,8 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
         block = stream.block(xi)
         intact = block.status != ERASED
         if intact:
-            pending.append((xi, _desired_combination(scheme, star, block)))
+            u = _desired_combination(scheme, star, block)
+            pending.append((xi, equations(xi, u)))
         due = bool(unknown) and xi >= unknown[0] + window - 1
         if intact or due:
             solve(due)

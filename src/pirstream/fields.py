@@ -152,9 +152,16 @@ def _is_irreducible(coeffs, p) -> bool:
 
 
 def _default_modulus(p, s):
-    """Lowest monic irreducible of degree s, ordered by packed integer value."""
+    """Lowest monic irreducible of degree s, ordered by packed integer value.
+
+    For p = 2 the packed integer is the polynomial itself, and Rabin's
+    test runs on it by shift and XOR (``_binary_irreducible``)."""
     if s == 1:
         return (0, 1)
+    if p == 2:
+        for packed in range(1 << s, 2 << s):
+            if _binary_irreducible(packed, s):
+                return tuple(_unpack(packed, 2, s + 1))
     for packed in range(p ** s):
         coeffs = _unpack(packed, p, s) + [1]
         if _is_irreducible(coeffs, p):
@@ -175,6 +182,27 @@ def _xor_mulmod(a, b, mod, s):
         if a & top:
             a ^= mod
     return acc
+
+
+def _binary_irreducible(mod, s) -> bool:
+    """Rabin's test for the packed degree-s polynomial ``mod`` over GF(2),
+    s >= 2: x^(2^(s/r)) - x is coprime to it for every prime r | s, and
+    x^(2^s) = x modulo it.  The powers come from s squarings of x."""
+    stops = {s // r for r in factorize(s)}
+    h = 2
+    for step in range(1, s + 1):
+        h = _xor_mulmod(h, h, mod, s)
+        if step in stops:
+            # Euclid's gcd of mod and x^(2^step) - x, on packed ints
+            a, b = mod, h ^ 2
+            while b:
+                top = b.bit_length()
+                while a.bit_length() >= top:
+                    a ^= b << (a.bit_length() - top)
+                a, b = b, a
+            if a != 1:
+                return False
+    return h == 2
 
 
 def _unpack(value, p, s):

@@ -2,20 +2,21 @@
 and star products.
 
 A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
-polynomial f of degree < k evaluated at distinct locators a_j.  Erasure
-decoding solves the k x k Vandermonde system of k surviving positions
-through ``linalg.solve_any``, read off one table of locator powers
-(``_locator_powers``), and cross-checks the rest.  Error decoding takes
-the n-k syndromes of the word against one table of parity checks
-(``_parity_checks``) and solves the key equation in syndrome form once,
-at the full bounded-minimum-distance radius, for an error locator.
-Forney's formula gives the error values at the locator's roots from the
-first syndromes, a check that they reproduce all n-k syndromes rejects
-words beyond the radius, and the message is read off k positions of the
-corrected word through a per-code inverse (``_message_map``, one
-``linalg.rref`` per code).  So each BMD decode makes at most one
-elimination; at the block lengths used here one solve at the full radius
-is plenty, and it never miscorrects beyond the radius."""
+polynomial f of degree < k evaluated at distinct locators a_j.  Messages
+are read off k positions of a codeword through the inverse of their
+Vandermonde system (``_read_map``), which each code builds with one
+``linalg.rref`` per tuple of positions and keeps in a bounded cache.
+Erasure decoding reads through the first k surviving positions and
+cross-checks the rest.  Error decoding takes the n-k syndromes of the
+word against one table of parity checks (``_parity_checks``) and solves
+the key equation in syndrome form once, at the full
+bounded-minimum-distance radius, for an error locator.  Forney's formula
+gives the error values at the locator's roots from the first syndromes,
+a check that they reproduce all n-k syndromes rejects words beyond the
+radius, and the message is read off the first k positions of the
+corrected word.  So each BMD decode makes at most one elimination besides
+the code's one inverse; at the block lengths used here one solve at the
+full radius is plenty, and it never miscorrects beyond the radius."""
 
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import rref, solve_any
+
+# Position tuples whose inverse a code keeps; past this, the oldest goes.
+# A decoder reads through one tuple per sub-round, so this is plenty.
+_READ_MAP_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,13 @@ class GrsCode:
 
         Erasures are the ``None`` entries of ``word`` plus any indices in
         ``erased``.  The message solves the Vandermonde system
-        sum_i m_i a_j^i = w_j / v_j on the first k surviving positions j
-        (``linalg.solve_any``; distinct locators make the solution
-        unique).  Surplus surviving positions are cross-checked so that
-        corrupted non-codewords are reported instead of silently decoded.
+        sum_i m_i a_j^i = w_j / v_j on the first k surviving positions j;
+        distinct locators make the solution unique, and it is read off
+        those k symbols through the system's inverse (``_read_map``), so
+        only the first word with a given set of base positions makes an
+        elimination.  Surplus surviving positions are cross-checked so
+        that corrupted non-codewords are reported instead of silently
+        decoded.
         """
         f = self.field
         if len(word) != self.n:
@@ -112,10 +120,9 @@ class GrsCode:
             raise TooManyErasures(
                 f"{len(erased)} erasures > n-k = {self.n - self.k}")
         surviving = [j for j in range(self.n) if j not in erased]
-        base = surviving[: self.k]
-        rows = [self._locator_powers[j][: self.k] for j in base]
-        ys = [f.div(word[j], self.multipliers[j]) for j in base]
-        coeffs = solve_any(f, rows, ys)
+        base = tuple(surviving[: self.k])
+        picked = [word[j] for j in base]
+        coeffs = [f.kernel.dot(row, picked) for row in self._read_map(base)]
         surplus = surviving[self.k:]
         expected = f.kernel.evaluate(coeffs, [self._points[j] for j in surplus])
         for j, expect in zip(surplus, expected):
@@ -139,9 +146,9 @@ class GrsCode:
         Forney's formula takes the values at the rho positions where E
         vanishes from S_0..S_{rho-1} (``_error_values``), and one pass
         checks that those values reproduce all n-k syndromes.  The message
-        is read off the first k symbols of the corrected word through a
-        per-code inverse (``_message_map``); the key equation is the only
-        elimination.
+        is read off the first k symbols of the corrected word through the
+        inverse on those positions (``_read_map``, built once per code);
+        the key equation is the only elimination.
 
         This is the Berlekamp-Welch key equation in syndrome form, with
         y_j = w_j / v_j: a monic E of degree e admits a Q of degree < k+e
@@ -187,7 +194,8 @@ class GrsCode:
                 corrected[j] = f.sub(word[j], v)
             errors = frozenset(j for j, v in zip(roots, found) if v)
         base = corrected[: self.k]
-        return [kernel.dot(row, base) for row in self._message_map], errors
+        read = self._read_map(tuple(range(self.k)))
+        return [kernel.dot(row, base) for row in read], errors
 
     def _error_values(self, roots, syndromes):
         """Forney's formula: the error values e_j at the positions ``roots``
@@ -224,7 +232,7 @@ class GrsCode:
     @cached_property
     def _locator_powers(self):
         """a_j^i for every position j and 0 <= i < k: the generator matrix
-        and erasure decoding read their powers here."""
+        and the inverses of ``_read_map`` read their powers here."""
         f = self.field
         table = []
         for a in self.locators:
@@ -256,19 +264,34 @@ class GrsCode:
             row = [f.mul(u, a) for u, a in zip(row, locs)]
         return rows
 
+    def _read_map(self, base):
+        """Row i maps the symbols of a codeword at the k positions ``base``
+        to the message's coefficient i: the inverse of the k x k
+        Vandermonde system on those positions, built with one ``rref`` of
+        [V | I], with the multipliers divided out.
+
+        Each code keeps the inverses of up to ``_READ_MAP_LIMIT`` position
+        tuples (``_read_maps``) and drops the oldest past that."""
+        maps = self._read_maps
+        read = maps.get(base)
+        if read is None:
+            f = self.field
+            k = self.k
+            rows = [list(self._locator_powers[j]) + [int(i == c) for i in range(k)]
+                    for c, j in enumerate(base)]
+            inverse, _ = rref(f, rows)
+            inv_v = [f.inv(self.multipliers[j]) for j in base]
+            read = [[f.mul(x, w) for x, w in zip(row[k:], inv_v)]
+                    for row in inverse]
+            if len(maps) >= _READ_MAP_LIMIT:
+                del maps[next(iter(maps))]
+            maps[base] = read
+        return read
+
     @cached_property
-    def _message_map(self):
-        """Row i maps the first k symbols of a codeword to the message's
-        coefficient i: the inverse of the k x k Vandermonde system on
-        those positions, built with one ``rref`` of [V | I], with the
-        multipliers divided out."""
-        f = self.field
-        k = self.k
-        rows = [list(self._locator_powers[j]) + [int(i == j) for i in range(k)]
-                for j in range(k)]
-        inverse, _ = rref(f, rows)
-        inv_v = [f.inv(v) for v in self.multipliers[:k]]
-        return [[f.mul(x, w) for x, w in zip(row[k:], inv_v)] for row in inverse]
+    def _read_maps(self):
+        """{base positions: inverse} of ``_read_map``, oldest first."""
+        return {}
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

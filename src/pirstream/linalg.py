@@ -6,10 +6,10 @@ Everything here rests on one forward-elimination loop (``_echelon``):
 and the solvers read their answer off the ``rref`` of the augmented
 matrix.  Over an exact field there are no tolerance questions.  Every
 solve and rank in the package runs here: the decoders' window and
-support solves, GRS erasure decoding (a k x k Vandermonde system), the
-Hankel key-equation solve of GRS error decoding and the per-code inverse
-it reads messages through, the rank of the recovering matrix A and the
-collusion audit's ranks.
+support solves, the Vandermonde inverses that GRS decoding reads
+messages through (one per code and tuple of positions), the Hankel
+key-equation solve of GRS error decoding, the rank of the recovering
+matrix A and the collusion audit's ranks.
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
 the field's kernel (``Field.kernel``, see ``fields``): per pivot, the

@@ -138,6 +138,13 @@ class PirScheme:
         return (self.memory + 1) * self.m
 
     def star_code(self) -> GrsCode:
+        """The star product of the storage and retrieval codes, built once
+        per scheme, so the erasure-decoding inverses it keeps serve every
+        stream the scheme decodes."""
+        return self._star
+
+    @cached_property
+    def _star(self) -> GrsCode:
         return star_product_code(self.storage_code, self.retrieval_code)
 
     @cached_property

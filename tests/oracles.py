@@ -6,8 +6,21 @@ route: with the scalar ``Field`` methods, by enumeration, or through an
 equivalent criterion.
 """
 
-from pirstream.errors import DecodingFailure
-from pirstream.linalg import mat_rank, rref, solve_any
+from pirstream.decoder import DIRECT, WINDOW, RecoveredFile, _erasure_violation
+from pirstream.errors import (
+    DecodingFailure,
+    InconsistentBlock,
+    InconsistentSystem,
+    InconsistentWord,
+    InvalidParams,
+    LengthMismatch,
+    RankDeficient,
+    TooManyErasures,
+    UncorrectablePattern,
+)
+from pirstream.grs import star_product_code
+from pirstream.linalg import mat_rank, rref, solve_any, solve_unique
+from pirstream.protocol import BLOCK, ERASED, PLAIN
 
 
 def poly_eval(field, coeffs, x):
@@ -149,3 +162,148 @@ def check_direct_sum(field, k, M, locators):
         for row in inter:
             stacked.append([field.mul(v, s) for v, s in zip(row, scale)])
     return mat_rank(field, stacked) == k + M * len(inter)
+
+
+# --- erasure decoding and peeling ---------------------------------------------
+
+def erasure_decode_by_solve(code, word, erased=None):
+    """``GrsCode.erasure_decode`` with one ``solve_any`` of the Vandermonde
+    system on the first k surviving positions per call, and the same
+    cross-check and errors."""
+    f = code.field
+    if len(word) != code.n:
+        raise LengthMismatch(f"word length {len(word)} != n={code.n}")
+    erased = set(erased or ())
+    erased.update(j for j, w in enumerate(word) if w is None)
+    if len(erased) > code.n - code.k:
+        raise TooManyErasures(f"{len(erased)} erasures > n-k = {code.n - code.k}")
+    surviving = [j for j in range(code.n) if j not in erased]
+    base = surviving[: code.k]
+    rows = [[f.pow(code.locators[j], i) for i in range(code.k)] for j in base]
+    ys = [f.div(word[j], code.multipliers[j]) for j in base]
+    coeffs = solve_any(f, rows, ys)
+    for j in surviving[code.k:]:
+        expect = f.mul(code.multipliers[j], poly_eval(f, coeffs, code.locators[j]))
+        if expect != word[j]:
+            raise InconsistentWord(
+                f"surviving position {j} disagrees with interpolation")
+    return coeffs
+
+
+def desired_combination(scheme, star, block):
+    """``decoder._desired_combination`` through ``erasure_decode_by_solve``."""
+    f = scheme.field
+    out = {}
+    for r, part in enumerate(scheme.sub_supports):
+        word = list(block.parts[r])
+        try:
+            msg = erasure_decode_by_solve(star, word, erased=set(part))
+        except InconsistentWord as exc:
+            raise InconsistentBlock(str(exc)) from exc
+        clean = star.encode(msg)
+        for j in part:
+            out[j] = f.sub(word[j], clean[j])
+    return out
+
+
+def peel(stream, scheme, window):
+    """``decoder._peel`` as it rebuilds every pending equation, with the
+    known stripes re-encoded, on each solve attempt."""
+    f = scheme.field
+    code = scheme.storage_code
+    star = star_product_code(scheme.storage_code, scheme.retrieval_code)
+    g = code.generator_matrix()
+    k, ell, memory = scheme.k, stream.ell, scheme.memory
+    offsets = {j: [rows[z][j] for z in range(memory + 1)]
+               for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
+               for j in part}
+    known, provenance = {}, {}
+    unknown, pending = [], []
+
+    def solve(deadline):
+        cols = [(xi, r) for xi in unknown for r in range(k)]
+        col_index = {c: i for i, c in enumerate(cols)}
+        rows, rhs = [], []
+        for s, u in pending:
+            for j, val in u.items():
+                row = [0] * len(cols)
+                acc = val
+                for z in range(memory + 1):
+                    prev = s - z
+                    if prev < 1 or prev > ell:
+                        continue
+                    off = offsets[j][z]
+                    if prev in known:
+                        y = code.encode(list(known[prev]))[j]
+                        acc = f.sub(acc, f.mul(off, y))
+                    else:
+                        for r in range(k):
+                            row[col_index[(prev, r)]] = f.mul(off, g[r][j])
+                rows.append(row)
+                rhs.append(acc)
+        if not cols:
+            if any(rhs):
+                raise InconsistentBlock(f"termination block {pending[0][0]} "
+                                        f"disagrees with decoded stripes")
+            pending.clear()
+            return
+        if len(rows) < len(cols):
+            if deadline:
+                raise UncorrectablePattern(
+                    f"stripes {unknown} ran out of equations")
+            return
+        last = pending[-1][0]
+        try:
+            sol = solve_unique(f, rows, rhs)
+        except RankDeficient:
+            if deadline:
+                raise
+            return
+        except InconsistentSystem as exc:
+            raise InconsistentBlock(f"block {last}: {exc}") from exc
+        how = DIRECT if unknown == [last] and len(pending) == 1 else WINDOW
+        for xi in unknown:
+            base = col_index[(xi, 0)]
+            known[xi] = tuple(sol[base: base + k])
+            provenance[xi] = how
+        unknown.clear()
+        pending.clear()
+
+    for xi in range(1, ell + memory + 1):
+        if xi <= ell:
+            unknown.append(xi)
+        block = stream.block(xi)
+        intact = block.status != ERASED
+        if intact:
+            pending.append((xi, desired_combination(scheme, star, block)))
+        due = bool(unknown) and xi >= unknown[0] + window - 1
+        if intact or due:
+            solve(due)
+    if unknown:
+        solve(True)
+    return RecoveredFile(tuple(known[xi] for xi in range(1, ell + 1)),
+                         tuple(provenance[xi] for xi in range(1, ell + 1)))
+
+
+def recover_plain(stream, scheme):
+    """``decoder.recover_plain`` on ``peel``."""
+    if scheme.variant not in (PLAIN, BLOCK):
+        raise InvalidParams(f"recover_plain does not apply to {scheme.variant}")
+    for xi in range(1, len(stream.blocks) + 1):
+        if stream.block(xi).status == ERASED:
+            raise UncorrectablePattern(f"block {xi} is erased")
+    return peel(stream, scheme, window=1)
+
+
+def recover_window(stream, scheme):
+    """``decoder.recover_window`` on ``peel``; the erasure rule is the
+    library's one checker."""
+    if scheme.variant != BLOCK:
+        raise InvalidParams("recover_window needs the block-erasure variant")
+    erased = [xi for xi in range(1, len(stream.blocks) + 1)
+              if stream.block(xi).status == ERASED]
+    reason = _erasure_violation(erased, len(stream.blocks), scheme.window,
+                                scheme.burst)
+    if reason is not None:
+        raise UncorrectablePattern(reason)
+    return peel(stream, scheme, scheme.window)

@@ -259,7 +259,8 @@ def test_search_rows_parse():
     assert rows == [(2, 1, 16, None), (3, 2, 64, 6)]
     with pytest.raises(ConfigError):
         parse_search_rows("2:1")
-    for bad in ("2:-1:16", "0:1:16", "-2:1:16"):
+    for bad in ("2:-1:16", "0:1:16", "-2:1:16", "2:1:16:2", "3:2:16:4",
+                "2:1:4:5"):
         with pytest.raises(ConfigError, match=r"\[search\] rows"):
             parse_search_rows(f"2:1:16 {bad}")
 
@@ -276,6 +277,8 @@ def test_privacy_audit_cli(tmp_path, capsys):
     ("recovering-search", "[search]\nrows = 3:2:x\n", "[search] rows"),
     ("recovering-search", "[search]\nrows = 2:-1:16\n", "[search] rows"),
     ("recovering-search", "[search]\nrows = 0:1:16\n", "[search] rows"),
+    ("recovering-search", "[search]\nrows = 2:1:16:2\n", "[search] rows"),
+    ("recovering-search", "[search]\nrows = 2:1:4:5\n", "[search] rows"),
     ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
      "[search] bands"),
     ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = many"),
@@ -290,7 +293,8 @@ def test_privacy_audit_cli(tmp_path, capsys):
      "[channel] b"),
     ("rates", "[rates]\nell = 1e2\n", "[rates] ell"),
 ], ids=["audit-sets", "search-rows", "search-rows-negative-memory",
-        "search-rows-zero-k", "search-bands",
+        "search-rows-zero-k", "search-rows-gamma-below-minimum",
+        "search-rows-gamma-above-q", "search-bands",
         "search-trials", "search-trials-zero", "search-trials-negative",
         "run-seed", "run-trials-zero", "channel-b", "rates-ell"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,

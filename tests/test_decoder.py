@@ -4,6 +4,8 @@ from functools import cached_property
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+import oracles
+from pirstream import grs
 from pirstream.channels import ErasureSchedule, ErrorSchedule, apply_erasures, apply_errors, gen_burst_patterns, gen_error_schedule
 from pirstream.decoder import (
     UmDistanceProfile,
@@ -559,3 +561,152 @@ def small_byzantine_setups(draw):
 def test_decode_um_recovers_every_budget_respecting_schedule(setup):
     sch, desired, noisy = setup
     assert decode_um(noisy, sch).stripes == desired
+
+
+# --- peeling against the rebuild-every-attempt oracle --------------------------
+
+GF13 = Field(13)
+
+
+def outcome(decode, stream, scheme):
+    """(stripes, provenance) of a decode, or the type and message of the
+    library error it raises."""
+    try:
+        rec = decode(stream, scheme)
+    except PirstreamError as exc:
+        return type(exc), str(exc)
+    return rec.stripes, rec.provenance
+
+
+@st.composite
+def peeling_cases(draw):
+    """A small block scheme over GF(13) or GF(16), recovering or not, and
+    a stream of it with any set of erased blocks and, sometimes, one
+    changed symbol."""
+    f = draw(st.sampled_from((GF13, GF16)))
+    n = draw(st.integers(4, 9))
+    k = draw(st.integers(1, 2))
+    t = draw(st.integers(1, n - k))
+    eps = draw(st.integers(1, 3))
+    window = draw(st.integers(eps + 1, eps + 3))
+    code = GrsCode(f, n, k, tuple(range(1, n + 1)))
+    need = min_gamma(k, window, eps)
+    assume(need <= n)
+    support = draw(st.lists(st.integers(0, n - 1), min_size=need, max_size=n,
+                            unique=True))
+    desired = draw(st.integers(0, 1))
+    sch = block_scheme(code, t=t, eps=eps, window=window, m=2,
+                       desired=desired, support=support)
+    ell = draw(st.integers(eps + 1, 6))
+    seed = draw(st.integers(0, 2 ** 32))
+    files = random_files(f, 2, ell, k, derive_rng(seed, "files"))
+    stream = run_protocol(storage_encode(files, code), sch,
+                          derive_seed(seed, "run"))
+    blocks = ell + eps
+    if draw(st.booleans()):
+        erased = draw(st.sampled_from(
+            gen_burst_patterns(ell, eps, window, eps, "exhaustive"))).erased
+    else:
+        erased = draw(st.sets(st.integers(1, blocks), max_size=blocks))
+    stream = apply_erasures(stream, ErasureSchedule(frozenset(erased), ell,
+                                                    eps, window, eps))
+    intact = [b for b in range(1, blocks + 1) if b not in erased]
+    if intact and draw(st.booleans()):
+        b = draw(st.sampled_from(intact))
+        parts = [list(p) for p in stream.blocks[b - 1].parts]
+        r = draw(st.integers(0, len(parts) - 1))
+        j = draw(st.integers(0, n - 1))
+        parts[r][j] = f.add(parts[r][j], draw(st.integers(1, f.q - 1)))
+        changed = list(stream.blocks)
+        changed[b - 1] = Block(ERRORED, tuple(tuple(p) for p in parts))
+        stream = ResponseStream(stream.n, stream.ell, stream.memory,
+                                stream.rounds, tuple(changed),
+                                stream.downloaded)
+    return sch, stream
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(peeling_cases())
+def test_peeling_matches_the_rebuild_every_attempt_oracle(case):
+    # equations derived once per block give the stripes, provenance and
+    # errors of rebuilding every pending equation on each attempt, on
+    # schedules that break the erasure rule and supports that are not
+    # recovering as well as on valid ones
+    sch, stream = case
+    assert (outcome(recover_window, stream, sch)
+            == outcome(oracles.recover_window, stream, sch))
+    assert (outcome(recover_plain, stream, sch)
+            == outcome(oracles.recover_plain, stream, sch))
+
+
+def encodes_per_block(monkeypatch, decode, stream, sch):
+    """[(block, {stripe: storage encodes})] of one decode, grouped by the
+    block that the peeling loop read last before each encode."""
+    groups = []
+    block, encode = ResponseStream.block, GrsCode.encode
+
+    def read(self, xi):
+        groups.append((xi, {}))
+        return block(self, xi)
+
+    def counted(code, message):
+        if code is sch.storage_code:
+            counts = groups[-1][1]
+            counts[tuple(message)] = counts.get(tuple(message), 0) + 1
+        return encode(code, message)
+    monkeypatch.setattr(ResponseStream, "block", read)
+    monkeypatch.setattr(GrsCode, "encode", counted)
+    decode(stream, sch)
+    monkeypatch.undo()
+    return groups
+
+
+def test_peel_encodes_each_known_stripe_once_per_block_and_position(monkeypatch):
+    # memory 3 and a burst of two: block 5 has too few rows for stripes
+    # 3..5, block 6 has enough, and stripe 2, which block 5 touches, is
+    # known.  Block xi encodes each known stripe among xi-3..xi-1 once per
+    # support position, whatever the attempts before it.
+    code = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
+    support = (4, 5, 6, 7, 8)
+    sch = block_scheme(code, t=1, eps=3, window=5, m=2, desired=0,
+                       support=support)
+    files = random_files(GF16, 2, 8, 2, derive_rng(8, "files"))
+    stream = run_protocol(storage_encode(files, code), sch, 8)
+    stream = apply_erasures(stream, ErasureSchedule(frozenset({3, 4}), 8, 3, 5, 3))
+    assert recover_window(stream, sch).stripes == files[0]
+    by_stripe = {stripe: xi for xi, stripe in enumerate(files[0], start=1)}
+
+    def once_per_position(groups):
+        for xi, counts in groups:
+            for stripe, calls in counts.items():
+                if not (xi - 3 <= by_stripe[stripe] < xi
+                        and calls == len(support)):
+                    return False
+        return True
+
+    assert once_per_position(
+        encodes_per_block(monkeypatch, recover_window, stream, sch))
+    # the oracle re-encodes stripe 2 for block 5 when block 6 arrives
+    assert not once_per_position(
+        encodes_per_block(monkeypatch, oracles.recover_window, stream, sch))
+
+
+def test_star_code_is_built_once_per_scheme(monkeypatch):
+    # a second stream of the same scheme erasure-decodes through the
+    # inverses the first one built
+    sch, files, stream = setup_block()
+    assert sch.star_code() is sch.star_code()
+    assert recover_window(stream, sch).stripes == files[1]
+    calls = [0]
+    rref = grs.rref
+
+    def counted(*args):
+        calls[0] += 1
+        return rref(*args)
+    monkeypatch.setattr(grs, "rref", counted)
+    assert recover_window(stream, sch).stripes == files[1]
+    assert calls[0] == 0
+    byz = setup_byz()[0]
+    assert byz.um_codes[3] is byz.star_code()

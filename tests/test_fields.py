@@ -11,7 +11,13 @@ from pirstream.errors import (
     ZeroElement,
     ZeroInverse,
 )
-from pirstream.fields import Field, parse_field_spec
+from pirstream.fields import (
+    Field,
+    _default_modulus,
+    _is_irreducible,
+    _unpack,
+    parse_field_spec,
+)
 
 GF5 = Field(5)
 GF7 = Field(7)
@@ -35,6 +41,19 @@ def test_default_modulus_is_lowest_irreducible():
     assert Field(2, 4).modulus == (1, 1, 0, 0, 1)
     assert Field(2, 8).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)   # 0x11b
     assert Field(3, 2).modulus == (1, 0, 1)                     # x^2 + 1
+
+
+def test_binary_default_modulus_matches_the_polynomial_search():
+    """The shift-and-XOR Rabin test picks the modulus that Rabin's test on
+    coefficient lists picks, candidate by candidate in packed order."""
+    def lowest(s):
+        for packed in range(2 ** s):
+            coeffs = _unpack(packed, 2, s) + [1]
+            if _is_irreducible(coeffs, 2):
+                return tuple(coeffs)
+
+    for s in range(2, 17):
+        assert _default_modulus(2, s) == lowest(s), s
 
 
 def test_basic_arithmetic():

@@ -28,6 +28,8 @@ CASES = {
     "simulate-plain-stream": ["simulate", "plain-stream", *SIM, "--trials", "2"],
     "simulate-byzantine-fixed": ["simulate", "byzantine-fixed", *SIM, "--trials", "2"],
     "simulate-burst-window": ["simulate", "burst-window", *SIM, "--trials", "5"],
+    "simulate-burst-window-40": ["simulate", "burst-window", *SIM,
+                                 "--trials", "40"],
     "simulate-byzantine-budget": ["simulate", "byzantine-budget", *SIM,
                                   "--trials", "5"],
     "privacy-audit-privacy-audit": ["privacy-audit", "privacy-audit"],

@@ -16,7 +16,13 @@ from pirstream.errors import (
 from pirstream.fields import Field
 from pirstream.grs import GrsCode, star_product_code
 
-from oracles import bw_decode, codewords, poly_eval, row_space_basis
+from oracles import (
+    bw_decode,
+    codewords,
+    erasure_decode_by_solve,
+    poly_eval,
+    row_space_basis,
+)
 
 GF5 = Field(5)
 GF16 = Field(2, 4)
@@ -280,3 +286,89 @@ def test_bmd_decode_matches_berlekamp_welch(f, data):
     assert got == decode_or_fail(bw_decode, code, word)
     if len(bad) <= (code.d - 1) // 2:
         assert got == (msg, frozenset(bad))
+
+
+def erasure_outcome(decode, code, word, erased):
+    try:
+        return decode(code, word, erased)
+    except (InconsistentWord, TooManyErasures) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_erasure_decode_matches_one_solve_per_call(f, data):
+    # the cached per-pattern inverse gives the message, or the error and
+    # its message, of one Vandermonde solve per call; the same code decodes
+    # several words, so later ones read through a cached inverse
+    n = data.draw(st.integers(1, min(f.q, 10)))
+    k = data.draw(st.integers(1, n))
+    locs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=n,
+                              max_size=n, unique=True))
+    mults = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    code = GrsCode(f, n, k, tuple(locs), tuple(mults))
+    for _ in range(3):
+        msg = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k,
+                                 max_size=k))
+        word = code.encode(msg)
+        for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            word[j] = f.add(word[j], data.draw(st.integers(1, f.q - 1)))
+        for j in data.draw(st.sets(st.integers(0, n - 1))):
+            word[j] = None
+        erased = data.draw(st.sets(st.integers(0, n - 1)))
+        got = erasure_outcome(GrsCode.erasure_decode, code, word, erased)
+        assert got == erasure_outcome(erasure_decode_by_solve, code, word,
+                                      erased)
+
+
+def count_rrefs(monkeypatch):
+    calls = [0]
+    rref = grs.rref
+
+    def counted(*args):
+        calls[0] += 1
+        return rref(*args)
+    monkeypatch.setattr(grs, "rref", counted)
+    return calls
+
+
+def test_erasure_decode_builds_one_inverse_per_pattern(monkeypatch):
+    # one rref per tuple of base positions per code, however many words
+    # are decoded on it; the errors are raised as before
+    calls = count_rrefs(monkeypatch)
+    code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
+    rng = random.Random(5)
+    for _ in range(6):
+        msg = [rng.randrange(16) for _ in range(3)]
+        word = code.encode(msg)
+        assert code.erasure_decode(word, erased={0, 4}) == msg
+        word[0] = None
+        assert code.erasure_decode(word, erased={4}) == msg
+    assert calls[0] == 1
+    word = code.encode([1, 2, 3])
+    word[9] ^= 1
+    with pytest.raises(InconsistentWord, match="position 9"):
+        code.erasure_decode(word, erased={0, 4})
+    with pytest.raises(TooManyErasures):
+        code.erasure_decode(word, erased=set(range(8)))
+    assert calls[0] == 1
+    assert code.erasure_decode(code.encode([1, 2, 3])) == [1, 2, 3]
+    assert calls[0] == 2
+    twin = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
+    assert twin.erasure_decode(code.encode([1, 2, 3])) == [1, 2, 3]
+    assert calls[0] == 3
+
+
+def test_erasure_decode_cache_is_bounded(monkeypatch):
+    # past the limit the oldest inverse goes and is rebuilt when next read
+    monkeypatch.setattr(grs, "_READ_MAP_LIMIT", 3)
+    calls = count_rrefs(monkeypatch)
+    code = GrsCode(GF16, 8, 2, tuple(range(1, 9)))
+    word = code.encode([7, 9])
+    for first in range(4):
+        assert code.erasure_decode(word, erased=set(range(first))) == [7, 9]
+    assert calls[0] == 4
+    assert list(code._read_maps) == [(1, 2), (2, 3), (3, 4)]
+    assert code.erasure_decode(word) == [7, 9]
+    assert calls[0] == 5
+    assert len(code._read_maps) == 3
