@@ -39,9 +39,15 @@ def field_for_order(q: int) -> Field:
 
 
 def _write_out(path, text):
+    """Write ``text`` to the ``--out`` path, if one was given; a path that
+    cannot be written is a config error."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out {path}: {exc.strerror or exc}") from None
 
 
 def _fmt(x: Fraction) -> str:

@@ -16,7 +16,10 @@ Gaussian elimination, the evaluation of a GRS codeword and the dot
 products of GRS syndromes, run through ``Field.kernel``, which the field
 picks once at construction:
 
-* GF(p): integer arithmetic mod p, inline;
+* GF(p): integer arithmetic mod p, inline; a GRS codeword is one
+  multiply-accumulate of the message with the generator rows packed into
+  Python ints (``_PrimeKernel.encoder``), and a dot product is one
+  ``sum(map(mul, ...))``;
 * GF(2^s) with tables (q <= 2^16): ``row[c] ^= exp[log f + log v]``
   with the pivot row's logs taken once, and Horner's rule on logs;
 * any other field (odd-characteristic extensions, GF(2^s) past the
@@ -27,6 +30,11 @@ number of ``Field`` method calls differs.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from functools import partial
+from operator import mul as _mul
 
 from .errors import (
     InvalidParams,
@@ -222,7 +230,7 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same five methods:
+# Every kernel has the same six methods:
 #   scale(row, f)              -> the list f*row
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
@@ -232,7 +240,24 @@ def _pack(digits, p):
 #                                 kernel's own form (built once per code)
 #   evaluate(coeffs, points)   -> [v * f(a) for each point (a, v)], f given
 #                                 by its coefficients, low to high
+#   encoder(points, k)         -> a function from a message of k symbols to
+#                                 its codeword, evaluate(message, points)
+#                                 (built once per code)
 #   dot(xs, ys)                -> sum of x * y over the pairs of entries
+#
+# Only the GF(p) encoder differs from evaluate: it packs the generator
+# matrix into integer lanes (``_PrimeKernel.encoder``).  The GF(2^s) and
+# scalar encoders are Horner's rule at every point.
+
+
+def _lane_typecode(bound):
+    """The typecode of the unsigned ``array`` items, 4 or 8 bytes wide,
+    of the narrowest lane that holds every integer in [0, bound], or None
+    when 8 bytes do not."""
+    for size in (4, 8):
+        if bound < 1 << 8 * size:
+            return next(t for t in "ILQ" if array(t).itemsize == size)
+    return None
 
 
 class _ScalarKernel:
@@ -258,6 +283,9 @@ class _ScalarKernel:
 
     def points(self, locators, multipliers):
         return tuple(zip(locators, multipliers))
+
+    def encoder(self, points, k):
+        return partial(self.evaluate, points=points)
 
     def evaluate(self, coeffs, points):
         mul, add = self.field.mul, self.field.add
@@ -302,6 +330,41 @@ class _PrimeKernel:
     def points(self, locators, multipliers):
         return tuple(zip(locators, multipliers))
 
+    def encoder(self, points, k):
+        """Row i of the generator matrix, (v_j a_j^i mod p)_j, packed into
+        one int: position j is lane j of an ``array`` of unsigned w-byte
+        items, read in ``sys.byteorder``.  A codeword is then the sum of
+        message[i] * row i, one multiply-accumulate on ints, unpacked
+        through the same ``array`` and reduced mod p once per position.
+
+        With the symbols in [0, p) no lane ever exceeds k (p-1)^2, so no
+        carry crosses into the next lane; w is 4 bytes when that bound
+        fits, else 8 (``_lane_typecode``).  Past 8 bytes the encoder is
+        Horner's rule (``evaluate``).  A message with a symbol outside
+        [0, p) is reduced mod p first, which is what Horner's rule gives.
+        """
+        p = self.p
+        typecode = _lane_typecode(k * (p - 1) ** 2)
+        if typecode is None:
+            return partial(self.evaluate, points=points)
+        order = sys.byteorder
+        size = len(points) * array(typecode).itemsize
+        rows = []
+        powers = [1] * len(points)
+        for _ in range(k):
+            lanes = array(typecode, [v * x % p for (_, v), x in zip(points, powers)])
+            rows.append(int.from_bytes(lanes.tobytes(), order))
+            powers = [x * a % p for (a, _), x in zip(points, powers)]
+        rows = tuple(rows)
+
+        def encode(message):
+            if min(message) < 0 or max(message) >= p:
+                message = [c % p for c in message]
+            packed = sum(map(_mul, message, rows))
+            return [x % p for x in array(typecode, packed.to_bytes(size, order))]
+
+        return encode
+
     def evaluate(self, coeffs, points):
         p = self.p
         rev = coeffs[::-1]
@@ -314,7 +377,7 @@ class _PrimeKernel:
         return out
 
     def dot(self, xs, ys):
-        return sum(x * y for x, y in zip(xs, ys)) % self.p
+        return sum(map(_mul, xs, ys)) % self.p
 
 
 class _BinaryKernel:
@@ -346,6 +409,9 @@ class _BinaryKernel:
     def points(self, locators, multipliers):
         log = self.log
         return tuple((log[a], log[v]) for a, v in zip(locators, multipliers))
+
+    def encoder(self, points, k):
+        return partial(self.evaluate, points=points)
 
     def evaluate(self, coeffs, points):
         exp, log = self.exp, self.log

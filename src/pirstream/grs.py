@@ -83,15 +83,24 @@ class GrsCode:
     def encode(self, message):
         """The codeword (v_j m(a_j))_j of the message polynomial m.
 
-        Evaluation runs through the field's kernel (``Field.kernel``):
-        Horner's rule on table logs, mod p, or with the scalar methods,
-        at points the code converts once (``_points``).  A locator
-        a_j = 0 gives v_j m_0.  Each entry is what the scalar ``Field``
-        methods give for v_j m(a_j).
+        Encoding runs through the encoder the field's kernel builds once
+        per code (``_encoder``, see ``Field.kernel``).  Over GF(p) that is
+        one multiply-accumulate of the message with the generator rows
+        packed into integer lanes, reduced mod p once per position, or
+        Horner's rule mod p when k (p-1)^2 does not fit in 8 bytes; over
+        other fields it is Horner's rule on table logs or with the scalar
+        methods.  A locator a_j = 0 gives v_j m_0.  Each entry is what the
+        scalar ``Field`` methods give for v_j m(a_j), also for GF(p)
+        symbols outside [0, p).
         """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
-        return self.field.kernel.evaluate(message, self._points)
+        return self._encoder(message)
+
+    @cached_property
+    def _encoder(self):
+        """The field kernel's encoding map for this code."""
+        return self.field.kernel.encoder(self._points, self.k)
 
     @cached_property
     def _points(self):

@@ -188,6 +188,24 @@ def test_rates_csv_shape(tmp_path, capsys):
     assert rates_csv() == rates_csv()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("simulate", PLAIN_CFG), ("rates", None),
+    ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = 10")),
+    ("privacy-audit", AUDIT_CFG),
+])
+@pytest.mark.parametrize("target", ["missing/x.csv", "."],
+                         ids=["missing-dir", "a-directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command, config,
+                                          target):
+    argv = [command, "--out", str(tmp_path / target)]
+    if config is not None:
+        argv += ["--config", write(tmp_path, "c.ini", config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {tmp_path / target}: ")
+    assert err.count("\n") == 1
+
+
 def test_rates_spot_value():
     lines = rates_csv().splitlines()
     row = next(ln for ln in lines if ln.startswith("a,30,"))

@@ -6,31 +6,40 @@ and sum of products written with one ``Field.mul``/``Field.sub`` or
 ``Field.add`` call per symbol.
 """
 
+import random
+from array import array
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pirstream.errors import InconsistentSystem, InconsistentWord, RankDeficient
-from pirstream.fields import Field
+from pirstream.fields import Field, _lane_typecode
 from pirstream.grs import GrsCode
 from pirstream.linalg import _echelon, mat_rank, rref, solve_any, solve_unique
 
 from oracles import poly_eval
 
-# One field per kernel path, and both prime sizes the benchmark uses.
+# One field per kernel path, both prime sizes the benchmark uses, the
+# paper's field, and one prime per width of the packed GF(p) encoder's
+# lanes, which must hold k (p-1)^2: 4 bytes, 8 bytes, and none (Horner).
 FIELDS = {
     "GF(2)": Field(2),
     "GF(2^4)": Field(2, 4),
     "GF(2^8)": Field(2, 8),
     "GF(13)": Field(13),
     "GF(251)": Field(251),
+    "GF(331)": Field(331),
+    "GF(65537)": Field(65537),            # (p-1)^2 = 2^32: 8-byte lanes
+    "GF(4294967311)": Field(4294967311),  # (p-1)^2 > 2^64: Horner
     "GF(9)": Field(3, 2),          # odd characteristic: scalar methods
     "GF(17^4)": Field(17, 4),      # q > 2^16: no tables at all
 }
 KERNEL_OF = {
     "GF(2)": "_PrimeKernel", "GF(2^4)": "_BinaryKernel",
     "GF(2^8)": "_BinaryKernel", "GF(13)": "_PrimeKernel",
-    "GF(251)": "_PrimeKernel", "GF(9)": "_ScalarKernel",
-    "GF(17^4)": "_ScalarKernel",
+    "GF(251)": "_PrimeKernel", "GF(331)": "_PrimeKernel",
+    "GF(65537)": "_PrimeKernel", "GF(4294967311)": "_PrimeKernel",
+    "GF(9)": "_ScalarKernel", "GF(17^4)": "_ScalarKernel",
 }
 
 
@@ -133,6 +142,12 @@ def test_elimination_matches_the_scalar_oracle(name, data):
         assert solve_unique(f, m, b) == x
 
 
+def scalar_encode(code, message):
+    f = code.field
+    return [f.mul(v, poly_eval(f, message, a))
+            for a, v in zip(code.locators, code.multipliers)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_encode_matches_the_scalar_oracle(name, data):
@@ -149,9 +164,67 @@ def test_encode_matches_the_scalar_oracle(name, data):
     msg = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, f.q - 1)),
                              min_size=k, max_size=k))
     code = GrsCode(f, n, k, tuple(locs), tuple(mults))
-    expect = [f.mul(v, poly_eval(f, msg, a)) for a, v in zip(locs, mults)]
+    expect = scalar_encode(code, msg)
     assert code.encode(msg) == expect
     assert code.encode(tuple(msg)) == expect
+
+
+@pytest.mark.parametrize("p, k, width", [
+    (251, 5, 4), (331, 75, 4),
+    (65521, 1, 4), (65537, 1, 8),            # (p-1)^2 around 2^32
+    (46337, 2, 4), (46349, 2, 8),            # 2 (p-1)^2 around 2^32
+    (4294967291, 1, 8), (4294967311, 1, None),   # (p-1)^2 around 2^64
+])
+def test_lanes_hold_the_largest_sum_of_products(p, k, width):
+    # position 0 has locator 1 and multiplier p-1, so every generator row
+    # holds p-1 there, and the all-(p-1) message sums k (p-1)^2 in its lane
+    typecode = _lane_typecode(k * (p - 1) ** 2)
+    assert (None if typecode is None else array(typecode).itemsize) == width
+    f = Field(p)
+    n = k + 2
+    code = GrsCode(f, n, k, tuple(range(1, n)) + (p - 1,),
+                   (p - 1,) + tuple(range(1, n)))
+    for msg in ([p - 1] * k, [0] * k, [1] + [0] * (k - 1)):
+        assert code.encode(msg) == scalar_encode(code, msg)
+
+
+def paper_locators():
+    f = Field(331)
+    sigma = f.find_element_of_order(330)
+    return tuple(f.pow(sigma, i) for i in range(1, 101))
+
+
+@pytest.mark.parametrize("p, n, k", [
+    (251, 24, 2), (251, 24, 4), (251, 24, 5),    # burst-window's codes
+    (331, 100, 75),                              # the paper's shape
+])
+def test_encode_at_the_benchmark_and_paper_shapes(p, n, k):
+    f = Field(p)
+    locs = tuple(range(1, n + 1)) if p == 251 else paper_locators()
+    rng = random.Random(p * 1000 + k)
+    for mults in ((1,) * n, tuple(rng.randrange(1, p) for _ in range(n))):
+        code = GrsCode(f, n, k, locs, mults)
+        messages = [[0] * k, [p - 1] * k] + [
+            [rng.randrange(p) for _ in range(k)] for _ in range(5)]
+        for msg in messages:
+            assert code.encode(msg) == scalar_encode(code, msg)
+
+
+@pytest.mark.parametrize("name", ["GF(13)", "GF(251)", "GF(331)", "GF(65537)",
+                                  "GF(4294967311)"])
+def test_encode_reduces_symbols_outside_the_field(name):
+    # Horner's rule reduces mod p as it goes, so an unreduced symbol has
+    # always encoded as its residue; the packed encoder must agree
+    f = FIELDS[name]
+    p = f.p
+    n = min(p, 12)
+    code = GrsCode(f, n, 4, tuple(range(n)), tuple(range(1, n + 1)))
+    for msg in ([-1, p, 2 * p + 5, 3], [0, -p - 3, 10 ** 30, -(10 ** 30)],
+                [p - 1, -1, p, 1]):
+        reduced = [c % p for c in msg]
+        assert code.encode(msg) == code.encode(reduced)
+        assert code.encode(msg) == f.kernel.evaluate(msg, code._points)
+        assert code.encode(reduced) == scalar_encode(code, reduced)
 
 
 @settings(max_examples=300, deadline=None)

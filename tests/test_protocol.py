@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from pirstream import protocol
+from pirstream.config import build_scheme, load_config
 from pirstream.errors import (
     InconsistentWord,
     InvalidParams,
@@ -90,6 +92,70 @@ def test_queries_reproducible_and_t1_constant():
     assert make_queries(sch, 7) != make_queries(sch, 8)
     for row in make_queries(sch, 7).d_rows[0]:
         assert len(set(row)) == 1   # RS(n,1) is the repetition code
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def config_scheme(name):
+    return build_scheme(load_config(str(CONFIGS / f"{name}.ini")))[2]
+
+
+def query_model_errors(qs):
+    """Where a QuerySet leaves the model the privacy audit assumes: each
+    masking row is a codeword of the retrieval code, and each query column
+    minus its masking column is exactly the desired-row offsets."""
+    sch = qs.scheme
+    f = sch.field
+    errors = []
+    for r, (rows, cols) in enumerate(zip(qs.d_rows, qs.queries)):
+        for row, word in enumerate(rows):
+            if not in_code(sch.retrieval_code, word):
+                errors.append(f"sub-round {r} masking row {row} is no codeword")
+        offsets = {z * sch.m + sch.desired: sch.e_offsets[r][z]
+                   for z in range(sch.memory + 1)}
+        for j, col in enumerate(cols):
+            for row, word in enumerate(rows):
+                want = offsets[row][j] if row in offsets else 0
+                if f.sub(col[row], word[j]) != want:
+                    errors.append(f"sub-round {r} server {j} row {row} "
+                                  "has the wrong offset")
+    return errors
+
+
+@pytest.mark.parametrize("name", ["burst-window", "plain-stream"])
+def test_queries_follow_the_audited_model(name):
+    sch = config_scheme(name)
+    for seed in (1, 2, 3):
+        assert query_model_errors(make_queries(sch, seed)) == []
+
+
+@pytest.mark.parametrize("name", ["burst-window", "plain-stream"])
+def test_query_model_check_catches_an_offset_on_the_wrong_row(name):
+    sch = config_scheme(name)
+    qs = make_queries(sch, 1)
+    f = sch.field
+    right = sch.desired
+    wrong = (right + 1) % sch.m
+    j = sch.sub_supports[0][0]
+    offset = sch.e_offsets[0][0][j]
+    col = list(qs.queries[0][j])
+    col[right] = f.sub(col[right], offset)
+    col[wrong] = f.add(col[wrong], offset)
+    cols = qs.queries[0][:j] + (tuple(col),) + qs.queries[0][j + 1:]
+    moved = dataclasses.replace(qs, queries=(cols,) + qs.queries[1:])
+    assert query_model_errors(moved) == [
+        f"sub-round 0 server {j} row {right} has the wrong offset",
+        f"sub-round 0 server {j} row {wrong} has the wrong offset"]
+
+
+@pytest.mark.parametrize("name", ["burst-window", "plain-stream"])
+def test_query_rows_draw_their_masking_independently(name):
+    # one QuerySet cannot show independence, but a draw that reused one
+    # masking codeword for every row would never show two different rows
+    sch = config_scheme(name)
+    assert any(len(set(rows)) > 1 for seed in range(1, 6)
+               for rows in make_queries(sch, seed).d_rows)
 
 
 def test_byzantine_offsets_example3():
