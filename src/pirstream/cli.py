@@ -11,7 +11,9 @@ regime or audit failure, 4 a search probability missed its expected band.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -36,6 +38,26 @@ def field_for_order(q: int) -> Field:
         raise ConfigError(f"q = {q} is not a prime power")
     (p, s), = factors.items()
     return Field(p, s)
+
+
+def _check_out(path):
+    """Refuse an ``--out`` path that cannot be written before any work is
+    done: its directory must exist and be writable, and the path must not
+    be a directory.  Nothing is created or truncated here, so a run that
+    fails later leaves an existing file as it was; a path that becomes
+    unwritable during the run still fails in ``_write_out``."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"--out {path}: {os.strerror(code)}")
 
 
 def _write_out(path, text):
@@ -411,6 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

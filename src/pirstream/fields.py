@@ -12,16 +12,19 @@ reference arithmetic.  Extension fields with q <= 2^16 multiply through
 exp/log tables, and everything else reduces polynomials.
 
 The per-symbol loops that dominate the library, the row update of
-Gaussian elimination, the evaluation of a GRS codeword and the dot
-products of GRS syndromes, run through ``Field.kernel``, which the field
-picks once at construction:
+Gaussian elimination, the evaluation of a GRS codeword and the fixed
+linear maps of GRS decoding (syndromes, the values of an error locator at
+every locator, the message read off a codeword), run through
+``Field.kernel``, which the field picks once at construction:
 
-* GF(p): integer arithmetic mod p, inline; a GRS codeword is one
-  multiply-accumulate of the message with the generator rows packed into
-  Python ints (``_PrimeKernel.encoder``), and a dot product is one
-  ``sum(map(mul, ...))``;
+* GF(p): integer arithmetic mod p, inline; a fixed linear map, and so a
+  GRS codeword, is one multiply-accumulate of the input with the matrix
+  rows packed into Python ints (``_PrimeKernel.linear_map``), and a dot
+  product is one ``sum(map(mul, ...))``;
 * GF(2^s) with tables (q <= 2^16): ``row[c] ^= exp[log f + log v]``
-  with the pivot row's logs taken once, and Horner's rule on logs;
+  with the pivot row's logs taken once, Horner's rule on logs, and a
+  fixed linear map as one table lookup per input symbol (per byte of it
+  for q > 2^8), XORed (``_BinaryKernel.linear_map``);
 * any other field (odd-characteristic extensions, GF(2^s) past the
   tables): the scalar methods, one call per symbol.
 
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import partial
-from operator import mul as _mul
+from functools import partial, reduce
+from operator import getitem as _getitem, mul as _mul, xor as _xor
 
 from .errors import (
     InvalidParams,
@@ -230,7 +233,7 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same six methods:
+# Every kernel has the same seven methods:
 #   scale(row, f)              -> the list f*row
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
@@ -244,10 +247,18 @@ def _pack(digits, p):
 #                                 its codeword, evaluate(message, points)
 #                                 (built once per code)
 #   dot(xs, ys)                -> sum of x * y over the pairs of entries
+#   linear_map(matrix)         -> a function x -> x * matrix, the list of
+#                                 dot(x, column) over the columns of a fixed
+#                                 matrix (built once per matrix); an x
+#                                 shorter than the matrix has rows reads as
+#                                 padded with zeros
 #
-# Only the GF(p) encoder differs from evaluate: it packs the generator
-# matrix into integer lanes (``_PrimeKernel.encoder``).  The GF(2^s) and
-# scalar encoders are Horner's rule at every point.
+# linear_map is where the kernels differ: GF(p) packs each row into integer
+# lanes and makes one multiply-accumulate (``_PrimeKernel.linear_map``),
+# GF(2^s) keeps one table per row of packed products and XORs one entry per
+# input symbol (``_BinaryKernel.linear_map``), and the scalar kernel takes
+# one dot per column.  The GF(p) encoder is linear_map of the generator
+# rows; the GF(2^s) and scalar encoders are Horner's rule at every point.
 
 
 def _lane_typecode(bound):
@@ -256,8 +267,25 @@ def _lane_typecode(bound):
     when 8 bytes do not."""
     for size in (4, 8):
         if bound < 1 << 8 * size:
-            return next(t for t in "ILQ" if array(t).itemsize == size)
+            return _typecode(size)
     return None
+
+
+def _typecode(size):
+    """The typecode of the unsigned ``array`` items ``size`` bytes wide."""
+    return next(t for t in "BHILQ" if array(t).itemsize == size)
+
+
+def _pack_lanes(typecode, lanes):
+    """The int whose bytes in ``sys.byteorder`` are the ``array`` of the
+    lanes: lane j is item j of ``array(typecode, packed.to_bytes(...))``."""
+    return int.from_bytes(array(typecode, lanes).tobytes(), sys.byteorder)
+
+
+def _column_dots(dot, matrix):
+    """linear_map by one dot product per column."""
+    columns = list(zip(*matrix))
+    return lambda xs: [dot(xs, column) for column in columns]
 
 
 class _ScalarKernel:
@@ -305,6 +333,9 @@ class _ScalarKernel:
             acc = add(acc, mul(x, y))
         return acc
 
+    def linear_map(self, matrix):
+        return _column_dots(self.dot, matrix)
+
 
 class _PrimeKernel:
     """GF(p): integer arithmetic reduced mod p."""
@@ -331,39 +362,14 @@ class _PrimeKernel:
         return tuple(zip(locators, multipliers))
 
     def encoder(self, points, k):
-        """Row i of the generator matrix, (v_j a_j^i mod p)_j, packed into
-        one int: position j is lane j of an ``array`` of unsigned w-byte
-        items, read in ``sys.byteorder``.  A codeword is then the sum of
-        message[i] * row i, one multiply-accumulate on ints, unpacked
-        through the same ``array`` and reduced mod p once per position.
-
-        With the symbols in [0, p) no lane ever exceeds k (p-1)^2, so no
-        carry crosses into the next lane; w is 4 bytes when that bound
-        fits, else 8 (``_lane_typecode``).  Past 8 bytes the encoder is
-        Horner's rule (``evaluate``).  A message with a symbol outside
-        [0, p) is reduced mod p first, which is what Horner's rule gives.
-        """
+        """linear_map of the generator rows (v_j a_j^i mod p)_j, i < k."""
         p = self.p
-        typecode = _lane_typecode(k * (p - 1) ** 2)
-        if typecode is None:
-            return partial(self.evaluate, points=points)
-        order = sys.byteorder
-        size = len(points) * array(typecode).itemsize
         rows = []
         powers = [1] * len(points)
         for _ in range(k):
-            lanes = array(typecode, [v * x % p for (_, v), x in zip(points, powers)])
-            rows.append(int.from_bytes(lanes.tobytes(), order))
+            rows.append([v * x % p for (_, v), x in zip(points, powers)])
             powers = [x * a % p for (a, _), x in zip(points, powers)]
-        rows = tuple(rows)
-
-        def encode(message):
-            if min(message) < 0 or max(message) >= p:
-                message = [c % p for c in message]
-            packed = sum(map(_mul, message, rows))
-            return [x % p for x in array(typecode, packed.to_bytes(size, order))]
-
-        return encode
+        return self.linear_map(rows)
 
     def evaluate(self, coeffs, points):
         p = self.p
@@ -379,17 +385,48 @@ class _PrimeKernel:
     def dot(self, xs, ys):
         return sum(map(_mul, xs, ys)) % self.p
 
+    def linear_map(self, matrix):
+        """Row r of the matrix, reduced mod p, packed into one int: column
+        c is lane c of an ``array`` of unsigned w-byte items, read in
+        ``sys.byteorder``.  x * matrix is then the sum of x[r] * row r, one
+        multiply-accumulate on ints, unpacked through the same ``array``
+        and reduced mod p once per column.
+
+        With the symbols in [0, p) no lane ever exceeds r (p-1)^2 for r
+        rows, so no carry crosses into the next lane; w is 4 bytes when
+        that bound fits, else 8 (``_lane_typecode``).  Past 8 bytes the map
+        is one ``dot`` per column.  An x with a symbol outside [0, p) is
+        reduced mod p first, which is what ``dot`` gives.
+        """
+        p = self.p
+        typecode = _lane_typecode(len(matrix) * (p - 1) ** 2)
+        if typecode is None:
+            return _column_dots(self.dot, matrix)
+        order = sys.byteorder
+        size = (len(matrix[0]) if matrix else 0) * array(typecode).itemsize
+        rows = tuple(_pack_lanes(typecode, [v % p for v in row]) for row in matrix)
+
+        def apply(xs):
+            if xs and (min(xs) < 0 or max(xs) >= p):
+                xs = [x % p for x in xs]
+            packed = sum(map(_mul, xs, rows))
+            return [x % p for x in array(typecode, packed.to_bytes(size, order))]
+
+        return apply
+
 
 class _BinaryKernel:
     """GF(2^s) with exp/log tables: products are exp[log a + log b], sums
     are XOR.  A zero factor needs no branch: log[0] points at the zeros
-    that end exp (``Field._build_mul_tables``)."""
+    that end exp (``Field._build_mul_tables``).  ``low`` is the modulus
+    without its x^s term, for multiplying by x."""
 
-    __slots__ = ("exp", "log")
+    __slots__ = ("exp", "log", "low")
 
-    def __init__(self, exp, log):
+    def __init__(self, exp, log, low):
         self.exp = exp
         self.log = log
+        self.low = low
 
     def scale(self, row, f):
         exp, log = self.exp, self.log
@@ -431,6 +468,76 @@ class _BinaryKernel:
             acc ^= exp[log[x] + log[y]]
         return acc
 
+    def linear_map(self, matrix):
+        """x * matrix as the XOR of one table entry per input symbol.
+
+        A product x * m is linear in the bits of x over GF(2), so row r
+        of the matrix becomes tables T with T[x] = (x * matrix[r][c])_c,
+        the columns packed into the lanes of unsigned 8-byte ints, one
+        byte per lane (two for q > 2^8).  Columns past one int's lanes go
+        to further tables.  For q > 2^8 each row has one table per byte of
+        the symbol, indexed by that byte, so no table is longer than 256.
+
+        All tables are built at once, from the matrix's products with the
+        powers of two, which are x times one another lane by lane
+        (``low``), by doubling: T[x + 2^b] = T[x] ^ T[2^b] for x < 2^b,
+        with entry x of every table held side by side in one int.  Its
+        bytes become one ``array('Q')``, and each table is a strided view
+        of it.
+        """
+        q = len(self.log)
+        bits = q.bit_length() - 1
+        lane = 1 if q <= 256 else 2
+        typecode = _typecode(lane)
+        order = sys.byteorder
+        width = len(matrix[0]) if matrix else 0
+        if not width:
+            return lambda xs: []
+        items = -(-width * lane // 8)      # ints per row and symbol byte
+        lanes = items * 8 // lane
+        pad = [0] * (lanes - width)
+        v = _pack_lanes(typecode, [x for row in matrix for x in (*row, *pad)])
+        count = len(matrix) * lanes
+        ones = _pack_lanes(typecode, [1] * count)
+        keep = _pack_lanes(typecode, [(1 << bits - 1) - 1] * count)
+        products = [v]
+        for _ in range(bits - 1):
+            v = ((v & keep) << 1) ^ ((v >> bits - 1) & ones) * self.low
+            products.append(v)
+        stride = len(matrix) * items       # ints per table entry
+        entry = 64 * stride
+        # big-endian bytes put the last entry, and an entry's last int, first
+        starts = range(stride) if order == "little" else range(stride - 1, -1, -1)
+        # the bits of a symbol each table is indexed by: 0..7, then 8..s-1
+        pieces = [range(min(bits, 8))] + ([range(8, bits)] if bits > 8 else [])
+        views = []
+        for piece in pieces:
+            table = 0
+            for i, b in enumerate(piece):
+                basis = products[b]      # one copy per entry built so far
+                for j in range(i):
+                    basis |= basis << (entry << j)
+                table |= (table ^ basis) << (entry << i)
+            packed = array("Q", table.to_bytes(8 * stride << len(piece), order))
+            if order == "big":
+                packed.reverse()
+            whole = memoryview(packed)
+            views.append([whole[start::stride] for start in starts])
+        # int c of each row, its tables in the order of the split symbols
+        chunks = [[tables[r * items + c] for r in range(len(matrix))
+                   for tables in views] for c in range(items)]
+        split = len(pieces) > 1
+        size = width * lane
+
+        def apply(xs):
+            if split:
+                xs = [half for x in xs for half in (x & 255, x >> 8)]
+            data = b"".join([reduce(_xor, map(_getitem, tables, xs), 0)
+                             .to_bytes(8, order) for tables in chunks])
+            return array(typecode, data[:size]).tolist()
+
+        return apply
+
 
 class Field:
     """Context object for GF(p^s): parameters, tables, and arithmetic on ints."""
@@ -466,7 +573,8 @@ class Field:
         if s == 1:
             self.kernel = _PrimeKernel(p)
         elif p == 2 and self._exp is not None:
-            self.kernel = _BinaryKernel(self._exp, self._log)
+            self.kernel = _BinaryKernel(self._exp, self._log,
+                                        _pack(self.modulus[:s], 2))
         else:
             self.kernel = _ScalarKernel(self)
 

@@ -8,20 +8,24 @@ Vandermonde system (``_read_map``), which each code builds with one
 ``linalg.rref`` per tuple of positions and keeps in a bounded cache.
 Erasure decoding reads through the first k surviving positions and
 cross-checks the rest.  Error decoding takes the n-k syndromes of the
-word against one table of parity checks (``_parity_checks``) and solves
-the key equation in syndrome form once, at the full
-bounded-minimum-distance radius, for an error locator.  Forney's formula
-gives the error values at the locator's roots from the first syndromes,
+word through one linear map of parity checks (``_parity_checks``) and
+solves the key equation in syndrome form once, at the full
+bounded-minimum-distance radius, for an error locator.  Its roots come
+from its values at every locator, another linear map (Chien's search),
+Forney's formula gives the error values there from the first syndromes,
 a check that they reproduce all n-k syndromes rejects words beyond the
 radius, and the message is read off the first k positions of the
-corrected word.  So each BMD decode makes at most one elimination besides
-the code's one inverse; at the block lengths used here one solve at the
-full radius is plenty, and it never miscorrects beyond the radius."""
+corrected word through a third.  The maps are the field kernel's
+``linear_map``s, one table lookup or one multiply-accumulate per symbol;
+codes on the same locators share the first two.  So each BMD decode
+makes at most one elimination besides the code's one inverse; at the
+block lengths used here one solve at the full radius is plenty, and it
+never miscorrects beyond the radius."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     DecodingFailure,
@@ -37,6 +41,10 @@ from .linalg import rref, solve_any
 # Position tuples whose inverse a code keeps; past this, the oldest goes.
 # A decoder reads through one tuple per sub-round, so this is plenty.
 _READ_MAP_LIMIT = 256
+
+# Locator (and multiplier) tuples whose BMD maps are kept across codes; a
+# scheme's codes share one locator tuple and two multiplier tuples.
+_SHARED_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -85,13 +93,14 @@ class GrsCode:
 
         Encoding runs through the encoder the field's kernel builds once
         per code (``_encoder``, see ``Field.kernel``).  Over GF(p) that is
-        one multiply-accumulate of the message with the generator rows
-        packed into integer lanes, reduced mod p once per position, or
-        Horner's rule mod p when k (p-1)^2 does not fit in 8 bytes; over
-        other fields it is Horner's rule on table logs or with the scalar
-        methods.  A locator a_j = 0 gives v_j m_0.  Each entry is what the
-        scalar ``Field`` methods give for v_j m(a_j), also for GF(p)
-        symbols outside [0, p).
+        the kernel's ``linear_map`` of the generator rows: one
+        multiply-accumulate of the message with the rows packed into
+        integer lanes, reduced mod p once per position, or one dot per
+        position when k (p-1)^2 does not fit in 8 bytes; over other fields
+        it is Horner's rule on table logs or with the scalar methods.  A
+        locator a_j = 0 gives v_j m_0.  Each entry is what the scalar
+        ``Field`` methods give for v_j m(a_j), also for GF(p) symbols
+        outside [0, p).
         """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
@@ -152,12 +161,17 @@ class GrsCode:
         Otherwise one solve of the Hankel key equation
         sum_{c<e} E_c S_{i+c} = -S_{i+e}, i < n-k-e (Peterson,
         Gorenstein-Zierler), gives a monic error locator E of degree e.
-        Forney's formula takes the values at the rho positions where E
-        vanishes from S_0..S_{rho-1} (``_error_values``), and one pass
-        checks that those values reproduce all n-k syndromes.  The message
-        is read off the first k symbols of the corrected word through the
-        inverse on those positions (``_read_map``, built once per code);
-        the key equation is the only elimination.
+        Its values at every locator (``_locator_values``) give the rho
+        positions where it vanishes, Forney's formula takes the values
+        there from S_0..S_{rho-1} (``_error_values``), and the syndromes of
+        the error vector must equal all n-k syndromes of the word.  The
+        message is read off the first k symbols of the corrected word
+        through the inverse on those positions (``_message_map``, built
+        once per code); the key equation is the only elimination.
+
+        Syndromes, locator values and the message are each one
+        ``linear_map`` of the field's kernel, built once and applied to the
+        whole vector: over GF(2^s) one table lookup per symbol, XORed.
 
         This is the Berlekamp-Welch key equation in syndrome form, with
         y_j = w_j / v_j: a monic E of degree e admits a Q of degree < k+e
@@ -177,34 +191,34 @@ class GrsCode:
         f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
+        r = self.n - self.k
         e = (self.d - 1) // 2
         far = f"no codeword within distance {e} of the received word"
-        kernel = f.kernel
-        checks = self._parity_checks
-        syndromes = [kernel.dot(row, word) for row in checks]
+        _, checks = self._parity_checks
+        syndromes = checks(word)[:r]
         corrected = word
         errors = frozenset()
         if any(syndromes):
             # at e = 0 the rows are empty and the system is inconsistent
-            rows = [syndromes[i:i + e] for i in range(self.n - self.k - e)]
+            rows = [syndromes[i:i + e] for i in range(r - e)]
             locator = solve_any(f, rows, [f.neg(s) for s in syndromes[e:]])
             if locator is None:
                 raise DecodingFailure(far)
-            values = kernel.evaluate(locator + [1], self._points)
+            values = self._locator_values(locator + [1])
             roots = [j for j, v in enumerate(values) if v == 0]
             if not roots:
                 raise DecodingFailure(far)
             found = self._error_values(roots, syndromes)
-            for row, s in zip(checks, syndromes):
-                if kernel.dot([row[j] for j in roots], found) != s:
-                    raise DecodingFailure(far)
+            error = [0] * self.n
+            for j, v in zip(roots, found):
+                error[j] = v
+            if checks(error)[:r] != syndromes:
+                raise DecodingFailure(far)
             corrected = list(word)
             for j, v in zip(roots, found):
                 corrected[j] = f.sub(word[j], v)
             errors = frozenset(j for j, v in zip(roots, found) if v)
-        base = corrected[: self.k]
-        read = self._read_map(tuple(range(self.k)))
-        return [kernel.dot(row, base) for row in read], errors
+        return self._message_map(corrected[: self.k]), errors
 
     def _error_values(self, roots, syndromes):
         """Forney's formula: the error values e_j at the positions ``roots``
@@ -219,6 +233,7 @@ class GrsCode:
         Omega(a_l) = y_l Lambda'(a_l).
         """
         f = self.field
+        u, _ = self._parity_checks
         points = [self.locators[j] for j in roots]
         rho = len(points)
         lam = [1]
@@ -231,7 +246,7 @@ class GrsCode:
             num = 0
             for c in reversed(omega):
                 num = f.add(f.mul(num, a), c)
-            den = self._parity_checks[0][j]
+            den = u[j]
             for b in points:
                 if b != a:
                     den = f.mul(den, f.sub(a, b))
@@ -253,25 +268,25 @@ class GrsCode:
 
     @cached_property
     def _parity_checks(self):
-        """Row i < n-k is (u_j a_j^i)_j with u_j = lambda_j / v_j and
-        lambda_j = 1 / prod_{l != j} (a_j - a_l): a generator matrix of the
-        dual code.  sum_j lambda_j g(a_j) is the coefficient of x^(n-1) in
-        the interpolant of g, so it vanishes for deg g <= n-2, and with
-        g = m x^i for every codeword (v_j m(a_j))_j."""
-        f = self.field
-        locs = self.locators
-        row = []
-        for a, v in zip(locs, self.multipliers):
-            prod = v
-            for b in locs:
-                if b != a:
-                    prod = f.mul(prod, f.sub(a, b))
-            row.append(f.inv(prod))
-        rows = []
-        for _ in range(self.n - self.k):
-            rows.append(row)
-            row = [f.mul(u, a) for u, a in zip(row, locs)]
-        return rows
+        """(u, checks): the multipliers u of the dual code and the map
+        w -> (sum_j u_j a_j^i w_j)_i, whose first n-k entries are the
+        syndromes of w (``_dual_checks``, shared by every code on the same
+        locators and multipliers)."""
+        return _dual_checks(self.field, self.locators, self.multipliers)
+
+    @cached_property
+    def _locator_values(self):
+        """c -> (sum_i c_i a_j^i)_j, the values at every locator of a
+        polynomial of degree <= (n-1)/2 (``_root_map``, shared by every code
+        on the same locators)."""
+        return _root_map(self.field, self.locators)
+
+    @cached_property
+    def _message_map(self):
+        """x -> the message of the codeword whose first k symbols are x:
+        ``_read_map`` of the first k positions, as one linear map."""
+        read = self._read_map(tuple(range(self.k)))
+        return self.field.kernel.linear_map(list(zip(*read)))
 
     def _read_map(self, base):
         """Row i maps the symbols of a codeword at the k positions ``base``
@@ -301,6 +316,45 @@ class GrsCode:
     def _read_maps(self):
         """{base positions: inverse} of ``_read_map``, oldest first."""
         return {}
+
+
+@lru_cache(maxsize=_SHARED_LIMIT)
+def _dual_checks(f, locators, multipliers):
+    """(u, checks) for the codes RS(n, k, v) on these locators and
+    multipliers, whatever k.
+
+    u_j = lambda_j / v_j with lambda_j = 1 / prod_{l != j} (a_j - a_l), and
+    row i < n-k of (u_j a_j^i)_j is a parity check of RS(n, k, v):
+    sum_j lambda_j g(a_j) is the coefficient of x^(n-1) in the interpolant
+    of g, so it vanishes for deg g <= n-2, and with g = m x^i for every
+    codeword (v_j m(a_j))_j.  The checks of RS(n, k, v) are thus the first
+    n-k of the n-1 checks of RS(n, 1, v), and ``checks`` is the field
+    kernel's linear map w -> (sum_j u_j a_j^i w_j)_{i < n-1}."""
+    u = []
+    for a, v in zip(locators, multipliers):
+        prod = v
+        for b in locators:
+            if b != a:
+                prod = f.mul(prod, f.sub(a, b))
+        u.append(f.inv(prod))
+    rows = []
+    for uj, a in zip(u, locators):
+        row = [uj]
+        for _ in range(len(locators) - 2):
+            row.append(f.mul(row[-1], a))
+        rows.append(row[: len(locators) - 1])    # no checks at n = 1
+    return u, f.kernel.linear_map(rows)
+
+
+@lru_cache(maxsize=_SHARED_LIMIT)
+def _root_map(field, locators):
+    """The field kernel's linear map c -> (sum_i c_i a_j^i)_j on these
+    locators, for i <= (n-1)/2: the values at every locator of an error
+    locator of degree e <= (n-k)/2, for every k (Chien's search)."""
+    rows = [[1] * len(locators)]
+    for _ in range((len(locators) - 1) // 2):
+        rows.append([field.mul(x, a) for x, a in zip(rows[-1], locators)])
+    return field.kernel.linear_map(rows)
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

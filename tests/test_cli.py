@@ -201,9 +201,49 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, command, config,
     if config is not None:
         argv += ["--config", write(tmp_path, "c.ini", config)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""    # refused before the run, not after its report
     assert err.startswith(f"config error: --out {tmp_path / target}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, config", [("rates", None),
+                                             ("simulate", PLAIN_CFG)])
+def test_out_in_a_missing_directory_prints_nothing(tmp_path, capsys, command,
+                                                   config):
+    argv = [command, "--out", "/nonexistent/x.csv"]
+    if config is not None:
+        argv += ["--config", write(tmp_path, "c.ini", config)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: --out /nonexistent/x.csv: "
+                   "No such file or directory\n")
+
+
+def test_out_check_leaves_an_existing_file_alone(tmp_path, capsys):
+    # the early check neither creates nor truncates: a run that then fails
+    # its config keeps the old file, and a fresh path stays absent
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    missing = str(tmp_path / "nope.ini")
+    assert main(["simulate", "--config", missing, "--out", str(kept)]) == 2
+    assert kept.read_text() == "old\n"
+    fresh = tmp_path / "fresh.csv"
+    assert main(["simulate", "--config", missing, "--out", str(fresh)]) == 2
+    assert not fresh.exists()
+    capsys.readouterr()
+
+
+def test_out_that_fails_after_the_check_is_still_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # a path that becomes unwritable during the run fails when written
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["rates", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: --out {target}: "
+                   "No such file or directory\n")
 
 
 def test_rates_spot_value():

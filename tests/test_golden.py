@@ -1,5 +1,6 @@
 """The CLI contract: stdout, exit code and ``--out`` CSV of fixed-seed runs
-on the benchmark configs, byte for byte.
+on the benchmark configs and the configs under ``tests/configs``, byte for
+byte.
 
 Each case has ``golden/<case>.out`` (stdout), ``golden/<case>.rc`` (exit
 code) and, for ``simulate``, ``golden/<case>.csv`` (the ``--out`` file).
@@ -22,6 +23,7 @@ from pirstream.cli import main
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 CONFIGS = HERE.parent / "perfbench" / "configs"
+OWN_CONFIGS = HERE / "configs"
 
 SIM = ["--seed", "11", "--workers", "1"]
 CASES = {
@@ -32,6 +34,10 @@ CASES = {
                                  "--trials", "40"],
     "simulate-byzantine-budget": ["simulate", "byzantine-budget", *SIM,
                                   "--trials", "5"],
+    # 2-byte symbols: the byzantine-fixed scheme over GF(2^16)
+    "simulate-byzantine-fixed-gf2-16": [
+        "simulate", OWN_CONFIGS / "byzantine-fixed-gf2-16.ini", *SIM,
+        "--trials", "3"],
     "privacy-audit-privacy-audit": ["privacy-audit", "privacy-audit"],
     "privacy-audit-plain-stream": ["privacy-audit", "plain-stream"],
     "recovering-search-locator-search": ["recovering-search", "locator-search",
@@ -42,7 +48,9 @@ CASES = {
 def run_case(name, out_dir):
     """(exit code, stdout, stderr, --out CSV or None) of one case."""
     command, config, *rest = CASES[name]
-    argv = [command, "--config", str(CONFIGS / f"{config}.ini"), *rest]
+    if not isinstance(config, Path):
+        config = CONFIGS / f"{config}.ini"     # a benchmark config by name
+    argv = [command, "--config", str(config), *rest]
     csv_path = Path(out_dir) / f"{name}.csv"
     if command == "simulate":
         argv += ["--out", str(csv_path)]

@@ -253,7 +253,30 @@ def test_bmd_split_locator_beyond_radius_fails_the_syndrome_check(monkeypatch):
         bw_decode(code, word)
 
 
-DIFF_FIELDS = [GF5, GF16, Field(2, 8), Field(251), Field(3, 2)]
+def test_bmd_maps_are_shared_by_codes_on_the_same_locators():
+    # the checks of RS(n, k, v) are the first n-k of RS(n, 1, v)'s, so the
+    # four codes of unit-memory decoding (two multiplier tuples, one
+    # locator tuple) build two syndrome maps and one root map between them
+    f = Field(2, 8)
+    locs = tuple(range(1, 17))
+    e1 = tuple(f.pow(a, 3) for a in locs)
+    codes = [GrsCode(f, 16, 9, locs, e1), GrsCode(f, 16, 6, locs, e1),
+             GrsCode(f, 16, 6, locs), GrsCode(f, 16, 3, locs)]
+    assert codes[0]._parity_checks is codes[1]._parity_checks
+    assert codes[2]._parity_checks is codes[3]._parity_checks
+    assert codes[0]._parity_checks is not codes[2]._parity_checks
+    assert len({id(code._locator_values) for code in codes}) == 1
+    rng = random.Random(3)
+    for code in codes:
+        word = code.encode([rng.randrange(256) for _ in range(code.k)])
+        checks = code._parity_checks[1](word)
+        assert checks[: code.n - code.k] == [0] * (code.n - code.k)
+        word[0] ^= 1    # an error at locator 1 shows in every check
+        assert all(code._parity_checks[1](word))
+
+
+# GF(2^16) has 2-byte symbols, whose linear-map tables are split by byte
+DIFF_FIELDS = [GF5, GF16, Field(2, 8), Field(2, 16), Field(251), Field(3, 2)]
 
 
 def decode_or_fail(decode, code, word):

@@ -1,9 +1,9 @@
 """The field kernels against the scalar Field methods.
 
-Elimination, GRS evaluation and syndrome dot products run through
-``Field.kernel``; the oracle here is the same elimination, evaluation
-and sum of products written with one ``Field.mul``/``Field.sub`` or
-``Field.add`` call per symbol.
+Elimination, GRS evaluation, dot products and fixed linear maps run
+through ``Field.kernel``; the oracle here is the same elimination,
+evaluation and sum of products written with one ``Field.mul``/``Field.sub``
+or ``Field.add`` call per symbol.
 """
 
 import random
@@ -20,23 +20,28 @@ from pirstream.linalg import _echelon, mat_rank, rref, solve_any, solve_unique
 from oracles import poly_eval
 
 # One field per kernel path, both prime sizes the benchmark uses, the
-# paper's field, and one prime per width of the packed GF(p) encoder's
-# lanes, which must hold k (p-1)^2: 4 bytes, 8 bytes, and none (Horner).
+# paper's field, one prime per width of the packed GF(p) lanes, which must
+# hold rows * (p-1)^2: 4 bytes, 8 bytes, and none (one dot per column), and
+# GF(2^s) with 1-byte symbols and with 2-byte ones, whose linear-map tables
+# are split by byte.
 FIELDS = {
     "GF(2)": Field(2),
     "GF(2^4)": Field(2, 4),
     "GF(2^8)": Field(2, 8),
+    "GF(2^10)": Field(2, 10),
+    "GF(2^16)": Field(2, 16),
     "GF(13)": Field(13),
     "GF(251)": Field(251),
     "GF(331)": Field(331),
     "GF(65537)": Field(65537),            # (p-1)^2 = 2^32: 8-byte lanes
-    "GF(4294967311)": Field(4294967311),  # (p-1)^2 > 2^64: Horner
+    "GF(4294967311)": Field(4294967311),  # (p-1)^2 > 2^64: one dot per column
     "GF(9)": Field(3, 2),          # odd characteristic: scalar methods
     "GF(17^4)": Field(17, 4),      # q > 2^16: no tables at all
 }
 KERNEL_OF = {
     "GF(2)": "_PrimeKernel", "GF(2^4)": "_BinaryKernel",
-    "GF(2^8)": "_BinaryKernel", "GF(13)": "_PrimeKernel",
+    "GF(2^8)": "_BinaryKernel", "GF(2^10)": "_BinaryKernel",
+    "GF(2^16)": "_BinaryKernel", "GF(13)": "_PrimeKernel",
     "GF(251)": "_PrimeKernel", "GF(331)": "_PrimeKernel",
     "GF(65537)": "_PrimeKernel", "GF(4294967311)": "_PrimeKernel",
     "GF(9)": "_ScalarKernel", "GF(17^4)": "_ScalarKernel",
@@ -272,3 +277,60 @@ def test_erasure_decode_round_trips(name, data):
         received[j] = f.add(received[j], delta)
         with pytest.raises(InconsistentWord):
             code.erasure_decode(received, erased)
+
+
+def scalar_product(f, xs, matrix):
+    """x * matrix with one Field call per symbol: the linear_map oracle."""
+    return [scalar_dot(f, xs, column) for column in zip(*matrix)]
+
+
+def scalar_dot(f, xs, ys):
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_linear_map_matches_the_scalar_oracle(name, data):
+    # zero rows and columns, one-row and one-column matrices, zero inputs,
+    # and more columns than one packed table entry holds
+    f = FIELDS[name]
+    nrows = data.draw(st.integers(0, 10))
+    ncols = data.draw(st.integers(0 if nrows else 1, 20))
+    entry = st.one_of(st.just(0), st.just(1), st.just(f.q - 1),
+                      st.integers(0, f.q - 1))
+    matrix = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    apply = f.kernel.linear_map(matrix)
+    for xs in ([0] * nrows, data.draw(st.lists(entry, min_size=nrows,
+                                                max_size=nrows))):
+        expect = scalar_product(f, xs, matrix)
+        assert apply(xs) == expect
+        assert apply(tuple(xs)) == expect
+    # an input shorter than the matrix has rows reads as padded with zeros
+    cut = data.draw(st.integers(0, nrows))
+    assert apply(xs[:cut]) == scalar_product(f, xs[:cut], matrix)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_linear_map_reads_every_table_entry(name):
+    # every symbol of the field in turn, beside random neighbours, so each
+    # table entry a decoder can read is checked, small fields included;
+    # shapes from empty to more columns than one packed int holds
+    f = FIELDS[name]
+    if f.q <= 1024:
+        symbols = range(f.q)
+    elif f.p == 2:
+        symbols = [i * 257 for i in range(256)]     # every low and high byte
+    else:
+        symbols = range(0, f.q, f.q // 16)          # the scalar methods are slow
+    for nrows, ncols in ((0, 0), (1, 0), (1, 1), (1, 9), (9, 1), (16, 15)):
+        rng = random.Random(nrows * 100 + ncols)
+        matrix = [[rng.randrange(f.q) for _ in range(ncols)]
+                  for _ in range(nrows)]
+        apply = f.kernel.linear_map(matrix)
+        assert apply([0] * nrows) == [0] * ncols
+        for x in symbols if nrows else ():
+            xs = [x] + [rng.randrange(f.q) for _ in range(nrows - 1)]
+            assert apply(xs) == scalar_product(f, xs, matrix)
