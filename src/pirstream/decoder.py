@@ -286,9 +286,10 @@ def recover_window(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
 
     Intact stretches decode stripe-per-block exactly like recover_plain;
     a burst defers its stripes until the window provides a full-rank
-    stacked system.  That is guaranteed when the support locators have
-    the recovering property (``recovering.build_A(...).verdict``); without
-    it a burst's solve can fail at its deadline.  A stream that breaks
+    stacked system.  That needs the support locators to be recovering for
+    the scheme's own window, ``build_A(field, k, eps, locators,
+    window=N).verdict``; the default N = 2eps+1 verdict does not cover a
+    shorter window.  Without it a burst's solve can fail at its deadline.  A stream that breaks
     the erasure rule raises ``UncorrectablePattern`` before any decoding.
     """
     if scheme.variant != BLOCK:

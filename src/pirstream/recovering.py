@@ -1,15 +1,18 @@
 """Locator-set analysis for window decoding under block-erasure bursts.
 
 The central object is the banded block matrix A built from a candidate
-locator set: the burst-recovery window is solvable exactly when A has
-full row rank (2M+1)k.  This module assembles A from one table of
-locator powers, computes its rank by exact elimination
-(``linalg.mat_rank``), provides the two explicit constructions that
-guarantee full rank, and runs the randomized locator search.  The
-equivalent direct-sum criterion is a test oracle and lives in the tests.
+locator set: a window of N blocks recovers from a burst of M erasures
+exactly when A has full row rank Nk.  N defaults to 2M+1, the window of
+the published recovering property; a shorter window needs its own
+verdict, as full rank at 2M+1 does not carry over to it.  This module
+assembles A from one table of locator powers, computes its rank by exact
+elimination (``linalg.mat_rank``), provides the two explicit
+constructions that guarantee full rank at 2M+1, and runs the randomized
+locator search.  The equivalent direct-sum criterion is a test oracle
+and lives in the tests.
 
 The rank depends only on the set's orbit under scaling.  Multiplying
-every locator by c != 0 multiplies row (block i, r) of A by c^(r+ik) and
+every locator by c != 0 multiplies row (stripe i, r) of A by c^(r+ik) and
 block column j by c^(-jk), as the entry a^(r+(i-j)k) becomes
 (ca)^(r+(i-j)k); a zero locator's column keeps its single 1 at exponent
 0.  Permuting the locators permutes the columns inside each block
@@ -36,6 +39,7 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import mat_rank
+from .rates import min_gamma
 from .seeds import derive_seed
 
 # Orbits whose rank is remembered.  2:1:256, the largest published search
@@ -51,8 +55,13 @@ def minimal_gamma(k: int, M: int) -> int:
     return -((-(2 * M + 1) * k) // (M + 1))
 
 
-def _assemble(field: Field, k: int, M: int, locators):
-    """Rows of the (2M+1)k x (M+1)gamma banded matrix A on ``locators``."""
+def _assemble(field: Field, k: int, M: int, locators, window: int):
+    """Rows of the Nk x (N-M)gamma banded matrix A on ``locators``.
+
+    The N stripes of a window that opens with M erased blocks, against
+    the N-M intact blocks that close it, both counted from the window's
+    end: row (stripe i, r) meets block j in a^(r+(i-j)k), 0 <= i-j <= M.
+    """
     # powers[e][j] = a_j^e for e < (M+1)k.  Band block z = 0..M is the
     # Vandermonde block scaled per column by a^(zk): its row r is powers[r + zk].
     mul = field.mul
@@ -61,10 +70,10 @@ def _assemble(field: Field, k: int, M: int, locators):
         powers.append([mul(p, a) for p, a in zip(powers[-1], locators)])
     zero = [0] * len(locators)
     rows = []
-    for bi in range(2 * M + 1):
+    for bi in range(window):
         for r in range(k):
             row = []
-            for bj in range(M + 1):
+            for bj in range(window - M):
                 z = bi - bj
                 row.extend(powers[r + z * k] if 0 <= z <= M else zero)
             rows.append(row)
@@ -81,8 +90,9 @@ def _canonical(field: Field, locators) -> tuple:
 
 
 @lru_cache(maxsize=_ORBIT_MEMO_SIZE)
-def _orbit_rank(field: Field, k: int, M: int, canonical: tuple) -> int:
-    return mat_rank(field, _assemble(field, k, M, canonical))
+def _orbit_rank(field: Field, k: int, M: int, window: int,
+                canonical: tuple) -> int:
+    return mat_rank(field, _assemble(field, k, M, canonical, window))
 
 
 @dataclass(frozen=True)
@@ -98,25 +108,29 @@ class RecoveringMatrix:
     gamma: int
     locators: tuple
     rank: int
+    window: int
 
     @cached_property
     def matrix(self) -> tuple:
         return tuple(tuple(r) for r in
-                     _assemble(self.field, self.k, self.M, self.locators))
+                     _assemble(self.field, self.k, self.M, self.locators,
+                               self.window))
 
     @property
     def full_rank(self) -> int:
-        return (2 * self.M + 1) * self.k
+        return self.window * self.k
 
     @property
     def verdict(self) -> bool:
         return self.rank == self.full_rank
 
 
-def build_A(field: Field, k: int, M: int, locators) -> RecoveringMatrix:
-    """Rank verdict of the (2M+1)k x (M+1)gamma banded matrix A.
+def build_A(field: Field, k: int, M: int, locators,
+            window: int | None = None) -> RecoveringMatrix:
+    """Rank verdict of the Nk x (N-M)gamma banded matrix A of an N-block
+    window, N = ``window`` (default 2M+1).
 
-    Scaling every locator by c != 0 scales row (block i, r) of A by
+    Scaling every locator by c != 0 scales row (stripe i, r) of A by
     c^(r+ik) and block column j by c^(-jk); permuting the locators
     permutes columns within each block column.  So the rank is a function
     of the set's scaling orbit, and it is computed once per orbit, on the
@@ -125,7 +139,12 @@ def build_A(field: Field, k: int, M: int, locators) -> RecoveringMatrix:
     """
     locators = tuple(locators)
     gamma = len(locators)
-    least = minimal_gamma(k, M)
+    if window is None:
+        window = 2 * M + 1
+    if k < 1 or not window > M >= 0:
+        raise InvalidParams(
+            f"need k >= 1 and N > M >= 0, got k={k}, M={M}, N={window}")
+    least = min_gamma(k, window, M)
     if any(not 0 <= a < field.q for a in locators):
         raise LocatorMismatch(
             f"locators must lie in 0..{field.q - 1}, got {locators}")
@@ -133,8 +152,8 @@ def build_A(field: Field, k: int, M: int, locators) -> RecoveringMatrix:
         raise DuplicateLocators("locators must be pairwise distinct")
     if gamma < least:
         raise TooFewLocators(f"gamma={gamma} below minimum {least}")
-    rank = _orbit_rank(field, k, M, _canonical(field, locators))
-    return RecoveringMatrix(field, k, M, gamma, locators, rank)
+    rank = _orbit_rank(field, k, M, window, _canonical(field, locators))
+    return RecoveringMatrix(field, k, M, gamma, locators, rank, window)
 
 
 def construct_regset(field: Field, k: int, M: int, gamma: int):

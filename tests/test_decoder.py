@@ -19,6 +19,7 @@ from pirstream.errors import (
     InconsistentBlock,
     InvalidParams,
     PirstreamError,
+    RankDeficient,
     UncorrectablePattern,
 )
 from pirstream.fields import Field
@@ -169,6 +170,24 @@ def test_burst_window_matrix_full_rank():
     ]
     assert mat_rank(GF16, rows) == 6
     assert build_A(GF16, 2, 1, (a4, a5, a6)).verdict
+
+
+def test_window_needs_the_verdict_of_its_own_window():
+    # locators 1, 2, 6, 7 are recovering at N = 2eps+1 = 5, but at N = 4
+    # the intact blocks 3 and 4 leave stripes 1..4 one equation short
+    support = (0, 1, 5, 6)
+    locs = [C10.locators[j] for j in support]
+    assert build_A(GF16, 2, 2, locs).verdict
+    rm = build_A(GF16, 2, 2, locs, window=4)
+    assert (rm.rank, rm.full_rank) == (7, 8)
+    sch = block_scheme(C10, t=1, eps=2, window=4, m=2, desired=0,
+                       support=support)
+    files = random_files(GF16, 2, 4, 2, derive_rng(11, "files"))
+    stream = run_protocol(storage_encode(files, C10), sch,
+                          derive_seed(11, "run"))
+    burst = ErasureSchedule(frozenset({1, 2}), 4, 2, 4, 2)
+    with pytest.raises(RankDeficient):
+        recover_window(apply_erasures(stream, burst), sch)
 
 
 def test_window_no_erasures_matches_plain():
@@ -475,8 +494,8 @@ def test_decode_um_wrong_variant():
 
 @st.composite
 def small_block_setups(draw):
-    """A GF(16) block scheme whose support locators are recovering, with a
-    stream of random files."""
+    """A GF(16) block scheme whose support locators are recovering for its
+    window, with a stream of random files."""
     n = draw(st.sampled_from((6, 10)))
     t = draw(st.integers(1, 2))
     eps = draw(st.integers(1, 2))
@@ -487,7 +506,8 @@ def small_block_setups(draw):
     assume(need <= n)
     support = tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=need,
                                          max_size=n, unique=True))))
-    assume(build_A(GF16, 2, eps, [code.locators[j] for j in support]).verdict)
+    assume(build_A(GF16, 2, eps, [code.locators[j] for j in support],
+                   window=window).verdict)
     desired = draw(st.integers(0, 1))
     sch = block_scheme(code, t=t, eps=eps, window=window, m=2,
                        desired=desired, support=support)
@@ -503,6 +523,8 @@ def small_block_setups(draw):
                                  HealthCheck.too_slow])
 @given(small_block_setups(), st.data())
 def test_window_decodes_every_admissible_schedule(setup, data):
+    # test_window_needs_the_verdict_of_its_own_window pins a support that
+    # is recovering at N = 2eps+1 but not at the scheme's shorter window
     sch, desired, stream = setup
     ell = stream.ell
     schedules = gen_burst_patterns(ell, sch.burst, sch.window, sch.burst,

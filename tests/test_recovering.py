@@ -33,6 +33,54 @@ GF16 = Field(2, 4)
 GF23 = Field(23)
 
 
+def test_window_defaults_to_2M_plus_1():
+    rng = random.Random(3)
+    for k, M in ((2, 1), (2, 2), (3, 1)):
+        for _ in range(10):
+            locs = rng.sample(range(16), minimal_gamma(k, M) + rng.randint(0, 1))
+            default = build_A(GF16, k, M, locs)
+            explicit = build_A(GF16, k, M, locs, window=2 * M + 1)
+            assert default.window == 2 * M + 1
+            assert (default.rank, default.matrix) == (explicit.rank,
+                                                      explicit.matrix)
+
+
+@pytest.mark.parametrize("k, M, window", [(2, 2, 3), (2, 2, 4), (2, 1, 4),
+                                          (3, 1, 2)])
+def test_window_matrix_entries(k, M, window):
+    locs = (0, 1, 3, 7, 9, 12, 14)
+    rm = build_A(GF16, k, M, locs, window=window)
+    gamma = len(locs)
+    assert len(rm.matrix) == rm.full_rank == window * k
+    for i in range(window):
+        for r in range(k):
+            row = rm.matrix[i * k + r]
+            assert len(row) == (window - M) * gamma
+            for j in range(window - M):
+                for c, a in enumerate(locs):
+                    z = i - j
+                    want = GF16.pow(a, r + z * k) if 0 <= z <= M else 0
+                    assert row[j * gamma + c] == want
+    assert rm.rank == mat_rank(GF16, rm.matrix)
+
+
+def test_window_ranks_are_remembered_apart():
+    # one orbit, two windows: the memo must not hand one window's rank to
+    # the other
+    locs = (1, 2, 6, 7)
+    assert build_A(GF16, 2, 2, locs, window=4).rank == 7
+    assert build_A(GF16, 2, 2, locs).rank == 10
+    assert build_A(GF16, 2, 2, locs, window=4).rank == 7
+
+
+def test_window_validation():
+    with pytest.raises(InvalidParams):
+        build_A(GF16, 2, 2, (1, 2, 3, 4, 5, 6), window=2)
+    with pytest.raises(TooFewLocators):
+        # N = 3, M = 2 needs ceil(6 / 1) = 6 locators
+        build_A(GF16, 2, 2, (1, 2, 3, 4, 5), window=3)
+
+
 def test_minimal_gamma():
     assert minimal_gamma(2, 1) == 3
     assert minimal_gamma(4, 1) == 6
