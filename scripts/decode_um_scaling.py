@@ -38,7 +38,7 @@ def decode_um_ms(n, ell, trials, seed):
     decoder.decode_um = timed
     try:
         for trial in range(trials):
-            ok, _, desc = cli._run_one_trial(scheme, ell, channel, seed, trial, None)
+            ok, desc = cli._run_one_trial(scheme, ell, channel, seed, trial, None)
             if not ok:
                 sys.exit(f"n={n} ell={ell} trial {trial} failed: {desc}")
     finally:

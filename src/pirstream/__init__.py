@@ -48,8 +48,8 @@ from .rates import (
     rate_block,
     rate_byz,
     rate_conv,
+    rate_report,
     rate_star,
-    verify_accounting,
 )
 from .recovering import (
     RecoveringMatrix,

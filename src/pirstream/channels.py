@@ -115,7 +115,7 @@ def apply_erasures(stream: ResponseStream, schedule: ErasureSchedule) -> Respons
             raise InvalidParams(f"block {b} outside the stream")
         blocks[b - 1] = Block(ERASED, None)
     return ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
-                          tuple(blocks), stream.downloaded)
+                          tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -214,4 +214,4 @@ def apply_errors(stream: ResponseStream, schedule: ErrorSchedule, q: int,
             vec[j] = v
         blocks[b - 1] = Block(ERRORED, (tuple(vec),))
     return ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
-                          tuple(blocks), stream.downloaded)
+                          tuple(blocks))

@@ -14,8 +14,9 @@ combination on the support):
 The first two are one peeling kernel (``_peel``): plain recovery runs it
 with a one-block window on a stream that has no erasures.  It derives
 each intact block's equations once, when the block arrives, and stacks
-them again for each solve attempt of a window.  The erasure
-rule that ``recover_window`` enforces, and that
+them into one system per solve attempt; ``linalg.solve_unique``
+eliminates each distinct system below its cell cap once per process.
+The erasure rule that ``recover_window`` enforces, and that
 ``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
 
 ``check_guarantee`` evaluates the designed-extended-row-distance budget
@@ -146,11 +147,15 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
 
     After every intact block the pending equations are solved for all
     unknowns at once: the rows are counted first, and only a system with
-    enough of them is stacked, each fragment at its column offset.  A
-    stripe solved from its own block alone is ``direct``, any other is
-    ``window-solved``.  Once the oldest unknown stripe is ``window - 1``
-    blocks behind, a failed solve is final.  Intact termination blocks
-    with nothing unknown must reduce to zero.
+    enough of them is stacked, each fragment at its column offset.  The
+    same stacked systems recur from burst to burst and from trial to
+    trial, and ``solve_unique`` keeps what one elimination of each gives,
+    so a repeated attempt, failed or not, makes no elimination; a system
+    past its cell cap, such as a paper-scale window, is still eliminated
+    on every attempt.  A stripe solved from its own block alone is
+    ``direct``, any other is ``window-solved``.  Once the oldest unknown
+    stripe is ``window - 1`` blocks behind, a failed solve is final.
+    Intact termination blocks with nothing unknown must reduce to zero.
     """
     f = scheme.field
     code = scheme.storage_code
@@ -289,11 +294,12 @@ def recover_window(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     stacked system.  That needs the support locators to be recovering for
     the scheme's own window, ``build_A(field, k, eps, locators,
     window=N).verdict``; the default N = 2eps+1 verdict does not cover a
-    shorter window.  Without it a burst's solve can fail at its deadline.  A stream that breaks
-    the erasure rule raises ``UncorrectablePattern`` before any decoding.
+    shorter window.  Without it a burst's solve can fail at its deadline.
+    A stream that breaks the erasure rule raises ``UncorrectablePattern``
+    before any decoding.
     """
     if scheme.variant != BLOCK:
-        raise InvalidParams(f"recover_window needs the block-erasure variant")
+        raise InvalidParams("recover_window needs the block-erasure variant")
     erased = [xi for xi in range(1, len(stream.blocks) + 1)
               if stream.block(xi).status == ERASED]
     reason = _erasure_violation(erased, len(stream.blocks), scheme.window,

@@ -111,12 +111,6 @@ class FieldTooSmall(PirstreamError):
     pass
 
 
-# --- rates / accounting ---------------------------------------------------
-
-class AccountingMismatch(PirstreamError):
-    pass
-
-
 # --- CLI ------------------------------------------------------------------
 
 class ConfigError(PirstreamError):

@@ -5,7 +5,8 @@ A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
 polynomial f of degree < k evaluated at distinct locators a_j.  Messages
 are read off k positions of a codeword through the inverse of their
 Vandermonde system (``_read_map``), which each code builds with one
-``linalg.rref`` per tuple of positions and keeps in a bounded cache.
+``linalg.rref`` of [V | I] per tuple of positions and keeps in a bounded
+cache.
 Erasure decoding reads through the first k surviving positions and
 cross-checks the rest.  Error decoding takes the n-k syndromes of the
 word through one linear map of parity checks (``_parity_checks``) and
@@ -36,7 +37,7 @@ from .errors import (
     TooManyErasures,
 )
 from .fields import Field
-from .linalg import rref, solve_any
+from .linalg import reduce_with_identity, solve_any
 
 # Position tuples whose inverse a code keeps; past this, the oldest goes.
 # A decoder reads through one tuple per sub-round, so this is plenty.
@@ -291,8 +292,9 @@ class GrsCode:
     def _read_map(self, base):
         """Row i maps the symbols of a codeword at the k positions ``base``
         to the message's coefficient i: the inverse of the k x k
-        Vandermonde system on those positions, built with one ``rref`` of
-        [V | I], with the multipliers divided out.
+        Vandermonde system V on those positions, read off one ``rref`` of
+        [V | I] (``linalg.reduce_with_identity``), with the multipliers
+        divided out.
 
         Each code keeps the inverses of up to ``_READ_MAP_LIMIT`` position
         tuples (``_read_maps``) and drops the oldest past that."""
@@ -300,12 +302,10 @@ class GrsCode:
         read = maps.get(base)
         if read is None:
             f = self.field
-            k = self.k
-            rows = [list(self._locator_powers[j]) + [int(i == c) for i in range(k)]
-                    for c, j in enumerate(base)]
-            inverse, _ = rref(f, rows)
+            _, inverse = reduce_with_identity(
+                f, [self._locator_powers[j] for j in base])
             inv_v = [f.inv(self.multipliers[j]) for j in base]
-            read = [[f.mul(x, w) for x, w in zip(row[k:], inv_v)]
+            read = [[f.mul(x, w) for x, w in zip(row, inv_v)]
                     for row in inverse]
             if len(maps) >= _READ_MAP_LIMIT:
                 del maps[next(iter(maps))]

@@ -3,13 +3,22 @@
 Matrices are lists of equal-length lists of canonical field integers.
 Everything here rests on one forward-elimination loop (``_echelon``):
 ``mat_rank`` counts its pivots, ``rref`` adds a back-elimination pass,
-and the solvers read their answer off the ``rref`` of the augmented
-matrix.  Over an exact field there are no tolerance questions.  Every
-solve and rank in the package runs here: the decoders' window and
-support solves, the Vandermonde inverses that GRS decoding reads
-messages through (one per code and tuple of positions), the Hankel
-key-equation solve of GRS error decoding, the rank of the recovering
-matrix A and the collusion audit's ranks.
+and the solvers read their answer off an ``rref``.  Over an exact field
+there are no tolerance questions.  Every solve and rank in the package
+runs here: the decoders' window and support solves, the Vandermonde
+inverses that GRS decoding reads messages through (one per code and
+tuple of positions), the Hankel key-equation solve of GRS error
+decoding, the rank of the recovering matrix A and the collusion audit's
+ranks.
+
+``solve_unique`` is called again and again with the same few coefficient
+matrices (the decoders' window systems recur from burst to burst and
+from trial to trial), so it keeps, per process, what one ``rref`` of
+[A | I] gives for each A (``reduce_with_identity``): the rank, a left
+inverse and a left-null-space check, each as a linear map of the
+field's kernel.  A repeated A costs two map applications and no
+elimination.  Systems larger than ``_SOLVER_CELLS`` are reduced as
+[A | b] on every call, as ``solve_any`` always is.
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
 the field's kernel (``Field.kernel``, see ``fields``): per pivot, the
@@ -19,6 +28,9 @@ row that needs it, with table or mod-p arithmetic inline instead of one
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import chain
 
 from .errors import InconsistentSystem, RankDeficient
 from .fields import Field
@@ -85,17 +97,91 @@ def _solve_augmented(field: Field, a, b):
     return x, len(pivots)
 
 
+def reduce_with_identity(field: Field, a):
+    """(rank of A, E) from one ``rref`` of [A | I]: E is invertible and
+    E A is the reduced row echelon form of A.
+
+    So the first rank rows of E combine the rows of A into its pivot
+    rows (with full column rank, into the identity: they are a left
+    inverse of A), and the other rows span the left null space of A.
+    """
+    m = len(a)
+    n = len(a[0]) if a else 0
+    reduced, pivots = rref(field, [list(row) + [int(i == c) for i in range(m)]
+                                   for c, row in enumerate(a)])
+    rank = sum(1 for col in pivots if col < n)
+    return rank, [row[n:] for row in reduced]
+
+
+# Coefficient matrices whose solver a process keeps; past this, the
+# oldest goes.  The burst-window benchmark scheme solves 21-29 distinct
+# matrices in a 30-trial process and 32 in all over 1,000 trials.
+_SOLVER_LIMIT = 64
+
+# The most cells of [A | I] a kept solver may have: a 32 x 32 system, or a
+# taller one with fewer unknowns.  A miss eliminates [A | I], which costs
+# 2-3x an [A | b] elimination for a square A and more for a tall one, and
+# the kept maps have as many lanes as [A | I] has cells.  Past the cap
+# neither pays: at the 2,400 x 2,250 window systems of a paper-scale
+# block-erasure scheme a miss would eliminate twice the columns and keep
+# tens of MB.  At the cap, an entry measured with ``tracemalloc`` holds at
+# most about 25 KB over GF(p) and the scalar kernel's fields, but 720 KB
+# over GF(2^8) and 2.4 MB over GF(2^16), whose maps keep a 256-entry
+# table per input symbol (``fields._BinaryKernel.linear_map``).  So the
+# cache holds at most about 1.6 MB, 46 MB and 157 MB on those fields;
+# the benchmark's schemes keep 107 KB (GF(251)) and 137 KB (GF(2^8)).
+_SOLVER_CELLS = 32 * 64
+
+# {(field, rows, columns, bytes of A): (rank, left inverse, checks)}
+_solvers: dict = {}
+
+
+def _solver(field: Field, a, rows: int, cols: int):
+    """The kept (rank, left inverse, checks) of A, or None when [A | I]
+    has more than ``_SOLVER_CELLS`` cells or its symbols do not fit 8
+    bytes.  A miss makes one ``reduce_with_identity``."""
+    typecode = next((t for t in "BHIQ" if field.q <= 1 << 8 * array(t).itemsize),
+                    None)
+    if rows * (rows + cols) > _SOLVER_CELLS or typecode is None:
+        return None
+    key = (field, rows, cols, array(typecode, chain.from_iterable(a)).tobytes())
+    entry = _solvers.get(key)
+    if entry is None:
+        rank, e = reduce_with_identity(field, a)
+        linear_map = field.kernel.linear_map
+        inverse = linear_map(list(zip(*e[:cols]))) if rank == cols else None
+        checks = linear_map(list(zip(*e[rank:]))) if rank < rows else None
+        entry = rank, inverse, checks
+        if len(_solvers) >= _SOLVER_LIMIT:
+            del _solvers[next(iter(_solvers))]
+        _solvers[key] = entry
+    return entry
+
+
 def solve_unique(field: Field, a, b):
     """Solve A x = b for the unique x; A is m x n with m >= n.
 
-    Raises RankDeficient if A has column rank < n and InconsistentSystem
-    if the equations are contradictory.
+    Raises InconsistentSystem if the equations are contradictory, else
+    RankDeficient if A has column rank < n.
+
+    Below the cell cap the answer is read through the solver kept for A
+    (``_solver``): b is inconsistent iff a check of b is nonzero, and
+    x is the left inverse applied to b.  Above it, [A | b] is reduced.
     """
-    x, rank = _solve_augmented(field, a, b)
-    if x is None:
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    entry = _solver(field, a, rows, cols)
+    if entry is None:
+        x, rank = _solve_augmented(field, a, b)
+        consistent = x is not None
+    else:
+        rank, inverse, checks = entry
+        consistent = checks is None or not any(checks(b))
+        x = inverse(b) if consistent and rank == cols else None
+    if not consistent:
         raise InconsistentSystem("no solution: inconsistent right-hand side")
-    if rank < len(x):
-        raise RankDeficient(f"column rank {rank} < {len(x)}")
+    if rank < cols:
+        raise RankDeficient(f"column rank {rank} < {cols}")
     return x
 
 

@@ -355,7 +355,6 @@ class ResponseStream:
     memory: int
     rounds: int
     blocks: tuple
-    downloaded: int
 
     def __post_init__(self):
         if len(self.blocks) != self.ell + self.memory:
@@ -385,9 +384,8 @@ def run_protocol(system: StorageSystem, scheme: PirScheme,
             for r in range(scheme.rounds)
         )
         blocks.append(Block(INTACT, parts))
-    downloaded = (system.ell + scheme.memory) * scheme.rounds * scheme.n
     return ResponseStream(scheme.n, system.ell, scheme.memory, scheme.rounds,
-                          tuple(blocks), downloaded)
+                          tuple(blocks))
 
 
 # --- privacy audit -----------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Closed-form retrieval-rate formulas and download accounting.
+"""Closed-form retrieval-rate formulas and the rates of a simulated scheme.
 
 All rates are exact rationals; floats only appear when the CLI formats
-CSV output.  ``verify_accounting`` cross-checks a finished simulation's
-download counter against the structural count for its scheme variant.
+CSV output.  ``rate_report`` gives what a simulation of a scheme
+downloads and retrieves, from the scheme's shape.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AccountingMismatch, InvalidParams
+from .errors import InvalidParams
 
 
 def rate_star(n: int, k: int, t: int) -> Fraction:
@@ -81,58 +81,36 @@ def rate_byz(n: int, k: int, t: int, ell=None) -> Fraction:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Exact accounting summary for one finished simulation."""
+    """What one trial of a simulated scheme downloads and retrieves."""
 
-    variant: str
-    n: int
-    k: int
-    t: int
-    ell: int
-    memory: int
-    rounds: int
-    downloaded: int
-    simulated_rate: Fraction    # (ell * k) / downloaded symbols
-    formula_rate: Fraction      # closed form at the scheme's operating point
-    bound: Fraction             # variant's displayed rate bound
-    padded: bool                # sub-round ceiling made the formula inexact
+    downloaded: int       # symbols: every server answers every sub-round
+    rate: Fraction        # desired symbols per downloaded symbol
+    bound: Fraction       # the paper's rate for the variant
+    padded: bool          # the last sub-round holds fewer than d*-1 positions
 
 
-def expected_downloads(n: int, ell: int, memory: int, rounds: int) -> int:
-    """Structural download count: every server answers once per sub-round
-    of every iteration, erased or not."""
-    return (ell + memory) * rounds * n
+def rate_report(scheme, ell: int) -> RateReport:
+    """The rates of ``ell`` stripes streamed by ``scheme`` (a
+    ``protocol.PirScheme``).
 
-
-def verify_accounting(*, variant: str, n: int, k: int, t: int, ell: int,
-                      memory: int, rounds: int, gamma: int | None,
-                      N: int | None, eps: int | None,
-                      downloaded: int) -> RateReport:
-    """Check a simulation's download counter and derive its exact rates.
-
-    Raises AccountingMismatch when the counter disagrees with the
-    structural count, which honest simulations never trigger.
+    Every server answers once per sub-round of each of the ell+M
+    iterations, erased or not, and the user retrieves ell*k symbols.  So
+    the rate is ell*k / ((ell+M) * rounds * n): ``rate_byz`` for the
+    unit-memory variant, ``rate_block`` at gamma = rounds * (d*-1) for the
+    block-erasure one.  The bound is the paper's rate, which the plain
+    and block-erasure variants do not reach: a block retrieves k new
+    symbols from a support of up to d*-1.
     """
-    expected = expected_downloads(n, ell, memory, rounds)
-    if downloaded != expected:
-        raise AccountingMismatch(
-            f"counted {downloaded} downloaded symbols, expected {expected}")
-    simulated = Fraction(ell * k, downloaded)
+    n, k, t, memory = scheme.n, scheme.k, scheme.t, scheme.memory
+    downloaded = (ell + memory) * scheme.rounds * n
     padded = False
-    if variant == "plain_conv":
-        formula = Fraction(ell * k, (ell + memory) * n)
+    if scheme.variant == "plain_conv":
         bound = rate_conv(n, k, t, memory, ell)
-    elif variant == "block_erasure":
-        d_star_1 = n - (k + t - 1)
-        padded = gamma % d_star_1 != 0
-        formula = Fraction(ell * k, (ell + eps) * rounds * n)
-        bound = rate_block(n, k, t, N, eps, ell, gamma=None)
-    elif variant == "byzantine_um":
-        formula = rate_byz(n, k, t, ell)
-        bound = formula
+    elif scheme.variant == "block_erasure":
+        padded = len(scheme.support) % (n - (k + t - 1)) != 0
+        bound = rate_block(n, k, t, scheme.window, scheme.burst, ell)
+    elif scheme.variant == "byzantine_um":
+        bound = rate_byz(n, k, t, ell)
     else:
-        raise InvalidParams(f"unknown variant {variant!r}")
-    if simulated != formula:
-        raise AccountingMismatch(
-            f"simulated rate {simulated} != formula {formula}")
-    return RateReport(variant, n, k, t, ell, memory, rounds, downloaded,
-                      simulated, formula, bound, padded)
+        raise InvalidParams(f"unknown variant {scheme.variant!r}")
+    return RateReport(downloaded, Fraction(ell * k, downloaded), bound, padded)

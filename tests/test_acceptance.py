@@ -37,7 +37,7 @@ from pirstream.protocol import (
     run_protocol,
     storage_encode,
 )
-from pirstream.rates import rate_block, verify_accounting
+from pirstream.rates import rate_block, rate_conv, rate_report
 from pirstream.recovering import (
     build_A,
     construct_regset,
@@ -182,10 +182,11 @@ def test_criterion_4_streaming_end_to_end():
                                   derive_seed(done, "c4run"))
             rec = recover_plain(stream, scheme)
             assert rec.stripes == files[scheme.desired]
-            assert stream.downloaded == (ell + memory) * n
-            verify_accounting(variant=scheme.variant, n=n, k=k, t=t, ell=ell,
-                              memory=memory, rounds=1, gamma=len(support),
-                              N=None, eps=None, downloaded=stream.downloaded)
+            rep = rate_report(scheme, ell)
+            assert rep.downloaded == sum(
+                len(p) for b in stream.blocks for p in b.parts)
+            assert rep.rate == Fraction(ell * k, (ell + memory) * n)
+            assert rep.bound == rate_conv(n, k, t, memory, ell)
             done += 1
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -37,7 +38,7 @@ from pirstream.protocol import (
     run_protocol,
     storage_encode,
 )
-from pirstream.rates import min_gamma
+from pirstream.rates import min_gamma, rate_block, rate_conv, rate_report
 from pirstream.recovering import build_A, minimal_gamma
 from pirstream.seeds import derive_rng, derive_seed
 
@@ -70,7 +71,7 @@ def flip_symbol(stream, b, j, delta=1):
     parts[0][j] = GF16.add(parts[0][j], delta)
     blocks[b - 1] = Block(ERRORED, tuple(tuple(p) for p in parts))
     return ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
-                          tuple(blocks), stream.downloaded)
+                          tuple(blocks))
 
 
 def setup_byz(seed=9, ell=3, desired=0):
@@ -132,7 +133,10 @@ def test_recover_plain_randomized_identity():
         stream = run_protocol(storage_encode(files, code), sch, trial)
         rec = recover_plain(stream, sch)
         assert rec.stripes == files[sch.desired]
-        assert stream.downloaded == (ell + memory) * n
+        rep = rate_report(sch, ell)
+        assert rep.downloaded == sum(len(p) for b in stream.blocks for p in b.parts)
+        assert rep.rate == Fraction(ell * k, (ell + memory) * n)
+        assert rep.bound == rate_conv(n, k, t, memory, ell)
 
 
 def test_recover_plain_rejects_erased():
@@ -262,7 +266,9 @@ def test_window_multi_subround():
     assert sch.rounds == 2
     files = random_files(GF16, 2, 5, 2, derive_rng(1, "mr"))
     stream = run_protocol(storage_encode(files, C6), sch, 3)
-    assert stream.downloaded == (5 + 1) * 2 * 6
+    rep = rate_report(sch, 5)
+    assert rep.downloaded == sum(len(p) for b in stream.blocks for p in b.parts)
+    assert rep.rate == rate_block(6, 2, 2, 3, 1, 5, gamma=sch.rounds * 3)
     assert recover_window(stream, sch).stripes == files[1]
     for b in range(1, 7):
         sched = ErasureSchedule(frozenset({b}), 5, 1, 3, 1)
@@ -369,7 +375,7 @@ def test_decode_um_single_erasure_passthrough():
         blocks = list(stream.blocks)
         blocks[b - 1] = Block(ERASED, None)
         st = ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
-                            tuple(blocks), stream.downloaded)
+                            tuple(blocks))
         assert decode_um(st, sch).stripes == files[0], b
 
 
@@ -642,8 +648,7 @@ def peeling_cases(draw):
         changed = list(stream.blocks)
         changed[b - 1] = Block(ERRORED, tuple(tuple(p) for p in parts))
         stream = ResponseStream(stream.n, stream.ell, stream.memory,
-                                stream.rounds, tuple(changed),
-                                stream.downloaded)
+                                stream.rounds, tuple(changed))
     return sch, stream
 
 
@@ -722,12 +727,12 @@ def test_star_code_is_built_once_per_scheme(monkeypatch):
     assert sch.star_code() is sch.star_code()
     assert recover_window(stream, sch).stripes == files[1]
     calls = [0]
-    rref = grs.rref
+    reduce_with_identity = grs.reduce_with_identity
 
     def counted(*args):
         calls[0] += 1
-        return rref(*args)
-    monkeypatch.setattr(grs, "rref", counted)
+        return reduce_with_identity(*args)
+    monkeypatch.setattr(grs, "reduce_with_identity", counted)
     assert recover_window(stream, sch).stripes == files[1]
     assert calls[0] == 0
     byz = setup_byz()[0]

@@ -345,13 +345,14 @@ def test_erasure_decode_matches_one_solve_per_call(f, data):
 
 
 def count_rrefs(monkeypatch):
+    # each inverse a code builds is one rref of [V | I]
     calls = [0]
-    rref = grs.rref
+    reduce_with_identity = grs.reduce_with_identity
 
     def counted(*args):
         calls[0] += 1
-        return rref(*args)
-    monkeypatch.setattr(grs, "rref", counted)
+        return reduce_with_identity(*args)
+    monkeypatch.setattr(grs, "reduce_with_identity", counted)
     return calls
 
 

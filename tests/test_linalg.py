@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pirstream import linalg
 from pirstream.errors import InconsistentSystem, RankDeficient
 from pirstream.fields import Field
 from pirstream.linalg import mat_rank, rref, solve_any, solve_unique
@@ -10,6 +12,8 @@ from oracles import intersect_row_spaces, left_kernel_basis, row_space_basis, ve
 
 GF5 = Field(5)
 GF16 = Field(2, 4)
+# one field per kernel kind: mod p, GF(2^s) tables, and the scalar methods
+SOLVE_FIELDS = (GF5, Field(251), GF16, Field(2, 8), Field(3, 2))
 
 
 def test_rank_and_rref():
@@ -75,3 +79,127 @@ def test_intersection_dimension_formula():
         inter = intersect_row_spaces(f, a, b)
         dim_sum = mat_rank(f, a + b)
         assert len(inter) == mat_rank(f, a) + mat_rank(f, b) - dim_sum
+
+
+# --- solve_unique against an uncached oracle ---------------------------------
+
+def expected_solve(f, a, b):
+    """What solve_unique must give, from ranks alone: "inconsistent" if b
+    raises the rank of A, else "deficient" if A's column rank is short,
+    else None (the caller checks A x = b)."""
+    rank = mat_rank(f, a)
+    if mat_rank(f, [list(row) + [bv] for row, bv in zip(a, b)]) > rank:
+        return "inconsistent"
+    return "deficient" if rank < len(a[0]) else None
+
+
+def outcome(f, a, b):
+    try:
+        x = solve_unique(f, a, b)
+    except InconsistentSystem:
+        return "inconsistent"
+    except RankDeficient:
+        return "deficient"
+    assert [f.kernel.dot(row, x) for row in a] == list(b)
+    return None
+
+
+@st.composite
+def window_systems(draw):
+    """Two matrices of one shape, each with right-hand sides that are
+    consistent (A times a drawn x) or drawn at random (for a tall A,
+    almost always inconsistent).  With a coin flip each matrix has its
+    last column a multiple of its first: rank-deficient."""
+    f = draw(st.sampled_from(SOLVE_FIELDS))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 8))
+    symbol = st.integers(0, f.q - 1)
+    out = []
+    for _ in range(2):
+        a = [[draw(symbol) for _ in range(n)] for _ in range(m)]
+        if n > 1 and draw(st.booleans()):
+            c = draw(symbol)
+            for row in a:
+                row[-1] = f.mul(c, row[0])
+        rhss = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                x = [draw(symbol) for _ in range(n)]
+                rhss.append([f.kernel.dot(row, x) for row in a])
+            else:
+                rhss.append([draw(symbol) for _ in range(m)])
+        out.append((a, rhss))
+    return f, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_systems())
+# rank-deficient and inconsistent at once: inconsistency is reported
+@example((GF5, [([[1, 2], [2, 4], [0, 0]], [[1, 0, 1], [1, 2, 0]]),
+                ([[1, 2], [2, 4], [0, 1]], [[1, 2, 1]])]))
+def test_solve_unique_matches_an_uncached_oracle(case):
+    f, systems = case
+    linalg._solvers.clear()
+    # each matrix's first right-hand side is a miss, the others hits, and
+    # the two matrices of one shape alternate
+    order = [(a, b) for i in range(4) for a, rhss in systems
+             for b in rhss[i:i + 1]]
+    for a, b in order:
+        expect = expected_solve(f, a, b)
+        assert outcome(f, a, b) == expect
+    assert len(linalg._solvers) == len({repr(a) for a, _ in systems})
+
+
+def test_solve_unique_eliminates_each_matrix_once(monkeypatch):
+    linalg._solvers.clear()
+    calls = [0]
+    rref_ = linalg.rref
+
+    def counted(*args):
+        calls[0] += 1
+        return rref_(*args)
+    monkeypatch.setattr(linalg, "rref", counted)
+    a = [[1, 1], [1, 2], [1, 3]]
+    for b in ([2, 3, 4], [0, 0, 1], [1, 1, 1]):
+        outcome(GF5, a, b)
+    with pytest.raises(RankDeficient):
+        solve_unique(GF5, [[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(RankDeficient):
+        solve_unique(GF5, [[1, 2], [2, 4]], [2, 4])
+    assert calls[0] == 2
+
+
+def test_solve_unique_cache_is_bounded(monkeypatch):
+    # past the limit the oldest solver goes; answers stay right
+    monkeypatch.setattr(linalg, "_SOLVER_LIMIT", 3)
+    linalg._solvers.clear()
+    rng = random.Random(7)
+    matrices = [[[rng.randrange(251) for _ in range(3)] for _ in range(5)]
+                for _ in range(6)]
+    for a in matrices * 2:
+        x = [rng.randrange(251) for _ in range(3)]
+        b = [Field(251).kernel.dot(row, x) for row in a]
+        assert solve_unique(Field(251), a, b) == x
+        assert len(linalg._solvers) <= 3
+    assert len(linalg._solvers) == 3
+
+
+def test_systems_past_the_cap_leave_the_cache_untouched():
+    rng = random.Random(8)
+    gf = Field(251)
+    # [A | I] of a 40 x 24 system has 40 * 64 cells, past the cap
+    assert 40 * (40 + 24) > linalg._SOLVER_CELLS
+    big = [[rng.randrange(251) for _ in range(24)] for _ in range(40)]
+    # GF(2^89 - 1): symbols do not fit 8 bytes
+    huge = Field(2 ** 89 - 1)
+    wide = [[rng.randrange(huge.q) for _ in range(2)] for _ in range(3)]
+    linalg._solvers.clear()
+    solve_unique(gf, [[1, 2], [3, 4]], [1, 1])
+    before = dict(linalg._solvers)
+    for f, a in ((gf, big), (huge, wide)):
+        x = [rng.randrange(f.q) for _ in range(len(a[0]))]
+        b = [f.kernel.dot(row, x) for row in a]
+        assert solve_unique(f, a, b) == x
+        b[0] = f.add(b[0], 1)
+        assert outcome(f, a, b) == "inconsistent"
+        assert linalg._solvers == before

@@ -29,6 +29,7 @@ from pirstream.protocol import (
     server_respond,
     storage_encode,
 )
+from pirstream.rates import rate_report
 from pirstream.seeds import derive_rng, derive_seed
 
 from oracles import stored_symbol
@@ -225,7 +226,8 @@ def test_run_protocol_lengths_and_determinism():
     st2 = run_protocol(sysm, sch, seed=5)
     assert st1 == st2
     assert len(st1.blocks) == 5
-    assert st1.downloaded == 30
+    assert rate_report(sch, 4).downloaded == sum(
+        len(part) for block in st1.blocks for part in block.parts) == 30
     schz = byzantine_scheme(C10, t=2, m=2, desired=0)
     filesz = random_files(GF16, 2, 3, 2, derive_rng(4, "f"))
     stz = run_protocol(storage_encode(filesz, C10), schz, seed=5)

@@ -2,16 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from pirstream.errors import AccountingMismatch, InvalidParams
+from pirstream.errors import InvalidParams
+from pirstream.fields import Field
+from pirstream.grs import GrsCode
+from pirstream.protocol import block_scheme, byzantine_scheme, plain_scheme
 from pirstream.rates import (
+    RateReport,
     bound_block,
     min_gamma,
     rate_block,
     rate_byz,
     rate_conv,
+    rate_report,
     rate_star,
-    verify_accounting,
 )
+
+GF16 = Field(2, 4)
+C6 = GrsCode(GF16, 6, 2, tuple(range(1, 7)))
 
 
 def test_rate_star():
@@ -80,32 +87,40 @@ def test_min_gamma():
     assert min_gamma(3, 5, 2) == 5
 
 
-def test_verify_accounting_plain():
-    rep = verify_accounting(variant="plain_conv", n=6, k=2, t=1, ell=4,
-                            memory=1, rounds=1, gamma=3, N=None, eps=None,
-                            downloaded=30)
-    assert rep.simulated_rate == Fraction(8, 30)
-    assert rep.formula_rate == Fraction(8, 30)
-    assert rep.bound == Fraction(8, 15)
-    assert not rep.padded
-    with pytest.raises(AccountingMismatch):
-        verify_accounting(variant="plain_conv", n=6, k=2, t=1, ell=4,
-                          memory=1, rounds=1, gamma=3, N=None, eps=None,
-                          downloaded=29)
+def test_rate_report_plain():
+    # ell=4 stripes of k=2 from 5 blocks of n=6 symbols; the bound is the
+    # paper's rate with a support of d*-1 = 4, which this one does not reach
+    sch = plain_scheme(C6, t=1, memory=1, m=1, desired=0, support=(0, 1, 2))
+    rep = rate_report(sch, 4)
+    assert rep == RateReport(30, Fraction(8, 30), Fraction(8, 15), False)
+    assert rep.rate == Fraction(4, 4 + 1) * Fraction(2, 6)
+    assert rep.bound == rate_conv(6, 2, 1, 1, 4)
 
 
-def test_verify_accounting_block_padded():
-    # gamma=3, d*-1=4: one padded sub-round
-    rep = verify_accounting(variant="block_erasure", n=6, k=2, t=1, ell=4,
-                            memory=1, rounds=1, gamma=3, N=3, eps=1,
-                            downloaded=30)
+def test_rate_report_block_padded():
+    # gamma=3, d*-1=4: one padded sub-round; the rate is rate_block with
+    # the support padded up to the sub-round
+    sch = block_scheme(C6, t=1, eps=1, window=3, m=1, desired=0,
+                       support=(0, 1, 2))
+    rep = rate_report(sch, 4)
+    assert rep == RateReport(30, Fraction(8, 30), Fraction(16, 45), True)
+    assert rep.rate == rate_block(6, 2, 1, 3, 1, 4, gamma=4)
+    assert rep.bound == rate_block(6, 2, 1, 3, 1, 4)
+    # t=2: d*-1=3, a support of 4 needs two sub-rounds, the second padded
+    sch = block_scheme(C6, t=2, eps=1, window=3, m=1, desired=0,
+                       support=(1, 2, 4, 5))
+    rep = rate_report(sch, 5)
+    assert rep.downloaded == (5 + 1) * 2 * 6
+    assert rep.rate == rate_block(6, 2, 2, 3, 1, 5, gamma=2 * 3)
     assert rep.padded
-    assert rep.simulated_rate == Fraction(8, 30)
+    sch = block_scheme(C6, t=1, eps=1, window=3, m=1, desired=0,
+                       support=(0, 1, 2, 3))
+    assert not rate_report(sch, 4).padded
 
 
-def test_verify_accounting_byz():
-    rep = verify_accounting(variant="byzantine_um", n=10, k=2, t=2, ell=3,
-                            memory=1, rounds=1, gamma=10, N=None, eps=None,
-                            downloaded=40)
-    assert rep.simulated_rate == Fraction(3, 20)
-    assert rep.formula_rate == Fraction(3, 20)
+def test_rate_report_byz():
+    # the unit-memory variant reaches its bound
+    code = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
+    rep = rate_report(byzantine_scheme(code, t=2, m=1, desired=0), 3)
+    assert rep == RateReport(40, Fraction(3, 20), Fraction(3, 20), False)
+    assert rep.rate == rate_byz(10, 2, 2, 3)
