@@ -19,12 +19,14 @@ every locator, the message read off a codeword), run through
 
 * GF(p): integer arithmetic mod p, inline; a fixed linear map, and so a
   GRS codeword, is one multiply-accumulate of the input with the matrix
-  rows packed into Python ints (``_PrimeKernel.linear_map``), and a dot
-  product is one ``sum(map(mul, ...))``;
+  rows packed into Python ints (``_PrimeKernel.linear_map``), a
+  convolution is one product of two such ints (``_PrimeKernel.convolve``),
+  and a dot product is one ``sum(map(mul, ...))``;
 * GF(2^s) with tables (q <= 2^16): ``row[c] ^= exp[log f + log v]``
-  with the pivot row's logs taken once, Horner's rule on logs, and a
-  fixed linear map as one table lookup per input symbol (per byte of it
-  for q > 2^8), XORed (``_BinaryKernel.linear_map``);
+  with the pivot row's logs taken once, Horner's rule on logs, a fixed
+  linear map as one table lookup per input symbol (per byte of it for
+  q > 2^8), XORed (``_BinaryKernel.linear_map``), and, for q <= 2^8, a
+  convolution as one ``bytes.translate`` per tap (``_BinaryKernel.convolve``);
 * any other field (odd-characteristic extensions, GF(2^s) past the
   tables): the scalar methods, one call per symbol.
 
@@ -233,7 +235,7 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same seven methods:
+# Every kernel has the same eight methods:
 #   scale(row, f)              -> the list f*row
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
@@ -252,13 +254,24 @@ def _pack(digits, p):
 #                                 matrix (built once per matrix); an x
 #                                 shorter than the matrix has rows reads as
 #                                 padded with zeros
+#   convolve(column, taps, m)  -> the convolution of two vectors cut into
+#                                 blocks of m symbols: entry i is the sum
+#                                 over z of dot(taps block z, column block
+#                                 i - z), for i from 0 to blocks of column +
+#                                 blocks of taps - 2 (a server's answers to
+#                                 its query at every iteration)
 #
-# linear_map is where the kernels differ: GF(p) packs each row into integer
-# lanes and makes one multiply-accumulate (``_PrimeKernel.linear_map``),
-# GF(2^s) keeps one table per row of packed products and XORs one entry per
-# input symbol (``_BinaryKernel.linear_map``), and the scalar kernel takes
-# one dot per column.  The GF(p) encoder is linear_map of the generator
-# rows; the GF(2^s) and scalar encoders are Horner's rule at every point.
+# linear_map and convolve are where the kernels differ.  GF(p) packs each
+# row into integer lanes and makes one multiply-accumulate
+# (``_PrimeKernel.linear_map``), and convolves with one product of two
+# packed ints (``_PrimeKernel.convolve``).  GF(2^s) keeps one table per row
+# of packed products and XORs one entry per input symbol
+# (``_BinaryKernel.linear_map``), and for q <= 2^8 convolves with one
+# ``bytes.translate`` of the column per tap (``_BinaryKernel.convolve``).
+# The scalar kernel takes one dot per column and per convolution entry, and
+# so does GF(2^16) per convolution entry.  The GF(p) encoder is linear_map
+# of the generator rows; the GF(2^s) and scalar encoders are Horner's rule
+# at every point.
 
 
 def _lane_typecode(bound):
@@ -286,6 +299,20 @@ def _column_dots(dot, matrix):
     """linear_map by one dot product per column."""
     columns = list(zip(*matrix))
     return lambda xs: [dot(xs, column) for column in columns]
+
+
+def _convolve_by_dots(dot, column, taps, m):
+    """convolve by one dot product per entry.  With the blocks of the taps
+    in reverse order, the blocks that meet in entry i are one slice of
+    each vector."""
+    blocks, lags = len(column) // m, len(taps) // m
+    rev = [t for z in range(lags - 1, -1, -1) for t in taps[z * m: (z + 1) * m]]
+    out = []
+    for i in range(blocks + lags - 1):
+        lo, hi = max(i - lags + 1, 0), min(i, blocks - 1)
+        out.append(dot(rev[(lags - 1 - i + lo) * m: (lags - i + hi) * m],
+                       column[lo * m: (hi + 1) * m]))
+    return out
 
 
 class _ScalarKernel:
@@ -335,6 +362,9 @@ class _ScalarKernel:
 
     def linear_map(self, matrix):
         return _column_dots(self.dot, matrix)
+
+    def convolve(self, column, taps, m):
+        return _convolve_by_dots(self.dot, column, taps, m)
 
 
 class _PrimeKernel:
@@ -414,19 +444,60 @@ class _PrimeKernel:
 
         return apply
 
+    def convolve(self, column, taps, m):
+        """One product of two packed ints (Kronecker substitution).
+
+        The column packs into lanes in order, and the taps with each
+        block's m entries reversed.  Column entry b*m + s then meets tap
+        z*m + s in lane (b + z + 1)*m - 1, and every other pair in a lane
+        that is not one less than a multiple of m, so entry i of the
+        convolution is lane (i + 1)*m - 1 of the product, mod p.
+
+        No lane exceeds len(taps) * (p-1)^2, so no carry crosses lanes; w
+        is 4 or 8 bytes as in ``linear_map``, and past 8 bytes the
+        convolution is one ``dot`` per entry.  The product is unpacked at
+        its full length, which keeps lane order in either byte order.
+        """
+        p = self.p
+        typecode = _lane_typecode(len(taps) * (p - 1) ** 2)
+        if typecode is None:
+            return _convolve_by_dots(self.dot, column, taps, m)
+        flipped = [t for z in range(0, len(taps), m)
+                   for t in reversed(taps[z: z + m])]
+        product = _pack_lanes(typecode, column) * _pack_lanes(typecode, flipped)
+        size = (len(column) + len(taps) - 1) * array(typecode).itemsize
+        lanes = array(typecode, product.to_bytes(size, sys.byteorder))
+        return [x % p for x in lanes[m - 1::m]]
+
 
 class _BinaryKernel:
     """GF(2^s) with exp/log tables: products are exp[log a + log b], sums
     are XOR.  A zero factor needs no branch: log[0] points at the zeros
     that end exp (``Field._build_mul_tables``).  ``low`` is the modulus
-    without its x^s term, for multiplying by x."""
+    without its x^s term, for multiplying by x.
 
-    __slots__ = ("exp", "log", "low")
+    For q <= 2^8, ``rows[c]`` is the 256-byte ``bytes.translate`` table of
+    multiplication by c, zero past q - 1; else ``rows`` is None.  Row
+    g^(i+1) is row g^i translated through row g, for the generator g =
+    exp[1], so all q rows take q - 1 translates (about 64 KB for 2^8)."""
+
+    __slots__ = ("exp", "log", "low", "rows")
 
     def __init__(self, exp, log, low):
         self.exp = exp
         self.log = log
         self.low = low
+        self.rows = None
+        q = len(log)
+        if q <= 256:
+            pad = bytes(256 - q)
+            times_g = bytes(exp[log[x] + 1] for x in range(q)) + pad
+            rows = [bytes(256)] * q
+            row = bytes(range(q)) + pad
+            for i in range(q - 1):
+                rows[exp[i]] = row
+                row = row.translate(times_g)
+            self.rows = rows
 
     def scale(self, row, f):
         exp, log = self.exp, self.log
@@ -537,6 +608,25 @@ class _BinaryKernel:
             return array(typecode, data[:size]).tolist()
 
         return apply
+
+    def convolve(self, column, taps, m):
+        """For q <= 2^8, the column's symbols of each block position s as
+        bytes, one per block.  Tap z*m + s multiplies those bytes by one
+        ``translate`` through its row, read as a little-endian int, and the
+        products XOR into one accumulator shifted by z bytes: byte i of
+        the accumulator is entry i.  Larger fields take one ``dot`` per
+        entry."""
+        rows = self.rows
+        if rows is None:
+            return _convolve_by_dots(self.dot, column, taps, m)
+        per_position = [bytes(column[s::m]) for s in range(m)]
+        acc = 0
+        for i, t in enumerate(taps):
+            if t:
+                z, s = divmod(i, m)
+                acc ^= int.from_bytes(per_position[s].translate(rows[t]),
+                                      "little") << 8 * z
+        return list(acc.to_bytes((len(column) + len(taps)) // m - 1, "little"))
 
 
 class Field:

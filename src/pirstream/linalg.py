@@ -17,8 +17,9 @@ from trial to trial), so it keeps, per process, what one ``rref`` of
 [A | I] gives for each A (``reduce_with_identity``): the rank, a left
 inverse and a left-null-space check, each as a linear map of the
 field's kernel.  A repeated A costs two map applications and no
-elimination.  Systems larger than ``_SOLVER_CELLS`` are reduced as
-[A | b] on every call, as ``solve_any`` always is.
+elimination.  Systems larger than ``_SOLVER_CELLS``, and every system
+over a field with the scalar kernel, are reduced as [A | b] on every
+call, as ``solve_any`` always is.
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
 the field's kernel (``Field.kernel``, see ``fields``): per pivot, the
@@ -33,7 +34,7 @@ from array import array
 from itertools import chain
 
 from .errors import InconsistentSystem, RankDeficient
-from .fields import Field
+from .fields import Field, _ScalarKernel
 
 
 def _echelon(field: Field, rows):
@@ -138,11 +139,17 @@ _solvers: dict = {}
 
 def _solver(field: Field, a, rows: int, cols: int):
     """The kept (rank, left inverse, checks) of A, or None when [A | I]
-    has more than ``_SOLVER_CELLS`` cells or its symbols do not fit 8
-    bytes.  A miss makes one ``reduce_with_identity``."""
+    has more than ``_SOLVER_CELLS`` cells, its symbols do not fit 8 bytes
+    or the field has the scalar kernel.  A miss makes one
+    ``reduce_with_identity``.
+
+    The scalar kernel's maps are one dot per column, so a hit there costs
+    as much as reducing [A | b] (about 1.1 ms each on a 19 x 4 system over
+    GF(9)), and such fields keep no solver."""
     typecode = next((t for t in "BHIQ" if field.q <= 1 << 8 * array(t).itemsize),
                     None)
-    if rows * (rows + cols) > _SOLVER_CELLS or typecode is None:
+    if (rows * (rows + cols) > _SOLVER_CELLS or typecode is None
+            or isinstance(field.kernel, _ScalarKernel)):
         return None
     key = (field, rows, cols, array(typecode, chain.from_iterable(a)).tobytes())
     entry = _solvers.get(key)

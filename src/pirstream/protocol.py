@@ -7,6 +7,11 @@ every desired index iff each desired-file offset, restricted to the set,
 lies in the row space of the masking code restricted to it: one rank
 test per offset row.
 
+A server's answer at iteration xi is its query's inner product with the
+M+1 stripes xi-M..xi it stores, so its answers to all ell+M iterations
+are one block convolution of its stored column with its query, which
+``server_respond`` makes in one field-kernel call.
+
 Conventions: file, stripe, and server indices are 0-based in code;
 protocol iterations run 1..ell+M to keep the zero-padded virtual stripes
 (index <= 0 and > ell) readable.  A scheme is an immutable plan; all
@@ -62,10 +67,11 @@ class StorageSystem:
 
     @cached_property
     def server_columns(self) -> tuple:
-        """server_columns[j] holds server j's symbols of stripe ell, then of
-        stripe ell-1, down to stripe 1, files in order within a stripe."""
+        """server_columns[j] holds server j's symbols of stripe 1, then of
+        stripe 2, up to stripe ell, files in order within a stripe: the
+        column that ``server_respond`` convolves with a query."""
         return tuple(
-            tuple(word[j] for stripe in reversed(self.encoded) for word in stripe)
+            tuple(word[j] for stripe in self.encoded for word in stripe)
             for j in range(self.n))
 
 
@@ -313,24 +319,19 @@ def make_queries(scheme: PirScheme, seed: int) -> QuerySet:
     return QuerySet(scheme, tuple(d_rows), tuple(queries))
 
 
-def server_respond(system: StorageSystem, scheme: PirScheme, query, xi: int,
-                   j: int) -> int:
-    """Inner product of one query vector with the server's stacked column
-    of the M+1 stripes involved in iteration xi (zero-padded at the ends).
+def server_respond(system: StorageSystem, scheme: PirScheme, query,
+                   j: int) -> tuple:
+    """Server j's answers to one query vector at iterations 1..ell+M.
 
-    Query entry z*m + s pairs with file s of stripe xi - z.  Server j's
-    column lists the stripes from the last one down
-    (``StorageSystem.server_columns``), so the stripes of iteration xi
-    inside 1..ell are one slice of it, and the query entries of the
-    padding drop out.
+    The answer at iteration xi is the inner product of the query with the
+    server's stacked column of stripes xi, xi-1, ..., xi-M, zero outside
+    1..ell: query entry z*m + s pairs with file s of stripe xi - z.  Over
+    all iterations that is the block convolution of the server's column
+    (``StorageSystem.server_columns``, stripe 1 first) with the query, in
+    blocks of m, made by one ``convolve`` of the field's kernel.
     """
-    m, ell = scheme.m, system.ell
-    hi, lo = min(xi, ell), max(xi - scheme.memory, 1)
-    if lo > hi:
-        return 0
-    column = system.server_columns[j][(ell - hi) * m: (ell - lo + 1) * m]
-    return system.field.kernel.dot(query[(xi - hi) * m: (xi - lo + 1) * m],
-                                   column)
+    return tuple(system.field.kernel.convolve(system.server_columns[j], query,
+                                              scheme.m))
 
 
 INTACT = "intact"
@@ -373,19 +374,13 @@ def run_protocol(system: StorageSystem, scheme: PirScheme,
         raise InvalidParams("scheme was built for a different storage code")
     if scheme.m != system.m:
         raise InvalidParams(f"scheme expects m={scheme.m}, storage has {system.m}")
-    if scheme.memory > system.ell - 1 and scheme.variant != BYZANTINE:
-        raise InvalidParams(f"memory {scheme.memory} needs ell > M")
     qs = make_queries(scheme, seed)
-    blocks = []
-    for xi in range(1, system.ell + scheme.memory + 1):
-        parts = tuple(
-            tuple(server_respond(system, scheme, qs.queries[r][j], xi, j)
-                  for j in range(scheme.n))
-            for r in range(scheme.rounds)
-        )
-        blocks.append(Block(INTACT, parts))
+    # answers[r][xi - 1][j]: each server's answers, transposed per sub-round
+    answers = [tuple(zip(*[server_respond(system, scheme, query, j)
+                           for j, query in enumerate(queries)]))
+               for queries in qs.queries]
     return ResponseStream(scheme.n, system.ell, scheme.memory, scheme.rounds,
-                          tuple(blocks))
+                          tuple(Block(INTACT, parts) for parts in zip(*answers)))
 
 
 # --- privacy audit -----------------------------------------------------------

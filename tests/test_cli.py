@@ -143,6 +143,47 @@ def test_simulate_byzantine(tmp_path, capsys):
     assert "simulated_rate=3/20" in out
 
 
+# ell <= M: streams no longer than the memory
+SHORT_PLAIN_CFG = """\
+[scheme]
+variant = plain
+field = 13
+n = 6
+k = 2
+t = 1
+m = 2
+ell = 1
+memory = 3
+"""
+
+SHORT_BLOCK_CFG = """\
+[scheme]
+variant = block-erasure
+field = 251
+n = 24
+k = 4
+t = 2
+m = 1
+ell = 3
+epsilon = 3
+window = 7
+support = 17,18,19,20,21,22,23
+
+[channel]
+kind = block-erasure
+mode = random
+"""
+
+
+@pytest.mark.parametrize("config", [SHORT_PLAIN_CFG, SHORT_BLOCK_CFG],
+                         ids=["plain", "block"])
+def test_simulate_streams_no_longer_than_the_memory(tmp_path, capsys, config):
+    path = write(tmp_path, "c.ini", config)
+    assert main(["simulate", "--config", path, "--seed", "3",
+                 "--trials", "5"]) == 0
+    assert "trials=5 ok=5" in capsys.readouterr().out
+
+
 def test_simulate_csv_deterministic(tmp_path, capsys):
     path = write(tmp_path, "c.ini", PLAIN_CFG)
     out1 = tmp_path / "a.csv"

@@ -108,6 +108,34 @@ def test_recover_plain_m0_single_shot():
     assert recover_plain(stream, sch).stripes == files[1]
 
 
+def test_streams_no_longer_than_the_memory_round_trip():
+    # ell <= M: every block mixes padding at one end or both, and both
+    # peeling decoders still read the desired file
+    gf13 = Field(13)
+    code = GrsCode(gf13, 6, 2, tuple(range(1, 7)))
+    sch = plain_scheme(code, t=1, memory=3, m=2, desired=1,
+                       support=(2, 3, 4, 5))
+    for ell in (1, 3):
+        for trial in range(20):
+            files = random_files(gf13, 2, ell, 2, derive_rng(trial, "short", ell))
+            stream = run_protocol(storage_encode(files, code), sch, trial)
+            assert len(stream.blocks) == ell + 3
+            assert recover_plain(stream, sch).stripes == files[1]
+    # the burst-window benchmark scheme with one file, under its bursts
+    gf251 = Field(251)
+    code = GrsCode(gf251, 24, 4, tuple(range(1, 25)))
+    sch = block_scheme(code, t=2, eps=3, window=7, m=1, desired=0,
+                       support=tuple(range(17, 24)))
+    schedules = (gen_burst_patterns(3, 3, 7, 3, "shifted-family")
+                 + gen_burst_patterns(3, 3, 7, 3, "random", seed=1, count=20))
+    assert any(sched.erased for sched in schedules)
+    for trial, sched in enumerate(schedules):
+        files = random_files(gf251, 1, 3, 4, derive_rng(trial, "short-block"))
+        stream = run_protocol(storage_encode(files, code), sch, trial)
+        rec = recover_window(apply_erasures(stream, sched), sch)
+        assert rec.stripes == files[0], sorted(sched.erased)
+
+
 def test_recover_plain_randomized_identity():
     rng = random.Random(77)
     fields = {13: Field(13), 16: GF16, 17: Field(17)}

@@ -38,6 +38,12 @@ CASES = {
     "simulate-byzantine-fixed-gf2-16": [
         "simulate", OWN_CONFIGS / "byzantine-fixed-gf2-16.ini", *SIM,
         "--trials", "3"],
+    # two sub-rounds: a 22-position support past d*-1 = 19
+    "simulate-block-two-rounds": [
+        "simulate", OWN_CONFIGS / "block-two-rounds.ini", *SIM, "--trials", "5"],
+    # a binary field with q < 256
+    "simulate-plain-gf16": [
+        "simulate", OWN_CONFIGS / "plain-gf16.ini", *SIM, "--trials", "5"],
     "privacy-audit-privacy-audit": ["privacy-audit", "privacy-audit"],
     "privacy-audit-plain-stream": ["privacy-audit", "plain-stream"],
     "recovering-search-locator-search": ["recovering-search", "locator-search",

@@ -12,8 +12,9 @@ from oracles import intersect_row_spaces, left_kernel_basis, row_space_basis, ve
 
 GF5 = Field(5)
 GF16 = Field(2, 4)
+GF9 = Field(3, 2)
 # one field per kernel kind: mod p, GF(2^s) tables, and the scalar methods
-SOLVE_FIELDS = (GF5, Field(251), GF16, Field(2, 8), Field(3, 2))
+SOLVE_FIELDS = (GF5, Field(251), GF16, Field(2, 8), GF9)
 
 
 def test_rank_and_rref():
@@ -147,7 +148,9 @@ def test_solve_unique_matches_an_uncached_oracle(case):
     for a, b in order:
         expect = expected_solve(f, a, b)
         assert outcome(f, a, b) == expect
-    assert len(linalg._solvers) == len({repr(a) for a, _ in systems})
+    # the scalar kernel's fields keep no solver
+    kept = 0 if f is GF9 else len({repr(a) for a, _ in systems})
+    assert len(linalg._solvers) == kept
 
 
 def test_solve_unique_eliminates_each_matrix_once(monkeypatch):
@@ -202,4 +205,21 @@ def test_systems_past_the_cap_leave_the_cache_untouched():
         assert solve_unique(f, a, b) == x
         b[0] = f.add(b[0], 1)
         assert outcome(f, a, b) == "inconsistent"
+        assert linalg._solvers == before
+
+
+def test_scalar_kernel_systems_leave_the_cache_untouched():
+    # a kept solver's maps are one scalar dot per column over GF(9), no
+    # faster than reducing [A | b], so GF(9) keeps none
+    rng = random.Random(9)
+    a = [[rng.randrange(9) for _ in range(4)] for _ in range(19)]
+    linalg._solvers.clear()
+    solve_unique(GF5, [[1, 2], [3, 4]], [1, 1])
+    before = dict(linalg._solvers)
+    for _ in range(2):
+        x = [rng.randrange(9) for _ in range(4)]
+        b = [GF9.kernel.dot(row, x) for row in a]
+        assert solve_unique(GF9, a, b) == x
+        b[0] = GF9.add(b[0], 1)
+        assert outcome(GF9, a, b) == "inconsistent"
         assert linalg._solvers == before

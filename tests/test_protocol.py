@@ -187,7 +187,7 @@ def test_server_respond_m0_single_shot():
     sysm = storage_encode(files, RS42)
     qs = make_queries(sch, 3)
     for j in range(4):
-        got = server_respond(sysm, sch, qs.queries[0][j], 1, j)
+        got = server_respond(sysm, sch, qs.queries[0][j], j)[0]
         expect = 0
         for s in range(2):
             expect = GF5.add(expect, GF5.mul(qs.d_rows[0][s][j],
@@ -215,7 +215,61 @@ def test_server_respond_naive_oracle():
         expect = 0
         for a, b in zip(q, stacked):
             expect = GF16.add(expect, GF16.mul(a, b))
-        assert server_respond(sysm, sch, q, xi, j) == expect
+        assert server_respond(sysm, sch, q, j)[xi - 1] == expect
+
+
+# One field per way of answering: GF(p) with 4-byte lanes (GF(5), GF(251))
+# and 8-byte lanes (GF(65521) once (M+1)m >= 2), GF(2^89 - 1) past 8 bytes
+# (one dot per iteration), translate rows for q <= 2^8 (padded for GF(2)
+# and GF(16)), GF(2^16) and the scalar kernel's GF(9).
+RESPOND_FIELDS = (GF5, Field(251), Field(65521), Field(2 ** 89 - 1),
+                  Field(2), GF16, Field(2, 8), Field(2, 16), Field(3, 2))
+
+
+def respond_scheme(f, m, memory, rounds):
+    """A plain scheme, or with ``rounds`` 2 a block scheme whose 8-position
+    support exceeds d*-1 = 6 (q > 8 and memory >= 1 only)."""
+    if rounds == 2:
+        code = GrsCode(f, 8, 1, tuple(range(1, 9)))
+        return block_scheme(code, t=2, eps=memory, window=memory + 2, m=m,
+                            desired=0, support=range(8))
+    if f.q == 2:
+        code = GrsCode(f, 2, 1, (0, 1))
+    else:
+        code = GrsCode(f, 4, 2, (1, 2, 3, 4))
+    return plain_scheme(code, t=1, memory=memory, m=m, desired=m - 1,
+                        support=range(code.n - code.k, code.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RESPOND_FIELDS), st.integers(1, 3), st.integers(0, 3),
+       st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 2 ** 32))
+# m = 1 and (M+1)m = 8: 4-byte lanes would carry
+@example(Field(65521), 1, 7, 3, 1, 0)
+@example(Field(65521), 2, 3, 5, 1, 0)
+@example(Field(251), 2, 2, 4, 2, 1)       # two sub-rounds
+@example(Field(2), 2, 3, 2, 1, 2)         # ell <= M, 3-entry translate rows
+@example(GF5, 1, 0, 1, 1, 3)              # m = 1, M = 0, one stripe
+def test_server_respond_matches_a_dot_per_iteration(f, m, memory, ell, rounds,
+                                                    seed):
+    assume(rounds == 1 or (f.q > 8 and memory >= 1))
+    sch = respond_scheme(f, m, memory, rounds)
+    assert sch.rounds == rounds
+    files = random_files(f, m, ell, sch.k, derive_rng(seed, "files"))
+    sysm = storage_encode(files, sch.storage_code)
+    qs = make_queries(sch, seed)
+    for r in range(rounds):
+        for j in range(sch.n):
+            query = qs.queries[r][j]
+            answers = server_respond(sysm, sch, query, j)
+            assert len(answers) == ell + memory
+            for xi in range(1, ell + memory + 1):
+                expect = 0
+                for z in range(memory + 1):
+                    for s in range(m):
+                        expect = f.add(expect, f.mul(
+                            query[z * m + s], stored_symbol(sysm, xi - z, s, j)))
+                assert answers[xi - 1] == expect, (r, j, xi)
 
 
 def test_run_protocol_lengths_and_determinism():
