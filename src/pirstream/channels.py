@@ -52,10 +52,12 @@ def gen_burst_patterns(ell: int, memory: int, window: int, eps: int,
     eps-burst-per-window pattern; 'exhaustive' emits every valid schedule
     (small streams only); 'random' draws valid schedules from a seed.
     """
-    if eps == 0:
-        return [ErasureSchedule(frozenset(), ell, memory, window, eps)]
     if not window > eps >= 0:
         raise InvalidParams(f"need N > eps >= 0, got N={window}, eps={eps}")
+    if mode not in ("shifted-family", "exhaustive", "random"):
+        raise InvalidParams(f"unknown mode {mode!r}")
+    if eps == 0:
+        return [ErasureSchedule(frozenset(), ell, memory, window, eps)]
     stream_len = ell + memory
 
     def make(blocks) -> ErasureSchedule:
@@ -87,25 +89,22 @@ def gen_burst_patterns(ell: int, memory: int, window: int, eps: int,
                     out.append(sched)
         return out
 
-    if mode == "random":
-        if seed is None:
-            raise InvalidParams("random mode needs a seed")
-        out = []
-        for i in range(count):
-            rng = derive_rng(seed, "burst", i)
-            blocks = []
-            pos = 1
-            while pos <= stream_len:
-                if rng.random() < 0.4:
-                    run = rng.randint(1, eps)
-                    blocks.extend(b for b in range(pos, min(pos + run, stream_len + 1)))
-                    pos += window
-                else:
-                    pos += 1
-            out.append(make(blocks))
-        return out
-
-    raise InvalidParams(f"unknown mode {mode!r}")
+    if seed is None:
+        raise InvalidParams("random mode needs a seed")
+    out = []
+    for i in range(count):
+        rng = derive_rng(seed, "burst", i)
+        blocks = []
+        pos = 1
+        while pos <= stream_len:
+            if rng.random() < 0.4:
+                run = rng.randint(1, eps)
+                blocks.extend(b for b in range(pos, min(pos + run, stream_len + 1)))
+                pos += window
+            else:
+                pos += 1
+        out.append(make(blocks))
+    return out
 
 
 def apply_erasures(stream: ResponseStream, schedule: ErasureSchedule) -> ResponseStream:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import partial, reduce
+from functools import reduce
 from operator import getitem as _getitem, mul as _mul, xor as _xor
 
 from .errors import (
@@ -235,19 +235,16 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same eight methods:
+# Every kernel has the same six methods:
 #   scale(row, f)              -> the list f*row
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
 #                                 of col, and only its nonzero entries are
 #                                 visited
-#   points(locators, mults)    -> the evaluation points of a GRS code, in the
-#                                 kernel's own form (built once per code)
-#   evaluate(coeffs, points)   -> [v * f(a) for each point (a, v)], f given
-#                                 by its coefficients, low to high
-#   encoder(points, k)         -> a function from a message of k symbols to
-#                                 its codeword, evaluate(message, points)
-#                                 (built once per code)
+#   encoder(locators, mults, k) -> a function from a message m of k
+#                                 symbols, low to high, to its GRS codeword
+#                                 [v * m(a) for each locator a and
+#                                 multiplier v] (built once per code)
 #   dot(xs, ys)                -> sum of x * y over the pairs of entries
 #   linear_map(matrix)         -> a function x -> x * matrix, the list of
 #                                 dot(x, column) over the columns of a fixed
@@ -336,22 +333,21 @@ class _ScalarKernel:
                 for c, v in terms:
                     row[c] = sub(row[c], mul(f, v))
 
-    def points(self, locators, multipliers):
-        return tuple(zip(locators, multipliers))
-
-    def encoder(self, points, k):
-        return partial(self.evaluate, points=points)
-
-    def evaluate(self, coeffs, points):
+    def encoder(self, locators, multipliers, k):
         mul, add = self.field.mul, self.field.add
-        rev = coeffs[::-1]
-        out = []
-        for a, v in points:
-            acc = 0
-            for c in rev:
-                acc = add(mul(acc, a), c)
-            out.append(mul(v, acc))
-        return out
+        points = tuple(zip(locators, multipliers))
+
+        def encode(message):
+            rev = message[::-1]
+            out = []
+            for a, v in points:
+                acc = 0
+                for c in rev:
+                    acc = add(mul(acc, a), c)
+                out.append(mul(v, acc))
+            return out
+
+        return encode
 
     def dot(self, xs, ys):
         mul, add = self.field.mul, self.field.add
@@ -388,29 +384,15 @@ class _PrimeKernel:
                 for c, nv in terms:
                     row[c] = (row[c] + f * nv) % p
 
-    def points(self, locators, multipliers):
-        return tuple(zip(locators, multipliers))
-
-    def encoder(self, points, k):
+    def encoder(self, locators, multipliers, k):
         """linear_map of the generator rows (v_j a_j^i mod p)_j, i < k."""
         p = self.p
         rows = []
-        powers = [1] * len(points)
+        powers = [1] * len(locators)
         for _ in range(k):
-            rows.append([v * x % p for (_, v), x in zip(points, powers)])
-            powers = [x * a % p for (a, _), x in zip(points, powers)]
+            rows.append([v * x % p for v, x in zip(multipliers, powers)])
+            powers = [x * a % p for a, x in zip(locators, powers)]
         return self.linear_map(rows)
-
-    def evaluate(self, coeffs, points):
-        p = self.p
-        rev = coeffs[::-1]
-        out = []
-        for a, v in points:
-            acc = 0
-            for c in rev:
-                acc = (acc * a + c) % p
-            out.append(acc * v % p)
-        return out
 
     def dot(self, xs, ys):
         return sum(map(_mul, xs, ys)) % self.p
@@ -514,23 +496,23 @@ class _BinaryKernel:
                 for c, lv in terms:
                     row[c] ^= exp[lf + lv]
 
-    def points(self, locators, multipliers):
-        log = self.log
-        return tuple((log[a], log[v]) for a, v in zip(locators, multipliers))
-
-    def encoder(self, points, k):
-        return partial(self.evaluate, points=points)
-
-    def evaluate(self, coeffs, points):
+    def encoder(self, locators, multipliers, k):
+        """Horner's rule on logs: the locators' and multipliers' logs are
+        taken once."""
         exp, log = self.exp, self.log
-        rev = coeffs[::-1]
-        out = []
-        for la, lv in points:
-            acc = 0
-            for c in rev:
-                acc = exp[log[acc] + la] ^ c
-            out.append(exp[log[acc] + lv])
-        return out
+        points = tuple((log[a], log[v]) for a, v in zip(locators, multipliers))
+
+        def encode(message):
+            rev = message[::-1]
+            out = []
+            for la, lv in points:
+                acc = 0
+                for c in rev:
+                    acc = exp[log[acc] + la] ^ c
+                out.append(exp[log[acc] + lv])
+            return out
+
+        return encode
 
     def dot(self, xs, ys):
         exp, log = self.exp, self.log

@@ -2,21 +2,21 @@
 and star products.
 
 A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
-polynomial f of degree < k evaluated at distinct locators a_j.  Messages
-are read off k positions of a codeword through the inverse of their
-Vandermonde system (``_read_map``), which each code builds with one
-``linalg.rref`` of [V | I] per tuple of positions and keeps in a bounded
-cache.
-Erasure decoding reads through the first k surviving positions and
-cross-checks the rest.  Error decoding takes the n-k syndromes of the
-word through one linear map of parity checks (``_parity_checks``) and
-solves the key equation in syndrome form once, at the full
-bounded-minimum-distance radius, for an error locator.  Its roots come
-from its values at every locator, another linear map (Chien's search),
-Forney's formula gives the error values there from the first syndromes,
-a check that they reproduce all n-k syndromes rejects words beyond the
-radius, and the message is read off the first k positions of the
-corrected word through a third.  The maps are the field kernel's
+polynomial f of degree < k evaluated at distinct locators a_j.  Erasure
+decoding reads a word through one linear map per code and set of
+surviving positions (``_reader``), built from one ``linalg.rref`` of
+[V | I] for the Vandermonde block V of the first k of them and kept per
+process: it gives the message and the symbols the codeword has at the
+other surviving positions, which must match the word's.  Error decoding
+takes the n-k syndromes of the word through one linear map of parity
+checks (``_parity_checks``) and solves the key equation in syndrome
+form once, at the full bounded-minimum-distance radius, for an error
+locator.  Its roots come from its values at every locator, another
+linear map (Chien's search), Forney's formula gives the error values
+there from the first syndromes, a check that they reproduce all n-k
+syndromes rejects words beyond the radius, and the message is read off
+the first k positions of the corrected word through a third, the
+reader of those positions.  The maps are the field kernel's
 ``linear_map``s, one table lookup or one multiply-accumulate per symbol;
 codes on the same locators share the first two.  So each BMD decode
 makes at most one elimination besides the code's one inverse; at the
@@ -38,14 +38,6 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import reduce_with_identity, solve_any
-
-# Position tuples whose inverse a code keeps; past this, the oldest goes.
-# A decoder reads through one tuple per sub-round, so this is plenty.
-_READ_MAP_LIMIT = 256
-
-# Locator (and multiplier) tuples whose BMD maps are kept across codes; a
-# scheme's codes share one locator tuple and two multiplier tuples.
-_SHARED_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -110,12 +102,8 @@ class GrsCode:
     @cached_property
     def _encoder(self):
         """The field kernel's encoding map for this code."""
-        return self.field.kernel.encoder(self._points, self.k)
-
-    @cached_property
-    def _points(self):
-        """(a_j, v_j) for every position, in the field kernel's form."""
-        return self.field.kernel.points(self.locators, self.multipliers)
+        return self.field.kernel.encoder(self.locators, self.multipliers,
+                                         self.k)
 
     def erasure_decode(self, word, erased=None):
         """Recover the message from a word with erased positions.
@@ -123,14 +111,13 @@ class GrsCode:
         Erasures are the ``None`` entries of ``word`` plus any indices in
         ``erased``.  The message solves the Vandermonde system
         sum_i m_i a_j^i = w_j / v_j on the first k surviving positions j;
-        distinct locators make the solution unique, and it is read off
-        those k symbols through the system's inverse (``_read_map``), so
-        only the first word with a given set of base positions makes an
-        elimination.  Surplus surviving positions are cross-checked so
+        distinct locators make the solution unique.  One linear map of
+        those k symbols (``_reader``, kept per set of surviving positions)
+        gives the message and the codeword's symbols at the other
+        surviving positions, and each of those must equal the word's, so
         that corrupted non-codewords are reported instead of silently
         decoded.
         """
-        f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
         erased = set(erased or ())
@@ -138,17 +125,17 @@ class GrsCode:
         if len(erased) > self.n - self.k:
             raise TooManyErasures(
                 f"{len(erased)} erasures > n-k = {self.n - self.k}")
-        surviving = [j for j in range(self.n) if j not in erased]
-        base = tuple(surviving[: self.k])
-        picked = [word[j] for j in base]
-        coeffs = [f.kernel.dot(row, picked) for row in self._read_map(base)]
-        surplus = surviving[self.k:]
-        expected = f.kernel.evaluate(coeffs, [self._points[j] for j in surplus])
-        for j, expect in zip(surplus, expected):
+        # from a list, the tuple is allocated at its size; from a generator
+        # it grows by reallocation, and each call would leave one more
+        # tuple on the interpreter's free list
+        surviving = tuple([j for j in range(self.n) if j not in erased])
+        k = self.k
+        read = _reader(self, surviving)([word[j] for j in surviving[:k]])
+        for j, expect in zip(surviving[k:], read[k:]):
             if expect != word[j]:
                 raise InconsistentWord(
                     f"surviving position {j} disagrees with interpolation")
-        return coeffs
+        return read[:k]
 
     def bmd_decode(self, word):
         """Bounded-minimum-distance decoding from the syndromes of the word.
@@ -257,7 +244,7 @@ class GrsCode:
     @cached_property
     def _locator_powers(self):
         """a_j^i for every position j and 0 <= i < k: the generator matrix
-        and the inverses of ``_read_map`` read their powers here."""
+        and ``_reader`` read their powers here."""
         f = self.field
         table = []
         for a in self.locators:
@@ -285,40 +272,39 @@ class GrsCode:
     @cached_property
     def _message_map(self):
         """x -> the message of the codeword whose first k symbols are x:
-        ``_read_map`` of the first k positions, as one linear map."""
-        read = self._read_map(tuple(range(self.k)))
-        return self.field.kernel.linear_map(list(zip(*read)))
-
-    def _read_map(self, base):
-        """Row i maps the symbols of a codeword at the k positions ``base``
-        to the message's coefficient i: the inverse of the k x k
-        Vandermonde system V on those positions, read off one ``rref`` of
-        [V | I] (``linalg.reduce_with_identity``), with the multipliers
-        divided out.
-
-        Each code keeps the inverses of up to ``_READ_MAP_LIMIT`` position
-        tuples (``_read_maps``) and drops the oldest past that."""
-        maps = self._read_maps
-        read = maps.get(base)
-        if read is None:
-            f = self.field
-            _, inverse = reduce_with_identity(
-                f, [self._locator_powers[j] for j in base])
-            inv_v = [f.inv(self.multipliers[j]) for j in base]
-            read = [[f.mul(x, w) for x, w in zip(row, inv_v)]
-                    for row in inverse]
-            if len(maps) >= _READ_MAP_LIMIT:
-                del maps[next(iter(maps))]
-            maps[base] = read
-        return read
-
-    @cached_property
-    def _read_maps(self):
-        """{base positions: inverse} of ``_read_map``, oldest first."""
-        return {}
+        ``_reader`` of the first k positions."""
+        return _reader(self, tuple(range(self.k)))
 
 
-@lru_cache(maxsize=_SHARED_LIMIT)
+# A decoder reads through one set of surviving positions per sub-round and
+# code, so 256 sets are plenty.
+@lru_cache(maxsize=256)
+def _reader(code, surviving):
+    """The field kernel's linear map from a codeword's symbols at the first
+    k positions of ``surviving`` to its message, then its symbols at the
+    other positions of ``surviving``.
+
+    The message is E y with y_r = x_r / v_r, where E is the inverse of the
+    k x k Vandermonde block V on those k positions, read off one ``rref``
+    of [V | I] (``linalg.reduce_with_identity``); the symbol at a further
+    position j is sum_i m_i v_j a_j^i.  So row r of the map is row r of
+    E^T / v_r, followed by its products with each (v_j a_j^i)_i."""
+    f, k = code.field, code.k
+    powers = code._locator_powers
+    base = surviving[:k]
+    _, inverse = reduce_with_identity(f, [powers[j] for j in base])
+    rows = [[f.div(x, code.multipliers[j]) for x in column]
+            for j, column in zip(base, zip(*inverse))]
+    generator = [[f.mul(code.multipliers[j], a) for a in powers[j]]
+                 for j in surviving[k:]]
+    dot = f.kernel.dot
+    return f.kernel.linear_map(
+        [row + [dot(row, g) for g in generator] for row in rows])
+
+
+# A scheme's codes share one locator tuple and two multiplier tuples, so 32
+# locator (and multiplier) tuples are plenty.
+@lru_cache(maxsize=32)
 def _dual_checks(f, locators, multipliers):
     """(u, checks) for the codes RS(n, k, v) on these locators and
     multipliers, whatever k.
@@ -346,7 +332,7 @@ def _dual_checks(f, locators, multipliers):
     return u, f.kernel.linear_map(rows)
 
 
-@lru_cache(maxsize=_SHARED_LIMIT)
+@lru_cache(maxsize=32)
 def _root_map(field, locators):
     """The field kernel's linear map c -> (sum_i c_i a_j^i)_j on these
     locators, for i <= (n-1)/2: the values at every locator of an error

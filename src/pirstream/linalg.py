@@ -6,8 +6,8 @@ Everything here rests on one forward-elimination loop (``_echelon``):
 and the solvers read their answer off an ``rref``.  Over an exact field
 there are no tolerance questions.  Every solve and rank in the package
 runs here: the decoders' window and support solves, the Vandermonde
-inverses that GRS decoding reads messages through (one per code and
-tuple of positions), the Hankel key-equation solve of GRS error
+inverses that GRS erasure decoding reads words through (one per code and
+set of surviving positions), the Hankel key-equation solve of GRS error
 decoding, the rank of the recovering matrix A and the collusion audit's
 ranks.
 
@@ -16,10 +16,11 @@ matrices (the decoders' window systems recur from burst to burst and
 from trial to trial), so it keeps, per process, what one ``rref`` of
 [A | I] gives for each A (``reduce_with_identity``): the rank, a left
 inverse and a left-null-space check, each as a linear map of the
-field's kernel.  A repeated A costs two map applications and no
-elimination.  Systems larger than ``_SOLVER_CELLS``, and every system
-over a field with the scalar kernel, are reduced as [A | b] on every
-call, as ``solve_any`` always is.
+field's kernel, in a ``functools.lru_cache`` keyed by the field, the
+shape and the bytes of A (``_kept_solver``).  A repeated A costs two map
+applications and no elimination.  Systems larger than ``_SOLVER_CELLS``,
+and every system over a field with the scalar kernel, are reduced as
+[A | b] on every call, as ``solve_any`` always is.
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
 the field's kernel (``Field.kernel``, see ``fields``): per pivot, the
@@ -31,6 +32,7 @@ row that needs it, with table or mod-p arithmetic inline instead of one
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from itertools import chain
 
 from .errors import InconsistentSystem, RankDeficient
@@ -114,11 +116,6 @@ def reduce_with_identity(field: Field, a):
     return rank, [row[n:] for row in reduced]
 
 
-# Coefficient matrices whose solver a process keeps; past this, the
-# oldest goes.  The burst-window benchmark scheme solves 21-29 distinct
-# matrices in a 30-trial process and 32 in all over 1,000 trials.
-_SOLVER_LIMIT = 64
-
 # The most cells of [A | I] a kept solver may have: a 32 x 32 system, or a
 # taller one with fewer unknowns.  A miss eliminates [A | I], which costs
 # 2-3x an [A | b] elimination for a square A and more for a tall one, and
@@ -133,36 +130,45 @@ _SOLVER_LIMIT = 64
 # the benchmark's schemes keep 107 KB (GF(251)) and 137 KB (GF(2^8)).
 _SOLVER_CELLS = 32 * 64
 
-# {(field, rows, columns, bytes of A): (rank, left inverse, checks)}
-_solvers: dict = {}
+
+def _typecode(field: Field):
+    """The narrowest unsigned ``array`` typecode that holds every symbol,
+    or None past 8 bytes."""
+    return next((t for t in "BHIQ" if field.q <= 1 << 8 * array(t).itemsize),
+                None)
 
 
 def _solver(field: Field, a, rows: int, cols: int):
-    """The kept (rank, left inverse, checks) of A, or None when [A | I]
-    has more than ``_SOLVER_CELLS`` cells, its symbols do not fit 8 bytes
-    or the field has the scalar kernel.  A miss makes one
-    ``reduce_with_identity``.
+    """The kept (rank, left inverse, checks) of A (``_kept_solver``), or
+    None when [A | I] has more than ``_SOLVER_CELLS`` cells, its symbols do
+    not fit 8 bytes or the field has the scalar kernel.
 
     The scalar kernel's maps are one dot per column, so a hit there costs
     as much as reducing [A | b] (about 1.1 ms each on a 19 x 4 system over
     GF(9)), and such fields keep no solver."""
-    typecode = next((t for t in "BHIQ" if field.q <= 1 << 8 * array(t).itemsize),
-                    None)
+    typecode = _typecode(field)
     if (rows * (rows + cols) > _SOLVER_CELLS or typecode is None
             or isinstance(field.kernel, _ScalarKernel)):
         return None
-    key = (field, rows, cols, array(typecode, chain.from_iterable(a)).tobytes())
-    entry = _solvers.get(key)
-    if entry is None:
-        rank, e = reduce_with_identity(field, a)
-        linear_map = field.kernel.linear_map
-        inverse = linear_map(list(zip(*e[:cols]))) if rank == cols else None
-        checks = linear_map(list(zip(*e[rank:]))) if rank < rows else None
-        entry = rank, inverse, checks
-        if len(_solvers) >= _SOLVER_LIMIT:
-            del _solvers[next(iter(_solvers))]
-        _solvers[key] = entry
-    return entry
+    return _kept_solver(field, rows, cols,
+                        array(typecode, chain.from_iterable(a)).tobytes())
+
+
+# The burst-window benchmark scheme solves 21-29 distinct matrices in a
+# 30-trial process and 32 in all over 1,000 trials, so 64 are plenty.
+@lru_cache(maxsize=64)
+def _kept_solver(field: Field, rows: int, cols: int, data: bytes):
+    """(rank, left inverse, checks) of the rows x cols matrix A whose
+    symbols, as ``array`` items of ``_typecode``, are the bytes ``data``:
+    each a linear map of the field's kernel, from one
+    ``reduce_with_identity``."""
+    flat = array(_typecode(field), data)
+    a = [flat[r * cols:(r + 1) * cols].tolist() for r in range(rows)]
+    rank, e = reduce_with_identity(field, a)
+    linear_map = field.kernel.linear_map
+    inverse = linear_map(list(zip(*e[:cols]))) if rank == cols else None
+    checks = linear_map(list(zip(*e[rank:]))) if rank < rows else None
+    return rank, inverse, checks
 
 
 def solve_unique(field: Field, a, b):

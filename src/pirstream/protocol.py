@@ -145,8 +145,8 @@ class PirScheme:
 
     def star_code(self) -> GrsCode:
         """The star product of the storage and retrieval codes, built once
-        per scheme, so the erasure-decoding inverses it keeps serve every
-        stream the scheme decodes."""
+        per scheme, so the encoder it keeps serves every stream the scheme
+        decodes."""
         return self._star
 
     @cached_property

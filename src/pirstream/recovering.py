@@ -42,11 +42,6 @@ from .linalg import mat_rank
 from .rates import min_gamma
 from .seeds import derive_seed
 
-# Orbits whose rank is remembered.  2:1:256, the largest published search
-# row, has about 10.8k orbits (C(256, 3) / 255), so every published row
-# keeps all of its orbits; a larger search only recomputes some ranks.
-_ORBIT_MEMO_SIZE = 1 << 15
-
 
 def minimal_gamma(k: int, M: int) -> int:
     """Smallest admissible locator count ceil((2M+1)k/(M+1))."""
@@ -89,7 +84,10 @@ def _canonical(field: Field, locators) -> tuple:
     return min(tuple(sorted(scale(locators, inv(a)))) for a in nonzero)
 
 
-@lru_cache(maxsize=_ORBIT_MEMO_SIZE)
+# 2:1:256, the largest published search row, has about 10.8k orbits
+# (C(256, 3) / 255), so every published row keeps all of its orbits; a
+# larger search only recomputes some ranks.
+@lru_cache(maxsize=1 << 15)
 def _orbit_rank(field: Field, k: int, M: int, window: int,
                 canonical: tuple) -> int:
     return mat_rank(field, _assemble(field, k, M, canonical, window))

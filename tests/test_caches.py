@@ -15,7 +15,8 @@ share locators.
 
 from hypothesis import given, settings, strategies as st
 
-from pirstream import channels, cli, grs, linalg, protocol, recovering
+from pirstream import (channels, clear_caches, cli, grs, linalg, protocol,
+                       recovering)
 from pirstream.fields import parse_field_spec
 from pirstream.grs import GrsCode
 from pirstream.recovering import build_A
@@ -41,13 +42,6 @@ SCHEMES = (
     ("byzantine", "2^4:13", dict(n=10, k=2, t=1)),
     ("byzantine", "2^4:19", dict(n=10, k=2, t=1)),
 )
-
-
-def clear_caches():
-    linalg._solvers.clear()
-    grs._dual_checks.cache_clear()
-    grs._root_map.cache_clear()
-    recovering._orbit_rank.cache_clear()
 
 
 def run_trial(index, trial):
@@ -94,3 +88,15 @@ def test_interleaved_trials_match_trials_run_alone(runs):
         assert outcome == run_trial(index, trial), SCHEMES[index]
         # every channel here is within its scheme's guarantee
         assert outcome[0], SCHEMES[index]
+
+
+def test_clear_caches_empties_every_cache():
+    # a Byzantine trial fills the readers, dual checks and root maps of its
+    # codes, and a block trial the kept solvers and the window ranks
+    caches = (grs._reader, grs._dual_checks, grs._root_map,
+              linalg._kept_solver, recovering._orbit_rank)
+    run_trial(9, 0)
+    run_trial(4, 0)
+    assert all(cache.cache_info().currsize for cache in caches)
+    clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 5

@@ -242,3 +242,13 @@ def test_apply_errors_deterministic():
 def test_gen_burst_bad_mode():
     with pytest.raises(InvalidParams):
         gen_burst_patterns(4, 1, 3, 1, "nope")
+
+
+def test_eps_zero_still_checks_the_mode():
+    with pytest.raises(InvalidParams, match="unknown mode 'bogus'"):
+        gen_burst_patterns(4, 0, 3, 0, "bogus")
+
+
+def test_eps_zero_still_checks_the_window():
+    with pytest.raises(InvalidParams, match="need N > eps"):
+        gen_burst_patterns(4, 0, 0, 0, "random")

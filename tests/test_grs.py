@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirstream import grs
+from pirstream import clear_caches, grs
 from pirstream.errors import (
     DecodingFailure,
     DegenerateProduct,
@@ -357,8 +357,9 @@ def count_rrefs(monkeypatch):
 
 
 def test_erasure_decode_builds_one_inverse_per_pattern(monkeypatch):
-    # one rref per tuple of base positions per code, however many words
+    # one rref per code and set of surviving positions, however many words
     # are decoded on it; the errors are raised as before
+    clear_caches()
     calls = count_rrefs(monkeypatch)
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     rng = random.Random(5)
@@ -378,21 +379,33 @@ def test_erasure_decode_builds_one_inverse_per_pattern(monkeypatch):
     assert calls[0] == 1
     assert code.erasure_decode(code.encode([1, 2, 3])) == [1, 2, 3]
     assert calls[0] == 2
+    # an equal code reads through the same maps
     twin = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
+    assert twin is not code
     assert twin.erasure_decode(code.encode([1, 2, 3])) == [1, 2, 3]
+    assert calls[0] == 2
+    # a code on the same locators with other multipliers does not
+    other = GrsCode(GF16, 10, 3, tuple(range(1, 11)), (2,) * 10)
+    assert other.erasure_decode(other.encode([1, 2, 3])) == [1, 2, 3]
     assert calls[0] == 3
 
 
 def test_erasure_decode_cache_is_bounded(monkeypatch):
-    # past the limit the oldest inverse goes and is rebuilt when next read
-    monkeypatch.setattr(grs, "_READ_MAP_LIMIT", 3)
+    # past 256 sets of surviving positions the least recently read goes
+    # and is rebuilt when next read
+    assert grs._reader.cache_info().maxsize == 256
+    clear_caches()
     calls = count_rrefs(monkeypatch)
-    code = GrsCode(GF16, 8, 2, tuple(range(1, 9)))
+    code = GrsCode(GF16, 12, 2, tuple(range(1, 13)))
     word = code.encode([7, 9])
-    for first in range(4):
-        assert code.erasure_decode(word, erased=set(range(first))) == [7, 9]
-    assert calls[0] == 4
-    assert list(code._read_maps) == [(1, 2), (2, 3), (3, 4)]
-    assert code.erasure_decode(word) == [7, 9]
-    assert calls[0] == 5
-    assert len(code._read_maps) == 3
+    patterns = [erased for r in (2, 3)
+                for erased in itertools.combinations(range(12), r)][:257]
+    for erased in patterns:
+        assert code.erasure_decode(word, erased=erased) == [7, 9]
+    assert calls[0] == 257
+    assert grs._reader.cache_info().currsize == 256
+    assert code.erasure_decode(word, erased=patterns[-1]) == [7, 9]
+    assert calls[0] == 257
+    assert code.erasure_decode(word, erased=patterns[0]) == [7, 9]
+    assert calls[0] == 258
+    assert grs._reader.cache_info().currsize == 256

@@ -228,7 +228,6 @@ def test_encode_reduces_symbols_outside_the_field(name):
                 [p - 1, -1, p, 1]):
         reduced = [c % p for c in msg]
         assert code.encode(msg) == code.encode(reduced)
-        assert code.encode(msg) == f.kernel.evaluate(msg, code._points)
         assert code.encode(reduced) == scalar_encode(code, reduced)
 
 

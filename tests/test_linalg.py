@@ -140,7 +140,7 @@ def window_systems(draw):
                 ([[1, 2], [2, 4], [0, 1]], [[1, 2, 1]])]))
 def test_solve_unique_matches_an_uncached_oracle(case):
     f, systems = case
-    linalg._solvers.clear()
+    linalg._kept_solver.cache_clear()
     # each matrix's first right-hand side is a miss, the others hits, and
     # the two matrices of one shape alternate
     order = [(a, b) for i in range(4) for a, rhss in systems
@@ -150,11 +150,11 @@ def test_solve_unique_matches_an_uncached_oracle(case):
         assert outcome(f, a, b) == expect
     # the scalar kernel's fields keep no solver
     kept = 0 if f is GF9 else len({repr(a) for a, _ in systems})
-    assert len(linalg._solvers) == kept
+    assert linalg._kept_solver.cache_info().currsize == kept
 
 
 def test_solve_unique_eliminates_each_matrix_once(monkeypatch):
-    linalg._solvers.clear()
+    linalg._kept_solver.cache_clear()
     calls = [0]
     rref_ = linalg.rref
 
@@ -172,19 +172,22 @@ def test_solve_unique_eliminates_each_matrix_once(monkeypatch):
     assert calls[0] == 2
 
 
-def test_solve_unique_cache_is_bounded(monkeypatch):
-    # past the limit the oldest solver goes; answers stay right
-    monkeypatch.setattr(linalg, "_SOLVER_LIMIT", 3)
-    linalg._solvers.clear()
+def test_solve_unique_cache_is_bounded():
+    # past 64 solvers the least recently used goes; answers stay right
+    cache = linalg._kept_solver
+    assert cache.cache_info().maxsize == 64
+    cache.cache_clear()
     rng = random.Random(7)
     matrices = [[[rng.randrange(251) for _ in range(3)] for _ in range(5)]
-                for _ in range(6)]
+                for _ in range(66)]
     for a in matrices * 2:
         x = [rng.randrange(251) for _ in range(3)]
         b = [Field(251).kernel.dot(row, x) for row in a]
         assert solve_unique(Field(251), a, b) == x
-        assert len(linalg._solvers) <= 3
-    assert len(linalg._solvers) == 3
+        assert cache.cache_info().currsize <= 64
+    # the second pass finds each matrix evicted by the 64 after it
+    assert cache.cache_info().hits == 0
+    assert cache.cache_info().currsize == 64
 
 
 def test_systems_past_the_cap_leave_the_cache_untouched():
@@ -196,16 +199,16 @@ def test_systems_past_the_cap_leave_the_cache_untouched():
     # GF(2^89 - 1): symbols do not fit 8 bytes
     huge = Field(2 ** 89 - 1)
     wide = [[rng.randrange(huge.q) for _ in range(2)] for _ in range(3)]
-    linalg._solvers.clear()
+    linalg._kept_solver.cache_clear()
     solve_unique(gf, [[1, 2], [3, 4]], [1, 1])
-    before = dict(linalg._solvers)
+    before = linalg._kept_solver.cache_info()
     for f, a in ((gf, big), (huge, wide)):
         x = [rng.randrange(f.q) for _ in range(len(a[0]))]
         b = [f.kernel.dot(row, x) for row in a]
         assert solve_unique(f, a, b) == x
         b[0] = f.add(b[0], 1)
         assert outcome(f, a, b) == "inconsistent"
-        assert linalg._solvers == before
+        assert linalg._kept_solver.cache_info() == before
 
 
 def test_scalar_kernel_systems_leave_the_cache_untouched():
@@ -213,13 +216,13 @@ def test_scalar_kernel_systems_leave_the_cache_untouched():
     # faster than reducing [A | b], so GF(9) keeps none
     rng = random.Random(9)
     a = [[rng.randrange(9) for _ in range(4)] for _ in range(19)]
-    linalg._solvers.clear()
+    linalg._kept_solver.cache_clear()
     solve_unique(GF5, [[1, 2], [3, 4]], [1, 1])
-    before = dict(linalg._solvers)
+    before = linalg._kept_solver.cache_info()
     for _ in range(2):
         x = [rng.randrange(9) for _ in range(4)]
         b = [GF9.kernel.dot(row, x) for row in a]
         assert solve_unique(GF9, a, b) == x
         b[0] = GF9.add(b[0], 1)
         assert outcome(GF9, a, b) == "inconsistent"
-        assert linalg._solvers == before
+        assert linalg._kept_solver.cache_info() == before

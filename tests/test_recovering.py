@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirstream import recovering
+from pirstream import clear_caches, recovering
 from pirstream.errors import (
     DuplicateLocators,
     FieldTooSmall,
@@ -284,7 +284,7 @@ def test_search_ranks_each_scaling_orbit_once(monkeypatch):
         calls.append(len(rows))
         return mat_rank(field, rows)
     monkeypatch.setattr(recovering, "mat_rank", counted)
-    recovering._orbit_rank.cache_clear()
+    clear_caches()
     hits, trials = random_search_counts(GF16, 3, 2, 4000, seed=12)
     assert trials == 4000 and 0 < hits < trials
     assert 0 < len(calls) <= 292
