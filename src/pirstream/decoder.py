@@ -118,19 +118,21 @@ def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> dict:
     Erasure-decodes each sub-round in the star-product code ``star`` with
     the sub-support treated as erased, and returns {j: u_j} on the
     support, where u_j is the remaining combination of desired-file
-    symbols.
+    symbols: the word's symbol minus the interference codeword's, which
+    the same ``erasure_decode`` reads off at the sub-support (``at``)
+    without encoding the interference.
     """
     f = scheme.field
+    k = star.k
     out = {}
     for r, part in enumerate(scheme.sub_supports):
-        word = list(block.parts[r])
+        word = block.parts[r]
         try:
-            msg = star.erasure_decode(word, erased=set(part))
+            clean = star.erasure_decode(word, erased=part, at=part)[k:]
         except InconsistentWord as exc:
             raise InconsistentBlock(str(exc)) from exc
-        clean = star.encode(msg)
-        for j in part:
-            out[j] = f.sub(word[j], clean[j])
+        for j, c in zip(part, clean):
+            out[j] = f.sub(word[j], c)
     return out
 
 

@@ -7,7 +7,9 @@ decoding reads a word through one linear map per code and set of
 surviving positions (``_reader``), built from one ``linalg.rref`` of
 [V | I] for the Vandermonde block V of the first k of them and kept per
 process: it gives the message and the symbols the codeword has at the
-other surviving positions, which must match the word's.  Error decoding
+other surviving positions, which must match the word's, and at any
+further positions the caller asks for (``at``), such as the erased
+ones, so no caller re-encodes the message to read them.  Error decoding
 takes the n-k syndromes of the word through one linear map of parity
 checks (``_parity_checks``) and solves the key equation in syndrome
 form once, at the full bounded-minimum-distance radius, for an error
@@ -105,18 +107,21 @@ class GrsCode:
         return self.field.kernel.encoder(self.locators, self.multipliers,
                                          self.k)
 
-    def erasure_decode(self, word, erased=None):
-        """Recover the message from a word with erased positions.
+    def erasure_decode(self, word, erased=None, at=()):
+        """Recover the message from a word with erased positions, followed
+        by the codeword's symbols at the positions ``at``.
 
         Erasures are the ``None`` entries of ``word`` plus any indices in
         ``erased``.  The message solves the Vandermonde system
         sum_i m_i a_j^i = w_j / v_j on the first k surviving positions j;
         distinct locators make the solution unique.  One linear map of
-        those k symbols (``_reader``, kept per set of surviving positions)
-        gives the message and the codeword's symbols at the other
-        surviving positions, and each of those must equal the word's, so
-        that corrupted non-codewords are reported instead of silently
-        decoded.
+        those k symbols (``_reader``, kept per set of surviving positions
+        followed by ``at``) gives the message, the codeword's symbols at
+        the other surviving positions, and its symbols at ``at``, erased
+        or not, in the order given.  Each surviving symbol must equal the
+        word's, so that corrupted non-codewords are reported instead of
+        silently decoded.  With ``at`` empty the result is the message
+        alone.
         """
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
@@ -125,17 +130,21 @@ class GrsCode:
         if len(erased) > self.n - self.k:
             raise TooManyErasures(
                 f"{len(erased)} erasures > n-k = {self.n - self.k}")
+        at = tuple(at)
+        if at and (min(at) < 0 or max(at) >= self.n):
+            raise LengthMismatch(f"positions {at} outside 0..{self.n - 1}")
         # from a list, the tuple is allocated at its size; from a generator
         # it grows by reallocation, and each call would leave one more
         # tuple on the interpreter's free list
         surviving = tuple([j for j in range(self.n) if j not in erased])
-        k = self.k
-        read = _reader(self, surviving)([word[j] for j in surviving[:k]])
-        for j, expect in zip(surviving[k:], read[k:]):
+        k, s = self.k, len(surviving)
+        read = _reader(self, surviving + at)([word[j] for j in surviving[:k]])
+        for j, expect in zip(surviving[k:], read[k:s]):
             if expect != word[j]:
                 raise InconsistentWord(
                     f"surviving position {j} disagrees with interpolation")
-        return read[:k]
+        del read[k:s]
+        return read
 
     def bmd_decode(self, word):
         """Bounded-minimum-distance decoding from the syndromes of the word.
@@ -279,10 +288,11 @@ class GrsCode:
 # A decoder reads through one set of surviving positions per sub-round and
 # code, so 256 sets are plenty.
 @lru_cache(maxsize=256)
-def _reader(code, surviving):
+def _reader(code, positions):
     """The field kernel's linear map from a codeword's symbols at the first
-    k positions of ``surviving`` to its message, then its symbols at the
-    other positions of ``surviving``.
+    k of ``positions`` to its message, then its symbols at the other
+    positions, in order: ``erasure_decode`` passes the surviving positions
+    followed by the positions it is asked for.
 
     The message is E y with y_r = x_r / v_r, where E is the inverse of the
     k x k Vandermonde block V on those k positions, read off one ``rref``
@@ -291,12 +301,12 @@ def _reader(code, surviving):
     E^T / v_r, followed by its products with each (v_j a_j^i)_i."""
     f, k = code.field, code.k
     powers = code._locator_powers
-    base = surviving[:k]
+    base = positions[:k]
     _, inverse = reduce_with_identity(f, [powers[j] for j in base])
     rows = [[f.div(x, code.multipliers[j]) for x in column]
             for j, column in zip(base, zip(*inverse))]
     generator = [[f.mul(code.multipliers[j], a) for a in powers[j]]
-                 for j in surviving[k:]]
+                 for j in positions[k:]]
     dot = f.kernel.dot
     return f.kernel.linear_map(
         [row + [dot(row, g) for g in generator] for row in rows])

@@ -70,9 +70,7 @@ class StorageSystem:
         """server_columns[j] holds server j's symbols of stripe 1, then of
         stripe 2, up to stripe ell, files in order within a stripe: the
         column that ``server_respond`` convolves with a query."""
-        return tuple(
-            tuple(word[j] for stripe in self.encoded for word in stripe)
-            for j in range(self.n))
+        return tuple(zip(*[word for stripe in self.encoded for word in stripe]))
 
 
 def storage_encode(files, code: GrsCode) -> StorageSystem:

@@ -748,6 +748,31 @@ def test_peel_encodes_each_known_stripe_once_per_block_and_position(monkeypatch)
         encodes_per_block(monkeypatch, oracles.recover_window, stream, sch))
 
 
+def test_peeling_encodes_no_star_codeword(monkeypatch):
+    # each block's interference on the support comes out of the star
+    # code's erasure_decode (at=), not from encoding the decoded message
+    block, block_files, block_stream = setup_block()
+    plain, plain_files, plain_stream = setup_plain()
+    multi = block_scheme(C6, t=2, eps=1, window=3, m=2, desired=1,
+                         support=(1, 2, 4, 5))
+    multi_files = random_files(GF16, 2, 5, 2, derive_rng(1, "mr"))
+    multi_stream = apply_erasures(
+        run_protocol(storage_encode(multi_files, C6), multi, 3),
+        ErasureSchedule(frozenset({2}), 5, 1, 3, 1))
+    stars = {id(sch.star_code()) for sch in (block, plain, multi)}
+    encode = GrsCode.encode
+    star_encodes = [0]
+
+    def counted(self, message):
+        star_encodes[0] += id(self) in stars
+        return encode(self, message)
+    monkeypatch.setattr(GrsCode, "encode", counted)
+    assert recover_window(block_stream, block).stripes == block_files[1]
+    assert recover_plain(plain_stream, plain).stripes == plain_files[1]
+    assert recover_window(multi_stream, multi).stripes == multi_files[1]
+    assert star_encodes[0] == 0
+
+
 def test_star_code_is_built_once_per_scheme(monkeypatch):
     # a second stream of the same scheme erasure-decodes through the
     # inverses the first one built

@@ -68,6 +68,12 @@ def test_erasure_decode_examples():
         RS42.erasure_decode([None, None, None, 4])
     with pytest.raises(InconsistentWord):
         RS42.erasure_decode([1, 2, 3, 0])
+    # the codeword (1, 2, 3, 4) at positions 0, 3 and 0 again
+    assert RS42.erasure_decode([None, 2, 3, None], at=(0, 3, 0)) == [0, 1, 1, 4, 1]
+    assert RS42.erasure_decode([1, 2, 3, 4], erased={1}, at=[1]) == [0, 1, 2]
+    for at in ((4,), (-1,)):
+        with pytest.raises(LengthMismatch):
+            RS42.erasure_decode([1, 2, 3, 4], at=at)
 
 
 def test_bmd_examples():
@@ -342,6 +348,50 @@ def test_erasure_decode_matches_one_solve_per_call(f, data):
         got = erasure_outcome(GrsCode.erasure_decode, code, word, erased)
         assert got == erasure_outcome(erasure_decode_by_solve, code, word,
                                       erased)
+
+
+# one field per kernel kind and symbol width: mod p with 1- and 2-byte
+# symbols, GF(2^s) tables with 1- and 2-byte symbols, and the scalar methods
+AT_FIELDS = [GF5, Field(251), Field(331), GF16, Field(2, 8), Field(2, 16),
+             Field(3, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(AT_FIELDS), st.data())
+def test_erasure_decode_reads_the_codeword_at_any_positions(f, data):
+    # at= appends the decoded codeword's symbols at any positions, erased,
+    # surviving or repeated, to the message the call gives without it, and
+    # raises the same error at the same first position.  The plain call
+    # comes first on the same code and pattern, so a reader kept without
+    # the positions asked for would give the second call the wrong map.
+    n = data.draw(st.integers(1, min(f.q, 10)))
+    k = data.draw(st.integers(1, n))
+    locs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=n,
+                              max_size=n, unique=True))
+    mults = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    code = GrsCode(f, n, k, tuple(locs), tuple(mults))
+    clear_caches()
+    for _ in range(2):
+        msg = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k,
+                                 max_size=k))
+        word = code.encode(msg)
+        for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            word[j] = f.add(word[j], data.draw(st.integers(1, f.q - 1)))
+        for j in data.draw(st.sets(st.integers(0, n - 1))):
+            word[j] = None
+        erased = data.draw(st.sets(st.integers(0, n - 1)))
+        at = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        plain = erasure_outcome(GrsCode.erasure_decode, code, word, erased)
+
+        def with_at(code, word, erased):
+            return code.erasure_decode(word, erased, at=at)
+        got = erasure_outcome(with_at, code, word, erased)
+        if isinstance(plain, tuple):
+            assert got == plain
+        else:
+            assert got[:k] == plain
+            clean = code.encode(plain)
+            assert got[k:] == [clean[j] for j in at]
 
 
 def count_rrefs(monkeypatch):

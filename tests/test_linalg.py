@@ -1,10 +1,12 @@
 import random
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pirstream import linalg
-from pirstream.errors import InconsistentSystem, RankDeficient
+from pirstream.errors import InconsistentSystem, RankDeficient, ShapeMismatch
 from pirstream.fields import Field
 from pirstream.linalg import mat_rank, rref, solve_any, solve_unique
 
@@ -226,3 +228,45 @@ def test_scalar_kernel_systems_leave_the_cache_untouched():
         b[0] = GF9.add(b[0], 1)
         assert outcome(GF9, a, b) == "inconsistent"
         assert linalg._kept_solver.cache_info() == before
+
+
+@pytest.mark.parametrize("q, typecode", [(251, "B"), (331, "H"),
+                                         (65537, "I"), (2 ** 61 - 1, "Q")])
+def test_solver_key_is_the_array_bytes_of_a(monkeypatch, q, typecode):
+    # each symbol width keys its solvers by the bytes of an array of A's
+    # symbols, and the kept solver is built from the same A rebuilt from
+    # them; the symbols include 0 and q - 1
+    f = Field(q)
+    assert linalg._typecode(f) == typecode
+    rng = random.Random(q)
+    a = [[rng.randrange(q) for _ in range(3)] for _ in range(5)]
+    a[0][0], a[1][1] = q - 1, 0
+    keys, reduced = [], []
+    kept, reduce_with_identity = linalg._kept_solver, linalg.reduce_with_identity
+
+    def spy(field, rows, cols, data):
+        keys.append(data)
+        return kept(field, rows, cols, data)
+
+    def counted(field, m):
+        reduced.append(m)
+        return reduce_with_identity(field, m)
+    monkeypatch.setattr(linalg, "_kept_solver", spy)
+    monkeypatch.setattr(linalg, "reduce_with_identity", counted)
+    kept.cache_clear()
+    x = [rng.randrange(q) for _ in range(3)]
+    b = [f.kernel.dot(row, x) for row in a]
+    assert solve_unique(f, a, b) == x
+    assert solve_unique(f, a, b) == x
+    assert keys == [array(typecode, chain.from_iterable(a)).tobytes()] * 2
+    assert reduced == [a]
+
+
+def test_solver_key_rejects_what_it_cannot_pack():
+    # too few or too many symbols for rows x cols, or a symbol the
+    # typecode cannot hold, is a typed error, not struct's
+    for f, a in ((Field(251), [[1, 2], [3], [5, 6]]),
+                 (Field(331), [[1, 2], [3, 4, 5], [5, 6]]),
+                 (Field(251), [[1, 2], [3, -4], [5, 6]])):
+        with pytest.raises(ShapeMismatch):
+            solve_unique(f, a, [1, 2, 3])
