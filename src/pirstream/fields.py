@@ -22,13 +22,16 @@ every locator, the message read off a codeword), run through
   rows packed into Python ints (``_PrimeKernel.linear_map``), a
   convolution is one product of two such ints (``_PrimeKernel.convolve``),
   and a dot product is one ``sum(map(mul, ...))``;
-* GF(2^s) with tables (q <= 2^16): ``row[c] ^= exp[log f + log v]``
-  with the pivot row's logs taken once, Horner's rule on logs, a fixed
-  linear map as one table lookup per input symbol (per byte of it for
-  q > 2^8), XORed (``_BinaryKernel.linear_map``), and, for q <= 2^8, a
-  convolution as one ``bytes.translate`` per tap (``_BinaryKernel.convolve``);
-* any other field (odd-characteristic extensions, GF(2^s) past the
-  tables): the scalar methods, one call per symbol.
+* GF(2^s) with q <= 2^8: one 256-byte table per multiplier, the
+  ``bytes.translate`` row of multiplication by it (``_BinaryKernel.rows``),
+  read for every product: ``row[c] ^= rows[f][v]`` in elimination, Horner's
+  rule through the rows of the locators, a fixed linear map as one lookup
+  per input symbol in tables filled from those rows, XORed
+  (``_BinaryKernel.linear_map``), and a convolution as one
+  ``bytes.translate`` per tap (``_BinaryKernel.convolve``);
+* any other field (odd-characteristic extensions, GF(2^s) past 2^8): the
+  scalar methods, one call per symbol; up to 2^16 their ``mul`` is one
+  lookup in the field's exp/log tables.
 
 Each kernel computes exactly what the scalar methods would; only the
 number of ``Field`` method calls differs.
@@ -261,14 +264,14 @@ def _pack(digits, p):
 # linear_map and convolve are where the kernels differ.  GF(p) packs each
 # row into integer lanes and makes one multiply-accumulate
 # (``_PrimeKernel.linear_map``), and convolves with one product of two
-# packed ints (``_PrimeKernel.convolve``).  GF(2^s) keeps one table per row
-# of packed products and XORs one entry per input symbol
-# (``_BinaryKernel.linear_map``), and for q <= 2^8 convolves with one
-# ``bytes.translate`` of the column per tap (``_BinaryKernel.convolve``).
-# The scalar kernel takes one dot per column and per convolution entry, and
-# so does GF(2^16) per convolution entry.  The GF(p) encoder is linear_map
-# of the generator rows; the GF(2^s) and scalar encoders are Horner's rule
-# at every point.
+# packed ints (``_PrimeKernel.convolve``).  GF(2^s) with q <= 2^8 keeps one
+# table per row of packed products, filled from its translate rows, and
+# XORs one entry per input symbol (``_BinaryKernel.linear_map``), and
+# convolves with one ``bytes.translate`` of the column per tap
+# (``_BinaryKernel.convolve``).  The scalar kernel, which also serves
+# GF(2^s) past 2^8, takes one dot per column and per convolution entry.
+# The GF(p) encoder is linear_map of the generator rows; the GF(2^s) and
+# scalar encoders are Horner's rule at every point.
 
 
 def _lane_typecode(bound):
@@ -277,13 +280,8 @@ def _lane_typecode(bound):
     when 8 bytes do not."""
     for size in (4, 8):
         if bound < 1 << 8 * size:
-            return _typecode(size)
+            return next(t for t in "BHILQ" if array(t).itemsize == size)
     return None
-
-
-def _typecode(size):
-    """The typecode of the unsigned ``array`` items ``size`` bytes wide."""
-    return next(t for t in "BHILQ" if array(t).itemsize == size)
 
 
 def _pack_lanes(typecode, lanes):
@@ -453,154 +451,101 @@ class _PrimeKernel:
 
 
 class _BinaryKernel:
-    """GF(2^s) with exp/log tables: products are exp[log a + log b], sums
-    are XOR.  A zero factor needs no branch: log[0] points at the zeros
-    that end exp (``Field._build_mul_tables``).  ``low`` is the modulus
-    without its x^s term, for multiplying by x.
+    """GF(2^s) with q <= 2^8: sums are XOR, and ``rows[c]`` is the 256-byte
+    ``bytes.translate`` table of multiplication by c, zero past q - 1, so
+    a * c is rows[c][a].  Row g^(i+1) is row g^i translated through row g,
+    for the generator g = exp[1] of the field's tables, so all q rows take
+    q - 1 translates (about 64 KB for 2^8)."""
 
-    For q <= 2^8, ``rows[c]`` is the 256-byte ``bytes.translate`` table of
-    multiplication by c, zero past q - 1; else ``rows`` is None.  Row
-    g^(i+1) is row g^i translated through row g, for the generator g =
-    exp[1], so all q rows take q - 1 translates (about 64 KB for 2^8)."""
+    __slots__ = ("rows",)
 
-    __slots__ = ("exp", "log", "low", "rows")
-
-    def __init__(self, exp, log, low):
-        self.exp = exp
-        self.log = log
-        self.low = low
-        self.rows = None
+    def __init__(self, exp, log):
         q = len(log)
-        if q <= 256:
-            pad = bytes(256 - q)
-            times_g = bytes(exp[log[x] + 1] for x in range(q)) + pad
-            rows = [bytes(256)] * q
-            row = bytes(range(q)) + pad
-            for i in range(q - 1):
-                rows[exp[i]] = row
-                row = row.translate(times_g)
-            self.rows = rows
+        pad = bytes(256 - q)
+        times_g = bytes(exp[log[x] + 1] for x in range(q)) + pad
+        rows = [bytes(256)] * q
+        row = bytes(range(q)) + pad
+        for i in range(q - 1):
+            rows[exp[i]] = row
+            row = row.translate(times_g)
+        self.rows = rows
 
     def scale(self, row, f):
-        exp, log = self.exp, self.log
-        lf = log[f]
-        return [exp[lf + log[v]] for v in row]
+        return list(bytes(row).translate(self.rows[f]))
 
     def eliminate(self, rows, col, prow):
-        exp, log = self.exp, self.log
-        terms = [(c, log[prow[c]]) for c in range(col, len(prow)) if prow[c]]
+        tables = self.rows
+        terms = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
         for row in rows:
             f = row[col]
             if f:
-                lf = log[f]
-                for c, lv in terms:
-                    row[c] ^= exp[lf + lv]
+                times_f = tables[f]
+                for c, v in terms:
+                    row[c] ^= times_f[v]
 
     def encoder(self, locators, multipliers, k):
-        """Horner's rule on logs: the locators' and multipliers' logs are
-        taken once."""
-        exp, log = self.exp, self.log
-        points = tuple((log[a], log[v]) for a, v in zip(locators, multipliers))
+        """Horner's rule: the rows of the locators and multipliers are
+        looked up once."""
+        tables = self.rows
+        points = tuple((tables[a], tables[v])
+                       for a, v in zip(locators, multipliers))
 
         def encode(message):
             rev = message[::-1]
             out = []
-            for la, lv in points:
+            for times_a, times_v in points:
                 acc = 0
                 for c in rev:
-                    acc = exp[log[acc] + la] ^ c
-                out.append(exp[log[acc] + lv])
+                    acc = times_a[acc] ^ c
+                out.append(times_v[acc])
             return out
 
         return encode
 
     def dot(self, xs, ys):
-        exp, log = self.exp, self.log
-        acc = 0
-        for x, y in zip(xs, ys):
-            acc ^= exp[log[x] + log[y]]
-        return acc
+        return reduce(_xor, map(_getitem, map(self.rows.__getitem__, xs), ys), 0)
 
     def linear_map(self, matrix):
         """x * matrix as the XOR of one table entry per input symbol.
 
-        A product x * m is linear in the bits of x over GF(2), so row r
-        of the matrix becomes tables T with T[x] = (x * matrix[r][c])_c,
-        the columns packed into the lanes of unsigned 8-byte ints, one
-        byte per lane (two for q > 2^8).  Columns past one int's lanes go
-        to further tables.  For q > 2^8 each row has one table per byte of
-        the symbol, indexed by that byte, so no table is longer than 256.
-
-        All tables are built at once, from the matrix's products with the
-        powers of two, which are x times one another lane by lane
-        (``low``), by doubling: T[x + 2^b] = T[x] ^ T[2^b] for x < 2^b,
-        with entry x of every table held side by side in one int.  Its
-        bytes become one ``array('Q')``, and each table is a strided view
+        Row r of the matrix becomes tables T with T[x] = (x * matrix[r][c])_c,
+        the columns packed one byte each into unsigned 8-byte ints; columns
+        past an int's 8 go to further tables.  Byte c of entry x is
+        rows[matrix[r][c]][x], so one strided slice assignment per matrix
+        entry fills a row's tables, interleaved in one buffer whose items
+        are the ints in ``sys.byteorder``, and each table is a strided view
         of it.
         """
-        q = len(self.log)
-        bits = q.bit_length() - 1
-        lane = 1 if q <= 256 else 2
-        typecode = _typecode(lane)
-        order = sys.byteorder
         width = len(matrix[0]) if matrix else 0
         if not width:
             return lambda xs: []
-        items = -(-width * lane // 8)      # ints per row and symbol byte
-        lanes = items * 8 // lane
-        pad = [0] * (lanes - width)
-        v = _pack_lanes(typecode, [x for row in matrix for x in (*row, *pad)])
-        count = len(matrix) * lanes
-        ones = _pack_lanes(typecode, [1] * count)
-        keep = _pack_lanes(typecode, [(1 << bits - 1) - 1] * count)
-        products = [v]
-        for _ in range(bits - 1):
-            v = ((v & keep) << 1) ^ ((v >> bits - 1) & ones) * self.low
-            products.append(v)
-        stride = len(matrix) * items       # ints per table entry
-        entry = 64 * stride
-        # big-endian bytes put the last entry, and an entry's last int, first
-        starts = range(stride) if order == "little" else range(stride - 1, -1, -1)
-        # the bits of a symbol each table is indexed by: 0..7, then 8..s-1
-        pieces = [range(min(bits, 8))] + ([range(8, bits)] if bits > 8 else [])
-        views = []
-        for piece in pieces:
-            table = 0
-            for i, b in enumerate(piece):
-                basis = products[b]      # one copy per entry built so far
-                for j in range(i):
-                    basis |= basis << (entry << j)
-                table |= (table ^ basis) << (entry << i)
-            packed = array("Q", table.to_bytes(8 * stride << len(piece), order))
-            if order == "big":
-                packed.reverse()
-            whole = memoryview(packed)
-            views.append([whole[start::stride] for start in starts])
-        # int c of each row, its tables in the order of the split symbols
-        chunks = [[tables[r * items + c] for r in range(len(matrix))
-                   for tables in views] for c in range(items)]
-        split = len(pieces) > 1
-        size = width * lane
+        items = -(-width // 8)             # ints per row and table entry
+        stride = 8 * items                 # bytes per table entry
+        order = sys.byteorder
+        times = self.rows
+        chunks = [[] for _ in range(items)]
+        for row in matrix:
+            entries = bytearray(256 * stride)
+            for c, v in enumerate(row):
+                entries[c::stride] = times[v]
+            view = memoryview(entries).cast("Q")
+            for c, tables in enumerate(chunks):
+                tables.append(view[c::items])
 
         def apply(xs):
-            if split:
-                xs = [half for x in xs for half in (x & 255, x >> 8)]
             data = b"".join([reduce(_xor, map(_getitem, tables, xs), 0)
                              .to_bytes(8, order) for tables in chunks])
-            return array(typecode, data[:size]).tolist()
+            return list(data[:width])
 
         return apply
 
     def convolve(self, column, taps, m):
-        """For q <= 2^8, the column's symbols of each block position s as
-        bytes, one per block.  Tap z*m + s multiplies those bytes by one
-        ``translate`` through its row, read as a little-endian int, and the
-        products XOR into one accumulator shifted by z bytes: byte i of
-        the accumulator is entry i.  Larger fields take one ``dot`` per
-        entry."""
+        """The column's symbols of each block position s as bytes, one per
+        block.  Tap z*m + s multiplies those bytes by one ``translate``
+        through its row, read as a little-endian int, and the products XOR
+        into one accumulator shifted by z bytes: byte i of the accumulator
+        is entry i."""
         rows = self.rows
-        if rows is None:
-            return _convolve_by_dots(self.dot, column, taps, m)
         per_position = [bytes(column[s::m]) for s in range(m)]
         acc = 0
         for i, t in enumerate(taps):
@@ -644,9 +589,8 @@ class Field:
             self._build_mul_tables()
         if s == 1:
             self.kernel = _PrimeKernel(p)
-        elif p == 2 and self._exp is not None:
-            self.kernel = _BinaryKernel(self._exp, self._log,
-                                        _pack(self.modulus[:s], 2))
+        elif p == 2 and self.q <= 256:
+            self.kernel = _BinaryKernel(self._exp, self._log)
         else:
             self.kernel = _ScalarKernel(self)
 

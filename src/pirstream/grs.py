@@ -168,7 +168,8 @@ class GrsCode:
 
         Syndromes, locator values and the message are each one
         ``linear_map`` of the field's kernel, built once and applied to the
-        whole vector: over GF(2^s) one table lookup per symbol, XORed.
+        whole vector: over GF(2^s) with q <= 2^8 one table lookup per
+        symbol, XORed.
 
         This is the Berlekamp-Welch key equation in syndrome form, with
         y_j = w_j / v_j: a monic E of degree e admits a Q of degree < k+e

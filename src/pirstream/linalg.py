@@ -45,12 +45,17 @@ from .fields import Field, _ScalarKernel
 def _echelon(field: Field, rows):
     """Forward elimination to row echelon form with unit pivots.
 
-    Returns (new_rows, pivot_columns); the input is not modified.
+    Returns (new_rows, pivot_columns); the input is not modified.  Rows of
+    different lengths raise ShapeMismatch.
     """
     kernel = field.kernel
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    for i, row in enumerate(m):
+        if len(row) != ncols:
+            raise ShapeMismatch(
+                f"row {i} has {len(row)} entries, row 0 has {ncols}")
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -90,6 +95,11 @@ def rref(field: Field, rows):
     return m, pivots
 
 
+def _check_rhs(a, b):
+    if len(b) != len(a):
+        raise ShapeMismatch(f"b has {len(b)} entries, A has {len(a)} rows")
+
+
 def _solve_augmented(field: Field, a, b):
     """Reduce [A | b]; returns (x, rank of A) with free variables set to 0,
     or (None, rank of A) if the system is inconsistent."""
@@ -126,11 +136,12 @@ def reduce_with_identity(field: Field, a):
 # neither pays: at the 2,400 x 2,250 window systems of a paper-scale
 # block-erasure scheme a miss would eliminate twice the columns and keep
 # tens of MB.  At the cap, an entry measured with ``tracemalloc`` holds at
-# most about 25 KB over GF(p) and the scalar kernel's fields, but 720 KB
-# over GF(2^8) and 2.4 MB over GF(2^16), whose maps keep a 256-entry
-# table per input symbol (``fields._BinaryKernel.linear_map``).  So the
-# cache holds at most about 1.6 MB, 46 MB and 157 MB on those fields;
-# the benchmark's schemes keep 107 KB (GF(251)) and 137 KB (GF(2^8)).
+# most about 25 KB over GF(p), but about 710 KB over GF(2^s) with q <= 2^8,
+# whose maps keep a 256-entry table per input symbol
+# (``fields._BinaryKernel.linear_map``).  So the cache holds at most about
+# 1.6 MB and 46 MB on those fields, and nothing on the scalar kernel's
+# (``_solver``); the benchmark's schemes keep 107 KB (GF(251)) and 137 KB
+# (GF(2^8)).
 _SOLVER_CELLS = 32 * 64
 
 
@@ -148,7 +159,8 @@ def _solver(field: Field, a, rows: int, cols: int):
 
     The scalar kernel's maps are one dot per column, so a hit there costs
     as much as reducing [A | b] (about 1.1 ms each on a 19 x 4 system over
-    GF(9)), and such fields keep no solver."""
+    GF(9)), and its fields (odd-characteristic extensions and GF(2^s) past
+    2^8) keep no solver."""
     typecode = _typecode(field)
     if (rows * (rows + cols) > _SOLVER_CELLS or typecode is None
             or isinstance(field.kernel, _ScalarKernel)):
@@ -184,13 +196,15 @@ def _kept_solver(field: Field, rows: int, cols: int, data: bytes):
 def solve_unique(field: Field, a, b):
     """Solve A x = b for the unique x; A is m x n with m >= n.
 
-    Raises InconsistentSystem if the equations are contradictory, else
-    RankDeficient if A has column rank < n.
+    Raises ShapeMismatch if the rows of A differ in length or b has not
+    m entries, else InconsistentSystem if the equations are contradictory,
+    else RankDeficient if A has column rank < n.
 
     Below the cell cap the answer is read through the solver kept for A
     (``_solver``): b is inconsistent iff a check of b is nonzero, and
     x is the left inverse applied to b.  Above it, [A | b] is reduced.
     """
+    _check_rhs(a, b)
     rows = len(a)
     cols = len(a[0]) if a else 0
     entry = _solver(field, a, rows, cols)
@@ -211,6 +225,8 @@ def solve_unique(field: Field, a, b):
 def solve_any(field: Field, a, b):
     """A particular solution of A x = b with free variables set to 0.
 
-    Returns None if the system is inconsistent.
+    Returns None if the system is inconsistent; raises ShapeMismatch as
+    ``solve_unique`` does.
     """
+    _check_rhs(a, b)
     return _solve_augmented(field, a, b)[0]

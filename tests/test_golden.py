@@ -47,6 +47,10 @@ CASES = {
     # 2-byte symbols over a prime field: the burst-window shape over GF(331)
     "simulate-block-gf331": [
         "simulate", OWN_CONFIGS / "block-gf331.ini", *SIM, "--trials", "5"],
+    # 2-byte symbols over a binary field past the translate rows: the
+    # burst-window shape over GF(2^10)
+    "simulate-block-gf2-10": [
+        "simulate", OWN_CONFIGS / "block-gf2-10.ini", *SIM, "--trials", "5"],
     "privacy-audit-privacy-audit": ["privacy-audit", "privacy-audit"],
     "privacy-audit-plain-stream": ["privacy-audit", "plain-stream"],
     "recovering-search-locator-search": ["recovering-search", "locator-search",

@@ -281,7 +281,8 @@ def test_bmd_maps_are_shared_by_codes_on_the_same_locators():
         assert all(code._parity_checks[1](word))
 
 
-# GF(2^16) has 2-byte symbols, whose linear-map tables are split by byte
+# GF(2^16) has 2-byte symbols and the scalar kernel, whose linear maps are
+# one dot per column
 DIFF_FIELDS = [GF5, GF16, Field(2, 8), Field(2, 16), Field(251), Field(3, 2)]
 
 

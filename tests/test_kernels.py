@@ -21,9 +21,10 @@ from oracles import poly_eval
 
 # One field per kernel path, both prime sizes the benchmark uses, the
 # paper's field, one prime per width of the packed GF(p) lanes, which must
-# hold rows * (p-1)^2: 4 bytes, 8 bytes, and none (one dot per column), and
-# GF(2^s) with 1-byte symbols and with 2-byte ones, whose linear-map tables
-# are split by byte.
+# hold rows * (p-1)^2: 4 bytes, 8 bytes, and none (one dot per column),
+# GF(2^s) with q <= 2^8, whose kernel reads the translate rows, and past
+# 2^8 (GF(2^10), GF(2^16)), where the scalar methods read the field's
+# exp/log tables.
 FIELDS = {
     "GF(2)": Field(2),
     "GF(2^4)": Field(2, 4),
@@ -40,8 +41,8 @@ FIELDS = {
 }
 KERNEL_OF = {
     "GF(2)": "_PrimeKernel", "GF(2^4)": "_BinaryKernel",
-    "GF(2^8)": "_BinaryKernel", "GF(2^10)": "_BinaryKernel",
-    "GF(2^16)": "_BinaryKernel", "GF(13)": "_PrimeKernel",
+    "GF(2^8)": "_BinaryKernel", "GF(2^10)": "_ScalarKernel",
+    "GF(2^16)": "_ScalarKernel", "GF(13)": "_PrimeKernel",
     "GF(251)": "_PrimeKernel", "GF(331)": "_PrimeKernel",
     "GF(65537)": "_PrimeKernel", "GF(4294967311)": "_PrimeKernel",
     "GF(9)": "_ScalarKernel", "GF(17^4)": "_ScalarKernel",

@@ -214,20 +214,23 @@ def test_systems_past_the_cap_leave_the_cache_untouched():
 
 
 def test_scalar_kernel_systems_leave_the_cache_untouched():
-    # a kept solver's maps are one scalar dot per column over GF(9), no
-    # faster than reducing [A | b], so GF(9) keeps none
+    # a kept solver's maps are one scalar dot per column over the scalar
+    # kernel's fields (GF(9), GF(2^16)), no faster than reducing [A | b],
+    # so they keep none
     rng = random.Random(9)
-    a = [[rng.randrange(9) for _ in range(4)] for _ in range(19)]
     linalg._kept_solver.cache_clear()
     solve_unique(GF5, [[1, 2], [3, 4]], [1, 1])
     before = linalg._kept_solver.cache_info()
-    for _ in range(2):
-        x = [rng.randrange(9) for _ in range(4)]
-        b = [GF9.kernel.dot(row, x) for row in a]
-        assert solve_unique(GF9, a, b) == x
-        b[0] = GF9.add(b[0], 1)
-        assert outcome(GF9, a, b) == "inconsistent"
-        assert linalg._kept_solver.cache_info() == before
+    for f in (GF9, Field(2, 16)):
+        assert isinstance(f.kernel, linalg._ScalarKernel)
+        a = [[rng.randrange(f.q) for _ in range(4)] for _ in range(19)]
+        for _ in range(2):
+            x = [rng.randrange(f.q) for _ in range(4)]
+            b = [f.kernel.dot(row, x) for row in a]
+            assert solve_unique(f, a, b) == x
+            b[0] = f.add(b[0], 1)
+            assert outcome(f, a, b) == "inconsistent"
+            assert linalg._kept_solver.cache_info() == before
 
 
 @pytest.mark.parametrize("q, typecode", [(251, "B"), (331, "H"),
@@ -270,3 +273,30 @@ def test_solver_key_rejects_what_it_cannot_pack():
                  (Field(251), [[1, 2], [3, -4], [5, 6]])):
         with pytest.raises(ShapeMismatch):
             solve_unique(f, a, [1, 2, 3])
+
+
+@pytest.mark.parametrize("length", [20, 25])
+def test_ragged_a_is_a_shape_mismatch(length):
+    # a 40 x 24 system is past the solver cap, so every entry point
+    # reaches the elimination with the ragged row
+    rng = random.Random(length)
+    gf = Field(251)
+    a = [[rng.randrange(251) for _ in range(24)] for _ in range(40)]
+    a[17] = [rng.randrange(251) for _ in range(length)]
+    b = [rng.randrange(251) for _ in range(40)]
+    for call in (lambda: rref(gf, a), lambda: mat_rank(gf, a),
+                 lambda: solve_any(gf, a, b), lambda: solve_unique(gf, a, b)):
+        with pytest.raises(ShapeMismatch):
+            call()
+
+
+def test_right_hand_side_of_the_wrong_length_is_a_shape_mismatch():
+    # below the solver cap and past it, b longer or shorter than A's rows
+    gf = Field(251)
+    rng = random.Random(5)
+    big = [[rng.randrange(251) for _ in range(24)] for _ in range(40)]
+    for a in ([[1, 0], [0, 1], [0, 0]], big):
+        for b in ([1] * (len(a) + 1), [1] * (len(a) - 1)):
+            for solve in (solve_unique, solve_any):
+                with pytest.raises(ShapeMismatch):
+                    solve(gf, a, b)

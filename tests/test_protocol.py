@@ -218,10 +218,10 @@ def test_server_respond_naive_oracle():
         assert server_respond(sysm, sch, q, j)[xi - 1] == expect
 
 
-# One field per way of answering: GF(p) with 4-byte lanes (GF(5), GF(251))
-# and 8-byte lanes (GF(65521) once (M+1)m >= 2), GF(2^89 - 1) past 8 bytes
-# (one dot per iteration), translate rows for q <= 2^8 (padded for GF(2)
-# and GF(16)), GF(2^16) and the scalar kernel's GF(9).
+# One field per way of answering: GF(p) with 4-byte lanes (GF(2), GF(5),
+# GF(251)) and 8-byte lanes (GF(65521) once (M+1)m >= 2), GF(2^89 - 1) past
+# 8 bytes (one dot per iteration), translate rows for q <= 2^8 (padded for
+# GF(16)), and the scalar kernel's GF(2^16) and GF(9).
 RESPOND_FIELDS = (GF5, Field(251), Field(65521), Field(2 ** 89 - 1),
                   Field(2), GF16, Field(2, 8), Field(2, 16), Field(3, 2))
 
