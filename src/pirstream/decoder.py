@@ -16,6 +16,10 @@ with a one-block window on a stream that has no erasures.  It derives
 each intact block's equations once, when the block arrives, and stacks
 them into one system per solve attempt; ``linalg.solve_unique``
 eliminates each distinct system below its cell cap once per process.
+The per-scheme part of the equations, the coefficient of every stripe
+lag at every support position and the linear map that gives the known
+stripes' share of a block, is built once per scheme
+(``_peeling_tables``), so peeling encodes no stripe.
 The erasure rule that ``recover_window`` enforces, and that
 ``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DecodingFailure,
@@ -136,16 +141,54 @@ def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> dict:
     return out
 
 
+@lru_cache(maxsize=32)
+def _peeling_tables(scheme: PirScheme):
+    """(coefficients, known_share) of a plain or block-erasure scheme,
+    built once per scheme.
+
+    ``coefficients[j][z]`` is the tuple of the k coefficients of stripe
+    s - z in block s's desired combination at support position j: the
+    offset of lag z at j times g[r][j], for the generator rows g of the
+    storage code, so their dot with a stripe is its offset codeword
+    symbol.  ``known_share(known, s)`` is the share of stripes s-1..s-M in
+    block s's desired combination at every support position, sub-round by
+    sub-round: one ``apply`` of the field kernel's linear map from the M*k
+    symbols of those stripes, where a stripe missing from ``known``
+    (unknown, or outside 1..ell) reads as k zeros.  At memory 0 there is
+    no map and the share is zero.
+    """
+    f = scheme.field
+    g = scheme.storage_code.generator_matrix()
+    k, memory = scheme.k, scheme.memory
+    coefficients = {j: tuple(tuple(f.mul(rows[z][j], g[r][j]) for r in range(k))
+                             for z in range(memory + 1))
+                    for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
+                    for j in part}
+    if not memory:
+        zeros = [0] * len(coefficients)
+        return coefficients, lambda known, s: zeros
+    lags = range(1, memory + 1)
+    apply = f.kernel.linear_map([[coeffs[z][r] for coeffs in coefficients.values()]
+                                 for z in lags for r in range(k)])
+    zero = (0,) * k
+
+    def known_share(known, s):
+        return apply([x for z in lags for x in known.get(s - z, zero)])
+
+    return coefficients, known_share
+
+
 def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFile:
     """Sequential peeling that waits out erased blocks.
 
     Each block's stripe joins the unknowns.  When an intact block joins,
     its desired combination becomes one equation per support position,
     derived once: a coefficient fragment over the run of unknown stripes
-    the position touches, and a right-hand side with the known stripes
-    subtracted (each known stripe encoded once per position).  No solve
-    can change what is known while the block waits, so the equation holds
-    as derived until a solve clears it.
+    the position touches, and a right-hand side with the known stripes'
+    share subtracted, read for every position at once through the
+    scheme's known-share map (``_peeling_tables``).  No solve can change
+    what is known while the block waits, so the equation holds as derived
+    until a solve clears it.
 
     After every intact block the pending equations are solved for all
     unknowns at once: the rows are counted first, and only a system with
@@ -160,16 +203,9 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     Intact termination blocks with nothing unknown must reduce to zero.
     """
     f = scheme.field
-    code = scheme.storage_code
     star = scheme.star_code()
-    g = code.generator_matrix()
     k, ell, memory = scheme.k, stream.ell, scheme.memory
-    offsets = {j: [rows[z][j] for z in range(memory + 1)]
-               for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
-               for j in part}
-    # the coefficients of stripe s-z in position j of block s
-    coefficients = {j: [[f.mul(off, g[r][j]) for r in range(k)] for off in offs]
-                    for j, offs in offsets.items()}
+    coefficients, known_share = _peeling_tables(scheme)
     known: dict[int, tuple] = {}
     provenance: dict[int, str] = {}
     unknown: list[int] = []
@@ -177,21 +213,18 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     pending: list[tuple[int, list]] = []
 
     def equations(s, u):
-        """Block s's equations, one per support position; the stripes the
-        block touches run oldest first, known ones before unknown ones."""
+        """Block s's equations, one per support position; a fragment runs
+        over the unknown stripes the block touches, oldest first, and is
+        the kept coefficient tuple when there is one such stripe."""
+        lags = [s - prev for prev in range(max(s - memory, 1), min(s, ell) + 1)
+                if prev not in known]
+        first = s - lags[0] if lags else None
         out = []
-        for j, acc in u.items():
-            first, fragment = None, []
-            for prev in range(max(s - memory, 1), min(s, ell) + 1):
-                off = offsets[j][s - prev]
-                if prev in known:
-                    y = code.encode(list(known[prev]))[j]
-                    acc = f.sub(acc, f.mul(off, y))
-                else:
-                    if first is None:
-                        first = prev
-                    fragment += coefficients[j][s - prev]
-            out.append((first, fragment, acc))
+        for (j, acc), share in zip(u.items(), known_share(known, s)):
+            coeffs = coefficients[j]
+            fragment = (coeffs[lags[0]] if len(lags) == 1
+                        else [c for z in lags for c in coeffs[z]])
+            out.append((first, fragment, f.sub(acc, share)))
         return out
 
     def solve(deadline: bool):
@@ -210,10 +243,13 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
         rows, rhs = [], []
         for _, eqs in pending:
             for first, fragment, acc in eqs:
-                row = [0] * cols
-                at = (first - unknown[0]) * k if fragment else 0
-                row[at: at + len(fragment)] = fragment
-                rows.append(row)
+                if len(fragment) == cols:
+                    rows.append(fragment)
+                else:
+                    row = [0] * cols
+                    at = (first - unknown[0]) * k if fragment else 0
+                    row[at: at + len(fragment)] = fragment
+                    rows.append(row)
                 rhs.append(acc)
         last = pending[-1][0]
         try:

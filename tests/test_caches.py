@@ -9,14 +9,15 @@ of several small schemes interleaved in one process and compares each
 outcome with the same trial run alone after the caches are emptied.
 The schemes share what a careless key would confuse: GF(2^4) under two
 moduli, codes on the same locators with different multipliers, block
-schemes that differ only in window, and Byzantine schemes whose codes
+schemes that differ only in window, plain schemes on one code and
+support that differ only in memory, and Byzantine schemes whose codes
 share locators.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from pirstream import (channels, clear_caches, cli, grs, linalg, protocol,
-                       recovering)
+from pirstream import (channels, clear_caches, cli, decoder, grs, linalg,
+                       protocol, recovering)
 from pirstream.fields import parse_field_spec
 from pirstream.grs import GrsCode
 from pirstream.recovering import build_A
@@ -30,6 +31,9 @@ SCHEMES = (
                              multipliers=(3, 1, 7, 2, 9, 4, 11, 5, 6, 8))),
     ("plain", "2^4:19", dict(n=10, k=2, t=2, memory=1, support=range(5, 10))),
     ("plain", "13", dict(n=10, k=3, t=1, memory=2, support=range(3, 10))),
+    # the code and support of the first scheme, with other peeling tables
+    ("plain", "2^4:13", dict(n=10, k=2, t=2, memory=2, support=range(5, 10))),
+    ("plain", "2^4:13", dict(n=10, k=2, t=2, memory=0, support=range(5, 10))),
     ("block", "2^4:13", dict(n=12, k=2, t=1, eps=1, window=3,
                              support=range(8, 12))),
     ("block", "2^4:13", dict(n=12, k=2, t=1, eps=1, window=4,
@@ -92,11 +96,13 @@ def test_interleaved_trials_match_trials_run_alone(runs):
 
 def test_clear_caches_empties_every_cache():
     # a Byzantine trial fills the readers, dual checks and root maps of its
-    # codes, and a block trial the kept solvers and the window ranks
+    # codes, and a block trial the kept solvers, the peeling tables and the
+    # window ranks
     caches = (grs._reader, grs._dual_checks, grs._root_map,
-              linalg._kept_solver, recovering._orbit_rank)
-    run_trial(9, 0)
-    run_trial(4, 0)
+              linalg._kept_solver, decoder._peeling_tables,
+              recovering._orbit_rank)
+    run_trial(11, 0)
+    run_trial(6, 0)
     assert all(cache.cache_info().currsize for cache in caches)
     clear_caches()
-    assert [cache.cache_info().currsize for cache in caches] == [0] * 5
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 6

@@ -10,6 +10,7 @@ from pirstream import grs
 from pirstream.channels import ErasureSchedule, ErrorSchedule, apply_erasures, apply_errors, gen_burst_patterns, gen_error_schedule
 from pirstream.decoder import (
     UmDistanceProfile,
+    _peeling_tables,
     check_guarantee,
     decode_um,
     recover_plain,
@@ -23,7 +24,7 @@ from pirstream.errors import (
     RankDeficient,
     UncorrectablePattern,
 )
-from pirstream.fields import Field
+from pirstream.fields import Field, _lane_typecode
 from pirstream.grs import GrsCode
 from pirstream.linalg import mat_rank
 from pirstream.protocol import (
@@ -718,34 +719,107 @@ def encodes_per_block(monkeypatch, decode, stream, sch):
     return groups
 
 
-def test_peel_encodes_each_known_stripe_once_per_block_and_position(monkeypatch):
+def test_peeling_makes_no_storage_encode(monkeypatch):
     # memory 3 and a burst of two: block 5 has too few rows for stripes
     # 3..5, block 6 has enough, and stripe 2, which block 5 touches, is
-    # known.  Block xi encodes each known stripe among xi-3..xi-1 once per
-    # support position, whatever the attempts before it.
+    # known.  The known stripes' share of each block comes out of the
+    # scheme's known-share map, so neither decoder encodes a stripe, on
+    # the burst or on the same stream without it.
     code = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
     support = (4, 5, 6, 7, 8)
     sch = block_scheme(code, t=1, eps=3, window=5, m=2, desired=0,
                        support=support)
     files = random_files(GF16, 2, 8, 2, derive_rng(8, "files"))
-    stream = run_protocol(storage_encode(files, code), sch, 8)
-    stream = apply_erasures(stream, ErasureSchedule(frozenset({3, 4}), 8, 3, 5, 3))
+    clean = run_protocol(storage_encode(files, code), sch, 8)
+    stream = apply_erasures(clean, ErasureSchedule(frozenset({3, 4}), 8, 3, 5, 3))
     assert recover_window(stream, sch).stripes == files[0]
+    assert recover_plain(clean, sch).stripes == files[0]
+    for decode, s in ((recover_window, stream), (recover_window, clean),
+                      (recover_plain, clean)):
+        groups = encodes_per_block(monkeypatch, decode, s, sch)
+        assert not any(counts for _, counts in groups), decode
+    # the oracle encodes each known stripe among xi-3..xi-1 once per support
+    # position for block xi, but re-encodes stripe 2 for block 5 when block
+    # 6 arrives
     by_stripe = {stripe: xi for xi, stripe in enumerate(files[0], start=1)}
+    groups = encodes_per_block(monkeypatch, oracles.recover_window, stream, sch)
+    assert any(counts for _, counts in groups)
+    assert not all(xi - 3 <= by_stripe[stripe] < xi and calls == len(support)
+                   for xi, counts in groups for stripe, calls in counts.items())
 
-    def once_per_position(groups):
-        for xi, counts in groups:
-            for stripe, calls in counts.items():
-                if not (xi - 3 <= by_stripe[stripe] < xi
-                        and calls == len(support)):
-                    return False
-        return True
 
-    assert once_per_position(
-        encodes_per_block(monkeypatch, recover_window, stream, sch))
-    # the oracle re-encodes stripe 2 for block 5 when block 6 arrives
-    assert not once_per_position(
-        encodes_per_block(monkeypatch, oracles.recover_window, stream, sch))
+# (field, scheme builder): prime fields on packed lanes, GF(2^4) and GF(2^8)
+# on translate-row tables, GF(9) and GF(2^10) on the scalar kernel,
+# GF(2^31 - 1) past 8-byte lanes (one dot per column), memory 0 (no map)
+# and a block support of two sub-rounds (7 + 1 positions)
+SHARE_CASES = {
+    "GF(13)": (13, 10, 3, lambda c: plain_scheme(c, 1, 2, 2, 0, range(3, 10))),
+    "GF(251)": (251, 24, 4, lambda c: plain_scheme(c, 2, 3, 2, 0, range(5, 24))),
+    "GF(2^4)": ((2, 4), 12, 3,
+                lambda c: plain_scheme(c, 2, 2, 2, 0, range(4, 12))),
+    "GF(2^8)": ((2, 8), 24, 4,
+                lambda c: plain_scheme(c, 2, 3, 2, 0, range(5, 24))),
+    "GF(9)": ((3, 2), 8, 2, lambda c: plain_scheme(c, 1, 2, 2, 0, range(2, 8))),
+    "GF(2^10)": ((2, 10), 20, 3,
+                 lambda c: plain_scheme(c, 1, 1, 2, 0, range(4, 20))),
+    "GF(2^31-1)": (2 ** 31 - 1, 10, 3,
+                   lambda c: plain_scheme(c, 1, 4, 2, 0, range(3, 10))),
+    "memory 0": (13, 10, 3, lambda c: plain_scheme(c, 1, 0, 2, 0, range(3, 10))),
+    "two sub-rounds": (13, 10, 2,
+                       lambda c: block_scheme(c, 2, 2, 5, 2, 0, range(2, 10))),
+}
+
+
+def share_scheme(name):
+    spec, n, k, build = SHARE_CASES[name]
+    f = Field(*spec) if isinstance(spec, tuple) else Field(spec)
+    return build(GrsCode(f, n, k, tuple(range(1, n + 1))))
+
+
+def test_share_cases_cover_every_kernel_path():
+    kernels = {name: type(share_scheme(name).field.kernel).__name__
+               for name in SHARE_CASES}
+    assert set(kernels.values()) == {"_PrimeKernel", "_BinaryKernel",
+                                     "_ScalarKernel"}
+    wide = share_scheme("GF(2^31-1)")
+    assert _lane_typecode(wide.memory * wide.k * (wide.field.p - 1) ** 2) is None
+    assert share_scheme("memory 0").memory == 0
+    assert len(share_scheme("two sub-rounds").sub_supports) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SHARE_CASES)), st.data())
+def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
+    # at every support position, the share of the known stripes among
+    # s-1..s-M is the sum over them of offset * encode(stripe)[j]; an
+    # unknown stripe, or one before 1 or past ell (a termination block),
+    # adds nothing
+    sch = share_scheme(name)
+    f, code, k, memory = sch.field, sch.storage_code, sch.k, sch.memory
+    ell = data.draw(st.integers(1, 6))
+    s = data.draw(st.integers(1, ell + memory))
+    known = {
+        xi: tuple(data.draw(st.lists(st.integers(0, f.q - 1),
+                                     min_size=k, max_size=k)))
+        for xi in data.draw(st.sets(st.integers(1, ell)))}
+    coefficients, known_share = _peeling_tables(sch)
+    expected = []
+    for part, rows in zip(sch.sub_supports, sch.e_offsets):
+        for j in part:
+            acc = 0
+            for z in range(1, memory + 1):
+                if s - z in known:
+                    y = code.encode(list(known[s - z]))[j]
+                    acc = f.add(acc, f.mul(rows[z][j], y))
+            expected.append(acc)
+            # the kept coefficients of each lag give the same symbols
+            for z in range(memory + 1):
+                assert isinstance(coefficients[j][z], tuple)
+                if s - z in known:
+                    assert (f.kernel.dot(coefficients[j][z], known[s - z])
+                            == f.mul(rows[z][j],
+                                     code.encode(list(known[s - z]))[j]))
+    assert list(known_share(known, s)) == expected
 
 
 def test_peeling_encodes_no_star_codeword(monkeypatch):

@@ -44,6 +44,9 @@ CASES = {
     # a binary field with q < 256
     "simulate-plain-gf16": [
         "simulate", OWN_CONFIGS / "plain-gf16.ini", *SIM, "--trials", "5"],
+    # a prime field on the plain path: the packed-lane maps of GF(251)
+    "simulate-plain-gf251": [
+        "simulate", OWN_CONFIGS / "plain-gf251.ini", *SIM, "--trials", "5"],
     # 2-byte symbols over a prime field: the burst-window shape over GF(331)
     "simulate-block-gf331": [
         "simulate", OWN_CONFIGS / "block-gf331.ini", *SIM, "--trials", "5"],
