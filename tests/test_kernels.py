@@ -12,7 +12,12 @@ from array import array
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pirstream.errors import InconsistentSystem, InconsistentWord, RankDeficient
+from pirstream.errors import (
+    InconsistentSystem,
+    InconsistentWord,
+    PirstreamError,
+    RankDeficient,
+)
 from pirstream.fields import Field, _lane_typecode
 from pirstream.grs import GrsCode
 from pirstream.linalg import _echelon, mat_rank, rref, solve_any, solve_unique
@@ -230,6 +235,59 @@ def test_encode_reduces_symbols_outside_the_field(name):
         reduced = [c % p for c in msg]
         assert code.encode(msg) == code.encode(reduced)
         assert code.encode(reduced) == scalar_encode(code, reduced)
+
+
+def result_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PirstreamError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", ["GF(13)", "GF(251)", "GF(331)", "GF(65537)",
+                                  "GF(4294967311)"])
+def test_decoders_reduce_symbols_outside_the_field(name):
+    # the kernels' linear maps read only symbols in [0, p); every public
+    # function that hands them a caller's symbols reduces those itself, so
+    # an unreduced word gives what its residues give: the message, the
+    # error positions, the solution or the same error
+    f = FIELDS[name]
+    p = f.p
+    n = min(p, 12)
+    code = GrsCode(f, n, 4, tuple(range(n)), tuple(range(1, n + 1)))
+    rng = random.Random(p)
+    shifts = [-1, 1, 2, -(10 ** 20), 10 ** 30]
+
+    def lift(word, positions):
+        return [w + rng.choice(shifts) * p if j in positions else w
+                for j, w in enumerate(word)]
+
+    everywhere = range(n)
+    for _ in range(6):
+        msg = [rng.randrange(p) for _ in range(4)]
+        word = code.encode(msg)
+        # erasure decoding reads the first k surviving symbols through its
+        # map, and compares the others with the word as given
+        erased = {1, 6}
+        base = [j for j in everywhere if j not in erased][:4]
+        assert code.erasure_decode(lift(word, base), erased, at=(1, 9)) == \
+            code.erasure_decode(word, erased, at=(1, 9))
+        assert result_or_error(code.erasure_decode, lift(word, {9}),
+                               erased) is InconsistentWord
+        # within the radius (2 errors), at it (4) and past it (7)
+        for bad in (2, 4, 7):
+            noisy = list(word)
+            for j in rng.sample(range(n), bad):
+                noisy[j] = (noisy[j] + rng.randrange(1, p)) % p
+            assert (result_or_error(code.bmd_decode, lift(noisy, everywhere))
+                    == result_or_error(code.bmd_decode, noisy))
+        # a 12 x 4 system (below the solver cap): consistent, then not
+        a = [list(col) for col in zip(*code.generator_matrix())]
+        assert solve_unique(f, a, lift(word, everywhere)) == msg
+        off = list(word)
+        off[0] = (off[0] + 1) % p
+        assert (result_or_error(solve_unique, f, a, lift(off, everywhere))
+                is InconsistentSystem)
 
 
 @settings(max_examples=300, deadline=None)
