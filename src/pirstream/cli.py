@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
-# argparse's first gettext lookup imports locale if nothing has, and that
-# import would land inside main: about 1.4 ms on every command, enough to
-# halve the privacy-audit benchmark's ops_per_s.  No other module loads it
-# at import time (the process pool is imported only in _fan_out), so it is
-# loaded here.
+# argparse imports locale on its first gettext lookup and shutil when it
+# builds its first help formatter, both inside main unless something has
+# loaded them.  Only the process pool's import chain would, and it is
+# imported in _fan_out for more than one worker, so they are loaded here:
+# a lazy locale import in main costs every command about 1.4 ms, enough
+# to halve the privacy-audit benchmark's ops_per_s.
 import locale  # noqa: F401
 import os
+import shutil  # noqa: F401
 import sys
 from fractions import Fraction
 from typing import NamedTuple

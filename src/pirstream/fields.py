@@ -405,10 +405,8 @@ class _PrimeKernel:
         With the symbols in [0, p) no lane ever exceeds r (p-1)^2 for r
         rows, so no carry crosses into the next lane; w is 4 bytes when
         that bound fits, else 8 (``_lane_typecode``).  Past 8 bytes the map
-        is one ``dot`` per column.  So x must hold symbols in [0, p): the
-        public functions that pass a caller's symbols to a map reduce them
-        first (``Field.canonical``), and the package's own maps read only
-        symbols it computed.
+        is one ``dot`` per column.  An x with a symbol outside [0, p) is
+        reduced mod p first, which is what ``dot`` gives.
         """
         p = self.p
         typecode = _lane_typecode(len(matrix) * (p - 1) ** 2)
@@ -419,6 +417,8 @@ class _PrimeKernel:
         rows = tuple(_pack_lanes(typecode, [v % p for v in row]) for row in matrix)
 
         def apply(xs):
+            if xs and (min(xs) < 0 or max(xs) >= p):
+                xs = [x % p for x in xs]
             packed = sum(map(_mul, xs, rows))
             return [x % p for x in array(typecode, packed.to_bytes(size, order))]
 
@@ -707,17 +707,6 @@ class Field:
         if self.s == 1:
             return pow(a, e, self.p)
         return self._pow_raw(a, e % (self.q - 1) if e else 0, self._raw_mul)
-
-    def canonical(self, xs):
-        """xs itself when every symbol is in [0, p) or the field is an
-        extension, else over GF(p) the list of residues mod p.  The GRS
-        encode and decoders and ``linalg.solve_unique`` pass a caller's
-        symbols through it before a kernel's linear map, which reads only
-        canonical GF(p) symbols (``_PrimeKernel.linear_map``)."""
-        p = self.p
-        if self.s == 1 and xs and (min(xs) < 0 or max(xs) >= p):
-            return [x % p for x in xs]
-        return xs
 
     def order(self, a):
         """Multiplicative order of a nonzero element; divides q-1."""

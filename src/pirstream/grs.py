@@ -99,7 +99,7 @@ class GrsCode:
         """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
-        return self._encoder(self.field.canonical(message))
+        return self._encoder(message)
 
     @cached_property
     def _encoder(self):
@@ -138,8 +138,7 @@ class GrsCode:
         # tuple on the interpreter's free list
         surviving = tuple([j for j in range(self.n) if j not in erased])
         k, s = self.k, len(surviving)
-        read = _reader(self, surviving + at)(
-            self.field.canonical([word[j] for j in surviving[:k]]))
+        read = _reader(self, surviving + at)([word[j] for j in surviving[:k]])
         for j, expect in zip(surviving[k:], read[k:s]):
             if expect != word[j]:
                 raise InconsistentWord(
@@ -190,7 +189,6 @@ class GrsCode:
         f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
-        word = f.canonical(word)
         r = self.n - self.k
         e = (self.d - 1) // 2
         far = f"no codeword within distance {e} of the received word"

@@ -213,7 +213,6 @@ def solve_unique(field: Field, a, b):
         consistent = x is not None
     else:
         rank, inverse, checks = entry
-        b = field.canonical(b)
         consistent = checks is None or not any(checks(b))
         x = inverse(b) if consistent and rank == cols else None
     if not consistent:

@@ -247,10 +247,10 @@ def result_or_error(fn, *args, **kwargs):
 @pytest.mark.parametrize("name", ["GF(13)", "GF(251)", "GF(331)", "GF(65537)",
                                   "GF(4294967311)"])
 def test_decoders_reduce_symbols_outside_the_field(name):
-    # the kernels' linear maps read only symbols in [0, p); every public
-    # function that hands them a caller's symbols reduces those itself, so
-    # an unreduced word gives what its residues give: the message, the
-    # error positions, the solution or the same error
+    # the kernels' linear maps reduce a symbol outside [0, p) before it
+    # meets the packed lanes, so an unreduced word gives what its residues
+    # give: the message, the error positions, the solution or the same
+    # error
     f = FIELDS[name]
     p = f.p
     n = min(p, 12)

@@ -40,13 +40,15 @@ def test_derive_rng_is_seeded_with_derive_seed():
 
 def test_hashlib_fallback_gives_the_same_seeds():
     # an interpreter built without the built-in SHA-256 module falls back
-    # to hashlib; a None entry in sys.modules makes its import fail
+    # to hashlib; a None entry in sys.modules makes its import fail, and
+    # without site no .pth file can have loaded hashlib already
     src = str(Path(pirstream.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r})\n"
             "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
             "from pirstream import seeds\n"
             "print('hashlib' in sys.modules,"
             f" [seeds.derive_seed(*p) for p in {LABEL_PATHS!r}])")
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
-                         text=True, timeout=60, check=True).stdout
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60,
+                         check=True).stdout
     assert out.strip() == f"True {[derive_seed(*p) for p in LABEL_PATHS]}"

@@ -1,7 +1,9 @@
 """What a fresh CLI process imports.
 
-Each check runs in its own ``python -I`` process, as the benchmark runs
-the CLI.  Importing ``pirstream.cli`` loads no process pool and no OpenSSL,
+Each check runs in its own ``python -I -S`` process: isolated, as the
+benchmark runs the CLI, and without the ``site`` module, so that no
+``.pth`` file in site-packages loads modules before the check.  Importing
+``pirstream.cli`` loads no process pool and no OpenSSL,
 and ``cli.main`` at ``--workers 1`` imports nothing: a module imported
 lazily inside ``main`` (as argparse's gettext lookup once imported
 ``locale``) lands in every command's timed interval.
@@ -21,9 +23,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 def run_fresh(code: str) -> str:
     """The last line that ``code`` prints, run in a new isolated
-    interpreter that finds this checkout's package."""
+    interpreter without ``site`` that finds this checkout's package."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-c",
+        [sys.executable, "-I", "-S", "-c",
          f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
