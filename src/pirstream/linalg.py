@@ -102,8 +102,12 @@ def _check_rhs(a, b):
 
 def _solve_augmented(field: Field, a, b):
     """Reduce [A | b]; returns (x, rank of A) with free variables set to 0,
-    or (None, rank of A) if the system is inconsistent."""
+    or (None, rank of A) if the system is inconsistent.
+
+    b is reduced first: ``rref`` reduces only the rows it eliminates, so
+    an unreduced GF(p) entry would otherwise be read as given."""
     n = len(a[0]) if a else 0
+    b = field.kernel.scale(b, 1)
     m, pivots = rref(field, [list(row) + [bv] for row, bv in zip(a, b)])
     if n in pivots:
         return None, len(pivots) - 1

@@ -44,10 +44,11 @@ from .seeds import derive_seed
 
 
 def minimal_gamma(k: int, M: int) -> int:
-    """Smallest admissible locator count ceil((2M+1)k/(M+1))."""
+    """Smallest admissible locator count ceil((2M+1)k/(M+1)): the
+    minimal download ``min_gamma`` at N = 2M+1, eps = M."""
     if k < 1 or M < 0:
         raise InvalidParams(f"need k >= 1 and M >= 0, got k={k}, M={M}")
-    return -((-(2 * M + 1) * k) // (M + 1))
+    return min_gamma(k, 2 * M + 1, M)
 
 
 def _assemble(field: Field, k: int, M: int, locators, window: int):

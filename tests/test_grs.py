@@ -181,12 +181,11 @@ def test_bmd_radius_random():
 
 def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     # The sum code of the byzantine-fixed benchmark: GF(2^8), n=16, k=9.
-    # Syndromes, elimination and evaluation run in the field's kernel and
-    # the parity checks and the message map are built once per code, so
-    # the scalar Field.mul calls left are O(rho^2) in the number of
-    # locator roots rho: Forney's formula builds Lambda from the roots and
-    # evaluates Omega and Lambda' at each, 27 here.  One Field.mul call per
-    # symbol in the row update made about 2000 per decode.
+    # Syndromes, elimination, root search, the message read and the
+    # re-encode run in the field's kernel, and the parity checks and the
+    # reader are built once per code and set of positions, so no scalar
+    # Field.mul call is left per decode.  One Field.mul call per symbol
+    # in the row update made about 2000 per decode.
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 9, locs, tuple(f.pow(a, -3) for a in locs))
@@ -232,12 +231,13 @@ def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
     assert solves[0] == 1
 
 
-def test_bmd_split_locator_beyond_radius_fails_the_syndrome_check(monkeypatch):
+def test_bmd_split_locator_beyond_radius_fails_the_root_check(monkeypatch):
     # RS(6, 1) over GF(7) corrects e = 2.  This word is at distance >= 3
     # from every codeword, yet its key-equation locator x^2 + 5x has the
-    # root 2, a locator of the code.  The Forney value on that one root
-    # reproduces S_0 only; without the check on all n-k syndromes the
-    # decoder would return the zero codeword, at distance 4.
+    # root 2, a locator of the code.  Read with that root erased, the
+    # word gives the zero codeword, which differs from it at 4 positions
+    # that are not roots; without the check that every difference is at
+    # a root the decoder would return that codeword.
     gf7 = Field(7)
     code = GrsCode(gf7, 6, 1, (1, 2, 3, 4, 5, 6))
     word = [0, 0, 1, 2, 4, 3]
@@ -275,10 +275,10 @@ def test_bmd_maps_are_shared_by_codes_on_the_same_locators():
     rng = random.Random(3)
     for code in codes:
         word = code.encode([rng.randrange(256) for _ in range(code.k)])
-        checks = code._parity_checks[1](word)
+        checks = code._parity_checks(word)
         assert checks[: code.n - code.k] == [0] * (code.n - code.k)
         word[0] ^= 1    # an error at locator 1 shows in every check
-        assert all(code._parity_checks[1](word))
+        assert all(code._parity_checks(word))
 
 
 # GF(2^16) has 2-byte symbols and the scalar kernel, whose linear maps are

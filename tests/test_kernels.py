@@ -288,6 +288,17 @@ def test_decoders_reduce_symbols_outside_the_field(name):
         off[0] = (off[0] + 1) % p
         assert (result_or_error(solve_unique, f, a, lift(off, everywhere))
                 is InconsistentSystem)
+        # the same system stacked to 48 x 4, past the cap, reduces [A | b]
+        assert solve_unique(f, a * 4, lift(word * 4, range(48))) == msg
+        assert (result_or_error(solve_unique, f, a * 4,
+                                lift(off * 4, range(48)))
+                is InconsistentSystem)
+    # past the cap a multiple of p reads as 0 in every row; solve_any
+    # always reduces [A | b]
+    assert solve_unique(f, [[1]] * 46, [p] * 46) == [0]
+    assert solve_unique(f, [[1]] * 46, [0] + [p] * 45) == [0]
+    assert solve_any(f, [[1]], [p]) == [0]
+    assert solve_any(f, [[1], [1]], [0, p]) == [0]
 
 
 @settings(max_examples=300, deadline=None)
