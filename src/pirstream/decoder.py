@@ -383,9 +383,9 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
                 continue
             if stripe not in scaled:
                 y = code.encode(list(stripe))
-                scaled[stripe] = tuple([f.mul(o, v) for o, v in zip(offsets, y)]
+                scaled[stripe] = tuple(list(map(f.mul, offsets, y))
                                        for offsets in (e1, e2))
-            word = [f.sub(w, v) for w, v in zip(word, scaled[stripe][side])]
+            word = list(map(f.sub, word, scaled[stripe][side]))
         return word
 
     candidates: dict[int, set] = {xi: set() for xi in range(1, ell + 1)}
@@ -481,9 +481,10 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
                     ptr[b] = a
         cost = new_cost
         back.append(ptr)
-        logger.debug("block %d: status=%s candidates=%d best=%s",
-                     xi, stream.block(xi).status, len(nodes),
-                     min(cost.values()))
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("block %d: status=%s candidates=%d best=%s",
+                         xi, stream.block(xi).status, len(nodes),
+                         min(cost.values()))
 
     # every stage has a cost for each node: block 1 starts from the zero
     # state and every branch metric is finite

@@ -53,6 +53,10 @@ class DegenerateProduct(PirstreamError):
     pass
 
 
+class SymbolOutsideField(PirstreamError):
+    """A word holds an integer that is no symbol of the field."""
+
+
 # --- protocol -------------------------------------------------------------
 
 class ShapeMismatch(PirstreamError):

@@ -25,9 +25,9 @@ every locator, the message read off a codeword), run through
 * GF(2^s) with q <= 2^8: one 256-byte table per multiplier, the
   ``bytes.translate`` row of multiplication by it (``_BinaryKernel.rows``),
   read for every product: ``row[c] ^= rows[f][v]`` in elimination, Horner's
-  rule through the rows of the locators, a fixed linear map as one lookup
-  per input symbol in tables filled from those rows, XORed
-  (``_BinaryKernel.linear_map``), and a convolution as one
+  rule through the rows of the locators, a fixed linear map as one
+  ``bytes.translate`` of each matrix row by its input symbol, XORed as
+  ints (``_BinaryKernel.linear_map``), and a convolution as one
   ``bytes.translate`` per tap (``_BinaryKernel.convolve``);
 * any other field (odd-characteristic extensions, GF(2^s) past 2^8): the
   scalar methods, one call per symbol; up to 2^16 their ``mul`` is one
@@ -42,6 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import reduce
+from itertools import repeat
 from operator import getitem as _getitem, mul as _mul, xor as _xor
 
 from .errors import (
@@ -264,12 +265,13 @@ def _pack(digits, p):
 # linear_map and convolve are where the kernels differ.  GF(p) packs each
 # row into integer lanes and makes one multiply-accumulate
 # (``_PrimeKernel.linear_map``), and convolves with one product of two
-# packed ints (``_PrimeKernel.convolve``).  GF(2^s) with q <= 2^8 keeps one
-# table per row of packed products, filled from its translate rows, and
-# XORs one entry per input symbol (``_BinaryKernel.linear_map``), and
-# convolves with one ``bytes.translate`` of the column per tap
-# (``_BinaryKernel.convolve``).  The scalar kernel, which also serves
-# GF(2^s) past 2^8, takes one dot per column and per convolution entry.
+# packed ints (``_PrimeKernel.convolve``).  GF(2^s) with q <= 2^8 keeps the
+# matrix rows as bytes, multiplies each by its input symbol with one
+# ``bytes.translate`` and XORs the products as ints
+# (``_BinaryKernel.linear_map``), and convolves with one
+# ``bytes.translate`` of the column per tap (``_BinaryKernel.convolve``).
+# The scalar kernel, which also serves GF(2^s) past 2^8, takes one dot per
+# column and per convolution entry.
 # The GF(p) encoder is linear_map of the generator rows; the GF(2^s) and
 # scalar encoders are Horner's rule at every point.
 
@@ -455,7 +457,8 @@ class _BinaryKernel:
     ``bytes.translate`` table of multiplication by c, zero past q - 1, so
     a * c is rows[c][a].  Row g^(i+1) is row g^i translated through row g,
     for the generator g = exp[1] of the field's tables, so all q rows take
-    q - 1 translates (about 64 KB for 2^8)."""
+    q - 1 translates (about 64 KB for 2^8).  They are the kernel's only
+    tables: a linear map keeps just its matrix rows."""
 
     __slots__ = ("rows",)
 
@@ -506,36 +509,24 @@ class _BinaryKernel:
         return reduce(_xor, map(_getitem, map(self.rows.__getitem__, xs), ys), 0)
 
     def linear_map(self, matrix):
-        """x * matrix as the XOR of one table entry per input symbol.
+        """x * matrix as the XOR of the matrix rows, each multiplied by its
+        symbol of x.
 
-        Row r of the matrix becomes tables T with T[x] = (x * matrix[r][c])_c,
-        the columns packed one byte each into unsigned 8-byte ints; columns
-        past an int's 8 go to further tables.  Byte c of entry x is
-        rows[matrix[r][c]][x], so one strided slice assignment per matrix
-        entry fills a row's tables, interleaved in one buffer whose items
-        are the ints in ``sys.byteorder``, and each table is a strided view
-        of it.
+        The rows are kept as ``bytes``, so row r times x_r is one
+        ``translate`` of it through ``rows[x_r]``, read as a big-endian
+        int; the XOR of those ints, written back as ``width`` bytes, is
+        the product.  ``map`` stops at the shorter of the rows and x, so a
+        short x reads as padded with zeros.
         """
         width = len(matrix[0]) if matrix else 0
-        if not width:
-            return lambda xs: []
-        items = -(-width // 8)             # ints per row and table entry
-        stride = 8 * items                 # bytes per table entry
-        order = sys.byteorder
+        rows = [bytes(row) for row in matrix]
         times = self.rows
-        chunks = [[] for _ in range(items)]
-        for row in matrix:
-            entries = bytearray(256 * stride)
-            for c, v in enumerate(row):
-                entries[c::stride] = times[v]
-            view = memoryview(entries).cast("Q")
-            for c, tables in enumerate(chunks):
-                tables.append(view[c::items])
 
         def apply(xs):
-            data = b"".join([reduce(_xor, map(_getitem, tables, xs), 0)
-                             .to_bytes(8, order) for tables in chunks])
-            return list(data[:width])
+            translated = map(bytes.translate, rows, map(times.__getitem__, xs))
+            return list(reduce(_xor, map(int.from_bytes, translated,
+                                         repeat("big")), 0)
+                        .to_bytes(width, "big"))
 
         return apply
 

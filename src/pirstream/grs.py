@@ -14,15 +14,18 @@ takes the n-k syndromes of the word through one linear map of parity
 checks (``_parity_checks``) and solves the key equation in syndrome
 form once, at the full bounded-minimum-distance radius, for an error
 locator.  Its roots come from its values at every locator, another
-linear map (Chien's search), and are then read as erasures: the message
-is read off the first k positions that are not roots, through their
-reader, and the decode fails unless the codeword it encodes differs
-from the word only at roots.  The maps are the field kernel's
-``linear_map``s, one table lookup or one multiply-accumulate per symbol;
-codes on the same locators share the first two.  So each BMD decode
-makes at most one elimination besides the reader's one inverse; at the
-block lengths used here one solve at the full radius is plenty, and it
-never miscorrects beyond the radius."""
+linear map (Chien's search), and are then read as erasures: the reader
+of the first k positions that are not roots, followed by every other
+position, gives the message and the codeword's symbols elsewhere, and
+the decode fails unless they differ from the word only at roots.  The
+maps are the field kernel's ``linear_map``s, one ``bytes.translate`` of
+a matrix row (GF(2^s), q <= 2^8) or one multiply-accumulate (GF(p)) per
+input symbol; codes on the same locators share the first two.  So each
+BMD decode makes at most one elimination besides the reader's one
+inverse, and no encode; at the block lengths used here one solve at the
+full radius is plenty, and it never miscorrects beyond the radius.  Over
+a field other than GF(p), both decoders reject a symbol outside [0, q)
+with SymbolOutsideField."""
 
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .errors import (
     InconsistentWord,
     LengthMismatch,
     LocatorMismatch,
+    SymbolOutsideField,
     TooManyErasures,
 )
 from .fields import Field
@@ -120,7 +124,8 @@ class GrsCode:
         or not, in the order given.  Each surviving symbol must equal the
         word's, so that corrupted non-codewords are reported instead of
         silently decoded.  With ``at`` empty the result is the message
-        alone.
+        alone.  Over a field other than GF(p), a surviving symbol outside
+        [0, q) raises SymbolOutsideField.
         """
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
@@ -136,10 +141,12 @@ class GrsCode:
         # it grows by reallocation, and each call would leave one more
         # tuple on the interpreter's free list
         surviving = tuple([j for j in range(self.n) if j not in erased])
+        symbols = [word[j] for j in surviving]
+        _check_symbols(self.field, symbols, surviving)
         k, s = self.k, len(surviving)
-        read = _reader(self, surviving + at)([word[j] for j in surviving[:k]])
-        for j, expect in zip(surviving[k:], read[k:s]):
-            if expect != word[j]:
+        read = _reader(self, surviving + at)(symbols[:k])
+        for j, w, expect in zip(surviving[k:], symbols[k:], read[k:s]):
+            if expect != w:
                 raise InconsistentWord(
                     f"surviving position {j} disagrees with interpolation")
         del read[k:s]
@@ -159,17 +166,21 @@ class GrsCode:
         Gorenstein-Zierler), gives a monic error locator E of degree e,
         and its values at every locator (``_locator_values``) give the
         positions where it vanishes, its roots.  The roots are then
-        erasures: the message is read off the first k positions that are
-        not roots, through their ``_reader``, and the codeword it encodes
-        may differ from the word only at roots, which are then the error
-        positions.  The key equation is the only elimination besides the
-        reader's one inverse per set of positions, kept per process.
-        The word is reduced once on entry, so an unreduced GF(p) word
-        gives its residues' answer.
+        erasures: one ``_reader``, of the first k positions that are not
+        roots followed by the other positions in order, reads the message
+        and the codeword at those other positions off the word's k
+        symbols.  The codeword may differ from the word only at roots,
+        which are then the error positions; no encode is needed.  The key
+        equation is the only elimination besides the reader's one inverse
+        per set of positions, kept per process.  The word is reduced once
+        on entry, so an unreduced GF(p) word gives its residues' answer;
+        over any other field a symbol outside [0, q) raises
+        SymbolOutsideField.
 
-        Syndromes and locator values are each one ``linear_map`` of the
-        field's kernel, built once and applied to the whole vector: over
-        GF(2^s) with q <= 2^8 one table lookup per symbol, XORed.
+        Syndromes, locator values and the reader are each one
+        ``linear_map`` of the field's kernel, built once and applied to the
+        whole vector: over GF(2^s) with q <= 2^8 one ``bytes.translate`` of
+        a matrix row per input symbol, XORed.
 
         This is the Berlekamp-Welch key equation in syndrome form, with
         y_j = w_j / v_j: a monic E of degree e admits a Q of degree < k+e
@@ -189,29 +200,34 @@ class GrsCode:
         f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
-        word = f.kernel.scale(word, 1)
+        if f.s == 1:
+            word = f.kernel.scale(word, 1)
+        else:
+            _check_symbols(f, word, range(self.n))
         r = self.n - self.k
         e = (self.d - 1) // 2
         far = f"no codeword within distance {e} of the received word"
         syndromes = self._parity_checks(word)[:r]
-        roots = ()
+        roots = []
         if any(syndromes):
             # at e = 0 the rows are empty and the system is inconsistent
             rows = [syndromes[i:i + e] for i in range(r - e)]
-            locator = solve_any(f, rows, [f.neg(s) for s in syndromes[e:]])
+            locator = solve_any(f, rows,
+                                f.kernel.scale(syndromes[e:], f.neg(1)))
             if locator is None:
                 raise DecodingFailure(far)
             values = self._locator_values(locator + [1])
             roots = [j for j, v in enumerate(values) if v == 0]
             if not roots:
                 raise DecodingFailure(far)
-        base = tuple([j for j in range(self.n) if j not in roots][:self.k])
-        message = _reader(self, base)([word[j] for j in base])
-        errors = frozenset(j for j, (c, w) in
-                           enumerate(zip(self.encode(message), word)) if c != w)
+        k = self.k
+        others = [j for j in range(self.n) if j not in roots]
+        base, rest = others[:k], sorted(roots + others[k:])
+        read = _reader(self, tuple(base + rest))([word[j] for j in base])
+        errors = frozenset([j for j, c in zip(rest, read[k:]) if c != word[j]])
         if not errors.issubset(roots):
             raise DecodingFailure(far)
-        return message, errors
+        return read[:k], errors
 
     @cached_property
     def _locator_powers(self):
@@ -242,37 +258,54 @@ class GrsCode:
         return _root_map(self.field, self.locators)
 
 
+def _check_symbols(field, symbols, positions):
+    """Raise SymbolOutsideField, naming its position, at the first of the
+    symbols (those of a word at ``positions``) outside [0, q), unless the
+    field has the GF(p) kernel, whose maps read such a symbol as its
+    residue.  Every other kernel would read it as some other symbol
+    (``rows[-1]`` is the row of q - 1) or fail with an untyped error."""
+    q = field.q
+    if field.s > 1 and symbols and (min(symbols) < 0 or max(symbols) >= q):
+        j, x = next((j, x) for j, x in zip(positions, symbols)
+                    if not 0 <= x < q)
+        raise SymbolOutsideField(
+            f"position {j} holds {x}, which is not a symbol of {field}")
+
+
 # Erasure decoding reads through one set of surviving positions per
 # sub-round and code, and BMD decoding through the first k positions that
-# are not locator roots.  A 5-trial process reads through 12-18 sets on
-# the byzantine-fixed benchmark scheme and 70 on byzantine-budget.  150
-# budget trials read through 458, past the bound (603 misses), yet ran no
-# slower than with one reader per code: a miss costs about 70 / 180 / 340
-# us at k = 3 / 6 / 9 over GF(2^8) with n = 16 (2-CPU Intel Xeon).
+# are not locator roots, followed by the others; the k positions fix the
+# rest, so BMD decoding keeps one reader per code and set of non-roots.
+# A 5-trial process reads through 12-19 sets on the byzantine-fixed
+# benchmark scheme and 70 on byzantine-budget.  150 budget trials read
+# through 458, past the bound (603 misses), yet ran no slower than with
+# one reader per code: a miss costs about 70 / 155 / 290 us at k = 3 / 6 /
+# 9 for a reader of all n = 16 positions over GF(2^8) (2-CPU Intel Xeon),
+# and a reader holds its k rows of n bytes.
 @lru_cache(maxsize=256)
 def _reader(code, positions):
     """The field kernel's linear map from a codeword's symbols at the first
     k of ``positions`` to its message, then its symbols at the other
     positions, in order: ``erasure_decode`` passes the surviving positions
     followed by the positions it is asked for, and ``bmd_decode`` the first
-    k positions that are not roots of the error locator.
+    k positions that are not roots of the error locator followed by every
+    other position.
 
     The message is E y with y_r = x_r / v_r, where E is the inverse of the
     k x k Vandermonde block V on those k positions, read off one ``rref``
     of [V | I] (``linalg.reduce_with_identity``); the symbol at a further
     position j is sum_i m_i v_j a_j^i.  So row r of the map is row r of
-    E^T / v_r, followed by its products with each (v_j a_j^i)_i."""
+    E^T / v_r, followed by its product with the generator columns
+    (v_j a_j^i)_i of the further positions, itself one linear map."""
     f, k = code.field, code.k
-    powers = code._locator_powers
+    powers, multipliers = code._locator_powers, code.multipliers
     base = positions[:k]
     _, inverse = reduce_with_identity(f, [powers[j] for j in base])
-    rows = [[f.div(x, code.multipliers[j]) for x in column]
+    rows = [f.kernel.scale(column, f.inv(multipliers[j]))
             for j, column in zip(base, zip(*inverse))]
-    generator = [[f.mul(code.multipliers[j], a) for a in powers[j]]
-                 for j in positions[k:]]
-    dot = f.kernel.dot
-    return f.kernel.linear_map(
-        [row + [dot(row, g) for g in generator] for row in rows])
+    further = f.kernel.linear_map(list(zip(*[
+        f.kernel.scale(powers[j], multipliers[j]) for j in positions[k:]])))
+    return f.kernel.linear_map([row + further(row) for row in rows])
 
 
 # A scheme's codes share one locator tuple and two multiplier tuples, so 32

@@ -140,12 +140,12 @@ def reduce_with_identity(field: Field, a):
 # neither pays: at the 2,400 x 2,250 window systems of a paper-scale
 # block-erasure scheme a miss would eliminate twice the columns and keep
 # tens of MB.  At the cap, an entry measured with ``tracemalloc`` holds at
-# most about 25 KB over GF(p), but about 710 KB over GF(2^s) with q <= 2^8,
-# whose maps keep a 256-entry table per input symbol
+# most about 25 KB over GF(p), and about 15 KB over GF(2^s) with q <= 2^8,
+# whose maps keep only their matrix rows as bytes
 # (``fields._BinaryKernel.linear_map``).  So the cache holds at most about
-# 1.6 MB and 46 MB on those fields, and nothing on the scalar kernel's
-# (``_solver``); the benchmark's schemes keep 107 KB (GF(251)) and 137 KB
-# (GF(2^8)).
+# 1.6 MB and 1 MB on those fields, and nothing on the scalar kernel's
+# (``_solver``); the benchmark's schemes keep 89 KB (GF(251), 27 entries)
+# and 3 KB (GF(2^8), one entry).
 _SOLVER_CELLS = 32 * 64
 
 

@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -378,6 +379,23 @@ def test_decode_um_two_errors_coset():
     noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7), (2, 8, 1)), "manual"),
                          16, 4)
     assert decode_um(noisy, sch).stripes == files[0]
+
+
+def test_decode_um_logs_each_trellis_stage_at_debug(caplog):
+    sch, files, stream = setup_byz()
+    noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7),), "manual"), 16, 3)
+    with caplog.at_level(logging.DEBUG, logger="pirstream.decoder"):
+        assert decode_um(noisy, sch).stripes == files[0]
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "pirstream.decoder"]
+    # blocks 1..ell+1, each with its status, node count and best metric
+    assert [line.split(":")[0] for line in lines] == [
+        f"block {xi}" for xi in range(1, 5)]
+    assert all(" status=" in line and " candidates=" in line
+               and " best=" in line for line in lines)
+    caplog.clear()
+    assert decode_um(noisy, sch).stripes == files[0]
+    assert not [r for r in caplog.records if r.name == "pirstream.decoder"]
 
 
 def test_decode_um_budget_randomized():

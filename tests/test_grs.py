@@ -11,6 +11,7 @@ from pirstream.errors import (
     InconsistentWord,
     LengthMismatch,
     LocatorMismatch,
+    SymbolOutsideField,
     TooManyErasures,
 )
 from pirstream.fields import Field
@@ -181,11 +182,12 @@ def test_bmd_radius_random():
 
 def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     # The sum code of the byzantine-fixed benchmark: GF(2^8), n=16, k=9.
-    # Syndromes, elimination, root search, the message read and the
-    # re-encode run in the field's kernel, and the parity checks and the
-    # reader are built once per code and set of positions, so no scalar
-    # Field.mul call is left per decode.  One Field.mul call per symbol
-    # in the row update made about 2000 per decode.
+    # Syndromes, elimination, root search and the reader, which gives the
+    # message and the codeword at every other position, run in the field's
+    # kernel, and the parity checks and the reader are built once per
+    # code and set of positions, so no scalar Field.mul call is left per
+    # decode.  One Field.mul call per symbol in the row update made about
+    # 2000 per decode.
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 9, locs, tuple(f.pow(a, -3) for a in locs))
@@ -229,6 +231,62 @@ def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
     word[7] ^= 1
     assert code.bmd_decode(word) == (msg, frozenset({4, 7}))
     assert solves[0] == 1
+
+
+def test_bmd_decode_makes_no_encode_call(monkeypatch):
+    # the reader of the positions that are not roots gives the message
+    # and the codeword at every other position, so the check against the
+    # word needs no encode
+    code = GrsCode(GF16, 10, 3, tuple(range(1, 11)), tuple(range(2, 12)))
+    msg = [5, 0, 11]
+    word = code.encode(msg)
+    noisy = list(word)
+    noisy[4] ^= 9
+    noisy[7] ^= 1
+
+    def refuse(*args):
+        raise AssertionError("bmd_decode called encode")
+    monkeypatch.setattr(GrsCode, "encode", refuse)
+    assert code.bmd_decode(word) == (msg, frozenset())
+    assert code.bmd_decode(noisy) == (msg, frozenset({4, 7}))
+
+
+def test_bmd_decode_keeps_one_reader_per_set_of_non_roots():
+    # the reader reads the first k non-roots and then every other position
+    # in order, so words whose roots differ beyond those k positions share
+    # one reader; with e = 3 errors the roots are exactly the errors
+    clear_caches()
+    code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
+    msg = [5, 0, 11]
+    for bad in ({7, 8, 9}, {5, 6, 9}, {3, 4, 5}, ()):
+        word = code.encode(msg)
+        for j in bad:
+            word[j] ^= 3
+        assert code.bmd_decode(word) == (msg, frozenset(bad))
+    assert grs._reader.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("f, n, k, values", [
+    (Field(2, 8), 16, 9, (-1, 256, 300)),
+    (GF16, 8, 3, (-1, 16)),
+    (Field(2, 10), 8, 3, (-1, 1024)),
+    (Field(3, 2), 8, 3, (-1, 9)),
+], ids=["GF(2^8)", "GF(2^4)", "GF(2^10)", "GF(9)"])
+def test_decoders_reject_symbols_outside_the_field(f, n, k, values):
+    # a translate table would read -1 as the row of q - 1, and the other
+    # kernels would decode it or fail untyped; over GF(p) the decoders
+    # read residues instead (test_kernels)
+    code = GrsCode(f, n, k, tuple(range(1, n + 1)))
+    msg = list(range(1, k + 1))
+    word = code.encode(msg)
+    for x in values:
+        bad = list(word)
+        bad[3] = x
+        for decode in (code.bmd_decode, code.erasure_decode):
+            with pytest.raises(SymbolOutsideField, match=f"position 3 holds {x},"):
+                decode(bad)
+        # an erased position is not read, whatever it holds
+        assert code.erasure_decode(bad, erased={3}) == msg
 
 
 def test_bmd_split_locator_beyond_radius_fails_the_root_check(monkeypatch):
