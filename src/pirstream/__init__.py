@@ -65,12 +65,13 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every per-process cache of the package: the erasure readers,
-    dual checks and root maps of GRS codes (``grs``), the kept solvers of
+    erasure plans, dual checks and root maps of GRS codes (``grs``), the
+    kept solvers of
     ``linalg.solve_unique``, the peeling tables of each plain or
     block-erasure scheme (``decoder``) and the window ranks of
     ``recovering``.  Each is a ``functools.lru_cache`` that bounds itself;
     clearing one changes no result, only what the next call recomputes."""
-    for cache in (grs._reader, grs._dual_checks, grs._root_map,
-                  linalg._kept_solver, decoder._peeling_tables,
+    for cache in (grs._reader, grs._erasure_plan, grs._dual_checks,
+                  grs._root_map, linalg._kept_solver, decoder._peeling_tables,
                   recovering._orbit_rank):
         cache.cache_clear()

@@ -13,13 +13,16 @@ combination on the support):
 
 The first two are one peeling kernel (``_peel``): plain recovery runs it
 with a one-block window on a stream that has no erasures.  It derives
-each intact block's equations once, when the block arrives, and stacks
-them into one system per solve attempt; ``linalg.solve_unique``
-eliminates each distinct system below its cell cap once per process.
-The per-scheme part of the equations, the coefficient of every stripe
-lag at every support position and the linear map that gives the known
-stripes' share of a block, is built once per scheme
-(``_peeling_tables``), so peeling encodes no stripe.
+each intact block's equations once, when the block arrives, as one
+record for the whole block (its coefficient fragments and right-hand
+sides at every support position), and stacks the records into one
+system per solve attempt; ``linalg.solve_unique`` eliminates each
+distinct system below its cell cap once per process.  The per-scheme
+part of the equations, the coefficients of every stripe lag at the
+support positions and the linear map that gives the known stripes'
+share of a block, is built once per scheme (``_peeling_tables``), so
+peeling encodes no stripe, and a block with one unknown stripe costs a
+few whole-vector steps and no loop over its support positions.
 The erasure rule that ``recover_window`` enforces, and that
 ``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
 
@@ -117,87 +120,89 @@ class RecoveredFile:
 
 # --- peeling ------------------------------------------------------------------
 
-def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> dict:
+def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> list:
     """Strip the interference from one intact block.
 
     Erasure-decodes each sub-round in the star-product code ``star`` with
-    the sub-support treated as erased, and returns {j: u_j} on the
-    support, where u_j is the remaining combination of desired-file
-    symbols: the word's symbol minus the interference codeword's, which
-    the same ``erasure_decode`` reads off at the sub-support (``at``)
-    without encoding the interference.
+    the sub-support treated as erased, and returns u_j at every support
+    position j, sub-round by sub-round, where u_j is the remaining
+    combination of desired-file symbols: the word's symbol minus the
+    interference codeword's, which the same ``erasure_decode`` reads off
+    at the sub-support (``at``) without encoding the interference.
     """
-    f = scheme.field
+    sub = scheme.field.sub
     k = star.k
-    out = {}
-    for r, part in enumerate(scheme.sub_supports):
-        word = block.parts[r]
+    out = []
+    for part, word in zip(scheme.sub_supports, block.parts):
         try:
             clean = star.erasure_decode(word, erased=part, at=part)[k:]
         except InconsistentWord as exc:
             raise InconsistentBlock(str(exc)) from exc
-        for j, c in zip(part, clean):
-            out[j] = f.sub(word[j], c)
+        out += map(sub, [word[j] for j in part], clean)
     return out
 
 
 @lru_cache(maxsize=32)
 def _peeling_tables(scheme: PirScheme):
-    """(coefficients, known_share) of a plain or block-erasure scheme,
-    built once per scheme.
+    """(by_lag, known_share) of a plain or block-erasure scheme, built
+    once per scheme.
 
-    ``coefficients[j][z]`` is the tuple of the k coefficients of stripe
-    s - z in block s's desired combination at support position j: the
-    offset of lag z at j times g[r][j], for the generator rows g of the
-    storage code, so their dot with a stripe is its offset codeword
-    symbol.  ``known_share(known, s)`` is the share of stripes s-1..s-M in
-    block s's desired combination at every support position, sub-round by
-    sub-round: one ``apply`` of the field kernel's linear map from the M*k
-    symbols of those stripes, where a stripe missing from ``known``
-    (unknown, or outside 1..ell) reads as k zeros.  At memory 0 there is
-    no map and the share is zero.
+    ``by_lag[z][i]`` is the tuple of the k coefficients of stripe s - z in
+    block s's desired combination at the i-th support position j,
+    sub-round by sub-round: the offset of lag z at j times g[r][j], for
+    the generator rows g of the storage code, so their dot with a stripe
+    is its offset codeword symbol.  ``known_share(known, s)`` is the share
+    of stripes s-1..s-M in block s's desired combination at every support
+    position, in the same order: one ``apply`` of the field kernel's
+    linear map from the M*k symbols of those stripes, where a stripe
+    missing from ``known`` (unknown, or outside 1..ell) reads as k zeros.
+    At memory 0 there is no map and the share is zero.
     """
     f = scheme.field
     g = scheme.storage_code.generator_matrix()
     k, memory = scheme.k, scheme.memory
-    coefficients = {j: tuple(tuple(f.mul(rows[z][j], g[r][j]) for r in range(k))
-                             for z in range(memory + 1))
+    by_lag = tuple([tuple(f.mul(rows[z][j], g[r][j]) for r in range(k))
                     for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
-                    for j in part}
+                    for j in part]
+                   for z in range(memory + 1))
     if not memory:
-        zeros = [0] * len(coefficients)
-        return coefficients, lambda known, s: zeros
+        zeros = [0] * len(by_lag[0])
+        return by_lag, lambda known, s: zeros
     lags = range(1, memory + 1)
-    apply = f.kernel.linear_map([[coeffs[z][r] for coeffs in coefficients.values()]
+    apply = f.kernel.linear_map([[coeffs[r] for coeffs in by_lag[z]]
                                  for z in lags for r in range(k)])
     zero = (0,) * k
 
     def known_share(known, s):
         return apply([x for z in lags for x in known.get(s - z, zero)])
 
-    return coefficients, known_share
+    return by_lag, known_share
 
 
 def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFile:
     """Sequential peeling that waits out erased blocks.
 
     Each block's stripe joins the unknowns.  When an intact block joins,
-    its desired combination becomes one equation per support position,
-    derived once: a coefficient fragment over the run of unknown stripes
-    the position touches, and a right-hand side with the known stripes'
-    share subtracted, read for every position at once through the
-    scheme's known-share map (``_peeling_tables``).  No solve can change
-    what is known while the block waits, so the equation holds as derived
+    its desired combination becomes one record, derived once: the first
+    unknown stripe the block touches, one coefficient fragment per
+    support position over the run of unknown stripes the block touches,
+    and the right-hand sides, the desired combination with the known
+    stripes' share subtracted, read for every position at once through
+    the scheme's known-share map (``_peeling_tables``).  With one unknown
+    stripe the fragments are the scheme's kept coefficient tuples of its
+    lag, so the record costs two whole-vector steps.  No solve can change
+    what is known while the block waits, so the record holds as derived
     until a solve clears it.
 
-    After every intact block the pending equations are solved for all
+    After every intact block the pending records are solved for all
     unknowns at once: the rows are counted first, and only a system with
-    enough of them is stacked, each fragment at its column offset.  The
-    same stacked systems recur from burst to burst and from trial to
-    trial, and ``solve_unique`` keeps what one elimination of each gives,
-    so a repeated attempt, failed or not, makes no elimination; a system
-    past its cell cap, such as a paper-scale window, is still eliminated
-    on every attempt.  A stripe solved from its own block alone is
+    enough of them is stacked, a block's fragments at once when they
+    span every unknown, else each at its column offset.  The same
+    stacked systems recur from burst to burst and from trial to trial,
+    and ``solve_unique`` keeps what one elimination of each gives, so a
+    repeated attempt, failed or not, makes no elimination; a system past
+    its cell cap, such as a paper-scale window, is still eliminated on
+    every attempt.  A stripe solved from its own block alone is
     ``direct``, any other is ``window-solved``.  Once the oldest unknown
     stripe is ``window - 1`` blocks behind, a failed solve is final.
     Intact termination blocks with nothing unknown must reduce to zero.
@@ -205,52 +210,53 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     f = scheme.field
     star = scheme.star_code()
     k, ell, memory = scheme.k, stream.ell, scheme.memory
-    coefficients, known_share = _peeling_tables(scheme)
+    by_lag, known_share = _peeling_tables(scheme)
+    positions = len(by_lag[0])
     known: dict[int, tuple] = {}
     provenance: dict[int, str] = {}
     unknown: list[int] = []
-    # (block, [(first unknown stripe touched, fragment, right-hand side)])
-    pending: list[tuple[int, list]] = []
+    # (block, first unknown stripe touched, fragments, right-hand sides)
+    pending: list[tuple[int, int | None, list, list]] = []
 
     def equations(s, u):
-        """Block s's equations, one per support position; a fragment runs
-        over the unknown stripes the block touches, oldest first, and is
-        the kept coefficient tuple when there is one such stripe."""
+        """Block s's record; each fragment runs over the unknown stripes
+        the block touches, oldest first, and is the kept coefficient
+        tuple when there is one such stripe."""
         lags = [s - prev for prev in range(max(s - memory, 1), min(s, ell) + 1)
                 if prev not in known]
+        if len(lags) == 1:
+            fragments = by_lag[lags[0]]
+        else:
+            fragments = [[c for z in lags for c in by_lag[z][i]]
+                         for i in range(positions)]
         first = s - lags[0] if lags else None
-        out = []
-        for (j, acc), share in zip(u.items(), known_share(known, s)):
-            coeffs = coefficients[j]
-            fragment = (coeffs[lags[0]] if len(lags) == 1
-                        else [c for z in lags for c in coeffs[z]])
-            out.append((first, fragment, f.sub(acc, share)))
-        return out
+        return s, first, fragments, list(map(f.sub, u, known_share(known, s)))
 
     def solve(deadline: bool):
         cols = k * len(unknown)
         if not cols:
-            if any(rhs for _, eqs in pending for _, _, rhs in eqs):
+            if any(any(rhs) for *_, rhs in pending):
                 raise InconsistentBlock(f"termination block {pending[0][0]} "
                                         f"disagrees with decoded stripes")
             pending.clear()
             return
-        if sum(len(eqs) for _, eqs in pending) < cols:
+        if len(pending) * positions < cols:
             if deadline:
                 raise UncorrectablePattern(
                     f"stripes {unknown} ran out of equations")
             return
         rows, rhs = [], []
-        for _, eqs in pending:
-            for first, fragment, acc in eqs:
-                if len(fragment) == cols:
-                    rows.append(fragment)
-                else:
+        for _, first, fragments, acc in pending:
+            width = len(fragments[0])
+            if width == cols:
+                rows += fragments
+            else:
+                at = (first - unknown[0]) * k if width else 0
+                for fragment in fragments:
                     row = [0] * cols
-                    at = (first - unknown[0]) * k if fragment else 0
-                    row[at: at + len(fragment)] = fragment
+                    row[at: at + width] = fragment
                     rows.append(row)
-                rhs.append(acc)
+            rhs += acc
         last = pending[-1][0]
         try:
             sol = solve_unique(f, rows, rhs)
@@ -273,8 +279,8 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
         block = stream.block(xi)
         intact = block.status != ERASED
         if intact:
-            u = _desired_combination(scheme, star, block)
-            pending.append((xi, equations(xi, u)))
+            pending.append(equations(xi, _desired_combination(scheme, star,
+                                                              block)))
         due = bool(unknown) and xi >= unknown[0] + window - 1
         if intact or due:
             solve(due)

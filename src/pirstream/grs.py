@@ -9,7 +9,10 @@ surviving positions (``_reader``), built from one ``linalg.rref`` of
 process: it gives the message and the symbols the codeword has at the
 other surviving positions, which must match the word's, and at any
 further positions the caller asks for (``at``), such as the erased
-ones, so no caller re-encodes the message to read them.  Error decoding
+ones, so no caller re-encodes the message to read them.  The surviving
+positions and their reader are kept per code, erased positions and
+``at`` (``_erasure_plan``), so a repeated erasure pattern is read with
+no per-position loop.  Error decoding
 takes the n-k syndromes of the word through one linear map of parity
 checks (``_parity_checks``) and solves the key equation in syndrome
 form once, at the full bounded-minimum-distance radius, for an error
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import (
     DecodingFailure,
@@ -126,31 +130,33 @@ class GrsCode:
         silently decoded.  With ``at`` empty the result is the message
         alone.  Over a field other than GF(p), a surviving symbol outside
         [0, q) raises SymbolOutsideField.
+
+        The surviving positions, a getter of their symbols and the reader
+        are kept per code, ``erased`` and ``at`` (``_erasure_plan``), so a
+        word without ``None`` entries is read with no per-position Python
+        loop: one getter call, one map application and one comparison of
+        the surviving symbols.  A word with ``None`` entries, or an
+        ``erased`` that is not a tuple, is read through the plan of all its
+        erasures in increasing order.
         """
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
-        erased = set(erased or ())
-        erased.update(j for j, w in enumerate(word) if w is None)
-        if len(erased) > self.n - self.k:
-            raise TooManyErasures(
-                f"{len(erased)} erasures > n-k = {self.n - self.k}")
-        at = tuple(at)
-        if at and (min(at) < 0 or max(at) >= self.n):
-            raise LengthMismatch(f"positions {at} outside 0..{self.n - 1}")
-        # from a list, the tuple is allocated at its size; from a generator
-        # it grows by reallocation, and each call would leave one more
-        # tuple on the interpreter's free list
-        surviving = tuple([j for j in range(self.n) if j not in erased])
-        symbols = [word[j] for j in surviving]
+        if type(erased) is not tuple or None in word:
+            erased = set(erased or ())
+            erased.update(j for j, w in enumerate(word) if w is None)
+            erased = tuple(sorted(erased))
+        surviving, symbols_of, read = _erasure_plan(self, erased, tuple(at))
+        symbols = symbols_of(word)
         _check_symbols(self.field, symbols, surviving)
         k, s = self.k, len(surviving)
-        read = _reader(self, surviving + at)(symbols[:k])
-        for j, w, expect in zip(surviving[k:], symbols[k:], read[k:s]):
-            if expect != w:
-                raise InconsistentWord(
-                    f"surviving position {j} disagrees with interpolation")
-        del read[k:s]
-        return read
+        out = read(symbols[:k])
+        if out[k:s] != list(symbols[k:]):
+            j = next(j for j, w, expect in zip(surviving[k:], symbols[k:],
+                                               out[k:s]) if expect != w)
+            raise InconsistentWord(
+                f"surviving position {j} disagrees with interpolation")
+        del out[k:s]
+        return out
 
     def bmd_decode(self, word):
         """Bounded-minimum-distance decoding from the syndromes of the word.
@@ -306,6 +312,38 @@ def _reader(code, positions):
     further = f.kernel.linear_map(list(zip(*[
         f.kernel.scale(powers[j], multipliers[j]) for j in positions[k:]])))
     return f.kernel.linear_map([row + further(row) for row in rows])
+
+
+# A decoder erasure-decodes each sub-round of a block through one fixed
+# (erased, at) pair of its star-product code, so a scheme keeps one plan
+# per sub-round; 64 plans serve many schemes.  A plan keeps its reader
+# alive after ``_reader`` evicts it, so at most 64 readers outlive the
+# bound of ``_reader``.
+@lru_cache(maxsize=64)
+def _erasure_plan(code, erased, at):
+    """(surviving positions, getter of the word's symbols there, reader)
+    of ``erasure_decode`` on ``code`` with the positions ``erased`` erased
+    and the codeword read at ``at``: the reader is ``_reader`` of the
+    surviving positions followed by ``at``.
+
+    Raises TooManyErasures, then LengthMismatch for an ``at`` outside the
+    word, as ``erasure_decode`` reports them; an error is not kept."""
+    n, k = code.n, code.k
+    erased = set(erased)
+    if len(erased) > n - k:
+        raise TooManyErasures(f"{len(erased)} erasures > n-k = {n - k}")
+    if at and (min(at) < 0 or max(at) >= n):
+        raise LengthMismatch(f"positions {at} outside 0..{n - 1}")
+    surviving = tuple(j for j in range(n) if j not in erased)
+    if len(surviving) > 1:
+        symbols_of = itemgetter(*surviving)
+    else:
+        # one position: itemgetter would give the symbol, not a tuple
+        j = surviving[0]
+
+        def symbols_of(word):
+            return (word[j],)
+    return surviving, symbols_of, _reader(code, surviving + at)
 
 
 # A scheme's codes share one locator tuple and two multiplier tuples, so 32

@@ -14,13 +14,14 @@ ranks.
 ``solve_unique`` is called again and again with the same few coefficient
 matrices (the decoders' window systems recur from burst to burst and
 from trial to trial), so it keeps, per process, what one ``rref`` of
-[A | I] gives for each A (``reduce_with_identity``): the rank, a left
-inverse and a left-null-space check, each as a linear map of the
-field's kernel, in a ``functools.lru_cache`` keyed by the field, the
-shape and the bytes of A (``_kept_solver``): those of an ``array`` of
-its symbols in the narrowest unsigned typecode that holds them, packed
-by one ``struct.pack`` call.  A repeated A costs that packing, two map
-applications and no elimination.  Systems larger than ``_SOLVER_CELLS``,
+[A | I] gives for each A (``reduce_with_identity``): the rank and one
+linear map of the field's kernel from b to E b, a left inverse's x
+followed by the left-null-space checks, in a ``functools.lru_cache``
+keyed by the field, the shape and the bytes of A (``_kept_solver``):
+those of an ``array`` of its symbols in the narrowest unsigned typecode
+that holds them (``_typecode``, worked out once per field order),
+packed by one ``struct.pack`` call.  A repeated A costs that packing,
+one map application and no elimination.  Systems larger than ``_SOLVER_CELLS``,
 and every system over a field with the scalar kernel, are reduced as
 [A | b] on every call, as ``solve_any`` always is.
 
@@ -136,28 +137,38 @@ def reduce_with_identity(field: Field, a):
 # The most cells of [A | I] a kept solver may have: a 32 x 32 system, or a
 # taller one with fewer unknowns.  A miss eliminates [A | I], which costs
 # 2-3x an [A | b] elimination for a square A and more for a tall one, and
-# the kept maps have as many lanes as [A | I] has cells.  Past the cap
+# the kept map has one lane per entry of E, rows^2 in all.  Past the cap
 # neither pays: at the 2,400 x 2,250 window systems of a paper-scale
 # block-erasure scheme a miss would eliminate twice the columns and keep
 # tens of MB.  At the cap, an entry measured with ``tracemalloc`` holds at
 # most about 25 KB over GF(p), and about 15 KB over GF(2^s) with q <= 2^8,
 # whose maps keep only their matrix rows as bytes
-# (``fields._BinaryKernel.linear_map``).  So the cache holds at most about
+# (``fields._BinaryKernel.linear_map``); one map to [x | checks] holds
+# within 3 KB of what the separate inverse and check maps held, at 32 x 32,
+# 28 x 28, 40 x 8 and 44 x 2 over GF(251), GF(331) and GF(2^8).  So the cache holds at most about
 # 1.6 MB and 1 MB on those fields, and nothing on the scalar kernel's
 # (``_solver``); the benchmark's schemes keep 89 KB (GF(251), 27 entries)
 # and 3 KB (GF(2^8), one entry).
 _SOLVER_CELLS = 32 * 64
 
 
+# (how many values the items hold, typecode) of the unsigned ``array``
+# typecodes, narrowest first, read once at import
+_WIDTHS = tuple((1 << 8 * array(t).itemsize, t) for t in "BHIQ")
+
+
 def _typecode(field: Field):
     """The narrowest unsigned ``array`` typecode that holds every symbol,
     or None past 8 bytes."""
-    return next((t for t in "BHIQ" if field.q <= 1 << 8 * array(t).itemsize),
-                None)
+    q = field.q
+    for bound, typecode in _WIDTHS:
+        if q <= bound:
+            return typecode
+    return None
 
 
 def _solver(field: Field, a, rows: int, cols: int):
-    """The kept (rank, left inverse, checks) of A (``_kept_solver``), or
+    """The kept (rank, solver map) of A (``_kept_solver``), or
     None when [A | I] has more than ``_SOLVER_CELLS`` cells, its symbols do
     not fit 8 bytes or the field has the scalar kernel.
 
@@ -184,17 +195,17 @@ def _solver(field: Field, a, rows: int, cols: int):
 # 30-trial process and 32 in all over 1,000 trials, so 64 are plenty.
 @lru_cache(maxsize=64)
 def _kept_solver(field: Field, rows: int, cols: int, data: bytes):
-    """(rank, left inverse, checks) of the rows x cols matrix A whose
-    symbols, as ``array`` items of ``_typecode``, are the bytes ``data``:
-    each a linear map of the field's kernel, from one
-    ``reduce_with_identity``."""
+    """(rank, solver map) of the rows x cols matrix A whose symbols, as
+    ``array`` items of ``_typecode``, are the bytes ``data``, from one
+    ``reduce_with_identity``: the solver map is the field kernel's linear
+    map b -> E b.  Entry r < rank of E b is the r-th pivot's unknown of
+    the solution, if there is one (with full column rank, x is the first
+    cols entries), and the entries from rank on are the left-null-space
+    checks of b, all zero iff A x = b has a solution."""
     flat = array(_typecode(field), data)
     a = [flat[r * cols:(r + 1) * cols].tolist() for r in range(rows)]
     rank, e = reduce_with_identity(field, a)
-    linear_map = field.kernel.linear_map
-    inverse = linear_map(list(zip(*e[:cols]))) if rank == cols else None
-    checks = linear_map(list(zip(*e[rank:]))) if rank < rows else None
-    return rank, inverse, checks
+    return rank, field.kernel.linear_map(list(zip(*e)))
 
 
 def solve_unique(field: Field, a, b):
@@ -204,9 +215,10 @@ def solve_unique(field: Field, a, b):
     m entries, else InconsistentSystem if the equations are contradictory,
     else RankDeficient if A has column rank < n.
 
-    Below the cell cap the answer is read through the solver kept for A
-    (``_solver``): b is inconsistent iff a check of b is nonzero, and
-    x is the left inverse applied to b.  Above it, [A | b] is reduced.
+    Below the cell cap the answer is read off one application of the
+    solver map kept for A (``_solver``) to b: b is inconsistent iff a
+    check, an entry from the rank on, is nonzero, and x is the first
+    cols entries.  Above it, [A | b] is reduced.
     """
     _check_rhs(a, b)
     rows = len(a)
@@ -216,9 +228,10 @@ def solve_unique(field: Field, a, b):
         x, rank = _solve_augmented(field, a, b)
         consistent = x is not None
     else:
-        rank, inverse, checks = entry
-        consistent = checks is None or not any(checks(b))
-        x = inverse(b) if consistent and rank == cols else None
+        rank, solver = entry
+        x = solver(b)
+        consistent = not any(x[rank:])
+        del x[cols:]
     if not consistent:
         raise InconsistentSystem("no solution: inconsistent right-hand side")
     if rank < cols:

@@ -33,7 +33,7 @@ from .fields import Field
 from .grs import GrsCode, star_product_code
 from .linalg import mat_rank
 from .rates import min_gamma
-from .seeds import derive_rng
+from .seeds import derive_rng, draw_below
 
 PLAIN = "plain_conv"
 BLOCK = "block_erasure"
@@ -93,10 +93,13 @@ def storage_encode(files, code: GrsCode) -> StorageSystem:
 
 
 def random_files(field: Field, m: int, ell: int, k: int, rng):
-    return tuple(
-        tuple(tuple(rng.randrange(field.q) for _ in range(k)) for _ in range(ell))
-        for _ in range(m)
-    )
+    """m files of ell stripes of k uniform symbols, drawn in bulk from
+    ``rng`` (``seeds.draw_below``) in the order of m*ell*k successive
+    ``rng.randrange(q)`` calls: file by file, stripe by stripe.  ``rng``
+    is left further along than those calls would leave it."""
+    flat = draw_below(rng, field.q, m * ell * k)
+    stripes = [tuple(flat[i: i + k]) for i in range(0, len(flat), k)]
+    return tuple(tuple(stripes[f * ell: (f + 1) * ell]) for f in range(m))
 
 
 @dataclass(frozen=True)
@@ -295,15 +298,18 @@ class QuerySet:
 def make_queries(scheme: PirScheme, seed: int) -> QuerySet:
     """Draw fresh masking codewords and add the desired-file offsets."""
     f = scheme.field
-    rng = derive_rng(seed, "queries")
     dim = scheme.retrieval_code.k
+    # the masking messages, all drawn at once, in the order of one
+    # randrange per symbol
+    draws = draw_below(derive_rng(seed, "queries"), f.q,
+                       scheme.rounds * scheme.query_rows * dim)
     d_rows = []
     queries = []
     for r in range(scheme.rounds):
         rows = tuple(
-            tuple(scheme.retrieval_code.encode(
-                [rng.randrange(f.q) for _ in range(dim)]))
-            for _ in range(scheme.query_rows)
+            tuple(scheme.retrieval_code.encode(draws[at: at + dim]))
+            for at in range(r * scheme.query_rows * dim,
+                            (r + 1) * scheme.query_rows * dim, dim)
         )
         d_rows.append(rows)
         cols = []

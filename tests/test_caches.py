@@ -96,13 +96,13 @@ def test_interleaved_trials_match_trials_run_alone(runs):
 
 def test_clear_caches_empties_every_cache():
     # a Byzantine trial fills the readers, dual checks and root maps of its
-    # codes, and a block trial the kept solvers, the peeling tables and the
-    # window ranks
-    caches = (grs._reader, grs._dual_checks, grs._root_map,
-              linalg._kept_solver, decoder._peeling_tables,
+    # codes, and a block trial the erasure plans, the kept solvers, the
+    # peeling tables and the window ranks
+    caches = (grs._reader, grs._erasure_plan, grs._dual_checks,
+              grs._root_map, linalg._kept_solver, decoder._peeling_tables,
               recovering._orbit_rank)
     run_trial(11, 0)
     run_trial(6, 0)
     assert all(cache.cache_info().currsize for cache in caches)
     clear_caches()
-    assert [cache.cache_info().currsize for cache in caches] == [0] * 6
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 7

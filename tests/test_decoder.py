@@ -820,10 +820,11 @@ def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
         xi: tuple(data.draw(st.lists(st.integers(0, f.q - 1),
                                      min_size=k, max_size=k)))
         for xi in data.draw(st.sets(st.integers(1, ell)))}
-    coefficients, known_share = _peeling_tables(sch)
+    by_lag, known_share = _peeling_tables(sch)
     expected = []
     for part, rows in zip(sch.sub_supports, sch.e_offsets):
         for j in part:
+            i = len(expected)       # j is the i-th support position
             acc = 0
             for z in range(1, memory + 1):
                 if s - z in known:
@@ -832,9 +833,9 @@ def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
             expected.append(acc)
             # the kept coefficients of each lag give the same symbols
             for z in range(memory + 1):
-                assert isinstance(coefficients[j][z], tuple)
+                assert isinstance(by_lag[z][i], tuple)
                 if s - z in known:
-                    assert (f.kernel.dot(coefficients[j][z], known[s - z])
+                    assert (f.kernel.dot(by_lag[z][i], known[s - z])
                             == f.mul(rows[z][j],
                                      code.encode(list(known[s - z]))[j]))
     assert list(known_share(known, s)) == expected

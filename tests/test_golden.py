@@ -9,6 +9,13 @@ A change that alters any of them on purpose regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so in CHANGES.md.
+
+Every case also runs with every field on the scalar kernel
+(``fields._ScalarKernel``), against the same files: one ``Field`` method
+call per symbol, with none of the fast paths (packed GF(p) lanes,
+``bytes.translate`` rows, kept solvers, which the scalar kernel never
+keeps).  A case that passes on the scalar kernel and fails on the native
+one names a fast path at fault.
 """
 
 import contextlib
@@ -18,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from pirstream import clear_caches
 from pirstream.cli import main
+from pirstream.fields import Field, _ScalarKernel
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -77,14 +86,44 @@ def run_case(name, out_dir):
     return rc, out.getvalue(), err.getvalue(), csv
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(tmp_path, name):
-    rc, out, err, csv = run_case(name, tmp_path)
+def check_case(name, out_dir):
+    rc, out, err, csv = run_case(name, out_dir)
     assert err == ""
     assert rc == int((GOLDEN / f"{name}.rc").read_text())
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     if csv is not None:
         assert csv == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def scalar_kernel(monkeypatch):
+    """Every ``Field`` built meanwhile computes through the scalar kernel;
+    yields the list of those fields.
+
+    The caches are emptied on both sides: their keys compare fields by
+    value, so a map built on one kernel would otherwise serve the other."""
+    init = Field.__init__
+    built = []
+
+    def scalar_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.kernel = _ScalarKernel(self)
+        built.append(self)
+    monkeypatch.setattr(Field, "__init__", scalar_init)
+    clear_caches()
+    yield built
+    clear_caches()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(tmp_path, name):
+    check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_scalar_kernel_output_matches_golden(tmp_path, name, scalar_kernel):
+    check_case(name, tmp_path)
+    assert scalar_kernel
 
 
 def regenerate():

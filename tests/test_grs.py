@@ -518,3 +518,43 @@ def test_erasure_decode_cache_is_bounded(monkeypatch):
     assert code.erasure_decode(word, erased=patterns[0]) == [7, 9]
     assert calls[0] == 258
     assert grs._reader.cache_info().currsize == 256
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_erasure_decode_reports_errors_in_order(warm):
+    # None entries, ``erased`` and ``at`` combine into one kept plan of
+    # erasure_decode; whatever plans exist, the first of LengthMismatch for
+    # the word, TooManyErasures, LengthMismatch for at, SymbolOutsideField
+    # and InconsistentWord that applies is the one raised
+    clear_caches()
+    code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))    # 7 erasures at most
+    msg = [5, 0, 11]
+    word = code.encode(msg)
+    if warm:
+        # the plans of every (erased, at) below, read without error
+        for erased in ((1, 2, 3), (1, 2, 3, 4, 5)):
+            assert code.erasure_decode(word, erased=erased, at=(0,)) == \
+                msg + [word[0]]
+    bad = list(word)
+    bad[9] = 16                        # outside GF(16), at a surviving position
+    bad[8] ^= 1                        # and a position that disagrees
+    too_many = [None if 4 <= j <= 8 else w for j, w in enumerate(bad)]
+    within = [None if j in (4, 5) else w for j, w in enumerate(bad)]
+    for _ in range(2):
+        with pytest.raises(LengthMismatch, match="word length 9"):
+            code.erasure_decode(too_many[:9], erased={1, 2, 3}, at=(10,))
+        # 5 None entries and 3 erased positions: 8 erasures, although the
+        # 3 erased alone are within the budget
+        with pytest.raises(TooManyErasures, match="8 erasures"):
+            code.erasure_decode(too_many, erased=(1, 2, 3), at=(10,))
+        with pytest.raises(LengthMismatch, match="positions"):
+            code.erasure_decode(within, erased=[3, 1, 2], at=(10,))
+        with pytest.raises(SymbolOutsideField, match="position 9 holds 16,"):
+            code.erasure_decode(within, erased={1, 2, 3}, at=(0,))
+        within[9] = word[9]
+        with pytest.raises(InconsistentWord, match="position 8"):
+            code.erasure_decode(within, erased=(1, 2, 3), at=(0,))
+        within[8] = word[8]
+        assert code.erasure_decode(within, erased=(3, 2, 1), at=(0,)) == \
+            msg + [word[0]]
+        within[8], within[9] = bad[8], bad[9]

@@ -1,4 +1,5 @@
-"""Seed derivation is SHA-256 of the label path, whatever module hashes it."""
+"""Seed derivation is SHA-256 of the label path, whatever module hashes it,
+and bulk draws give the symbols of one ``randrange`` call each."""
 
 import hashlib
 import random
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import pirstream
-from pirstream.seeds import derive_rng, derive_seed
+from pirstream.fields import Field
+from pirstream.protocol import random_files
+from pirstream.seeds import derive_rng, derive_seed, draw_below
 
 LABEL_PATHS = [
     (0,),
@@ -52,3 +55,24 @@ def test_hashlib_fallback_gives_the_same_seeds():
                          capture_output=True, text=True, timeout=60,
                          check=True).stdout
     assert out.strip() == f"True {[derive_seed(*p) for p in LABEL_PATHS]}"
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1280])
+@pytest.mark.parametrize("q", [2, 3, 13, 251, 256, 331, 2 ** 16, 2 ** 31 - 1,
+                               2 ** 32, 2 ** 32 + 15])
+def test_draw_below_gives_the_randrange_sequence(q, count):
+    # the interpreter's own randrange is the oracle, so each interpreter
+    # the tests run on checks its own
+    rng, twin = derive_rng(q, "draw", count), derive_rng(q, "draw", count)
+    assert draw_below(rng, q, count) == [twin.randrange(q) for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec, m, ell, k", [((2, 8), 8, 40, 4), ((251,), 2, 40, 4),
+                                             ((2, 4), 3, 4, 2), ((331,), 1, 3, 5)])
+def test_random_files_are_one_randrange_per_symbol(spec, m, ell, k):
+    field = Field(*spec)
+    rng = derive_rng(11, "files", 0)
+    expect = tuple(
+        tuple(tuple(rng.randrange(field.q) for _ in range(k)) for _ in range(ell))
+        for _ in range(m))
+    assert random_files(field, m, ell, k, derive_rng(11, "files", 0)) == expect
