@@ -4,8 +4,8 @@ change.
 Imports each checkout's ``src/pirstream`` under its own module name, so
 both live in one interpreter with their own caches, builds the config's
 scheme and channel on each side, and times ``cli._run_one_trial`` for
-trials 0..T-1 with the sides in ABBA order: the parent first in even
-trials, the change first in odd ones.  Each rep starts from empty caches
+trials 0..T-1 at simulate seed 11 with the sides in ABBA order: the
+parent first in even trials, the change first in odd ones.  Each rep starts from empty caches
 on both sides, as a benchmark process does.  Prints, per rep, each side's
 median trial time and the median of the per-trial ratios parent/change,
 then the median of the reps' ratios with their quartiles and range.
@@ -33,6 +33,8 @@ from pathlib import Path
 from time import perf_counter
 
 SIDES = ("parent", "change")
+# the simulate seed of every trial, as in the CI runs of the CLI
+SEED = 11
 
 
 def load(checkout: Path, name: str):
@@ -47,7 +49,7 @@ def load(checkout: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def trial_runner(cli, config: Path, seed: int, trials: int):
+def trial_runner(cli, config: Path, trials: int):
     """trial -> (decoded correctly, channel description), as ``simulate``
     runs it, on the config's scheme and channel."""
     cfg = cli.load_config(config)
@@ -57,8 +59,8 @@ def trial_runner(cli, config: Path, seed: int, trials: int):
     if channel.kind == "block-erasure":
         schedules = cli.channels.gen_burst_patterns(
             ell, scheme.memory, scheme.window, scheme.burst, channel.mode,
-            seed=cli.derive_seed(seed, "erasure-schedules"), count=trials)
-    return lambda trial: cli._run_one_trial(scheme, ell, channel, seed,
+            seed=cli.derive_seed(SEED, "erasure-schedules"), count=trials)
+    return lambda trial: cli._run_one_trial(scheme, ell, channel, SEED,
                                             trial, schedules)
 
 
@@ -77,7 +79,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--trials", type=int, default=30)
     parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
     if args.trials < 1 or args.reps < 1:
         parser.error("--trials and --reps must be >= 1")
@@ -86,11 +87,11 @@ def main(argv=None):
         config = args.change / "perfbench" / "configs" / f"{args.config}.ini"
     clis = {side: load(getattr(args, side), f"pirstream_{side}")
             for side in SIDES}
-    runs = {side: trial_runner(clis[side], config, args.seed, args.trials)
+    runs = {side: trial_runner(clis[side], config, args.trials)
             for side in SIDES}
 
     print(f"{config.stem}: {args.reps} reps x {args.trials} trial pairs, "
-          f"seed {args.seed}, ABBA order")
+          f"seed {SEED}, ABBA order")
     rep_ratios = []
     for rep in range(args.reps):
         for side in SIDES:

@@ -135,16 +135,14 @@ class GrsCode:
         are kept per code, ``erased`` and ``at`` (``_erasure_plan``), so a
         word without ``None`` entries is read with no per-position Python
         loop: one getter call, one map application and one comparison of
-        the surviving symbols.  A word with ``None`` entries, or an
-        ``erased`` that is not a tuple, is read through the plan of all its
-        erasures in increasing order.
+        the surviving symbols.  A word with ``None`` entries is read
+        through the plan of ``erased`` followed by its ``None`` positions.
         """
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
-        if type(erased) is not tuple or None in word:
-            erased = set(erased or ())
-            erased.update(j for j, w in enumerate(word) if w is None)
-            erased = tuple(sorted(erased))
+        erased = tuple(erased or ())
+        if None in word:
+            erased += tuple(j for j, w in enumerate(word) if w is None)
         surviving, symbols_of, read = _erasure_plan(self, erased, tuple(at))
         symbols = symbols_of(word)
         _check_symbols(self.field, symbols, surviving)

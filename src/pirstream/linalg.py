@@ -160,11 +160,7 @@ _WIDTHS = tuple((1 << 8 * array(t).itemsize, t) for t in "BHIQ")
 def _typecode(field: Field):
     """The narrowest unsigned ``array`` typecode that holds every symbol,
     or None past 8 bytes."""
-    q = field.q
-    for bound, typecode in _WIDTHS:
-        if q <= bound:
-            return typecode
-    return None
+    return next((t for bound, t in _WIDTHS if field.q <= bound), None)
 
 
 def _solver(field: Field, a, rows: int, cols: int):

@@ -96,7 +96,8 @@ def random_files(field: Field, m: int, ell: int, k: int, rng):
     """m files of ell stripes of k uniform symbols, drawn in bulk from
     ``rng`` (``seeds.draw_below``) in the order of m*ell*k successive
     ``rng.randrange(q)`` calls: file by file, stripe by stripe.  ``rng``
-    is left further along than those calls would leave it."""
+    needs ``getrandbits`` and is left further along than those calls
+    would leave it, so it should serve this one call only."""
     flat = draw_below(rng, field.q, m * ell * k)
     stripes = [tuple(flat[i: i + k]) for i in range(0, len(flat), k)]
     return tuple(tuple(stripes[f * ell: (f + 1) * ell]) for f in range(m))
