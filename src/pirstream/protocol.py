@@ -7,10 +7,13 @@ every desired index iff each desired-file offset, restricted to the set,
 lies in the row space of the masking code restricted to it: one rank
 test per offset row.
 
-A server's answer at iteration xi is its query's inner product with the
-M+1 stripes xi-M..xi it stores, so its answers to all ell+M iterations
-are one block convolution of its stored column with its query, which
-``server_respond`` makes in one field-kernel call.
+Storage is the n server columns alone: server j keeps its symbol of
+every file's every stripe, stripe 1 first.  A server's answer at
+iteration xi is its query's inner product with the M+1 stripes xi-M..xi
+it stores, so its answers to all ell+M iterations are one block
+convolution of its column with its query, which ``server_respond``
+makes in one field-kernel call.  Queries are built a whole masking row
+at a time.
 
 Conventions: file, stripe, and server indices are 0-based in code;
 protocol iterations run 1..ell+M to keep the zero-padded virtual stripes
@@ -30,7 +33,7 @@ from .errors import (
     SupportTooSmall,
 )
 from .fields import Field
-from .grs import GrsCode, star_product_code
+from .grs import GrsCode, _check_symbols, star_product_code
 from .linalg import mat_rank
 from .rates import min_gamma
 from .seeds import derive_rng, draw_below
@@ -42,12 +45,14 @@ BYZANTINE = "byzantine_um"
 
 @dataclass(frozen=True)
 class StorageSystem:
-    """m files of ell stripes, each stripe encoded across the n servers."""
+    """m files of ell stripes, each stripe encoded across the n servers;
+    server j stores only ``server_columns[j]``, its symbols of stripe 1,
+    then stripe 2, up to stripe ell, files in order within a stripe."""
 
     field: Field
     code: GrsCode
-    files: tuple          # files[s][xi][r], 0-based
-    encoded: tuple        # encoded[xi][s][j] = (files[s][xi] . G)[j]
+    files: tuple            # files[s][xi][r], 0-based
+    server_columns: tuple   # server_columns[j][xi*m + s], 0-based
 
     @property
     def m(self) -> int:
@@ -65,15 +70,10 @@ class StorageSystem:
     def n(self) -> int:
         return self.code.n
 
-    @cached_property
-    def server_columns(self) -> tuple:
-        """server_columns[j] holds server j's symbols of stripe 1, then of
-        stripe 2, up to stripe ell, files in order within a stripe: the
-        column that ``server_respond`` convolves with a query."""
-        return tuple(zip(*[word for stripe in self.encoded for word in stripe]))
-
 
 def storage_encode(files, code: GrsCode) -> StorageSystem:
+    """Encode each stripe of each file with ``code`` and keep the
+    codewords' symbols as the n server columns."""
     files = tuple(tuple(tuple(stripe) for stripe in f) for f in files)
     if not files or not files[0]:
         raise ShapeMismatch("need at least one file with at least one stripe")
@@ -85,11 +85,9 @@ def storage_encode(files, code: GrsCode) -> StorageSystem:
             if len(stripe) != code.k:
                 raise ShapeMismatch(
                     f"stripe length {len(stripe)} != k={code.k}")
-    encoded = tuple(
-        tuple(tuple(code.encode(list(files[s][xi]))) for s in range(len(files)))
-        for xi in range(ell)
-    )
-    return StorageSystem(code.field, code, files, encoded)
+    columns = tuple(zip(*[code.encode(stripe) for stripes in zip(*files)
+                          for stripe in stripes]))
+    return StorageSystem(code.field, code, files, columns)
 
 
 def random_files(field: Field, m: int, ell: int, k: int, rng):
@@ -297,31 +295,25 @@ class QuerySet:
 
 
 def make_queries(scheme: PirScheme, seed: int) -> QuerySet:
-    """Draw fresh masking codewords and add the desired-file offsets."""
-    f = scheme.field
-    dim = scheme.retrieval_code.k
-    # the masking messages, all drawn at once, in the order of one
-    # randrange per symbol
+    """Draw fresh masking codewords, all messages at once, and add lag z's
+    desired-file offset to the whole row z*m + desired; one ``zip`` of a
+    sub-round's rows gives every server's query.  ``d_rows`` keeps the
+    masking rows without offsets."""
+    f, code, rows = scheme.field, scheme.retrieval_code, scheme.query_rows
     draws = draw_below(derive_rng(seed, "queries"), f.q,
-                       scheme.rounds * scheme.query_rows * dim)
-    d_rows = []
+                       scheme.rounds * rows * code.k)
+    words = [tuple(code.encode(draws[at: at + code.k]))
+             for at in range(0, len(draws), code.k)]
+    d_rows = tuple(tuple(words[at: at + rows])
+                   for at in range(0, len(words), rows))
     queries = []
-    for r in range(scheme.rounds):
-        rows = tuple(
-            tuple(scheme.retrieval_code.encode(draws[at: at + dim]))
-            for at in range(r * scheme.query_rows * dim,
-                            (r + 1) * scheme.query_rows * dim, dim)
-        )
-        d_rows.append(rows)
-        cols = []
-        for j in range(scheme.n):
-            col = [rows[row][j] for row in range(scheme.query_rows)]
-            for z in range(scheme.memory + 1):
-                row = z * scheme.m + scheme.desired
-                col[row] = f.add(col[row], scheme.e_offsets[r][z][j])
-            cols.append(tuple(col))
-        queries.append(tuple(cols))
-    return QuerySet(scheme, tuple(d_rows), tuple(queries))
+    for masking, offsets in zip(d_rows, scheme.e_offsets):
+        added = list(masking)
+        for z, offset in enumerate(offsets):
+            row = z * scheme.m + scheme.desired
+            added[row] = map(f.add, masking[row], offset)
+        queries.append(tuple(zip(*added)))
+    return QuerySet(scheme, d_rows, tuple(queries))
 
 
 def server_respond(system: StorageSystem, scheme: PirScheme, query,
@@ -334,9 +326,16 @@ def server_respond(system: StorageSystem, scheme: PirScheme, query,
     all iterations that is the block convolution of the server's column
     (``StorageSystem.server_columns``, stripe 1 first) with the query, in
     blocks of m, made by one ``convolve`` of the field's kernel.
+
+    Over GF(p) a query entry outside [0, p) is read as its residue; over
+    any other field it raises SymbolOutsideField, naming its position.
     """
-    return tuple(system.field.kernel.convolve(system.server_columns[j], query,
-                                              scheme.m))
+    f = system.field
+    if query and (min(query) < 0 or max(query) >= f.q):
+        if f.s > 1:
+            _check_symbols(f, query, range(len(query)))
+        query = [x % f.q for x in query]
+    return tuple(f.kernel.convolve(system.server_columns[j], query, scheme.m))
 
 
 INTACT = "intact"

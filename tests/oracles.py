@@ -97,10 +97,14 @@ def bw_decode(code, word):
 
 def stored_symbol(system, xi, s, j):
     """Encoded symbol of stripe xi (1-based) of file s at server j of a
-    ``StorageSystem``; stripes outside [1, ell] are the zero padding."""
+    ``StorageSystem``, v_j m(a_j) for the stripe's message m, by Horner's
+    rule on the stored files, not read from the server columns; stripes
+    outside [1, ell] are the zero padding."""
     if xi < 1 or xi > system.ell:
         return 0
-    return system.encoded[xi - 1][s][j]
+    code, f = system.code, system.field
+    return f.mul(code.multipliers[j],
+                 poly_eval(f, system.files[s][xi - 1], code.locators[j]))
 
 
 # --- row spaces ---------------------------------------------------------------

@@ -14,6 +14,7 @@ from pirstream.errors import (
     ShapeMismatch,
     SupportTooLarge,
     SupportTooSmall,
+    SymbolOutsideField,
 )
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
@@ -48,20 +49,20 @@ def worked_scheme():
 
 
 def test_storage_encode_examples():
+    assert "server_columns" in {f.name for f in dataclasses.fields(
+        protocol.StorageSystem)}
     sysm = storage_encode((((0, 1),),), RS42)
-    assert sysm.encoded[0][0] == (1, 2, 3, 4)
+    assert sysm.server_columns == ((1,), (2,), (3,), (4,))
     zeros = storage_encode(
         tuple(tuple((0, 0) for _ in range(2)) for _ in range(2)), RS42)
-    assert all(v == 0 for xi in zeros.encoded for f in xi for v in f)
+    assert zeros.server_columns == ((0,) * 4,) * 4
     files = random_files(GF16, 3, 4, 2, derive_rng(0, "f"))
     sysm2 = storage_encode(files, C6)
-    assert len(sysm2.encoded) == 4
-    assert len(sysm2.encoded[0]) == 3
-    assert len(sysm2.encoded[0][0]) == 6
-    # re-encode check
-    for xi in range(4):
-        for s in range(3):
-            assert sysm2.encoded[xi][s] == tuple(C6.encode(list(files[s][xi])))
+    assert len(sysm2.server_columns) == 6
+    # re-encode check: stripe 1 first, files in order within a stripe
+    for j, column in enumerate(sysm2.server_columns):
+        assert column == tuple(C6.encode(list(files[s][xi]))[j]
+                               for xi in range(4) for s in range(3))
     with pytest.raises(ShapeMismatch):
         storage_encode((((0, 1), (1,)),), RS42)
 
@@ -95,11 +96,24 @@ def test_queries_reproducible_and_t1_constant():
         assert len(set(row)) == 1   # RS(n,1) is the repetition code
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+
+# every shape of offsets the query build sees: one sub-round with M = 3
+# (burst-window, plain-stream), two sub-rounds with M = 3, and two
+# full-support offset rows with M = 1 (byzantine-fixed)
+QUERY_MODEL_CONFIGS = ("perfbench/configs/burst-window.ini",
+                       "perfbench/configs/plain-stream.ini",
+                       "perfbench/configs/byzantine-fixed.ini",
+                       "tests/configs/block-two-rounds.ini")
+
+
+def scheme_at(path):
+    """The scheme of the config at ``path``, relative to the repository."""
+    return build_scheme(load_config(str(ROOT / path)))[2]
 
 
 def config_scheme(name):
-    return build_scheme(load_config(str(CONFIGS / f"{name}.ini")))[2]
+    return scheme_at(f"perfbench/configs/{name}.ini")
 
 
 def query_model_errors(qs):
@@ -109,6 +123,9 @@ def query_model_errors(qs):
     sch = qs.scheme
     f = sch.field
     errors = []
+    if ([len(rows) for rows in qs.d_rows] != [sch.query_rows] * sch.rounds
+            or [len(cols) for cols in qs.queries] != [sch.n] * sch.rounds):
+        errors.append("rows or columns are missing")
     for r, (rows, cols) in enumerate(zip(qs.d_rows, qs.queries)):
         for row, word in enumerate(rows):
             if not in_code(sch.retrieval_code, word):
@@ -124,30 +141,34 @@ def query_model_errors(qs):
     return errors
 
 
-@pytest.mark.parametrize("name", ["burst-window", "plain-stream"])
-def test_queries_follow_the_audited_model(name):
-    sch = config_scheme(name)
+@pytest.mark.parametrize("path", QUERY_MODEL_CONFIGS,
+                         ids=lambda path: Path(path).stem)
+def test_queries_follow_the_audited_model(path):
+    sch = scheme_at(path)
     for seed in (1, 2, 3):
         assert query_model_errors(make_queries(sch, seed)) == []
 
 
-@pytest.mark.parametrize("name", ["burst-window", "plain-stream"])
-def test_query_model_check_catches_an_offset_on_the_wrong_row(name):
-    sch = config_scheme(name)
+@pytest.mark.parametrize("path", QUERY_MODEL_CONFIGS,
+                         ids=lambda path: Path(path).stem)
+def test_query_model_check_catches_an_offset_on_the_wrong_row(path):
+    sch = scheme_at(path)
     qs = make_queries(sch, 1)
     f = sch.field
-    right = sch.desired
-    wrong = (right + 1) % sch.m
-    j = sch.sub_supports[0][0]
-    offset = sch.e_offsets[0][0][j]
-    col = list(qs.queries[0][j])
-    col[right] = f.sub(col[right], offset)
-    col[wrong] = f.add(col[wrong], offset)
-    cols = qs.queries[0][:j] + (tuple(col),) + qs.queries[0][j + 1:]
-    moved = dataclasses.replace(qs, queries=(cols,) + qs.queries[1:])
-    assert query_model_errors(moved) == [
-        f"sub-round 0 server {j} row {right} has the wrong offset",
-        f"sub-round 0 server {j} row {wrong} has the wrong offset"]
+    for r, z in itertools.product(range(sch.rounds), range(sch.memory + 1)):
+        right = z * sch.m + sch.desired
+        wrong = z * sch.m + (sch.desired + 1) % sch.m
+        j = next(j for j in sch.sub_supports[r] if sch.e_offsets[r][z][j])
+        offset = sch.e_offsets[r][z][j]
+        col = list(qs.queries[r][j])
+        col[right] = f.sub(col[right], offset)
+        col[wrong] = f.add(col[wrong], offset)
+        cols = qs.queries[r][:j] + (tuple(col),) + qs.queries[r][j + 1:]
+        moved = dataclasses.replace(
+            qs, queries=qs.queries[:r] + (cols,) + qs.queries[r + 1:])
+        assert query_model_errors(moved) == [
+            f"sub-round {r} server {j} row {row} has the wrong offset"
+            for row in sorted((right, wrong))]
 
 
 @pytest.mark.parametrize("name", ["burst-window", "plain-stream"])
@@ -216,6 +237,26 @@ def test_server_respond_naive_oracle():
         for a, b in zip(q, stacked):
             expect = GF16.add(expect, GF16.mul(a, b))
         assert server_respond(sysm, sch, q, j)[xi - 1] == expect
+
+
+@pytest.mark.parametrize("f", [Field(251), Field(2, 8), GF16, Field(3, 2)],
+                         ids=str)
+def test_server_respond_reads_its_query_by_the_symbol_rule(f):
+    # over GF(p) an unreduced entry is its residue; over any other field it
+    # is no symbol, and would read as another one or fail untyped
+    code = GrsCode(f, 8, 2, tuple(range(1, 9)))
+    sch = plain_scheme(code, t=1, memory=1, m=2, desired=0, support=range(6))
+    sysm = storage_encode(random_files(f, 2, 3, 2, derive_rng(0, "f")), code)
+    query = make_queries(sch, 1).queries[0][0]
+    if f.s == 1:
+        want = server_respond(sysm, sch, query, 0)
+        for shift in (f.q * 10 ** 6, -f.q):
+            shifted = [x + shift for x in query]
+            assert server_respond(sysm, sch, shifted, 0) == want
+        return
+    for bad in (-1, f.q, 300):
+        with pytest.raises(SymbolOutsideField, match=f"position 2 holds {bad},"):
+            server_respond(sysm, sch, query[:2] + (bad,) + query[3:], 0)
 
 
 # One field per way of answering: GF(p) with 4-byte lanes (GF(2), GF(5),
