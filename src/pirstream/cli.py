@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import channels, decoder, protocol, rates, recovering
 from .config import _int, _int_list, build_scheme, load_config
-from .errors import ConfigError, PirstreamError
+from .errors import ConfigError, InvalidParams, PirstreamError
 from .fields import Field, factorize
 from .rates import rate_report
 from .seeds import derive_rng, derive_seed
@@ -280,7 +280,11 @@ def cmd_rates(args) -> int:
         for key in params:
             if key in cfg.rates:
                 params[key] = _int("rates", key, cfg.rates[key])
-    text = rates_csv(**params)
+    try:
+        text = rates_csv(**params)
+    except InvalidParams as exc:
+        values = ", ".join(f"{key} = {value}" for key, value in params.items())
+        raise ConfigError(f"[rates] {values}: {exc}") from None
     sys.stdout.write(text)
     _write_out(args.out, text)
     return EXIT_OK

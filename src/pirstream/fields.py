@@ -35,6 +35,11 @@ every locator, the message read off a codeword), run through
 
 Each kernel computes exactly what the scalar methods would; only the
 number of ``Field`` method calls differs.
+
+Every table of locator powers in the package (a GRS code's generator
+rows, the dual code's parity checks, Chien's map, the query offsets and
+the recovering matrix A) is built by ``power_rows``, by repeated
+``Field.mul``.
 """
 
 from __future__ import annotations
@@ -727,6 +732,16 @@ class Field:
         if self.s == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.s})"
+
+
+def power_rows(field: Field, xs, count: int):
+    """The Vandermonde table on the points ``xs``: row i < count is the
+    list [x^i for x in xs], with 0^0 = 1, each row the previous one times
+    xs by ``field.mul``."""
+    rows = [[1] * len(xs)] if count > 0 else []
+    for _ in range(count - 1):
+        rows.append(list(map(field.mul, rows[-1], xs)))
+    return rows
 
 
 def parse_field_spec(spec: str) -> Field:

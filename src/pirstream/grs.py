@@ -2,33 +2,37 @@
 and star products.
 
 A codeword of RS(n, k, v) is (v_1 f(a_1), ..., v_n f(a_n)) for a message
-polynomial f of degree < k evaluated at distinct locators a_j.  Erasure
-decoding reads a word through one linear map per code and set of
-surviving positions (``_reader``), built from one ``linalg.rref`` of
-[V | I] for the Vandermonde block V of the first k of them and kept per
-process: it gives the message and the symbols the codeword has at the
-other surviving positions, which must match the word's, and at any
-further positions the caller asks for (``at``), such as the erased
+polynomial f of degree < k evaluated at distinct locators a_j.  Every
+table of locator powers here comes from ``fields.power_rows``: the
+generator rows (v_j a_j^i)_j, i < k, which a code keeps once as
+``_generator``, the dual code's parity checks and Chien's map.
+
+Erasure decoding reads a word through one linear map per code and set
+of surviving positions (``_reader``), built from one ``linalg.rref`` of
+[G_B^T | I] for the generator columns G_B of the first k of them and
+kept per process: it gives the message and the symbols the codeword has
+at the other surviving positions, which must match the word's, and at
+any further positions the caller asks for (``at``), such as the erased
 ones, so no caller re-encodes the message to read them.  The surviving
 positions and their reader are kept per code, erased positions and
 ``at`` (``_erasure_plan``), so a repeated erasure pattern is read with
-no per-position loop.  Error decoding
-takes the n-k syndromes of the word through one linear map of parity
-checks (``_parity_checks``) and solves the key equation in syndrome
-form once, at the full bounded-minimum-distance radius, for an error
-locator.  Its roots come from its values at every locator, another
-linear map (Chien's search), and are then read as erasures: the reader
-of the first k positions that are not roots, followed by every other
-position, gives the message and the codeword's symbols elsewhere, and
-the decode fails unless they differ from the word only at roots.  The
-maps are the field kernel's ``linear_map``s, one ``bytes.translate`` of
-a matrix row (GF(2^s), q <= 2^8) or one multiply-accumulate (GF(p)) per
-input symbol; codes on the same locators share the first two.  So each
-BMD decode makes at most one elimination besides the reader's one
-inverse, and no encode; at the block lengths used here one solve at the
-full radius is plenty, and it never miscorrects beyond the radius.  Over
-a field other than GF(p), both decoders reject a symbol outside [0, q)
-with SymbolOutsideField."""
+no per-position loop.  Error decoding takes the n-k syndromes of the
+word through one linear map of parity checks (``_parity_checks``) and
+solves the key equation in syndrome form once, at the full
+bounded-minimum-distance radius, for an error locator.  Its roots come
+from its values at every locator, another linear map (Chien's search),
+and are then read as erasures: the reader of the first k positions that
+are not roots, followed by every other position, gives the message and
+the codeword's symbols elsewhere, and the decode fails unless they
+differ from the word only at roots.  The maps are the field kernel's
+``linear_map``s, one ``bytes.translate`` of a matrix row (GF(2^s),
+q <= 2^8) or one multiply-accumulate (GF(p)) per input symbol; codes on
+the same locators share the first two.  So each BMD decode makes at
+most one elimination besides the reader's one inverse, and no encode;
+at the block lengths used here one solve at the full radius is plenty,
+and it never miscorrects beyond the radius.  Over a field other than
+GF(p), both decoders reject a symbol outside [0, q) with
+SymbolOutsideField."""
 
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ from .errors import (
     SymbolOutsideField,
     TooManyErasures,
 )
-from .fields import Field
+from .fields import Field, power_rows
 from .linalg import reduce_with_identity, solve_any
 
 
@@ -83,12 +87,17 @@ class GrsCode:
         return self.n - self.k + 1
 
     def generator_matrix(self):
-        """The k x n matrix whose row i is (v_j a_j^i)_j."""
-        mul = self.field.mul
-        return [
-            [mul(v, pw[i]) for v, pw in zip(self.multipliers, self._locator_powers)]
-            for i in range(self.k)
-        ]
+        """The k x n matrix whose row i is (v_j a_j^i)_j, as fresh lists
+        that the caller may change: a copy of ``_generator``."""
+        return [list(row) for row in self._generator]
+
+    @cached_property
+    def _generator(self):
+        """The generator rows (v_j a_j^i)_j, i < k, as tuples, built once
+        per code from ``power_rows``: ``_reader`` reads its columns."""
+        f = self.field
+        return tuple(tuple(map(f.mul, self.multipliers, row))
+                     for row in power_rows(f, self.locators, self.k))
 
     def encode(self, message):
         """The codeword (v_j m(a_j))_j of the message polynomial m.
@@ -234,19 +243,6 @@ class GrsCode:
         return read[:k], errors
 
     @cached_property
-    def _locator_powers(self):
-        """a_j^i for every position j and 0 <= i < k: the generator matrix
-        and ``_reader`` read their powers here."""
-        f = self.field
-        table = []
-        for a in self.locators:
-            row = [1]
-            for _ in range(self.k - 1):
-                row.append(f.mul(row[-1], a))
-            table.append(row)
-        return table
-
-    @cached_property
     def _parity_checks(self):
         """The map w -> (sum_j u_j a_j^i w_j)_i, with u the multipliers of
         the dual code, whose first n-k entries are the syndromes of w
@@ -295,21 +291,20 @@ def _reader(code, positions):
     k positions that are not roots of the error locator followed by every
     other position.
 
-    The message is E y with y_r = x_r / v_r, where E is the inverse of the
-    k x k Vandermonde block V on those k positions, read off one ``rref``
-    of [V | I] (``linalg.reduce_with_identity``); the symbol at a further
-    position j is sum_i m_i v_j a_j^i.  So row r of the map is row r of
-    E^T / v_r, followed by its product with the generator columns
-    (v_j a_j^i)_i of the further positions, itself one linear map."""
+    The symbols x on those k positions are m G_B, for the k x k block G_B
+    of the generator columns (``_generator``) there, so the message is
+    x G_B^-1, and G_B^-1 = E^T for the E that one ``rref`` of [G_B^T | I]
+    gives (``linalg.reduce_with_identity``).  The symbol at a further
+    position j is m times the generator column j.  So row r of the map is
+    column r of E, followed by its product with the generator columns of
+    the further positions, itself one linear map."""
     f, k = code.field, code.k
-    powers, multipliers = code._locator_powers, code.multipliers
-    base = positions[:k]
-    _, inverse = reduce_with_identity(f, [powers[j] for j in base])
-    rows = [f.kernel.scale(column, f.inv(multipliers[j]))
-            for j, column in zip(base, zip(*inverse))]
-    further = f.kernel.linear_map(list(zip(*[
-        f.kernel.scale(powers[j], multipliers[j]) for j in positions[k:]])))
-    return f.kernel.linear_map([row + further(row) for row in rows])
+    columns = list(zip(*code._generator))
+    _, inverse = reduce_with_identity(f, [columns[j] for j in positions[:k]])
+    further = f.kernel.linear_map(list(zip(*[columns[j]
+                                             for j in positions[k:]])))
+    return f.kernel.linear_map([list(row) + further(row)
+                                for row in zip(*inverse)])
 
 
 # A decoder erasure-decodes each sub-round of a block through one fixed
@@ -365,13 +360,10 @@ def _dual_checks(f, locators, multipliers):
             if b != a:
                 prod = f.mul(prod, f.sub(a, b))
         u.append(f.inv(prod))
-    rows = []
-    for uj, a in zip(u, locators):
-        row = [uj]
-        for _ in range(len(locators) - 2):
-            row.append(f.mul(row[-1], a))
-        rows.append(row[: len(locators) - 1])    # no checks at n = 1
-    return f.kernel.linear_map(rows)
+    # no checks at n = 1: the table, and so the map, is empty
+    powers = zip(*power_rows(f, locators, len(locators) - 1))
+    return f.kernel.linear_map([f.kernel.scale(column, uj)
+                                for uj, column in zip(u, powers)])
 
 
 @lru_cache(maxsize=32)
@@ -379,10 +371,8 @@ def _root_map(field, locators):
     """The field kernel's linear map c -> (sum_i c_i a_j^i)_j on these
     locators, for i <= (n-1)/2: the values at every locator of an error
     locator of degree e <= (n-k)/2, for every k (Chien's search)."""
-    rows = [[1] * len(locators)]
-    for _ in range((len(locators) - 1) // 2):
-        rows.append([field.mul(x, a) for x, a in zip(rows[-1], locators)])
-    return field.kernel.linear_map(rows)
+    return field.kernel.linear_map(
+        power_rows(field, locators, (len(locators) - 1) // 2 + 1))
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

@@ -1,6 +1,7 @@
 """Exact dense linear algebra over a finite field.
 
-Matrices are lists of equal-length lists of canonical field integers.
+Matrices are lists of equal-length lists of canonical field integers;
+over GF(p) an entry outside [0, p) is read as its residue.
 Everything here rests on one forward-elimination loop (``_echelon``):
 ``mat_rank`` counts its pivots, ``rref`` adds a back-elimination pass,
 and the solvers read their answer off an ``rref``.  Over an exact field
@@ -47,9 +48,12 @@ def _echelon(field: Field, rows):
     """Forward elimination to row echelon form with unit pivots.
 
     Returns (new_rows, pivot_columns); the input is not modified.  Rows of
-    different lengths raise ShapeMismatch.
+    different lengths raise ShapeMismatch.  Over GF(p) an entry is read as
+    its residue: a row with an entry outside [0, p) is reduced first, as
+    the kernel reduces only the entries it updates.
     """
     kernel = field.kernel
+    p = field.p if field.s == 1 else None
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -57,6 +61,8 @@ def _echelon(field: Field, rows):
         if len(row) != ncols:
             raise ShapeMismatch(
                 f"row {i} has {len(row)} entries, row 0 has {ncols}")
+        if p and row and (min(row) < 0 or max(row) >= p):
+            m[i] = [x % p for x in row]
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -178,10 +184,18 @@ def _solver(field: Field, a, rows: int, cols: int):
         return None
     # one struct.pack gives the bytes array(typecode, ...).tobytes() gives,
     # in a third of the time on a 28 x 28 window system (16 vs 48 us on an
-    # Intel Xeon)
+    # Intel Xeon); a GF(p) entry the typecode cannot hold is packed as its
+    # residue, and ``_echelon`` reads one it can hold as its residue
+    fmt = f"{rows * cols}{typecode}"
     try:
-        data = struct.pack(f"{rows * cols}{typecode}", *chain.from_iterable(a))
-    except struct.error as exc:
+        try:
+            data = struct.pack(fmt, *chain.from_iterable(a))
+        except struct.error:
+            if field.s > 1:
+                raise
+            p = field.p
+            data = struct.pack(fmt, *[x % p for x in chain.from_iterable(a)])
+    except (struct.error, TypeError) as exc:    # TypeError: x % p of None
         raise ShapeMismatch(
             f"A is not a {rows} x {cols} matrix of field symbols") from exc
     return _kept_solver(field, rows, cols, data)

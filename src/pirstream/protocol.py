@@ -32,7 +32,7 @@ from .errors import (
     SupportTooLarge,
     SupportTooSmall,
 )
-from .fields import Field
+from .fields import Field, power_rows
 from .grs import GrsCode, _check_symbols, star_product_code
 from .linalg import mat_rank
 from .rates import min_gamma
@@ -172,18 +172,15 @@ def _default_retrieval(code: GrsCode, t: int) -> GrsCode:
 
 
 def _conv_offsets(code: GrsCode, memory: int, parts):
+    """Per sub-round, the offsets of lags z = 0..memory: a_j^(zk) at the
+    positions j of the part, 0 elsewhere, from the powers of a_j^k."""
     f = code.field
-    offsets = []
-    for part in parts:
-        part_set = set(part)
-        rows = []
-        for z in range(memory + 1):
-            rows.append(tuple(
-                f.pow(code.locators[j], z * code.k) if j in part_set else 0
-                for j in range(code.n)
-            ))
-        offsets.append(tuple(rows))
-    return tuple(offsets)
+    powers = power_rows(f, [f.pow(a, code.k) for a in code.locators],
+                        memory + 1)
+    return tuple(
+        tuple(tuple(x if j in part_set else 0 for j, x in enumerate(row))
+              for row in powers)
+        for part_set in map(set, parts))
 
 
 def plain_scheme(code: GrsCode, t: int, memory: int, m: int, desired: int,

@@ -46,6 +46,8 @@ def rate_block(n: int, k: int, t: int, N: int, eps: int, ell=None,
     evaluated exactly even when that is not an integer."""
     if not N > eps >= 0:
         raise InvalidParams(f"need N > eps >= 0, got N={N}, eps={eps}")
+    if k < 1 or t < 1:
+        raise InvalidParams(f"need k >= 1 and t >= 1, got k={k}, t={t}")
     d_star_1 = n - (k + t - 1)
     if d_star_1 < 1:
         raise InvalidParams(f"need n > k+t-1, got n={n}, k={k}, t={t}")

@@ -37,7 +37,7 @@ from .errors import (
     OrderNotDividing,
     TooFewLocators,
 )
-from .fields import Field
+from .fields import Field, power_rows
 from .linalg import mat_rank
 from .rates import min_gamma
 from .seeds import derive_seed
@@ -60,10 +60,7 @@ def _assemble(field: Field, k: int, M: int, locators, window: int):
     """
     # powers[e][j] = a_j^e for e < (M+1)k.  Band block z = 0..M is the
     # Vandermonde block scaled per column by a^(zk): its row r is powers[r + zk].
-    mul = field.mul
-    powers = [[1] * len(locators)]
-    for _ in range((M + 1) * k - 1):
-        powers.append([mul(p, a) for p, a in zip(powers[-1], locators)])
+    powers = power_rows(field, locators, (M + 1) * k)
     zero = [0] * len(locators)
     rows = []
     for bi in range(window):

@@ -404,11 +404,16 @@ def test_privacy_audit_cli(tmp_path, capsys):
     ("simulate", BYZ_CFG.replace("mode = budget", "mode = fixed-byzantine\nb = two"),
      "[channel] b"),
     ("rates", "[rates]\nell = 1e2\n", "[rates] ell"),
+    ("rates", "[rates]\nk = 0\n", "[rates] n = 100, k = 0,"),
+    ("rates", "[rates]\nell = 0\n", "[rates] n = 100, k = 75, t = 1, ell = 0:"),
+    ("rates", "[rates]\nn = 0\n", "[rates] n = 0,"),
+    ("rates", "[rates]\nt = 0\n", "[rates] n = 100, k = 75, t = 0,"),
 ], ids=["audit-sets", "search-rows", "search-rows-negative-memory",
         "search-rows-zero-k", "search-rows-gamma-below-minimum",
         "search-rows-gamma-above-q", "search-bands",
         "search-trials", "search-trials-zero", "search-trials-negative",
-        "run-seed", "run-trials-zero", "channel-b", "rates-ell"])
+        "run-seed", "run-trials-zero", "channel-b", "rates-ell",
+        "rates-k-zero", "rates-ell-zero", "rates-n-zero", "rates-t-zero"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,
                                              names):
     path = write(tmp_path, "c.ini", text)

@@ -17,6 +17,7 @@ from pirstream.fields import (
     _is_irreducible,
     _unpack,
     parse_field_spec,
+    power_rows,
 )
 
 GF5 = Field(5)
@@ -112,6 +113,18 @@ def test_field_axioms(f, data):
     if a:
         assert f.mul(a, f.inv(a)) == 1
     assert f.sub(f.add(a, b), b) == a
+
+
+# one field per kernel: mod p, GF(2^8) translate rows, and the scalar
+# methods on an odd-characteristic extension and on GF(2^s) past 2^8
+@pytest.mark.parametrize("f", [Field(13), Field(2, 8), GF9, Field(2, 10)],
+                         ids=repr)
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_power_rows_match_pow(f, count):
+    xs = [0, 1, 2, f.q - 1, 5]     # a zero locator, with 0^0 = 1
+    rows = power_rows(f, xs, count)
+    assert rows == [[f.pow(x, i) for x in xs] for i in range(count)]
+    assert power_rows(f, [], count) == [[]] * count
 
 
 @settings(max_examples=50, deadline=None)

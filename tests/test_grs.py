@@ -108,6 +108,30 @@ def test_bmd_exhaustive_against_codebook():
                 assert within == []
 
 
+@pytest.mark.parametrize("f", [Field(13), GF16], ids=repr)
+def test_generator_matrix_hands_out_a_copy(f):
+    # the decoders read the code's kept generator rows; what a caller does
+    # to the matrix it was given must not reach them
+    locs, mults = (0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 7)
+    code = GrsCode(f, 7, 3, locs, mults)
+    expect = [[f.mul(v, f.pow(a, i)) for a, v in zip(locs, mults)]
+              for i in range(3)]
+    g = code.generator_matrix()
+    assert g == expect
+    g[0][0] = f.add(g[0][0], 1)
+    g[1].append(5)
+    g.append([1] * 7)
+    clear_caches()      # readers are built after the change
+    msg = [3, 1, 2]
+    word = code.encode(msg)
+    assert word == [f.mul(v, poly_eval(f, msg, a)) for a, v in zip(locs, mults)]
+    assert code.erasure_decode([None, None] + word[2:]) == msg
+    corrupt = list(word)
+    corrupt[4] = f.add(corrupt[4], 1)
+    assert code.bmd_decode(corrupt) == (msg, frozenset({4}))
+    assert code.generator_matrix() == expect
+
+
 def test_mds_weight_property():
     for cw in codewords(RS42):
         if any(cw):

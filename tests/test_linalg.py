@@ -266,13 +266,43 @@ def test_solver_key_is_the_array_bytes_of_a(monkeypatch, q, typecode):
 
 
 def test_solver_key_rejects_what_it_cannot_pack():
-    # too few or too many symbols for rows x cols, or a symbol the
-    # typecode cannot hold, is a typed error, not struct's
+    # too few or too many symbols for rows x cols is a typed error, not
+    # struct's
     for f, a in ((Field(251), [[1, 2], [3], [5, 6]]),
-                 (Field(331), [[1, 2], [3, 4, 5], [5, 6]]),
-                 (Field(251), [[1, 2], [3, -4], [5, 6]])):
+                 (Field(331), [[1, 2], [3, 4, 5], [5, 6]])):
         with pytest.raises(ShapeMismatch):
             solve_unique(f, a, [1, 2, 3])
+
+
+def _outcome(call):
+    """The result of ``call()``, or the type of the library error it raised."""
+    try:
+        return call()
+    except (InconsistentSystem, RankDeficient, ShapeMismatch) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p, a, b", [
+    (13, [[13]], [0]),
+    (13, [[13]] * 30, [0] * 30),              # kept solver, packed as given
+    (13, [[13], [26]], [0, 0]),
+    (13, [[14, 2], [1, 2]], [3, 3]),
+    (13, [[-1], [1]], [12, 1]),               # packed as its residue
+    (251, [[1, 2], [3, -4], [5, 6]], [1, 2, 3]),
+    (251, [[1, 2], [3, -4], [5, 6]], [3, -1, 11]),
+    (251, [[300, 1], [2, 3]], [1, 1]),        # past the typecode of 251
+    (13, [[13 * (r + 1) + c for c in range(40)] for r in range(60)],
+     [0] * 60),                               # past the cell cap
+], ids=["rank", "kept-rank", "kept-tall", "rref", "negative", "gf251-minus4",
+        "gf251-minus4-consistent", "gf251-300", "past-the-cap"])
+def test_gf_p_entries_of_a_read_as_their_residues(p, a, b):
+    # every entry point gives what it gives for the residues of A
+    f = Field(p)
+    residues = [[x % p for x in row] for row in a]
+    for entry in (lambda m: rref(f, m), lambda m: mat_rank(f, m),
+                  lambda m: solve_any(f, m, b),
+                  lambda m: solve_unique(f, m, b)):
+        assert _outcome(lambda: entry(a)) == _outcome(lambda: entry(residues))
 
 
 @pytest.mark.parametrize("length", [20, 25])

@@ -51,6 +51,15 @@ def test_rate_block_examples():
         rate_block(6, 2, 1, 3, 1, 4, gamma=2)   # below minimum
 
 
+@pytest.mark.parametrize("k, t", [(0, 1), (-2, 1), (2, 0), (2, -1)])
+def test_rate_block_rejects_k_or_t_below_one(k, t):
+    # k = 0 used to divide by the zero minimal gamma
+    with pytest.raises(InvalidParams, match="k >= 1 and t >= 1"):
+        rate_block(100, k, t, 30, 3, 100)
+    with pytest.raises(InvalidParams, match="k >= 1 and t >= 1"):
+        rate_block(100, k, t, 30, 3, None, gamma=40)
+
+
 def test_bound_dominates_rate():
     for n, k, t in ((100, 75, 1), (10, 2, 2), (12, 3, 1)):
         for window in range(2, 12):
