@@ -16,21 +16,26 @@ any further positions the caller asks for (``at``), such as the erased
 ones, so no caller re-encodes the message to read them.  The surviving
 positions and their reader are kept per code, erased positions and
 ``at`` (``_erasure_plan``), so a repeated erasure pattern is read with
-no per-position loop.  Error decoding takes the n-k syndromes of the
-word through one linear map of parity checks (``_parity_checks``) and
-solves the key equation in syndrome form once, at the full
-bounded-minimum-distance radius, for an error locator.  Its roots come
-from its values at every locator, another linear map (Chien's search),
-and are then read as erasures: the reader of the first k positions that
-are not roots, followed by every other position, gives the message and
-the codeword's symbols elsewhere, and the decode fails unless they
-differ from the word only at roots.  The maps are the field kernel's
-``linear_map``s, one ``bytes.translate`` of a matrix row (GF(2^s),
-q <= 2^8) or one multiply-accumulate (GF(p)) per input symbol; codes on
-the same locators share the first two.  So each BMD decode makes at
-most one elimination besides the reader's one inverse, and no encode;
-at the block lengths used here one solve at the full radius is plenty,
-and it never miscorrects beyond the radius.  Over a field other than
+no per-position loop.  Error (BMD) decoding first reads the word
+through the reader of the code's last error locator (``_bmd_positions``,
+the one mutable slot of a code): Byzantine servers lie in every block,
+so the codeword read there is nearly always within the radius of the
+next word, and then it is the answer.  Otherwise it takes the n-k
+syndromes of the word through one linear map of parity checks
+(``_parity_checks``) and solves the key equation in syndrome form once,
+at the full bounded-minimum-distance radius, for an error locator.  Its
+roots come from its values at every locator, another linear map
+(Chien's search), and are then read as erasures: the reader of the
+first k positions that are not roots, followed by every other position,
+gives the message and the codeword's symbols elsewhere, and the decode
+fails unless they differ from the word only at roots.  The maps are the
+field kernel's ``linear_map``s, one ``bytes.translate`` of a matrix row
+(GF(2^s), q <= 2^8) or one multiply-accumulate (GF(p)) per input
+symbol; codes on the same locators share the first two.  So each BMD
+decode makes at most one elimination besides the reader's one inverse,
+none when the kept reader answers, and no encode; at the block lengths
+used here one solve at the full radius is plenty, and it never
+miscorrects beyond the radius.  Over a field other than
 GF(p), both decoders reject a symbol outside [0, q) with
 SymbolOutsideField."""
 
@@ -55,13 +60,21 @@ from .linalg import reduce_with_identity, solve_any
 
 @dataclass(frozen=True)
 class GrsCode:
-    """RS(n, k, v) over a finite field; immutable and freely shareable."""
+    """RS(n, k, v) over a finite field; its fields are immutable and it is
+    freely shareable.  Besides the tables it builds once, a code keeps
+    one mutable slot, ``_bmd_positions``: the reader positions of its last
+    BMD decode that solved the key equation, which ``bmd_decode`` tries
+    first.  The slot changes no result, only how fast a word decodes, so
+    equal codes decode every word alike whatever their slots hold."""
 
     field: Field
     n: int
     k: int
     locators: tuple
     multipliers: tuple = ()
+
+    # not a dataclass field: equality, hashing and repr ignore it
+    _bmd_positions = None
 
     def __post_init__(self):
         if self.multipliers == ():
@@ -172,6 +185,22 @@ class GrsCode:
         Hamming distance e = (d-1)//2 of the word, or raises
         DecodingFailure.
 
+        A Byzantine server lies in every block, so a word's errors are
+        nearly always where the code's last decode found them.  The code
+        keeps the positions of the reader of its last decode that solved
+        the key equation and passed its check (``_bmd_positions``), and
+        reads the word through that reader first: the k symbols at its
+        base give a codeword, and if that codeword differs from the word
+        at no more than e positions, it is the answer and those positions
+        are the errors.  That is exact: two codewords within e of one word
+        would lie within 2e < d of each other, so a codeword within e is
+        the unique one, which the full decode below returns with the same
+        error positions.  Otherwise, with no positions kept or with more
+        than e differences, the full decode runs and, when it solved the
+        key equation, keeps its reader's positions for the next word.
+        Only the full decode solves; the kept positions decide which
+        reader is tried first and never change a result.
+
         The n-k syndromes S_i = sum_j u_j a_j^i w_j are the parity checks
         of the dual code (``_parity_checks``); all zero means a codeword.
         Otherwise one solve of the Hankel key equation
@@ -184,11 +213,11 @@ class GrsCode:
         and the codeword at those other positions off the word's k
         symbols.  The codeword may differ from the word only at roots,
         which are then the error positions; no encode is needed.  The key
-        equation is the only elimination besides the reader's one inverse
-        per set of positions, kept per process.  The word is reduced once
-        on entry, so an unreduced GF(p) word gives its residues' answer;
-        over any other field a symbol outside [0, q) raises
-        SymbolOutsideField.
+        equation is the only elimination of a full decode besides the
+        reader's one inverse per set of positions, kept per process.  The
+        word is reduced once on entry, so an unreduced GF(p) word gives its
+        residues' answer; over any other field a symbol outside [0, q)
+        raises SymbolOutsideField.
 
         Syndromes, locator values and the reader are each one
         ``linear_map`` of the field's kernel, built once and applied to the
@@ -217,8 +246,13 @@ class GrsCode:
             word = f.kernel.scale(word, 1)
         else:
             _check_symbols(f, word, range(self.n))
-        r = self.n - self.k
+        k, r = self.k, self.n - self.k
         e = (self.d - 1) // 2
+        kept = self._bmd_positions
+        if kept is not None:
+            message, errors = self._read_off(kept, word)
+            if len(errors) <= e:
+                return message, errors
         far = f"no codeword within distance {e} of the received word"
         syndromes = self._parity_checks(word)[:r]
         roots = []
@@ -233,14 +267,24 @@ class GrsCode:
             roots = [j for j, v in enumerate(values) if v == 0]
             if not roots:
                 raise DecodingFailure(far)
-        k = self.k
         others = [j for j in range(self.n) if j not in roots]
         base, rest = others[:k], sorted(roots + others[k:])
-        read = _reader(self, tuple(base + rest))([word[j] for j in base])
-        errors = frozenset([j for j, c in zip(rest, read[k:]) if c != word[j]])
+        positions = tuple(base + rest)
+        message, errors = self._read_off(positions, word)
         if not errors.issubset(roots):
             raise DecodingFailure(far)
-        return read[:k], errors
+        if roots:
+            object.__setattr__(self, "_bmd_positions", positions)
+        return message, errors
+
+    def _read_off(self, positions, word):
+        """(message, positions where the codeword differs from the word)
+        of the codeword that agrees with the word at the first k of
+        ``positions``, read through their ``_reader``."""
+        k = self.k
+        read = _reader(self, positions)([word[j] for j in positions[:k]])
+        return read[:k], frozenset([j for j, c in zip(positions[k:], read[k:])
+                                    if c != word[j]])
 
     @cached_property
     def _parity_checks(self):

@@ -21,10 +21,13 @@ followed by the left-null-space checks, in a ``functools.lru_cache``
 keyed by the field, the shape and the bytes of A (``_kept_solver``):
 those of an ``array`` of its symbols in the narrowest unsigned typecode
 that holds them (``_typecode``, worked out once per field order),
-packed by one ``struct.pack`` call.  A repeated A costs that packing,
-one map application and no elimination.  Systems larger than ``_SOLVER_CELLS``,
-and every system over a field with the scalar kernel, are reduced as
-[A | b] on every call, as ``solve_any`` always is.
+packed row by row by one ``struct.Struct`` of the row length, so a
+ragged A fails to pack and raises ShapeMismatch naming its first row of
+the wrong length, as the elimination does.  A repeated A costs that
+packing, one map application and no elimination.  Systems larger than
+``_SOLVER_CELLS``, and every system over a field with the scalar
+kernel, are reduced as [A | b] on every call, as ``solve_any`` always
+is.
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
 the field's kernel (``Field.kernel``, see ``fields``): per pivot, the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import struct
 from array import array
 from functools import lru_cache
-from itertools import chain
+from itertools import starmap
 
 from .errors import InconsistentSystem, RankDeficient, ShapeMismatch
 from .fields import Field, _ScalarKernel
@@ -102,6 +105,15 @@ def rref(field: Field, rows):
     return m, pivots
 
 
+def _check_row_lengths(rows, ncols):
+    """Raise ShapeMismatch as ``_echelon`` does, at the first of the rows
+    that has not ``ncols`` entries."""
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ShapeMismatch(
+                f"row {i} has {len(row)} entries, row 0 has {ncols}")
+
+
 def _check_rhs(a, b):
     if len(b) != len(a):
         raise ShapeMismatch(f"b has {len(b)} entries, A has {len(a)} rows")
@@ -114,6 +126,7 @@ def _solve_augmented(field: Field, a, b):
     b is reduced first: ``rref`` reduces only the rows it eliminates, so
     an unreduced GF(p) entry would otherwise be read as given."""
     n = len(a[0]) if a else 0
+    _check_row_lengths(a, n)    # before b joins the rows
     b = field.kernel.scale(b, 1)
     m, pivots = rref(field, [list(row) + [bv] for row, bv in zip(a, b)])
     if n in pivots:
@@ -182,19 +195,23 @@ def _solver(field: Field, a, rows: int, cols: int):
     if (rows * (rows + cols) > _SOLVER_CELLS or typecode is None
             or isinstance(field.kernel, _ScalarKernel)):
         return None
-    # one struct.pack gives the bytes array(typecode, ...).tobytes() gives,
-    # in a third of the time on a 28 x 28 window system (16 vs 48 us on an
-    # Intel Xeon); a GF(p) entry the typecode cannot hold is packed as its
-    # residue, and ``_echelon`` reads one it can hold as its residue
-    fmt = f"{rows * cols}{typecode}"
+    # one struct pack per row gives the bytes array(typecode, ...).tobytes()
+    # gives, in under a third of the time on a 28 x 28 window system (17 vs
+    # 57 us on a 2-CPU Intel Xeon; one pack of all rows took 22 us), and
+    # fails on a row without cols entries, where one pack of all rows would
+    # solve a ragged A with rows x cols symbols in all as the re-flowed
+    # matrix.  A GF(p) entry the typecode cannot hold is packed as its
+    # residue, and ``_echelon`` reads one it can hold as its residue.
+    pack = struct.Struct(f"{cols}{typecode}").pack
     try:
         try:
-            data = struct.pack(fmt, *chain.from_iterable(a))
+            data = b"".join(starmap(pack, a))
         except struct.error:
+            _check_row_lengths(a, cols)
             if field.s > 1:
                 raise
             p = field.p
-            data = struct.pack(fmt, *[x % p for x in chain.from_iterable(a)])
+            data = b"".join(pack(*[x % p for x in row]) for row in a)
     except (struct.error, TypeError) as exc:    # TypeError: x % p of None
         raise ShapeMismatch(
             f"A is not a {rows} x {cols} matrix of field symbols") from exc

@@ -257,6 +257,114 @@ def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
     assert solves[0] == 1
 
 
+def count_solves(monkeypatch):
+    """A one-entry list that counts the calls of ``grs.solve_any``."""
+    solves = [0]
+    solve_any = grs.solve_any
+
+    def counted(*args):
+        solves[0] += 1
+        return solve_any(*args)
+    monkeypatch.setattr(grs, "solve_any", counted)
+    return solves
+
+
+def test_bmd_decode_solves_once_for_persistent_errors(monkeypatch):
+    # two servers that lie in every block, as in the byzantine-fixed
+    # benchmark's star code: the first word solves the key equation, and
+    # every later word is read through that solve's reader alone
+    f = Field(2, 8)
+    locs = tuple(range(1, 17))
+    code = GrsCode(f, 16, 3, locs, tuple(f.pow(a, -3) for a in locs))
+    rng = random.Random(4)
+    solves = count_solves(monkeypatch)
+    for _ in range(5):
+        msg = [rng.randrange(256) for _ in range(3)]
+        word = code.encode(msg)
+        for j in (2, 9):
+            word[j] ^= rng.randrange(1, 256)
+        assert code.bmd_decode(word) == (msg, frozenset({2, 9}))
+        assert solves[0] == 1
+
+
+# (field, n, k) of the codes that decode a sequence of words: the star
+# code's shape of the byzantine-fixed benchmark, a prime field read with
+# unreduced symbols, a small binary field, and GF(3^2) on the scalar kernel
+SEQUENCE_CODES = {
+    "GF(2^8)": (Field(2, 8), 16, 3),
+    "GF(13)": (Field(13), 12, 4),
+    "GF(2^4)": (GF16, 10, 3),
+    "GF(3^2)": (Field(3, 2), 8, 2),
+}
+
+
+@pytest.mark.parametrize("name", SEQUENCE_CODES)
+def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
+        name, monkeypatch):
+    # One code decodes a sequence of words: errors that persist, errors
+    # that move, errors at the base of the kept reader (its first k
+    # positions), codewords, and e + 1 errors off and on that base.  Each
+    # answer, failures included, is the Berlekamp-Welch answer and that of
+    # a fresh code, which keeps no reader; the solve counts pin which
+    # words the kept reader answers.  A kept reader that answered at
+    # distance e + 1 fails at "e+1 off the base", and one that raised
+    # instead of running the full decode fails at "hits the base".
+    f, n, k = SEQUENCE_CODES[name]
+    rng = random.Random(name)
+    code = GrsCode(f, n, k, tuple(rng.sample(range(f.q), n)),
+                   tuple(rng.randrange(1, f.q) for _ in range(n)))
+    e = (code.d - 1) // 2
+    solves = count_solves(monkeypatch)
+
+    def base():
+        return set(code._bmd_positions[:k])
+
+    def off_base(count, avoid=()):
+        spare = set(range(n)) - base() - set(avoid)
+        return set(rng.sample(sorted(spare), count))
+
+    def on_base(count):
+        hit = set(rng.sample(sorted(base()), min(k, count)))
+        return hit | off_base(count - len(hit), hit)
+
+    persistent = set(rng.sample(range(n), e))
+    # (label, positions to corrupt, key-equation solves or None if either)
+    steps = [
+        ("first", lambda: persistent, 1),
+        ("persists", lambda: persistent, 0),
+        ("persists", lambda: persistent, 0),
+        ("fewer", lambda: set(sorted(persistent)[1:]), 0),
+        ("codeword", set, 0),
+        ("moves", lambda: off_base(e, persistent), 0),
+        ("hits the base", lambda: on_base(e), 1),
+        ("after the move", lambda: off_base(e), 0),
+        ("e+1 off the base", lambda: off_base(e + 1), 1),
+        ("e+1 on the base", lambda: on_base(e + 1), None),
+        ("back", lambda: persistent, None),
+        ("persists", lambda: persistent, 0),
+    ]
+    for label, positions, expected in steps:
+        bad = positions()
+        msg = [rng.randrange(f.q) for _ in range(k)]
+        word = code.encode(msg)
+        for j in bad:
+            word[j] = f.add(word[j], rng.randrange(1, f.q))
+        reduced = list(word)
+        if f.s == 1:
+            # over GF(p) a symbol is read as its residue
+            for j in rng.sample(range(n), 3):
+                word[j] += f.p * rng.choice((-2, -1, 1, 3))
+        before = solves[0]
+        got = decode_or_fail(GrsCode.bmd_decode, code, word)
+        solved = solves[0] - before
+        fresh = GrsCode(f, n, k, code.locators, code.multipliers)
+        assert got == decode_or_fail(GrsCode.bmd_decode, fresh, word), label
+        assert got == decode_or_fail(bw_decode, code, reduced), label
+        if len(bad) <= e:
+            assert got == (msg, frozenset(bad)), label
+        assert expected is None or solved == expected, label
+
+
 def test_bmd_decode_makes_no_encode_call(monkeypatch):
     # the reader of the positions that are not roots gives the message
     # and the codeword at every other position, so the check against the
@@ -398,6 +506,30 @@ def test_bmd_decode_matches_berlekamp_welch(f, data):
     assert got == decode_or_fail(bw_decode, code, word)
     if len(bad) <= (code.d - 1) // 2:
         assert got == (msg, frozenset(bad))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_bmd_decode_sequences_match_berlekamp_welch(f, data):
+    # any sequence of words on one code, each with any error set
+    n = data.draw(st.integers(2, min(f.q, 12)))
+    k = data.draw(st.integers(1, n - 1))
+    locs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=n,
+                              max_size=n, unique=True))
+    mults = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    code = GrsCode(f, n, k, tuple(locs), tuple(mults))
+    e = (code.d - 1) // 2
+    for _ in range(data.draw(st.integers(1, 6))):
+        msg = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k,
+                                 max_size=k))
+        word = code.encode(msg)
+        bad = data.draw(st.sets(st.integers(0, n - 1)))
+        for j in bad:
+            word[j] = f.add(word[j], data.draw(st.integers(1, f.q - 1)))
+        got = decode_or_fail(GrsCode.bmd_decode, code, word)
+        assert got == decode_or_fail(bw_decode, code, word)
+        if len(bad) <= e:
+            assert got == (msg, frozenset(bad))
 
 
 def erasure_outcome(decode, code, word, erased):

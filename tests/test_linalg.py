@@ -274,6 +274,20 @@ def test_solver_key_rejects_what_it_cannot_pack():
             solve_unique(f, a, [1, 2, 3])
 
 
+@pytest.mark.parametrize("f", [Field(251), Field(2, 8)], ids=str)
+def test_ragged_a_below_the_cap_is_rejected_by_row(f):
+    # 6 symbols in all fill a 3 x 2 matrix, so a key of the packed symbols
+    # alone solves this A as [[1, 2], [3, 4], [5, 6]]; every entry point
+    # names the short row, as the elimination does
+    a = [[1, 2], [3], [4, 5, 6]]
+    message = "row 1 has 1 entries, row 0 has 2"
+    for call in (lambda: solve_unique(f, a, [5, 11, 17]),
+                 lambda: solve_any(f, a, [5, 11, 17]),
+                 lambda: mat_rank(f, a)):
+        with pytest.raises(ShapeMismatch, match=message):
+            call()
+
+
 def _outcome(call):
     """The result of ``call()``, or the type of the library error it raised."""
     try:
