@@ -14,10 +14,12 @@ then the median of the reps' ratios with their quartiles and range.
         --config burst-window --trials 30 --reps 5
 
 A ratio above 1 means the change is faster.  Both sides must give the
-same outcome in every trial, or the run stops.  ``--config`` is a path to
-an ini file or the name of a benchmark config (``perfbench/configs`` of
-the change).  An A/A run (``--parent . --change .``) shows the spread of
-the ratio on this machine.
+same outcome in every trial, or the run stops; with
+``--outcomes-may-differ`` (for a change that draws other channels on
+purpose) the run goes on and prints how many trials each side decoded.
+``--config`` is a path to an ini file or the name of a benchmark config
+(``perfbench/configs`` of the change).  An A/A run (``--parent .
+--change .``) shows the spread of the ratio on this machine.
 
 It times the decode path of a trial only: setup, peak memory, imports and
 process start need ``perfbench/run.py`` pairs (``scripts/bench_pairs.py``),
@@ -79,6 +81,7 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--trials", type=int, default=30)
     parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--outcomes-may-differ", action="store_true")
     args = parser.parse_args(argv)
     if args.trials < 1 or args.reps < 1:
         parser.error("--trials and --reps must be >= 1")
@@ -97,21 +100,27 @@ def main(argv=None):
         for side in SIDES:
             sys.modules[f"pirstream_{side}"].clear_caches()
         times = {side: [] for side in SIDES}
+        decoded = dict.fromkeys(SIDES, 0)
         for trial in range(args.trials):
             outcomes = {}
             for side in SIDES if trial % 2 == 0 else SIDES[::-1]:
                 t0 = perf_counter()
                 outcomes[side] = runs[side](trial)
                 times[side].append(perf_counter() - t0)
-            if outcomes["parent"] != outcomes["change"]:
+                decoded[side] += outcomes[side][0]
+            if (outcomes["parent"] != outcomes["change"]
+                    and not args.outcomes_may_differ):
                 sys.exit(f"trial {trial} differs: {outcomes}")
         ratio = statistics.median(
             p / c for p, c in zip(times["parent"], times["change"]))
         rep_ratios.append(ratio)
+        decoded_note = (f"; decoded parent {decoded['parent']} change "
+                        f"{decoded['change']}" if args.outcomes_may_differ
+                        else "")
         print(f"rep {rep + 1}: median ms parent "
               f"{statistics.median(times['parent']) * 1e3:.3f} change "
               f"{statistics.median(times['change']) * 1e3:.3f}; "
-              f"paired ratio parent/change {ratio:.3f}")
+              f"paired ratio parent/change {ratio:.3f}{decoded_note}")
     q1, q2, q3 = quartiles(rep_ratios)
     print(f"median paired ratio parent/change {q2:.3f}, quartiles "
           f"{q1:.3f}-{q3:.3f}, range {min(rep_ratios):.3f}-"

@@ -7,7 +7,7 @@ errors), their decoders, locator-set search, rate formulas, and a
 seeded simulation CLI.
 """
 
-from . import decoder, grs, linalg, recovering
+from . import channels, decoder, grs, linalg, recovering
 from .channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -66,11 +66,11 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every per-process cache of the package: the erasure readers,
     erasure plans, dual checks and root maps of GRS codes (``grs``), the
-    kept solvers of
-    ``linalg.solve_unique``, the peeling tables of each plain or
-    block-erasure scheme (``decoder``) and the window ranks of
-    ``recovering``.  Each is a ``functools.lru_cache`` that bounds itself;
-    clearing one changes no result, only what the next call recomputes.
+    kept solvers of ``linalg.solve_unique``, the peeling tables of each
+    plain or block-erasure scheme (``decoder``), the window ranks of
+    ``recovering`` and the budget weight counts of ``channels``.  Each is
+    a ``functools.lru_cache`` that bounds itself; clearing one changes no
+    result, only what the next call recomputes.
 
     The reader positions each ``GrsCode`` keeps from its last BMD decode
     (``GrsCode._bmd_positions``) survive: they are a slot of the code,
@@ -79,5 +79,5 @@ def clear_caches() -> None:
     rebuilt through ``grs._reader`` after a clear."""
     for cache in (grs._reader, grs._erasure_plan, grs._dual_checks,
                   grs._root_map, linalg._kept_solver, decoder._peeling_tables,
-                  recovering._orbit_rank):
+                  recovering._orbit_rank, channels._budget_counts):
         cache.cache_clear()

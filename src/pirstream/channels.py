@@ -8,11 +8,12 @@ accidental no-ops.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .decoder import UmDistanceProfile, _erasure_violation, check_guarantee
-from .errors import InvalidParams
+from .errors import ChannelGeneratorError, InvalidParams
 from .protocol import Block, ERASED, ERRORED, ResponseStream
 from .seeds import derive_rng
 
@@ -136,25 +137,79 @@ class ErrorSchedule:
         return w
 
 
+@functools.lru_cache(maxsize=16)
+def _budget_counts(profile: UmDistanceProfile, stream_len: int) -> tuple:
+    """(xs, start, counts) for the budget weights of ``stream_len`` blocks.
+
+    xs holds the x-value 2*w - d_alpha of each block weight w up to
+    (dbar(1) - 1) // 2.  counts[r][best] is the number of ways to extend
+    a budget-respecting prefix by r weights, given ``best``, the largest
+    x-sum of a window that ends at its last block (the state of
+    ``check_guarantee``).  ``start`` stands for the empty prefix: low
+    enough that no first weight breaks the budget, and at most 0, so that
+    it adds nothing to the window of the second block.
+    """
+    d_alpha = profile.d_alpha
+    limit = profile.d1 + profile.d2 - 2 * d_alpha
+    xs = range(-d_alpha, 2 * ((profile.dbar(1) - 1) // 2) - d_alpha + 1, 2)
+    start = min(-1, limit - 1 - xs[-1])
+    # every best a budget-respecting prefix can leave lies in this range
+    states = range(min(start, xs[0]), max(limit, xs[-1] + 1))
+    counts = [dict.fromkeys(states, 1)]
+    for _ in range(stream_len):
+        prev = counts[-1]
+        counts.append({best: sum(prev[x + max(best, 0)] for x in xs
+                                 if best + x < limit)
+                       for best in states})
+    return xs, start, tuple(counts)
+
+
+def count_budget_weights(profile: UmDistanceProfile, stream_len: int) -> int:
+    """The number of weight sequences of ``stream_len`` blocks, each weight
+    at most (dbar(1) - 1) // 2, that pass ``check_guarantee``."""
+    _, start, counts = _budget_counts(profile, stream_len)
+    return counts[stream_len][start]
+
+
+def unrank_budget_weights(profile: UmDistanceProfile, stream_len: int,
+                          rank: int) -> list[int]:
+    """The ``rank``-th of the weight sequences that
+    ``count_budget_weights`` counts, in lexicographic order."""
+    xs, best, counts = _budget_counts(profile, stream_len)
+    if not 0 <= rank < counts[stream_len][best]:
+        raise InvalidParams(f"rank {rank} outside [0, "
+                            f"{counts[stream_len][best]})")
+    weights = []
+    for left in range(stream_len - 1, -1, -1):
+        # the weights that keep within the budget come first, and their
+        # completions add up to more than rank, so the loop stops at one
+        for w, x in enumerate(xs):
+            nxt = x + max(best, 0)
+            if rank < counts[left][nxt]:
+                break
+            rank -= counts[left][nxt]
+        weights.append(w)
+        best = nxt
+    return weights
+
+
 def gen_error_schedule(profile: UmDistanceProfile, ell: int, memory: int,
                        n: int, q: int, mode: str, seed: int,
                        b: int | None = None) -> ErrorSchedule:
     """Draw one error schedule.
 
-    'budget' rejection-samples until the guarantee check passes, so every
-    emitted schedule is decodable by design; 'fixed-byzantine' corrupts
-    the same b servers in every block; 'none' is empty; 'random' ignores
-    the budget.
+    'budget' draws its block weights uniformly from the sequences that
+    pass the guarantee check, so every emitted schedule is decodable by
+    design; 'random' draws each block weight uniformly up to
+    (dbar(1) - 1) // 2, ignoring the budget; 'fixed-byzantine' corrupts
+    the same b servers in every block; 'none' is empty.
 
-    Each attempt draws from its own ``derive_rng(seed, "errors",
-    attempt)``: per block a weight up to (dbar(1) - 1) // 2, then that
-    many servers and proposed values.  A budget attempt is dropped as
-    soon as the weights drawn so far fail ``check_guarantee``, before
-    the positions of that block are drawn.  A failing prefix fails the
-    whole schedule, and the next attempt does not depend on how far this
-    one got, so the law of the accepted schedules is the same as
-    checking complete draws.  After 10,000 rejected attempts budget mode
-    raises ``InvalidParams``.
+    Budget and random modes draw from ``derive_rng(seed, "errors", 0)``.
+    Budget mode takes one rank below ``count_budget_weights`` and unranks
+    it into the weights; random mode draws each weight in turn before
+    its block's positions.  Per block, the positions are w distinct
+    servers and each gets a proposed value.  The all-zero weights pass
+    the check, so budget mode always has a schedule to draw.
     """
     stream_len = ell + memory
     if mode == "none":
@@ -170,24 +225,24 @@ def gen_error_schedule(profile: UmDistanceProfile, ell: int, memory: int,
             for j in servers
         )
         return ErrorSchedule(entries, mode)
-    if mode not in ("budget", "random"):
+    rng = derive_rng(seed, "errors", 0)
+    if mode == "budget":
+        weights = unrank_budget_weights(profile, stream_len, rng.randrange(
+            count_budget_weights(profile, stream_len)))
+        if not check_guarantee(weights, profile):
+            raise ChannelGeneratorError(
+                f"gen_error_schedule: budget weights {weights} fail "
+                f"check_guarantee")
+    elif mode == "random":
+        # lazily, so each weight is drawn just before its block's positions
+        cap = (profile.dbar(1) - 1) // 2
+        weights = (rng.randint(0, cap) for _ in range(stream_len))
+    else:
         raise InvalidParams(f"unknown mode {mode!r}")
-    budget = mode == "budget"
-    cap = (profile.dbar(1) - 1) // 2
-    for attempt in range(10000):
-        rng = derive_rng(seed, "errors", attempt)
-        entries = []
-        weights = []
-        for blk in range(1, stream_len + 1):
-            w = rng.randint(0, cap)
-            weights.append(w)
-            if budget and not check_guarantee(weights, profile):
-                break
-            for j in sorted(rng.sample(range(n), w)):
-                entries.append((blk, j, rng.randrange(q)))
-        else:           # every block drawn without breaking the budget
-            return ErrorSchedule(tuple(entries), mode)
-    raise InvalidParams("could not sample a budget-respecting schedule")
+    return ErrorSchedule(tuple(
+        (blk, j, rng.randrange(q))
+        for blk, w in enumerate(weights, 1)
+        for j in sorted(rng.sample(range(n), w))), mode)
 
 
 def apply_errors(stream: ResponseStream, schedule: ErrorSchedule, q: int,

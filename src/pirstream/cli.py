@@ -161,6 +161,9 @@ def _run_one_trial(scheme, ell, channel, seed, trial, schedules):
             desc = "erased=" + "+".join(str(b) for b in sorted(sched.erased))
             stream = channels.apply_erasures(stream, sched)
         elif channel.kind == "symbol-errors":
+            # named before the draw, so a generator that raises is not
+            # reported as a clean channel
+            desc = f"errors={channel.mode}"
             sched = channels.gen_error_schedule(
                 channel.profile, ell, scheme.memory, scheme.n, field.q,
                 channel.mode, derive_seed(seed, "errors", trial), b=channel.b)

@@ -92,9 +92,7 @@ def check_guarantee(weights, profile: UmDistanceProfile) -> bool:
     One pass over the weights: with x_b = 2*w_b - d_alpha, a window of
     two or more blocks breaks the budget iff its x-sum reaches
     d1 + d2 - 2*d_alpha, so it is enough to carry the largest x-sum of a
-    window that ends at the previous block (Kadane's scan).  Every window
-    of a prefix is a window of the whole list, so a prefix that fails
-    means the whole list fails.
+    window that ends at the previous block (Kadane's scan).
     """
     d_alpha = profile.d_alpha
     limit = profile.d1 + profile.d2 - 2 * d_alpha

@@ -75,6 +75,12 @@ class InvalidParams(PirstreamError):
     pass
 
 
+# --- channels -------------------------------------------------------------
+
+class ChannelGeneratorError(PirstreamError):
+    """A channel generator drew a schedule that breaks its own contract."""
+
+
 # --- recovery -------------------------------------------------------------
 
 class RankDeficient(PirstreamError):

@@ -10,8 +10,9 @@ outcome with the same trial run alone after the caches are emptied.
 The schemes share what a careless key would confuse: GF(2^4) under two
 moduli, codes on the same locators with different multipliers, block
 schemes that differ only in window, plain schemes on one code and
-support that differ only in memory, and Byzantine schemes whose codes
-share locators.
+support that differ only in memory, Byzantine schemes whose codes
+share locators, and budget error schedules of two distance profiles
+over streams of one length.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,9 @@ SCHEMES = (
     ("byzantine", "2^4:13", dict(n=10, k=1, t=1)),
     ("byzantine", "2^4:13", dict(n=10, k=2, t=1)),
     ("byzantine", "2^4:19", dict(n=10, k=2, t=1)),
+    # budget schedules of two distance profiles over one stream length
+    ("byzantine", "2^4:13", dict(n=10, k=2, t=1, mode="budget")),
+    ("byzantine", "2^4:13", dict(n=10, k=1, t=1, mode="budget")),
 )
 
 
@@ -76,6 +80,8 @@ def run_trial(index, trial):
     else:
         scheme = protocol.byzantine_scheme(code, params["t"], 2, 1)
         section = {"kind": "symbol-errors", "mode": "fixed-byzantine", "b": "1"}
+        if "mode" in params:
+            section = {"kind": "symbol-errors", "mode": params["mode"]}
     channel = cli._check_channel(section, scheme)
     return cli._run_one_trial(scheme, ell, channel, SEED, trial,
                               schedules) + extra
@@ -95,14 +101,15 @@ def test_interleaved_trials_match_trials_run_alone(runs):
 
 
 def test_clear_caches_empties_every_cache():
-    # a Byzantine trial fills the readers, dual checks and root maps of its
-    # codes, and a block trial the erasure plans, the kept solvers, the
-    # peeling tables and the window ranks
+    # a Byzantine trial with budget errors fills the readers, dual checks
+    # and root maps of its codes and the budget weight counts, and a block
+    # trial the erasure plans, the kept solvers, the peeling tables and the
+    # window ranks
     caches = (grs._reader, grs._erasure_plan, grs._dual_checks,
               grs._root_map, linalg._kept_solver, decoder._peeling_tables,
-              recovering._orbit_rank)
-    run_trial(11, 0)
+              recovering._orbit_rank, channels._budget_counts)
+    run_trial(13, 0)
     run_trial(6, 0)
     assert all(cache.cache_info().currsize for cache in caches)
     clear_caches()
-    assert [cache.cache_info().currsize for cache in caches] == [0] * 7
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 8

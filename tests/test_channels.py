@@ -1,4 +1,4 @@
-import random
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +9,13 @@ from pirstream.channels import (
     ErrorSchedule,
     apply_erasures,
     apply_errors,
+    count_budget_weights,
     gen_burst_patterns,
     gen_error_schedule,
+    unrank_budget_weights,
 )
 from pirstream.decoder import UmDistanceProfile, check_guarantee
-from pirstream.errors import InvalidParams
+from pirstream.errors import ChannelGeneratorError, InvalidParams
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
 from pirstream.protocol import ERASED, ERRORED, byzantine_scheme, random_files, run_protocol, storage_encode
@@ -98,36 +100,31 @@ def test_budget_mode_respects_guarantee():
         assert check_guarantee(sched.weights(4), PROF)
 
 
-def full_draw_schedule(profile, ell, memory, n, q, mode, seed):
-    """The budget sampler that draws every block of an attempt before it
-    checks the budget once; returns the schedule and its attempt count."""
+def full_draw_schedule(profile, ell, memory, n, q, seed):
+    """Random mode written out: from ``derive_rng(seed, "errors", 0)``,
+    each block's weight up to (dbar(1) - 1) // 2, then its servers and
+    proposed values, block by block."""
     cap = (profile.dbar(1) - 1) // 2
-    for attempt in range(10000):
-        rng = derive_rng(seed, "errors", attempt)
-        entries = []
-        weights = []
-        for blk in range(1, ell + memory + 1):
-            w = rng.randint(0, cap)
-            weights.append(w)
-            for j in sorted(rng.sample(range(n), w)):
-                entries.append((blk, j, rng.randrange(q)))
-        if mode == "random" or check_guarantee(weights, profile):
-            return ErrorSchedule(tuple(entries), mode), attempt + 1
-    raise InvalidParams("could not sample a budget-respecting schedule")
+    rng = derive_rng(seed, "errors", 0)
+    entries = []
+    for blk in range(1, ell + memory + 1):
+        w = rng.randint(0, cap)
+        for j in sorted(rng.sample(range(n), w)):
+            entries.append((blk, j, rng.randrange(q)))
+    return ErrorSchedule(tuple(entries), "random")
 
 
-def counting_attempts(monkeypatch):
-    """Count the per-attempt ``derive_rng(seed, "errors", i)`` calls of
+def counting_rngs(monkeypatch):
+    """Record the labels of every ``derive_rng`` call of
     ``gen_error_schedule``."""
-    attempts = []
+    labels_seen = []
     orig = channels.derive_rng
 
     def rng(master, *labels):
-        if labels[:1] == ("errors",) and isinstance(labels[-1], int):
-            attempts.append(labels[-1])
+        labels_seen.append(labels)
         return orig(master, *labels)
     monkeypatch.setattr(channels, "derive_rng", rng)
-    return attempts
+    return labels_seen
 
 
 # (field order, n, k, t): GF(16) shapes and the benchmark's GF(2^8) shape
@@ -137,51 +134,100 @@ SAMPLER_SHAPES = ((16, 8, 2, 1), (16, 10, 2, 2), (16, 12, 2, 1),
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SAMPLER_SHAPES), st.integers(1, 8), st.integers(0, 1),
-       st.sampled_from(("budget", "random")), st.integers(0, 2 ** 32))
-def test_budget_sampler_matches_full_draws(shape, ell, memory, mode, seed):
+       st.integers(0, 2 ** 32))
+def test_random_mode_matches_full_draws(shape, ell, memory, seed):
     q, n, k, t = shape
     profile = UmDistanceProfile.for_byzantine(n, k, t)
-    expected, expected_attempts = full_draw_schedule(
-        profile, ell, memory, n, q, mode, seed)
     with pytest.MonkeyPatch.context() as mp:
-        attempts = counting_attempts(mp)
-        sched = gen_error_schedule(profile, ell, memory, n, q, mode, seed)
-    assert sched == expected
-    assert attempts == list(range(expected_attempts))
+        labels = counting_rngs(mp)
+        sched = gen_error_schedule(profile, ell, memory, n, q, "random", seed)
+    assert sched == full_draw_schedule(profile, ell, memory, n, q, seed)
+    assert labels == [("errors", 0)]
 
 
-# The benchmark's byzantine-budget shape, whose sampler gives up at seed 11,
-# trial 4 after 10,000 rejected attempts.
-GIVE_UP = (UmDistanceProfile.for_byzantine(16, 3, 1), 20, 1, 16, 256,
-           "budget", derive_seed(11, "errors", 4))
+def brute_force_budget_weights(profile, stream_len):
+    """Every weight sequence up to (dbar(1) - 1) // 2 per block that passes
+    ``check_guarantee``, in lexicographic order."""
+    cap = (profile.dbar(1) - 1) // 2
+    return [list(w) for w in itertools.product(range(cap + 1),
+                                               repeat=stream_len)
+            if check_guarantee(w, profile)]
 
 
-def test_budget_sampler_gives_up_like_full_draws(monkeypatch):
-    with pytest.raises(InvalidParams) as expected:
-        full_draw_schedule(*GIVE_UP)
-    attempts = counting_attempts(monkeypatch)
-    with pytest.raises(InvalidParams) as raised:
-        gen_error_schedule(*GIVE_UP)
-    assert str(raised.value) == str(expected.value)
-    assert attempts == list(range(10000))
+# the profiles of GF(16) shapes (n, k, t) with block distances 3, 4, 5, 7
+# and 2, then profiles no scheme gives: window limits d1 + d2 - 2 d_alpha
+# at or below zero, and block distances above the coset ones
+BUDGET_PROFILES = tuple(
+    UmDistanceProfile.for_byzantine(*shape)
+    for shape in ((8, 2, 1), (10, 2, 2), (12, 2, 3), (12, 2, 1), (10, 3, 1))
+) + tuple(UmDistanceProfile(*d) for d in ((1, 1, 1), (5, 2, 9), (2, 7, 3),
+                                          (4, 4, 4), (3, 1, 12)))
 
 
-def test_budget_sampler_stops_an_attempt_at_its_first_failing_block(monkeypatch):
-    # drawing all 21 blocks of each rejected attempt would make 21 weight
-    # draws per attempt
-    draws = []
+@pytest.mark.parametrize("profile", BUDGET_PROFILES,
+                         ids=lambda p: f"{p.d_alpha}-{p.d1}-{p.d2}")
+def test_unranking_lists_every_budget_sequence_once(profile):
+    # streams of up to 4 blocks (ell <= 4), against brute force
+    for stream_len in range(5):
+        expected = brute_force_budget_weights(profile, stream_len)
+        assert count_budget_weights(profile, stream_len) == len(expected)
+        assert [unrank_budget_weights(profile, stream_len, r)
+                for r in range(len(expected))] == expected
 
-    class CountingRandom(random.Random):
-        def randint(self, a, b):
-            draws.append((a, b))
-            return super().randint(a, b)
-    monkeypatch.setattr(channels, "derive_rng", lambda master, *labels:
-                        CountingRandom(derive_seed(master, *labels)))
-    attempts = counting_attempts(monkeypatch)
-    with pytest.raises(InvalidParams):
-        gen_error_schedule(*GIVE_UP)
-    assert len(attempts) == 10000
-    assert len(draws) < 5 * len(attempts)
+
+def test_budget_count_on_the_benchmark_shape():
+    # n=16, k=3, t=1 over GF(2^8) with ell=20, M=1: 21 blocks, cap 10
+    profile = UmDistanceProfile.for_byzantine(16, 3, 1)
+    assert (profile.dbar(1) - 1) // 2 == 10
+    assert count_budget_weights(profile, 21) == 775_044_599_654_655_490
+
+
+def test_unranking_rejects_a_rank_out_of_range():
+    total = count_budget_weights(PROF, 4)
+    for rank in (-1, total):
+        with pytest.raises(InvalidParams, match="outside"):
+            unrank_budget_weights(PROF, 4, rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SAMPLER_SHAPES), st.integers(1, 8), st.integers(0, 1),
+       st.integers(0, 2 ** 32))
+def test_budget_mode_unranks_one_draw(shape, ell, memory, seed):
+    # one rank from derive_rng(seed, "errors", 0), then the positions and
+    # values of each block from the same stream
+    q, n, k, t = shape
+    profile = UmDistanceProfile.for_byzantine(n, k, t)
+    stream_len = ell + memory
+    with pytest.MonkeyPatch.context() as mp:
+        labels = counting_rngs(mp)
+        sched = gen_error_schedule(profile, ell, memory, n, q, "budget", seed)
+    assert labels == [("errors", 0)]
+    rng = derive_rng(seed, "errors", 0)
+    weights = unrank_budget_weights(
+        profile, stream_len,
+        rng.randrange(count_budget_weights(profile, stream_len)))
+    entries = tuple((blk, j, rng.randrange(q))
+                    for blk, w in enumerate(weights, 1)
+                    for j in sorted(rng.sample(range(n), w)))
+    assert sched == ErrorSchedule(entries, "budget")
+    assert sched.weights(stream_len) == weights
+
+
+def test_budget_mode_never_gives_up_on_the_benchmark_shape():
+    # the benchmark's byzantine-budget trials at seed 11, trial 4 among them
+    profile = UmDistanceProfile.for_byzantine(16, 3, 1)
+    for trial in range(40):
+        sched = gen_error_schedule(profile, 20, 1, 16, 256, "budget",
+                                   derive_seed(11, "errors", trial))
+        assert check_guarantee(sched.weights(21), profile)
+
+
+def test_budget_mode_reports_weights_that_fail_the_check(monkeypatch):
+    # a counter that disagrees with check_guarantee is the generator's fault
+    monkeypatch.setattr(channels, "unrank_budget_weights",
+                        lambda profile, stream_len, rank: [5] * stream_len)
+    with pytest.raises(ChannelGeneratorError, match="gen_error_schedule"):
+        gen_error_schedule(PROF, 3, 1, 10, 16, "budget", seed=1)
 
 
 def test_fixed_byzantine_same_servers():

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from pirstream import cli
+from pirstream import channels, cli
 from pirstream.cli import main, parse_search_rows, rates_csv
 from pirstream.config import load_config, build_scheme
-from pirstream.errors import ConfigError
+from pirstream.errors import ChannelGeneratorError, ConfigError
 from pirstream.grs import GrsCode
 
 PLAIN_CFG = """\
@@ -364,6 +364,26 @@ def test_fixed_byzantine_is_guaranteed_only_within_the_budget(
     else:
         assert lines[1].startswith("trials=10 ok=0 ") and len(fails) == 10
         assert all("DecodingFailure" in line for line in fails)
+
+
+def test_a_channel_generator_that_raises_is_named_in_its_fail_line(
+        tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ChannelGeneratorError("gen_error_schedule: budget weights "
+                                    "[5, 5, 5, 5] fail check_guarantee")
+    monkeypatch.setattr(channels, "gen_error_schedule", broken)
+    path = write(tmp_path, "c.ini", BYZ_CFG)
+    out_csv = tmp_path / "out.csv"
+    # the budget regime is guaranteed, so a trial without a schedule fails
+    assert main(["simulate", "--config", path, "--trials", "2",
+                 "--out", str(out_csv)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    message = ("errors=budget: ChannelGeneratorError: gen_error_schedule: "
+               "budget weights [5, 5, 5, 5] fail check_guarantee")
+    assert lines[1].startswith("trials=2 ok=0 ")
+    assert lines[3:] == [f"FAIL trial={i} {message}" for i in range(2)]
+    assert out_csv.read_text().splitlines()[1] == f"0,0,40,{message}"
+    assert not any("clean" in line for line in lines)
 
 
 def test_search_rows_parse():

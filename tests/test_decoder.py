@@ -8,7 +8,16 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import oracles
 from pirstream import grs
-from pirstream.channels import ErasureSchedule, ErrorSchedule, apply_erasures, apply_errors, gen_burst_patterns, gen_error_schedule
+from pirstream.channels import (
+    ErasureSchedule,
+    ErrorSchedule,
+    apply_erasures,
+    apply_errors,
+    count_budget_weights,
+    gen_burst_patterns,
+    gen_error_schedule,
+    unrank_budget_weights,
+)
 from pirstream.decoder import (
     UmDistanceProfile,
     _peeling_tables,
@@ -612,13 +621,12 @@ def small_byzantine_setups(draw):
     files = random_files(GF16, 2, ell, 2, derive_rng(seed, "files"))
     stream = run_protocol(storage_encode(files, code), sch,
                           derive_seed(seed, "run"))
-    # a pair of blocks carries fewer than dbar(1)/2 errors, so no block
-    # weight above that cap can pass the guarantee check
+    # the weights of one rank among every budget-respecting sequence, so
+    # each valid sequence is as likely as any other and none is rejected
     profile = UmDistanceProfile.for_byzantine(n, 2, t)
-    cap = (profile.dbar(1) - 1) // 2
-    weights = draw(st.lists(st.integers(0, cap), min_size=ell + 1,
-                            max_size=ell + 1))
-    assume(check_guarantee(weights, profile))
+    total = count_budget_weights(profile, ell + 1)
+    weights = unrank_budget_weights(profile, ell + 1,
+                                    draw(st.integers(0, total - 1)))
     entries = []
     for b, w in enumerate(weights, 1):
         for j in draw(st.lists(st.integers(0, n - 1), min_size=w, max_size=w,
@@ -630,8 +638,7 @@ def small_byzantine_setups(draw):
 
 
 @settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much,
-                                 HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(small_byzantine_setups())
 def test_decode_um_recovers_every_budget_respecting_schedule(setup):
     sch, desired, noisy = setup
