@@ -70,13 +70,7 @@ def clear_caches() -> None:
     plain or block-erasure scheme (``decoder``), the window ranks of
     ``recovering`` and the budget weight counts of ``channels``.  Each is
     a ``functools.lru_cache`` that bounds itself; clearing one changes no
-    result, only what the next call recomputes.
-
-    The reader positions each ``GrsCode`` keeps from its last BMD decode
-    (``GrsCode._bmd_positions``) survive: they are a slot of the code,
-    not a cache, hold n small integers and no map, go when the code goes,
-    and only choose which reader ``bmd_decode`` tries first, whose map is
-    rebuilt through ``grs._reader`` after a clear."""
+    result, only what the next call recomputes."""
     for cache in (grs._reader, grs._erasure_plan, grs._dual_checks,
                   grs._root_map, linalg._kept_solver, decoder._peeling_tables,
                   recovering._orbit_rank, channels._budget_counts):

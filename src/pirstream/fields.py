@@ -12,23 +12,24 @@ reference arithmetic.  Extension fields with q <= 2^16 multiply through
 exp/log tables, and everything else reduces polynomials.
 
 The per-symbol loops that dominate the library, the row update of
-Gaussian elimination, the evaluation of a GRS codeword and the fixed
-linear maps of GRS decoding (syndromes, the values of an error locator at
-every locator, the message read off a codeword), run through
-``Field.kernel``, which the field picks once at construction:
+Gaussian elimination, the fixed linear maps of GRS coding (a codeword
+from the generator rows, syndromes, the values of an error locator at
+every locator, the message read off a codeword) and a server's answers,
+run through ``Field.kernel``, which the field picks once at
+construction:
 
-* GF(p): integer arithmetic mod p, inline; a fixed linear map, and so a
-  GRS codeword, is one multiply-accumulate of the input with the matrix
-  rows packed into Python ints (``_PrimeKernel.linear_map``), a
-  convolution is one product of two such ints (``_PrimeKernel.convolve``),
-  and a dot product is one ``sum(map(mul, ...))``;
+* GF(p): integer arithmetic mod p, inline; a fixed linear map is one
+  multiply-accumulate of the input with the matrix rows packed into
+  Python ints (``_PrimeKernel.linear_map``), a convolution is one product
+  of two such ints (``_PrimeKernel.convolve``), and a dot product is one
+  ``sum(map(mul, ...))``;
 * GF(2^s) with q <= 2^8: one 256-byte table per multiplier, the
   ``bytes.translate`` row of multiplication by it (``_BinaryKernel.rows``),
-  read for every product: ``row[c] ^= rows[f][v]`` in elimination, Horner's
-  rule through the rows of the locators, a fixed linear map as one
-  ``bytes.translate`` of each matrix row by its input symbol, XORed as
-  ints (``_BinaryKernel.linear_map``), and a convolution as one
-  ``bytes.translate`` per tap (``_BinaryKernel.convolve``);
+  read for every product: ``row[c] ^= rows[f][v]`` in elimination, a
+  fixed linear map as one ``bytes.translate`` of each matrix row by its
+  input symbol, XORed as ints (``_BinaryKernel.linear_map``, the region
+  multiply of Plank, Greenan and Miller, FAST 2013), and a convolution as
+  one ``bytes.translate`` per tap (``_BinaryKernel.convolve``);
 * any other field (odd-characteristic extensions, GF(2^s) past 2^8): the
   scalar methods, one call per symbol; up to 2^16 their ``mul`` is one
   lookup in the field's exp/log tables.
@@ -55,6 +56,7 @@ from .errors import (
     NonPrimeCharacteristic,
     OrderNotDividing,
     ReducibleModulus,
+    SymbolOutsideField,
     ZeroElement,
     ZeroInverse,
 )
@@ -244,22 +246,20 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same six methods:
+# Every kernel has the same five methods:
 #   scale(row, f)              -> the list f*row
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
 #                                 of col, and only its nonzero entries are
 #                                 visited
-#   encoder(locators, mults, k) -> a function from a message m of k
-#                                 symbols, low to high, to its GRS codeword
-#                                 [v * m(a) for each locator a and
-#                                 multiplier v] (built once per code)
 #   dot(xs, ys)                -> sum of x * y over the pairs of entries
 #   linear_map(matrix)         -> a function x -> x * matrix, the list of
 #                                 dot(x, column) over the columns of a fixed
 #                                 matrix (built once per matrix); an x
 #                                 shorter than the matrix has rows reads as
-#                                 padded with zeros
+#                                 padded with zeros.  A GRS code encodes
+#                                 through the linear_map of its generator
+#                                 rows
 #   convolve(column, taps, m)  -> the convolution of two vectors cut into
 #                                 blocks of m symbols: entry i is the sum
 #                                 over z of dot(taps block z, column block
@@ -277,8 +277,6 @@ def _pack(digits, p):
 # ``bytes.translate`` of the column per tap (``_BinaryKernel.convolve``).
 # The scalar kernel, which also serves GF(2^s) past 2^8, takes one dot per
 # column and per convolution entry.
-# The GF(p) encoder is linear_map of the generator rows; the GF(2^s) and
-# scalar encoders are Horner's rule at every point.
 
 
 def _lane_typecode(bound):
@@ -338,22 +336,6 @@ class _ScalarKernel:
                 for c, v in terms:
                     row[c] = sub(row[c], mul(f, v))
 
-    def encoder(self, locators, multipliers, k):
-        mul, add = self.field.mul, self.field.add
-        points = tuple(zip(locators, multipliers))
-
-        def encode(message):
-            rev = message[::-1]
-            out = []
-            for a, v in points:
-                acc = 0
-                for c in rev:
-                    acc = add(mul(acc, a), c)
-                out.append(mul(v, acc))
-            return out
-
-        return encode
-
     def dot(self, xs, ys):
         mul, add = self.field.mul, self.field.add
         acc = 0
@@ -388,16 +370,6 @@ class _PrimeKernel:
             if f:
                 for c, nv in terms:
                     row[c] = (row[c] + f * nv) % p
-
-    def encoder(self, locators, multipliers, k):
-        """linear_map of the generator rows (v_j a_j^i mod p)_j, i < k."""
-        p = self.p
-        rows = []
-        powers = [1] * len(locators)
-        for _ in range(k):
-            rows.append([v * x % p for v, x in zip(multipliers, powers)])
-            powers = [x * a % p for a, x in zip(locators, powers)]
-        return self.linear_map(rows)
 
     def dot(self, xs, ys):
         return sum(map(_mul, xs, ys)) % self.p
@@ -443,12 +415,16 @@ class _PrimeKernel:
         No lane exceeds len(taps) * (p-1)^2, so no carry crosses lanes; w
         is 4 or 8 bytes as in ``linear_map``, and past 8 bytes the
         convolution is one ``dot`` per entry.  The product is unpacked at
-        its full length, which keeps lane order in either byte order.
+        its full length, which keeps lane order in either byte order.  The
+        column holds stored symbols, in [0, p); taps outside [0, p) are
+        reduced mod p first, as in ``linear_map``.
         """
         p = self.p
         typecode = _lane_typecode(len(taps) * (p - 1) ** 2)
         if typecode is None:
             return _convolve_by_dots(self.dot, column, taps, m)
+        if taps and (min(taps) < 0 or max(taps) >= p):
+            taps = [t % p for t in taps]
         flipped = [t for z in range(0, len(taps), m)
                    for t in reversed(taps[z: z + m])]
         product = _pack_lanes(typecode, column) * _pack_lanes(typecode, flipped)
@@ -490,25 +466,6 @@ class _BinaryKernel:
                 times_f = tables[f]
                 for c, v in terms:
                     row[c] ^= times_f[v]
-
-    def encoder(self, locators, multipliers, k):
-        """Horner's rule: the rows of the locators and multipliers are
-        looked up once."""
-        tables = self.rows
-        points = tuple((tables[a], tables[v])
-                       for a, v in zip(locators, multipliers))
-
-        def encode(message):
-            rev = message[::-1]
-            out = []
-            for times_a, times_v in points:
-                acc = 0
-                for c in rev:
-                    acc = times_a[acc] ^ c
-                out.append(times_v[acc])
-            return out
-
-        return encode
 
     def dot(self, xs, ys):
         return reduce(_xor, map(_getitem, map(self.rows.__getitem__, xs), ys), 0)
@@ -742,6 +699,20 @@ def power_rows(field: Field, xs, count: int):
     for _ in range(count - 1):
         rows.append(list(map(field.mul, rows[-1], xs)))
     return rows
+
+
+def check_symbols(field: Field, symbols, positions):
+    """Raise SymbolOutsideField, naming its position, at the first of the
+    symbols (those of a word at ``positions``) outside [0, q), unless the
+    field has the GF(p) kernel, whose maps read such a symbol as its
+    residue.  Every other kernel would read it as some other symbol
+    (``rows[-1]`` is the row of q - 1) or fail with an untyped error."""
+    q = field.q
+    if field.s > 1 and symbols and (min(symbols) < 0 or max(symbols) >= q):
+        j, x = next((j, x) for j, x in zip(positions, symbols)
+                    if not 0 <= x < q)
+        raise SymbolOutsideField(
+            f"position {j} holds {x}, which is not a symbol of {field}")
 
 
 def parse_field_spec(spec: str) -> Field:

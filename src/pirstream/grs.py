@@ -51,10 +51,9 @@ from .errors import (
     InconsistentWord,
     LengthMismatch,
     LocatorMismatch,
-    SymbolOutsideField,
     TooManyErasures,
 )
-from .fields import Field, power_rows
+from .fields import Field, check_symbols, power_rows
 from .linalg import reduce_with_identity, solve_any
 
 
@@ -115,16 +114,16 @@ class GrsCode:
     def encode(self, message):
         """The codeword (v_j m(a_j))_j of the message polynomial m.
 
-        Encoding runs through the encoder the field's kernel builds once
-        per code (``_encoder``, see ``Field.kernel``).  Over GF(p) that is
-        the kernel's ``linear_map`` of the generator rows: one
+        The codeword is the message times the generator rows
+        (``_generator``), one ``linear_map`` of the field's kernel built
+        once per code (``_encoder``, see ``Field.kernel``): over GF(p) one
         multiply-accumulate of the message with the rows packed into
-        integer lanes, reduced mod p once per position, or one dot per
-        position when k (p-1)^2 does not fit in 8 bytes; over other fields
-        it is Horner's rule on table logs or with the scalar methods.  A
-        locator a_j = 0 gives v_j m_0.  Each entry is what the scalar
-        ``Field`` methods give for v_j m(a_j), also for GF(p) symbols
-        outside [0, p).
+        integer lanes, over GF(2^s) with q <= 2^8 one ``bytes.translate``
+        of each row by its message symbol.  A locator a_j = 0 gives
+        v_j m_0.  Each entry is what the scalar ``Field`` methods give for
+        v_j m(a_j), also for GF(p) symbols outside [0, p), which read as
+        their residues.  Symbols are not checked here; over any other
+        field ``protocol.storage_encode`` checks its files once.
         """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
@@ -132,9 +131,7 @@ class GrsCode:
 
     @cached_property
     def _encoder(self):
-        """The field kernel's encoding map for this code."""
-        return self.field.kernel.encoder(self.locators, self.multipliers,
-                                         self.k)
+        return self.field.kernel.linear_map(self._generator)
 
     def erasure_decode(self, word, erased=None, at=()):
         """Recover the message from a word with erased positions, followed
@@ -167,7 +164,7 @@ class GrsCode:
             erased += tuple(j for j, w in enumerate(word) if w is None)
         surviving, symbols_of, read = _erasure_plan(self, erased, tuple(at))
         symbols = symbols_of(word)
-        _check_symbols(self.field, symbols, surviving)
+        check_symbols(self.field, symbols, surviving)
         k, s = self.k, len(surviving)
         out = read(symbols[:k])
         if out[k:s] != list(symbols[k:]):
@@ -245,7 +242,7 @@ class GrsCode:
         if f.s == 1:
             word = f.kernel.scale(word, 1)
         else:
-            _check_symbols(f, word, range(self.n))
+            check_symbols(f, word, range(self.n))
         k, r = self.k, self.n - self.k
         e = (self.d - 1) // 2
         kept = self._bmd_positions
@@ -300,20 +297,6 @@ class GrsCode:
         polynomial of degree <= (n-1)/2 (``_root_map``, shared by every code
         on the same locators)."""
         return _root_map(self.field, self.locators)
-
-
-def _check_symbols(field, symbols, positions):
-    """Raise SymbolOutsideField, naming its position, at the first of the
-    symbols (those of a word at ``positions``) outside [0, q), unless the
-    field has the GF(p) kernel, whose maps read such a symbol as its
-    residue.  Every other kernel would read it as some other symbol
-    (``rows[-1]`` is the row of q - 1) or fail with an untyped error."""
-    q = field.q
-    if field.s > 1 and symbols and (min(symbols) < 0 or max(symbols) >= q):
-        j, x = next((j, x) for j, x in zip(positions, symbols)
-                    if not 0 <= x < q)
-        raise SymbolOutsideField(
-            f"position {j} holds {x}, which is not a symbol of {field}")
 
 
 # Erasure decoding reads through one set of surviving positions per

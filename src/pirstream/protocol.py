@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .errors import (
     InvalidParams,
@@ -32,8 +33,8 @@ from .errors import (
     SupportTooLarge,
     SupportTooSmall,
 )
-from .fields import Field, power_rows
-from .grs import GrsCode, _check_symbols, star_product_code
+from .fields import Field, check_symbols, power_rows
+from .grs import GrsCode, star_product_code
 from .linalg import mat_rank
 from .rates import min_gamma
 from .seeds import derive_rng, draw_below
@@ -73,7 +74,12 @@ class StorageSystem:
 
 def storage_encode(files, code: GrsCode) -> StorageSystem:
     """Encode each stripe of each file with ``code`` and keep the
-    codewords' symbols as the n server columns."""
+    codewords' symbols as the n server columns.
+
+    All file symbols are read by one ``fields.check_symbols`` call: over
+    GF(p) a symbol outside [0, p) encodes as its residue, and over any
+    other field it raises SymbolOutsideField, naming its (file, stripe,
+    symbol) position."""
     files = tuple(tuple(tuple(stripe) for stripe in f) for f in files)
     if not files or not files[0]:
         raise ShapeMismatch("need at least one file with at least one stripe")
@@ -85,6 +91,8 @@ def storage_encode(files, code: GrsCode) -> StorageSystem:
             if len(stripe) != code.k:
                 raise ShapeMismatch(
                     f"stripe length {len(stripe)} != k={code.k}")
+    check_symbols(code.field, [x for f in files for stripe in f for x in stripe],
+                  product(range(len(files)), range(ell), range(code.k)))
     columns = tuple(zip(*[code.encode(stripe) for stripes in zip(*files)
                           for stripe in stripes]))
     return StorageSystem(code.field, code, files, columns)
@@ -145,8 +153,8 @@ class PirScheme:
 
     def star_code(self) -> GrsCode:
         """The star product of the storage and retrieval codes, built once
-        per scheme, so the encoder it keeps serves every stream the scheme
-        decodes."""
+        per scheme, so the generator rows and encoding map it keeps serve
+        every stream the scheme decodes."""
         return self._star
 
     @cached_property
@@ -328,10 +336,7 @@ def server_respond(system: StorageSystem, scheme: PirScheme, query,
     any other field it raises SymbolOutsideField, naming its position.
     """
     f = system.field
-    if query and (min(query) < 0 or max(query) >= f.q):
-        if f.s > 1:
-            _check_symbols(f, query, range(len(query)))
-        query = [x % f.q for x in query]
+    check_symbols(f, query, range(len(query)))
     return tuple(f.kernel.convolve(system.server_columns[j], query, scheme.m))
 
 

@@ -224,8 +224,8 @@ def test_encode_at_the_benchmark_and_paper_shapes(p, n, k):
 @pytest.mark.parametrize("name", ["GF(13)", "GF(251)", "GF(331)", "GF(65537)",
                                   "GF(4294967311)"])
 def test_encode_reduces_symbols_outside_the_field(name):
-    # Horner's rule reduces mod p as it goes, so an unreduced symbol has
-    # always encoded as its residue; the packed encoder must agree
+    # the scalar methods reduce mod p, so an unreduced symbol encodes as
+    # its residue; the packed lanes of the generator rows' map must agree
     f = FIELDS[name]
     p = f.p
     n = min(p, 12)

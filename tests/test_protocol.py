@@ -259,6 +259,28 @@ def test_server_respond_reads_its_query_by_the_symbol_rule(f):
             server_respond(sysm, sch, query[:2] + (bad,) + query[3:], 0)
 
 
+@pytest.mark.parametrize("f, bad", [(GF16, 16), (Field(3, 2), 9),
+                                    (Field(2, 8), -1), (Field(2, 8), 256),
+                                    (Field(251), -1), (Field(251), 10 ** 20)],
+                         ids=str)
+def test_storage_encode_reads_its_files_by_the_symbol_rule(f, bad):
+    # over GF(p) an unreduced symbol is stored as its residue; over any
+    # other field it is no symbol, and would be stored as another one's
+    # column or fail untyped
+    code = GrsCode(f, 8, 3, tuple(range(1, 9)))
+    files = [list(map(list, stripes))
+             for stripes in random_files(f, 2, 3, 3, derive_rng(0, "f"))]
+    if f.s == 1:
+        want = storage_encode(files, code).server_columns
+        files[1][2][1] += bad - bad % f.q    # a multiple of p
+        assert storage_encode(files, code).server_columns == want
+        return
+    files[1][2][1] = bad
+    with pytest.raises(SymbolOutsideField,
+                       match=rf"position \(1, 2, 1\) holds {bad},"):
+        storage_encode(files, code)
+
+
 # One field per way of answering: GF(p) with 4-byte lanes (GF(2), GF(5),
 # GF(251)) and 8-byte lanes (GF(65521) once (M+1)m >= 2), GF(2^89 - 1) past
 # 8 bytes (one dot per iteration), translate rows for q <= 2^8 (padded for
