@@ -36,8 +36,8 @@ decode makes at most one elimination besides the reader's one inverse,
 none when the kept reader answers, and no encode; at the block lengths
 used here one solve at the full radius is plenty, and it never
 miscorrects beyond the radius.  Over a field other than
-GF(p), both decoders reject a symbol outside [0, q) with
-SymbolOutsideField."""
+GF(p), the encoder and both decoders reject a symbol outside [0, q)
+with SymbolOutsideField."""
 
 from __future__ import annotations
 
@@ -122,11 +122,13 @@ class GrsCode:
         of each row by its message symbol.  A locator a_j = 0 gives
         v_j m_0.  Each entry is what the scalar ``Field`` methods give for
         v_j m(a_j), also for GF(p) symbols outside [0, p), which read as
-        their residues.  Symbols are not checked here; over any other
-        field ``protocol.storage_encode`` checks its files once.
+        their residues; over any other field a symbol outside [0, q)
+        raises SymbolOutsideField, naming its position
+        (``fields.check_symbols``).
         """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
+        check_symbols(self.field, message, range(self.k))
         return self._encoder(message)
 
     @cached_property

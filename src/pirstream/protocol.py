@@ -73,8 +73,15 @@ class StorageSystem:
 
 
 def storage_encode(files, code: GrsCode) -> StorageSystem:
-    """Encode each stripe of each file with ``code`` and keep the
-    codewords' symbols as the n server columns.
+    """The n server columns of ``files`` under ``code``: column j holds
+    symbol j of every stripe's codeword, stripe 1 first and files in order
+    within a stripe.
+
+    With the (stripe, file) messages stacked in that order as the rows of
+    M, column j is M times generator column j.  So the columns are one
+    field-kernel ``linear_map``, whose k rows are M's columns, applied to
+    each of the n generator columns; over GF(2^s) with q <= 2^8 that is
+    one ``bytes.translate`` of an ell*m-byte row per generator entry.
 
     All file symbols are read by one ``fields.check_symbols`` call: over
     GF(p) a symbol outside [0, p) encodes as its residue, and over any
@@ -93,8 +100,9 @@ def storage_encode(files, code: GrsCode) -> StorageSystem:
                     f"stripe length {len(stripe)} != k={code.k}")
     check_symbols(code.field, [x for f in files for stripe in f for x in stripe],
                   product(range(len(files)), range(ell), range(code.k)))
-    columns = tuple(zip(*[code.encode(stripe) for stripes in zip(*files)
-                          for stripe in stripes]))
+    stacked = code.field.kernel.linear_map(
+        list(zip(*[stripe for stripes in zip(*files) for stripe in stripes])))
+    columns = tuple(map(tuple, map(stacked, zip(*code.generator_matrix()))))
     return StorageSystem(code.field, code, files, columns)
 
 

@@ -52,6 +52,29 @@ def test_encode_examples():
         RS42.encode([1])
 
 
+@pytest.mark.parametrize("f, message, position", [
+    (GF16, [16, 1, 2], 0),
+    (Field(2, 8), [1, -1, 2], 1),
+    (Field(2, 8), [1, 2, 256], 2),
+    (Field(3, 2), [9, 1, 2], 0),
+], ids=["GF(2^4) 16", "GF(2^8) -1", "GF(2^8) 256", "GF(9) 9"])
+def test_encode_rejects_symbols_outside_the_field(f, message, position):
+    # a translate table would read -1 as the row of q - 1, and q or more
+    # would index past the tables
+    code = GrsCode(f, 8, 3, tuple(range(1, 9)))
+    x = message[position]
+    with pytest.raises(SymbolOutsideField,
+                       match=f"position {position} holds {x},"):
+        code.encode(message)
+
+
+def test_encode_reads_gf_p_symbols_as_their_residues():
+    f = Field(13)
+    code = GrsCode(f, 8, 3, tuple(range(1, 9)))
+    for message in ([-1, 13, 300], [300, -1, 13], [-27, 26, 12]):
+        assert code.encode(message) == code.encode([x % 13 for x in message])
+
+
 def test_code_validation():
     with pytest.raises(LocatorMismatch):
         GrsCode(GF5, 3, 2, (1, 1, 2))

@@ -33,7 +33,7 @@ from pirstream.protocol import (
 from pirstream.rates import rate_report
 from pirstream.seeds import derive_rng, derive_seed
 
-from oracles import stored_symbol
+from oracles import poly_eval, stored_symbol
 
 GF4 = Field(2, 2)
 GF5 = Field(5)
@@ -56,13 +56,6 @@ def test_storage_encode_examples():
     zeros = storage_encode(
         tuple(tuple((0, 0) for _ in range(2)) for _ in range(2)), RS42)
     assert zeros.server_columns == ((0,) * 4,) * 4
-    files = random_files(GF16, 3, 4, 2, derive_rng(0, "f"))
-    sysm2 = storage_encode(files, C6)
-    assert len(sysm2.server_columns) == 6
-    # re-encode check: stripe 1 first, files in order within a stripe
-    for j, column in enumerate(sysm2.server_columns):
-        assert column == tuple(C6.encode(list(files[s][xi]))[j]
-                               for xi in range(4) for s in range(3))
     with pytest.raises(ShapeMismatch):
         storage_encode((((0, 1), (1,)),), RS42)
 
@@ -279,6 +272,63 @@ def test_storage_encode_reads_its_files_by_the_symbol_rule(f, bad):
     with pytest.raises(SymbolOutsideField,
                        match=rf"position \(1, 2, 1\) holds {bad},"):
         storage_encode(files, code)
+
+
+# One field per kernel path of the stacked map: GF(13) on packed lanes,
+# GF(2^8) and GF(2^4) (padded) on translate rows, GF(9) and GF(2^10) on the
+# scalar kernel
+COLUMN_FIELDS = (Field(13), Field(2, 8), GF16, Field(3, 2), Field(2, 10))
+
+
+def column_case(f, m, ell):
+    """A code with a locator 0 and non-unit multipliers, and m files of
+    ell stripes, drawn from ``f``."""
+    n, k = 8, 3
+    mults = tuple(1 + (5 * j + 1) % (f.q - 1) for j in range(n))
+    assert any(v != 1 for v in mults)
+    code = GrsCode(f, n, k, (0,) + tuple(range(2, n + 1)), mults)
+    files = [list(map(list, stripes))
+             for stripes in random_files(f, m, ell, k, derive_rng(m, "f"))]
+    return code, files
+
+
+@pytest.mark.parametrize("m, ell", [(1, 1), (3, 4)])
+@pytest.mark.parametrize("f", COLUMN_FIELDS, ids=str)
+def test_storage_columns_are_the_per_stripe_codewords(f, m, ell):
+    # server column j is symbol j of each stripe's codeword, stripe 1 first
+    # and files in order within a stripe; over GF(p) an unreduced symbol
+    # is stored as its residue
+    code, files = column_case(f, m, ell)
+    residues = [[list(stripe) for stripe in stripes] for stripes in files]
+    if f.s == 1:
+        files[0][0] = [-1, 13, 300]
+        residues[0][0] = [x % f.q for x in files[0][0]]
+    codewords = [code.encode(residues[s][xi])
+                 for xi in range(ell) for s in range(m)]
+    columns = storage_encode(files, code).server_columns
+    assert columns == tuple(zip(*codewords))
+    # the same symbols by Horner's rule, one scalar Field method at a time
+    for j, (a, v) in enumerate(zip(code.locators, code.multipliers)):
+        assert columns[j] == tuple(f.mul(v, poly_eval(f, residues[s][xi], a))
+                                   for xi in range(ell) for s in range(m))
+
+
+@pytest.mark.parametrize("f", COLUMN_FIELDS, ids=str)
+def test_storage_encode_is_one_map_and_no_codeword_encode(f, monkeypatch):
+    code, files = column_case(f, 3, 4)
+    kernel = type(f.kernel)
+    linear_map, maps = kernel.linear_map, []
+
+    def counted(self, matrix):
+        maps.append(len(matrix))
+        return linear_map(self, matrix)
+
+    def refuse(self, message):
+        raise AssertionError("storage_encode called GrsCode.encode")
+    monkeypatch.setattr(kernel, "linear_map", counted)
+    monkeypatch.setattr(GrsCode, "encode", refuse)
+    storage_encode(files, code)
+    assert maps == [code.k]
 
 
 # One field per way of answering: GF(p) with 4-byte lanes (GF(2), GF(5),
