@@ -251,7 +251,9 @@ def _pack(digits, p):
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
 #                                 of col, and only its nonzero entries are
-#                                 visited
+#                                 visited, listed when the first such row
+#                                 is met (a GRS reader's unit columns meet
+#                                 none)
 #   dot(xs, ys)                -> sum of x * y over the pairs of entries
 #   linear_map(matrix)         -> a function x -> x * matrix, the list of
 #                                 dot(x, column) over the columns of a fixed
@@ -329,10 +331,13 @@ class _ScalarKernel:
 
     def eliminate(self, rows, col, prow):
         mul, sub = self.field.mul, self.field.sub
-        terms = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
+        terms = None
         for row in rows:
             f = row[col]
             if f:
+                if terms is None:
+                    terms = [(c, prow[c]) for c in range(col, len(prow))
+                             if prow[c]]
                 for c, v in terms:
                     row[c] = sub(row[c], mul(f, v))
 
@@ -364,10 +369,13 @@ class _PrimeKernel:
 
     def eliminate(self, rows, col, prow):
         p = self.p
-        terms = [(c, p - prow[c]) for c in range(col, len(prow)) if prow[c]]
+        terms = None
         for row in rows:
             f = row[col]
             if f:
+                if terms is None:
+                    terms = [(c, p - prow[c]) for c in range(col, len(prow))
+                             if prow[c]]
                 for c, nv in terms:
                     row[c] = (row[c] + f * nv) % p
 
@@ -459,10 +467,13 @@ class _BinaryKernel:
 
     def eliminate(self, rows, col, prow):
         tables = self.rows
-        terms = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
+        terms = None
         for row in rows:
             f = row[col]
             if f:
+                if terms is None:
+                    terms = [(c, prow[c]) for c in range(col, len(prow))
+                             if prow[c]]
                 times_f = tables[f]
                 for c, v in terms:
                     row[c] ^= times_f[v]

@@ -8,15 +8,18 @@ generator rows (v_j a_j^i)_j, i < k, which a code keeps once as
 ``_generator``, the dual code's parity checks and Chien's map.
 
 Erasure decoding reads a word through one linear map per code and set
-of surviving positions (``_reader``), built from one ``linalg.rref`` of
-[G_B^T | I] for the generator columns G_B of the first k of them and
-kept per process: it gives the message and the symbols the codeword has
-at the other surviving positions, which must match the word's, and at
-any further positions the caller asks for (``at``), such as the erased
-ones, so no caller re-encodes the message to read them.  The surviving
-positions and their reader are kept per code, erased positions and
-``at`` (``_erasure_plan``), so a repeated erasure pattern is read with
-no per-position loop.  Error (BMD) decoding first reads the word
+of surviving positions (``_reader``), kept per process: it gives the
+message and the symbols the codeword has at the other surviving
+positions, which must match the word's, and at any further positions
+the caller asks for (``at``), such as the erased ones, so no caller
+re-encodes the message to read them.  Each code keeps one systematic
+form of its generator rows G, [G_0^-1 | G_0^-1 G] for their block G_0 at
+the first k positions (``_systematic``), and a reader is one
+``linalg.rref`` of it with the columns of its k base positions first,
+which eliminates only where the base leaves the first k positions.  The
+surviving positions and their reader are kept per code, erased positions
+and ``at`` (``_erasure_plan``), so a repeated erasure pattern is read
+with no per-position loop.  Error (BMD) decoding first reads the word
 through the reader of the code's last error locator (``_bmd_positions``,
 the one mutable slot of a code): Byzantine servers lie in every block,
 so the codeword read there is nearly always within the radius of the
@@ -32,7 +35,7 @@ fails unless they differ from the word only at roots.  The maps are the
 field kernel's ``linear_map``s, one ``bytes.translate`` of a matrix row
 (GF(2^s), q <= 2^8) or one multiply-accumulate (GF(p)) per input
 symbol; codes on the same locators share the first two.  So each BMD
-decode makes at most one elimination besides the reader's one inverse,
+decode makes at most one elimination besides the reader's one build,
 none when the kept reader answers, and no encode; at the block lengths
 used here one solve at the full radius is plenty, and it never
 miscorrects beyond the radius.  Over a field other than
@@ -54,7 +57,7 @@ from .errors import (
     TooManyErasures,
 )
 from .fields import Field, check_symbols, power_rows
-from .linalg import reduce_with_identity, solve_any
+from .linalg import reduce_with_identity, rref, solve_any
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,17 @@ class GrsCode:
             raise LocatorMismatch("locators outside the field")
         if any(v == 0 for v in mults):
             raise LocatorMismatch("column multipliers must be nonzero")
+        # the dataclass's hash, of this tuple, computed once: every
+        # ``_reader``, ``_erasure_plan`` and ``_dual_checks`` lookup hashes
+        # its code, in 0.14 us so, against 0.62 us to hash the tuple
+        # (timeit, GF(2^8), n = 16).  Fields hash their ints, so the hash is
+        # the same in every process, and a pickled code (a worker's) keeps a
+        # valid one
+        object.__setattr__(self, "_hash", hash(
+            (self.field, self.n, self.k, locs, mults)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def d(self) -> int:
@@ -134,6 +148,18 @@ class GrsCode:
     @cached_property
     def _encoder(self):
         return self.field.kernel.linear_map(self._generator)
+
+    @cached_property
+    def _systematic(self):
+        """The k rows [G_0^-1 | G_0^-1 G] for the generator rows G
+        (``_generator``) and their block G_0 at the first k positions,
+        built once per code: one ``rref`` of [G_0^T | I] gives
+        E = (G_0^-1)^T (``linalg.reduce_with_identity``), and the encoder
+        gives each row of G_0^-1 times G.  ``_reader`` reduces it."""
+        k = self.k
+        _, inverse = reduce_with_identity(self.field,
+                                          list(zip(*self._generator))[:k])
+        return tuple(list(row) + self._encoder(row) for row in zip(*inverse))
 
     def erasure_decode(self, word, erased=None, at=()):
         """Recover the message from a word with erased positions, followed
@@ -213,7 +239,8 @@ class GrsCode:
         symbols.  The codeword may differ from the word only at roots,
         which are then the error positions; no encode is needed.  The key
         equation is the only elimination of a full decode besides the
-        reader's one inverse per set of positions, kept per process.  The
+        reader's one build per set of positions, kept per process, which
+        eliminates only at the roots among the first k positions.  The
         word is reduced once on entry, so an unreduced GF(p) word gives its
         residues' answer; over any other field a symbol outside [0, q)
         raises SymbolOutsideField.
@@ -305,12 +332,18 @@ class GrsCode:
 # sub-round and code, and BMD decoding through the first k positions that
 # are not locator roots, followed by the others; the k positions fix the
 # rest, so BMD decoding keeps one reader per code and set of non-roots.
-# A 5-trial process reads through 12-19 sets on the byzantine-fixed
-# benchmark scheme and 70 on byzantine-budget.  150 budget trials read
-# through 458, past the bound (603 misses), yet ran no slower than with
-# one reader per code: a miss costs about 70 / 155 / 290 us at k = 3 / 6 /
-# 9 for a reader of all n = 16 positions over GF(2^8) (2-CPU Intel Xeon),
-# and a reader holds its k rows of n bytes.
+# A 5-trial process (``simulate --seed 11``) builds 14 readers on the
+# byzantine-fixed benchmark scheme and 102 on byzantine-budget.  A build
+# reduces the code's kept systematic form, whose first k positions are
+# unit columns, so its elimination works only on the base positions
+# outside the first k: for a BMD reader, as many as the roots among them.
+# Timed with ``timeit`` on a reader of all n = 16 positions over GF(2^8)
+# at k = 3 / 6 / 9 (best of ten runs, 2-CPU Intel Xeon), a build took
+# 9 / 15 / 22 us with the first k positions as its base, 14 / 22 / 32 us
+# with one of them swapped out, 20 / 30 / 44 us with two and
+# 23 / 63 / 98 us with none of them kept, where inverting [G_B^T | I] and
+# multiplying out the further columns took about 29 / 72 / 132 us.  A
+# reader holds its k rows of n bytes.
 @lru_cache(maxsize=256)
 def _reader(code, positions):
     """The field kernel's linear map from a codeword's symbols at the first
@@ -320,20 +353,22 @@ def _reader(code, positions):
     k positions that are not roots of the error locator followed by every
     other position.
 
-    The symbols x on those k positions are m G_B, for the k x k block G_B
-    of the generator columns (``_generator``) there, so the message is
-    x G_B^-1, and G_B^-1 = E^T for the E that one ``rref`` of [G_B^T | I]
-    gives (``linalg.reduce_with_identity``).  The symbol at a further
-    position j is m times the generator column j.  So row r of the map is
-    column r of E, followed by its product with the generator columns of
-    the further positions, itself one linear map."""
-    f, k = code.field, code.k
-    columns = list(zip(*code._generator))
-    _, inverse = reduce_with_identity(f, [columns[j] for j in positions[:k]])
-    further = f.kernel.linear_map(list(zip(*[columns[j]
-                                             for j in positions[k:]])))
-    return f.kernel.linear_map([list(row) + further(row)
-                                for row in zip(*inverse)])
+    The code keeps the k rows S = [G_0^-1 | G_0^-1 G] (``_systematic``),
+    for the generator rows G and their block G_0 at the first k positions;
+    the symbols x_0 there give the message x_0 G_0^-1 and the codeword
+    x_0 G_0^-1 G.  Let A be the columns of G_0^-1 G at the k base
+    positions B, so x_0 A = x_B, the symbols there.  Any k columns of G
+    are independent, so A is invertible, and the ``rref`` of S with its
+    columns ordered as [B | message | further positions] is
+    [I | A^-1 G_0^-1 | A^-1 G_0^-1 G_F], whose rows from column k on are
+    the rows of the map x_B -> [m | codeword at F].  A base position
+    among the first k is a unit column of S, so the elimination works on
+    the other base positions only."""
+    k = code.k
+    columns = itemgetter(*[k + j for j in positions[:k]], *range(k),
+                         *[k + j for j in positions[k:]])
+    reduced, _ = rref(code.field, [columns(row) for row in code._systematic])
+    return code.field.kernel.linear_map([row[k:] for row in reduced])
 
 
 # A decoder erasure-decodes each sub-round of a block through one fixed

@@ -19,7 +19,13 @@ from pirstream.errors import (
     UncorrectablePattern,
 )
 from pirstream.grs import star_product_code
-from pirstream.linalg import mat_rank, rref, solve_any, solve_unique
+from pirstream.linalg import (
+    mat_rank,
+    reduce_with_identity,
+    rref,
+    solve_any,
+    solve_unique,
+)
 from pirstream.protocol import BLOCK, ERASED, PLAIN
 
 
@@ -192,6 +198,23 @@ def erasure_decode_by_solve(code, word, erased=None):
             raise InconsistentWord(
                 f"surviving position {j} disagrees with interpolation")
     return coeffs
+
+
+def reader_rows(code, positions):
+    """The rows of ``grs._reader``'s map by inverting the generator block
+    G_B at the first k of ``positions``: row r is column r of the E that
+    one ``reduce_with_identity`` of [G_B^T | I] gives, E = (G_B^-1)^T,
+    followed by its products with the generator columns (v_j a_j^i)_i of
+    the other positions, in order.  The generator entries and products
+    come from the scalar ``Field`` methods."""
+    f, k = code.field, code.k
+    columns = [[f.mul(v, f.pow(a, i)) for i in range(k)]
+               for a, v in zip(code.locators, code.multipliers)]
+    _, inverse = reduce_with_identity(f, [columns[j] for j in positions[:k]])
+    rows = [list(row) for row in zip(*inverse)]
+    return [row + [vec_mat(f, row, [[x] for x in columns[j]])[0]
+                   for j in positions[k:]]
+            for row in rows]
 
 
 def desired_combination(scheme, star, block):

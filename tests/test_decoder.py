@@ -877,17 +877,19 @@ def test_peeling_encodes_no_star_codeword(monkeypatch):
 
 def test_star_code_is_built_once_per_scheme(monkeypatch):
     # a second stream of the same scheme erasure-decodes through the
-    # inverses the first one built
+    # systematic form and the readers the first one built
     sch, files, stream = setup_block()
     assert sch.star_code() is sch.star_code()
     assert recover_window(stream, sch).stripes == files[1]
     calls = [0]
-    reduce_with_identity = grs.reduce_with_identity
 
-    def counted(*args):
-        calls[0] += 1
-        return reduce_with_identity(*args)
-    monkeypatch.setattr(grs, "reduce_with_identity", counted)
+    def counted(eliminate):
+        def call(*args):
+            calls[0] += 1
+            return eliminate(*args)
+        return call
+    for name in ("reduce_with_identity", "rref"):
+        monkeypatch.setattr(grs, name, counted(getattr(grs, name)))
     assert recover_window(stream, sch).stripes == files[1]
     assert calls[0] == 0
     byz = setup_byz()[0]

@@ -70,12 +70,13 @@ CASES = {
 }
 
 
-def run_case(name, out_dir):
-    """(exit code, stdout, stderr, --out CSV or None) of one case."""
+def run_case(name, out_dir, extra=()):
+    """(exit code, stdout, stderr, --out CSV or None) of one case, with
+    the arguments ``extra`` after its own."""
     command, config, *rest = CASES[name]
     if not isinstance(config, Path):
         config = CONFIGS / f"{config}.ini"     # a benchmark config by name
-    argv = [command, "--config", str(config), *rest]
+    argv = [command, "--config", str(config), *rest, *extra]
     csv_path = Path(out_dir) / f"{name}.csv"
     if command == "simulate":
         argv += ["--out", str(csv_path)]
@@ -86,8 +87,8 @@ def run_case(name, out_dir):
     return rc, out.getvalue(), err.getvalue(), csv
 
 
-def check_case(name, out_dir):
-    rc, out, err, csv = run_case(name, out_dir)
+def check_case(name, out_dir, extra=()):
+    rc, out, err, csv = run_case(name, out_dir, extra)
     assert err == ""
     assert rc == int((GOLDEN / f"{name}.rc").read_text())
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
@@ -124,6 +125,15 @@ def test_cli_output_matches_golden(tmp_path, name):
 def test_scalar_kernel_output_matches_golden(tmp_path, name, scalar_kernel):
     check_case(name, tmp_path)
     assert scalar_kernel
+
+
+# A worker process gets the scheme's codes by pickle, each with the hash
+# it kept from construction, and builds equal codes of its own: both must
+# find the same readers and plans.
+@pytest.mark.parametrize("name", ["simulate-byzantine-budget",
+                                  "simulate-byzantine-fixed"])
+def test_two_workers_output_matches_golden(tmp_path, name):
+    check_case(name, tmp_path, ["--workers", "2"])
 
 
 def regenerate():

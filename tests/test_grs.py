@@ -1,5 +1,9 @@
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +26,9 @@ from oracles import (
     codewords,
     erasure_decode_by_solve,
     poly_eval,
+    reader_rows,
     row_space_basis,
+    vec_mat,
 )
 
 GF5 = Field(5)
@@ -632,23 +638,24 @@ def test_erasure_decode_reads_the_codeword_at_any_positions(f, data):
             assert got[k:] == [clean[j] for j in at]
 
 
-def count_rrefs(monkeypatch):
-    # each inverse a code builds is one rref of [V | I]
+def count_reader_builds(monkeypatch):
+    # each reader a code builds is one rref of its kept systematic form,
+    # the only rref ``grs`` calls itself
     calls = [0]
-    reduce_with_identity = grs.reduce_with_identity
+    rref = grs.rref
 
     def counted(*args):
         calls[0] += 1
-        return reduce_with_identity(*args)
-    monkeypatch.setattr(grs, "reduce_with_identity", counted)
+        return rref(*args)
+    monkeypatch.setattr(grs, "rref", counted)
     return calls
 
 
 def test_erasure_decode_builds_one_inverse_per_pattern(monkeypatch):
-    # one rref per code and set of surviving positions, however many words
-    # are decoded on it; the errors are raised as before
+    # one reader build per code and set of surviving positions, however
+    # many words are decoded on it; the errors are raised as before
     clear_caches()
-    calls = count_rrefs(monkeypatch)
+    calls = count_reader_builds(monkeypatch)
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     rng = random.Random(5)
     for _ in range(6):
@@ -679,11 +686,11 @@ def test_erasure_decode_builds_one_inverse_per_pattern(monkeypatch):
 
 
 def test_erasure_decode_cache_is_bounded(monkeypatch):
-    # past 256 sets of surviving positions the least recently read goes
-    # and is rebuilt when next read
+    # past 256 sets of surviving positions the least recently read reader
+    # goes and is rebuilt when next read
     assert grs._reader.cache_info().maxsize == 256
     clear_caches()
-    calls = count_rrefs(monkeypatch)
+    calls = count_reader_builds(monkeypatch)
     code = GrsCode(GF16, 12, 2, tuple(range(1, 13)))
     word = code.encode([7, 9])
     patterns = [erased for r in (2, 3)
@@ -697,6 +704,132 @@ def test_erasure_decode_cache_is_bounded(monkeypatch):
     assert code.erasure_decode(word, erased=patterns[0]) == [7, 9]
     assert calls[0] == 258
     assert grs._reader.cache_info().currsize == 256
+
+
+# one field per kernel kind, with 1- and 2-byte symbols on the scalar one
+READER_FIELDS = [Field(13), Field(2, 8), GF16, Field(3, 2), Field(2, 10)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(READER_FIELDS), st.data())
+def test_reader_matches_the_inverse_of_its_base_block(f, data):
+    # a reader reduces its code's kept systematic form; its map is the
+    # oracle's, the inverse of the generator block at its k base positions
+    # followed by the generator columns of the further positions, for any
+    # k distinct base positions in any order and further positions that
+    # repeat base positions or each other, on codes with locator 0 and
+    # non-unit multipliers
+    n = data.draw(st.integers(1, min(f.q, 12)))
+    k = data.draw(st.integers(1, n))
+    locs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=n,
+                              max_size=n, unique=True))
+    if 0 not in locs and data.draw(st.booleans()):
+        locs[data.draw(st.integers(0, n - 1))] = 0
+    mults = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    code = GrsCode(f, n, k, tuple(locs), tuple(mults))
+    base = data.draw(st.permutations(range(n)))[:k]
+    further = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    if data.draw(st.booleans()):
+        further.insert(data.draw(st.integers(0, len(further))),
+                       data.draw(st.sampled_from(base)))
+    positions = tuple(base + further)
+    clear_caches()
+    read = grs._reader(code, positions)
+    rows = reader_rows(code, positions)
+    # the unit inputs read the map's rows, and random ones their sums
+    for r in range(k):
+        assert read([int(i == r) for i in range(k)]) == rows[r]
+    for _ in range(3):
+        x = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k,
+                               max_size=k))
+        assert read(x) == vec_mat(f, x, rows)
+
+
+def gf256_code():
+    """The star code's shape of the byzantine-fixed benchmark."""
+    f = Field(2, 8)
+    locs = tuple(range(1, 17))
+    return GrsCode(f, 16, 3, locs, tuple(f.pow(a, -3) for a in locs))
+
+
+def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
+    # the hash is computed once, from the tuple of fields the dataclass
+    # hashes, so equal codes built apart find each other's readers
+    clear_caches()
+    builds = count_reader_builds(monkeypatch)
+    code = gf256_code()
+    f = code.field
+    twin = GrsCode(Field(2, 8), 16, 3, list(code.locators),
+                   list(code.multipliers))
+    assert twin == code and twin is not code
+    assert hash(twin) == hash(code) == hash(
+        (f, code.n, code.k, code.locators, code.multipliers))
+    msg = [7, 0, 201]
+    word = code.encode(msg)
+    word[4] ^= 9
+    for c in (code, twin):
+        assert c.bmd_decode(word) == (msg, frozenset({4}))
+        assert c.erasure_decode(word, erased={4}, at=(4,)) == \
+            msg + [word[4] ^ 9]
+    # the twin's BMD decode finds the code's reader, and its erasure
+    # decode the code's plan
+    assert builds[0] == 2
+    assert grs._reader.cache_info()[:2] == (1, 2)
+    assert grs._erasure_plan.cache_info()[:2] == (1, 1)
+    # a code that differs in one field hashes apart from the others
+    other = GrsCode(f, 16, 4, code.locators, code.multipliers)
+    assert other != code
+    assert hash(other) == hash(
+        (f, other.n, other.k, other.locators, other.multipliers))
+
+
+def test_code_hash_survives_a_pickle_round_trip(monkeypatch):
+    # a worker process gets its scheme's codes by pickle, kept hash
+    # included: the copy hashes as the code does, here and in a process
+    # with another string-hash seed, and reads through its readers
+    clear_caches()
+    builds = count_reader_builds(monkeypatch)
+    code = gf256_code()
+    data = pickle.dumps(code)
+    copy = pickle.loads(data)
+    assert copy == code and hash(copy) == hash(code)
+    script = ("import pickle, sys\n"
+              "from pirstream.fields import Field\n"
+              "from pirstream.grs import GrsCode\n"
+              "code = pickle.loads(sys.stdin.buffer.read())\n"
+              "fresh = GrsCode(Field(2, 8), 16, 3, code.locators,"
+              " code.multipliers)\n"
+              "print(hash(code) == hash(fresh), code == fresh)\n")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], input=data,
+                         capture_output=True, env=env, check=True).stdout
+    assert out.split() == [b"True", b"True"]
+    msg = [1, 2, 3]
+    word = code.encode(msg)
+    word[11] ^= 1
+    assert code.bmd_decode(word) == (msg, frozenset({11}))
+    assert copy.bmd_decode(word) == (msg, frozenset({11}))
+    assert builds[0] == 1
+
+
+def test_bmd_positions_never_change_the_hash():
+    # the kept reader positions are the one mutable slot of a code and
+    # stay out of its hash and equality
+    code = gf256_code()
+    before = hash(code)
+    keyed = {code: "found"}
+    rng = random.Random(8)
+    for bad in ({0, 5}, {14}, {2, 3}, ()):
+        msg = [rng.randrange(256) for _ in range(3)]
+        word = code.encode(msg)
+        for j in bad:
+            word[j] ^= 0x21
+        assert code.bmd_decode(word) == (msg, frozenset(bad))
+        assert code._bmd_positions is not None
+        assert hash(code) == before
+        assert keyed[code] == "found"
+        assert code == gf256_code()
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
