@@ -2,11 +2,13 @@
 change.
 
 Imports each checkout's ``src/pirstream`` under its own module name, so
-both live in one interpreter with their own caches, builds the config's
-scheme and channel on each side, and times ``cli._run_one_trial`` for
-trials 0..T-1 at simulate seed 11 with the sides in ABBA order: the
-parent first in even trials, the change first in odd ones.  Each rep starts from empty caches
-on both sides, as a benchmark process does.  Prints, per rep, each side's
+both live in one interpreter with their own caches, and times
+``cli._run_one_trial`` for trials 0..T-1 at simulate seed 11 with the
+sides in ABBA order: the parent first in even trials, the change first
+in odd ones.  Each rep starts cold on both sides, as a benchmark process
+does: the caches are emptied and the config's scheme and channel are
+built afresh, so no code keeps the tables or the BMD reader positions of
+an earlier rep, and the run stops if one does.  Prints, per rep, each side's
 median trial time and the median of the per-trial ratios parent/change,
 then the median of the reps' ratios with their quartiles and range.
 
@@ -27,6 +29,7 @@ and both sides share one allocator and one garbage collector.
 """
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import statistics
@@ -66,6 +69,15 @@ def trial_runner(cli, config: Path, trials: int):
                                             trial, schedules)
 
 
+def warm_codes(name: str) -> int:
+    """How many GRS codes of the package ``name`` keep the reader positions
+    of a BMD decode (``GrsCode._bmd_positions``)."""
+    code_type = sys.modules[f"{name}.grs"].GrsCode
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if type(obj) is code_type and "_bmd_positions" in vars(obj))
+
+
 def quartiles(values):
     """(first quartile, median, third quartile)."""
     if len(values) < 2:
@@ -90,8 +102,6 @@ def main(argv=None):
         config = args.change / "perfbench" / "configs" / f"{args.config}.ini"
     clis = {side: load(getattr(args, side), f"pirstream_{side}")
             for side in SIDES}
-    runs = {side: trial_runner(clis[side], config, args.trials)
-            for side in SIDES}
 
     print(f"{config.stem}: {args.reps} reps x {args.trials} trial pairs, "
           f"seed {SEED}, ABBA order")
@@ -99,6 +109,12 @@ def main(argv=None):
     for rep in range(args.reps):
         for side in SIDES:
             sys.modules[f"pirstream_{side}"].clear_caches()
+        runs = {side: trial_runner(clis[side], config, args.trials)
+                for side in SIDES}
+        for side in SIDES:
+            if warm_codes(f"pirstream_{side}"):
+                sys.exit(f"rep {rep + 1}: a {side} code keeps BMD reader "
+                         "positions from an earlier rep")
         times = {side: [] for side in SIDES}
         decoded = dict.fromkeys(SIDES, 0)
         for trial in range(args.trials):

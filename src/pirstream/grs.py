@@ -38,9 +38,10 @@ symbol; codes on the same locators share the first two.  So each BMD
 decode makes at most one elimination besides the reader's one build,
 none when the kept reader answers, and no encode; at the block lengths
 used here one solve at the full radius is plenty, and it never
-miscorrects beyond the radius.  Over a field other than
-GF(p), the encoder and both decoders reject a symbol outside [0, q)
-with SymbolOutsideField."""
+miscorrects beyond the radius.  The encoder and both decoders read
+their symbols once by the package's symbol rule
+(``fields.check_symbols``): over GF(p) a symbol outside [0, p) is read
+as its residue, and over any other field it raises SymbolOutsideField."""
 
 from __future__ import annotations
 
@@ -135,15 +136,11 @@ class GrsCode:
         integer lanes, over GF(2^s) with q <= 2^8 one ``bytes.translate``
         of each row by its message symbol.  A locator a_j = 0 gives
         v_j m_0.  Each entry is what the scalar ``Field`` methods give for
-        v_j m(a_j), also for GF(p) symbols outside [0, p), which read as
-        their residues; over any other field a symbol outside [0, q)
-        raises SymbolOutsideField, naming its position
-        (``fields.check_symbols``).
+        v_j m(a_j).  The message is read by ``fields.check_symbols``.
         """
         if len(message) != self.k:
             raise LengthMismatch(f"message length {len(message)} != k={self.k}")
-        check_symbols(self.field, message, range(self.k))
-        return self._encoder(message)
+        return self._encoder(check_symbols(self.field, message))
 
     @cached_property
     def _encoder(self):
@@ -175,8 +172,8 @@ class GrsCode:
         or not, in the order given.  Each surviving symbol must equal the
         word's, so that corrupted non-codewords are reported instead of
         silently decoded.  With ``at`` empty the result is the message
-        alone.  Over a field other than GF(p), a surviving symbol outside
-        [0, q) raises SymbolOutsideField.
+        alone.  The surviving symbols are read by ``fields.check_symbols``,
+        so over GF(p) each is compared as its residue.
 
         The surviving positions, a getter of their symbols and the reader
         are kept per code, ``erased`` and ``at`` (``_erasure_plan``), so a
@@ -191,8 +188,8 @@ class GrsCode:
         if None in word:
             erased += tuple(j for j, w in enumerate(word) if w is None)
         surviving, symbols_of, read = _erasure_plan(self, erased, tuple(at))
-        symbols = symbols_of(word)
-        check_symbols(self.field, symbols, surviving)
+        symbols = check_symbols(self.field, symbols_of(word),
+                                surviving.__getitem__)
         k, s = self.k, len(surviving)
         out = read(symbols[:k])
         if out[k:s] != list(symbols[k:]):
@@ -241,9 +238,8 @@ class GrsCode:
         equation is the only elimination of a full decode besides the
         reader's one build per set of positions, kept per process, which
         eliminates only at the roots among the first k positions.  The
-        word is reduced once on entry, so an unreduced GF(p) word gives its
-        residues' answer; over any other field a symbol outside [0, q)
-        raises SymbolOutsideField.
+        word is read once on entry by ``fields.check_symbols``, so an
+        unreduced GF(p) word gives its residues' answer.
 
         Syndromes, locator values and the reader are each one
         ``linear_map`` of the field's kernel, built once and applied to the
@@ -268,10 +264,7 @@ class GrsCode:
         f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
-        if f.s == 1:
-            word = f.kernel.scale(word, 1)
-        else:
-            check_symbols(f, word, range(self.n))
+        word = check_symbols(f, word)
         k, r = self.k, self.n - self.k
         e = (self.d - 1) // 2
         kept = self._bmd_positions

@@ -1,7 +1,9 @@
 """Exact dense linear algebra over a finite field.
 
-Matrices are lists of equal-length lists of canonical field integers;
-over GF(p) an entry outside [0, p) is read as its residue.
+Matrices are lists of equal-length lists of field symbols.  Each entry
+point reads its symbols, A's and b's, once by the package's symbol rule
+(``fields.check_symbols``): over GF(p) an entry outside [0, p) is read as
+its residue, and over any other field it raises SymbolOutsideField.
 Everything here rests on one forward-elimination loop (``_echelon``):
 ``mat_rank`` counts its pivots, ``rref`` adds a back-elimination pass,
 and the solvers read their answer off an ``rref``.  Over an exact field
@@ -25,8 +27,9 @@ packed row by row by one ``struct.Struct`` of the row length, so a
 ragged A fails to pack and raises ShapeMismatch naming its first row of
 the wrong length, as the elimination does.  A repeated A costs that
 packing, one map application and no elimination.  Systems larger than
-``_SOLVER_CELLS``, and every system over a field with the scalar
-kernel, are reduced as [A | b] on every call, as ``solve_any`` always
+``_SOLVER_CELLS``, every system over a field with the scalar kernel, and
+every A that does not pack (a ragged row, or a symbol outside the
+typecode), are reduced as [A | b] on every call, as ``solve_any`` always
 is.
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
@@ -41,31 +44,29 @@ from __future__ import annotations
 import struct
 from array import array
 from functools import lru_cache
-from itertools import starmap
+from itertools import chain, starmap
 
 from .errors import InconsistentSystem, RankDeficient, ShapeMismatch
-from .fields import Field, _ScalarKernel
+from .fields import Field, _ScalarKernel, check_symbols
 
 
 def _echelon(field: Field, rows):
     """Forward elimination to row echelon form with unit pivots.
 
     Returns (new_rows, pivot_columns); the input is not modified.  Rows of
-    different lengths raise ShapeMismatch.  Over GF(p) an entry is read as
-    its residue: a row with an entry outside [0, p) is reduced first, as
-    the kernel reduces only the entries it updates.
+    different lengths raise ShapeMismatch; then all entries are read by
+    one ``fields.check_symbols`` call, which names an entry by its (row,
+    column).
     """
     kernel = field.kernel
-    p = field.p if field.s == 1 else None
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    for i, row in enumerate(m):
-        if len(row) != ncols:
-            raise ShapeMismatch(
-                f"row {i} has {len(row)} entries, row 0 has {ncols}")
-        if p and row and (min(row) < 0 or max(row) >= p):
-            m[i] = [x % p for x in row]
+    _check_row_lengths(m, ncols)
+    flat = list(chain.from_iterable(m))
+    canonical = check_symbols(field, flat, lambda i: divmod(i, ncols))
+    if canonical is not flat:
+        m = [canonical[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -106,8 +107,8 @@ def rref(field: Field, rows):
 
 
 def _check_row_lengths(rows, ncols):
-    """Raise ShapeMismatch as ``_echelon`` does, at the first of the rows
-    that has not ``ncols`` entries."""
+    """Raise ShapeMismatch at the first of the rows that has not ``ncols``
+    entries."""
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ShapeMismatch(
@@ -121,14 +122,10 @@ def _check_rhs(a, b):
 
 def _solve_augmented(field: Field, a, b):
     """Reduce [A | b]; returns (x, rank of A) with free variables set to 0,
-    or (None, rank of A) if the system is inconsistent.
-
-    b is reduced first: ``rref`` reduces only the rows it eliminates, so
-    an unreduced GF(p) entry would otherwise be read as given."""
+    or (None, rank of A) if the system is inconsistent."""
     n = len(a[0]) if a else 0
     _check_row_lengths(a, n)    # before b joins the rows
-    b = field.kernel.scale(b, 1)
-    m, pivots = rref(field, [list(row) + [bv] for row, bv in zip(a, b)])
+    m, pivots = rref(field, [(*row, bv) for row, bv in zip(a, b)])
     if n in pivots:
         return None, len(pivots) - 1
     x = [0] * n
@@ -185,7 +182,7 @@ def _typecode(field: Field):
 def _solver(field: Field, a, rows: int, cols: int):
     """The kept (rank, solver map) of A (``_kept_solver``), or
     None when [A | I] has more than ``_SOLVER_CELLS`` cells, its symbols do
-    not fit 8 bytes or the field has the scalar kernel.
+    not fit 8 bytes, the field has the scalar kernel or A does not pack.
 
     The scalar kernel's maps are one dot per column, so a hit there costs
     as much as reducing [A | b] (about 1.1 ms each on a 19 x 4 system over
@@ -200,21 +197,14 @@ def _solver(field: Field, a, rows: int, cols: int):
     # 57 us on a 2-CPU Intel Xeon; one pack of all rows took 22 us), and
     # fails on a row without cols entries, where one pack of all rows would
     # solve a ragged A with rows x cols symbols in all as the re-flowed
-    # matrix.  A GF(p) entry the typecode cannot hold is packed as its
-    # residue, and ``_echelon`` reads one it can hold as its residue.
-    pack = struct.Struct(f"{cols}{typecode}").pack
+    # matrix.  An A that does not pack is left to the [A | b] elimination,
+    # which reads its rows; a packed entry outside [0, q) is read on the
+    # miss, by ``reduce_with_identity``, so a hit is always on an A whose
+    # symbols were read.
     try:
-        try:
-            data = b"".join(starmap(pack, a))
-        except struct.error:
-            _check_row_lengths(a, cols)
-            if field.s > 1:
-                raise
-            p = field.p
-            data = b"".join(pack(*[x % p for x in row]) for row in a)
-    except (struct.error, TypeError) as exc:    # TypeError: x % p of None
-        raise ShapeMismatch(
-            f"A is not a {rows} x {cols} matrix of field symbols") from exc
+        data = b"".join(starmap(struct.Struct(f"{cols}{typecode}").pack, a))
+    except struct.error:
+        return None
     return _kept_solver(field, rows, cols, data)
 
 
@@ -243,9 +233,10 @@ def solve_unique(field: Field, a, b):
     else RankDeficient if A has column rank < n.
 
     Below the cell cap the answer is read off one application of the
-    solver map kept for A (``_solver``) to b: b is inconsistent iff a
-    check, an entry from the rank on, is nonzero, and x is the first
-    cols entries.  Above it, [A | b] is reduced.
+    solver map kept for A (``_solver``) to b, read by
+    ``fields.check_symbols``: b is inconsistent iff a check, an entry
+    from the rank on, is nonzero, and x is the first cols entries.  Above
+    it, [A | b] is reduced.
     """
     _check_rhs(a, b)
     rows = len(a)
@@ -256,7 +247,7 @@ def solve_unique(field: Field, a, b):
         consistent = x is not None
     else:
         rank, solver = entry
-        x = solver(b)
+        x = solver(check_symbols(field, b))
         consistent = not any(x[rank:])
         del x[cols:]
     if not consistent:

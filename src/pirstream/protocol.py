@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .errors import (
     InvalidParams,
@@ -83,10 +82,9 @@ def storage_encode(files, code: GrsCode) -> StorageSystem:
     each of the n generator columns; over GF(2^s) with q <= 2^8 that is
     one ``bytes.translate`` of an ell*m-byte row per generator entry.
 
-    All file symbols are read by one ``fields.check_symbols`` call: over
-    GF(p) a symbol outside [0, p) encodes as its residue, and over any
-    other field it raises SymbolOutsideField, naming its (file, stripe,
-    symbol) position."""
+    All file symbols are read by one ``fields.check_symbols`` call, which
+    names a symbol by its (file, stripe, symbol) position; over GF(p) the
+    files are stored as their residues."""
     files = tuple(tuple(tuple(stripe) for stripe in f) for f in files)
     if not files or not files[0]:
         raise ShapeMismatch("need at least one file with at least one stripe")
@@ -98,8 +96,14 @@ def storage_encode(files, code: GrsCode) -> StorageSystem:
             if len(stripe) != code.k:
                 raise ShapeMismatch(
                     f"stripe length {len(stripe)} != k={code.k}")
-    check_symbols(code.field, [x for f in files for stripe in f for x in stripe],
-                  product(range(len(files)), range(ell), range(code.k)))
+    symbols = [x for f in files for stripe in f for x in stripe]
+    canonical = check_symbols(
+        code.field, symbols, lambda i: (i // (ell * code.k), i // code.k % ell,
+                                        i % code.k))
+    if canonical is not symbols:
+        stripes = list(zip(*[iter(canonical)] * code.k))
+        files = tuple(tuple(stripes[i: i + ell])
+                      for i in range(0, len(stripes), ell))
     stacked = code.field.kernel.linear_map(
         list(zip(*[stripe for stripes in zip(*files) for stripe in stripes])))
     columns = tuple(map(tuple, map(stacked, zip(*code.generator_matrix()))))
@@ -338,14 +342,12 @@ def server_respond(system: StorageSystem, scheme: PirScheme, query,
     1..ell: query entry z*m + s pairs with file s of stripe xi - z.  Over
     all iterations that is the block convolution of the server's column
     (``StorageSystem.server_columns``, stripe 1 first) with the query, in
-    blocks of m, made by one ``convolve`` of the field's kernel.
-
-    Over GF(p) a query entry outside [0, p) is read as its residue; over
-    any other field it raises SymbolOutsideField, naming its position.
+    blocks of m, made by one ``convolve`` of the field's kernel.  The
+    query is read by ``fields.check_symbols``.
     """
     f = system.field
-    check_symbols(f, query, range(len(query)))
-    return tuple(f.kernel.convolve(system.server_columns[j], query, scheme.m))
+    return tuple(f.kernel.convolve(system.server_columns[j],
+                                   check_symbols(f, query), scheme.m))
 
 
 INTACT = "intact"

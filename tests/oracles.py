@@ -121,6 +121,15 @@ def row_space_basis(field, rows):
     return m[: len(pivots)]
 
 
+def scalar_dot(field, xs, ys):
+    """The sum of x * y over the pairs of entries, one Field call per
+    symbol."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
 def vec_mat(field, x, a):
     """Row vector times matrix."""
     out = [0] * len(a[0])

@@ -844,7 +844,7 @@ def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
             for z in range(memory + 1):
                 assert isinstance(by_lag[z][i], tuple)
                 if s - z in known:
-                    assert (f.kernel.dot(by_lag[z][i], known[s - z])
+                    assert (oracles.scalar_dot(f, by_lag[z][i], known[s - z])
                             == f.mul(rows[z][j],
                                      code.encode(list(known[s - z]))[j]))
     assert list(known_share(known, s)) == expected

@@ -22,7 +22,7 @@ from pirstream.fields import Field, _lane_typecode
 from pirstream.grs import GrsCode
 from pirstream.linalg import _echelon, mat_rank, rref, solve_any, solve_unique
 
-from oracles import poly_eval
+from oracles import poly_eval, scalar_dot
 
 # One field per kernel path, both prime sizes the benchmark uses, the
 # paper's field, one prime per width of the packed GF(p) lanes, which must
@@ -224,8 +224,9 @@ def test_encode_at_the_benchmark_and_paper_shapes(p, n, k):
 @pytest.mark.parametrize("name", ["GF(13)", "GF(251)", "GF(331)", "GF(65537)",
                                   "GF(4294967311)"])
 def test_encode_reduces_symbols_outside_the_field(name):
-    # the scalar methods reduce mod p, so an unreduced symbol encodes as
-    # its residue; the packed lanes of the generator rows' map must agree
+    # encode reads its message by the symbol rule, so an unreduced symbol
+    # encodes as its residue, which the packed lanes and the scalar
+    # methods encode alike
     f = FIELDS[name]
     p = f.p
     n = min(p, 12)
@@ -247,10 +248,9 @@ def result_or_error(fn, *args, **kwargs):
 @pytest.mark.parametrize("name", ["GF(13)", "GF(251)", "GF(331)", "GF(65537)",
                                   "GF(4294967311)"])
 def test_decoders_reduce_symbols_outside_the_field(name):
-    # the kernels' linear maps reduce a symbol outside [0, p) before it
-    # meets the packed lanes, so an unreduced word gives what its residues
-    # give: the message, the error positions, the solution or the same
-    # error
+    # every entry point reads its symbols by ``fields.check_symbols``, so
+    # an unreduced word gives what its residues give: the message, the
+    # error positions, the solution or the same error
     f = FIELDS[name]
     p = f.p
     n = min(p, 12)
@@ -266,13 +266,16 @@ def test_decoders_reduce_symbols_outside_the_field(name):
     for _ in range(6):
         msg = [rng.randrange(p) for _ in range(4)]
         word = code.encode(msg)
-        # erasure decoding reads the first k surviving symbols through its
-        # map, and compares the others with the word as given
+        # erasure decoding reads every surviving symbol as its residue:
+        # the first k through its map, and the others in the comparison
         erased = {1, 6}
         base = [j for j in everywhere if j not in erased][:4]
         assert code.erasure_decode(lift(word, base), erased, at=(1, 9)) == \
             code.erasure_decode(word, erased, at=(1, 9))
-        assert result_or_error(code.erasure_decode, lift(word, {9}),
+        assert code.erasure_decode(lift(word, {9}), erased) == msg
+        off = list(word)
+        off[9] = (off[9] + 1) % p
+        assert result_or_error(code.erasure_decode, lift(off, {9}),
                                erased) is InconsistentWord
         # within the radius (2 errors), at it (4) and past it (7)
         for bad in (2, 4, 7):
@@ -304,16 +307,19 @@ def test_decoders_reduce_symbols_outside_the_field(name):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_dot_matches_the_scalar_oracle(name, data):
+    # a one-column linear map and a one-block convolution are each one dot
+    # product: packed lanes, translate rows, or, past 8-byte lanes and on
+    # the scalar kernel, the kernels' private dots
     f = FIELDS[name]
-    size = data.draw(st.integers(0, 12))
+    size = data.draw(st.integers(1, 12))
     entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
     xs = data.draw(st.lists(entry, min_size=size, max_size=size))
     ys = data.draw(st.lists(entry, min_size=size, max_size=size))
-    expect = 0
-    for x, y in zip(xs, ys):
-        expect = f.add(expect, f.mul(x, y))
-    assert f.kernel.dot(xs, ys) == expect
-    assert f.kernel.dot(tuple(xs), ys) == expect
+    expect = scalar_dot(f, xs, ys)
+    apply = f.kernel.linear_map([[y] for y in ys])
+    assert apply(xs) == [expect]
+    assert apply(tuple(xs)) == [expect]
+    assert f.kernel.convolve(xs, ys, size) == [expect]
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,13 +357,6 @@ def test_erasure_decode_round_trips(name, data):
 def scalar_product(f, xs, matrix):
     """x * matrix with one Field call per symbol: the linear_map oracle."""
     return [scalar_dot(f, xs, column) for column in zip(*matrix)]
-
-
-def scalar_dot(f, xs, ys):
-    acc = 0
-    for x, y in zip(xs, ys):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 @settings(max_examples=300, deadline=None)
