@@ -50,6 +50,16 @@ CASES = {
     # two sub-rounds: a 22-position support past d*-1 = 19
     "simulate-block-two-rounds": [
         "simulate", OWN_CONFIGS / "block-two-rounds.ini", *SIM, "--trials", "5"],
+    # n = 100, the server count of the paper's rate plots: um codes with
+    # e = 35-45 and 100-symbol residuals
+    "simulate-byzantine-budget-n100": [
+        "simulate", OWN_CONFIGS / "byzantine-budget-n100.ini", *SIM,
+        "--trials", "2"],
+    # random error weights over GF(2^4), beyond the budget: most trials
+    # fail, each with its own error text
+    "simulate-byzantine-random-gf16": [
+        "simulate", OWN_CONFIGS / "byzantine-random-gf16.ini", *SIM,
+        "--trials", "40"],
     # a binary field with q < 256
     "simulate-plain-gf16": [
         "simulate", OWN_CONFIGS / "plain-gf16.ini", *SIM, "--trials", "5"],
