@@ -364,6 +364,17 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     the reduced trellis of stripe hypotheses (an unknown node with
     saturated metric bridges gaps); step 4 reads the stripes off the
     winning path, whose per-block split is unique by construction.
+
+    Every step BMD-decodes residuals of the same blocks, and with the
+    right stripes each residual of block xi carries exactly the errors
+    the channel put in block xi.  So the call keeps, per block, the error
+    positions of its last successful BMD decode, by any of the four
+    codes, and points the kept reader of the code that decodes the block
+    next at them (``GrsCode._hint``), which spares that decode its
+    key-equation solve when the errors are still there.  A codeword
+    within the radius of a word is unique, so a hint only chooses which
+    reader ``bmd_decode`` tries first: the stripes, and every failure and
+    its text, are the same with or without hints.
     """
     if scheme.variant != BYZANTINE:
         raise InvalidParams("decode_um needs the unit-memory error variant")
@@ -392,6 +403,21 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             word = list(map(f.sub, word, scaled[stripe][side]))
         return word
 
+    # block -> error positions of its last successful BMD decode, by any
+    # um code; the reader positions of each hint, per (code, error set)
+    found: dict[int, frozenset] = {}
+    hints: dict[tuple, tuple] = {}
+
+    def bmd(c, xi, word):
+        """c.bmd_decode(word) for a residual of block xi, with c's kept
+        reader first pointed at the errors that block's last successful
+        decode found."""
+        errors = found.get(xi)
+        if errors is not None:
+            c._hint(errors, hints)
+        msg, found[xi] = c.bmd_decode(word)
+        return msg, found[xi]
+
     candidates: dict[int, set] = {xi: set() for xi in range(1, ell + 1)}
     anchored: dict[int, tuple] = {}
 
@@ -400,7 +426,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         if stream.block(xi).parts is None:
             continue
         try:
-            msg, errors = c_sum.bmd_decode(residual(xi))
+            msg, _ = bmd(c_sum, xi, residual(xi))
         except DecodingFailure:
             continue
         cur = tuple(msg[:k])
@@ -430,7 +456,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             if stream.block(s).parts is None:
                 return
             try:
-                msg, _ = c_fwd.bmd_decode(residual(s, prev=prev_stripe))
+                msg, _ = bmd(c_fwd, s, residual(s, prev=prev_stripe))
             except DecodingFailure:
                 return
             cur = tuple(msg[:k])
@@ -444,7 +470,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             if stream.block(s).parts is None:
                 return
             try:
-                msg, _ = c_bwd.bmd_decode(residual(s, cur=cur_stripe))
+                msg, _ = bmd(c_bwd, s, residual(s, cur=cur_stripe))
             except DecodingFailure:
                 return
             prev = tuple(msg[k + t - 1:])
@@ -467,7 +493,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         if a is _BOT or b is _BOT:
             return saturated
         try:
-            _, errors = c_int.bmd_decode(residual(xi, cur=b, prev=a))
+            _, errors = bmd(c_int, xi, residual(xi, cur=b, prev=a))
         except DecodingFailure:
             return saturated
         return 2 * len(errors)

@@ -20,10 +20,11 @@ which eliminates only where the base leaves the first k positions.  The
 surviving positions and their reader are kept per code, erased positions
 and ``at`` (``_erasure_plan``), so a repeated erasure pattern is read
 with no per-position loop.  Error (BMD) decoding first reads the word
-through the reader of the code's last error locator (``_bmd_positions``,
-the one mutable slot of a code): Byzantine servers lie in every block,
-so the codeword read there is nearly always within the radius of the
-next word, and then it is the answer.  Otherwise it takes the n-k
+through the code's kept reader (``_bmd_positions``, the one mutable slot
+of a code): that of its last error locator, or the one a caller pointed
+it at (``_hint``), such as ``decode_um`` with the errors its last decode
+of the same block found.  When the codeword read there is within the
+radius of the word, it is the answer.  Otherwise it takes the n-k
 syndromes of the word through one linear map of parity checks
 (``_parity_checks``) and solves the key equation in syndrome form once,
 at the full bounded-minimum-distance radius, for an error locator.  Its
@@ -66,9 +67,10 @@ class GrsCode:
     """RS(n, k, v) over a finite field; its fields are immutable and it is
     freely shareable.  Besides the tables it builds once, a code keeps
     one mutable slot, ``_bmd_positions``: the reader positions of its last
-    BMD decode that solved the key equation, which ``bmd_decode`` tries
-    first.  The slot changes no result, only how fast a word decodes, so
-    equal codes decode every word alike whatever their slots hold."""
+    BMD decode that solved the key equation, or of the last hint
+    (``_hint``), which ``bmd_decode`` tries first.  The slot changes no
+    result, only how fast a word decodes, so equal codes decode every word
+    alike whatever their slots hold."""
 
     field: Field
     n: int
@@ -92,16 +94,17 @@ class GrsCode:
             raise LengthMismatch("locators/multipliers must have length n")
         if len(set(locs)) != self.n:
             raise LocatorMismatch("locators must be pairwise distinct")
-        if any(not 0 <= a < self.field.q for a in locs):
-            raise LocatorMismatch("locators outside the field")
-        if any(v == 0 for v in mults):
-            raise LocatorMismatch("column multipliers must be nonzero")
+        q = self.field.q
+        for name, values, least in (("locator", locs, 0),
+                                    ("multiplier", mults, 1)):
+            for j, a in enumerate(values):
+                if not least <= a < q:
+                    raise LocatorMismatch(f"{name} {a!r} at position {j} "
+                                          f"outside {least}..{q - 1}")
         # the dataclass's hash, of this tuple, computed once: every
         # ``_reader``, ``_erasure_plan`` and ``_dual_checks`` lookup hashes
-        # its code, in 0.14 us so, against 0.62 us to hash the tuple
-        # (timeit, GF(2^8), n = 16).  Fields hash their ints, so the hash is
-        # the same in every process, and a pickled code (a worker's) keeps a
-        # valid one
+        # its code.  Fields hash their ints, so the hash is the same in
+        # every process, and a pickled code (a worker's) keeps a valid one
         object.__setattr__(self, "_hash", hash(
             (self.field, self.n, self.k, locs, mults)))
 
@@ -207,21 +210,28 @@ class GrsCode:
         Hamming distance e = (d-1)//2 of the word, or raises
         DecodingFailure.
 
-        A Byzantine server lies in every block, so a word's errors are
-        nearly always where the code's last decode found them.  The code
-        keeps the positions of the reader of its last decode that solved
-        the key equation and passed its check (``_bmd_positions``), and
-        reads the word through that reader first: the k symbols at its
-        base give a codeword, and if that codeword differs from the word
-        at no more than e positions, it is the answer and those positions
-        are the errors.  That is exact: two codewords within e of one word
+        The code keeps the positions of one reader (``_bmd_positions``)
+        and reads the word through it first: the k symbols at its base
+        give a codeword, and if that codeword differs from the word at no
+        more than e positions, it is the answer and those positions are
+        the errors.  That is exact: two codewords within e of one word
         would lie within 2e < d of each other, so a codeword within e is
         the unique one, which the full decode below returns with the same
         error positions.  Otherwise, with no positions kept or with more
         than e differences, the full decode runs and, when it solved the
         key equation, keeps its reader's positions for the next word.
-        Only the full decode solves; the kept positions decide which
-        reader is tried first and never change a result.
+
+        The kept positions come from the code's last decode that solved
+        the key equation and passed its check, or from a hint
+        (``_hint``): the reader the full decode would use had it found
+        the errors the hint names.  A Byzantine server lies in every
+        block, so a word's errors are nearly always where an earlier
+        decode of the same block found them.  ``decode_um`` decodes each
+        block in up to four codes, and before each decode of a block it
+        hints the code with the errors of that block's last successful
+        decode, whichever code made it.  Only the full decode solves;
+        the kept positions, hinted or not, decide which reader is tried
+        first and never change a result.
 
         The n-k syndromes S_i = sum_j u_j a_j^i w_j are the parity checks
         of the dual code (``_parity_checks``); all zero means a codeword.
@@ -286,15 +296,26 @@ class GrsCode:
             roots = [j for j, v in enumerate(values) if v == 0]
             if not roots:
                 raise DecodingFailure(far)
-        others = [j for j in range(self.n) if j not in roots]
-        base, rest = others[:k], sorted(roots + others[k:])
-        positions = tuple(base + rest)
+        positions = _reader_positions(self.n, k, roots)
         message, errors = self._read_off(positions, word)
         if not errors.issubset(roots):
             raise DecodingFailure(far)
         if roots:
             object.__setattr__(self, "_bmd_positions", positions)
         return message, errors
+
+    def _hint(self, errors, memo):
+        """Point the kept reader (``_bmd_positions``) at the reader the
+        full decode would read a word through whose error locator has the
+        roots ``errors`` (``_reader_positions``), so that the next
+        ``bmd_decode`` tries it first.  The positions are kept in the
+        caller's dict ``memo`` under (code, errors), so a repeated hint
+        costs one lookup.  Like the slot, a hint changes no result."""
+        key = (self, errors)
+        positions = memo.get(key)
+        if positions is None:
+            positions = memo[key] = _reader_positions(self.n, self.k, errors)
+        object.__setattr__(self, "_bmd_positions", positions)
 
     def _read_off(self, positions, word):
         """(message, positions where the codeword differs from the word)
@@ -321,22 +342,23 @@ class GrsCode:
         return _root_map(self.field, self.locators)
 
 
+def _reader_positions(n, k, errors):
+    """The first k positions outside ``errors``, followed by every other
+    position in order: the reader through which ``bmd_decode`` reads a
+    word once its error locator's roots are ``errors``, and at which a
+    hint (``GrsCode._hint``) points a code's kept reader."""
+    others = [j for j in range(n) if j not in errors]
+    return tuple(others[:k] + sorted([*errors, *others[k:]]))
+
+
 # Erasure decoding reads through one set of surviving positions per
 # sub-round and code, and BMD decoding through the first k positions that
 # are not locator roots, followed by the others; the k positions fix the
 # rest, so BMD decoding keeps one reader per code and set of non-roots.
-# A 5-trial process (``simulate --seed 11``) builds 14 readers on the
-# byzantine-fixed benchmark scheme and 102 on byzantine-budget.  A build
-# reduces the code's kept systematic form, whose first k positions are
-# unit columns, so its elimination works only on the base positions
+# A build reduces the code's kept systematic form, whose first k positions
+# are unit columns, so its elimination works only on the base positions
 # outside the first k: for a BMD reader, as many as the roots among them.
-# Timed with ``timeit`` on a reader of all n = 16 positions over GF(2^8)
-# at k = 3 / 6 / 9 (best of ten runs, 2-CPU Intel Xeon), a build took
-# 9 / 15 / 22 us with the first k positions as its base, 14 / 22 / 32 us
-# with one of them swapped out, 20 / 30 / 44 us with two and
-# 23 / 63 / 98 us with none of them kept, where inverting [G_B^T | I] and
-# multiplying out the further columns took about 29 / 72 / 132 us.  A
-# reader holds its k rows of n bytes.
+# A reader holds its k rows of n bytes.
 @lru_cache(maxsize=256)
 def _reader(code, positions):
     """The field kernel's linear map from a codeword's symbols at the first

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
-from pirstream import grs
+from pirstream import cli, grs
 from pirstream.channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -54,6 +54,7 @@ from pirstream.protocol import (
 from pirstream.rates import min_gamma, rate_block, rate_conv, rate_report
 from pirstream.recovering import build_A, minimal_gamma
 from pirstream.seeds import derive_rng, derive_seed
+from test_grs import count_solves
 
 GF16 = Field(2, 4)
 C6 = GrsCode(GF16, 6, 2, tuple(range(1, 7)))
@@ -501,9 +502,15 @@ def test_decode_um_encodes_each_stripe_once(monkeypatch):
 
 def test_decode_um_builds_each_code_once_per_scheme(monkeypatch):
     # the sum, coset and star codes live on the scheme, so a second
-    # decode_um call reuses their parity-check tables
+    # decode_um call reuses their parity-check tables.  A decode pointed at
+    # its block's errors by an earlier one computes no syndromes, so block
+    # 2 carries e = 3 errors of the star code: beyond the radius of the
+    # sum code (1) and of the coset codes (2), within the budget.  Every
+    # decode of block 2 but the star code's fails, records no errors, and
+    # each code reaches block 2 with no hint and makes a full decode.
     sch, files, stream = setup_byz(ell=4)
-    noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7),), "manual"), 16, 4)
+    noisy = apply_errors(stream, ErrorSchedule(
+        ((2, 1, 3), (2, 4, 7), (2, 8, 1)), "manual"), 16, 4)
     builds: dict[int, list] = {}
     table = GrsCode._parity_checks.func
 
@@ -1015,3 +1022,58 @@ def test_decode_um_linearity_breaks_beyond_the_budget():
     assert sched.weights(ell + 1) == [6, 0, 4, 2, 5, 4, 0]
     noisy = apply_errors(w, sched, 16, derive_seed(seed, "values"))
     assert_linear(decode_um, sch, noisy, c, extra)
+
+
+# --- block hints: which reader a BMD decode tries first changes no answer ----
+#
+# decode_um points each code's kept reader at the errors the last
+# successful decode of the same block found.  A codeword within the radius
+# of a word is unique, so the hint only picks the reader tried first: with
+# every kept reader cleared before each BMD decode, each of which then
+# solves the key equation, every stream decodes to the same stripes or
+# fails with the same error and text.
+
+@pytest.mark.parametrize("path", [BENCH_CONFIGS / "byzantine-budget.ini",
+                                  CONFIGS / "byzantine-random-gf16.ini"],
+                         ids=lambda path: path.stem)
+def test_decode_um_answers_alike_with_and_without_block_hints(path,
+                                                              monkeypatch):
+    sch, ell = config_scheme(path)
+    f = sch.field
+    profile = UmDistanceProfile.for_byzantine(sch.n, sch.k, sch.t)
+    streams = []
+    for mode, b, seeds in (("budget", None, 6), ("fixed-byzantine", 2, 3),
+                           ("random", None, 12)):
+        for seed in range(seeds):
+            w, _, _ = linear_pair(sch, ell, seed)
+            sched = gen_error_schedule(profile, ell, sch.memory, sch.n, f.q,
+                                       mode, derive_seed(seed, "errors"), b=b)
+            streams.append(apply_errors(w, sched, f.q,
+                                        derive_seed(seed, "values")))
+    solves = count_solves(monkeypatch)
+    hinted = [outcome(decode_um, noisy, sch) for noisy in streams]
+    with_hints = solves[0]
+    bmd_decode = GrsCode.bmd_decode
+
+    def cleared(code, word):
+        object.__setattr__(code, "_bmd_positions", None)
+        return bmd_decode(code, word)
+    monkeypatch.setattr(GrsCode, "bmd_decode", cleared)
+    solves[0] = 0
+    assert [outcome(decode_um, noisy, sch) for noisy in streams] == hinted
+    # the hints were in play, and failures were compared too
+    assert with_hints < solves[0]
+    assert any(isinstance(got[0], type) for got in hinted)
+
+
+def test_block_hints_spare_most_key_equation_solves(monkeypatch):
+    # byzantine-budget's first five trials at simulate seed 11 make 388 BMD
+    # decodes; with a code's last solve as the only hint, 242 of them solved
+    # the key equation.  Pointed at each block's errors, 138 do.
+    cfg = load_config(BENCH_CONFIGS / "byzantine-budget.ini")
+    _, _, sch, ell = build_scheme(cfg)
+    channel = cli._check_channel(cfg.channel, sch)
+    solves = count_solves(monkeypatch)
+    for trial in range(5):
+        assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]
+    assert solves[0] <= 150

@@ -91,6 +91,26 @@ def test_code_validation():
     assert RS42.d == 3
 
 
+@pytest.mark.parametrize("f", [Field(2, 8), Field(251)], ids=str)
+def test_code_rejects_multipliers_and_locators_outside_the_field(f):
+    # multipliers follow the locators' range rule, 1..q-1 for them: a
+    # multiplier -1 over GF(2^8) read as log[-1] gave a wrong codeword
+    # ([0, 3, 2, 46] for the message [1, 1]), and 300 an IndexError
+    q = f.q
+    for bad in (-1, 0, q, 300):
+        with pytest.raises(LocatorMismatch,
+                           match=f"multiplier {bad} at position 3 outside "
+                                 f"1..{q - 1}"):
+            GrsCode(f, 4, 2, (1, 2, 3, 4), (1, 1, 1, bad))
+    for bad in (-1, q, 300):
+        with pytest.raises(LocatorMismatch,
+                           match=f"locator {bad} at position 2 outside "
+                                 f"0..{q - 1}"):
+            GrsCode(f, 4, 2, (0, 1, bad, 4), (q - 1, 1, 1, 1))
+    code = GrsCode(f, 4, 2, (0, 1, 2, q - 1), (q - 1, 1, 1, 1))
+    assert code.encode([1, 1])[0] == q - 1
+
+
 def test_erasure_decode_examples():
     assert RS42.erasure_decode([None, 2, 3, None]) == [0, 1]
     assert RS42.erasure_decode([1, 2, 3, 4]) == [0, 1]
