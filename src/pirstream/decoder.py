@@ -365,16 +365,51 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     saturated metric bridges gaps); step 4 reads the stripes off the
     winning path, whose per-block split is unique by construction.
 
-    Every step BMD-decodes residuals of the same blocks, and with the
-    right stripes each residual of block xi carries exactly the errors
-    the channel put in block xi.  So the call keeps, per block, the error
-    positions of its last successful BMD decode, by any of the four
-    codes, and points the kept reader of the code that decodes the block
-    next at them (``GrsCode._hint``), which spares that decode its
-    key-equation solve when the errors are still there.  A codeword
-    within the radius of a word is unique, so a hint only chooses which
-    reader ``bmd_decode`` tries first: the stripes, and every failure and
-    its text, are the same with or without hints.
+    The four codes are nested.  Each is a GRS code on the storage
+    locators a_j, and its codeword of the message m is (v_j sum_i m_i
+    a_j^i)_j.  With e1 = a^-k and e2 = a^(k+t-1)
+    (``protocol.byzantine_scheme``), the sum code has v = e1 and
+    dimension 3k+t-1, the forward coset code v = e1 and 2k+t-1, the
+    backward coset code v = 1 and 2k+t-1, and the star code c_int v = 1
+    and k+t-1.  Splitting the message sum by its exponents (cur below k,
+    z from k, prev from 2k+t-1) gives
+
+        c_sum(cur, z, prev) = e1*enc(cur) + c_int(z) + e2*enc(prev),
+        c_fwd(cur, z)       = e1*enc(cur) + c_int(z),
+        c_bwd(z, prev)      = c_int(z) + e2*enc(prev),
+
+    since e1_j * a_j^(k+i) = a_j^i and e1_j * a_j^(2k+t-1+i) =
+    e2_j * a_j^i.  So the residual of block xi's word w for stripes
+    (prev, cur) is the same codeword-plus-errors in every code: if one
+    of them decodes it to a codeword that fixes both stripes, with the
+    errors E, then w - e1*enc(cur) - e2*enc(prev) = c_int(z) + err with
+    err nonzero exactly on E, and w - e2*enc(prev) = c_fwd(cur, z) + err,
+    w - e1*enc(cur) = c_bwd(z, prev) + err and w = c_sum(cur, z, prev) +
+    err.  A codeword within e = (d-1)//2 of a word is unique (two would
+    lie within 2e < d of each other), ``bmd_decode`` returns it whenever
+    it exists, and the smaller the dimension the larger the radius.  So
+    every code whose radius is at least |E| decodes these residuals to
+    the same stripes, the same z and the same E.  The sum decodes of
+    step 1 and the coset decodes of step 2 fix both stripes and lie
+    within the coset radius, which is at most the star radius; the call
+    keeps each as a split (block, prev, cur) -> E.  A forward step into
+    block s with incoming stripe prev takes cur from a split of s with
+    that prev, a backward step with outgoing stripe cur takes prev from
+    a split with that cur, and a trellis branch (a, b) into block xi
+    with a split (xi, a, b) has the metric 2|E|: exactly what their
+    decodes would return.  Two splits of one block with the same prev,
+    or the same cur, are one split by the same uniqueness.  The other
+    steps decode.  On a stream whose anchors hold, only step 1 decodes.
+
+    The remaining decodes of a block carry, with the right stripes,
+    exactly the errors the channel put in it.  So the call keeps, per
+    block, the error positions of its last successful BMD decode, by any
+    of the four codes, and points the kept reader of the code that
+    decodes the block next at them (``GrsCode._hint``), which spares that
+    decode its key-equation solve when the errors are still there.  A
+    hint only chooses which reader ``bmd_decode`` tries first: the
+    stripes, and every failure and its text, are the same with or
+    without hints.
     """
     if scheme.variant != BYZANTINE:
         raise InvalidParams("decode_um needs the unit-memory error variant")
@@ -418,6 +453,18 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         msg, found[xi] = c.bmd_decode(word)
         return msg, found[xi]
 
+    # (block, prev, cur) -> errors of a sum or coset decode that fixed
+    # both stripes of the block; per (block, prev) its cur, and per
+    # (block, cur) its prev
+    splits: dict[tuple, frozenset] = {}
+    cur_of: dict[tuple, tuple] = {}
+    prev_of: dict[tuple, tuple] = {}
+
+    def split(xi, prev, cur, errors):
+        splits[xi, prev, cur] = errors
+        cur_of[xi, prev] = cur
+        prev_of[xi, cur] = prev
+
     candidates: dict[int, set] = {xi: set() for xi in range(1, ell + 1)}
     anchored: dict[int, tuple] = {}
 
@@ -426,11 +473,12 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         if stream.block(xi).parts is None:
             continue
         try:
-            msg, _ = bmd(c_sum, xi, residual(xi))
+            msg, errors = bmd(c_sum, xi, residual(xi))
         except DecodingFailure:
             continue
         cur = tuple(msg[:k])
         prev = tuple(msg[2 * k + t - 1:])
+        split(xi, prev, cur, errors)
         anchored[xi] = (cur, prev)
         if xi <= ell:
             candidates[xi].add(cur)
@@ -446,7 +494,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     # already extended: each step depends on that state alone, so the rest
     # of the chain would repeat the same decodes and add the same
     # candidates.  Chains from correct anchors merge onto the true path
-    # after one step, which is where this saves the bulk of the decodes.
+    # after one step, and take each step on it from a split of step 1.
     fwd_seen: set = set()
     bwd_seen: set = set()
 
@@ -455,11 +503,14 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             fwd_seen.add((s, prev_stripe))
             if stream.block(s).parts is None:
                 return
-            try:
-                msg, _ = bmd(c_fwd, s, residual(s, prev=prev_stripe))
-            except DecodingFailure:
-                return
-            cur = tuple(msg[:k])
+            cur = cur_of.get((s, prev_stripe))
+            if cur is None:
+                try:
+                    msg, errors = bmd(c_fwd, s, residual(s, prev=prev_stripe))
+                except DecodingFailure:
+                    return
+                cur = tuple(msg[:k])
+                split(s, prev_stripe, cur, errors)
             candidates[s].add(cur)
             prev_stripe = cur
             s += 1
@@ -469,11 +520,14 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             bwd_seen.add((s, cur_stripe))
             if stream.block(s).parts is None:
                 return
-            try:
-                msg, _ = bmd(c_bwd, s, residual(s, cur=cur_stripe))
-            except DecodingFailure:
-                return
-            prev = tuple(msg[k + t - 1:])
+            prev = prev_of.get((s, cur_stripe))
+            if prev is None:
+                try:
+                    msg, errors = bmd(c_bwd, s, residual(s, cur=cur_stripe))
+                except DecodingFailure:
+                    return
+                prev = tuple(msg[k + t - 1:])
+                split(s, prev, cur_stripe, errors)
             candidates[s - 1].add(prev)
             cur_stripe = prev
             s -= 1
@@ -492,10 +546,12 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             return 0
         if a is _BOT or b is _BOT:
             return saturated
-        try:
-            _, errors = bmd(c_int, xi, residual(xi, cur=b, prev=a))
-        except DecodingFailure:
-            return saturated
+        errors = splits.get((xi, a, b))
+        if errors is None:
+            try:
+                _, errors = bmd(c_int, xi, residual(xi, cur=b, prev=a))
+            except DecodingFailure:
+                return saturated
         return 2 * len(errors)
 
     cost = {zero: 0}

@@ -6,7 +6,13 @@ route: with the scalar ``Field`` methods, by enumeration, or through an
 equivalent criterion.
 """
 
-from pirstream.decoder import DIRECT, WINDOW, RecoveredFile, _erasure_violation
+from pirstream.decoder import (
+    DIRECT,
+    TRELLIS,
+    WINDOW,
+    RecoveredFile,
+    _erasure_violation,
+)
 from pirstream.errors import (
     DecodingFailure,
     InconsistentBlock,
@@ -343,3 +349,80 @@ def recover_window(stream, scheme):
     if reason is not None:
         raise UncorrectablePattern(reason)
     return peel(stream, scheme, scheme.window)
+
+
+def decode_um(stream, scheme):
+    """``decoder.decode_um`` with every chain step and trellis branch
+    BMD-decoded from its residual, the stripes encoded afresh for each
+    residual, and every chain run until a decode fails or the stream
+    ends: no splits, no block hints and no seen states."""
+    f = scheme.field
+    code = scheme.storage_code
+    k, t, ell = scheme.k, scheme.t, stream.ell
+    e1, e2 = scheme.e_offsets[0]
+    c_sum, c_fwd, c_bwd, c_int = scheme.um_codes
+    zero = (0,) * k
+
+    def decoded(c, xi, cur=zero, prev=zero):
+        """c.bmd_decode of block xi's word minus e1*enc(cur) and
+        e2*enc(prev), or None if the block is erased or the decode fails."""
+        if stream.block(xi).parts is None:
+            return None
+        word = list(stream.block(xi).parts[0])
+        for stripe, offsets in ((cur, e1), (prev, e2)):
+            y = code.encode(list(stripe))
+            word = [f.sub(w, f.mul(o, v)) for w, o, v in zip(word, offsets, y)]
+        try:
+            return c.bmd_decode(word)
+        except DecodingFailure:
+            return None
+
+    candidates = {xi: set() for xi in range(1, ell + 1)}
+    forward, backward = [(1, zero)], [(ell + 1, zero)]
+    for xi in range(1, ell + 2):
+        got = decoded(c_sum, xi)
+        if got is None:
+            continue
+        cur, prev = tuple(got[0][:k]), tuple(got[0][2 * k + t - 1:])
+        if xi <= ell:
+            candidates[xi].add(cur)
+        forward.append((xi + 1, cur))
+        if xi > 1:
+            candidates[xi - 1].add(prev)
+            backward.append((xi - 1, prev))
+    for s, stripe in forward:
+        while s <= ell and (got := decoded(c_fwd, s, prev=stripe)):
+            stripe = tuple(got[0][:k])
+            candidates[s].add(stripe)
+            s += 1
+    for s, stripe in backward:
+        while s >= 2 and (got := decoded(c_bwd, s, cur=stripe)):
+            stripe = tuple(got[0][k + t - 1:])
+            candidates[s - 1].add(stripe)
+            s -= 1
+
+    def metric(xi, a, b):
+        if stream.block(xi).parts is None:
+            return 0
+        got = None if a is None or b is None else decoded(c_int, xi, b, a)
+        return c_int.d if got is None else 2 * len(got[1])
+
+    # Viterbi, None the unknown node; ties go to the first node in order
+    cost, back = {zero: 0}, []
+    for xi in range(1, ell + 2):
+        nodes = sorted(candidates[xi]) + [None] if xi <= ell else [zero]
+        new, ptr = {}, {}
+        for b in nodes:
+            for a, base in cost.items():
+                total = base + metric(xi, a, b)
+                if b not in new or total < new[b]:
+                    new[b], ptr[b] = total, a
+        cost = new
+        back.append(ptr)
+    path = [zero]
+    for ptr in reversed(back):
+        path.append(ptr[path[-1]])
+    stripes = tuple(reversed(path))[1:ell + 1]
+    if None in stripes:
+        raise DecodingFailure("winning path passes through an unknown block")
+    return RecoveredFile(stripes, (TRELLIS,) * ell)

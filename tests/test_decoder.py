@@ -463,12 +463,8 @@ def test_decode_um_across_shapes():
             assert rec.stripes == files[0], (n, k, t, sched.weights(5))
 
 
-def test_decode_um_coset_chains_decode_each_state_once(monkeypatch):
-    # on a clean stream every anchor is correct, so every chain merges onto
-    # the true path after one step: one forward and one backward pass of
-    # ell coset decodes each, not one pass per anchor
-    ell = 8
-    sch, files, stream = setup_byz(ell=ell)
+def count_bmd_decodes(monkeypatch):
+    """{code dimension: BMD decodes}, filled by every later bmd_decode."""
     calls: dict[int, int] = {}
     bmd_decode = GrsCode.bmd_decode
 
@@ -476,16 +472,51 @@ def test_decode_um_coset_chains_decode_each_state_once(monkeypatch):
         calls[code.k] = calls.get(code.k, 0) + 1
         return bmd_decode(code, word)
     monkeypatch.setattr(GrsCode, "bmd_decode", counted)
+    return calls
+
+
+def test_decode_um_coset_chains_decode_each_state_once(monkeypatch):
+    # on a clean stream every anchor holds: each chain step and trellis
+    # branch on the true path is read off a split of step 1, so only the
+    # ell+1 sum decodes run
+    ell = 8
+    sch, files, stream = setup_byz(ell=ell)
+    k, t = sch.k, sch.t
+    calls = count_bmd_decodes(monkeypatch)
     assert decode_um(stream, sch).stripes == files[0]
-    coset_k = 2 * 2 + 2 - 1
-    assert calls[coset_k] <= 2 * ell
+    assert calls == {3 * k + t - 1: ell + 1}
+    # two errors in every block, beyond the sum radius (1) and within the
+    # budget and the coset radius (2): every anchor fails, and the chains
+    # merge onto the true path after one step, so they decode each state
+    # once, not once per chain
+    noisy = apply_errors(stream, ErrorSchedule(tuple(
+        (b, j, 1) for b in range(1, ell + 2) for j in (b % 10, (b + 3) % 10)),
+        "manual"), 16, 4)
+    profile = UmDistanceProfile.for_byzantine(sch.n, k, t)
+    assert check_guarantee([2] * (ell + 1), profile)
+    calls.clear()
+    assert decode_um(noisy, sch).stripes == files[0]
+    assert 0 < calls.get(2 * k + t - 1, 0) <= 2 * ell
+    # and every trellis branch on the true path is read off a chain's split
+    assert calls.get(k + t - 1, 0) == 0
 
 
 def test_decode_um_encodes_each_stripe_once(monkeypatch):
-    # the block, coset and trellis steps share one encoding per stripe
-    sch, files, stream = setup_byz(ell=6)
-    noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7), (5, 1, 3)), "manual"),
-                         16, 4)
+    # the block, coset and trellis steps share one encoding per stripe.
+    # Block 1 carries three errors, past the coset radius (2), and every
+    # other block two, past the sum radius (1): no anchor holds, the
+    # forward chain stops at block 1, and the backward chain and the
+    # trellis decode with every true stripe
+    ell = 6
+    sch, files, stream = setup_byz(ell=ell)
+    entries = [(1, 9, 5)] + [(b, j, 1) for b in range(1, ell + 2)
+                             for j in (b % 9, (b + 4) % 9)]
+    schedule = ErrorSchedule(tuple(entries), "manual")
+    noisy = apply_errors(stream, schedule, 16, 4)
+    weights = schedule.weights(ell + 1)
+    assert weights == [3] + [2] * ell
+    assert check_guarantee(weights, UmDistanceProfile.for_byzantine(
+        sch.n, sch.k, sch.t))
     encodes: dict[tuple, int] = {}
     encode = GrsCode.encode
 
@@ -498,6 +529,12 @@ def test_decode_um_encodes_each_stripe_once(monkeypatch):
     assert decode_um(noisy, sch).stripes == files[0]
     assert set(files[0]) <= set(encodes)
     assert max(encodes.values()) == 1
+    # a stream whose every anchor holds makes no storage encode
+    encodes.clear()
+    noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7), (5, 1, 3)), "manual"),
+                         16, 4)
+    assert decode_um(noisy, sch).stripes == files[0]
+    assert encodes == {}
 
 
 def test_decode_um_builds_each_code_once_per_scheme(monkeypatch):
@@ -1067,9 +1104,10 @@ def test_decode_um_answers_alike_with_and_without_block_hints(path,
 
 
 def test_block_hints_spare_most_key_equation_solves(monkeypatch):
-    # byzantine-budget's first five trials at simulate seed 11 make 388 BMD
+    # byzantine-budget's first five trials at simulate seed 11 made 388 BMD
     # decodes; with a code's last solve as the only hint, 242 of them solved
-    # the key equation.  Pointed at each block's errors, 138 do.
+    # the key equation.  Pointed at each block's errors, 138 did, and 139
+    # of the 168 left once chain steps and branches are read off splits.
     cfg = load_config(BENCH_CONFIGS / "byzantine-budget.ini")
     _, _, sch, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, sch)
@@ -1077,3 +1115,184 @@ def test_block_hints_spare_most_key_equation_solves(monkeypatch):
     for trial in range(5):
         assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]
     assert solves[0] <= 150
+
+
+# --- splits: a decode that fixes both stripes answers the smaller codes ------
+
+@pytest.mark.parametrize("path", [CONFIGS / "byzantine-random-gf16.ini",
+                                  BENCH_CONFIGS / "byzantine-budget.ini"],
+                         ids=lambda p: p.stem)
+def test_decode_um_matches_the_decode_every_step_oracle(path):
+    # the splits, the block hints and the seen states only spare decodes:
+    # within the budget and beyond it, where anchors and chain steps
+    # miscorrect and trials fail, decode_um answers as the oracle that
+    # decodes every step does, failures and their text included
+    sch, ell = config_scheme(path)
+    f = sch.field
+    profile = UmDistanceProfile.for_byzantine(sch.n, sch.k, sch.t)
+    for mode, seeds in (("budget", 10), ("random", 200)):
+        for seed in range(seeds):
+            w, _, _ = linear_pair(sch, ell, seed)
+            sched = gen_error_schedule(profile, ell, sch.memory, sch.n, f.q,
+                                       mode, derive_seed(seed, "errors"))
+            noisy = apply_errors(w, sched, f.q, derive_seed(seed, "values"))
+            assert outcome(decode_um, noisy, sch) == outcome(
+                oracles.decode_um, noisy, sch), (mode, seed)
+
+
+GF256 = Field(2, 8)
+NESTED_SCHEMES = ((GF16, 10, 2, 2), (GF256, 16, 3, 1), (GF13, 12, 2, 2))
+
+
+def scaled_encode(scheme, offsets, stripe):
+    """offsets * enc(stripe), position by position."""
+    f = scheme.field
+    return list(map(f.mul, offsets, scheme.storage_code.encode(list(stripe))))
+
+
+def minus(f, word, *terms):
+    """word minus each of the terms, position by position."""
+    for term in terms:
+        word = list(map(f.sub, word, term))
+    return word
+
+
+def assert_split_decodes(scheme, word, prev, cur, z, errors):
+    """The coset and star codes decode block word ``word``'s residuals for
+    (prev, cur) to that split, with the errors ``errors``."""
+    f = scheme.field
+    e1, e2 = scheme.e_offsets[0]
+    _, c_fwd, c_bwd, c_int = scheme.um_codes
+    s_cur, s_prev = scaled_encode(scheme, e1, cur), scaled_encode(scheme, e2, prev)
+    assert c_fwd.bmd_decode(minus(f, word, s_prev)) == (
+        list(cur) + list(z), errors)
+    assert c_bwd.bmd_decode(minus(f, word, s_cur)) == (
+        list(z) + list(prev), errors)
+    assert c_int.bmd_decode(minus(f, word, s_cur, s_prev)) == (list(z), errors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NESTED_SCHEMES), st.sampled_from(("sum", "fwd", "bwd")),
+       st.data())
+def test_a_split_decodes_alike_in_every_smaller_code(shape, start, data):
+    # decode_um reads a chain step or a trellis branch off a sum or coset
+    # decode of the same block that fixed both stripes: c_sum(cur, z, prev)
+    # = e1*enc(cur) + c_int(z) + e2*enc(prev), and c_fwd and c_bwd drop one
+    # term each.  Words carry up to the star radius in errors, so some
+    # decodes fail and some land on a wrong codeword; any split a decode
+    # returns must come back from the smaller codes
+    f, n, k, t = shape
+    code = GrsCode(f, n, k, tuple(range(1, n + 1)))
+    sch = byzantine_scheme(code, t=t, m=2, desired=0)
+    e1, e2 = sch.e_offsets[0]
+    c_sum, c_fwd, c_bwd, c_int = sch.um_codes
+    symbols = st.integers(0, f.q - 1)
+    stripe = st.lists(symbols, min_size=k, max_size=k).map(tuple)
+    msg = data.draw(st.lists(symbols, min_size=c_sum.k, max_size=c_sum.k))
+    word = c_sum.encode(msg)
+    weight = data.draw(st.integers(0, (c_int.d - 1) // 2))
+    for j in data.draw(st.lists(st.integers(0, n - 1), min_size=weight,
+                                max_size=weight, unique=True)):
+        word[j] = f.add(word[j], data.draw(st.integers(1, f.q - 1)))
+    true_prev, true_cur = tuple(msg[2 * k + t - 1:]), tuple(msg[:k])
+    try:
+        if start == "sum":
+            got, errors = c_sum.bmd_decode(word)
+            prev, cur = tuple(got[2 * k + t - 1:]), tuple(got[:k])
+            z = got[k:2 * k + t - 1]
+        elif start == "fwd":
+            prev = data.draw(st.just(true_prev) | stripe)
+            got, errors = c_fwd.bmd_decode(
+                minus(f, word, scaled_encode(sch, e2, prev)))
+            cur, z = tuple(got[:k]), got[k:]
+        else:
+            cur = data.draw(st.just(true_cur) | stripe)
+            got, errors = c_bwd.bmd_decode(
+                minus(f, word, scaled_encode(sch, e1, cur)))
+            z, prev = got[:k + t - 1], tuple(got[k + t - 1:])
+    except DecodingFailure:
+        return
+    assert len(errors) <= (c_fwd.d - 1) // 2
+    assert_split_decodes(sch, word, prev, cur, z, errors)
+
+
+def min_weight_codeword(code, zeros, one):
+    """The codeword of ``code`` that is 0 at the k-1 positions ``zeros`` and
+    1 at ``one``: nonzero at exactly d = n-k+1 positions."""
+    word = [None] * code.n
+    for j in zeros:
+        word[j] = 0
+    word[one] = 1
+    return code.encode(code.erasure_decode(word))
+
+
+def test_decode_um_recovers_through_wrong_anchors():
+    # ROADMAP item 8's adversarial values: a block of weight w, with
+    # d_alpha - (d_alpha-1)//2 <= w < d_alpha, carries w symbols of a
+    # minimum-weight codeword of the sum code, so its word lies within the
+    # sum radius of a wrong codeword and step 1 anchors it wrongly.  The
+    # wrong split is kept, and chain steps from the wrong anchor derive
+    # from it; the budget still holds, so the files must come back
+    f, n, k, t, ell = GF256, 16, 3, 1, 6
+    code = GrsCode(f, n, k, tuple(range(1, n + 1)))
+    sch = byzantine_scheme(code, t=t, m=2, desired=0)
+    c_sum = sch.um_codes[0]
+    profile = UmDistanceProfile.for_byzantine(n, k, t)
+    low = profile.d_alpha - (profile.d_alpha - 1) // 2
+    rng = random.Random(8)
+    zero = (0,) * k
+    wrong = 0
+    for trial in range(30):
+        weights = []
+        while max(weights, default=0) < low or not check_guarantee(weights,
+                                                                   profile):
+            weights = [rng.randint(low, profile.d_alpha - 1)
+                       if rng.random() < 0.3 else rng.randint(0, 3)
+                       for _ in range(ell + 1)]
+        files = random_files(f, 2, ell, k, derive_rng(trial, "files"))
+        stream = run_protocol(storage_encode(files, code), sch,
+                              derive_seed(trial, "run"))
+        entries = []
+        for b, w in enumerate(weights, 1):
+            if w < low:
+                entries += [(b, j, rng.randrange(f.q))
+                            for j in rng.sample(range(n), w)]
+                continue
+            order = rng.sample(range(n), n)
+            cw = min_weight_codeword(c_sum, order[:c_sum.k - 1],
+                                     order[c_sum.k - 1])
+            word = stream.block(b).parts[0]
+            entries += [(b, j, f.add(word[j], cw[j]))
+                        for j in rng.sample([j for j in range(n) if cw[j]], w)]
+        noisy = apply_errors(stream, ErrorSchedule(tuple(entries), "manual"),
+                             f.q, trial)
+        truth = (zero,) + files[0] + (zero,)
+        for b in range(1, ell + 2):
+            try:
+                msg, _ = c_sum.bmd_decode(noisy.block(b).parts[0])
+            except DecodingFailure:
+                continue
+            wrong += (tuple(msg[:k]), tuple(msg[2 * k + t - 1:])) != (
+                truth[b], truth[b - 1])
+        assert decode_um(noisy, sch).stripes == files[0], weights
+    assert wrong > 0
+
+
+@pytest.mark.parametrize("name", ["byzantine-fixed", "byzantine-budget"])
+def test_decode_um_reads_anchored_blocks_off_their_splits(name, monkeypatch):
+    # the first five trials at simulate seed 11 made 410 BMD decodes on
+    # byzantine-fixed (105 sum, 200 coset, 105 star) and 308 coset and
+    # star decodes on byzantine-budget; with chain steps and trellis
+    # branches read off the splits, byzantine-fixed makes only its 105
+    # sum decodes, and byzantine-budget 63 coset and star decodes
+    cfg = load_config(BENCH_CONFIGS / f"{name}.ini")
+    _, _, sch, ell = build_scheme(cfg)
+    channel = cli._check_channel(cfg.channel, sch)
+    calls = count_bmd_decodes(monkeypatch)
+    for trial in range(5):
+        assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]
+    sum_k = 3 * sch.k + sch.t - 1
+    if name == "byzantine-fixed":
+        assert calls == {sum_k: 105}
+    else:
+        assert sum(v for key, v in calls.items() if key != sum_k) <= 100
