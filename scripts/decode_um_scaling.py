@@ -3,8 +3,11 @@
 Runs the byzantine-fixed benchmark scheme (GF(2^8), k=3, t=1, m=2, two
 fixed corrupted servers) at every ell in --ells and n in --ns, through the
 same trial path as ``pirstream simulate``, and times only the
-``decoder.decode_um`` call of each trial.  Prints a Markdown table of the
-median ms per trial, and checks that every trial decodes.
+``decoder.decode_um`` call of each trial.  It also counts the BMD decodes
+(``GrsCode.bmd_decode``) and key-equation solves (``grs.solve_any``) the
+trials make.  Prints a Markdown table whose cells read "median ms per
+trial / BMD decodes / solves", the counts summed over the trials, and
+checks that every trial decodes.
 
     PYTHONPATH=src python scripts/decode_um_scaling.py --trials 5
 """
@@ -14,12 +17,12 @@ import statistics
 import sys
 from time import perf_counter
 
-from pirstream import cli, decoder
+from pirstream import cli, decoder, grs
 from pirstream.config import ExperimentConfig, build_scheme
 
 
-def decode_um_ms(n, ell, trials, seed):
-    """Median decode_um wall time per trial, in ms."""
+def decode_um_cell(n, ell, trials, seed):
+    """(median decode_um wall time per trial in ms, BMD decodes, solves)."""
     cfg = ExperimentConfig(
         scheme_cfg={"variant": "byzantine", "field": "2^8", "n": str(n),
                     "k": "3", "t": "1", "m": "2", "ell": str(ell)},
@@ -27,7 +30,10 @@ def decode_um_ms(n, ell, trials, seed):
     _, _, scheme, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, scheme)
     times = []
+    counts = {"bmd": 0, "solves": 0}
     decode_um = decoder.decode_um
+    bmd_decode = grs.GrsCode.bmd_decode
+    solve_any = grs.solve_any
 
     def timed(stream, scheme):
         t0 = perf_counter()
@@ -35,7 +41,17 @@ def decode_um_ms(n, ell, trials, seed):
             return decode_um(stream, scheme)
         finally:
             times.append(perf_counter() - t0)
+
+    def counted_bmd(code, word):
+        counts["bmd"] += 1
+        return bmd_decode(code, word)
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve_any(*args)
     decoder.decode_um = timed
+    grs.GrsCode.bmd_decode = counted_bmd
+    grs.solve_any = counted_solve
     try:
         for trial in range(trials):
             ok, desc = cli._run_one_trial(scheme, ell, channel, seed, trial, None)
@@ -43,7 +59,9 @@ def decode_um_ms(n, ell, trials, seed):
                 sys.exit(f"n={n} ell={ell} trial {trial} failed: {desc}")
     finally:
         decoder.decode_um = decode_um
-    return 1000 * statistics.median(times)
+        grs.GrsCode.bmd_decode = bmd_decode
+        grs.solve_any = solve_any
+    return 1000 * statistics.median(times), counts["bmd"], counts["solves"]
 
 
 def main():
@@ -56,8 +74,10 @@ def main():
     print("| ell | " + " | ".join(f"n={n}" for n in args.ns) + " |")
     print("|---|" + "---|" * len(args.ns))
     for ell in args.ells:
-        cells = [f"{decode_um_ms(n, ell, args.trials, args.seed):.1f}"
-                 for n in args.ns]
+        cells = []
+        for n in args.ns:
+            ms, bmd, solves = decode_um_cell(n, ell, args.trials, args.seed)
+            cells.append(f"{ms:.1f} / {bmd} / {solves}")
         print(f"| {ell} | " + " | ".join(cells) + " |")
 
 

@@ -70,7 +70,11 @@ def clear_caches() -> None:
     plain or block-erasure scheme (``decoder``), the window ranks of
     ``recovering`` and the budget weight counts of ``channels``.  Each is
     a ``functools.lru_cache`` that bounds itself; clearing one changes no
-    result, only what the next call recomputes."""
+    result, only what the next call recomputes.  What a code keeps on
+    itself is not reset: its kept reader (``GrsCode._bmd_positions``) and
+    its cached tables (generator rows, systematic form, parity checks and
+    locator values) live as long as the code and change no result
+    either."""
     for cache in (grs._reader, grs._erasure_plan, grs._dual_checks,
                   grs._root_map, linalg._kept_solver, decoder._peeling_tables,
                   recovering._orbit_rank, channels._budget_counts):

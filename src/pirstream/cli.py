@@ -20,6 +20,7 @@ import itertools
 # a lazy locale import in main costs every command about 1.4 ms, enough
 # to halve the privacy-audit benchmark's ops_per_s.
 import locale  # noqa: F401
+import math
 import os
 import shutil  # noqa: F401
 import sys
@@ -37,6 +38,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DECODE = 3
 EXIT_TOLERANCE = 4
+
+# the most colluding sets a default audit (every t-subset) takes on; past
+# it, ``[audit] sets`` names the sets to audit
+MAX_AUDIT_SETS = 100_000
 
 
 def field_for_order(q: int) -> Field:
@@ -391,7 +396,14 @@ def cmd_privacy_audit(args) -> int:
     if "sets" in cfg.audit and cfg.audit["sets"]:
         colluding_sets = _audit_sets(cfg.audit["sets"], scheme.n, scheme.t)
     else:
-        colluding_sets = list(itertools.combinations(range(scheme.n), scheme.t))
+        n, t = scheme.n, scheme.t
+        count = math.comb(n, t)
+        if count > MAX_AUDIT_SETS:
+            raise ConfigError(
+                f"auditing every t-subset takes C({n}, {t}) = {count} "
+                f"colluding sets, more than {MAX_AUDIT_SETS}; list the sets "
+                f"to audit in [audit] sets")
+        colluding_sets = itertools.combinations(range(n), t)
     lines = []
     all_pass = True
     for colluders in colluding_sets:

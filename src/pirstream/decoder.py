@@ -400,16 +400,6 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     decodes would return.  Two splits of one block with the same prev,
     or the same cur, are one split by the same uniqueness.  The other
     steps decode.  On a stream whose anchors hold, only step 1 decodes.
-
-    The remaining decodes of a block carry, with the right stripes,
-    exactly the errors the channel put in it.  So the call keeps, per
-    block, the error positions of its last successful BMD decode, by any
-    of the four codes, and points the kept reader of the code that
-    decodes the block next at them (``GrsCode._hint``), which spares that
-    decode its key-equation solve when the errors are still there.  A
-    hint only chooses which reader ``bmd_decode`` tries first: the
-    stripes, and every failure and its text, are the same with or
-    without hints.
     """
     if scheme.variant != BYZANTINE:
         raise InvalidParams("decode_um needs the unit-memory error variant")
@@ -438,21 +428,6 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             word = list(map(f.sub, word, scaled[stripe][side]))
         return word
 
-    # block -> error positions of its last successful BMD decode, by any
-    # um code; the reader positions of each hint, per (code, error set)
-    found: dict[int, frozenset] = {}
-    hints: dict[tuple, tuple] = {}
-
-    def bmd(c, xi, word):
-        """c.bmd_decode(word) for a residual of block xi, with c's kept
-        reader first pointed at the errors that block's last successful
-        decode found."""
-        errors = found.get(xi)
-        if errors is not None:
-            c._hint(errors, hints)
-        msg, found[xi] = c.bmd_decode(word)
-        return msg, found[xi]
-
     # (block, prev, cur) -> errors of a sum or coset decode that fixed
     # both stripes of the block; per (block, prev) its cur, and per
     # (block, cur) its prev
@@ -473,7 +448,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         if stream.block(xi).parts is None:
             continue
         try:
-            msg, errors = bmd(c_sum, xi, residual(xi))
+            msg, errors = c_sum.bmd_decode(residual(xi))
         except DecodingFailure:
             continue
         cur = tuple(msg[:k])
@@ -506,7 +481,8 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             cur = cur_of.get((s, prev_stripe))
             if cur is None:
                 try:
-                    msg, errors = bmd(c_fwd, s, residual(s, prev=prev_stripe))
+                    msg, errors = c_fwd.bmd_decode(
+                        residual(s, prev=prev_stripe))
                 except DecodingFailure:
                     return
                 cur = tuple(msg[:k])
@@ -523,7 +499,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
             prev = prev_of.get((s, cur_stripe))
             if prev is None:
                 try:
-                    msg, errors = bmd(c_bwd, s, residual(s, cur=cur_stripe))
+                    msg, errors = c_bwd.bmd_decode(residual(s, cur=cur_stripe))
                 except DecodingFailure:
                     return
                 prev = tuple(msg[k + t - 1:])
@@ -549,7 +525,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         errors = splits.get((xi, a, b))
         if errors is None:
             try:
-                _, errors = bmd(c_int, xi, residual(xi, cur=b, prev=a))
+                _, errors = c_int.bmd_decode(residual(xi, cur=b, prev=a))
             except DecodingFailure:
                 return saturated
         return 2 * len(errors)

@@ -20,11 +20,9 @@ which eliminates only where the base leaves the first k positions.  The
 surviving positions and their reader are kept per code, erased positions
 and ``at`` (``_erasure_plan``), so a repeated erasure pattern is read
 with no per-position loop.  Error (BMD) decoding first reads the word
-through the code's kept reader (``_bmd_positions``, the one mutable slot
-of a code): that of its last error locator, or the one a caller pointed
-it at (``_hint``), such as ``decode_um`` with the errors its last decode
-of the same block found.  When the codeword read there is within the
-radius of the word, it is the answer.  Otherwise it takes the n-k
+through the reader of the code's last error locator (``_bmd_positions``,
+the one mutable slot of a code).  When the codeword read there is within
+the radius of the word, it is the answer.  Otherwise it takes the n-k
 syndromes of the word through one linear map of parity checks
 (``_parity_checks``) and solves the key equation in syndrome form once,
 at the full bounded-minimum-distance radius, for an error locator.  Its
@@ -67,10 +65,9 @@ class GrsCode:
     """RS(n, k, v) over a finite field; its fields are immutable and it is
     freely shareable.  Besides the tables it builds once, a code keeps
     one mutable slot, ``_bmd_positions``: the reader positions of its last
-    BMD decode that solved the key equation, or of the last hint
-    (``_hint``), which ``bmd_decode`` tries first.  The slot changes no
-    result, only how fast a word decodes, so equal codes decode every word
-    alike whatever their slots hold."""
+    BMD decode that solved the key equation, which ``bmd_decode`` tries
+    first.  The slot changes no result, only how fast a word decodes, so
+    equal codes decode every word alike whatever their slots hold."""
 
     field: Field
     n: int
@@ -220,18 +217,10 @@ class GrsCode:
         error positions.  Otherwise, with no positions kept or with more
         than e differences, the full decode runs and, when it solved the
         key equation, keeps its reader's positions for the next word.
-
-        The kept positions come from the code's last decode that solved
-        the key equation and passed its check, or from a hint
-        (``_hint``): the reader the full decode would use had it found
-        the errors the hint names.  A Byzantine server lies in every
-        block, so a word's errors are nearly always where an earlier
-        decode of the same block found them.  ``decode_um`` decodes each
-        block in up to four codes, and before each decode of a block it
-        hints the code with the errors of that block's last successful
-        decode, whichever code made it.  Only the full decode solves;
-        the kept positions, hinted or not, decide which reader is tried
-        first and never change a result.
+        A Byzantine server lies in every block, so a word's errors are
+        nearly always where the code's last decode found them.  Only the
+        full decode solves; the kept positions decide which reader is
+        tried first and never change a result.
 
         The n-k syndromes S_i = sum_j u_j a_j^i w_j are the parity checks
         of the dual code (``_parity_checks``); all zero means a codeword.
@@ -296,26 +285,14 @@ class GrsCode:
             roots = [j for j, v in enumerate(values) if v == 0]
             if not roots:
                 raise DecodingFailure(far)
-        positions = _reader_positions(self.n, k, roots)
+        others = [j for j in range(self.n) if j not in roots]
+        positions = tuple(others[:k] + sorted(roots + others[k:]))
         message, errors = self._read_off(positions, word)
         if not errors.issubset(roots):
             raise DecodingFailure(far)
         if roots:
             object.__setattr__(self, "_bmd_positions", positions)
         return message, errors
-
-    def _hint(self, errors, memo):
-        """Point the kept reader (``_bmd_positions``) at the reader the
-        full decode would read a word through whose error locator has the
-        roots ``errors`` (``_reader_positions``), so that the next
-        ``bmd_decode`` tries it first.  The positions are kept in the
-        caller's dict ``memo`` under (code, errors), so a repeated hint
-        costs one lookup.  Like the slot, a hint changes no result."""
-        key = (self, errors)
-        positions = memo.get(key)
-        if positions is None:
-            positions = memo[key] = _reader_positions(self.n, self.k, errors)
-        object.__setattr__(self, "_bmd_positions", positions)
 
     def _read_off(self, positions, word):
         """(message, positions where the codeword differs from the word)
@@ -340,15 +317,6 @@ class GrsCode:
         polynomial of degree <= (n-1)/2 (``_root_map``, shared by every code
         on the same locators)."""
         return _root_map(self.field, self.locators)
-
-
-def _reader_positions(n, k, errors):
-    """The first k positions outside ``errors``, followed by every other
-    position in order: the reader through which ``bmd_decode`` reads a
-    word once its error locator's roots are ``errors``, and at which a
-    hint (``GrsCode._hint``) points a code's kept reader."""
-    others = [j for j in range(n) if j not in errors]
-    return tuple(others[:k] + sorted([*errors, *others[k:]]))
 
 
 # Erasure decoding reads through one set of surviving positions per

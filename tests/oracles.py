@@ -355,7 +355,7 @@ def decode_um(stream, scheme):
     """``decoder.decode_um`` with every chain step and trellis branch
     BMD-decoded from its residual, the stripes encoded afresh for each
     residual, and every chain run until a decode fails or the stream
-    ends: no splits, no block hints and no seen states."""
+    ends: no splits and no seen states."""
     f = scheme.field
     code = scheme.storage_code
     k, t, ell = scheme.k, scheme.t, stream.ell

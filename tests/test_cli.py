@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -603,6 +604,39 @@ def test_privacy_audit_sets_split_at_spaced_semicolons(tmp_path, capsys):
     assert main(["privacy-audit", "--config", path]) == 0
     assert capsys.readouterr().out == ("T=[2] PASS enumerated=25\n"
                                        "T=[0] PASS enumerated=25\n")
+
+
+def test_privacy_audit_refuses_too_many_sets_before_building_any(
+        tmp_path, capsys, monkeypatch):
+    # every 7-subset of n = 100 servers is C(100, 7) ~ 1.6e10 colluding
+    # sets, far more than memory holds; the command refuses before it
+    # builds one, so any set built fails the test instead
+    def no_sets(*args):
+        raise AssertionError("a colluding set was built")
+
+    monkeypatch.setattr(cli.itertools, "combinations", no_sets)
+    n100 = Path(__file__).parent / "configs" / "byzantine-budget-n100.ini"
+    cfg = n100.read_text().replace("t = 1", "t = 7")
+    path = write(tmp_path, "a.ini", cfg)
+    assert main(["privacy-audit", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: auditing every t-subset takes C(100, 7) = 16007560800 "
+        f"colluding sets, more than {cli.MAX_AUDIT_SETS}; list the sets to "
+        "audit in [audit] sets\n")
+
+
+def test_privacy_audit_at_the_bound_audits_every_set(tmp_path, capsys,
+                                                     monkeypatch):
+    # C(4, 2) = 6 sets at a bound of 6 are audited, at 5 refused
+    path = write(tmp_path, "a.ini", AUDIT_CFG.replace("t = 1", "t = 2"))
+    monkeypatch.setattr(cli, "MAX_AUDIT_SETS", 6)
+    assert main(["privacy-audit", "--config", path]) == 0
+    assert capsys.readouterr().out.count("PASS") == 6
+    monkeypatch.setattr(cli, "MAX_AUDIT_SETS", 5)
+    assert main(["privacy-audit", "--config", path]) == 2
+    assert "C(4, 2) = 6 colluding sets, more than 5" in capsys.readouterr().err
 
 
 def test_simulate_deeper_memory(tmp_path, capsys):

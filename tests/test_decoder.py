@@ -539,12 +539,12 @@ def test_decode_um_encodes_each_stripe_once(monkeypatch):
 
 def test_decode_um_builds_each_code_once_per_scheme(monkeypatch):
     # the sum, coset and star codes live on the scheme, so a second
-    # decode_um call reuses their parity-check tables.  A decode pointed at
-    # its block's errors by an earlier one computes no syndromes, so block
-    # 2 carries e = 3 errors of the star code: beyond the radius of the
-    # sum code (1) and of the coset codes (2), within the budget.  Every
-    # decode of block 2 but the star code's fails, records no errors, and
-    # each code reaches block 2 with no hint and makes a full decode.
+    # decode_um call reuses their parity-check tables.  A decode that its
+    # code's kept reader answers computes no syndromes, so block 2 carries
+    # e = 3 errors of the star code: beyond the radius of the sum code (1)
+    # and of the coset codes (2), within the budget.  Every decode of
+    # block 2 but the star code's fails, so no step or branch there is
+    # read off a split, and each code makes a full decode.
     sch, files, stream = setup_byz(ell=4)
     noisy = apply_errors(stream, ErrorSchedule(
         ((2, 1, 3), (2, 4, 7), (2, 8, 1)), "manual"), 16, 4)
@@ -1061,20 +1061,20 @@ def test_decode_um_linearity_breaks_beyond_the_budget():
     assert_linear(decode_um, sch, noisy, c, extra)
 
 
-# --- block hints: which reader a BMD decode tries first changes no answer ----
+# --- kept readers: which reader a BMD decode tries first changes no answer ---
 #
-# decode_um points each code's kept reader at the errors the last
-# successful decode of the same block found.  A codeword within the radius
-# of a word is unique, so the hint only picks the reader tried first: with
-# every kept reader cleared before each BMD decode, each of which then
+# bmd_decode reads each word first through its code's kept reader, that of
+# the code's last key-equation solve.  A codeword within the radius of a
+# word is unique, so the kept reader only picks the reader tried first:
+# with every kept reader cleared before each BMD decode, each of which then
 # solves the key equation, every stream decodes to the same stripes or
 # fails with the same error and text.
 
 @pytest.mark.parametrize("path", [BENCH_CONFIGS / "byzantine-budget.ini",
                                   CONFIGS / "byzantine-random-gf16.ini"],
                          ids=lambda path: path.stem)
-def test_decode_um_answers_alike_with_and_without_block_hints(path,
-                                                              monkeypatch):
+def test_decode_um_answers_alike_with_and_without_kept_readers(path,
+                                                               monkeypatch):
     sch, ell = config_scheme(path)
     f = sch.field
     profile = UmDistanceProfile.for_byzantine(sch.n, sch.k, sch.t)
@@ -1088,8 +1088,8 @@ def test_decode_um_answers_alike_with_and_without_block_hints(path,
             streams.append(apply_errors(w, sched, f.q,
                                         derive_seed(seed, "values")))
     solves = count_solves(monkeypatch)
-    hinted = [outcome(decode_um, noisy, sch) for noisy in streams]
-    with_hints = solves[0]
+    kept = [outcome(decode_um, noisy, sch) for noisy in streams]
+    with_kept = solves[0]
     bmd_decode = GrsCode.bmd_decode
 
     def cleared(code, word):
@@ -1097,24 +1097,37 @@ def test_decode_um_answers_alike_with_and_without_block_hints(path,
         return bmd_decode(code, word)
     monkeypatch.setattr(GrsCode, "bmd_decode", cleared)
     solves[0] = 0
-    assert [outcome(decode_um, noisy, sch) for noisy in streams] == hinted
-    # the hints were in play, and failures were compared too
-    assert with_hints < solves[0]
-    assert any(isinstance(got[0], type) for got in hinted)
+    assert [outcome(decode_um, noisy, sch) for noisy in streams] == kept
+    # the kept readers were in play, and failures were compared too
+    assert with_kept < solves[0]
+    assert any(isinstance(got[0], type) for got in kept)
 
 
-def test_block_hints_spare_most_key_equation_solves(monkeypatch):
-    # byzantine-budget's first five trials at simulate seed 11 made 388 BMD
-    # decodes; with a code's last solve as the only hint, 242 of them solved
-    # the key equation.  Pointed at each block's errors, 138 did, and 139
-    # of the 168 left once chain steps and branches are read off splits.
-    cfg = load_config(BENCH_CONFIGS / "byzantine-budget.ini")
+def trial_solves(name, monkeypatch):
+    """Key-equation solves of the first five trials of the benchmark
+    config ``name`` at simulate seed 11, each of which must decode."""
+    cfg = load_config(BENCH_CONFIGS / f"{name}.ini")
     _, _, sch, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, sch)
     solves = count_solves(monkeypatch)
     for trial in range(5):
         assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]
-    assert solves[0] <= 150
+    return solves[0]
+
+
+def test_splits_and_kept_readers_leave_few_budget_solves(monkeypatch):
+    # byzantine-budget's first five trials at simulate seed 11 make 168 BMD
+    # decodes once chain steps and trellis branches are read off splits;
+    # the kept readers spare all but 139 of them their key-equation solve
+    assert trial_solves("byzantine-budget", monkeypatch) <= 150
+
+
+def test_kept_readers_leave_few_fixed_solves(monkeypatch):
+    # byzantine-fixed's two bad servers lie at the same positions in every
+    # block: of its 105 sum decodes in the first five trials at simulate
+    # seed 11, 4 solve the key equation and the rest read the word through
+    # the sum code's kept reader
+    assert trial_solves("byzantine-fixed", monkeypatch) <= 5
 
 
 # --- splits: a decode that fixes both stripes answers the smaller codes ------
@@ -1123,10 +1136,10 @@ def test_block_hints_spare_most_key_equation_solves(monkeypatch):
                                   BENCH_CONFIGS / "byzantine-budget.ini"],
                          ids=lambda p: p.stem)
 def test_decode_um_matches_the_decode_every_step_oracle(path):
-    # the splits, the block hints and the seen states only spare decodes:
-    # within the budget and beyond it, where anchors and chain steps
-    # miscorrect and trials fail, decode_um answers as the oracle that
-    # decodes every step does, failures and their text included
+    # the splits and the seen states only spare decodes: within the budget
+    # and beyond it, where anchors and chain steps miscorrect and trials
+    # fail, decode_um answers as the oracle that decodes every step does,
+    # failures and their text included
     sch, ell = config_scheme(path)
     f = sch.field
     profile = UmDistanceProfile.for_byzantine(sch.n, sch.k, sch.t)
