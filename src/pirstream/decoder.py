@@ -12,17 +12,23 @@ combination on the support):
   then Viterbi over the reduced trellis of stripe hypotheses.
 
 The first two are one peeling kernel (``_peel``): plain recovery runs it
-with a one-block window on a stream that has no erasures.  It derives
-each intact block's equations once, when the block arrives, as one
+with a one-block window on a stream that has no erasures.  It reads each
+intact block once by ``fields.check_symbols``.  A block whose own stripe
+is the only unknown, and a termination block with nothing unknown, take
+the direct step: one linear map of the field kernel per scheme
+(``_direct_map``) takes the block's words and the M stripes before it to
+the block's erasure checks, its stripe and its support checks, so a
+clean stretch makes no erasure decode and no solve.  Any other intact
+block's equations are derived once, when the block arrives, as one
 record for the whole block (its coefficient fragments and right-hand
-sides at every support position), and stacks the records into one
+sides at every support position), and the records are stacked into one
 system per solve attempt; ``linalg.solve_unique`` eliminates each
 distinct system below its cell cap once per process.  The per-scheme
 part of the equations, the coefficients of every stripe lag at the
-support positions and the linear map that gives the known stripes'
-share of a block, is built once per scheme (``_peeling_tables``), so
-peeling encodes no stripe, and a block with one unknown stripe costs a
-few whole-vector steps and no loop over its support positions.
+support positions, the linear map that gives the known stripes' share
+of a block and the direct map, is built once per scheme
+(``_peeling_tables``), so peeling encodes no stripe.  Each decoder
+first checks that the stream has the scheme's n, memory and sub-rounds.
 The erasure rule that ``recover_window`` enforces, and that
 ``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
 
@@ -44,11 +50,14 @@ from .errors import (
     InconsistentSystem,
     InconsistentWord,
     InvalidParams,
+    LengthMismatch,
     RankDeficient,
+    ShapeMismatch,
     UncorrectablePattern,
 )
-from .grs import GrsCode
-from .linalg import solve_unique
+from .fields import check_symbols
+from .grs import GrsCode, _erasure_plan
+from .linalg import reduce_with_identity, solve_unique
 from .protocol import BLOCK, BYZANTINE, ERASED, PLAIN, PirScheme, ResponseStream
 
 logger = logging.getLogger(__name__)
@@ -118,8 +127,36 @@ class RecoveredFile:
 
 # --- peeling ------------------------------------------------------------------
 
-def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> list:
-    """Strip the interference from one intact block.
+def _check_stream(stream: ResponseStream, scheme: PirScheme):
+    """Raise ShapeMismatch at the first of n, memory and rounds in which
+    the stream differs from the scheme."""
+    for name in ("n", "memory", "rounds"):
+        got, want = getattr(stream, name), getattr(scheme, name)
+        if got != want:
+            raise ShapeMismatch(f"stream has {name} {got}, scheme has {want}")
+
+
+def _block_symbols(scheme: PirScheme, parts) -> list:
+    """An intact block's words, sub-round by sub-round, as one list read by
+    ``fields.check_symbols``, which names a symbol by its word position,
+    or by (sub-round, position) when there are several sub-rounds.
+
+    A block without one word per sub-round raises ShapeMismatch, and a
+    word without n symbols LengthMismatch, as ``erasure_decode`` does."""
+    n = scheme.n
+    if len(parts) != scheme.rounds:
+        raise ShapeMismatch(
+            f"block has {len(parts)} sub-rounds, scheme has {scheme.rounds}")
+    for word in parts:
+        if len(word) != n:
+            raise LengthMismatch(f"word length {len(word)} != n={n}")
+    return check_symbols(scheme.field, [x for word in parts for x in word],
+                         None if len(parts) == 1 else lambda i: divmod(i, n))
+
+
+def _desired_combination(scheme: PirScheme, star: GrsCode, words) -> list:
+    """Strip the interference from one intact block, given its words as
+    ``_block_symbols`` reads them.
 
     Erasure-decodes each sub-round in the star-product code ``star`` with
     the sub-support treated as erased, and returns u_j at every support
@@ -129,9 +166,10 @@ def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> list:
     at the sub-support (``at``) without encoding the interference.
     """
     sub = scheme.field.sub
-    k = star.k
+    n, k = scheme.n, star.k
     out = []
-    for part, word in zip(scheme.sub_supports, block.parts):
+    for r, part in enumerate(scheme.sub_supports):
+        word = words[r * n:(r + 1) * n]
         try:
             clean = star.erasure_decode(word, erased=part, at=part)[k:]
         except InconsistentWord as exc:
@@ -142,8 +180,8 @@ def _desired_combination(scheme: PirScheme, star: GrsCode, block) -> list:
 
 @lru_cache(maxsize=32)
 def _peeling_tables(scheme: PirScheme):
-    """(by_lag, known_share) of a plain or block-erasure scheme, built
-    once per scheme.
+    """(by_lag, known_share, direct) of a plain or block-erasure scheme,
+    built once per scheme.
 
     ``by_lag[z][i]`` is the tuple of the k coefficients of stripe s - z in
     block s's desired combination at the i-th support position j,
@@ -154,7 +192,8 @@ def _peeling_tables(scheme: PirScheme):
     position, in the same order: one ``apply`` of the field kernel's
     linear map from the M*k symbols of those stripes, where a stripe
     missing from ``known`` (unknown, or outside 1..ell) reads as k zeros.
-    At memory 0 there is no map and the share is zero.
+    At memory 0 there is no map and the share is zero.  ``direct`` is the
+    scheme's ``_direct_map``.
     """
     f = scheme.field
     g = scheme.storage_code.generator_matrix()
@@ -165,7 +204,8 @@ def _peeling_tables(scheme: PirScheme):
                    for z in range(memory + 1))
     if not memory:
         zeros = [0] * len(by_lag[0])
-        return by_lag, lambda known, s: zeros
+        direct = _direct_map(scheme, by_lag, None)
+        return by_lag, lambda known, s: zeros, direct
     lags = range(1, memory + 1)
     apply = f.kernel.linear_map([[coeffs[r] for coeffs in by_lag[z]]
                                  for z in lags for r in range(k)])
@@ -174,23 +214,91 @@ def _peeling_tables(scheme: PirScheme):
     def known_share(known, s):
         return apply([x for z in lags for x in known.get(s - z, zero)])
 
-    return by_lag, known_share
+    return by_lag, known_share, _direct_map(scheme, by_lag, apply)
+
+
+def _direct_map(scheme: PirScheme, by_lag, share):
+    """(checked, apply) that decodes an intact block s whose own stripe is
+    the only unknown, or None when the lag-0 support system ``by_lag[0]``
+    has rank < k.
+
+    ``apply`` is one ``linear_map`` of the field kernel from the block's
+    words, sub-round by sub-round, then the symbols of stripes s-1..s-M
+    (``share``'s input, None at memory 0), to
+      * each sub-round's erasure checks, in surviving-position order: the
+        star codeword read off the first k* survivors, minus the word, at
+        every further survivor (``checked`` lists their word positions);
+      * stripe s;
+      * the left-null-space checks of the lag-0 support system.
+    Each step of the record path is linear in those inputs: the star
+    reader of each sub-round (``erasure_decode``'s, with its sub-support
+    erased and read), the desired combination u, the word minus that
+    reading on the sub-support, the right-hand side b, u minus the known
+    share, and E b for the E of one ``reduce_with_identity`` of
+    ``by_lag[0]``, whose first k entries solve the system and whose others
+    are its checks.  So the map's row for an input is the image of that
+    unit input under those steps (``image``), each of them one of the
+    scheme's kept maps.  The erasure checks come in the order in which
+    ``erasure_decode`` compares the survivors, sub-round by sub-round, so
+    the first nonzero one is at the position it names; and E b has a
+    nonzero check iff b is outside the column space of ``by_lag[0]``, iff
+    ``solve_unique`` reports the system inconsistent.
+    """
+    f = scheme.field
+    star = scheme.star_code()
+    n, k, base = scheme.n, scheme.k, star.k
+    rank, e = reduce_with_identity(f, by_lag[0])
+    if rank < k:
+        return None
+    solve = f.kernel.linear_map(list(zip(*e)))        # b -> E b
+    plans = [_erasure_plan(star, part, part) for part in scheme.sub_supports]
+    words = scheme.rounds * n
+
+    def image(x):
+        checks, u = [], []
+        for r, (part, (surviving, symbols_of, read)) in enumerate(
+                zip(scheme.sub_supports, plans)):
+            word = x[r * n:(r + 1) * n]
+            got = symbols_of(word)
+            out = read(list(got[:base]))
+            checks += map(f.sub, out[base:len(surviving)], got[base:])
+            u += map(f.sub, [word[j] for j in part], out[len(surviving):])
+        if share is not None:
+            u = list(map(f.sub, u, share(x[words:])))
+        return checks + solve(u)
+
+    size = words + scheme.memory * k
+    return ([j for surviving, _, _ in plans for j in surviving[base:]],
+            f.kernel.linear_map([image([int(c == i) for c in range(size)])
+                                 for i in range(size)]))
 
 
 def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFile:
     """Sequential peeling that waits out erased blocks.
 
-    Each block's stripe joins the unknowns.  When an intact block joins,
-    its desired combination becomes one record, derived once: the first
-    unknown stripe the block touches, one coefficient fragment per
-    support position over the run of unknown stripes the block touches,
-    and the right-hand sides, the desired combination with the known
-    stripes' share subtracted, read for every position at once through
-    the scheme's known-share map (``_peeling_tables``).  With one unknown
-    stripe the fragments are the scheme's kept coefficient tuples of its
-    lag, so the record costs two whole-vector steps.  No solve can change
-    what is known while the block waits, so the record holds as derived
-    until a solve clears it.
+    Each block's stripe joins the unknowns, and each intact block is read
+    once by ``_block_symbols``.  An intact block whose own stripe is the
+    only unknown, or a termination block with nothing unknown, takes the
+    direct step: one application of the scheme's direct map
+    (``_direct_map``) to its words and the M stripes before it gives its
+    erasure checks, its stripe and its support checks.  A nonzero erasure
+    check raises ``surviving position j disagrees with interpolation`` for
+    the first such j, as ``erasure_decode`` does; then a nonzero support
+    check raises ``block s: no solution: inconsistent right-hand side``, as
+    the solve does, and a termination block must give zero throughout.
+    Otherwise the stripe is ``direct``.  So a clean stretch makes no
+    erasure decode and no solve.
+
+    Any other intact block's desired combination becomes one record,
+    derived once: the first unknown stripe the block touches, one
+    coefficient fragment per support position over the run of unknown
+    stripes the block touches, and the right-hand sides, the desired
+    combination with the known stripes' share subtracted, read for every
+    position at once through the scheme's known-share map
+    (``_peeling_tables``).  With one unknown stripe the fragments are the
+    scheme's kept coefficient tuples of its lag, so the record costs two
+    whole-vector steps.  No solve can change what is known while the
+    block waits, so the record holds as derived until a solve clears it.
 
     After every intact block the pending records are solved for all
     unknowns at once: the rows are counted first, and only a system with
@@ -204,12 +312,15 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     ``direct``, any other is ``window-solved``.  Once the oldest unknown
     stripe is ``window - 1`` blocks behind, a failed solve is final.
     Intact termination blocks with nothing unknown must reduce to zero.
+    A scheme whose lag-0 system has rank < k has no direct map, and every
+    block takes the record path.
     """
     f = scheme.field
     star = scheme.star_code()
     k, ell, memory = scheme.k, stream.ell, scheme.memory
-    by_lag, known_share = _peeling_tables(scheme)
+    by_lag, known_share, direct = _peeling_tables(scheme)
     positions = len(by_lag[0])
+    zero = (0,) * k
     known: dict[int, tuple] = {}
     provenance: dict[int, str] = {}
     unknown: list[int] = []
@@ -229,6 +340,28 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
                          for i in range(positions)]
         first = s - lags[0] if lags else None
         return s, first, fragments, list(map(f.sub, u, known_share(known, s)))
+
+    def direct_step(s, words):
+        """Block s through the direct map: its stripe, if s <= ell."""
+        checked, apply = direct
+        cut = len(checked)
+        out = apply(words + [x for z in range(1, memory + 1)
+                             for x in known.get(s - z, zero)])
+        if any(out[:cut]):
+            j = next(j for j, c in zip(checked, out) if c)
+            raise InconsistentBlock(
+                f"surviving position {j} disagrees with interpolation")
+        if s > ell:
+            if any(out):
+                raise InconsistentBlock(f"termination block {s} disagrees "
+                                        f"with decoded stripes")
+            return
+        if any(out[cut + k:]):
+            raise InconsistentBlock(
+                f"block {s}: no solution: inconsistent right-hand side")
+        known[s] = tuple(out[cut: cut + k])
+        provenance[s] = DIRECT
+        unknown.clear()
 
     def solve(deadline: bool):
         cols = k * len(unknown)
@@ -277,8 +410,12 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
         block = stream.block(xi)
         intact = block.status != ERASED
         if intact:
+            words = _block_symbols(scheme, block.parts)
+            if direct is not None and unknown in ([], [xi]):
+                direct_step(xi, words)
+                continue
             pending.append(equations(xi, _desired_combination(scheme, star,
-                                                              block)))
+                                                              words)))
         due = bool(unknown) and xi >= unknown[0] + window - 1
         if intact or due:
             solve(due)
@@ -292,6 +429,7 @@ def recover_plain(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     """Sequential peeling recovery; needs every block intact."""
     if scheme.variant not in (PLAIN, BLOCK):
         raise InvalidParams(f"recover_plain does not apply to {scheme.variant}")
+    _check_stream(stream, scheme)
     for xi in range(1, len(stream.blocks) + 1):
         if stream.block(xi).status == ERASED:
             raise UncorrectablePattern(f"block {xi} is erased")
@@ -342,6 +480,7 @@ def recover_window(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     """
     if scheme.variant != BLOCK:
         raise InvalidParams("recover_window needs the block-erasure variant")
+    _check_stream(stream, scheme)
     erased = [xi for xi in range(1, len(stream.blocks) + 1)
               if stream.block(xi).status == ERASED]
     reason = _erasure_violation(erased, len(stream.blocks), scheme.window,
@@ -403,6 +542,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     """
     if scheme.variant != BYZANTINE:
         raise InvalidParams("decode_um needs the unit-memory error variant")
+    _check_stream(stream, scheme)
     f = scheme.field
     code = scheme.storage_code
     k, t = scheme.k, scheme.t

@@ -347,10 +347,13 @@ class _ScalarKernel:
                     row[c] = sub(row[c], mul(f, v))
 
     def _dot(self, xs, ys):
+        """The sum of the products x * y; a pair with a zero adds nothing
+        and makes no ``Field`` call."""
         mul, add = self.field.mul, self.field.add
         acc = 0
         for x, y in zip(xs, ys):
-            acc = add(acc, mul(x, y))
+            if x and y:
+                acc = add(acc, mul(x, y))
         return acc
 
     def linear_map(self, matrix):

@@ -151,20 +151,10 @@ def reduce_with_identity(field: Field, a):
 
 
 # The most cells of [A | I] a kept solver may have: a 32 x 32 system, or a
-# taller one with fewer unknowns.  A miss eliminates [A | I], which costs
-# 2-3x an [A | b] elimination for a square A and more for a tall one, and
-# the kept map has one lane per entry of E, rows^2 in all.  Past the cap
-# neither pays: at the 2,400 x 2,250 window systems of a paper-scale
-# block-erasure scheme a miss would eliminate twice the columns and keep
-# tens of MB.  At the cap, an entry measured with ``tracemalloc`` holds at
-# most about 25 KB over GF(p), and about 15 KB over GF(2^s) with q <= 2^8,
-# whose maps keep only their matrix rows as bytes
-# (``fields._BinaryKernel.linear_map``); one map to [x | checks] holds
-# within 3 KB of what the separate inverse and check maps held, at 32 x 32,
-# 28 x 28, 40 x 8 and 44 x 2 over GF(251), GF(331) and GF(2^8).  So the cache holds at most about
-# 1.6 MB and 1 MB on those fields, and nothing on the scalar kernel's
-# (``_solver``); the benchmark's schemes keep 89 KB (GF(251), 27 entries)
-# and 3 KB (GF(2^8), one entry).
+# taller one with fewer unknowns.  A miss eliminates [A | I], wider than
+# [A | b], and the kept map has one lane per entry of E, rows^2 in all, so
+# past the cap a kept solver costs more to build and to hold than the
+# eliminations it saves.
 _SOLVER_CELLS = 32 * 64
 
 
@@ -185,22 +175,19 @@ def _solver(field: Field, a, rows: int, cols: int):
     not fit 8 bytes, the field has the scalar kernel or A does not pack.
 
     The scalar kernel's maps are one dot per column, so a hit there costs
-    as much as reducing [A | b] (about 1.1 ms each on a 19 x 4 system over
-    GF(9)), and its fields (odd-characteristic extensions and GF(2^s) past
-    2^8) keep no solver."""
+    as much as reducing [A | b], and its fields (odd-characteristic
+    extensions and GF(2^s) past 2^8) keep no solver."""
     typecode = _typecode(field)
     if (rows * (rows + cols) > _SOLVER_CELLS or typecode is None
             or isinstance(field.kernel, _ScalarKernel)):
         return None
     # one struct pack per row gives the bytes array(typecode, ...).tobytes()
-    # gives, in under a third of the time on a 28 x 28 window system (17 vs
-    # 57 us on a 2-CPU Intel Xeon; one pack of all rows took 22 us), and
-    # fails on a row without cols entries, where one pack of all rows would
-    # solve a ragged A with rows x cols symbols in all as the re-flowed
-    # matrix.  An A that does not pack is left to the [A | b] elimination,
-    # which reads its rows; a packed entry outside [0, q) is read on the
-    # miss, by ``reduce_with_identity``, so a hit is always on an A whose
-    # symbols were read.
+    # gives, faster, and fails on a row without cols entries, where one pack
+    # of all rows would solve a ragged A with rows x cols symbols in all as
+    # the re-flowed matrix.  An A that does not pack is left to the [A | b]
+    # elimination, which reads its rows; a packed entry outside [0, q) is
+    # read on the miss, by ``reduce_with_identity``, so a hit is always on
+    # an A whose symbols were read.
     try:
         data = b"".join(starmap(struct.Struct(f"{cols}{typecode}").pack, a))
     except struct.error:
@@ -208,8 +195,8 @@ def _solver(field: Field, a, rows: int, cols: int):
     return _kept_solver(field, rows, cols, data)
 
 
-# The burst-window benchmark scheme solves 21-29 distinct matrices in a
-# 30-trial process and 32 in all over 1,000 trials, so 64 are plenty.
+# A scheme's window systems recur from burst to burst, so few distinct
+# matrices are solved per scheme; 64 serve several schemes.
 @lru_cache(maxsize=64)
 def _kept_solver(field: Field, rows: int, cols: int, data: bytes):
     """(rank, solver map) of the rows x cols matrix A whose symbols, as

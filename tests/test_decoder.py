@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
-from pirstream import cli, grs
+from pirstream import cli, decoder, grs, linalg
 from pirstream.channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -21,6 +22,7 @@ from pirstream.channels import (
 )
 from pirstream.config import build_scheme, load_config
 from pirstream.decoder import (
+    DIRECT,
     UmDistanceProfile,
     _peeling_tables,
     check_guarantee,
@@ -32,8 +34,10 @@ from pirstream.errors import (
     DecodingFailure,
     InconsistentBlock,
     InvalidParams,
+    LengthMismatch,
     PirstreamError,
     RankDeficient,
+    ShapeMismatch,
     UncorrectablePattern,
 )
 from pirstream.fields import Field, _lane_typecode
@@ -41,8 +45,11 @@ from pirstream.grs import GrsCode
 from pirstream.linalg import mat_rank
 from pirstream.protocol import (
     Block,
+    BLOCK,
     ERASED,
     ERRORED,
+    INTACT,
+    PLAIN,
     ResponseStream,
     block_scheme,
     byzantine_scheme,
@@ -316,6 +323,82 @@ def test_window_multi_subround():
         sched = ErasureSchedule(frozenset({b}), 5, 1, 3, 1)
         rec = recover_window(apply_erasures(stream, sched), sch)
         assert rec.stripes == files[1], b
+
+
+def zero_stream(n, ell, memory, rounds):
+    """An intact stream of all-zero words of this shape."""
+    return ResponseStream(n, ell, memory, rounds, tuple(
+        Block(INTACT, ((0,) * n,) * rounds) for _ in range(ell + memory)))
+
+
+@pytest.mark.parametrize("decode, sch, stream, name", [
+    # a memory-0 stream of all-zero files ended in an IndexError
+    pytest.param(recover_plain,
+                 plain_scheme(C10, t=1, memory=1, m=2, desired=0,
+                              support=range(2, 10)),
+                 zero_stream(10, 3, 0, 1), "memory", id="plain-memory"),
+    # a one-round stream of a two-round scheme failed in the solve with
+    # "b has 8 entries, A has 10 rows"
+    pytest.param(recover_window,
+                 block_scheme(C10, t=2, eps=1, window=3, m=2, desired=0,
+                              support=range(10)),
+                 zero_stream(10, 3, 1, 1), "rounds", id="window-rounds"),
+    pytest.param(recover_plain,
+                 plain_scheme(C6, t=1, memory=1, m=2, desired=0,
+                              support=(3, 4, 5)),
+                 zero_stream(10, 3, 1, 1), "n", id="plain-n"),
+    pytest.param(decode_um, byzantine_scheme(C10, t=2, m=2, desired=0),
+                 zero_stream(10, 3, 2, 1), "memory", id="um-memory"),
+    pytest.param(decode_um, byzantine_scheme(C10, t=2, m=2, desired=0),
+                 zero_stream(6, 3, 1, 1), "n", id="um-n"),
+])
+def test_a_stream_of_another_shape_is_a_shape_mismatch(decode, sch, stream,
+                                                        name):
+    with pytest.raises(ShapeMismatch, match=f"^stream has {name} "):
+        decode(stream, sch)
+
+
+def replace_block(stream, b, parts):
+    """The stream with block b's words replaced by ``parts``."""
+    blocks = list(stream.blocks)
+    blocks[b - 1] = Block(ERRORED, tuple(parts))
+    return ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
+                          tuple(blocks))
+
+
+def test_a_block_of_the_wrong_shape_reads_as_erasure_decode_reports_it():
+    sch, files, stream = setup_plain()
+    word = stream.blocks[1].parts[0]
+    with pytest.raises(LengthMismatch, match=r"^word length 5 != n=6$"):
+        recover_plain(replace_block(stream, 2, [word[:5]]), sch)
+    with pytest.raises(ShapeMismatch, match="^block has 2 sub-rounds"):
+        recover_plain(replace_block(stream, 2, [word, word]), sch)
+
+
+def test_a_clean_plain_stream_makes_no_erasure_decode_and_no_solve(
+        monkeypatch):
+    # every block of the plain-stream scheme takes the direct step: its
+    # erasure checks, stripe and support checks are one map of its word
+    # and the three stripes before it
+    sch, ell = config_scheme(BENCH_CONFIGS / "plain-stream.ini")
+    files = random_files(sch.field, sch.m, ell, sch.k, derive_rng(3, "files"))
+    stream = run_protocol(storage_encode(files, sch.storage_code), sch, 3)
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(GrsCode, "erasure_decode",
+                        counted("erasure_decode", GrsCode.erasure_decode))
+    for module in (decoder, linalg):
+        monkeypatch.setattr(module, "solve_unique",
+                            counted("solve_unique", linalg.solve_unique))
+    rec = recover_plain(stream, sch)
+    assert rec.stripes == files[sch.desired]
+    assert rec.provenance == (DIRECT,) * ell
+    assert calls == []
 
 
 # --- guarantee ---------------------------------------------------------------
@@ -694,6 +777,8 @@ def test_decode_um_recovers_every_budget_respecting_schedule(setup):
 # --- peeling against the rebuild-every-attempt oracle --------------------------
 
 GF13 = Field(13)
+GF256 = Field(2, 8)
+GF9 = Field(3, 2)
 
 
 def outcome(decode, stream, scheme):
@@ -708,42 +793,65 @@ def outcome(decode, stream, scheme):
 
 @st.composite
 def peeling_cases(draw):
-    """A small block scheme over GF(13) or GF(16), recovering or not, and
-    a stream of it with any set of erased blocks and, sometimes, one
-    changed symbol."""
-    f = draw(st.sampled_from((GF13, GF16)))
-    n = draw(st.integers(4, 9))
+    """A small plain or block scheme over GF(13), GF(16), GF(2^8) or GF(9)
+    (the scalar kernel), recovering or not, with memory 0 to 3 (plain) or
+    one or two sub-rounds (block), and a stream of it with erased blocks
+    and, sometimes, one changed symbol: at a surviving position of its
+    sub-round off the sub-support, at a sub-support position, or anywhere
+    in a termination block."""
+    f = draw(st.sampled_from((GF13, GF16, GF256, GF9)))
+    n = draw(st.integers(4, min(9, f.q - 1)))
     k = draw(st.integers(1, 2))
     t = draw(st.integers(1, n - k))
-    eps = draw(st.integers(1, 3))
-    window = draw(st.integers(eps + 1, eps + 3))
     code = GrsCode(f, n, k, tuple(range(1, n + 1)))
-    need = min_gamma(k, window, eps)
-    assume(need <= n)
-    support = draw(st.lists(st.integers(0, n - 1), min_size=need, max_size=n,
-                            unique=True))
     desired = draw(st.integers(0, 1))
-    sch = block_scheme(code, t=t, eps=eps, window=window, m=2,
-                       desired=desired, support=support)
-    ell = draw(st.integers(eps + 1, 6))
+    if draw(st.booleans()):
+        d_star_1 = n - (k + t - 1)
+        assume(d_star_1 >= k)
+        memory = draw(st.integers(0, 3))
+        support = draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                max_size=d_star_1, unique=True))
+        sch = plain_scheme(code, t=t, memory=memory, m=2, desired=desired,
+                           support=support)
+        window = eps = 1
+    else:
+        eps = memory = draw(st.integers(1, 3))
+        window = draw(st.integers(eps + 1, eps + 3))
+        need = min_gamma(k, window, eps)
+        assume(need <= n)
+        support = draw(st.lists(st.integers(0, n - 1), min_size=need,
+                                max_size=n, unique=True))
+        sch = block_scheme(code, t=t, eps=eps, window=window, m=2,
+                           desired=desired, support=support)
+    ell = draw(st.integers(1 if sch.variant == PLAIN else eps + 1, 6))
     seed = draw(st.integers(0, 2 ** 32))
     files = random_files(f, 2, ell, k, derive_rng(seed, "files"))
     stream = run_protocol(storage_encode(files, code), sch,
                           derive_seed(seed, "run"))
-    blocks = ell + eps
-    if draw(st.booleans()):
+    blocks = ell + memory
+    how = draw(st.sampled_from(("none", "bursts", "any")))
+    if how == "bursts" and sch.variant == BLOCK:
         erased = draw(st.sampled_from(
             gen_burst_patterns(ell, eps, window, eps, "exhaustive"))).erased
-    else:
+    elif how == "any":
         erased = draw(st.sets(st.integers(1, blocks), max_size=blocks))
+    else:
+        erased = ()
     stream = apply_erasures(stream, ErasureSchedule(frozenset(erased), ell,
-                                                    eps, window, eps))
-    intact = [b for b in range(1, blocks + 1) if b not in erased]
-    if intact and draw(st.booleans()):
+                                                    memory, window, eps))
+    where = draw(st.sampled_from(("none", "off-support", "support",
+                                  "termination")))
+    intact = [b for b in range(1, blocks + 1) if b not in erased
+              and (b > ell) == (where == "termination")]
+    if where != "none" and intact:
         b = draw(st.sampled_from(intact))
         parts = [list(p) for p in stream.blocks[b - 1].parts]
         r = draw(st.integers(0, len(parts) - 1))
-        j = draw(st.integers(0, n - 1))
+        part = sch.sub_supports[r]
+        j = draw(st.sampled_from(
+            part if where == "support" else
+            [j for j in range(n) if j not in part] if where == "off-support"
+            else range(n)))
         parts[r][j] = f.add(parts[r][j], draw(st.integers(1, f.q - 1)))
         changed = list(stream.blocks)
         changed[b - 1] = Block(ERRORED, tuple(tuple(p) for p in parts))
@@ -767,6 +875,20 @@ def test_peeling_matches_the_rebuild_every_attempt_oracle(case):
     assert (outcome(recover_plain, stream, sch)
             == outcome(oracles.recover_plain, stream, sch))
 
+
+
+def test_a_lag0_system_of_rank_below_k_keeps_the_record_path():
+    # with the lag-0 offset zero at all support positions but one, the
+    # lag-0 system has rank 1 < k = 2: the scheme has no direct map, and
+    # peeling gives what the rebuild-every-attempt oracle gives
+    sch, files, _ = setup_plain()
+    lag0 = tuple(x if j == 3 else 0 for j, x in enumerate(sch.e_offsets[0][0]))
+    low = dataclasses.replace(sch, e_offsets=((lag0,) + sch.e_offsets[0][1:],))
+    assert _peeling_tables(low)[2] is None
+    stream = run_protocol(storage_encode(files, C6), low, 3)
+    got = outcome(recover_plain, stream, low)
+    assert got[0] is RankDeficient
+    assert got == outcome(oracles.recover_plain, stream, low)
 
 def encodes_per_block(monkeypatch, decode, stream, sch):
     """[(block, {stripe: storage encodes})] of one decode, grouped by the
@@ -873,7 +995,7 @@ def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
         xi: tuple(data.draw(st.lists(st.integers(0, f.q - 1),
                                      min_size=k, max_size=k)))
         for xi in data.draw(st.sets(st.integers(1, ell)))}
-    by_lag, known_share = _peeling_tables(sch)
+    by_lag, known_share, _ = _peeling_tables(sch)
     expected = []
     for part, rows in zip(sch.sub_supports, sch.e_offsets):
         for j in part:
@@ -1153,7 +1275,6 @@ def test_decode_um_matches_the_decode_every_step_oracle(path):
                 oracles.decode_um, noisy, sch), (mode, seed)
 
 
-GF256 = Field(2, 8)
 NESTED_SCHEMES = ((GF16, 10, 2, 2), (GF256, 16, 3, 1), (GF13, 12, 2, 2))
 
 

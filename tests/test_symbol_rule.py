@@ -13,13 +13,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pirstream import linalg
+from pirstream.decoder import decode_um, recover_plain, recover_window
 from pirstream.errors import PirstreamError, SymbolOutsideField
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
 from pirstream.protocol import (
+    INTACT,
+    Block,
+    ResponseStream,
+    block_scheme,
+    byzantine_scheme,
     make_queries,
     plain_scheme,
     random_files,
+    run_protocol,
     server_respond,
     storage_encode,
 )
@@ -119,7 +126,39 @@ def solve_case(entry):
     return case
 
 
+def stream_case(decode, build):
+    """A case of a stream decoder on a clean stream of ``build(code)``'s
+    scheme, with a slot at every symbol of every block."""
+    def case(data, f):
+        scheme = build(f)
+        seed = data.draw(st.integers(0, 9))
+        files = random_files(f, 2, 3, scheme.k, derive_rng(seed, "f"))
+        stream = run_protocol(storage_encode(files, scheme.storage_code),
+                              scheme, seed)
+        blocks = [[list(word) for word in block.parts]
+                  for block in stream.blocks]
+
+        def call(blocks):
+            return decode(ResponseStream(
+                stream.n, stream.ell, stream.memory, stream.rounds,
+                tuple(Block(INTACT, tuple(map(tuple, parts)))
+                      for parts in blocks)), scheme)
+        return call, [blocks], [(0, b, r, j)
+                                for b, parts in enumerate(blocks)
+                                for r, word in enumerate(parts)
+                                for j in range(len(word))]
+    return case
+
+
 CASES = {
+    # memory 2 on one sub-round; two sub-rounds of 5 and 3 positions; and
+    # the unit-memory scheme, which needs n > 3k + t - 1
+    "recover_plain": stream_case(recover_plain, lambda f: plain_scheme(
+        code_of(f), t=1, memory=2, m=2, desired=0, support=range(3, 8))),
+    "recover_window": stream_case(recover_window, lambda f: block_scheme(
+        code_of(f), t=1, eps=1, window=3, m=2, desired=1, support=range(N))),
+    "decode_um": stream_case(decode_um, lambda f: byzantine_scheme(
+        GrsCode(f, N, 2, tuple(range(1, N + 1))), t=1, m=2, desired=0)),
     "GrsCode.encode": encode_case,
     "GrsCode.erasure_decode": erasure_decode_case,
     "GrsCode.bmd_decode": bmd_decode_case,
@@ -194,3 +233,26 @@ def test_linalg_reads_symbols_outside_a_non_prime_field_as_errors(f, call):
     # IndexError, or a ShapeMismatch for the None
     with pytest.raises(SymbolOutsideField):
         call(f)
+
+
+@pytest.mark.parametrize("f, bad", [(Field(2, 8), 300), (Field(3, 2), 300),
+                                    (Field(2, 8), None), (Field(13), None)],
+                         ids=str)
+def test_peeling_reads_a_support_position_by_the_rule(f, bad):
+    # n=8, k=2, t=1, memory 2, support 2..7: over GF(2^8) the 300 at
+    # position 5 of block 2 reached the solve as 300 minus the interference
+    # ("position 3 holds 340"), over GF(9) it gave InconsistentBlock, and
+    # None an untyped TypeError
+    code = GrsCode(f, 8, 2, tuple(range(1, 9)))
+    scheme = plain_scheme(code, t=1, memory=2, m=2, desired=0,
+                          support=range(2, 8))
+    files = random_files(f, 2, 3, 2, derive_rng(0, "f"))
+    stream = run_protocol(storage_encode(files, code), scheme, 0)
+    word = list(stream.blocks[1].parts[0])
+    word[5] = bad
+    blocks = list(stream.blocks)
+    blocks[1] = Block(INTACT, (tuple(word),))
+    stream = ResponseStream(stream.n, stream.ell, stream.memory,
+                            stream.rounds, tuple(blocks))
+    with pytest.raises(SymbolOutsideField, match=f"^position 5 holds {bad},"):
+        recover_plain(stream, scheme)
