@@ -73,6 +73,12 @@ CASES = {
     # burst-window shape over GF(2^10)
     "simulate-block-gf2-10": [
         "simulate", OWN_CONFIGS / "block-gf2-10.ini", *SIM, "--trials", "5"],
+    # every schedule the burst rule admits at ell = 10: the only case whose
+    # blocks after a burst take the record path in bulk.  1,107 of 1,638
+    # schedules fail, so it exits 3; ROADMAP item 15's deadline-optimal
+    # window decoding regenerates it on purpose
+    "simulate-burst-window-exhaustive": [
+        "simulate", OWN_CONFIGS / "burst-window-exhaustive.ini", *SIM],
     "privacy-audit-privacy-audit": ["privacy-audit", "privacy-audit"],
     "privacy-audit-plain-stream": ["privacy-audit", "plain-stream"],
     "recovering-search-locator-search": ["recovering-search", "locator-search",
