@@ -1,8 +1,8 @@
 """User-side recovery pipelines.
 
-Three decoders share the same front half (erasure-decode each block in
-the star-product code, strip the interference, keep the desired-file
-combination on the support):
+Three decoders share the same front half (read each block through the
+star-product code with the support erased, strip the interference, keep
+the desired-file combination on the support):
 
 * ``recover_plain``   -- sequential peeling, one stripe per block;
 * ``recover_window``  -- the same peeling, waiting out bursts of block
@@ -13,24 +13,23 @@ combination on the support):
 
 The first two are one peeling kernel (``_peel``): plain recovery runs it
 with a one-block window on a stream that has no erasures.  It reads each
-intact block once by ``fields.check_symbols``.  A block whose own stripe
-is the only unknown, and a termination block with nothing unknown, take
-the direct step: one linear map of the field kernel per scheme
-(``_direct_map``) takes the block's words and the M stripes before it to
-the block's erasure checks, its stripe and its support checks, so a
-clean stretch makes no erasure decode and no solve.  Any other intact
-block's equations are derived once, when the block arrives, as one
-record for the whole block (its coefficient fragments and right-hand
-sides at every support position), and the records are stacked into one
-system per solve attempt; ``linalg.solve_unique`` eliminates each
-distinct system below its cell cap once per process.  The per-scheme
-part of the equations, the coefficients of every stripe lag at the
-support positions, the linear map that gives the known stripes' share
-of a block and the direct map, is built once per scheme
-(``_peeling_tables``), so peeling encodes no stripe.  Each decoder
-first checks that the stream has the scheme's n, memory and sub-rounds.
-The erasure rule that ``recover_window`` enforces, and that
-``ErasureSchedule.is_valid`` reports, lives in ``_erasure_violation``.
+intact block once by ``fields.check_symbols``, and then through one
+reader per scheme (``_peeling_tables``): one linear map of the field
+kernel from the block's words and the M stripes before it to the
+block's erasure checks and its right-hand sides at every support
+position, reduced by the E that takes the lag-0 support system to its
+reduced row echelon form.  The coefficients of every stripe lag at the
+support positions are kept premultiplied by the same E, so the reduced
+equations of a block whose own stripe is the only unknown are that
+stripe and its checks: a clean stretch makes no erasure decode and no
+solve.  Any other intact block becomes one record, its coefficient
+fragments and reduced right-hand sides, and the records are stacked
+into one system per solve attempt; ``linalg.solve_unique`` eliminates
+each distinct system below its cell cap once per process.  Peeling
+encodes no stripe.  Each decoder first checks that the stream has the
+scheme's n, memory and sub-rounds.  The erasure rule that
+``recover_window`` enforces, and that ``ErasureSchedule.is_valid``
+reports, lives in ``_erasure_violation``.
 
 ``check_guarantee`` evaluates the designed-extended-row-distance budget
 that makes ``decode_um`` provably exact, in one linear scan over the
@@ -48,7 +47,6 @@ from .errors import (
     DecodingFailure,
     InconsistentBlock,
     InconsistentSystem,
-    InconsistentWord,
     InvalidParams,
     LengthMismatch,
     RankDeficient,
@@ -56,7 +54,7 @@ from .errors import (
     UncorrectablePattern,
 )
 from .fields import check_symbols
-from .grs import GrsCode, _erasure_plan
+from .grs import _erasure_plan
 from .linalg import reduce_with_identity, solve_unique
 from .protocol import BLOCK, BYZANTINE, ERASED, PLAIN, PirScheme, ResponseStream
 
@@ -154,104 +152,53 @@ def _block_symbols(scheme: PirScheme, parts) -> list:
                          None if len(parts) == 1 else lambda i: divmod(i, n))
 
 
-def _desired_combination(scheme: PirScheme, star: GrsCode, words) -> list:
-    """Strip the interference from one intact block, given its words as
-    ``_block_symbols`` reads them.
-
-    Erasure-decodes each sub-round in the star-product code ``star`` with
-    the sub-support treated as erased, and returns u_j at every support
-    position j, sub-round by sub-round, where u_j is the remaining
-    combination of desired-file symbols: the word's symbol minus the
-    interference codeword's, which the same ``erasure_decode`` reads off
-    at the sub-support (``at``) without encoding the interference.
-    """
-    sub = scheme.field.sub
-    n, k = scheme.n, star.k
-    out = []
-    for r, part in enumerate(scheme.sub_supports):
-        word = words[r * n:(r + 1) * n]
-        try:
-            clean = star.erasure_decode(word, erased=part, at=part)[k:]
-        except InconsistentWord as exc:
-            raise InconsistentBlock(str(exc)) from exc
-        out += map(sub, [word[j] for j in part], clean)
-    return out
-
-
 @lru_cache(maxsize=32)
 def _peeling_tables(scheme: PirScheme):
-    """(by_lag, known_share, direct) of a plain or block-erasure scheme,
+    """(by_lag, rank, checked, read) of a plain or block-erasure scheme,
     built once per scheme.
 
-    ``by_lag[z][i]`` is the tuple of the k coefficients of stripe s - z in
-    block s's desired combination at the i-th support position j,
-    sub-round by sub-round: the offset of lag z at j times g[r][j], for
-    the generator rows g of the storage code, so their dot with a stripe
-    is its offset codeword symbol.  ``known_share(known, s)`` is the share
-    of stripes s-1..s-M in block s's desired combination at every support
-    position, in the same order: one ``apply`` of the field kernel's
-    linear map from the M*k symbols of those stripes, where a stripe
-    missing from ``known`` (unknown, or outside 1..ell) reads as k zeros.
-    At memory 0 there is no map and the share is zero.  ``direct`` is the
-    scheme's ``_direct_map``.
-    """
-    f = scheme.field
-    g = scheme.storage_code.generator_matrix()
-    k, memory = scheme.k, scheme.memory
-    by_lag = tuple([tuple(f.mul(rows[z][j], g[r][j]) for r in range(k))
-                    for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
-                    for j in part]
-                   for z in range(memory + 1))
-    if not memory:
-        zeros = [0] * len(by_lag[0])
-        direct = _direct_map(scheme, by_lag, None)
-        return by_lag, lambda known, s: zeros, direct
-    lags = range(1, memory + 1)
-    apply = f.kernel.linear_map([[coeffs[r] for coeffs in by_lag[z]]
-                                 for z in lags for r in range(k)])
-    zero = (0,) * k
+    Before the reduction, entry i of ``by_lag[z]`` is the tuple of the k
+    coefficients of stripe s - z in block s's desired combination at the
+    i-th support position j, sub-round by sub-round: the offset of lag z
+    at j times g[r][j], for the generator rows g of the storage code, so
+    their dot with a stripe is its offset codeword symbol.  One
+    ``reduce_with_identity`` of ``by_lag[0]`` gives its rank and an
+    invertible E that takes it to its reduced row echelon form, and every
+    table is kept premultiplied by E: a block's equations are E times
+    its equations, which have the same solutions, rank and consistency.
+    With rank k, ``by_lag[0]`` is then k unit rows followed by zero rows.
 
-    def known_share(known, s):
-        return apply([x for z in lags for x in known.get(s - z, zero)])
-
-    return by_lag, known_share, _direct_map(scheme, by_lag, apply)
-
-
-def _direct_map(scheme: PirScheme, by_lag, share):
-    """(checked, apply) that decodes an intact block s whose own stripe is
-    the only unknown, or None when the lag-0 support system ``by_lag[0]``
-    has rank < k.
-
-    ``apply`` is one ``linear_map`` of the field kernel from the block's
-    words, sub-round by sub-round, then the symbols of stripes s-1..s-M
-    (``share``'s input, None at memory 0), to
+    ``read`` is one ``linear_map`` of the field kernel from block s's
+    words, sub-round by sub-round, then stripes s-1..s-M (k zeros for a
+    stripe not known, or outside 1..ell), to
       * each sub-round's erasure checks, in surviving-position order: the
         star codeword read off the first k* survivors, minus the word, at
         every further survivor (``checked`` lists their word positions);
-      * stripe s;
-      * the left-null-space checks of the lag-0 support system.
-    Each step of the record path is linear in those inputs: the star
-    reader of each sub-round (``erasure_decode``'s, with its sub-support
-    erased and read), the desired combination u, the word minus that
-    reading on the sub-support, the right-hand side b, u minus the known
-    share, and E b for the E of one ``reduce_with_identity`` of
-    ``by_lag[0]``, whose first k entries solve the system and whose others
-    are its checks.  So the map's row for an input is the image of that
-    unit input under those steps (``image``), each of them one of the
-    scheme's kept maps.  The erasure checks come in the order in which
+      * E b, for the right-hand side b: the desired combination u at every
+        support position minus the known stripes' share of it.
+    Each step is linear in those inputs: the star reader of each sub-round
+    (``erasure_decode``'s, with its sub-support erased and read), u, the
+    word minus that reading on the sub-support, and b, u minus the kept
+    coefficients' dot with each stripe.  So the map's row for a word
+    symbol is the image of that unit input under those steps (``image``),
+    and the row for a stripe symbol is minus its coefficients in the
+    reduced tables.  The erasure checks come in the order in which
     ``erasure_decode`` compares the survivors, sub-round by sub-round, so
-    the first nonzero one is at the position it names; and E b has a
-    nonzero check iff b is outside the column space of ``by_lag[0]``, iff
-    ``solve_unique`` reports the system inconsistent.
+    the first nonzero one is at the position it names.
     """
     f = scheme.field
     star = scheme.star_code()
+    g = scheme.storage_code.generator_matrix()
     n, k, base = scheme.n, scheme.k, star.k
-    rank, e = reduce_with_identity(f, by_lag[0])
-    if rank < k:
-        return None
-    solve = f.kernel.linear_map(list(zip(*e)))        # b -> E b
+    raw = [[tuple(f.mul(rows[z][j], g[r][j]) for r in range(k))
+            for part, rows in zip(scheme.sub_supports, scheme.e_offsets)
+            for j in part]
+           for z in range(scheme.memory + 1)]
+    rank, e = reduce_with_identity(f, raw[0])
+    times_e = f.kernel.linear_map(list(zip(*e)))       # v -> E v
+    by_lag = tuple(list(zip(*map(times_e, zip(*table)))) for table in raw)
     plans = [_erasure_plan(star, part, part) for part in scheme.sub_supports]
+    checked = [j for surviving, _, _ in plans for j in surviving[base:]]
     words = scheme.rounds * n
 
     def image(x):
@@ -263,63 +210,52 @@ def _direct_map(scheme: PirScheme, by_lag, share):
             out = read(list(got[:base]))
             checks += map(f.sub, out[base:len(surviving)], got[base:])
             u += map(f.sub, [word[j] for j in part], out[len(surviving):])
-        if share is not None:
-            u = list(map(f.sub, u, share(x[words:])))
-        return checks + solve(u)
+        return checks + times_e(u)
 
-    size = words + scheme.memory * k
-    return ([j for surviving, _, _ in plans for j in surviving[base:]],
-            f.kernel.linear_map([image([int(c == i) for c in range(size)])
-                                 for i in range(size)]))
+    rows = [image([int(c == i) for c in range(words)]) for i in range(words)]
+    rows += [[0] * len(checked) + [f.sub(0, coeffs[r]) for coeffs in table]
+             for table in by_lag[1:] for r in range(k)]
+    return by_lag, rank, checked, f.kernel.linear_map(rows)
 
 
 def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFile:
     """Sequential peeling that waits out erased blocks.
 
-    Each block's stripe joins the unknowns, and each intact block is read
-    once by ``_block_symbols``.  An intact block whose own stripe is the
-    only unknown, or a termination block with nothing unknown, takes the
-    direct step: one application of the scheme's direct map
-    (``_direct_map``) to its words and the M stripes before it gives its
-    erasure checks, its stripe and its support checks.  A nonzero erasure
-    check raises ``surviving position j disagrees with interpolation`` for
-    the first such j, as ``erasure_decode`` does; then a nonzero support
-    check raises ``block s: no solution: inconsistent right-hand side``, as
-    the solve does, and a termination block must give zero throughout.
-    Otherwise the stripe is ``direct``.  So a clean stretch makes no
-    erasure decode and no solve.
+    Each block's stripe joins the unknowns.  Each intact block is read
+    once by ``_block_symbols`` and goes through the scheme's one reader
+    (``_peeling_tables``) with the M stripes before it, which gives its
+    erasure checks and E b, its right-hand sides reduced by the kept E.
+    A nonzero erasure check raises ``surviving position j disagrees with
+    interpolation`` for the first such j, as ``erasure_decode`` does.
+    When the lag-0 system has rank k and the block's own stripe is the
+    only unknown, its reduced equations are the stripe itself followed by
+    zero rows: the stripe is the first k entries of E b, and a nonzero
+    entry after them raises ``block s: no solution: inconsistent
+    right-hand side``, as the solve does.  Such a stripe is ``direct``,
+    so a clean stretch makes no erasure decode and no solve.
 
-    Any other intact block's desired combination becomes one record,
-    derived once: the first unknown stripe the block touches, one
-    coefficient fragment per support position over the run of unknown
-    stripes the block touches, and the right-hand sides, the desired
-    combination with the known stripes' share subtracted, read for every
-    position at once through the scheme's known-share map
-    (``_peeling_tables``).  With one unknown stripe the fragments are the
-    scheme's kept coefficient tuples of its lag, so the record costs two
-    whole-vector steps.  No solve can change what is known while the
-    block waits, so the record holds as derived until a solve clears it.
-
-    After every intact block the pending records are solved for all
-    unknowns at once: the rows are counted first, and only a system with
-    enough of them is stacked, a block's fragments at once when they
-    span every unknown, else each at its column offset.  The same
-    stacked systems recur from burst to burst and from trial to trial,
-    and ``solve_unique`` keeps what one elimination of each gives, so a
-    repeated attempt, failed or not, makes no elimination; a system past
-    its cell cap, such as a paper-scale window, is still eliminated on
-    every attempt.  A stripe solved from its own block alone is
-    ``direct``, any other is ``window-solved``.  Once the oldest unknown
-    stripe is ``window - 1`` blocks behind, a failed solve is final.
-    Intact termination blocks with nothing unknown must reduce to zero.
-    A scheme whose lag-0 system has rank < k has no direct map, and every
-    block takes the record path.
+    Any other intact block becomes one record: the first unknown stripe
+    it touches, one coefficient fragment per support position over the
+    run of unknown stripes it touches, which are the kept reduced tuples
+    of its lag when there is one such stripe, and E b.  No solve can
+    change what is known while the block waits, so the record holds as
+    read until a solve clears it.  After every intact block the pending
+    records are solved for all unknowns at once: the rows are counted
+    first, and only a system with enough of them is stacked, a block's
+    fragments at once when they span every unknown, else each at its
+    column offset.  The same stacked systems recur from burst to burst
+    and from trial to trial, and ``solve_unique`` keeps what one
+    elimination of each gives, so a repeated attempt, failed or not,
+    makes no elimination below its cell cap.  A stripe solved from its
+    own block alone is ``direct``, any other is ``window-solved``.  Once
+    the oldest unknown stripe is ``window - 1`` blocks behind, a failed
+    solve is final.  Intact termination blocks with nothing unknown must
+    reduce to zero.
     """
     f = scheme.field
-    star = scheme.star_code()
     k, ell, memory = scheme.k, stream.ell, scheme.memory
-    by_lag, known_share, direct = _peeling_tables(scheme)
-    positions = len(by_lag[0])
+    by_lag, rank, checked, read = _peeling_tables(scheme)
+    cut, positions, full = len(checked), len(by_lag[0]), rank == k
     zero = (0,) * k
     known: dict[int, tuple] = {}
     provenance: dict[int, str] = {}
@@ -327,7 +263,7 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     # (block, first unknown stripe touched, fragments, right-hand sides)
     pending: list[tuple[int, int | None, list, list]] = []
 
-    def equations(s, u):
+    def equations(s, rhs):
         """Block s's record; each fragment runs over the unknown stripes
         the block touches, oldest first, and is the kept coefficient
         tuple when there is one such stripe."""
@@ -339,29 +275,7 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
             fragments = [[c for z in lags for c in by_lag[z][i]]
                          for i in range(positions)]
         first = s - lags[0] if lags else None
-        return s, first, fragments, list(map(f.sub, u, known_share(known, s)))
-
-    def direct_step(s, words):
-        """Block s through the direct map: its stripe, if s <= ell."""
-        checked, apply = direct
-        cut = len(checked)
-        out = apply(words + [x for z in range(1, memory + 1)
-                             for x in known.get(s - z, zero)])
-        if any(out[:cut]):
-            j = next(j for j, c in zip(checked, out) if c)
-            raise InconsistentBlock(
-                f"surviving position {j} disagrees with interpolation")
-        if s > ell:
-            if any(out):
-                raise InconsistentBlock(f"termination block {s} disagrees "
-                                        f"with decoded stripes")
-            return
-        if any(out[cut + k:]):
-            raise InconsistentBlock(
-                f"block {s}: no solution: inconsistent right-hand side")
-        known[s] = tuple(out[cut: cut + k])
-        provenance[s] = DIRECT
-        unknown.clear()
+        return s, first, fragments, rhs
 
     def solve(deadline: bool):
         cols = k * len(unknown)
@@ -410,12 +324,22 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
         block = stream.block(xi)
         intact = block.status != ERASED
         if intact:
-            words = _block_symbols(scheme, block.parts)
-            if direct is not None and unknown in ([], [xi]):
-                direct_step(xi, words)
+            out = read(_block_symbols(scheme, block.parts)
+                       + [x for z in range(1, memory + 1)
+                          for x in known.get(xi - z, zero)])
+            if any(out[:cut]):
+                j = next(j for j, c in zip(checked, out) if c)
+                raise InconsistentBlock(
+                    f"surviving position {j} disagrees with interpolation")
+            if full and unknown == [xi]:
+                if any(out[cut + k:]):
+                    raise InconsistentBlock(
+                        f"block {xi}: no solution: inconsistent right-hand side")
+                known[xi] = tuple(out[cut: cut + k])
+                provenance[xi] = DIRECT
+                unknown.clear()
                 continue
-            pending.append(equations(xi, _desired_combination(scheme, star,
-                                                              words)))
+            pending.append(equations(xi, out[cut:]))
         due = bool(unknown) and xi >= unknown[0] + window - 1
         if intact or due:
             solve(due)

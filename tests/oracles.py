@@ -233,7 +233,10 @@ def reader_rows(code, positions):
 
 
 def desired_combination(scheme, star, block):
-    """``decoder._desired_combination`` through ``erasure_decode_by_solve``."""
+    """u_j at every support position j of an intact block: the word's
+    symbol minus the interference codeword's, which one
+    ``erasure_decode_by_solve`` per sub-round, with the sub-support erased,
+    and an encode of its message give."""
     f = scheme.field
     out = {}
     for r, part in enumerate(scheme.sub_supports):

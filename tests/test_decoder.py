@@ -377,9 +377,9 @@ def test_a_block_of_the_wrong_shape_reads_as_erasure_decode_reports_it():
 
 def test_a_clean_plain_stream_makes_no_erasure_decode_and_no_solve(
         monkeypatch):
-    # every block of the plain-stream scheme takes the direct step: its
-    # erasure checks, stripe and support checks are one map of its word
-    # and the three stripes before it
+    # every block of the plain-stream scheme reads its stripe off the
+    # scheme's reader: its erasure checks, stripe and support checks are
+    # one map of its word and the three stripes before it
     sch, ell = config_scheme(BENCH_CONFIGS / "plain-stream.ini")
     files = random_files(sch.field, sch.m, ell, sch.k, derive_rng(3, "files"))
     stream = run_protocol(storage_encode(files, sch.storage_code), sch, 3)
@@ -398,6 +398,33 @@ def test_a_clean_plain_stream_makes_no_erasure_decode_and_no_solve(
     rec = recover_plain(stream, sch)
     assert rec.stripes == files[sch.desired]
     assert rec.provenance == (DIRECT,) * ell
+    assert calls == []
+
+
+def test_a_block_erasure_decode_makes_no_erasure_decode(monkeypatch):
+    # blocks after a burst take the record path through the same reader as
+    # clean ones, on a scheme of two sub-rounds too
+    calls = []
+    erasure_decode = GrsCode.erasure_decode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return erasure_decode(*args, **kwargs)
+    monkeypatch.setattr(GrsCode, "erasure_decode", counted)
+    for path, erased in ((BENCH_CONFIGS / "burst-window.ini", {3, 4, 5}),
+                         (CONFIGS / "block-two-rounds.ini", {2, 6})):
+        sch, _ = config_scheme(path)
+        ell = 10
+        files = random_files(sch.field, sch.m, ell, sch.k,
+                             derive_rng(5, "files"))
+        stream = apply_erasures(
+            run_protocol(storage_encode(files, sch.storage_code), sch, 5),
+            ErasureSchedule(frozenset(erased), ell, sch.memory, sch.window,
+                            sch.burst))
+        rec = recover_window(stream, sch)
+        assert rec.stripes == files[sch.desired]
+        assert set(rec.provenance) == {DIRECT, "window-solved"}
+    assert len(sch.sub_supports) == 2
     assert calls == []
 
 
@@ -879,12 +906,14 @@ def test_peeling_matches_the_rebuild_every_attempt_oracle(case):
 
 def test_a_lag0_system_of_rank_below_k_keeps_the_record_path():
     # with the lag-0 offset zero at all support positions but one, the
-    # lag-0 system has rank 1 < k = 2: the scheme has no direct map, and
-    # peeling gives what the rebuild-every-attempt oracle gives
+    # lag-0 system has rank 1 < k = 2: no block reads its stripe off its
+    # own reduced equations, every block is a record, and peeling gives
+    # what the rebuild-every-attempt oracle gives
     sch, files, _ = setup_plain()
     lag0 = tuple(x if j == 3 else 0 for j, x in enumerate(sch.e_offsets[0][0]))
     low = dataclasses.replace(sch, e_offsets=((lag0,) + sch.e_offsets[0][1:],))
-    assert _peeling_tables(low)[2] is None
+    assert _peeling_tables(low)[1] == 1
+    assert _peeling_tables(sch)[1] == sch.k
     stream = run_protocol(storage_encode(files, C6), low, 3)
     got = outcome(recover_plain, stream, low)
     assert got[0] is RankDeficient
@@ -916,7 +945,7 @@ def test_peeling_makes_no_storage_encode(monkeypatch):
     # memory 3 and a burst of two: block 5 has too few rows for stripes
     # 3..5, block 6 has enough, and stripe 2, which block 5 touches, is
     # known.  The known stripes' share of each block comes out of the
-    # scheme's known-share map, so neither decoder encodes a stripe, on
+    # scheme's reader, so neither decoder encodes a stripe, on
     # the burst or on the same stream without it.
     code = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
     support = (4, 5, 6, 7, 8)
@@ -983,37 +1012,54 @@ def test_share_cases_cover_every_kernel_path():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(SHARE_CASES)), st.data())
 def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
-    # at every support position, the share of the known stripes among
-    # s-1..s-M is the sum over them of offset * encode(stripe)[j]; an
-    # unknown stripe, or one before 1 or past ell (a termination block),
-    # adds nothing
+    # the reader takes a block's words and stripes s-1..s-M to its erasure
+    # checks, all zero on a word that is a star codeword off the support,
+    # and E b: b is the desired combination at every support position minus
+    # the sum over the known stripes of offset * encode(stripe)[j], and E
+    # reduces the lag-0 system.  An unknown stripe, or one before 1 or past
+    # ell (a termination block), adds nothing.  The kept tables are the
+    # lag coefficients premultiplied by the same E
     sch = share_scheme(name)
     f, code, k, memory = sch.field, sch.storage_code, sch.k, sch.memory
+    star = grs.star_product_code(code, sch.retrieval_code)
     ell = data.draw(st.integers(1, 6))
     s = data.draw(st.integers(1, ell + memory))
+    symbols = st.integers(0, f.q - 1)
     known = {
-        xi: tuple(data.draw(st.lists(st.integers(0, f.q - 1),
-                                     min_size=k, max_size=k)))
+        xi: tuple(data.draw(st.lists(symbols, min_size=k, max_size=k)))
         for xi in data.draw(st.sets(st.integers(1, ell)))}
-    by_lag, known_share, _ = _peeling_tables(sch)
-    expected = []
+    parts = []
+    for part in sch.sub_supports:
+        word = star.encode(data.draw(st.lists(symbols, min_size=star.k,
+                                              max_size=star.k)))
+        for j in part:
+            word[j] = data.draw(symbols)
+        parts.append(tuple(word))
+    desired = oracles.desired_combination(sch, star, Block(INTACT, tuple(parts)))
+    units = [code.encode([int(r == c) for c in range(k)]) for r in range(k)]
+    raw = [[] for _ in range(memory + 1)]
+    b = []
     for part, rows in zip(sch.sub_supports, sch.e_offsets):
         for j in part:
-            i = len(expected)       # j is the i-th support position
-            acc = 0
-            for z in range(1, memory + 1):
-                if s - z in known:
-                    y = code.encode(list(known[s - z]))[j]
-                    acc = f.add(acc, f.mul(rows[z][j], y))
-            expected.append(acc)
-            # the kept coefficients of each lag give the same symbols
+            acc = desired[j]
             for z in range(memory + 1):
-                assert isinstance(by_lag[z][i], tuple)
-                if s - z in known:
-                    assert (oracles.scalar_dot(f, by_lag[z][i], known[s - z])
-                            == f.mul(rows[z][j],
-                                     code.encode(list(known[s - z]))[j]))
-    assert list(known_share(known, s)) == expected
+                raw[z].append([f.mul(rows[z][j], unit[j]) for unit in units])
+                if z and s - z in known:
+                    y = code.encode(list(known[s - z]))[j]
+                    acc = f.sub(acc, f.mul(rows[z][j], y))
+            b.append(acc)
+    _, e = linalg.reduce_with_identity(f, raw[0])
+    by_lag, _, checked, read = _peeling_tables(sch)
+    for z in range(memory + 1):
+        assert all(isinstance(coeffs, tuple) for coeffs in by_lag[z])
+        assert [list(coeffs) for coeffs in by_lag[z]] == [
+            [oracles.scalar_dot(f, row, column) for column in zip(*raw[z])]
+            for row in e]
+    out = read([x for word in parts for x in word]
+               + [x for z in range(1, memory + 1)
+                  for x in known.get(s - z, (0,) * k)])
+    assert out[:len(checked)] == [0] * len(checked)
+    assert out[len(checked):] == [oracles.scalar_dot(f, row, b) for row in e]
 
 
 def test_peeling_encodes_no_star_codeword(monkeypatch):

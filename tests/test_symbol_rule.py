@@ -3,10 +3,11 @@ symbols.
 
 Each call reads its symbols once by ``fields.check_symbols``: over GF(p)
 a symbol outside [0, p) gives what its residue gives, and over any other
-field it raises SymbolOutsideField, as does an entry that is no number
-(``None``) over every field.  One field per kernel path: packed GF(p)
-lanes, translate rows at 2^8 and below 2^8, and the scalar kernel in odd
-and even characteristic.
+field it raises SymbolOutsideField, as does an entry that is no int
+(``None``, a float) over every field.  A ``bool`` gives what 0 or 1
+gives.  One field per kernel path: packed GF(p) lanes below and past
+q = 256, translate rows at 2^8 and below 2^8, and the scalar kernel in
+odd and even characteristic.
 """
 
 import pytest
@@ -32,7 +33,8 @@ from pirstream.protocol import (
 )
 from pirstream.seeds import derive_rng
 
-FIELDS = (Field(13), Field(2, 8), Field(2, 4), Field(3, 2), Field(2, 10))
+FIELDS = (Field(13), Field(331), Field(2, 8), Field(2, 4), Field(3, 2),
+          Field(2, 10))
 N, K = 8, 3
 
 
@@ -194,12 +196,16 @@ def test_every_entry_point_reads_symbols_by_the_rule(entry, f, data):
     path = data.draw(st.sampled_from(slots))
     # None in a word is an erasure to erasure_decode, not a symbol
     bad = data.draw(st.sampled_from(
-        (-1, f.q, 300, 2 ** 70)
+        (-1, f.q, 300, 2 ** 70, 3.0, 0.5, True, False)
         + ((None,) if entry != "GrsCode.erasure_decode" else ())))
     got = outcome(lambda: call(*put(args, path, bad)))
-    if bad is not None and 0 <= bad < f.q:
+    if isinstance(bad, bool):
+        assert got == outcome(lambda: call(*put(args, path, int(bad))))
+        return
+    is_int = isinstance(bad, int)
+    if is_int and 0 <= bad < f.q:
         return                  # a symbol of the field: 300 in GF(2^10)
-    if bad is not None and f.s == 1:
+    if is_int and f.s == 1:
         assert got == outcome(lambda: call(*put(args, path, bad % f.q)))
         return
     assert got is SymbolOutsideField
@@ -256,3 +262,15 @@ def test_peeling_reads_a_support_position_by_the_rule(f, bad):
                             stream.rounds, tuple(blocks))
     with pytest.raises(SymbolOutsideField, match=f"^position 5 holds {bad},"):
         recover_plain(stream, scheme)
+
+
+@pytest.mark.parametrize("f", [Field(13), Field(331), Field(2, 8),
+                               Field(2, 10)], ids=str)
+def test_a_float_is_no_symbol_and_a_bool_is_an_int_on_every_field(f):
+    # past q = 256 a float in [0, q) passed the check, and the kernel then
+    # failed untyped: an AttributeError over GF(331), a TypeError over
+    # GF(2^10)
+    code = code_of(f)
+    with pytest.raises(SymbolOutsideField, match=r"^position 0 holds 3\.0,"):
+        code.encode([3.0, 1, 2])
+    assert code.encode([True, False, 2]) == code.encode([1, 0, 2])
