@@ -4,10 +4,12 @@ Runs the byzantine-fixed benchmark scheme (GF(2^8), k=3, t=1, m=2, two
 fixed corrupted servers) at every ell in --ells and n in --ns, through the
 same trial path as ``pirstream simulate``, and times only the
 ``decoder.decode_um`` call of each trial.  It also counts the BMD decodes
-(``GrsCode.bmd_decode``) and key-equation solves (``grs.solve_any``) the
-trials make.  Prints a Markdown table whose cells read "median ms per
-trial / BMD decodes / solves", the counts summed over the trials, and
-checks that every trial decodes.
+(``GrsCode.bmd_decode``), the Berlekamp-Massey runs
+(``grs._berlekamp_massey``) and the reader builds (``grs._reader``
+misses) the trials make, from empty caches.  Prints a Markdown table
+whose cells read "median ms per trial / BMD decodes / BM runs / reader
+builds", the counts summed over the trials, and checks that every trial
+decodes.
 
     PYTHONPATH=src python scripts/decode_um_scaling.py --trials 5
 """
@@ -17,12 +19,13 @@ import statistics
 import sys
 from time import perf_counter
 
-from pirstream import cli, decoder, grs
+from pirstream import clear_caches, cli, decoder, grs
 from pirstream.config import ExperimentConfig, build_scheme
 
 
 def decode_um_cell(n, ell, trials, seed):
-    """(median decode_um wall time per trial in ms, BMD decodes, solves)."""
+    """(median decode_um wall time per trial in ms, BMD decodes, BM runs,
+    reader builds)."""
     cfg = ExperimentConfig(
         scheme_cfg={"variant": "byzantine", "field": "2^8", "n": str(n),
                     "k": "3", "t": "1", "m": "2", "ell": str(ell)},
@@ -30,10 +33,10 @@ def decode_um_cell(n, ell, trials, seed):
     _, _, scheme, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, scheme)
     times = []
-    counts = {"bmd": 0, "solves": 0}
+    counts = {"bmd": 0, "bm": 0}
     decode_um = decoder.decode_um
     bmd_decode = grs.GrsCode.bmd_decode
-    solve_any = grs.solve_any
+    berlekamp_massey = grs._berlekamp_massey
 
     def timed(stream, scheme):
         t0 = perf_counter()
@@ -46,12 +49,13 @@ def decode_um_cell(n, ell, trials, seed):
         counts["bmd"] += 1
         return bmd_decode(code, word)
 
-    def counted_solve(*args):
-        counts["solves"] += 1
-        return solve_any(*args)
+    def counted_bm(*args):
+        counts["bm"] += 1
+        return berlekamp_massey(*args)
     decoder.decode_um = timed
     grs.GrsCode.bmd_decode = counted_bmd
-    grs.solve_any = counted_solve
+    grs._berlekamp_massey = counted_bm
+    clear_caches()
     try:
         for trial in range(trials):
             ok, desc = cli._run_one_trial(scheme, ell, channel, seed, trial, None)
@@ -60,8 +64,9 @@ def decode_um_cell(n, ell, trials, seed):
     finally:
         decoder.decode_um = decode_um
         grs.GrsCode.bmd_decode = bmd_decode
-        grs.solve_any = solve_any
-    return 1000 * statistics.median(times), counts["bmd"], counts["solves"]
+        grs._berlekamp_massey = berlekamp_massey
+    return (1000 * statistics.median(times), counts["bmd"], counts["bm"],
+            grs._reader.cache_info().misses)
 
 
 def main():
@@ -76,8 +81,9 @@ def main():
     for ell in args.ells:
         cells = []
         for n in args.ns:
-            ms, bmd, solves = decode_um_cell(n, ell, args.trials, args.seed)
-            cells.append(f"{ms:.1f} / {bmd} / {solves}")
+            ms, bmd, bm, builds = decode_um_cell(n, ell, args.trials,
+                                                 args.seed)
+            cells.append(f"{ms:.1f} / {bmd} / {bm} / {builds}")
         print(f"| {ell} | " + " | ".join(cells) + " |")
 
 

@@ -7,45 +7,41 @@ table of locator powers here comes from ``fields.power_rows``: the
 generator rows (v_j a_j^i)_j, i < k, which a code keeps once as
 ``_generator``, the dual code's parity checks and Chien's map.
 
-Erasure decoding reads a word through one linear map per code and set
-of surviving positions (``_reader``), kept per process: it gives the
-message and the symbols the codeword has at the other surviving
-positions, which must match the word's, and at any further positions
-the caller asks for (``at``), such as the erased ones, so no caller
-re-encodes the message to read them.  Each code keeps one systematic
-form of its generator rows G, [G_0^-1 | G_0^-1 G] for their block G_0 at
-the first k positions (``_systematic``), and a reader is one
-``linalg.rref`` of it with the columns of its k base positions first,
-which eliminates only where the base leaves the first k positions.  The
-surviving positions and their reader are kept per code, erased positions
-and ``at`` (``_erasure_plan``), so a repeated erasure pattern is read
-with no per-position loop.  Error (BMD) decoding first reads the word
-through the reader of the code's last error locator (``_bmd_positions``,
-the one mutable slot of a code).  When the codeword read there is within
-the radius of the word, it is the answer.  Otherwise it takes the n-k
-syndromes of the word through one linear map of parity checks
-(``_parity_checks``) and solves the key equation in syndrome form once,
-at the full bounded-minimum-distance radius, for an error locator.  Its
-roots come from its values at every locator, another linear map
-(Chien's search), and are then read as erasures: the reader of the
-first k positions that are not roots, followed by every other position,
-gives the message and the codeword's symbols elsewhere, and the decode
-fails unless they differ from the word only at roots.  The maps are the
-field kernel's ``linear_map``s, one ``bytes.translate`` of a matrix row
-(GF(2^s), q <= 2^8) or one multiply-accumulate (GF(p)) per input
-symbol; codes on the same locators share the first two.  So each BMD
-decode makes at most one elimination besides the reader's one build,
-none when the kept reader answers, and no encode; at the block lengths
-used here one solve at the full radius is plenty, and it never
-miscorrects beyond the radius.  The encoder and both decoders read
-their symbols once by the package's symbol rule
-(``fields.check_symbols``): over GF(p) a symbol outside [0, p) is read
-as its residue, and over any other field it raises SymbolOutsideField."""
+Both decoders read a word through a reader (``_reader``): the linear map
+from a codeword's symbols at k base positions to its message and its
+symbols at further positions, kept per process and code and list of
+positions.  Each code keeps one systematic form of its generator rows G,
+[G_0^-1 | G_0^-1 G] for their block G_0 at the first k positions
+(``_systematic``), and a reader is one ``linalg.rref`` of it with the
+columns of its k base positions first, which eliminates only where the
+base leaves the first k positions.  Erasure decoding reads the first k
+surviving positions, and keeps the surviving positions and their reader
+per code, erased positions and ``at`` (``_erasure_plan``).
+
+Error (BMD) decoding returns the unique codeword within e = (d-1)//2 of
+the word, or fails.  It first reads the word through the reader its
+code keeps for it (``_bmd_kept``), and answers if that codeword is within
+e.  Otherwise it runs Berlekamp-Massey on the n-k syndromes (one linear
+map of parity checks, ``_parity_checks``), finds the error locator's
+roots by one more linear map (Chien's search, ``_locator_values``), takes
+the error values at the roots among the first k positions by Forney's
+formula, and reads the corrected first k symbols through the reader of
+all n positions in order.  So a BMD decode solves no linear system and
+encodes nothing, and a code builds two kinds of reader for it: that of
+all n positions, once, and that of the first k positions outside a set
+of errors, once a later word's syndromes show those errors again.  The
+maps are the field kernel's ``linear_map``s, one ``bytes.translate`` of
+a matrix row (GF(2^s), q <= 2^8) or one multiply-accumulate (GF(p)) per
+input symbol; codes on the same locators share the syndrome and root
+maps.  The encoder and both decoders read their symbols once by the
+package's symbol rule (``fields.check_symbols``): over GF(p) a symbol
+outside [0, p) is read as its residue, and over any other field it
+raises SymbolOutsideField."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import itemgetter
 
 from .errors import (
@@ -57,26 +53,25 @@ from .errors import (
     TooManyErasures,
 )
 from .fields import Field, check_symbols, power_rows
-from .linalg import reduce_with_identity, rref, solve_any
+from .linalg import reduce_with_identity, rref
+# No decode here solves a key equation.  ``solve_any`` stays bound in this
+# module because the benchmark's layer tracing wraps ``grs.solve_any`` by
+# name, until stage tracing moves into the package (ROADMAP item 2).
+from .linalg import solve_any  # noqa: F401
 
 
 @dataclass(frozen=True)
 class GrsCode:
     """RS(n, k, v) over a finite field; its fields are immutable and it is
-    freely shareable.  Besides the tables it builds once, a code keeps
-    one mutable slot, ``_bmd_positions``: the reader positions of its last
-    BMD decode that solved the key equation, which ``bmd_decode`` tries
-    first.  The slot changes no result, only how fast a word decodes, so
-    equal codes decode every word alike whatever their slots hold."""
+    freely shareable.  What it builds once (its tables) and what its
+    decodes keep per process (readers, plans and ``_bmd_kept``) change no
+    result, only how fast a word decodes."""
 
     field: Field
     n: int
     k: int
     locators: tuple
     multipliers: tuple = ()
-
-    # not a dataclass field: equality, hashing and repr ignore it
-    _bmd_positions = None
 
     def __post_init__(self):
         if self.multipliers == ():
@@ -99,9 +94,10 @@ class GrsCode:
                     raise LocatorMismatch(f"{name} {a!r} at position {j} "
                                           f"outside {least}..{q - 1}")
         # the dataclass's hash, of this tuple, computed once: every
-        # ``_reader``, ``_erasure_plan`` and ``_dual_checks`` lookup hashes
-        # its code.  Fields hash their ints, so the hash is the same in
-        # every process, and a pickled code (a worker's) keeps a valid one
+        # ``_reader``, ``_erasure_plan``, ``_bmd_kept`` and ``_dual_checks``
+        # lookup hashes its code.  Fields hash their ints, so the hash is
+        # the same in every process, and a pickled code (a worker's) keeps
+        # a valid one
         object.__setattr__(self, "_hash", hash(
             (self.field, self.n, self.k, locs, mults)))
 
@@ -201,107 +197,128 @@ class GrsCode:
         return out
 
     def bmd_decode(self, word):
-        """Bounded-minimum-distance decoding from the syndromes of the word.
+        """Bounded-minimum-distance decoding.
 
         Returns (message, error_positions) for the unique codeword within
         Hamming distance e = (d-1)//2 of the word, or raises
-        DecodingFailure.
+        DecodingFailure.  A codeword within e is unique: two would lie
+        within 2e < d of each other.  The word is read once on entry by
+        ``fields.check_symbols``, so an unreduced GF(p) word gives its
+        residues' answer.
 
-        The code keeps the positions of one reader (``_bmd_positions``)
-        and reads the word through it first: the k symbols at its base
-        give a codeword, and if that codeword differs from the word at no
-        more than e positions, it is the answer and those positions are
-        the errors.  That is exact: two codewords within e of one word
-        would lie within 2e < d of each other, so a codeword within e is
-        the unique one, which the full decode below returns with the same
-        error positions.  Otherwise, with no positions kept or with more
-        than e differences, the full decode runs and, when it solved the
-        key equation, keeps its reader's positions for the next word.
-        A Byzantine server lies in every block, so a word's errors are
-        nearly always where the code's last decode found them.  Only the
-        full decode solves; the kept positions decide which reader is
-        tried first and never change a result.
+        With u the dual code's multipliers (``_parity_checks``), the n-k
+        syndromes S_i = sum_j u_j a_j^i w_j are those of the error vector:
+        S_i = sum_{j in E} Y_j a_j^i with Y_j = u_j eps_j, where 0^0 = 1,
+        so an error at locator 0 shows in S_0 alone.  The full decode
+        eliminates nothing:
 
-        The n-k syndromes S_i = sum_j u_j a_j^i w_j are the parity checks
-        of the dual code (``_parity_checks``); all zero means a codeword.
-        Otherwise one solve of the Hankel key equation
-        sum_{c<e} E_c S_{i+c} = -S_{i+e}, i < n-k-e (Peterson,
-        Gorenstein-Zierler), gives a monic error locator E of degree e,
-        and its values at every locator (``_locator_values``) give the
-        positions where it vanishes, its roots.  The roots are then
-        erasures: one ``_reader``, of the first k positions that are not
-        roots followed by the other positions in order, reads the message
-        and the codeword at those other positions off the word's k
-        symbols.  The codeword may differ from the word only at roots,
-        which are then the error positions; no encode is needed.  The key
-        equation is the only elimination of a full decode besides the
-        reader's one build per set of positions, kept per process, which
-        eliminates only at the roots among the first k positions.  The
-        word is read once on entry by ``fields.check_symbols``, so an
-        unreduced GF(p) word gives its residues' answer.
+        * With |E| <= e, so 2|E| <= n-k, the shortest linear recurrence
+          that generates S_0..S_{n-k-1} has length L = |E| and the
+          characteristic polynomial Lambda(x) = prod_{j in E} (x - a_j),
+          which Berlekamp-Massey finds (``_berlekamp_massey``).  The
+          decode fails when L > e, or when Lambda has not L roots among
+          the locators (``_locator_values``, Chien's search).
+        * For a root a_j, Q_j = Lambda / (x - a_j) vanishes at every other
+          root, so sum_{i<L} q_i S_i = Y_j Q_j(a_j), where Q_j(a_j) =
+          Lambda'(a_j) is nonzero: Forney's formula (``_error_value``).
+          It gives eps_j = Y_j / u_j at each root among the first k
+          positions.
+        * The codeword read off the corrected first k symbols, through
+          the reader of all n positions in order, is the answer if it
+          differs from the word only at roots, since it then lies within
+          L <= e of it; the positions where it differs are the errors.
 
-        Syndromes, locator values and the reader are each one
-        ``linear_map`` of the field's kernel, built once and applied to the
-        whole vector: over GF(2^s) with q <= 2^8 one ``bytes.translate`` of
-        a matrix row per input symbol, XORed.
+        Whenever a codeword lies within e, every step finds it, so the
+        full decode fails exactly when none does.
 
-        This is the Berlekamp-Welch key equation in syndrome form, with
-        y_j = w_j / v_j: a monic E of degree e admits a Q of degree < k+e
-        with Q(a_j) = y_j E(a_j) at every position iff (y_j E(a_j))_j lies
-        in RS(n, k+e) with unit multipliers, iff its first n-k-e parity
-        checks sum_j lambda_j a_j^i y_j E(a_j) vanish, and those are the
-        Hankel equations.  With at most e errors, every solution has
-        Q/E = f, since Q1*E0 - Q0*E1 has degree < k + 2e <= n and vanishes
-        at all n locators; so E vanishes at every error, the word equals
-        the codeword off the roots, and any k of the at least n-e >= k
-        positions that are not roots read its message.  When no codeword
-        is within e, the check cannot pass: a codeword that differs from
-        the word only at roots would lie within distance |roots| <= e of
-        it.  So every solution gives the same answer as the
-        Berlekamp-Welch solve.
+        Before it, the word is read through a reader its code keeps
+        (``_bmd_kept``), and a codeword within e of the word is the
+        answer: that of all n positions in order, or, when the errors E
+        of the code's last full decode hit its first k positions, that of
+        the first k positions outside E followed by the others.  The
+        latter is built only once a word shows E again: its syndromes are
+        generated by the recurrence of E's locator, which means that a
+        codeword differs from it only within E.  A Byzantine server lies
+        at the same positions block after block, so that reader answers
+        most words of a fixed-server stream, and errors seen once build
+        no reader.
         """
         f = self.field
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
         word = check_symbols(f, word)
-        k, r = self.k, self.n - self.k
-        e = (self.d - 1) // 2
-        kept = self._bmd_positions
-        if kept is not None:
-            message, errors = self._read_off(kept, word)
+        k, e = self.k, (self.d - 1) // 2
+        kept = _bmd_kept(self)
+        plan = kept[2]
+        syndromes = None
+        if plan is None:
+            syndromes = self._parity_checks(word)[:self.n - k]
+            if not any(syndromes):
+                plan = self._plan(range(self.n))
+            elif _generates(f, kept[1], syndromes):
+                others = [j for j in range(self.n) if j not in kept[0]]
+                plan = kept[2] = self._plan(
+                    others[:k] + sorted(kept[0].union(others[k:])))
+        if plan is not None:
+            message, errors = self._read_off(plan, word)
             if len(errors) <= e:
                 return message, errors
+            if syndromes is None:
+                syndromes = self._parity_checks(word)[:self.n - k]
         far = f"no codeword within distance {e} of the received word"
-        syndromes = self._parity_checks(word)[:r]
-        roots = []
-        if any(syndromes):
-            # at e = 0 the rows are empty and the system is inconsistent
-            rows = [syndromes[i:i + e] for i in range(r - e)]
-            locator = solve_any(f, rows,
-                                f.kernel.scale(syndromes[e:], f.neg(1)))
-            if locator is None:
-                raise DecodingFailure(far)
-            values = self._locator_values(locator + [1])
-            roots = [j for j, v in enumerate(values) if v == 0]
-            if not roots:
-                raise DecodingFailure(far)
-        others = [j for j in range(self.n) if j not in roots]
-        positions = tuple(others[:k] + sorted(roots + others[k:]))
-        message, errors = self._read_off(positions, word)
+        locator = _berlekamp_massey(f, syndromes, e)
+        if locator is None:
+            raise DecodingFailure(far)
+        roots = [j for j, v in enumerate(self._locator_values(locator))
+                 if v == 0]
+        if len(roots) != len(locator) - 1:
+            raise DecodingFailure(far)
+        corrected = list(word)
+        for j in roots:
+            if j >= k:
+                break
+            corrected[j] = f.sub(word[j],
+                                 self._error_value(locator, syndromes, j))
+        first = self._plan(range(self.n))
+        message, errors = self._read_off(first, corrected)
+        errors = errors.union([j for j in range(k) if corrected[j] != word[j]])
         if not errors.issubset(roots):
             raise DecodingFailure(far)
-        if roots:
-            object.__setattr__(self, "_bmd_positions", positions)
+        kept[:] = errors, locator, first if roots[0] >= k else None
         return message, errors
 
-    def _read_off(self, positions, word):
-        """(message, positions where the codeword differs from the word)
-        of the codeword that agrees with the word at the first k of
-        ``positions``, read through their ``_reader``."""
+    def _plan(self, positions):
+        """(positions, their ``_reader``) for ``_read_off``."""
+        positions = tuple(positions)
+        return positions, _reader(self, positions)
+
+    def _read_off(self, plan, word):
+        """(message, positions where the codeword differs from the word) of
+        the codeword that agrees with the word at the first k positions of
+        the plan (``_plan``), read through their reader."""
         k = self.k
-        read = _reader(self, positions)([word[j] for j in positions[:k]])
+        positions, reader = plan
+        read = reader([word[j] for j in positions[:k]])
         return read[:k], frozenset([j for j, c in zip(positions[k:], read[k:])
                                     if c != word[j]])
+
+    def _error_value(self, locator, syndromes, j):
+        """The error at position j, a root of the error locator Lambda
+        (coefficients low first), by Forney's formula: the quotient
+        Q = Lambda / (x - a_j), by synthetic division, gives
+        Y_j = sum_i q_i S_i / Q(a_j), and the error is Y_j / u_j."""
+        f = self.field
+        mul, add = f.mul, f.add
+        a = self.locators[j]
+        quotient, q = [], 0         # q_{L-1}, ..., q_0
+        for c in locator[:0:-1]:
+            q = add(c, mul(q, a))
+            quotient.append(q)
+        derivative = 0              # Q(a_j) = Lambda'(a_j), by Horner's rule
+        for q in quotient:
+            derivative = add(mul(derivative, a), q)
+        evaluator = reduce(add, map(mul, reversed(quotient), syndromes))
+        return f.div(mul(evaluator, self._dual_weights[j]), derivative)
 
     @cached_property
     def _parity_checks(self):
@@ -309,7 +326,13 @@ class GrsCode:
         the dual code, whose first n-k entries are the syndromes of w
         (``_dual_checks``, shared by every code on the same locators and
         multipliers)."""
-        return _dual_checks(self.field, self.locators, self.multipliers)
+        return _dual_checks(self.field, self.locators, self.multipliers)[1]
+
+    @cached_property
+    def _dual_weights(self):
+        """(1 / u_j)_j for the multipliers u of the dual code
+        (``_dual_checks``)."""
+        return _dual_checks(self.field, self.locators, self.multipliers)[0]
 
     @cached_property
     def _locator_values(self):
@@ -320,21 +343,19 @@ class GrsCode:
 
 
 # Erasure decoding reads through one set of surviving positions per
-# sub-round and code, and BMD decoding through the first k positions that
-# are not locator roots, followed by the others; the k positions fix the
-# rest, so BMD decoding keeps one reader per code and set of non-roots.
-# A build reduces the code's kept systematic form, whose first k positions
-# are unit columns, so its elimination works only on the base positions
-# outside the first k: for a BMD reader, as many as the roots among them.
-# A reader holds its k rows of n bytes.
+# sub-round and code.  BMD decoding reads through all n positions in
+# order, and through the first k positions outside a set of errors that a
+# later word showed again, followed by the others.  A build reduces the
+# code's kept systematic form, whose first k positions are unit columns,
+# so its elimination works only on the base positions outside the first
+# k.  A reader holds its k rows of n bytes.
 @lru_cache(maxsize=256)
 def _reader(code, positions):
     """The field kernel's linear map from a codeword's symbols at the first
     k of ``positions`` to its message, then its symbols at the other
     positions, in order: ``erasure_decode`` passes the surviving positions
-    followed by the positions it is asked for, and ``bmd_decode`` the first
-    k positions that are not roots of the error locator followed by every
-    other position.
+    followed by the positions it is asked for, and ``bmd_decode`` all n
+    positions, the first k positions outside a set of errors first.
 
     The code keeps the k rows S = [G_0^-1 | G_0^-1 G] (``_systematic``),
     for the generator rows G and their block G_0 at the first k positions;
@@ -358,7 +379,7 @@ def _reader(code, positions):
 # (erased, at) pair of its star-product code, so a scheme keeps one plan
 # per sub-round; 64 plans serve many schemes.  A plan keeps its reader
 # alive after ``_reader`` evicts it, so at most 64 readers outlive the
-# bound of ``_reader``.
+# bound of ``_reader`` here, and as many in ``_bmd_kept``.
 @lru_cache(maxsize=64)
 def _erasure_plan(code, erased, at):
     """(surviving positions, getter of the word's symbols there, reader)
@@ -386,31 +407,91 @@ def _erasure_plan(code, erased, at):
     return surviving, symbols_of, _reader(code, surviving + at)
 
 
+# A scheme's four um codes decode in turn, so 64 codes serve several
+# schemes; an evicted code's next decode reads through all n positions.
+@lru_cache(maxsize=64)
+def _bmd_kept(code):
+    """[the errors E of the code's last full BMD decode, their locator, the
+    plan of the reader its next BMD decode reads through first], which
+    ``bmd_decode`` updates.  The plan is None while E hits the first k
+    positions and no later word has shown E again; at first there are no
+    errors, and the plan reads all n positions in order.  A plan keeps its
+    reader alive after ``_reader`` evicts it."""
+    return [None, None, code._plan(range(code.n))]
+
+
+def _berlekamp_massey(f, syndromes, e):
+    """The error locator of the syndromes, or None if it has degree > e.
+
+    Berlekamp-Massey finds the shortest linear recurrence that generates
+    the syndromes: its length L and connection polynomial C, with C(0) = 1
+    and deg C <= L.  The locator is Lambda(x) = x^L C(1/x), monic of degree
+    L, as a list of coefficients, low first; it has the root 0 when
+    deg C < L.  The length never decreases, so the loop stops as soon as
+    it exceeds e.  A zero term adds nothing and makes no ``Field`` call."""
+    mul, add, sub = f.mul, f.add, f.sub
+    c, prev = [1], [1]
+    length, gap, last = 0, 1, 1
+    for i, d in enumerate(syndromes):
+        for ct, s in zip(c[1:], syndromes[i - 1::-1] if i else ()):
+            if ct and s:
+                d = add(d, mul(ct, s))
+        if d == 0:
+            gap += 1
+            continue
+        scale = f.div(d, last)
+        new = c + [0] * (gap + len(prev) - len(c))
+        for t, b in enumerate(prev, gap):
+            if b:
+                new[t] = sub(new[t], mul(scale, b))
+        if 2 * length <= i:
+            length, prev, last, gap = i + 1 - length, c, d, 1
+            if length > e:
+                return None
+        else:
+            gap += 1
+        c = new
+    return (c + [0] * length)[length::-1]
+
+
+def _generates(f, locator, syndromes):
+    """Whether the linear recurrence of the monic locator Lambda generates
+    the syndromes: sum_t lambda_t S_{i+t} = 0 for every i.  Then, with L
+    distinct roots a_j and L <= (n-k)/2, the syndromes are those of an
+    error vector nonzero only at roots, and the word lies within L of the
+    codeword that differs from it only there."""
+    mul, add = f.mul, f.add
+    width = len(locator)
+    return not any(reduce(add, map(mul, locator, syndromes[i:i + width]))
+                   for i in range(len(syndromes) - width + 1))
+
+
 # A scheme's codes share one locator tuple and two multiplier tuples, so 32
 # locator (and multiplier) tuples are plenty.
 @lru_cache(maxsize=32)
 def _dual_checks(f, locators, multipliers):
-    """The parity checks of the codes RS(n, k, v) on these locators and
-    multipliers, whatever k.
+    """((1 / u_j)_j, parity checks) of the codes RS(n, k, v) on these
+    locators and multipliers, whatever k.
 
     u_j = lambda_j / v_j with lambda_j = 1 / prod_{l != j} (a_j - a_l), and
     row i < n-k of (u_j a_j^i)_j is a parity check of RS(n, k, v):
     sum_j lambda_j g(a_j) is the coefficient of x^(n-1) in the interpolant
     of g, so it vanishes for deg g <= n-2, and with g = m x^i for every
     codeword (v_j m(a_j))_j.  The checks of RS(n, k, v) are thus the first
-    n-k of the n-1 checks of RS(n, 1, v), and the result is the field
-    kernel's linear map w -> (sum_j u_j a_j^i w_j)_{i < n-1}."""
-    u = []
+    n-k of the n-1 checks of RS(n, 1, v), and the second entry is the
+    field kernel's linear map w -> (sum_j u_j a_j^i w_j)_{i < n-1}."""
+    weights = []
     for a, v in zip(locators, multipliers):
         prod = v
         for b in locators:
             if b != a:
                 prod = f.mul(prod, f.sub(a, b))
-        u.append(f.inv(prod))
+        weights.append(prod)
     # no checks at n = 1: the table, and so the map, is empty
     powers = zip(*power_rows(f, locators, len(locators) - 1))
-    return f.kernel.linear_map([f.kernel.scale(column, uj)
-                                for uj, column in zip(u, powers)])
+    return tuple(weights), f.kernel.linear_map(
+        [f.kernel.scale(column, f.inv(w))
+         for w, column in zip(weights, powers)])
 
 
 @lru_cache(maxsize=32)

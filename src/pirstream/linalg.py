@@ -67,6 +67,9 @@ def _echelon(field: Field, rows):
     canonical = check_symbols(field, flat, lambda i: divmod(i, ncols))
     if canonical is not flat:
         m = [canonical[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    # the symbol check's flat copies are not needed past here: released,
+    # the elimination holds one copy of the matrix, not two or three
+    del flat, canonical
     pivots = []
     for col in range(ncols):
         rank = len(pivots)

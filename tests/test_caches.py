@@ -101,15 +101,16 @@ def test_interleaved_trials_match_trials_run_alone(runs):
 
 
 def test_clear_caches_empties_every_cache():
-    # a Byzantine trial with budget errors fills the readers, dual checks
-    # and root maps of its codes and the budget weight counts, and a block
-    # trial the erasure plans, the kept solvers, the peeling tables and the
-    # window ranks
-    caches = (grs._reader, grs._erasure_plan, grs._dual_checks,
-              grs._root_map, linalg._kept_solver, decoder._peeling_tables,
-              recovering._orbit_rank, channels._budget_counts)
+    # a Byzantine trial with budget errors fills the readers, kept BMD
+    # state, dual checks and root maps of its codes and the budget weight
+    # counts, and a block trial the erasure plans, the kept solvers, the
+    # peeling tables and the window ranks
+    caches = (grs._reader, grs._erasure_plan, grs._bmd_kept,
+              grs._dual_checks, grs._root_map, linalg._kept_solver,
+              decoder._peeling_tables, recovering._orbit_rank,
+              channels._budget_counts)
     run_trial(13, 0)
     run_trial(6, 0)
     assert all(cache.cache_info().currsize for cache in caches)
     clear_caches()
-    assert [cache.cache_info().currsize for cache in caches] == [0] * 8
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 9

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
-from pirstream import cli, decoder, grs, linalg
+from pirstream import clear_caches, cli, decoder, grs, linalg
 from pirstream.channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -61,7 +61,7 @@ from pirstream.protocol import (
 from pirstream.rates import min_gamma, rate_block, rate_conv, rate_report
 from pirstream.recovering import build_A, minimal_gamma
 from pirstream.seeds import derive_rng, derive_seed
-from test_grs import count_solves
+from test_grs import count_reader_builds, count_solves
 
 GF16 = Field(2, 4)
 C6 = GrsCode(GF16, 6, 2, tuple(range(1, 7)))
@@ -1231,12 +1231,15 @@ def test_decode_um_linearity_breaks_beyond_the_budget():
 
 # --- kept readers: which reader a BMD decode tries first changes no answer ---
 #
-# bmd_decode reads each word first through its code's kept reader, that of
-# the code's last key-equation solve.  A codeword within the radius of a
-# word is unique, so the kept reader only picks the reader tried first:
-# with every kept reader cleared before each BMD decode, each of which then
-# solves the key equation, every stream decodes to the same stripes or
-# fails with the same error and text.
+# bmd_decode reads each word first through the reader its code keeps
+# (``grs._bmd_kept``): that of all n positions, or that of the first k
+# positions outside the errors its last full decode found, once a later
+# word shows them again.  A codeword within the radius of a word is
+# unique, so the kept state only picks the reader tried first: with every
+# kept state cleared before each BMD decode, each of which then reads
+# through all n positions and runs Berlekamp-Massey if that read fails,
+# every stream decodes to the same stripes or fails with the same error
+# and text.
 
 @pytest.mark.parametrize("path", [BENCH_CONFIGS / "byzantine-budget.ini",
                                   CONFIGS / "byzantine-random-gf16.ini"],
@@ -1261,7 +1264,7 @@ def test_decode_um_answers_alike_with_and_without_kept_readers(path,
     bmd_decode = GrsCode.bmd_decode
 
     def cleared(code, word):
-        object.__setattr__(code, "_bmd_positions", None)
+        grs._bmd_kept.cache_clear()
         return bmd_decode(code, word)
     monkeypatch.setattr(GrsCode, "bmd_decode", cleared)
     solves[0] = 0
@@ -1271,31 +1274,55 @@ def test_decode_um_answers_alike_with_and_without_kept_readers(path,
     assert any(isinstance(got[0], type) for got in kept)
 
 
-def trial_solves(name, monkeypatch):
-    """Key-equation solves of the first five trials of the benchmark
-    config ``name`` at simulate seed 11, each of which must decode."""
-    cfg = load_config(BENCH_CONFIGS / f"{name}.ini")
+def trial_counts(path, trials, monkeypatch):
+    """(Berlekamp-Massey runs, reader builds) of trials 0..trials-1 of the
+    config at ``path`` at simulate seed 11, from empty caches, each of
+    which must decode."""
+    cfg = load_config(path)
     _, _, sch, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, sch)
+    clear_caches()
     solves = count_solves(monkeypatch)
-    for trial in range(5):
+    builds = count_reader_builds(monkeypatch)
+    for trial in range(trials):
         assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]
-    return solves[0]
+    return solves[0], builds[0]
 
 
 def test_splits_and_kept_readers_leave_few_budget_solves(monkeypatch):
     # byzantine-budget's first five trials at simulate seed 11 make 168 BMD
-    # decodes once chain steps and trellis branches are read off splits;
-    # the kept readers spare all but 139 of them their key-equation solve
-    assert trial_solves("byzantine-budget", monkeypatch) <= 150
+    # decodes once chain steps and trellis branches are read off splits.
+    # 149 run Berlekamp-Massey.  The errors move from block to block, so
+    # the four codes build the readers of all n positions and one more, for
+    # the one set of errors that two decodes of a code found in a row,
+    # where a reader per set of errors made 58 builds
+    solves, builds = trial_counts(BENCH_CONFIGS / "byzantine-budget.ini", 5,
+                                  monkeypatch)
+    assert solves <= 150
+    assert builds <= 5
 
 
 def test_kept_readers_leave_few_fixed_solves(monkeypatch):
     # byzantine-fixed's two bad servers lie at the same positions in every
     # block: of its 105 sum decodes in the first five trials at simulate
-    # seed 11, 4 solve the key equation and the rest read the word through
-    # the sum code's kept reader
-    assert trial_solves("byzantine-fixed", monkeypatch) <= 5
+    # seed 11, 4 run Berlekamp-Massey, and each of the 4 sets of errors
+    # they find is confirmed by the next word's syndromes and gets its
+    # reader, which reads the rest of the trial
+    solves, builds = trial_counts(BENCH_CONFIGS / "byzantine-fixed.ini", 5,
+                                  monkeypatch)
+    assert solves <= 5
+    assert builds <= 5
+
+
+def test_budget_errors_at_n_100_build_few_readers(monkeypatch):
+    # at n = 100 budget errors sit at fresh positions in every block: of
+    # the 127 BMD decodes of trials 0-1 at simulate seed 11, 123 run
+    # Berlekamp-Massey, and the four codes build the readers of all n
+    # positions alone, where a reader per set of errors made 73 builds
+    solves, builds = trial_counts(CONFIGS / "byzantine-budget-n100.ini", 2,
+                                  monkeypatch)
+    assert solves <= 123
+    assert builds <= 4
 
 
 # --- splits: a decode that fixes both stripes answers the smaller codes ------

@@ -255,21 +255,26 @@ def test_bmd_radius_random():
 
 def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     # The sum code of the byzantine-fixed benchmark: GF(2^8), n=16, k=9.
-    # Syndromes, elimination, root search and the reader, which gives the
-    # message and the codeword at every other position, run in the field's
-    # kernel, and the parity checks and the reader are built once per
-    # code and set of positions, so no scalar Field.mul call is left per
-    # decode.  One Field.mul call per symbol in the row update made about
-    # 2000 per decode.
+    # Syndromes, root search and the reader, which gives the message and
+    # the codeword at every other position, run in the field's kernel, and
+    # the parity checks and the readers are built once per code and set of
+    # positions.  The scalar Field.mul calls left are Berlekamp-Massey's
+    # and Forney's, on e = 3 errors, two of them among the first k
+    # positions; then the check of the kept locator against the next
+    # word's syndromes; then none.  One Field.mul call per symbol in the
+    # row update of an elimination made about 2000 per decode.
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 9, locs, tuple(f.pow(a, -3) for a in locs))
     rng = random.Random(8)
     msg = [rng.randrange(256) for _ in range(9)]
     word = code.encode(msg)
+    warm = list(word)
+    warm[0] ^= 1
+    warm[5] ^= 1
+    assert code.bmd_decode(warm) == (msg, frozenset({0, 5}))   # warm tables
     for j in (2, 7, 11):
         word[j] ^= 0x5A
-    assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))  # warm tables
     calls = [0]
     mul = Field.mul
 
@@ -277,63 +282,72 @@ def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
         calls[0] += 1
         return mul(self, a, b)
     monkeypatch.setattr(Field, "mul", counted)
-    assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))
-    assert calls[0] <= 100
+    solves = count_solves(monkeypatch)
+    for bound in (100, 100, 0):
+        calls[0] = 0
+        assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))
+        assert calls[0] <= bound
+    assert solves[0] == 1
 
 
 def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
-    # the Hankel key equation is the only solve; a codeword needs none,
-    # and erasure decoding is never called
+    # Berlekamp-Massey is the only key-equation solve: a codeword needs
+    # none and a word with errors one.  No decode calls solve_any or
+    # erasure_decode, or builds a reader besides that of all n positions
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     msg = [5, 0, 11]
     word = code.encode(msg)
-    solves = [0]
-    solve_any = grs.solve_any
-
-    def counted(*args):
-        solves[0] += 1
-        return solve_any(*args)
+    clear_caches()
+    solves = count_solves(monkeypatch)
+    builds = count_reader_builds(monkeypatch)
 
     def refuse(*args):
-        raise AssertionError("bmd_decode called erasure_decode")
-    monkeypatch.setattr(grs, "solve_any", counted)
+        raise AssertionError("bmd_decode called solve_any or erasure_decode")
+    monkeypatch.setattr(grs, "solve_any", refuse)
     monkeypatch.setattr(GrsCode, "erasure_decode", refuse)
     assert code.bmd_decode(word) == (msg, frozenset())
     assert solves[0] == 0
     word[4] ^= 9
-    word[7] ^= 1
-    assert code.bmd_decode(word) == (msg, frozenset({4, 7}))
+    word[1] ^= 1
+    assert code.bmd_decode(word) == (msg, frozenset({1, 4}))
     assert solves[0] == 1
+    assert builds[0] == 1
 
 
 def count_solves(monkeypatch):
-    """A one-entry list that counts the calls of ``grs.solve_any``."""
+    """A one-entry list that counts the key-equation solves: the runs of
+    Berlekamp-Massey, ``grs._berlekamp_massey``."""
     solves = [0]
-    solve_any = grs.solve_any
+    berlekamp_massey = grs._berlekamp_massey
 
     def counted(*args):
         solves[0] += 1
-        return solve_any(*args)
-    monkeypatch.setattr(grs, "solve_any", counted)
+        return berlekamp_massey(*args)
+    monkeypatch.setattr(grs, "_berlekamp_massey", counted)
     return solves
 
 
 def test_bmd_decode_solves_once_for_persistent_errors(monkeypatch):
     # two servers that lie in every block, as in the byzantine-fixed
-    # benchmark's star code: the first word solves the key equation, and
-    # every later word is read through that solve's reader alone
+    # benchmark's star code: the first word runs Berlekamp-Massey, the
+    # second shows the same errors to the kept locator and builds the
+    # reader of the first k positions outside them, and every later word
+    # is read through that reader alone
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 3, locs, tuple(f.pow(a, -3) for a in locs))
     rng = random.Random(4)
+    clear_caches()
     solves = count_solves(monkeypatch)
-    for _ in range(5):
+    builds = count_reader_builds(monkeypatch)
+    for i in range(5):
         msg = [rng.randrange(256) for _ in range(3)]
         word = code.encode(msg)
         for j in (2, 9):
             word[j] ^= rng.randrange(1, 256)
         assert code.bmd_decode(word) == (msg, frozenset({2, 9}))
         assert solves[0] == 1
+        assert builds[0] == (1 if i == 0 else 2)
 
 
 # (field, n, k) of the codes that decode a sequence of words: the star
@@ -347,48 +361,61 @@ SEQUENCE_CODES = {
 }
 
 
+def fresh_decode(code, word):
+    """``decode_or_fail`` of bmd_decode from no kept state, as a new code's
+    first decode runs, leaving what ``grs._bmd_kept`` holds for the code
+    as it was."""
+    kept = list(grs._bmd_kept(code))
+    grs._bmd_kept.cache_clear()
+    try:
+        return decode_or_fail(GrsCode.bmd_decode, code, word)
+    finally:
+        grs._bmd_kept(code)[:] = kept
+
+
 @pytest.mark.parametrize("name", SEQUENCE_CODES)
 def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
         name, monkeypatch):
-    # One code decodes a sequence of words: errors that persist, errors
-    # that move, errors at the base of the kept reader (its first k
-    # positions), codewords, and e + 1 errors off and on that base.  Each
-    # answer, failures included, is the Berlekamp-Welch answer and that of
-    # a fresh code, which keeps no reader; the solve counts pin which
-    # words the kept reader answers.  A kept reader that answered at
-    # distance e + 1 fails at "e+1 off the base", and one that raised
-    # instead of running the full decode fails at "hits the base".
+    # One code decodes a sequence of words, one through each path of the
+    # kept state (``grs._bmd_kept``): errors off the first k positions,
+    # read through the reader of all n positions; errors that hit them,
+    # which run Berlekamp-Massey; a codeword; errors that persist, which
+    # the kept locator confirms and its reader then reads; errors that
+    # move off or onto that reader's base; and e + 1 errors off and on the
+    # first k positions.  Each answer, failures included, is the
+    # Berlekamp-Welch answer and that of a decode from no kept state; the
+    # solve counts pin which words the kept state answers.  A kept reader
+    # that answered at distance e + 1 fails at "e+1 off the first k".
     f, n, k = SEQUENCE_CODES[name]
     rng = random.Random(name)
     code = GrsCode(f, n, k, tuple(rng.sample(range(f.q), n)),
                    tuple(rng.randrange(1, f.q) for _ in range(n)))
     e = (code.d - 1) // 2
+    first, rest = set(range(k)), set(range(k, n))
+    clear_caches()
     solves = count_solves(monkeypatch)
 
     def base():
-        return set(code._bmd_positions[:k])
+        return set(grs._bmd_kept(code)[2][0][:k])
 
-    def off_base(count, avoid=()):
-        spare = set(range(n)) - base() - set(avoid)
-        return set(rng.sample(sorted(spare), count))
+    def pick(count, pool, avoid=()):
+        return set(rng.sample(sorted(set(pool) - set(avoid)), count))
 
-    def on_base(count):
-        hit = set(rng.sample(sorted(base()), min(k, count)))
-        return hit | off_base(count - len(hit), hit)
-
-    persistent = set(rng.sample(range(n), e))
+    persistent = {0} | pick(e - 1, rest)
     # (label, positions to corrupt, key-equation solves or None if either)
     steps = [
         ("first", lambda: persistent, 1),
+        ("codeword", set, 0),
         ("persists", lambda: persistent, 0),
         ("persists", lambda: persistent, 0),
         ("fewer", lambda: set(sorted(persistent)[1:]), 0),
-        ("codeword", set, 0),
-        ("moves", lambda: off_base(e, persistent), 0),
-        ("hits the base", lambda: on_base(e), 1),
-        ("after the move", lambda: off_base(e), 0),
-        ("e+1 off the base", lambda: off_base(e + 1), 1),
-        ("e+1 on the base", lambda: on_base(e + 1), None),
+        ("moves off the base", lambda: pick(e, range(n), base()), 0),
+        ("hits the base", lambda: pick(1, base() & first)
+         | pick(e - 1, rest), 1),
+        ("off the first k", lambda: pick(e, rest), 1),
+        ("again off the first k", lambda: pick(e, rest), 0),
+        ("e+1 off the first k", lambda: pick(e + 1, rest), 1),
+        ("e+1 on the first k", lambda: pick(1, first) | pick(e, rest), None),
         ("back", lambda: persistent, None),
         ("persists", lambda: persistent, 0),
     ]
@@ -406,8 +433,7 @@ def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
         before = solves[0]
         got = decode_or_fail(GrsCode.bmd_decode, code, word)
         solved = solves[0] - before
-        fresh = GrsCode(f, n, k, code.locators, code.multipliers)
-        assert got == decode_or_fail(GrsCode.bmd_decode, fresh, word), label
+        assert got == fresh_decode(code, word), label
         assert got == decode_or_fail(bw_decode, code, reduced), label
         if len(bad) <= e:
             assert got == (msg, frozenset(bad)), label
@@ -433,18 +459,26 @@ def test_bmd_decode_makes_no_encode_call(monkeypatch):
 
 
 def test_bmd_decode_keeps_one_reader_per_set_of_non_roots():
-    # the reader reads the first k non-roots and then every other position
-    # in order, so words whose roots differ beyond those k positions share
-    # one reader; with e = 3 errors the roots are exactly the errors
+    # errors seen once build no reader: words whose errors differ from one
+    # decode to the next all read through the reader of all n positions.
+    # Errors found twice in a row get the reader of the first k positions
+    # outside them, once, which reads the later words with those errors
     clear_caches()
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     msg = [5, 0, 11]
-    for bad in ({7, 8, 9}, {5, 6, 9}, {3, 4, 5}, ()):
+    for bad in ({7, 8, 9}, {0, 6, 9}, {5, 6, 9}, {1, 4, 5}, (),
+                {2, 3, 8}, {1, 5}, {0, 1, 2}):
         word = code.encode(msg)
         for j in bad:
             word[j] ^= 3
         assert code.bmd_decode(word) == (msg, frozenset(bad))
     assert grs._reader.cache_info().currsize == 1
+    for bad in ({0, 1, 2}, {0, 1, 2}, {0, 2}):
+        word = code.encode(msg)
+        for j in bad:
+            word[j] ^= 3
+        assert code.bmd_decode(word) == (msg, frozenset(bad))
+    assert grs._reader.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("f, n, k, values", [
@@ -472,27 +506,29 @@ def test_decoders_reject_symbols_outside_the_field(f, n, k, values):
 
 def test_bmd_split_locator_beyond_radius_fails_the_root_check(monkeypatch):
     # RS(6, 1) over GF(7) corrects e = 2.  This word is at distance >= 3
-    # from every codeword, yet its key-equation locator x^2 + 5x has the
-    # root 2, a locator of the code.  Read with that root erased, the
-    # word gives the zero codeword, which differs from it at 4 positions
-    # that are not roots; without the check that every difference is at
-    # a root the decoder would return that codeword.
+    # from every codeword, yet Berlekamp-Massey gives it the locator
+    # x^2 + 5x, of degree 2 <= e, whose roots are 2, a locator of the code,
+    # and 0, which is none.  The decode fails at the root count; read with
+    # the root 2 erased, the word gives the zero codeword, which differs
+    # from it at 4 positions that are not roots, so the check that every
+    # difference is at a root would fail it too.
     gf7 = Field(7)
     code = GrsCode(gf7, 6, 1, (1, 2, 3, 4, 5, 6))
     word = [0, 0, 1, 2, 4, 3]
     assert all(hamming(word, cw) > 2 for cw in codewords(code))
     locators = []
-    solve_any = grs.solve_any
+    berlekamp_massey = grs._berlekamp_massey
 
     def spy(*args):
-        locators.append(solve_any(*args))
+        locators.append(berlekamp_massey(*args))
         return locators[-1]
-    monkeypatch.setattr(grs, "solve_any", spy)
+    monkeypatch.setattr(grs, "_berlekamp_massey", spy)
+    clear_caches()
     with pytest.raises(DecodingFailure):
         code.bmd_decode(word)
     [locator] = locators
-    roots = [a for a in code.locators
-             if poly_eval(gf7, locator + [1], a) == 0]
+    assert locator == [0, 5, 1]
+    roots = [a for a in code.locators if poly_eval(gf7, locator, a) == 0]
     assert roots == [2]
     with pytest.raises(DecodingFailure):
         bw_decode(code, word)
@@ -579,6 +615,95 @@ def test_bmd_decode_sequences_match_berlekamp_welch(f, data):
         assert got == decode_or_fail(bw_decode, code, word)
         if len(bad) <= e:
             assert got == (msg, frozenset(bad))
+
+
+# (field, n, k), one field per kernel kind; locator 0 is placed among the
+# first k positions, where Forney's formula gives its error value, and past
+# them, where the read of the corrected word does
+LOCATOR_ZERO_CODES = {
+    "GF(2^8)": (Field(2, 8), 16, 4),
+    "GF(13)": (Field(13), 12, 4),
+    "GF(3^2)": (Field(3, 2), 9, 3),
+}
+
+
+@pytest.mark.parametrize("name", LOCATOR_ZERO_CODES)
+def test_bmd_decode_corrects_an_error_at_locator_zero(name, monkeypatch):
+    # The syndromes S_i = sum_j u_j a_j^i eps_j see an error at locator 0
+    # only in S_0 (0^0 = 1), so Berlekamp-Massey finds an LFSR of length L
+    # whose connection polynomial C has degree L - 1, and the locator
+    # x^L C(1/x) has the root 0.  Alone and among other errors, each word
+    # decodes to its message and errors as the Berlekamp-Welch oracle does,
+    # and every word with an error among the first k positions runs
+    # Berlekamp-Massey
+    f, n, k = LOCATOR_ZERO_CODES[name]
+    rng = random.Random(name)
+    e = (n - k) // 2
+    solves = count_solves(monkeypatch)
+    for zero_at in (1, n - 2):
+        locs = rng.sample(range(1, f.q), n - 1)
+        locs.insert(zero_at, 0)
+        code = GrsCode(f, n, k, tuple(locs),
+                       tuple(rng.randrange(1, f.q) for _ in range(n)))
+        alone = [int(j == zero_at) for j in range(n)]
+        syndromes = code._parity_checks(alone)[:n - k]
+        assert syndromes[0] and not any(syndromes[1:])
+        assert grs._berlekamp_massey(f, syndromes, e) == [0, 1]
+        others = [j for j in range(n) if j not in (0, zero_at)]
+        for extra in (set(), {0}, {0} | set(rng.sample(others, e - 2))):
+            bad = {zero_at} | extra
+            msg = [rng.randrange(f.q) for _ in range(k)]
+            word = code.encode(msg)
+            for j in bad:
+                word[j] = f.add(word[j], rng.randrange(1, f.q))
+            clear_caches()
+            before = solves[0]
+            got = code.bmd_decode(word)
+            assert got == (msg, frozenset(bad)), (zero_at, bad)
+            assert got == bw_decode(code, word)
+            if min(bad) < k:
+                assert solves[0] == before + 1
+
+
+@pytest.mark.parametrize("f, n, k", [(Field(2, 8), 100, 31),
+                                     (Field(101), 96, 30)],
+                         ids=["GF(2^8)", "GF(101)"])
+def test_bmd_decode_at_n_100(f, n, k):
+    # RS(100, 31) over GF(2^8) corrects e = 34 errors and RS(96, 30) over
+    # GF(101) e = 33; both have random locators, locator 0 among the first
+    # k.  Every count of random errors up to e decodes exactly, on a fresh
+    # set of positions and, for every fifth count, on the same set again
+    # (read through its reader once the syndromes confirm it); e+1 to e+3
+    # errors raise DecodingFailure or give a codeword within e of the
+    # word, the errors being where the message re-encodes to something
+    # else
+    rng = random.Random(n)
+    locs = rng.sample(range(1, f.q), n - 1)
+    locs.insert(rng.randrange(k), 0)
+    code = GrsCode(f, n, k, tuple(locs),
+                   tuple(rng.randrange(1, f.q) for _ in range(n)))
+    e = (code.d - 1) // 2
+    clear_caches()
+    counts = [c for c in range(e + 1) for _ in range(1 + (c % 5 == 0))]
+    bad = ()
+    for count in counts + [e + 1, e + 2, e + 3] * 6:
+        if len(bad) != count:
+            bad = rng.sample(range(n), count)
+        msg = [rng.randrange(f.q) for _ in range(k)]
+        word = code.encode(msg)
+        for j in bad:
+            word[j] = f.add(word[j], rng.randrange(1, f.q))
+        try:
+            got, errors = code.bmd_decode(word)
+        except DecodingFailure:
+            assert count > e
+            continue
+        if count <= e:
+            assert (got, errors) == (msg, frozenset(bad)), count
+        else:
+            clean = code.encode(got)
+            assert errors == {j for j in range(n) if clean[j] != word[j]}
+            assert len(errors) <= e
 
 
 def erasure_outcome(decode, code, word, erased):
@@ -791,10 +916,11 @@ def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
         assert c.bmd_decode(word) == (msg, frozenset({4}))
         assert c.erasure_decode(word, erased={4}, at=(4,)) == \
             msg + [word[4] ^ 9]
-    # the twin's BMD decode finds the code's reader, and its erasure
-    # decode the code's plan
+    # the twin's BMD decode finds the code's kept state, with the reader of
+    # all n positions, and its erasure decode the code's plan
     assert builds[0] == 2
-    assert grs._reader.cache_info()[:2] == (1, 2)
+    assert grs._reader.cache_info()[:2] == (0, 2)
+    assert grs._bmd_kept.cache_info()[:2] == (1, 1)
     assert grs._erasure_plan.cache_info()[:2] == (1, 1)
     # a code that differs in one field hashes apart from the others
     other = GrsCode(f, 16, 4, code.locators, code.multipliers)
@@ -834,8 +960,10 @@ def test_code_hash_survives_a_pickle_round_trip(monkeypatch):
 
 
 def test_bmd_positions_never_change_the_hash():
-    # the kept reader positions are the one mutable slot of a code and
-    # stay out of its hash and equality
+    # what bmd_decode keeps for a code, the errors of its last full decode
+    # and the reader it reads through first, lives in ``grs._bmd_kept``,
+    # outside the code: decodes change neither its hash nor its equality,
+    # and clear_caches resets it
     code = gf256_code()
     before = hash(code)
     keyed = {code: "found"}
@@ -846,10 +974,13 @@ def test_bmd_positions_never_change_the_hash():
         for j in bad:
             word[j] ^= 0x21
         assert code.bmd_decode(word) == (msg, frozenset(bad))
-        assert code._bmd_positions is not None
         assert hash(code) == before
         assert keyed[code] == "found"
         assert code == gf256_code()
+    assert grs._bmd_kept(code)[0] == {2, 3}
+    assert "_bmd_kept" not in vars(code)
+    clear_caches()
+    assert grs._bmd_kept(code)[:2] == [None, None]
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

@@ -1,9 +1,9 @@
 """What the GF(2^8) linear maps hold, measured with ``tracemalloc``.
 
 A binary-kernel map keeps only its matrix rows, as ``bytes``, so a kept
-solver at the cell cap and the BMD maps of a code at n = 64 each stay
-within a few tens of KiB, where a 256-entry table per row held hundreds
-of KiB to MiB.
+solver at the cell cap and the BMD maps and kept state of a code at
+n = 64 each stay within a few tens of KiB, where a 256-entry table per row
+held hundreds of KiB to MiB.
 """
 
 import random
@@ -48,7 +48,9 @@ def test_a_kept_solver_at_the_cell_cap_is_small():
 
 
 def test_the_bmd_maps_of_a_code_at_n_64_are_small():
-    # the syndrome map, the root map and one reader with its check
+    # the syndrome map with the dual weights, the root map, the reader of
+    # all n positions, and, once a second word shows the same errors, the
+    # reader of the first k positions outside them with the kept state
     code = GrsCode(GF256, 64, 9, tuple(range(1, 65)))
     rng = random.Random(5)
     msg = [rng.randrange(256) for _ in range(9)]
@@ -59,4 +61,6 @@ def test_the_bmd_maps_of_a_code_at_n_64_are_small():
     def decode():
         assert code.bmd_decode(word) == (msg, frozenset({3, 30, 61}))
         assert grs._reader.cache_info().currsize == 1
+        assert code.bmd_decode(word) == (msg, frozenset({3, 30, 61}))
+        assert grs._reader.cache_info().currsize == 2
     assert held(decode) < BUDGET
