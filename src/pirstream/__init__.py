@@ -65,16 +65,18 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every per-process cache of the package: the readers, erasure
-    plans, kept BMD reader positions, dual checks and root maps of GRS codes
-    (``grs``), the kept solvers of ``linalg.solve_unique``, the peeling
-    tables of each plain or block-erasure scheme (``decoder``), the window
-    ranks of ``recovering`` and the budget weight counts of ``channels``.
-    Each is a ``functools.lru_cache`` that bounds itself; clearing one
-    changes no result, only what the next call recomputes.  So after it a
-    code's next BMD decode reads through its first k positions, as its
-    first did.  What a code keeps on itself, its cached tables (generator
-    rows, systematic form, parity checks and locator values), lives as long
-    as the code and changes no result either."""
+    plans, kept BMD state (last errors, their locator and the reader tried
+    first), dual checks and root maps of GRS codes (``grs``), the kept
+    solvers of ``linalg.solve_unique``, the peeling tables of each plain or
+    block-erasure scheme (``decoder``), the window ranks of ``recovering``
+    and the budget weight counts of ``channels``.  Each is a
+    ``functools.lru_cache`` that bounds itself; clearing one changes no
+    result, only what the next call recomputes.  So after it a code's next
+    BMD decode reads through its map of all n positions, as its first
+    did.  What a code keeps on itself, its cached tables
+    (generator rows, systematic form with its map of all n positions,
+    parity checks and locator values), lives as long as the code and
+    changes no result either."""
     for cache in (grs._reader, grs._erasure_plan, grs._bmd_kept,
                   grs._dual_checks, grs._root_map, linalg._kept_solver,
                   decoder._peeling_tables, recovering._orbit_rank,

@@ -25,18 +25,18 @@ e.  Otherwise it runs Berlekamp-Massey on the n-k syndromes (one linear
 map of parity checks, ``_parity_checks``), finds the error locator's
 roots by one more linear map (Chien's search, ``_locator_values``), takes
 the error values at the roots among the first k positions by Forney's
-formula, and reads the corrected first k symbols through the reader of
-all n positions in order.  So a BMD decode solves no linear system and
-encodes nothing, and a code builds two kinds of reader for it: that of
-all n positions, once, and that of the first k positions outside a set
-of errors, once a later word's syndromes show those errors again.  The
-maps are the field kernel's ``linear_map``s, one ``bytes.translate`` of
-a matrix row (GF(2^s), q <= 2^8) or one multiply-accumulate (GF(p)) per
-input symbol; codes on the same locators share the syndrome and root
-maps.  The encoder and both decoders read their symbols once by the
-package's symbol rule (``fields.check_symbols``): over GF(p) a symbol
-outside [0, p) is read as its residue, and over any other field it
-raises SymbolOutsideField."""
+formula, and reads the corrected first k symbols through the code's map
+of all n positions in order (``_first_plan``, the rows of
+``_systematic``).  So a BMD decode solves no linear system and encodes
+nothing, and it builds a reader only for the first k positions outside
+a set of errors, once a later word's syndromes show those errors
+again.  The maps are the field kernel's ``linear_map``s, one
+``bytes.translate`` of a matrix row (GF(2^s), q <= 2^8) or one
+multiply-accumulate (GF(p)) per input symbol; codes on the same locators
+share the syndrome and root maps.  The encoder and both decoders read
+their symbols once by the package's symbol rule
+(``fields.check_symbols``): over GF(p) a symbol outside [0, p) is read
+as its residue, and over any other field it raises SymbolOutsideField."""
 
 from __future__ import annotations
 
@@ -224,17 +224,18 @@ class GrsCode:
           It gives eps_j = Y_j / u_j at each root among the first k
           positions.
         * The codeword read off the corrected first k symbols, through
-          the reader of all n positions in order, is the answer if it
-          differs from the word only at roots, since it then lies within
-          L <= e of it; the positions where it differs are the errors.
+          the code's map of all n positions (``_first_plan``), is the
+          answer if it differs from the word only at roots, since it
+          then lies within L <= e of it; the positions where it differs
+          are the errors.
 
         Whenever a codeword lies within e, every step finds it, so the
         full decode fails exactly when none does.
 
         Before it, the word is read through a reader its code keeps
         (``_bmd_kept``), and a codeword within e of the word is the
-        answer: that of all n positions in order, or, when the errors E
-        of the code's last full decode hit its first k positions, that of
+        answer: the map of all n positions, or, when the errors E of the
+        code's last full decode hit its first k positions, the reader of
         the first k positions outside E followed by the others.  The
         latter is built only once a word shows E again: its syndromes are
         generated by the recurrence of E's locator, which means that a
@@ -254,11 +255,12 @@ class GrsCode:
         if plan is None:
             syndromes = self._parity_checks(word)[:self.n - k]
             if not any(syndromes):
-                plan = self._plan(range(self.n))
+                plan = self._first_plan
             elif _generates(f, kept[1], syndromes):
                 others = [j for j in range(self.n) if j not in kept[0]]
-                plan = kept[2] = self._plan(
-                    others[:k] + sorted(kept[0].union(others[k:])))
+                positions = tuple(others[:k]
+                                  + sorted(kept[0].union(others[k:])))
+                plan = kept[2] = positions, _reader(self, positions)
         if plan is not None:
             message, errors = self._read_off(plan, word)
             if len(errors) <= e:
@@ -279,7 +281,7 @@ class GrsCode:
                 break
             corrected[j] = f.sub(word[j],
                                  self._error_value(locator, syndromes, j))
-        first = self._plan(range(self.n))
+        first = self._first_plan
         message, errors = self._read_off(first, corrected)
         errors = errors.union([j for j in range(k) if corrected[j] != word[j]])
         if not errors.issubset(roots):
@@ -287,15 +289,22 @@ class GrsCode:
         kept[:] = errors, locator, first if roots[0] >= k else None
         return message, errors
 
-    def _plan(self, positions):
-        """(positions, their ``_reader``) for ``_read_off``."""
-        positions = tuple(positions)
-        return positions, _reader(self, positions)
+    @cached_property
+    def _first_plan(self):
+        """The plan of all n positions in order for ``_read_off``: the
+        positions and the map from the symbols x_0 at the first k of them
+        to the message x_0 G_0^-1 and the codeword x_0 G_0^-1 G at the
+        others, read off the rows of ``_systematic`` with no elimination.
+        It is the map ``_reader`` builds for these positions."""
+        k = self.k
+        return tuple(range(self.n)), self.field.kernel.linear_map(
+            [row[:k] + row[2 * k:] for row in self._systematic])
 
     def _read_off(self, plan, word):
         """(message, positions where the codeword differs from the word) of
-        the codeword that agrees with the word at the first k positions of
-        the plan (``_plan``), read through their reader."""
+        the codeword that agrees with the word at the first k of the plan's
+        positions, read through the plan's map: a pair (positions, their
+        ``_reader``), or ``_first_plan``."""
         k = self.k
         positions, reader = plan
         read = reader([word[j] for j in positions[:k]])
@@ -343,12 +352,11 @@ class GrsCode:
 
 
 # Erasure decoding reads through one set of surviving positions per
-# sub-round and code.  BMD decoding reads through all n positions in
-# order, and through the first k positions outside a set of errors that a
-# later word showed again, followed by the others.  A build reduces the
-# code's kept systematic form, whose first k positions are unit columns,
-# so its elimination works only on the base positions outside the first
-# k.  A reader holds its k rows of n bytes.
+# sub-round and code.  BMD decoding reads through the first k positions
+# outside a set of errors that a later word showed again, followed by the
+# others.  A build reduces the code's kept systematic form, whose first k
+# positions are unit columns, so its elimination works only on the base
+# positions outside the first k.  A reader holds its k rows of n bytes.
 @lru_cache(maxsize=256)
 def _reader(code, positions):
     """The field kernel's linear map from a codeword's symbols at the first
@@ -415,9 +423,9 @@ def _bmd_kept(code):
     plan of the reader its next BMD decode reads through first], which
     ``bmd_decode`` updates.  The plan is None while E hits the first k
     positions and no later word has shown E again; at first there are no
-    errors, and the plan reads all n positions in order.  A plan keeps its
-    reader alive after ``_reader`` evicts it."""
-    return [None, None, code._plan(range(code.n))]
+    errors, and the plan is ``_first_plan``.  A plan keeps its reader
+    alive after ``_reader`` evicts it."""
+    return [None, None, code._first_plan]
 
 
 def _berlekamp_massey(f, syndromes, e):

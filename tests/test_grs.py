@@ -293,7 +293,8 @@ def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
 def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
     # Berlekamp-Massey is the only key-equation solve: a codeword needs
     # none and a word with errors one.  No decode calls solve_any or
-    # erasure_decode, or builds a reader besides that of all n positions
+    # erasure_decode, or builds a reader: both read through the code's
+    # map of all n positions, which needs no elimination
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     msg = [5, 0, 11]
     word = code.encode(msg)
@@ -311,7 +312,7 @@ def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
     word[1] ^= 1
     assert code.bmd_decode(word) == (msg, frozenset({1, 4}))
     assert solves[0] == 1
-    assert builds[0] == 1
+    assert builds[0] == 0
 
 
 def count_solves(monkeypatch):
@@ -347,7 +348,7 @@ def test_bmd_decode_solves_once_for_persistent_errors(monkeypatch):
             word[j] ^= rng.randrange(1, 256)
         assert code.bmd_decode(word) == (msg, frozenset({2, 9}))
         assert solves[0] == 1
-        assert builds[0] == (1 if i == 0 else 2)
+        assert builds[0] == (0 if i == 0 else 1)
 
 
 # (field, n, k) of the codes that decode a sequence of words: the star
@@ -378,7 +379,7 @@ def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
         name, monkeypatch):
     # One code decodes a sequence of words, one through each path of the
     # kept state (``grs._bmd_kept``): errors off the first k positions,
-    # read through the reader of all n positions; errors that hit them,
+    # read through the map of all n positions; errors that hit them,
     # which run Berlekamp-Massey; a codeword; errors that persist, which
     # the kept locator confirms and its reader then reads; errors that
     # move off or onto that reader's base; and e + 1 errors off and on the
@@ -460,9 +461,10 @@ def test_bmd_decode_makes_no_encode_call(monkeypatch):
 
 def test_bmd_decode_keeps_one_reader_per_set_of_non_roots():
     # errors seen once build no reader: words whose errors differ from one
-    # decode to the next all read through the reader of all n positions.
-    # Errors found twice in a row get the reader of the first k positions
-    # outside them, once, which reads the later words with those errors
+    # decode to the next all read through the code's map of all n
+    # positions.  Errors found twice in a row get the reader of the first
+    # k positions outside them, once, which reads the later words with
+    # those errors
     clear_caches()
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     msg = [5, 0, 11]
@@ -472,13 +474,13 @@ def test_bmd_decode_keeps_one_reader_per_set_of_non_roots():
         for j in bad:
             word[j] ^= 3
         assert code.bmd_decode(word) == (msg, frozenset(bad))
-    assert grs._reader.cache_info().currsize == 1
+    assert grs._reader.cache_info().currsize == 0
     for bad in ({0, 1, 2}, {0, 1, 2}, {0, 2}):
         word = code.encode(msg)
         for j in bad:
             word[j] ^= 3
         assert code.bmd_decode(word) == (msg, frozenset(bad))
-    assert grs._reader.cache_info().currsize == 2
+    assert grs._reader.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("f, n, k, values", [
@@ -916,10 +918,10 @@ def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
         assert c.bmd_decode(word) == (msg, frozenset({4}))
         assert c.erasure_decode(word, erased={4}, at=(4,)) == \
             msg + [word[4] ^ 9]
-    # the twin's BMD decode finds the code's kept state, with the reader of
-    # all n positions, and its erasure decode the code's plan
-    assert builds[0] == 2
-    assert grs._reader.cache_info()[:2] == (0, 2)
+    # the twin's BMD decode finds the code's kept state, and its erasure
+    # decode the code's plan, whose reader is the one build
+    assert builds[0] == 1
+    assert grs._reader.cache_info()[:2] == (0, 1)
     assert grs._bmd_kept.cache_info()[:2] == (1, 1)
     assert grs._erasure_plan.cache_info()[:2] == (1, 1)
     # a code that differs in one field hashes apart from the others
@@ -956,7 +958,9 @@ def test_code_hash_survives_a_pickle_round_trip(monkeypatch):
     word[11] ^= 1
     assert code.bmd_decode(word) == (msg, frozenset({11}))
     assert copy.bmd_decode(word) == (msg, frozenset({11}))
-    assert builds[0] == 1
+    # the copy finds the code's kept BMD state; neither builds a reader
+    assert grs._bmd_kept.cache_info()[:2] == (1, 1)
+    assert builds[0] == 0
 
 
 def test_bmd_positions_never_change_the_hash():
