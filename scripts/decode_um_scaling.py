@@ -5,8 +5,9 @@ fixed corrupted servers) at every ell in --ells and n in --ns, through the
 same trial path as ``pirstream simulate``, and times only the
 ``decoder.decode_um`` call of each trial.  It also counts the BMD decodes
 (``GrsCode.bmd_decode``), the Berlekamp-Massey runs
-(``grs._berlekamp_massey``) and the reader builds (``grs._reader``
-misses) the trials make, from empty caches.  Prints a Markdown table
+(``grs._berlekamp_massey``) and the reader builds (the ``rref`` calls
+``grs`` makes, one per ``grs._reader`` build) the trials make, from empty
+caches.  Prints a Markdown table
 whose cells read "median ms per trial / BMD decodes / BM runs / reader
 builds", the counts summed over the trials, and checks that every trial
 decodes.
@@ -33,10 +34,11 @@ def decode_um_cell(n, ell, trials, seed):
     _, _, scheme, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, scheme)
     times = []
-    counts = {"bmd": 0, "bm": 0}
+    counts = {"bmd": 0, "bm": 0, "builds": 0}
     decode_um = decoder.decode_um
     bmd_decode = grs.GrsCode.bmd_decode
     berlekamp_massey = grs._berlekamp_massey
+    rref = grs.rref
 
     def timed(stream, scheme):
         t0 = perf_counter()
@@ -52,9 +54,14 @@ def decode_um_cell(n, ell, trials, seed):
     def counted_bm(*args):
         counts["bm"] += 1
         return berlekamp_massey(*args)
+
+    def counted_rref(*args):
+        counts["builds"] += 1
+        return rref(*args)
     decoder.decode_um = timed
     grs.GrsCode.bmd_decode = counted_bmd
     grs._berlekamp_massey = counted_bm
+    grs.rref = counted_rref
     clear_caches()
     try:
         for trial in range(trials):
@@ -65,8 +72,9 @@ def decode_um_cell(n, ell, trials, seed):
         decoder.decode_um = decode_um
         grs.GrsCode.bmd_decode = bmd_decode
         grs._berlekamp_massey = berlekamp_massey
+        grs.rref = rref
     return (1000 * statistics.median(times), counts["bmd"], counts["bm"],
-            grs._reader.cache_info().misses)
+            counts["builds"])
 
 
 def main():

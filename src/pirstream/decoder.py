@@ -54,7 +54,7 @@ from .errors import (
     UncorrectablePattern,
 )
 from .fields import check_symbols
-from .grs import _erasure_plan
+from .grs import _reader
 from .linalg import reduce_with_identity, solve_unique
 from .protocol import BLOCK, BYZANTINE, ERASED, PLAIN, PirScheme, ResponseStream
 
@@ -177,12 +177,12 @@ def _peeling_tables(scheme: PirScheme):
       * E b, for the right-hand side b: the desired combination u at every
         support position minus the known stripes' share of it.
     Each step is linear in those inputs: the star reader of each sub-round
-    (``erasure_decode``'s, with its sub-support erased and read), u, the
-    word minus that reading on the sub-support, and b, u minus the kept
-    coefficients' dot with each stripe.  So the map's row for a word
-    symbol is the image of that unit input under those steps (``image``),
-    and the row for a stripe symbol is minus its coefficients in the
-    reduced tables.  The erasure checks come in the order in which
+    (``grs._reader`` of its survivors followed by its sub-support, built
+    once here), u, the word minus that reading on the sub-support, and b,
+    u minus the kept coefficients' dot with each stripe.  So the map's row
+    for a word symbol is the image of that unit input under those steps
+    (``image``), and the row for a stripe symbol is minus its coefficients
+    in the reduced tables.  The erasure checks come in the order in which
     ``erasure_decode`` compares the survivors, sub-round by sub-round, so
     the first nonzero one is at the position it names.
     """
@@ -197,17 +197,20 @@ def _peeling_tables(scheme: PirScheme):
     rank, e = reduce_with_identity(f, raw[0])
     times_e = f.kernel.linear_map(list(zip(*e)))       # v -> E v
     by_lag = tuple(list(zip(*map(times_e, zip(*table)))) for table in raw)
-    plans = [_erasure_plan(star, part, part) for part in scheme.sub_supports]
-    checked = [j for surviving, _, _ in plans for j in surviving[base:]]
+    survivors = [[j for j in range(n) if j not in part]
+                 for part in scheme.sub_supports]
+    reads = [_reader(star, surviving + list(part))
+             for surviving, part in zip(survivors, scheme.sub_supports)]
+    checked = [j for surviving in survivors for j in surviving[base:]]
     words = scheme.rounds * n
 
     def image(x):
         checks, u = [], []
-        for r, (part, (surviving, symbols_of, read)) in enumerate(
-                zip(scheme.sub_supports, plans)):
+        for r, (part, surviving, read) in enumerate(
+                zip(scheme.sub_supports, survivors, reads)):
             word = x[r * n:(r + 1) * n]
-            got = symbols_of(word)
-            out = read(list(got[:base]))
+            got = [word[j] for j in surviving]
+            out = read(got[:base])
             checks += map(f.sub, out[base:len(surviving)], got[base:])
             u += map(f.sub, [word[j] for j in part], out[len(surviving):])
         return checks + times_e(u)

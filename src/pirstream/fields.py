@@ -728,12 +728,10 @@ def check_symbols(field: Field, symbols, where=None):
 
     With q <= 256 the symbols are checked as one ``bytes``, which takes
     ints in [0, 256) only, stripped of the field's symbols
-    (``Field._symbol_bytes``): 0.8 us for 57 symbols and 11 us for 1,568,
-    where a ``min`` and a ``max`` took 2.5 and 47 us (timeit, 2-CPU Intel
-    Xeon).  Past 256 they go, 4,096 at a time, into an ``array`` of
-    unsigned 8-byte items, which takes ints in [0, 2^64) only, and its
-    largest is compared with q: as fast as a ``min`` and a ``max``, with
-    no copy of a paper-scale matrix."""
+    (``Field._symbol_bytes``).  Past 256 they go, 4,096 at a time, into an
+    ``array`` of unsigned 8-byte items, which takes ints in [0, 2^64)
+    only, and its largest is compared with q, with no copy of a
+    paper-scale matrix."""
     q = field.q
     try:
         if q > 256:

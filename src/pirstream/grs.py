@@ -9,14 +9,13 @@ generator rows (v_j a_j^i)_j, i < k, which a code keeps once as
 
 Both decoders read a word through a reader (``_reader``): the linear map
 from a codeword's symbols at k base positions to its message and its
-symbols at further positions, kept per process and code and list of
-positions.  Each code keeps one systematic form of its generator rows G,
-[G_0^-1 | G_0^-1 G] for their block G_0 at the first k positions
-(``_systematic``), and a reader is one ``linalg.rref`` of it with the
-columns of its k base positions first, which eliminates only where the
-base leaves the first k positions.  Erasure decoding reads the first k
-surviving positions, and keeps the surviving positions and their reader
-per code, erased positions and ``at`` (``_erasure_plan``).
+symbols at further positions.  Each code keeps one systematic form of its
+generator rows G, [G_0^-1 | G_0^-1 G] for their block G_0 at the first k
+positions (``_systematic``), and a reader is one ``linalg.rref`` of it
+with the columns of its k base positions first, which eliminates only
+where the base leaves the first k positions.  Erasure decoding builds the
+reader of the first k surviving positions once per call; the peeling
+decoders build one per sub-round of a scheme (``decoder._peeling_tables``).
 
 Error (BMD) decoding returns the unique codeword within e = (d-1)//2 of
 the word, or fails.  It first reads the word through the reader its
@@ -63,9 +62,9 @@ from .linalg import solve_any  # noqa: F401
 @dataclass(frozen=True)
 class GrsCode:
     """RS(n, k, v) over a finite field; its fields are immutable and it is
-    freely shareable.  What it builds once (its tables) and what its
-    decodes keep per process (readers, plans and ``_bmd_kept``) change no
-    result, only how fast a word decodes."""
+    freely shareable.  What it builds once (its tables) and what its BMD
+    decodes keep per process (``_bmd_kept``) change no result, only how
+    fast a word decodes."""
 
     field: Field
     n: int
@@ -94,10 +93,9 @@ class GrsCode:
                     raise LocatorMismatch(f"{name} {a!r} at position {j} "
                                           f"outside {least}..{q - 1}")
         # the dataclass's hash, of this tuple, computed once: every
-        # ``_reader``, ``_erasure_plan``, ``_bmd_kept`` and ``_dual_checks``
-        # lookup hashes its code.  Fields hash their ints, so the hash is
-        # the same in every process, and a pickled code (a worker's) keeps
-        # a valid one
+        # ``_bmd_kept`` lookup hashes its code.  Fields hash their ints, so
+        # the hash is the same in every process, and a pickled code (a
+        # worker's) keeps a valid one
         object.__setattr__(self, "_hash", hash(
             (self.field, self.n, self.k, locs, mults)))
 
@@ -162,33 +160,36 @@ class GrsCode:
         ``erased``.  The message solves the Vandermonde system
         sum_i m_i a_j^i = w_j / v_j on the first k surviving positions j;
         distinct locators make the solution unique.  One linear map of
-        those k symbols (``_reader``, kept per set of surviving positions
-        followed by ``at``) gives the message, the codeword's symbols at
-        the other surviving positions, and its symbols at ``at``, erased
-        or not, in the order given.  Each surviving symbol must equal the
-        word's, so that corrupted non-codewords are reported instead of
-        silently decoded.  With ``at`` empty the result is the message
-        alone.  The surviving symbols are read by ``fields.check_symbols``,
-        so over GF(p) each is compared as its residue.
+        those k symbols (``_reader`` of the surviving positions followed
+        by ``at``, built once per call) gives the message, the codeword's
+        symbols at the other surviving positions, and its symbols at
+        ``at``, erased or not, in the order given.  Each surviving symbol
+        must equal the word's, so that corrupted non-codewords are
+        reported instead of silently decoded.  With ``at`` empty the
+        result is the message alone.  The surviving symbols are read by
+        ``fields.check_symbols``, which names each by its position, so
+        over GF(p) each is compared as its residue.
 
-        The surviving positions, a getter of their symbols and the reader
-        are kept per code, ``erased`` and ``at`` (``_erasure_plan``), so a
-        word without ``None`` entries is read with no per-position Python
-        loop: one getter call, one map application and one comparison of
-        the surviving symbols.  A word with ``None`` entries is read
-        through the plan of ``erased`` followed by its ``None`` positions.
+        An ``erased`` position outside the word raises LengthMismatch,
+        then more than n-k erasures TooManyErasures, then an ``at``
+        position outside the word LengthMismatch.
         """
-        if len(word) != self.n:
-            raise LengthMismatch(f"word length {len(word)} != n={self.n}")
+        n, k = self.n, self.k
+        if len(word) != n:
+            raise LengthMismatch(f"word length {len(word)} != n={n}")
         erased = tuple(erased or ())
-        if None in word:
-            erased += tuple(j for j, w in enumerate(word) if w is None)
-        surviving, symbols_of, read = _erasure_plan(self, erased, tuple(at))
-        symbols = check_symbols(self.field, symbols_of(word),
+        _check_positions(erased, n)
+        gone = set(erased).union(j for j, w in enumerate(word) if w is None)
+        if len(gone) > n - k:
+            raise TooManyErasures(f"{len(gone)} erasures > n-k = {n - k}")
+        at = tuple(at)
+        _check_positions(at, n)
+        surviving = tuple(j for j in range(n) if j not in gone)
+        symbols = check_symbols(self.field, [word[j] for j in surviving],
                                 surviving.__getitem__)
-        k, s = self.k, len(surviving)
-        out = read(symbols[:k])
-        if out[k:s] != list(symbols[k:]):
+        s = len(surviving)
+        out = _reader(self, surviving + at)(symbols[:k])
+        if out[k:s] != symbols[k:]:
             j = next(j for j, w, expect in zip(surviving[k:], symbols[k:],
                                                out[k:s]) if expect != w)
             raise InconsistentWord(
@@ -351,19 +352,20 @@ class GrsCode:
         return _root_map(self.field, self.locators)
 
 
-# Erasure decoding reads through one set of surviving positions per
-# sub-round and code.  BMD decoding reads through the first k positions
-# outside a set of errors that a later word showed again, followed by the
-# others.  A build reduces the code's kept systematic form, whose first k
-# positions are unit columns, so its elimination works only on the base
-# positions outside the first k.  A reader holds its k rows of n bytes.
-@lru_cache(maxsize=256)
+# Erasure decoding builds the reader of its surviving positions on every
+# call, and the peeling tables one per sub-round of a scheme.  BMD decoding
+# keeps the reader of the first k positions outside a set of errors that a
+# later word showed again (``_bmd_kept``).  A build reduces the code's kept
+# systematic form, whose first k positions are unit columns, so its
+# elimination works only on the base positions outside the first k.  A
+# reader holds its k rows of n bytes.
 def _reader(code, positions):
     """The field kernel's linear map from a codeword's symbols at the first
     k of ``positions`` to its message, then its symbols at the other
-    positions, in order: ``erasure_decode`` passes the surviving positions
-    followed by the positions it is asked for, and ``bmd_decode`` all n
-    positions, the first k positions outside a set of errors first.
+    positions, in order: ``erasure_decode`` and the peeling tables pass
+    the surviving positions followed by the positions they read, and
+    ``bmd_decode`` all n positions, the first k positions outside a set of
+    errors first.
 
     The code keeps the k rows S = [G_0^-1 | G_0^-1 G] (``_systematic``),
     for the generator rows G and their block G_0 at the first k positions;
@@ -383,36 +385,10 @@ def _reader(code, positions):
     return code.field.kernel.linear_map([row[k:] for row in reduced])
 
 
-# A decoder erasure-decodes each sub-round of a block through one fixed
-# (erased, at) pair of its star-product code, so a scheme keeps one plan
-# per sub-round; 64 plans serve many schemes.  A plan keeps its reader
-# alive after ``_reader`` evicts it, so at most 64 readers outlive the
-# bound of ``_reader`` here, and as many in ``_bmd_kept``.
-@lru_cache(maxsize=64)
-def _erasure_plan(code, erased, at):
-    """(surviving positions, getter of the word's symbols there, reader)
-    of ``erasure_decode`` on ``code`` with the positions ``erased`` erased
-    and the codeword read at ``at``: the reader is ``_reader`` of the
-    surviving positions followed by ``at``.
-
-    Raises TooManyErasures, then LengthMismatch for an ``at`` outside the
-    word, as ``erasure_decode`` reports them; an error is not kept."""
-    n, k = code.n, code.k
-    erased = set(erased)
-    if len(erased) > n - k:
-        raise TooManyErasures(f"{len(erased)} erasures > n-k = {n - k}")
-    if at and (min(at) < 0 or max(at) >= n):
-        raise LengthMismatch(f"positions {at} outside 0..{n - 1}")
-    surviving = tuple(j for j in range(n) if j not in erased)
-    if len(surviving) > 1:
-        symbols_of = itemgetter(*surviving)
-    else:
-        # one position: itemgetter would give the symbol, not a tuple
-        j = surviving[0]
-
-        def symbols_of(word):
-            return (word[j],)
-    return surviving, symbols_of, _reader(code, surviving + at)
+def _check_positions(positions, n):
+    """Raise LengthMismatch if a position lies outside 0..n-1."""
+    if positions and (min(positions) < 0 or max(positions) >= n):
+        raise LengthMismatch(f"positions {positions} outside 0..{n - 1}")
 
 
 # A scheme's four um codes decode in turn, so 64 codes serve several
@@ -423,8 +399,7 @@ def _bmd_kept(code):
     plan of the reader its next BMD decode reads through first], which
     ``bmd_decode`` updates.  The plan is None while E hits the first k
     positions and no later word has shown E again; at first there are no
-    errors, and the plan is ``_first_plan``.  A plan keeps its reader
-    alive after ``_reader`` evicts it."""
+    errors, and the plan is ``_first_plan``."""
     return [None, None, code._first_plan]
 
 

@@ -10,9 +10,7 @@ and the solvers read their answer off an ``rref``.  Over an exact field
 there are no tolerance questions.  Every solve and rank in the package
 runs here: the decoders' window and support solves, the systematic
 form each GRS code keeps and the readers that GRS decoding reduces from
-it (one per code and set of positions read), the Hankel key-equation
-solve of GRS error decoding, the rank of the recovering matrix A and the
-collusion audit's ranks.
+it, the rank of the recovering matrix A and the collusion audit's ranks.
 
 ``solve_unique`` is called again and again with the same few coefficient
 matrices (the decoders' window systems recur from burst to burst and

@@ -1314,6 +1314,25 @@ def test_kept_readers_leave_few_fixed_solves(monkeypatch):
     assert builds <= 4
 
 
+@pytest.mark.parametrize("path, trials, builds", [
+    (BENCH_CONFIGS / "burst-window.ini", 30, 1),
+    (CONFIGS / "block-two-rounds.ini", 5, 2),
+    (BENCH_CONFIGS / "plain-stream.ini", 10, 1),
+], ids=["burst-window", "block-two-rounds", "plain-stream"])
+def test_peeling_builds_one_reader_per_sub_round(path, trials, builds,
+                                                 monkeypatch, capsys):
+    # simulate at seed 11, from empty caches: the peeling tables build each
+    # sub-round's star reader once per scheme, and every block reads
+    # through the scheme's one map, so no block builds a reader, and no
+    # cache of readers would hide one that did
+    clear_caches()
+    counted = count_reader_builds(monkeypatch)
+    assert cli.main(["simulate", "--config", str(path), "--seed", "11",
+                     "--trials", str(trials), "--workers", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert counted[0] == builds
+
+
 def test_budget_errors_at_n_100_build_few_readers(monkeypatch):
     # at n = 100 budget errors sit at fresh positions in every block: of
     # the 127 BMD decodes of trials 0-1 at simulate seed 11, 123 run

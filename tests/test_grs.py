@@ -459,13 +459,14 @@ def test_bmd_decode_makes_no_encode_call(monkeypatch):
     assert code.bmd_decode(noisy) == (msg, frozenset({4, 7}))
 
 
-def test_bmd_decode_keeps_one_reader_per_set_of_non_roots():
+def test_bmd_decode_keeps_one_reader_per_set_of_non_roots(monkeypatch):
     # errors seen once build no reader: words whose errors differ from one
     # decode to the next all read through the code's map of all n
     # positions.  Errors found twice in a row get the reader of the first
     # k positions outside them, once, which reads the later words with
     # those errors
     clear_caches()
+    builds = count_reader_builds(monkeypatch)
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     msg = [5, 0, 11]
     for bad in ({7, 8, 9}, {0, 6, 9}, {5, 6, 9}, {1, 4, 5}, (),
@@ -474,13 +475,13 @@ def test_bmd_decode_keeps_one_reader_per_set_of_non_roots():
         for j in bad:
             word[j] ^= 3
         assert code.bmd_decode(word) == (msg, frozenset(bad))
-    assert grs._reader.cache_info().currsize == 0
+    assert builds[0] == 0
     for bad in ({0, 1, 2}, {0, 1, 2}, {0, 2}):
         word = code.encode(msg)
         for j in bad:
             word[j] ^= 3
         assert code.bmd_decode(word) == (msg, frozenset(bad))
-    assert grs._reader.cache_info().currsize == 1
+    assert builds[0] == 1
 
 
 @pytest.mark.parametrize("f, n, k, values", [
@@ -798,59 +799,34 @@ def count_reader_builds(monkeypatch):
     return calls
 
 
-def test_erasure_decode_builds_one_inverse_per_pattern(monkeypatch):
-    # one reader build per code and set of surviving positions, however
-    # many words are decoded on it; the errors are raised as before
-    clear_caches()
+def test_erasure_decode_builds_one_reader_per_call(monkeypatch):
+    # each call builds the reader of its surviving positions once, however
+    # often its pattern recurs, and a call that raises before it reads the
+    # word builds none; the errors are raised as before
     calls = count_reader_builds(monkeypatch)
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     rng = random.Random(5)
-    for _ in range(6):
+    for i in range(6):
         msg = [rng.randrange(16) for _ in range(3)]
         word = code.encode(msg)
         assert code.erasure_decode(word, erased={0, 4}) == msg
         word[0] = None
         assert code.erasure_decode(word, erased={4}) == msg
-    assert calls[0] == 1
+        assert calls[0] == 2 * (i + 1)
     word = code.encode([1, 2, 3])
     word[9] ^= 1
     with pytest.raises(InconsistentWord, match="position 9"):
         code.erasure_decode(word, erased={0, 4})
+    assert calls[0] == 13
     with pytest.raises(TooManyErasures):
         code.erasure_decode(word, erased=set(range(8)))
-    assert calls[0] == 1
+    with pytest.raises(LengthMismatch):
+        code.erasure_decode(word, erased={10})
+    with pytest.raises(LengthMismatch):
+        code.erasure_decode(word, at=(10,))
+    assert calls[0] == 13
     assert code.erasure_decode(code.encode([1, 2, 3])) == [1, 2, 3]
-    assert calls[0] == 2
-    # an equal code reads through the same maps
-    twin = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
-    assert twin is not code
-    assert twin.erasure_decode(code.encode([1, 2, 3])) == [1, 2, 3]
-    assert calls[0] == 2
-    # a code on the same locators with other multipliers does not
-    other = GrsCode(GF16, 10, 3, tuple(range(1, 11)), (2,) * 10)
-    assert other.erasure_decode(other.encode([1, 2, 3])) == [1, 2, 3]
-    assert calls[0] == 3
-
-
-def test_erasure_decode_cache_is_bounded(monkeypatch):
-    # past 256 sets of surviving positions the least recently read reader
-    # goes and is rebuilt when next read
-    assert grs._reader.cache_info().maxsize == 256
-    clear_caches()
-    calls = count_reader_builds(monkeypatch)
-    code = GrsCode(GF16, 12, 2, tuple(range(1, 13)))
-    word = code.encode([7, 9])
-    patterns = [erased for r in (2, 3)
-                for erased in itertools.combinations(range(12), r)][:257]
-    for erased in patterns:
-        assert code.erasure_decode(word, erased=erased) == [7, 9]
-    assert calls[0] == 257
-    assert grs._reader.cache_info().currsize == 256
-    assert code.erasure_decode(word, erased=patterns[-1]) == [7, 9]
-    assert calls[0] == 257
-    assert code.erasure_decode(word, erased=patterns[0]) == [7, 9]
-    assert calls[0] == 258
-    assert grs._reader.cache_info().currsize == 256
+    assert calls[0] == 14
 
 
 # one field per kernel kind, with 1- and 2-byte symbols on the scalar one
@@ -901,7 +877,8 @@ def gf256_code():
 
 def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
     # the hash is computed once, from the tuple of fields the dataclass
-    # hashes, so equal codes built apart find each other's readers
+    # hashes, so equal codes built apart find each other's kept BMD state
+    # with its reader
     clear_caches()
     builds = count_reader_builds(monkeypatch)
     code = gf256_code()
@@ -916,14 +893,15 @@ def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
     word[4] ^= 9
     for c in (code, twin):
         assert c.bmd_decode(word) == (msg, frozenset({4}))
+    # the twin's BMD decode finds the code's kept state and reads through
+    # its map of all n positions, which needs no build
+    assert builds[0] == 0
+    assert grs._bmd_kept.cache_info()[:2] == (1, 1)
+    # each erasure decode builds its own reader, and they read alike
+    for c in (code, twin):
         assert c.erasure_decode(word, erased={4}, at=(4,)) == \
             msg + [word[4] ^ 9]
-    # the twin's BMD decode finds the code's kept state, and its erasure
-    # decode the code's plan, whose reader is the one build
-    assert builds[0] == 1
-    assert grs._reader.cache_info()[:2] == (0, 1)
-    assert grs._bmd_kept.cache_info()[:2] == (1, 1)
-    assert grs._erasure_plan.cache_info()[:2] == (1, 1)
+    assert builds[0] == 2
     # a code that differs in one field hashes apart from the others
     other = GrsCode(f, 16, 4, code.locators, code.multipliers)
     assert other != code
@@ -989,16 +967,18 @@ def test_bmd_positions_never_change_the_hash():
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_erasure_decode_reports_errors_in_order(warm):
-    # None entries, ``erased`` and ``at`` combine into one kept plan of
-    # erasure_decode; whatever plans exist, the first of LengthMismatch for
-    # the word, TooManyErasures, LengthMismatch for at, SymbolOutsideField
-    # and InconsistentWord that applies is the one raised
+    # None entries, ``erased`` and ``at`` combine into the erasures and
+    # positions of one erasure_decode call; after decodes on the same
+    # code or none, the first of LengthMismatch for the word,
+    # LengthMismatch for erased, TooManyErasures, LengthMismatch for at,
+    # SymbolOutsideField and InconsistentWord that applies is the one
+    # raised
     clear_caches()
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))    # 7 erasures at most
     msg = [5, 0, 11]
     word = code.encode(msg)
     if warm:
-        # the plans of every (erased, at) below, read without error
+        # every (erased, at) below, read without error
         for erased in ((1, 2, 3), (1, 2, 3, 4, 5)):
             assert code.erasure_decode(word, erased=erased, at=(0,)) == \
                 msg + [word[0]]
@@ -1009,7 +989,10 @@ def test_erasure_decode_reports_errors_in_order(warm):
     within = [None if j in (4, 5) else w for j, w in enumerate(bad)]
     for _ in range(2):
         with pytest.raises(LengthMismatch, match="word length 9"):
-            code.erasure_decode(too_many[:9], erased={1, 2, 3}, at=(10,))
+            code.erasure_decode(too_many[:9], erased={50}, at=(10,))
+        # an erased position outside the word comes before the count
+        with pytest.raises(LengthMismatch, match=r"positions \(50,\)"):
+            code.erasure_decode(too_many, erased={50}, at=(10,))
         # 5 None entries and 3 erased positions: 8 erasures, although the
         # 3 erased alone are within the budget
         with pytest.raises(TooManyErasures, match="8 erasures"):
@@ -1025,3 +1008,13 @@ def test_erasure_decode_reports_errors_in_order(warm):
         assert code.erasure_decode(within, erased=(3, 2, 1), at=(0,)) == \
             msg + [word[0]]
         within[8], within[9] = bad[8], bad[9]
+    # erased positions outside 0..n-1 raise as such positions in ``at``
+    # do, where they would decode, or count as erasures of the word
+    gf13 = GrsCode(Field(13), 10, 3, tuple(range(1, 11)))
+    clean = gf13.encode(msg)
+    for erased, at, shown in (({50}, (), (50,)), ({-1}, (), (-1,)),
+                              (range(10, 18), (), tuple(range(10, 18))),
+                              ((), (10,), (10,))):
+        with pytest.raises(LengthMismatch) as info:
+            gf13.erasure_decode(clean, erased=erased, at=at)
+        assert str(info.value) == f"positions {shown} outside 0..9"
