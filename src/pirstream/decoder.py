@@ -22,11 +22,15 @@ reduced row echelon form.  The coefficients of every stripe lag at the
 support positions are kept premultiplied by the same E, so the reduced
 equations of a block whose own stripe is the only unknown are that
 stripe and its checks: a clean stretch makes no erasure decode and no
-solve.  Any other intact block becomes one record, its coefficient
-fragments and reduced right-hand sides, and the records are stacked
-into one system per solve attempt; ``linalg.solve_unique`` eliminates
-each distinct system below its cell cap once per process.  Peeling
-encodes no stripe.  Each decoder first checks that the stream has the
+solve.  Any other intact block becomes one record: the block, the run
+of unknown stripes it touches and its reduced right-hand sides.  The
+matrix of a solve attempt is fixed by its pattern, the number of
+unknowns and each record's block and run counted from the oldest
+unknown stripe, so the scheme's table of patterns answers it
+(``_solve_pattern``): a pattern's first sight is stacked and solved as
+[A | b], its second keeps the reduction of A as one map, and every later
+sight is one lookup and one map, with no matrix built.  Peeling encodes
+no stripe.  Each decoder first checks that the stream has the
 scheme's n, memory and sub-rounds.  The erasure rule that
 ``recover_window`` enforces, and that ``ErasureSchedule.is_valid``
 reports, lives in ``_erasure_violation``.
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     DecodingFailure,
@@ -53,9 +57,9 @@ from .errors import (
     ShapeMismatch,
     UncorrectablePattern,
 )
-from .fields import check_symbols
+from .fields import _ScalarKernel, check_symbols
 from .grs import _reader
-from .linalg import reduce_with_identity, solve_unique
+from .linalg import raise_unless_unique, reduce_with_identity, solve_unique
 from .protocol import BLOCK, BYZANTINE, ERASED, PLAIN, PirScheme, ResponseStream
 
 logger = logging.getLogger(__name__)
@@ -154,8 +158,8 @@ def _block_symbols(scheme: PirScheme, parts) -> list:
 
 @lru_cache(maxsize=32)
 def _peeling_tables(scheme: PirScheme):
-    """(by_lag, rank, checked, read) of a plain or block-erasure scheme,
-    built once per scheme.
+    """(by_lag, rank, checked, read, patterns) of a plain or block-erasure
+    scheme, built once per scheme.
 
     Before the reduction, entry i of ``by_lag[z]`` is the tuple of the k
     coefficients of stripe s - z in block s's desired combination at the
@@ -185,6 +189,11 @@ def _peeling_tables(scheme: PirScheme):
     in the reduced tables.  The erasure checks come in the order in which
     ``erasure_decode`` compares the survivors, sub-round by sub-round, so
     the first nonzero one is at the position it names.
+
+    ``patterns`` is the scheme's table of window patterns, filled by
+    ``_solve_pattern`` as ``_peel`` meets them: pattern -> None once seen,
+    then (rank, map b -> E b).  It is the scheme's own, so it goes with
+    this entry.
     """
     f = scheme.field
     star = scheme.star_code()
@@ -218,7 +227,76 @@ def _peeling_tables(scheme: PirScheme):
     rows = [image([int(c == i) for c in range(words)]) for i in range(words)]
     rows += [[0] * len(checked) + [f.sub(0, coeffs[r]) for coeffs in table]
              for table in by_lag[1:] for r in range(k)]
-    return by_lag, rank, checked, f.kernel.linear_map(rows)
+    return by_lag, rank, checked, f.kernel.linear_map(rows), {}
+
+
+# The most cells of [A | I] a kept pattern may have: a 32 x 32 system, or
+# a taller one with fewer unknowns.  Keeping a pattern eliminates [A | I],
+# wider than [A | b], and its map has one lane per entry of E, rows^2 in
+# all, so past the cap a kept map costs more to build and to hold than the
+# eliminations it saves.
+_KEPT_CELLS = 32 * 64
+# The most patterns one scheme's table holds, the oldest dropped first: a
+# scheme's bursts leave few patterns (26 in 30 burst-window trials at
+# simulate seed 11).
+_KEPT_PATTERNS = 64
+
+
+def _stack(by_lag, k: int, pattern) -> list:
+    """The coefficient matrix A of a pattern of pending blocks.
+
+    A pattern is (the number of unknown stripes, one (s, lo, hi) per
+    pending record), each number relative to the oldest unknown stripe:
+    block s touches the run lo..hi of unknown stripes.  A record gives
+    one row per support position, which holds the reduced coefficients
+    of lags s - lo down to s - hi at the columns of stripes lo..hi, k
+    columns per stripe, oldest first.
+    """
+    count, records = pattern
+    rows = []
+    for s, lo, hi in records:
+        pad, tail = [0] * (lo * k), [0] * ((count - 1 - hi) * k)
+        lags = range(s - lo, s - hi - 1, -1)
+        rows += [pad + [c for z in lags for c in by_lag[z][i]] + tail
+                 for i in range(len(by_lag[0]))]
+    return rows
+
+
+def _solve_pattern(field, patterns: dict, pattern, cols: int, b, stack):
+    """The x of A x = b, for A = ``stack(pattern)``, a matrix with ``cols``
+    columns and one row per entry of b, through the table ``patterns``
+    of one scheme; raises as ``linalg.solve_unique`` does.
+
+    The first sight of a pattern is one ``solve_unique`` of [A | b], and
+    marks it seen (None).  The second is one ``reduce_with_identity`` of
+    A, which gives its rank and an E that takes A to its reduced row
+    echelon form, and keeps (rank, the field kernel's map b -> E b).
+    That and every later sight read the answer off E b: b is consistent
+    iff its entries from the rank on are zero, and x is its first cols
+    entries.  So a pattern seen once builds no map, and a kept one is
+    stacked no more.  The table holds ``_KEPT_PATTERNS`` patterns, and
+    the oldest seen goes first.  A system whose [A | I] has more than
+    ``_KEPT_CELLS`` cells, or over a field with the scalar kernel, whose
+    maps are one dot per column and no faster than [A | b], is stacked
+    and solved on every sight and leaves the table as it is.
+    """
+    rows = len(b)
+    if (rows * (rows + cols) > _KEPT_CELLS
+            or isinstance(field.kernel, _ScalarKernel)):
+        return solve_unique(field, stack(pattern), b)
+    if pattern not in patterns:
+        if len(patterns) >= _KEPT_PATTERNS:
+            del patterns[next(iter(patterns))]
+        patterns[pattern] = None
+        return solve_unique(field, stack(pattern), b)
+    kept = patterns[pattern]
+    if kept is None:
+        rank, e = reduce_with_identity(field, stack(pattern))
+        kept = patterns[pattern] = rank, field.kernel.linear_map(list(zip(*e)))
+    rank, solver = kept
+    x = solver(b)
+    raise_unless_unique(not any(x[rank:]), rank, cols)
+    return x[:cols]
 
 
 def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFile:
@@ -237,48 +315,35 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     right-hand side``, as the solve does.  Such a stripe is ``direct``,
     so a clean stretch makes no erasure decode and no solve.
 
-    Any other intact block becomes one record: the first unknown stripe
-    it touches, one coefficient fragment per support position over the
-    run of unknown stripes it touches, which are the kept reduced tuples
-    of its lag when there is one such stripe, and E b.  No solve can
-    change what is known while the block waits, so the record holds as
-    read until a solve clears it.  After every intact block the pending
-    records are solved for all unknowns at once: the rows are counted
-    first, and only a system with enough of them is stacked, a block's
-    fragments at once when they span every unknown, else each at its
-    column offset.  The same stacked systems recur from burst to burst
-    and from trial to trial, and ``solve_unique`` keeps what one
-    elimination of each gives, so a repeated attempt, failed or not,
-    makes no elimination below its cell cap.  A stripe solved from its
-    own block alone is ``direct``, any other is ``window-solved``.  Once
-    the oldest unknown stripe is ``window - 1`` blocks behind, a failed
-    solve is final.  Intact termination blocks with nothing unknown must
-    reduce to zero.
+    Any other intact block becomes one record (s, lo, hi, E b): lo..hi
+    is the run of unknown stripes block s touches, from the oldest
+    unknown stripe or s - M, whichever is later, to s or ell.  No solve
+    can change what is known while the block waits, so the record holds
+    as read until a solve clears it, and the oldest unknown stripe stays
+    where it was.  After every intact block the pending records are
+    solved for all unknowns at once: the rows are counted first, and
+    only a system with enough of them is attempted.  An attempt's A is
+    fixed by its pattern, the number of unknowns and each record's
+    (s, lo, hi) relative to the oldest unknown stripe, and its b is the
+    records' E b in order; the same patterns recur from burst to burst
+    and from trial to trial, so the scheme's table (``_solve_pattern``)
+    solves a pattern's first sight as [A | b], keeps its reduction on the
+    second, and from then on an attempt, failed or not, is one key, one
+    lookup and one map, with no matrix built (``_stack``).  A stripe
+    solved from its own block alone is ``direct``, any other is
+    ``window-solved``.  Once the oldest unknown stripe is ``window - 1``
+    blocks behind, a failed solve is final.  Intact termination blocks
+    with nothing unknown must reduce to zero.
     """
-    f = scheme.field
     k, ell, memory = scheme.k, stream.ell, scheme.memory
-    by_lag, rank, checked, read = _peeling_tables(scheme)
+    by_lag, rank, checked, read, patterns = _peeling_tables(scheme)
     cut, positions, full = len(checked), len(by_lag[0]), rank == k
+    stack = partial(_stack, by_lag, k)
     zero = (0,) * k
     known: dict[int, tuple] = {}
     provenance: dict[int, str] = {}
     unknown: list[int] = []
-    # (block, first unknown stripe touched, fragments, right-hand sides)
-    pending: list[tuple[int, int | None, list, list]] = []
-
-    def equations(s, rhs):
-        """Block s's record; each fragment runs over the unknown stripes
-        the block touches, oldest first, and is the kept coefficient
-        tuple when there is one such stripe."""
-        lags = [s - prev for prev in range(max(s - memory, 1), min(s, ell) + 1)
-                if prev not in known]
-        if len(lags) == 1:
-            fragments = by_lag[lags[0]]
-        else:
-            fragments = [[c for z in lags for c in by_lag[z][i]]
-                         for i in range(positions)]
-        first = s - lags[0] if lags else None
-        return s, first, fragments, rhs
+    pending: list[tuple[int, int, int, list]] = []   # (s, lo, hi, E b)
 
     def solve(deadline: bool):
         cols = k * len(unknown)
@@ -293,21 +358,14 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
                 raise UncorrectablePattern(
                     f"stripes {unknown} ran out of equations")
             return
-        rows, rhs = [], []
-        for _, first, fragments, acc in pending:
-            width = len(fragments[0])
-            if width == cols:
-                rows += fragments
-            else:
-                at = (first - unknown[0]) * k if width else 0
-                for fragment in fragments:
-                    row = [0] * cols
-                    row[at: at + width] = fragment
-                    rows.append(row)
-            rhs += acc
+        u0 = unknown[0]
+        pattern = (len(unknown), tuple((s - u0, lo - u0, hi - u0)
+                                       for s, lo, hi, _ in pending))
         last = pending[-1][0]
         try:
-            sol = solve_unique(f, rows, rhs)
+            sol = _solve_pattern(scheme.field, patterns, pattern, cols,
+                                 [x for *_, rhs in pending for x in rhs],
+                                 stack)
         except RankDeficient:
             if deadline:
                 raise
@@ -342,7 +400,9 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
                 provenance[xi] = DIRECT
                 unknown.clear()
                 continue
-            pending.append(equations(xi, out[cut:]))
+            # with nothing unknown the run is empty and only E b is read
+            lo = max(xi - memory, unknown[0]) if unknown else xi + 1
+            pending.append((xi, lo, min(xi, ell), out[cut:]))
         due = bool(unknown) and xi >= unknown[0] + window - 1
         if intact or due:
             solve(due)
@@ -371,7 +431,7 @@ def _erasure_violation(erased, stream_len: int, window: int, eps: int):
     The rule: every erased block lies in 1..stream_len, every burst of
     consecutive erasures is at most eps blocks long, and every window of
     ``window`` consecutive blocks, clipped at the stream end, holds at
-    most eps erasures.
+    most eps erasures.  The windows take one pass over the stream.
     """
     erased = set(erased)
     for b in sorted(erased):
@@ -384,10 +444,12 @@ def _erasure_violation(erased, stream_len: int, window: int, eps: int):
             run += 1
         if run > eps:
             return f"burst of {run} erasures at block {b} exceeds eps={eps}"
-    # a clipped window starting later is contained in the last full one
+    # one count slides over the stream: the window at start gains block
+    # start + window - 1 and loses block start - 1.  A clipped window
+    # starting later is contained in the last full one
+    cnt = sum(1 for b in erased if b < window)
     for start in range(1, max(stream_len - window, 0) + 2):
-        end = min(start + window, stream_len + 1)
-        cnt = sum(1 for b in range(start, end) if b in erased)
+        cnt += (start + window - 1 in erased) - (start - 1 in erased)
         if cnt > eps:
             return f"{cnt} erasures in the {window}-block window at {start}"
     return None

@@ -11,24 +11,10 @@ there are no tolerance questions.  Every solve and rank in the package
 runs here: the decoders' window and support solves, the systematic
 form each GRS code keeps and the readers that GRS decoding reduces from
 it, the rank of the recovering matrix A and the collusion audit's ranks.
-
-``solve_unique`` is called again and again with the same few coefficient
-matrices (the decoders' window systems recur from burst to burst and
-from trial to trial), so it keeps, per process, what one ``rref`` of
-[A | I] gives for each A (``reduce_with_identity``): the rank and one
-linear map of the field's kernel from b to E b, a left inverse's x
-followed by the left-null-space checks, in a ``functools.lru_cache``
-keyed by the field, the shape and the bytes of A (``_kept_solver``):
-those of an ``array`` of its symbols in the narrowest unsigned typecode
-that holds them (``_typecode``, worked out once per field order),
-packed row by row by one ``struct.Struct`` of the row length, so a
-ragged A fails to pack and raises ShapeMismatch naming its first row of
-the wrong length, as the elimination does.  A repeated A costs that
-packing, one map application and no elimination.  Systems larger than
-``_SOLVER_CELLS``, every system over a field with the scalar kernel, and
-every A that does not pack (a ragged row, or a symbol outside the
-typecode), are reduced as [A | b] on every call, as ``solve_any`` always
-is.
+Nothing here is kept from one call to the next: ``solve_unique`` reduces
+[A | b] on every call, and a caller that meets the same A again keeps
+its own reduction (``reduce_with_identity``), as the window decoder
+keeps one per pattern of pending blocks (``decoder._solve_pattern``).
 
 The row update ``row -= f * prow`` and the pivot-row scaling run through
 the field's kernel (``Field.kernel``, see ``fields``): per pivot, the
@@ -39,13 +25,10 @@ row that needs it, with table or mod-p arithmetic inline instead of one
 
 from __future__ import annotations
 
-import struct
-from array import array
-from functools import lru_cache
-from itertools import chain, starmap
+from itertools import chain
 
 from .errors import InconsistentSystem, RankDeficient, ShapeMismatch
-from .fields import Field, _ScalarKernel, check_symbols
+from .fields import Field, check_symbols
 
 
 def _echelon(field: Field, rows):
@@ -151,66 +134,14 @@ def reduce_with_identity(field: Field, a):
     return rank, [row[n:] for row in reduced]
 
 
-# The most cells of [A | I] a kept solver may have: a 32 x 32 system, or a
-# taller one with fewer unknowns.  A miss eliminates [A | I], wider than
-# [A | b], and the kept map has one lane per entry of E, rows^2 in all, so
-# past the cap a kept solver costs more to build and to hold than the
-# eliminations it saves.
-_SOLVER_CELLS = 32 * 64
-
-
-# (how many values the items hold, typecode) of the unsigned ``array``
-# typecodes, narrowest first, read once at import
-_WIDTHS = tuple((1 << 8 * array(t).itemsize, t) for t in "BHIQ")
-
-
-def _typecode(field: Field):
-    """The narrowest unsigned ``array`` typecode that holds every symbol,
-    or None past 8 bytes."""
-    return next((t for bound, t in _WIDTHS if field.q <= bound), None)
-
-
-def _solver(field: Field, a, rows: int, cols: int):
-    """The kept (rank, solver map) of A (``_kept_solver``), or
-    None when [A | I] has more than ``_SOLVER_CELLS`` cells, its symbols do
-    not fit 8 bytes, the field has the scalar kernel or A does not pack.
-
-    The scalar kernel's maps are one dot per column, so a hit there costs
-    as much as reducing [A | b], and its fields (odd-characteristic
-    extensions and GF(2^s) past 2^8) keep no solver."""
-    typecode = _typecode(field)
-    if (rows * (rows + cols) > _SOLVER_CELLS or typecode is None
-            or isinstance(field.kernel, _ScalarKernel)):
-        return None
-    # one struct pack per row gives the bytes array(typecode, ...).tobytes()
-    # gives, faster, and fails on a row without cols entries, where one pack
-    # of all rows would solve a ragged A with rows x cols symbols in all as
-    # the re-flowed matrix.  An A that does not pack is left to the [A | b]
-    # elimination, which reads its rows; a packed entry outside [0, q) is
-    # read on the miss, by ``reduce_with_identity``, so a hit is always on
-    # an A whose symbols were read.
-    try:
-        data = b"".join(starmap(struct.Struct(f"{cols}{typecode}").pack, a))
-    except struct.error:
-        return None
-    return _kept_solver(field, rows, cols, data)
-
-
-# A scheme's window systems recur from burst to burst, so few distinct
-# matrices are solved per scheme; 64 serve several schemes.
-@lru_cache(maxsize=64)
-def _kept_solver(field: Field, rows: int, cols: int, data: bytes):
-    """(rank, solver map) of the rows x cols matrix A whose symbols, as
-    ``array`` items of ``_typecode``, are the bytes ``data``, from one
-    ``reduce_with_identity``: the solver map is the field kernel's linear
-    map b -> E b.  Entry r < rank of E b is the r-th pivot's unknown of
-    the solution, if there is one (with full column rank, x is the first
-    cols entries), and the entries from rank on are the left-null-space
-    checks of b, all zero iff A x = b has a solution."""
-    flat = array(_typecode(field), data)
-    a = [flat[r * cols:(r + 1) * cols].tolist() for r in range(rows)]
-    rank, e = reduce_with_identity(field, a)
-    return rank, field.kernel.linear_map(list(zip(*e)))
+def raise_unless_unique(consistent: bool, rank: int, cols: int) -> None:
+    """Raise as ``solve_unique`` does for a system in ``cols`` unknowns
+    whose coefficient matrix has column rank ``rank``: InconsistentSystem
+    if it has no solution, else RankDeficient if rank < cols."""
+    if not consistent:
+        raise InconsistentSystem("no solution: inconsistent right-hand side")
+    if rank < cols:
+        raise RankDeficient(f"column rank {rank} < {cols}")
 
 
 def solve_unique(field: Field, a, b):
@@ -218,30 +149,12 @@ def solve_unique(field: Field, a, b):
 
     Raises ShapeMismatch if the rows of A differ in length or b has not
     m entries, else InconsistentSystem if the equations are contradictory,
-    else RankDeficient if A has column rank < n.
-
-    Below the cell cap the answer is read off one application of the
-    solver map kept for A (``_solver``) to b, read by
-    ``fields.check_symbols``: b is inconsistent iff a check, an entry
-    from the rank on, is nonzero, and x is the first cols entries.  Above
-    it, [A | b] is reduced.
+    else RankDeficient if A has column rank < n.  Each call reduces
+    [A | b] once.
     """
     _check_rhs(a, b)
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    entry = _solver(field, a, rows, cols)
-    if entry is None:
-        x, rank = _solve_augmented(field, a, b)
-        consistent = x is not None
-    else:
-        rank, solver = entry
-        x = solver(check_symbols(field, b))
-        consistent = not any(x[rank:])
-        del x[cols:]
-    if not consistent:
-        raise InconsistentSystem("no solution: inconsistent right-hand side")
-    if rank < cols:
-        raise RankDeficient(f"column rank {rank} < {cols}")
+    x, rank = _solve_augmented(field, a, b)
+    raise_unless_unique(x is not None, rank, len(a[0]) if a else 0)
     return x
 
 

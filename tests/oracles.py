@@ -6,13 +6,7 @@ route: with the scalar ``Field`` methods, by enumeration, or through an
 equivalent criterion.
 """
 
-from pirstream.decoder import (
-    DIRECT,
-    TRELLIS,
-    WINDOW,
-    RecoveredFile,
-    _erasure_violation,
-)
+from pirstream.decoder import DIRECT, TRELLIS, WINDOW, RecoveredFile
 from pirstream.errors import (
     DecodingFailure,
     InconsistentBlock,
@@ -340,15 +334,35 @@ def recover_plain(stream, scheme):
     return peel(stream, scheme, window=1)
 
 
+def erasure_violation(erased, stream_len, window, eps):
+    """``decoder._erasure_violation`` by enumeration: the erased blocks in
+    order, each checked for its place in the stream and, if it starts a
+    burst, for the burst's length, then every window start from 1 to the
+    stream end, each window's erasures counted afresh.  A window that
+    starts past the last full one is clipped at the stream end, so it
+    lies in that one and never breaks the rule first."""
+    erased = set(erased)
+    for b in sorted(erased):
+        if not 1 <= b <= stream_len:
+            return f"block {b} outside the stream of {stream_len} blocks"
+        run = next(r for r in range(len(erased) + 1) if b + r not in erased)
+        if b - 1 not in erased and run > eps:
+            return f"burst of {run} erasures at block {b} exceeds eps={eps}"
+    for start in range(1, stream_len + 1):
+        cnt = len([b for b in erased if start <= b < start + window])
+        if cnt > eps:
+            return f"{cnt} erasures in the {window}-block window at {start}"
+    return None
+
+
 def recover_window(stream, scheme):
-    """``decoder.recover_window`` on ``peel``; the erasure rule is the
-    library's one checker."""
+    """``decoder.recover_window`` on ``peel`` and ``erasure_violation``."""
     if scheme.variant != BLOCK:
         raise InvalidParams("recover_window needs the block-erasure variant")
     erased = [xi for xi in range(1, len(stream.blocks) + 1)
               if stream.block(xi).status == ERASED]
-    reason = _erasure_violation(erased, len(stream.blocks), scheme.window,
-                                scheme.burst)
+    reason = erasure_violation(erased, len(stream.blocks), scheme.window,
+                               scheme.burst)
     if reason is not None:
         raise UncorrectablePattern(reason)
     return peel(stream, scheme, scheme.window)

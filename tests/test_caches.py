@@ -17,8 +17,8 @@ over streams of one length.
 
 from hypothesis import given, settings, strategies as st
 
-from pirstream import (channels, clear_caches, cli, decoder, grs, linalg,
-                       protocol, recovering)
+from pirstream import (channels, clear_caches, cli, decoder, grs, protocol,
+                       recovering)
 from pirstream.fields import parse_field_spec
 from pirstream.grs import GrsCode
 from pirstream.recovering import build_A
@@ -100,16 +100,29 @@ def test_interleaved_trials_match_trials_run_alone(runs):
         assert outcome[0], SCHEMES[index]
 
 
-def test_clear_caches_empties_every_cache():
+def test_clear_caches_empties_every_cache(monkeypatch):
     # a Byzantine trial with budget errors fills the kept BMD state, dual
     # checks and root maps of its codes and the budget weight counts, and
-    # a block trial the kept solvers, the peeling tables and the window
-    # ranks
+    # a block trial the peeling tables, with the scheme's table of window
+    # patterns, and the window ranks
     caches = (grs._bmd_kept, grs._dual_checks, grs._root_map,
-              linalg._kept_solver, decoder._peeling_tables,
-              recovering._orbit_rank, channels._budget_counts)
+              decoder._peeling_tables, recovering._orbit_rank,
+              channels._budget_counts)
+    tables = []
+    solve = decoder._solve_pattern
+
+    def spy(field, patterns, *rest):
+        tables.append(patterns)
+        return solve(field, patterns, *rest)
+    monkeypatch.setattr(decoder, "_solve_pattern", spy)
     run_trial(13, 0)
     run_trial(6, 0)
     assert all(cache.cache_info().currsize for cache in caches)
+    kept = tables[0]
+    assert kept and all(table is kept for table in tables)
     clear_caches()
-    assert [cache.cache_info().currsize for cache in caches] == [0] * 7
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 6
+    # the scheme's next trial starts a table of its own
+    tables.clear()
+    run_trial(6, 0)
+    assert tables and tables[0] is not kept

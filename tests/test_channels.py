@@ -14,12 +14,14 @@ from pirstream.channels import (
     gen_error_schedule,
     unrank_budget_weights,
 )
-from pirstream.decoder import UmDistanceProfile, check_guarantee
+from pirstream.decoder import UmDistanceProfile, _erasure_violation, check_guarantee
 from pirstream.errors import ChannelGeneratorError, InvalidParams
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
 from pirstream.protocol import ERASED, ERRORED, byzantine_scheme, random_files, run_protocol, storage_encode
 from pirstream.seeds import derive_rng, derive_seed
+
+import oracles
 
 GF16 = Field(2, 4)
 C10 = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
@@ -73,6 +75,22 @@ def test_schedule_validity():
     short = gen_burst_patterns(3, 2, 6, 2, "exhaustive")
     assert short_dense not in short
     assert all(len(p.erased) <= 2 for p in short)
+
+
+@pytest.mark.parametrize("stream_len", [1, 5, 8])
+def test_erasure_rule_matches_the_window_by_window_oracle(stream_len):
+    # every subset of the blocks, with a block just outside the stream on
+    # either side, against every window from empty to past the stream
+    # end and every eps: the sliding count gives the reason, and so the
+    # first window, that counting every window afresh gives
+    blocks = range(0, stream_len + 2)
+    for r in range(len(blocks) + 1):
+        for erased in itertools.combinations(blocks, r):
+            for window in range(0, stream_len + 3):
+                for eps in range(0, 4):
+                    assert _erasure_violation(
+                        erased, stream_len, window, eps) == oracles.erasure_violation(
+                        erased, stream_len, window, eps), (erased, window, eps)
 
 
 def test_random_burst_mode_valid_and_deterministic():

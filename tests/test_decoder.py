@@ -1049,7 +1049,7 @@ def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
                     acc = f.sub(acc, f.mul(rows[z][j], y))
             b.append(acc)
     _, e = linalg.reduce_with_identity(f, raw[0])
-    by_lag, _, checked, read = _peeling_tables(sch)
+    by_lag, _, checked, read, _ = _peeling_tables(sch)
     for z in range(memory + 1):
         assert all(isinstance(coeffs, tuple) for coeffs in by_lag[z])
         assert [list(coeffs) for coeffs in by_lag[z]] == [
@@ -1060,6 +1060,122 @@ def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
                   for x in known.get(s - z, (0,) * k)])
     assert out[:len(checked)] == [0] * len(checked)
     assert out[len(checked):] == [oracles.scalar_dot(f, row, b) for row in e]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SHARE_CASES)), st.data())
+def test_stacking_from_the_pattern_equals_stacking_from_the_records(name, data):
+    # blocks waiting on the unknown stripes u0..: each record's fragment
+    # per support position runs over the unknown stripes its block
+    # touches, oldest first (the kept reduced tuple of its lag when there
+    # is one), and sits at the column of the first of them.  Stacking the
+    # records so equals stacking their pattern, numbered from u0
+    sch = share_scheme(name)
+    by_lag = _peeling_tables(sch)[0]
+    k, memory, positions = sch.k, sch.memory, len(by_lag[0])
+    ell = data.draw(st.integers(1, 8))
+    u0 = data.draw(st.integers(1, ell))
+    last = data.draw(st.integers(u0, ell + memory))
+    blocks = sorted(data.draw(st.sets(st.integers(u0, last), min_size=1)))
+    count = min(last, ell) - u0 + 1
+    rows = []
+    for s in blocks:
+        lags = [s - prev for prev in range(max(s - memory, 1), min(s, ell) + 1)
+                if prev >= u0]
+        fragments = (by_lag[lags[0]] if len(lags) == 1 else
+                     [[c for z in lags for c in by_lag[z][i]]
+                      for i in range(positions)])
+        at = (s - lags[0] - u0) * k
+        for fragment in fragments:
+            row = [0] * (count * k)
+            row[at: at + len(fragment)] = fragment
+            rows.append(row)
+    pattern = (count, tuple((s - u0, max(s - memory, u0) - u0,
+                             min(s, ell) - u0) for s in blocks))
+    assert decoder._stack(by_lag, k, pattern) == rows
+
+
+def test_each_pattern_is_eliminated_once_as_a_b_and_once_as_a_i(
+        monkeypatch, capsys):
+    # simulate at seed 11 from empty caches, on two schemes: below the
+    # cell cap, each window pattern of a scheme is reduced as [A | b] on
+    # its first sight and as [A | I] on its second, and never again
+    counts = {}
+    current = []
+    solve = decoder._solve_pattern
+
+    def spy(field, patterns, pattern, cols, b, stack):
+        below = len(b) * (len(b) + cols) <= decoder._KEPT_CELLS
+        current.append((id(patterns), pattern) if below else None)
+        try:
+            return solve(field, patterns, pattern, cols, b, stack)
+        finally:
+            current.pop()
+    for i, name in enumerate(("solve_unique", "reduce_with_identity")):
+        def counted(*args, _i=i, _orig=getattr(decoder, name)):
+            if current and current[-1] is not None:
+                counts.setdefault(current[-1], [0, 0])[_i] += 1
+            return _orig(*args)
+        monkeypatch.setattr(decoder, name, counted)
+    monkeypatch.setattr(decoder, "_solve_pattern", spy)
+    clear_caches()
+    for path, trials in ((BENCH_CONFIGS / "burst-window.ini", 30),
+                         (CONFIGS / "block-gf331.ini", 5)):
+        assert cli.main(["simulate", "--config", str(path), "--seed", "11",
+                         "--trials", str(trials), "--workers", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len({table for table, _ in counts}) == 2
+    assert set(map(tuple, counts.values())) == {(1, 0), (1, 1)}
+
+
+def test_kept_patterns_decode_every_exhaustive_schedule_as_on_first_sight(
+        monkeypatch):
+    # the 1,638 schedules of the exhaustive burst-window config, decoded
+    # twice in one process from empty caches: the second pass reads kept
+    # patterns, and both give the stripes, provenance and errors of the
+    # oracle that rebuilds every attempt.  A corrupted support symbol in a
+    # block whose patterns are kept raises what it raises on first sight
+    sch, ell = config_scheme(CONFIGS / "burst-window-exhaustive.ini")
+    w, _, _ = linear_pair(sch, ell, 11)
+    schedules = gen_burst_patterns(ell, sch.memory, sch.window, sch.burst,
+                                   "exhaustive")
+    assert len(schedules) == 1638
+    streams = [apply_erasures(w, sched) for sched in schedules]
+    clear_caches()
+    first = [outcome(recover_window, stream, sch) for stream in streams]
+    assert [outcome(recover_window, stream, sch) for stream in streams] == first
+    assert first == [outcome(oracles.recover_window, stream, sch)
+                     for stream in streams]
+    patterns = _peeling_tables(sch)[4]
+    assert any(entry is not None for entry in patterns.values())
+
+    f = sch.field
+    stream, erased = next((stream, sorted(sched.erased))
+                          for stream, sched, got in zip(streams, schedules, first)
+                          if sched.erased and not isinstance(got[0], type))
+    b = next(xi for xi in range(erased[0], ell + 1) if xi not in erased)
+    blocks = list(stream.blocks)
+    parts = [list(word) for word in blocks[b - 1].parts]
+    j = sch.sub_supports[0][0]
+    parts[0][j] = f.add(parts[0][j], 1)
+    blocks[b - 1] = Block(ERRORED, tuple(map(tuple, parts)))
+    noisy = ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
+                           tuple(blocks))
+    clear_caches()
+    unseen = outcome(recover_window, noisy, sch)
+    assert unseen[0] is InconsistentBlock
+    assert unseen == outcome(oracles.recover_window, noisy, sch)
+    for _ in range(2):
+        recover_window(stream, sch)
+    attempts = []
+    solve = decoder._solve_pattern
+
+    def kept_only(field, table, pattern, *rest):
+        attempts.append(table[pattern] is not None)
+        return solve(field, table, pattern, *rest)
+    monkeypatch.setattr(decoder, "_solve_pattern", kept_only)
+    assert outcome(recover_window, noisy, sch) == unseen
+    assert attempts and all(attempts)
 
 
 def test_peeling_encodes_no_star_codeword(monkeypatch):

@@ -1,13 +1,11 @@
 import random
-from array import array
-from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pirstream import linalg
+from pirstream import decoder
 from pirstream.errors import InconsistentSystem, RankDeficient, ShapeMismatch
-from pirstream.fields import Field
+from pirstream.fields import Field, _ScalarKernel
 from pirstream.linalg import mat_rank, rref, solve_any, solve_unique
 
 from oracles import (
@@ -136,139 +134,124 @@ def window_systems(draw):
     return f, out
 
 
+def pattern_outcome(f, patterns, key, a, b):
+    """``outcome`` of the answer ``decoder._solve_pattern`` reads for the
+    matrix a, standing for the pattern ``key`` of the table ``patterns``."""
+    try:
+        x = decoder._solve_pattern(f, patterns, key, len(a[0]), b,
+                                   lambda _: a)
+    except InconsistentSystem:
+        return "inconsistent"
+    except RankDeficient:
+        return "deficient"
+    assert [scalar_dot(f, row, x) for row in a] == list(b)
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(window_systems())
 # rank-deficient and inconsistent at once: inconsistency is reported
 @example((GF5, [([[1, 2], [2, 4], [0, 0]], [[1, 0, 1], [1, 2, 0]]),
                 ([[1, 2], [2, 4], [0, 1]], [[1, 2, 1]])]))
 def test_solve_unique_matches_an_uncached_oracle(case):
+    # each matrix stands for one window pattern of a scheme's table: its
+    # first right-hand side is a first sight, solved by solve_unique, its
+    # second keeps the reduction of A, and the others read the kept map;
+    # the two matrices of one shape alternate.  Every answer is the one
+    # the ranks give
     f, systems = case
-    linalg._kept_solver.cache_clear()
-    # each matrix's first right-hand side is a miss, the others hits, and
-    # the two matrices of one shape alternate
-    order = [(a, b) for i in range(4) for a, rhss in systems
-             for b in rhss[i:i + 1]]
-    for a, b in order:
+    patterns = {}
+    order = [(key, a, b) for i in range(4)
+             for key, (a, rhss) in enumerate(systems) for b in rhss[i:i + 1]]
+    for key, a, b in order:
         expect = expected_solve(f, a, b)
         assert outcome(f, a, b) == expect
-    # the scalar kernel's fields keep no solver
-    kept = 0 if f is GF9 else len({repr(a) for a, _ in systems})
-    assert linalg._kept_solver.cache_info().currsize == kept
+        assert pattern_outcome(f, patterns, key, a, b) == expect
+    # the scalar kernel's fields keep no pattern
+    if f is GF9:
+        assert patterns == {}
+    else:
+        assert {key: entry is not None for key, entry in patterns.items()} == {
+            key: len(rhss) > 1 for key, (_, rhss) in enumerate(systems)}
 
 
-def test_solve_unique_eliminates_each_matrix_once(monkeypatch):
-    linalg._kept_solver.cache_clear()
-    calls = [0]
-    rref_ = linalg.rref
-
-    def counted(*args):
-        calls[0] += 1
-        return rref_(*args)
-    monkeypatch.setattr(linalg, "rref", counted)
-    a = [[1, 1], [1, 2], [1, 3]]
-    for b in ([2, 3, 4], [0, 0, 1], [1, 1, 1]):
-        outcome(GF5, a, b)
-    with pytest.raises(RankDeficient):
-        solve_unique(GF5, [[1, 2], [2, 4]], [1, 2])
-    with pytest.raises(RankDeficient):
-        solve_unique(GF5, [[1, 2], [2, 4]], [2, 4])
-    assert calls[0] == 2
+def counted_eliminations(monkeypatch):
+    """[solve_unique calls, reduce_with_identity calls] made by the
+    decoder from now on."""
+    calls = [0, 0]
+    for i, name in enumerate(("solve_unique", "reduce_with_identity")):
+        def counted(*args, _i=i, _orig=getattr(decoder, name)):
+            calls[_i] += 1
+            return _orig(*args)
+        monkeypatch.setattr(decoder, name, counted)
+    return calls
 
 
-def test_solve_unique_cache_is_bounded():
-    # past 64 solvers the least recently used goes; answers stay right
-    cache = linalg._kept_solver
-    assert cache.cache_info().maxsize == 64
-    cache.cache_clear()
+def test_the_pattern_table_is_bounded(monkeypatch):
+    # past 64 patterns the one seen first goes; answers stay right
+    assert decoder._KEPT_PATTERNS == 64
+    gf = Field(251)
     rng = random.Random(7)
     matrices = [[[rng.randrange(251) for _ in range(3)] for _ in range(5)]
                 for _ in range(66)]
-    for a in matrices * 2:
-        x = [rng.randrange(251) for _ in range(3)]
-        b = [scalar_dot(Field(251), row, x) for row in a]
-        assert solve_unique(Field(251), a, b) == x
-        assert cache.cache_info().currsize <= 64
-    # the second pass finds each matrix evicted by the 64 after it
-    assert cache.cache_info().hits == 0
-    assert cache.cache_info().currsize == 64
+    calls = counted_eliminations(monkeypatch)
+    patterns = {}
+    for _ in range(2):
+        for key, a in enumerate(matrices):
+            # a first sight, the sight that keeps it, and a kept one
+            for _ in range(3):
+                x = [rng.randrange(251) for _ in range(3)]
+                b = [scalar_dot(gf, row, x) for row in a]
+                assert decoder._solve_pattern(gf, patterns, key, 3, b,
+                                              lambda _: a) == x
+                assert len(patterns) <= 64
+    # the second pass finds each pattern dropped by the 64 after it
+    assert calls == [132, 132]
+    assert list(patterns) == list(range(2, 66))
+    assert all(entry is not None for entry in patterns.values())
 
 
-def test_systems_past_the_cap_leave_the_cache_untouched():
+def test_systems_past_the_cap_leave_the_cache_untouched(monkeypatch):
+    # [A | I] of a 40 x 24 system has 40 * 64 cells, past the cap: each
+    # sight is one solve_unique, and the scheme's table keeps nothing
     rng = random.Random(8)
     gf = Field(251)
-    # [A | I] of a 40 x 24 system has 40 * 64 cells, past the cap
-    assert 40 * (40 + 24) > linalg._SOLVER_CELLS
+    assert 40 * (40 + 24) > decoder._KEPT_CELLS
     big = [[rng.randrange(251) for _ in range(24)] for _ in range(40)]
-    # GF(2^89 - 1): symbols do not fit 8 bytes
-    huge = Field(2 ** 89 - 1)
-    wide = [[rng.randrange(huge.q) for _ in range(2)] for _ in range(3)]
-    linalg._kept_solver.cache_clear()
-    solve_unique(gf, [[1, 2], [3, 4]], [1, 1])
-    before = linalg._kept_solver.cache_info()
-    for f, a in ((gf, big), (huge, wide)):
-        x = [rng.randrange(f.q) for _ in range(len(a[0]))]
-        b = [scalar_dot(f, row, x) for row in a]
-        assert solve_unique(f, a, b) == x
-        b[0] = f.add(b[0], 1)
-        assert outcome(f, a, b) == "inconsistent"
-        assert linalg._kept_solver.cache_info() == before
+    calls = counted_eliminations(monkeypatch)
+    patterns = {}
+    for _ in range(2):
+        x = [rng.randrange(251) for _ in range(24)]
+        b = [scalar_dot(gf, row, x) for row in big]
+        assert pattern_outcome(gf, patterns, 0, big, b) is None
+        b[0] = gf.add(b[0], 1)
+        assert pattern_outcome(gf, patterns, 0, big, b) == "inconsistent"
+    assert patterns == {}
+    assert calls == [4, 0]
 
 
-def test_scalar_kernel_systems_leave_the_cache_untouched():
-    # a kept solver's maps are one scalar dot per column over the scalar
-    # kernel's fields (GF(9), GF(2^16)), no faster than reducing [A | b],
-    # so they keep none
+def test_scalar_kernel_systems_leave_the_cache_untouched(monkeypatch):
+    # a kept map is one scalar dot per column over the scalar kernel's
+    # fields (GF(9), GF(2^16)), no faster than reducing [A | b], so their
+    # schemes keep no pattern
     rng = random.Random(9)
-    linalg._kept_solver.cache_clear()
-    solve_unique(GF5, [[1, 2], [3, 4]], [1, 1])
-    before = linalg._kept_solver.cache_info()
+    calls = counted_eliminations(monkeypatch)
     for f in (GF9, Field(2, 16)):
-        assert isinstance(f.kernel, linalg._ScalarKernel)
+        assert isinstance(f.kernel, _ScalarKernel)
         a = [[rng.randrange(f.q) for _ in range(4)] for _ in range(19)]
+        patterns = {}
         for _ in range(2):
             x = [rng.randrange(f.q) for _ in range(4)]
             b = [scalar_dot(f, row, x) for row in a]
-            assert solve_unique(f, a, b) == x
+            assert pattern_outcome(f, patterns, 0, a, b) is None
             b[0] = f.add(b[0], 1)
-            assert outcome(f, a, b) == "inconsistent"
-            assert linalg._kept_solver.cache_info() == before
-
-
-@pytest.mark.parametrize("q, typecode", [(251, "B"), (331, "H"),
-                                         (65537, "I"), (2 ** 61 - 1, "Q")])
-def test_solver_key_is_the_array_bytes_of_a(monkeypatch, q, typecode):
-    # each symbol width keys its solvers by the bytes of an array of A's
-    # symbols, and the kept solver is built from the same A rebuilt from
-    # them; the symbols include 0 and q - 1
-    f = Field(q)
-    assert linalg._typecode(f) == typecode
-    rng = random.Random(q)
-    a = [[rng.randrange(q) for _ in range(3)] for _ in range(5)]
-    a[0][0], a[1][1] = q - 1, 0
-    keys, reduced = [], []
-    kept, reduce_with_identity = linalg._kept_solver, linalg.reduce_with_identity
-
-    def spy(field, rows, cols, data):
-        keys.append(data)
-        return kept(field, rows, cols, data)
-
-    def counted(field, m):
-        reduced.append(m)
-        return reduce_with_identity(field, m)
-    monkeypatch.setattr(linalg, "_kept_solver", spy)
-    monkeypatch.setattr(linalg, "reduce_with_identity", counted)
-    kept.cache_clear()
-    x = [rng.randrange(q) for _ in range(3)]
-    b = [scalar_dot(f, row, x) for row in a]
-    assert solve_unique(f, a, b) == x
-    assert solve_unique(f, a, b) == x
-    assert keys == [array(typecode, chain.from_iterable(a)).tobytes()] * 2
-    assert reduced == [a]
+            assert pattern_outcome(f, patterns, 0, a, b) == "inconsistent"
+        assert patterns == {}
+    assert calls == [8, 0]
 
 
 def test_solver_key_rejects_what_it_cannot_pack():
-    # too few or too many symbols for rows x cols is a typed error, not
-    # struct's
+    # a row too short or too long is a typed error
     for f, a in ((Field(251), [[1, 2], [3], [5, 6]]),
                  (Field(331), [[1, 2], [3, 4, 5], [5, 6]])):
         with pytest.raises(ShapeMismatch):
@@ -277,9 +260,8 @@ def test_solver_key_rejects_what_it_cannot_pack():
 
 @pytest.mark.parametrize("f", [Field(251), Field(2, 8)], ids=str)
 def test_ragged_a_below_the_cap_is_rejected_by_row(f):
-    # 6 symbols in all fill a 3 x 2 matrix, so a key of the packed symbols
-    # alone solves this A as [[1, 2], [3, 4], [5, 6]]; every entry point
-    # names the short row, as the elimination does
+    # 6 symbols in all would fill the 3 x 2 matrix [[1, 2], [3, 4],
+    # [5, 6]]; every entry point names the short row instead of solving it
     a = [[1, 2], [3], [4, 5, 6]]
     message = "row 1 has 1 entries, row 0 has 2"
     for call in (lambda: solve_unique(f, a, [5, 11, 17]),
@@ -299,15 +281,15 @@ def _outcome(call):
 
 @pytest.mark.parametrize("p, a, b", [
     (13, [[13]], [0]),
-    (13, [[13]] * 30, [0] * 30),              # kept solver, packed as given
+    (13, [[13]] * 30, [0] * 30),
     (13, [[13], [26]], [0, 0]),
     (13, [[14, 2], [1, 2]], [3, 3]),
-    (13, [[-1], [1]], [12, 1]),               # does not pack: [A | b]
+    (13, [[-1], [1]], [12, 1]),
     (251, [[1, 2], [3, -4], [5, 6]], [1, 2, 3]),
     (251, [[1, 2], [3, -4], [5, 6]], [3, -1, 11]),
-    (251, [[300, 1], [2, 3]], [1, 1]),        # past the typecode of 251
+    (251, [[300, 1], [2, 3]], [1, 1]),
     (13, [[13 * (r + 1) + c for c in range(40)] for r in range(60)],
-     [0] * 60),                               # past the cell cap
+     [0] * 60),
 ], ids=["rank", "kept-rank", "kept-tall", "rref", "negative", "gf251-minus4",
         "gf251-minus4-consistent", "gf251-300", "past-the-cap"])
 def test_gf_p_entries_of_a_read_as_their_residues(p, a, b):
@@ -322,8 +304,7 @@ def test_gf_p_entries_of_a_read_as_their_residues(p, a, b):
 
 @pytest.mark.parametrize("length", [20, 25])
 def test_ragged_a_is_a_shape_mismatch(length):
-    # a 40 x 24 system is past the solver cap, so every entry point
-    # reaches the elimination with the ragged row
+    # every entry point reaches the elimination with the ragged row
     rng = random.Random(length)
     gf = Field(251)
     a = [[rng.randrange(251) for _ in range(24)] for _ in range(40)]
@@ -336,7 +317,7 @@ def test_ragged_a_is_a_shape_mismatch(length):
 
 
 def test_right_hand_side_of_the_wrong_length_is_a_shape_mismatch():
-    # below the solver cap and past it, b longer or shorter than A's rows
+    # small and large systems, b longer or shorter than A's rows
     gf = Field(251)
     rng = random.Random(5)
     big = [[rng.randrange(251) for _ in range(24)] for _ in range(40)]

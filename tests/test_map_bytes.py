@@ -1,15 +1,15 @@
 """What the GF(2^8) linear maps hold, measured with ``tracemalloc``.
 
-A binary-kernel map keeps only its matrix rows, as ``bytes``, so a kept
-solver at the cell cap and the BMD maps and kept state of a code at
-n = 64 each stay within a few tens of KiB, where a 256-entry table per row
-held hundreds of KiB to MiB.
+A binary-kernel map keeps only its matrix rows, as ``bytes``, so a window
+pattern's kept solver at the cell cap and the BMD maps and kept state of
+a code at n = 64 each stay within a few tens of KiB, where a 256-entry
+table per row held hundreds of KiB to MiB.
 """
 
 import random
 import tracemalloc
 
-from pirstream import clear_caches, linalg
+from pirstream import clear_caches, decoder
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
 
@@ -35,16 +35,20 @@ def held(build):
 
 
 def test_a_kept_solver_at_the_cell_cap_is_small():
-    # 44 x 2: [A | I] has 44 * 46 = 2,024 cells, the most under the cap
+    # 44 x 2: [A | I] has 44 * 46 = 2,024 cells, the most under the cap;
+    # the second sight of its pattern keeps (rank, map b -> E b)
     rng = random.Random(4)
     a = [[rng.randrange(256) for _ in range(2)] for _ in range(44)]
     x = [17, 200]
     b = [scalar_dot(GF256, row, x) for row in a]
-    assert 44 * 46 <= linalg._SOLVER_CELLS
+    assert 44 * 46 <= decoder._KEPT_CELLS
+    patterns = {}
 
     def solve():
-        assert linalg.solve_unique(GF256, a, b) == x
-        assert linalg._kept_solver.cache_info().currsize == 1
+        for _ in range(2):
+            assert decoder._solve_pattern(GF256, patterns, 0, 2, b,
+                                          lambda _: a) == x
+        assert patterns[0][0] == 2
     assert held(solve) < BUDGET
 
 
