@@ -1,4 +1,6 @@
 import random
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -248,6 +250,44 @@ def test_scalar_kernel_systems_leave_the_cache_untouched(monkeypatch):
             assert pattern_outcome(f, patterns, 0, a, b) == "inconsistent"
         assert patterns == {}
     assert calls == [8, 0]
+
+
+@pytest.mark.parametrize("q, typecode", [(251, "B"), (331, "H"),
+                                         (65537, "I"), (2 ** 61 - 1, "Q")])
+def test_solver_key_is_the_array_bytes_of_a(monkeypatch, q, typecode):
+    # a pattern table takes any hashable key: here the bytes of an array
+    # of A's symbols, one symbol width per field, with A rebuilt from them
+    # by the stacker.  The first two sights stack A from the key, the
+    # kept map is reduced from that same A once, and the third sight
+    # stacks nothing; the symbols include 0 and q - 1
+    f = Field(q)
+    rng = random.Random(q)
+    a = [[rng.randrange(q) for _ in range(3)] for _ in range(5)]
+    a[0][0], a[1][1] = q - 1, 0
+    key = array(typecode, chain.from_iterable(a)).tobytes()
+    stacked = []
+
+    def stack(pattern):
+        stacked.append(pattern)
+        symbols = array(typecode, pattern).tolist()
+        return [symbols[r * 3:r * 3 + 3] for r in range(5)]
+    calls = counted_eliminations(monkeypatch)
+    reduced = []
+    reduce_with_identity = decoder.reduce_with_identity
+
+    def spy(field, m):
+        reduced.append(m)
+        return reduce_with_identity(field, m)
+    monkeypatch.setattr(decoder, "reduce_with_identity", spy)
+    patterns = {}
+    for _ in range(3):
+        x = [rng.randrange(q) for _ in range(3)]
+        b = [scalar_dot(f, row, x) for row in a]
+        assert decoder._solve_pattern(f, patterns, key, 3, b, stack) == x
+    assert stacked == [key] * 2
+    assert reduced == [a]
+    assert calls == [1, 1]
+    assert list(patterns) == [key] and patterns[key][0] == 3
 
 
 def test_solver_key_rejects_what_it_cannot_pack():
