@@ -32,6 +32,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import inspect
 import statistics
 import sys
 from pathlib import Path
@@ -59,7 +60,11 @@ def trial_runner(cli, config: Path, trials: int):
     runs it, on the config's scheme and channel."""
     cfg = cli.load_config(config)
     _, _, scheme, ell = cli.build_scheme(cfg)
-    channel = cli._check_channel(cfg.channel, scheme)
+    check = cli._check_channel
+    # a checkout from before the channel check read the stream length
+    # takes no ell
+    extra = (ell,) if "ell" in inspect.signature(check).parameters else ()
+    channel = check(cfg.channel, scheme, *extra)
     schedules = None
     if channel.kind == "block-erasure":
         schedules = cli.channels.gen_burst_patterns(

@@ -32,7 +32,7 @@ def decode_um_cell(n, ell, trials, seed):
                     "k": "3", "t": "1", "m": "2", "ell": str(ell)},
         channel={"kind": "symbol-errors", "mode": "fixed-byzantine", "b": "2"})
     _, _, scheme, ell = build_scheme(cfg)
-    channel = cli._check_channel(cfg.channel, scheme)
+    channel = cli._check_channel(cfg.channel, scheme, ell)
     times = []
     counts = {"bmd": 0, "bm": 0, "builds": 0}
     decode_um = decoder.decode_um

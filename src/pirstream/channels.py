@@ -17,6 +17,10 @@ from .errors import ChannelGeneratorError, InvalidParams
 from .protocol import Block, ERASED, ERRORED, ResponseStream
 from .seeds import derive_rng
 
+# The longest stream whose schedules mode 'exhaustive' enumerates: it
+# tries every subset of the blocks.
+EXHAUSTIVE_BLOCKS = 22
+
 
 @dataclass(frozen=True)
 class ErasureSchedule:
@@ -80,7 +84,7 @@ def gen_burst_patterns(ell: int, memory: int, window: int, eps: int,
         return out
 
     if mode == "exhaustive":
-        if stream_len > 22:
+        if stream_len > EXHAUSTIVE_BLOCKS:
             raise InvalidParams("exhaustive enumeration only for short streams")
         out = []
         for r in range(stream_len + 1):

@@ -109,9 +109,9 @@ class _Channel(NamedTuple):
     profile: decoder.UmDistanceProfile | None
 
 
-def _check_channel(section, scheme) -> _Channel:
+def _check_channel(section, scheme, ell) -> _Channel:
     """The [channel] section, once every value in it is one that a trial
-    can use; checked before any trial runs."""
+    of a stream of ell stripes can use; checked before any trial runs."""
     kind = section.get("kind", "none")
     if kind not in _CHANNEL_MODES:
         raise ConfigError(f"[channel] kind = {kind!r}; expected one of "
@@ -130,6 +130,10 @@ def _check_channel(section, scheme) -> _Channel:
                           f"in [0, {scheme.n}], got {'none' if b is None else b}")
     if kind == "block-erasure" and scheme.variant != protocol.BLOCK:
         raise ConfigError("[channel] block-erasure needs the block-erasure variant")
+    if mode == "exhaustive" and ell + scheme.memory > channels.EXHAUSTIVE_BLOCKS:
+        raise ConfigError(f"[channel] mode = exhaustive takes at most "
+                          f"{channels.EXHAUSTIVE_BLOCKS} blocks, not ell + M = "
+                          f"{ell + scheme.memory}")
     if kind == "symbol-errors" and scheme.variant != protocol.BYZANTINE:
         raise ConfigError("[channel] symbol-errors needs the byzantine variant")
     profile = None
@@ -223,7 +227,7 @@ def cmd_simulate(args) -> int:
     if workers < 1:
         source = "[run] workers" if args.workers is None else "--workers"
         raise ConfigError(f"{source} = {workers} must be >= 1")
-    channel = _check_channel(cfg.channel, scheme)
+    channel = _check_channel(cfg.channel, scheme, ell)
     schedules = None
     if channel.kind == "block-erasure":
         # seed and count matter only to mode = random; the other modes
@@ -307,18 +311,21 @@ def _search_range(field, k, M, gamma, seed, lo, hi) -> int:
 
 
 def parse_search_rows(raw: str):
+    """The (k, M, q, gamma) rows of ``[search] rows``; a row without gamma
+    takes the least, ``recovering.minimal_gamma(k, M)``, which q must
+    reach as a given gamma must."""
     rows = []
     for token in raw.replace(",", " ").split():
         parts = token.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(f"[search] rows entry {token!r}; expected k:M:q[:gamma]")
         k, M, q = (_int("search", "rows", x) for x in parts[:3])
-        gamma = _int("search", "rows", parts[3]) if len(parts) == 4 else None
         if k < 1 or M < 0:
             raise ConfigError(
                 f"[search] rows entry {token!r} needs k >= 1 and M >= 0")
         least = recovering.minimal_gamma(k, M)
-        if gamma is not None and not least <= gamma <= q:
+        gamma = _int("search", "rows", parts[3]) if len(parts) == 4 else least
+        if not least <= gamma <= q:
             raise ConfigError(
                 f"[search] rows entry {token!r} needs {least} <= gamma <= q")
         rows.append((k, M, q, gamma))
@@ -354,8 +361,6 @@ def cmd_recovering_search(args) -> int:
     lines = ["k,M,N,q,gamma,trials,p_full"]
     missed = False
     for idx, (k, M, q, gamma) in enumerate(rows):
-        if gamma is None:
-            gamma = recovering.minimal_gamma(k, M)
         p = sum(_fan_out(_search_range, trials, workers,
                          field_for_order(q), k, M, gamma, seed)) / trials
         lines.append(f"{k},{M},{2 * M + 1},{q},{gamma},{trials},{p:.4f}")

@@ -29,11 +29,13 @@ unknowns and each record's block and run counted from the oldest
 unknown stripe, so the scheme's table of patterns answers it
 (``_solve_pattern``): a pattern's first sight is stacked and solved as
 [A | b], its second keeps the reduction of A as one map, and every later
-sight is one lookup and one map, with no matrix built.  Peeling encodes
-no stripe.  Each decoder first checks that the stream has the
-scheme's n, memory and sub-rounds.  The erasure rule that
-``recover_window`` enforces, and that ``ErasureSchedule.is_valid``
-reports, lives in ``_erasure_violation``.
+sight is one lookup and one map, with no matrix built.  A cap on the
+cells of [A | I] is the table's only bound: the erasure rule keeps the
+patterns a scheme meets few.  Peeling encodes no stripe.  Each decoder
+first checks that the stream has the scheme's n, memory and
+sub-rounds.  The erasure rule that ``recover_window`` enforces, and
+that ``ErasureSchedule.is_valid`` reports, lives in
+``_erasure_violation``.
 
 ``check_guarantee`` evaluates the designed-extended-row-distance budget
 that makes ``decode_um`` provably exact, in one linear scan over the
@@ -57,7 +59,7 @@ from .errors import (
     ShapeMismatch,
     UncorrectablePattern,
 )
-from .fields import _ScalarKernel, check_symbols
+from .fields import check_symbols
 from .grs import _reader
 from .linalg import raise_unless_unique, reduce_with_identity, solve_unique
 from .protocol import BLOCK, BYZANTINE, ERASED, PLAIN, PirScheme, ResponseStream
@@ -234,12 +236,9 @@ def _peeling_tables(scheme: PirScheme):
 # a taller one with fewer unknowns.  Keeping a pattern eliminates [A | I],
 # wider than [A | b], and its map has one lane per entry of E, rows^2 in
 # all, so past the cap a kept map costs more to build and to hold than the
-# eliminations it saves.
+# eliminations it saves.  It is the only bound on a scheme's table: the
+# erasure rule bounds how many patterns a scheme meets.
 _KEPT_CELLS = 32 * 64
-# The most patterns one scheme's table holds, the oldest dropped first: a
-# scheme's bursts leave few patterns (26 in 30 burst-window trials at
-# simulate seed 11).
-_KEPT_PATTERNS = 64
 
 
 def _stack(by_lag, k: int, pattern) -> list:
@@ -274,19 +273,20 @@ def _solve_pattern(field, patterns: dict, pattern, cols: int, b, stack):
     That and every later sight read the answer off E b: b is consistent
     iff its entries from the rank on are zero, and x is its first cols
     entries.  So a pattern seen once builds no map, and a kept one is
-    stacked no more.  The table holds ``_KEPT_PATTERNS`` patterns, and
-    the oldest seen goes first.  A system whose [A | I] has more than
-    ``_KEPT_CELLS`` cells, or over a field with the scalar kernel, whose
-    maps are one dot per column and no faster than [A | b], is stacked
-    and solved on every sight and leaves the table as it is.
+    stacked no more.  A system whose [A | I] has more than
+    ``_KEPT_CELLS`` cells is stacked and solved on every sight and
+    leaves the table as it is.
+
+    The cap is the table's only bound, and the table stays finite: a
+    pattern is fixed by the erasures from the oldest unknown stripe to
+    the current block and by where the stripes end, and
+    ``recover_window`` checks the erasure rule before it peels, so those
+    blocks lie within one window of N and at most eps of them are erased.  The 1,638 schedules the rule admits on
+    ``tests/configs/burst-window-exhaustive.ini`` meet 116 patterns.
     """
-    rows = len(b)
-    if (rows * (rows + cols) > _KEPT_CELLS
-            or isinstance(field.kernel, _ScalarKernel)):
+    if len(b) * (len(b) + cols) > _KEPT_CELLS:
         return solve_unique(field, stack(pattern), b)
     if pattern not in patterns:
-        if len(patterns) >= _KEPT_PATTERNS:
-            del patterns[next(iter(patterns))]
         patterns[pattern] = None
         return solve_unique(field, stack(pattern), b)
     kept = patterns[pattern]

@@ -11,8 +11,8 @@ The schemes share what a careless key would confuse: GF(2^4) under two
 moduli, codes on the same locators with different multipliers, block
 schemes that differ only in window, plain schemes on one code and
 support that differ only in memory, Byzantine schemes whose codes
-share locators, and budget error schedules of two distance profiles
-over streams of one length.
+share locators, budget error schedules of two distance profiles over
+streams of one length, and a block scheme on the scalar kernel.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -49,6 +49,10 @@ SCHEMES = (
     # budget schedules of two distance profiles over one stream length
     ("byzantine", "2^4:13", dict(n=10, k=2, t=1, mode="budget")),
     ("byzantine", "2^4:13", dict(n=10, k=1, t=1, mode="budget")),
+    # GF(2^10) runs on the scalar kernel, whose schemes keep window
+    # patterns like any other
+    ("block", "2^10", dict(n=12, k=2, t=1, eps=1, window=3,
+                           support=range(8, 12))),
 )
 
 
@@ -82,7 +86,7 @@ def run_trial(index, trial):
         section = {"kind": "symbol-errors", "mode": "fixed-byzantine", "b": "1"}
         if "mode" in params:
             section = {"kind": "symbol-errors", "mode": params["mode"]}
-    channel = cli._check_channel(section, scheme)
+    channel = cli._check_channel(section, scheme, ell)
     return cli._run_one_trial(scheme, ell, channel, SEED, trial,
                               schedules) + extra
 

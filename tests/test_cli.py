@@ -86,6 +86,9 @@ support = 0
 desired = 0
 """
 
+EXHAUSTIVE_CFG = (Path(__file__).parent / "configs"
+                  / "burst-window-exhaustive.ini").read_text()
+
 SEARCH_CFG = """\
 [search]
 rows = 2:1:16 4:1:16
@@ -389,7 +392,7 @@ def test_a_channel_generator_that_raises_is_named_in_its_fail_line(
 
 def test_search_rows_parse():
     rows = parse_search_rows("2:1:16, 3:2:64:6")
-    assert rows == [(2, 1, 16, None), (3, 2, 64, 6)]
+    assert rows == [(2, 1, 16, 3), (3, 2, 64, 6)]
     with pytest.raises(ConfigError):
         parse_search_rows("2:1")
     for bad in ("2:-1:16", "0:1:16", "-2:1:16", "2:1:16:2", "3:2:16:4",
@@ -412,6 +415,9 @@ def test_privacy_audit_cli(tmp_path, capsys):
     ("recovering-search", "[search]\nrows = 0:1:16\n", "[search] rows"),
     ("recovering-search", "[search]\nrows = 2:1:16:2\n", "[search] rows"),
     ("recovering-search", "[search]\nrows = 2:1:4:5\n", "[search] rows"),
+    # the default gamma of k = 4, M = 1 is 6 locators, more than GF(5) has
+    ("recovering-search", "[search]\nrows = 4:1:5\n",
+     "[search] rows entry '4:1:5' needs 6 <= gamma <= q"),
     ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
      "[search] bands"),
     ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = many"),
@@ -431,7 +437,8 @@ def test_privacy_audit_cli(tmp_path, capsys):
     ("rates", "[rates]\nt = 0\n", "[rates] n = 100, k = 75, t = 0,"),
 ], ids=["audit-sets", "search-rows", "search-rows-negative-memory",
         "search-rows-zero-k", "search-rows-gamma-below-minimum",
-        "search-rows-gamma-above-q", "search-bands",
+        "search-rows-gamma-above-q", "search-rows-default-gamma-above-q",
+        "search-bands",
         "search-trials", "search-trials-zero", "search-trials-negative",
         "run-seed", "run-trials-zero", "channel-b", "rates-ell",
         "rates-k-zero", "rates-ell-zero", "rates-n-zero", "rates-t-zero"])
@@ -439,8 +446,9 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, text,
                                              names):
     path = write(tmp_path, "c.ini", text)
     assert main([command, "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and names in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and names in captured.err
 
 
 def test_simulate_trials_flag_below_one_names_the_flag(tmp_path, capsys):
@@ -533,9 +541,12 @@ def test_unknown_variants_are_config_errors(tmp_path, capsys, variant):
      "[channel] b"),
     (BYZ_CFG.replace("mode = budget", "mode = budget\nb = 7"), "[channel] b"),
     (PLAIN_CFG + "[channel]\nkind = none\nb = 1\n", "[channel] b"),
+    # 20 stripes and memory 3: a stream too long to enumerate
+    (EXHAUSTIVE_CFG.replace("ell = 10", "ell = 20"),
+     "[channel] mode = exhaustive takes at most 22 blocks, not ell + M = 23"),
 ], ids=["kind-typo", "symbol-errors-mode", "block-erasure-mode",
         "mode-without-kind", "fixed-byzantine-no-b", "b-above-n", "b-negative",
-        "b-with-budget", "b-with-kind-none"])
+        "b-with-budget", "b-with-kind-none", "exhaustive-too-long"])
 def test_channel_values_are_checked_before_any_trial(tmp_path, capsys, text,
                                                      names):
     path = write(tmp_path, "c.ini", text)

@@ -1178,6 +1178,49 @@ def test_kept_patterns_decode_every_exhaustive_schedule_as_on_first_sight(
     assert attempts and all(attempts)
 
 
+def test_the_erasure_rule_bounds_the_patterns_a_scheme_keeps(monkeypatch):
+    # the cell cap is the only bound on a scheme's table, and the erasure
+    # rule keeps it finite: a pattern spans at most one window of N blocks
+    # from the oldest unknown stripe, at most eps of them erased.  The
+    # 1,638 schedules of the exhaustive burst-window config meet 116
+    # patterns, 6 of them past the cap, and the table keeps the other 110
+    # from their second sight, so a second pass over the schedules makes
+    # no elimination below the cap
+    sch, ell = config_scheme(CONFIGS / "burst-window-exhaustive.ini")
+    w, _, _ = linear_pair(sch, ell, 11)
+    streams = [apply_erasures(w, sched) for sched in gen_burst_patterns(
+        ell, sch.memory, sch.window, sch.burst, "exhaustive")]
+    met, below, calls = set(), [], [0, 0]
+    solve = decoder._solve_pattern
+
+    def spy(field, patterns, pattern, cols, b, stack):
+        met.add(pattern)
+        below.append(len(b) * (len(b) + cols) <= decoder._KEPT_CELLS)
+        try:
+            return solve(field, patterns, pattern, cols, b, stack)
+        finally:
+            below.pop()
+    for i, name in enumerate(("solve_unique", "reduce_with_identity")):
+        def counted(*args, _i=i, _orig=getattr(decoder, name)):
+            calls[_i] += bool(below and below[-1])
+            return _orig(*args)
+        monkeypatch.setattr(decoder, name, counted)
+    monkeypatch.setattr(decoder, "_solve_pattern", spy)
+    clear_caches()
+    first = [outcome(recover_window, stream, sch) for stream in streams]
+    patterns = _peeling_tables(sch)[4]
+    assert len(met) == 116 and len(patterns) == 110
+    assert all(entry is not None for entry in patterns.values())
+    assert calls == [110, 110]
+    for count, records in met:
+        last = records[-1][0]
+        assert count <= sch.window and last < sch.window
+        assert last + 1 - len(records) <= sch.burst
+    assert [outcome(recover_window, stream, sch) for stream in streams] == first
+    assert calls == [110, 110]
+    assert len(met) == 116 and len(patterns) == 110
+
+
 def test_peeling_encodes_no_star_codeword(monkeypatch):
     # each block's interference on the support comes out of the star
     # code's erasure_decode (at=), not from encoding the decoded message
@@ -1396,7 +1439,7 @@ def trial_counts(path, trials, monkeypatch):
     which must decode."""
     cfg = load_config(path)
     _, _, sch, ell = build_scheme(cfg)
-    channel = cli._check_channel(cfg.channel, sch)
+    channel = cli._check_channel(cfg.channel, sch, ell)
     clear_caches()
     solves = count_solves(monkeypatch)
     builds = count_reader_builds(monkeypatch)
@@ -1629,7 +1672,7 @@ def test_decode_um_reads_anchored_blocks_off_their_splits(name, monkeypatch):
     # sum decodes, and byzantine-budget 63 coset and star decodes
     cfg = load_config(BENCH_CONFIGS / f"{name}.ini")
     _, _, sch, ell = build_scheme(cfg)
-    channel = cli._check_channel(cfg.channel, sch)
+    channel = cli._check_channel(cfg.channel, sch, ell)
     calls = count_bmd_decodes(monkeypatch)
     for trial in range(5):
         assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]

@@ -13,9 +13,10 @@ and says so in CHANGES.md.
 Every case also runs with every field on the scalar kernel
 (``fields._ScalarKernel``), against the same files: one ``Field`` method
 call per symbol, with none of the fast paths (packed GF(p) lanes,
-``bytes.translate`` rows, kept solvers, which the scalar kernel never
-keeps).  A case that passes on the scalar kernel and fails on the native
-one names a fast path at fault.
+``bytes.translate`` rows).  Window patterns are kept on both kernels, so
+a scalar-kernel run keeps each one's map of dot products.  A case that
+passes on the scalar kernel and fails on the native one names a fast
+path at fault.
 """
 
 import contextlib

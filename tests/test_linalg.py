@@ -169,12 +169,10 @@ def test_solve_unique_matches_an_uncached_oracle(case):
         expect = expected_solve(f, a, b)
         assert outcome(f, a, b) == expect
         assert pattern_outcome(f, patterns, key, a, b) == expect
-    # the scalar kernel's fields keep no pattern
-    if f is GF9:
-        assert patterns == {}
-    else:
-        assert {key: entry is not None for key, entry in patterns.items()} == {
-            key: len(rhss) > 1 for key, (_, rhss) in enumerate(systems)}
+    # every field keeps a pattern from its second sight, the scalar
+    # kernel's GF(9) too
+    assert {key: entry is not None for key, entry in patterns.items()} == {
+        key: len(rhss) > 1 for key, (_, rhss) in enumerate(systems)}
 
 
 def counted_eliminations(monkeypatch):
@@ -189,9 +187,9 @@ def counted_eliminations(monkeypatch):
     return calls
 
 
-def test_the_pattern_table_is_bounded(monkeypatch):
-    # past 64 patterns the one seen first goes; answers stay right
-    assert decoder._KEPT_PATTERNS == 64
+def test_every_pattern_below_the_cap_is_kept(monkeypatch):
+    # the cell cap is the table's only bound: 66 patterns are all kept,
+    # and a second pass over them makes no elimination
     gf = Field(251)
     rng = random.Random(7)
     matrices = [[[rng.randrange(251) for _ in range(3)] for _ in range(5)]
@@ -206,10 +204,8 @@ def test_the_pattern_table_is_bounded(monkeypatch):
                 b = [scalar_dot(gf, row, x) for row in a]
                 assert decoder._solve_pattern(gf, patterns, key, 3, b,
                                               lambda _: a) == x
-                assert len(patterns) <= 64
-    # the second pass finds each pattern dropped by the 64 after it
-    assert calls == [132, 132]
-    assert list(patterns) == list(range(2, 66))
+        assert calls == [66, 66]
+    assert list(patterns) == list(range(66))
     assert all(entry is not None for entry in patterns.values())
 
 
@@ -232,24 +228,30 @@ def test_systems_past_the_cap_leave_the_cache_untouched(monkeypatch):
     assert calls == [4, 0]
 
 
-def test_scalar_kernel_systems_leave_the_cache_untouched(monkeypatch):
-    # a kept map is one scalar dot per column over the scalar kernel's
-    # fields (GF(9), GF(2^16)), no faster than reducing [A | b], so their
-    # schemes keep no pattern
+def test_scalar_kernel_patterns_read_the_answers_of_solve_unique(monkeypatch):
+    # over the scalar kernel's GF(9) a pattern is kept from its second
+    # sight like any other, and every kept answer, a solution, an
+    # inconsistent right-hand side or a short rank, is the one the ranks
+    # give.  Each pattern is reduced once as [A | b] and once as [A | I]
     rng = random.Random(9)
     calls = counted_eliminations(monkeypatch)
-    for f in (GF9, Field(2, 16)):
-        assert isinstance(f.kernel, _ScalarKernel)
-        a = [[rng.randrange(f.q) for _ in range(4)] for _ in range(19)]
-        patterns = {}
-        for _ in range(2):
-            x = [rng.randrange(f.q) for _ in range(4)]
-            b = [scalar_dot(f, row, x) for row in a]
-            assert pattern_outcome(f, patterns, 0, a, b) is None
-            b[0] = f.add(b[0], 1)
-            assert pattern_outcome(f, patterns, 0, a, b) == "inconsistent"
-        assert patterns == {}
-    assert calls == [8, 0]
+    assert isinstance(GF9.kernel, _ScalarKernel)
+    full = [[rng.randrange(9) for _ in range(4)] for _ in range(19)]
+    short = [row[:3] + [GF9.mul(5, row[0])] for row in full]
+    patterns = {}
+    seen = set()
+    for _ in range(3):
+        for key, a in enumerate((full, short)):
+            x = [rng.randrange(9) for _ in range(4)]
+            b = [scalar_dot(GF9, row, x) for row in a]
+            noisy = b[:1] + [GF9.add(b[1], 1)] + b[2:]
+            for rhs in (b, noisy):
+                expect = expected_solve(GF9, a, rhs)
+                assert pattern_outcome(GF9, patterns, key, a, rhs) == expect
+                seen.add(expect)
+    assert seen == {None, "inconsistent", "deficient"}
+    assert calls == [2, 2]
+    assert [entry[0] for entry in patterns.values()] == [4, 3]
 
 
 @pytest.mark.parametrize("q, typecode", [(251, "B"), (331, "H"),
