@@ -56,6 +56,15 @@ CASES = {
     "simulate-byzantine-budget-n100": [
         "simulate", OWN_CONFIGS / "byzantine-budget-n100.ini", *SIM,
         "--trials", "2"],
+    # the byzantine-budget shape over a prime field, integers mod 251
+    "simulate-byzantine-budget-gf251": [
+        "simulate", OWN_CONFIGS / "byzantine-budget-gf251.ini", *SIM,
+        "--trials", "20"],
+    # the byzantine-budget shape over GF(3^3), an odd-characteristic
+    # extension field on the scalar kernel
+    "simulate-byzantine-budget-gf27": [
+        "simulate", OWN_CONFIGS / "byzantine-budget-gf27.ini", *SIM,
+        "--trials", "20"],
     # random error weights over GF(2^4), beyond the budget: most trials
     # fail, each with its own error text
     "simulate-byzantine-random-gf16": [
