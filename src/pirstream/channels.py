@@ -152,6 +152,10 @@ def _budget_counts(profile: UmDistanceProfile, stream_len: int) -> tuple:
     ``check_guarantee``).  ``start`` stands for the empty prefix: low
     enough that no first weight breaks the budget, and at most 0, so that
     it adds nothing to the window of the second block.
+
+    counts[r + 1][best] sums counts[r][x + max(best, 0)] over the xs with
+    best + x < limit, a run of the first xs, which step by 2; so it is one
+    difference of the row's sums over states that step by 2 (``runs``).
     """
     d_alpha = profile.d_alpha
     limit = profile.d1 + profile.d2 - 2 * d_alpha
@@ -159,12 +163,22 @@ def _budget_counts(profile: UmDistanceProfile, stream_len: int) -> tuple:
     start = min(-1, limit - 1 - xs[-1])
     # every best a budget-respecting prefix can leave lies in this range
     states = range(min(start, xs[0]), max(limit, xs[-1] + 1))
+    # per best: the states (s0, s1) with counts[r + 1][best] = runs[s1] -
+    # runs[s0], two below the state of its first x and that of its last
+    # one, or None when every x breaks the budget
+    spans = {}
+    for best in states:
+        taken = len(range(xs.start, min(xs.stop, limit - best), xs.step))
+        first = xs.start + max(best, 0)
+        spans[best] = (first - 2, first + 2 * (taken - 1)) if taken else None
     counts = [dict.fromkeys(states, 1)]
     for _ in range(stream_len):
         prev = counts[-1]
-        counts.append({best: sum(prev[x + max(best, 0)] for x in xs
-                                 if best + x < limit)
-                       for best in states})
+        runs = {}       # runs[s] = prev[s] + prev[s - 2] + ...
+        for s in states:
+            runs[s] = prev[s] + runs.get(s - 2, 0)
+        counts.append({best: runs[span[1]] - runs.get(span[0], 0)
+                       if span else 0 for best, span in spans.items()})
     return xs, start, tuple(counts)
 
 

@@ -532,7 +532,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     if scheme.variant != BYZANTINE:
         raise InvalidParams("decode_um needs the unit-memory error variant")
     _check_stream(stream, scheme)
-    f = scheme.field
+    kernel = scheme.field.kernel
     code = scheme.storage_code
     k, t = scheme.k, scheme.t
     ell = stream.ell
@@ -545,16 +545,17 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
     def residual(xi, cur=None, prev=None):
         """Block xi's word minus e1*cur and e2*prev, for the stripes given;
         each stripe is encoded, and scaled by e1 and e2, once per call of
-        decode_um."""
-        word = list(stream.block(xi).parts[0])
+        decode_um.  The products and differences are the field kernel's
+        (``multiply``, ``subtract``)."""
+        word = stream.block(xi).parts[0]
         for stripe, side in ((cur, 0), (prev, 1)):
             if stripe is None:
                 continue
             if stripe not in scaled:
                 y = code.encode(list(stripe))
-                scaled[stripe] = tuple(list(map(f.mul, offsets, y))
-                                       for offsets in (e1, e2))
-            word = list(map(f.sub, word, scaled[stripe][side]))
+                scaled[stripe] = (kernel.multiply(e1, y),
+                                  kernel.multiply(e2, y))
+            word = kernel.subtract(word, scaled[stripe][side])
         return word
 
     # (block, prev, cur) -> errors of a sum or coset decode that fixed

@@ -14,9 +14,11 @@ exp/log tables, and everything else reduces polynomials.
 The per-symbol loops that dominate the library, the row update of
 Gaussian elimination, the fixed linear maps of GRS coding (a codeword
 from the generator rows, syndromes, the values of an error locator at
-every locator, the message read off a codeword) and a server's answers,
-run through ``Field.kernel``, which the field picks once at
-construction:
+every locator, the message read off a codeword), a server's answers,
+the steps of BMD decoding that are no linear map (Berlekamp-Massey,
+Forney's formula, the recurrence check) and the residuals of
+unit-memory decoding, run through ``Field.kernel``, which the field
+picks once at construction:
 
 * GF(p): integer arithmetic mod p, inline; a fixed linear map is one
   multiply-accumulate of the input with the matrix rows packed into
@@ -28,7 +30,9 @@ construction:
   fixed linear map as one ``bytes.translate`` of each matrix row by its
   input symbol, XORed as ints (``_BinaryKernel.linear_map``, the region
   multiply of Plank, Greenan and Miller, FAST 2013), and a convolution as
-  one ``bytes.translate`` per tap (``_BinaryKernel.convolve``);
+  one ``bytes.translate`` per tap (``_BinaryKernel.convolve``); the
+  decoding steps multiply as exp[log a + log b] on the field's exp/log
+  tables and add by XOR;
 * any other field (odd-characteristic extensions, GF(2^s) past 2^8): the
   scalar methods, one call per symbol; up to 2^16 their ``mul`` is one
   lookup in the field's exp/log tables.
@@ -272,6 +276,27 @@ def _pack(digits, p):
 #                                 for i from 0 to blocks of column + blocks
 #                                 of taps - 2 (a server's answers to its
 #                                 query at every iteration)
+#   subtract(xs, ys), multiply(xs, ys)
+#                              -> the lists of x - y and x * y, entry by
+#                                 entry
+#
+# and the three steps of BMD decoding that are no linear map, each
+# stated in ``grs``:
+#   berlekamp_massey(syndromes, e)
+#                              -> the error locator, low first, or None
+#                                 past degree e (``grs._berlekamp_massey``)
+#   error_value(locator, syndromes, a, weight)
+#                              -> Forney's formula at a root a of the
+#                                 locator, times weight; ZeroInverse where
+#                                 the locator's derivative is zero
+#                                 (``grs.GrsCode._error_value``)
+#   generates(locator, syndromes)
+#                              -> whether the locator's recurrence
+#                                 generates the syndromes (``grs._generates``)
+#
+# They live here, with the field's tables, because each differs only in
+# how it multiplies and adds: the scalar kernel keeps the ``Field``
+# method calls, and so stays the oracle of the other two.
 #
 # linear_map and convolve are where the kernels differ.  GF(p) packs each
 # row into integer lanes and makes one multiply-accumulate
@@ -283,7 +308,9 @@ def _pack(digits, p):
 # ``bytes.translate`` of the column per tap (``_BinaryKernel.convolve``).
 # The scalar kernel, which also serves GF(2^s) past 2^8, takes one dot
 # product per column and per convolution entry (``_column_dots``,
-# ``_convolve_by_dots``).
+# ``_convolve_by_dots``).  In the decoding steps GF(p) reduces mod p
+# inline, and GF(2^s) with q <= 2^8 adds by XOR and multiplies as
+# exp[log a + log b] on the field's tables.
 
 
 def _lane_typecode(bound):
@@ -361,6 +388,58 @@ class _ScalarKernel:
 
     def convolve(self, column, taps, m):
         return _convolve_by_dots(self._dot, column, taps, m)
+
+    def subtract(self, xs, ys):
+        return list(map(self.field.sub, xs, ys))
+
+    def multiply(self, xs, ys):
+        return list(map(self.field.mul, xs, ys))
+
+    def berlekamp_massey(self, syndromes, e):
+        """A zero term adds nothing and makes no ``Field`` call."""
+        f = self.field
+        mul, add, sub = f.mul, f.add, f.sub
+        c, prev = [1], [1]
+        length, gap, last = 0, 1, 1
+        for i, d in enumerate(syndromes):
+            for ct, s in zip(c[1:], syndromes[i - 1::-1] if i else ()):
+                if ct and s:
+                    d = add(d, mul(ct, s))
+            if d == 0:
+                gap += 1
+                continue
+            scale = f.div(d, last)
+            new = c + [0] * (gap + len(prev) - len(c))
+            for t, b in enumerate(prev, gap):
+                if b:
+                    new[t] = sub(new[t], mul(scale, b))
+            if 2 * length <= i:
+                length, prev, last, gap = i + 1 - length, c, d, 1
+                if length > e:
+                    return None
+            else:
+                gap += 1
+            c = new
+        return (c + [0] * length)[length::-1]
+
+    def error_value(self, locator, syndromes, a, weight):
+        f = self.field
+        mul, add = f.mul, f.add
+        quotient, q = [], 0         # q_{L-1}, ..., q_0
+        for c in locator[:0:-1]:
+            q = add(c, mul(q, a))
+            quotient.append(q)
+        derivative = 0              # Q(a) = Lambda'(a), by Horner's rule
+        for q in quotient:
+            derivative = add(mul(derivative, a), q)
+        evaluator = reduce(add, map(mul, reversed(quotient), syndromes))
+        return f.div(mul(evaluator, weight), derivative)
+
+    def generates(self, locator, syndromes):
+        mul, add = self.field.mul, self.field.add
+        width = len(locator)
+        return not any(reduce(add, map(mul, locator, syndromes[i:i + width]))
+                       for i in range(len(syndromes) - width + 1))
 
 
 class _PrimeKernel:
@@ -441,6 +520,60 @@ class _PrimeKernel:
         lanes = array(typecode, product.to_bytes(size, sys.byteorder))
         return [x % p for x in lanes[m - 1::m]]
 
+    def subtract(self, xs, ys):
+        p = self.p
+        return [(x - y) % p for x, y in zip(xs, ys)]
+
+    def multiply(self, xs, ys):
+        p = self.p
+        return [x * y % p for x, y in zip(xs, ys)]
+
+    def berlekamp_massey(self, syndromes, e):
+        """The discrepancy is one multiply-accumulate, reduced once; the
+        update adds -d/b times the older register, with b the discrepancy
+        of the last length change."""
+        p = self.p
+        c, prev = [1], [1]
+        length, gap, last = 0, 1, 1
+        for i, d in enumerate(syndromes):
+            if i:
+                d = (d + sum(map(_mul, c[1:], syndromes[i - 1::-1]))) % p
+            if d == 0:
+                gap += 1
+                continue
+            scale = (p - d) * pow(last, p - 2, p) % p
+            new = c + [0] * (gap + len(prev) - len(c))
+            for t, b in enumerate(prev, gap):
+                if b:
+                    new[t] = (new[t] + scale * b) % p
+            if 2 * length <= i:
+                length, prev, last, gap = i + 1 - length, c, d, 1
+                if length > e:
+                    return None
+            else:
+                gap += 1
+            c = new
+        return (c + [0] * length)[length::-1]
+
+    def error_value(self, locator, syndromes, a, weight):
+        p = self.p
+        quotient, q = [], 0
+        for c in locator[:0:-1]:
+            q = (c + q * a) % p
+            quotient.append(q)
+        derivative = 0
+        for q in quotient:
+            derivative = (derivative * a + q) % p
+        if not derivative:
+            raise ZeroInverse("0 has no multiplicative inverse")
+        evaluator = sum(map(_mul, reversed(quotient), syndromes))
+        return evaluator * weight * pow(derivative, p - 2, p) % p
+
+    def generates(self, locator, syndromes):
+        p, width = self.p, len(locator)
+        return not any(sum(map(_mul, locator, syndromes[i:i + width])) % p
+                       for i in range(len(syndromes) - width + 1))
+
 
 class _BinaryKernel:
     """GF(2^s) with q <= 2^8: sums are XOR, and ``rows[c]`` is the 256-byte
@@ -448,11 +581,18 @@ class _BinaryKernel:
     a * c is rows[c][a].  Row g^(i+1) is row g^i translated through row g,
     for the generator g = exp[1] of the field's tables, so all q rows take
     q - 1 translates (about 64 KB for 2^8).  They are the kernel's only
-    tables: a linear map keeps just its matrix rows."""
+    tables: a linear map keeps just its matrix rows.
 
-    __slots__ = ("rows",)
+    The decoding steps read the field's own exp/log tables instead
+    (``Field._build_mul_tables``): a * b is exp[log a + log b], zero when
+    either is, since log 0 points past the powers into zeros.  A quotient
+    a / b is exp[(log a - log b) mod (q - 1)], with the difference reduced
+    because exp holds only two rounds of powers."""
+
+    __slots__ = ("rows", "exp", "log")
 
     def __init__(self, exp, log):
+        self.exp, self.log = exp, log
         q = len(log)
         pad = bytes(256 - q)
         times_g = bytes(exp[log[x] + 1] for x in range(q)) + pad
@@ -516,6 +656,78 @@ class _BinaryKernel:
                 acc ^= int.from_bytes(per_position[s].translate(rows[t]),
                                       "little") << 8 * z
         return list(acc.to_bytes((len(column) + len(taps)) // m - 1, "little"))
+
+    def subtract(self, xs, ys):
+        return [x ^ y for x, y in zip(xs, ys)]
+
+    def multiply(self, xs, ys):
+        exp, log = self.exp, self.log
+        return [exp[log[x] + log[y]] for x, y in zip(xs, ys)]
+
+    def berlekamp_massey(self, syndromes, e):
+        """The syndromes' logs are read once.  The discrepancy and the
+        update are XORs of exp[log a + log b], and the update's scale
+        d / b, for b the discrepancy of the last length change, is kept
+        as its log, reduced mod q - 1."""
+        exp, log = self.exp, self.log
+        q1 = len(log) - 1
+        logs = [log[s] for s in syndromes]
+        c, prev = [1], [1]
+        length, gap, last = 0, 1, 0     # last: log b
+        for i, d in enumerate(syndromes):
+            t = i
+            for ct in c[1:]:
+                t -= 1
+                if ct:
+                    d ^= exp[log[ct] + logs[t]]
+            if d == 0:
+                gap += 1
+                continue
+            ld = log[d]
+            scale = (ld - last) % q1
+            new = c + [0] * (gap + len(prev) - len(c))
+            for t, b in enumerate(prev, gap):
+                if b:
+                    new[t] ^= exp[scale + log[b]]
+            if 2 * length <= i:
+                length, prev, last, gap = i + 1 - length, c, ld, 1
+                if length > e:
+                    return None
+            else:
+                gap += 1
+            c = new
+        return (c + [0] * length)[length::-1]
+
+    def error_value(self, locator, syndromes, a, weight):
+        exp, log = self.exp, self.log
+        la = log[a]
+        quotient, q = [], 0
+        for c in locator[:0:-1]:
+            q = c ^ exp[log[q] + la]
+            quotient.append(q)
+        derivative = 0
+        for q in quotient:
+            derivative = exp[log[derivative] + la] ^ q
+        if not derivative:
+            raise ZeroInverse("0 has no multiplicative inverse")
+        evaluator = 0
+        for q, s in zip(reversed(quotient), syndromes):
+            evaluator ^= exp[log[q] + log[s]]
+        if not (evaluator and weight):
+            return 0
+        return exp[(log[evaluator] + log[weight] - log[derivative])
+                   % (len(log) - 1)]
+
+    def generates(self, locator, syndromes):
+        exp, log = self.exp, self.log
+        terms = [(t, log[c]) for t, c in enumerate(locator) if c]
+        for i in range(len(syndromes) - len(locator) + 1):
+            acc = 0
+            for t, lc in terms:
+                acc ^= exp[lc + log[syndromes[i + t]]]
+            if acc:
+                return False
+        return True
 
 
 class Field:

@@ -32,15 +32,18 @@ a set of errors, once a later word's syndromes show those errors
 again.  The maps are the field kernel's ``linear_map``s, one
 ``bytes.translate`` of a matrix row (GF(2^s), q <= 2^8) or one
 multiply-accumulate (GF(p)) per input symbol; codes on the same locators
-share the syndrome and root maps.  The encoder and both decoders read
-their symbols once by the package's symbol rule
+share the syndrome and root maps.  Berlekamp-Massey, Forney's formula
+and the recurrence check are the kernel's too, on its own arithmetic:
+inline mod p, the exp/log tables of GF(2^s) with q <= 2^8, and the
+scalar ``Field`` methods on the other fields.  The encoder and both
+decoders read their symbols once by the package's symbol rule
 (``fields.check_symbols``): over GF(p) a symbol outside [0, p) is read
 as its residue, and over any other field it raises SymbolOutsideField."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .errors import (
@@ -231,7 +234,11 @@ class GrsCode:
           are the errors.
 
         Whenever a codeword lies within e, every step finds it, so the
-        full decode fails exactly when none does.
+        full decode fails exactly when none does.  Berlekamp-Massey,
+        Forney's formula, the recurrence check below and the correction
+        of the first k symbols run in the field's kernel, like the maps:
+        over GF(p) and GF(2^s) with q <= 2^8 the decode makes no
+        ``Field`` method call once the code's tables are built.
 
         Before it, the word is read through a reader its code keeps
         (``_bmd_kept``), and a codeword within e of the word is the
@@ -276,12 +283,13 @@ class GrsCode:
                  if v == 0]
         if len(roots) != len(locator) - 1:
             raise DecodingFailure(far)
-        corrected = list(word)
+        values = [0] * k
         for j in roots:
             if j >= k:
                 break
-            corrected[j] = f.sub(word[j],
-                                 self._error_value(locator, syndromes, j))
+            values[j] = self._error_value(locator, syndromes, j)
+        corrected = list(word)
+        corrected[:k] = f.kernel.subtract(word[:k], values)
         first = self._first_plan
         message, errors = self._read_off(first, corrected)
         errors = errors.union([j for j in range(k) if corrected[j] != word[j]])
@@ -316,19 +324,11 @@ class GrsCode:
         """The error at position j, a root of the error locator Lambda
         (coefficients low first), by Forney's formula: the quotient
         Q = Lambda / (x - a_j), by synthetic division, gives
-        Y_j = sum_i q_i S_i / Q(a_j), and the error is Y_j / u_j."""
-        f = self.field
-        mul, add = f.mul, f.add
-        a = self.locators[j]
-        quotient, q = [], 0         # q_{L-1}, ..., q_0
-        for c in locator[:0:-1]:
-            q = add(c, mul(q, a))
-            quotient.append(q)
-        derivative = 0              # Q(a_j) = Lambda'(a_j), by Horner's rule
-        for q in quotient:
-            derivative = add(mul(derivative, a), q)
-        evaluator = reduce(add, map(mul, reversed(quotient), syndromes))
-        return f.div(mul(evaluator, self._dual_weights[j]), derivative)
+        Y_j = sum_i q_i S_i / Q(a_j), where Q(a_j) = Lambda'(a_j) by
+        Horner's rule, and the error is Y_j / u_j.  The field's kernel
+        computes it (``error_value``)."""
+        return self.field.kernel.error_value(
+            locator, syndromes, self.locators[j], self._dual_weights[j])
 
     @cached_property
     def _parity_checks(self):
@@ -408,33 +408,18 @@ def _berlekamp_massey(f, syndromes, e):
 
     Berlekamp-Massey finds the shortest linear recurrence that generates
     the syndromes: its length L and connection polynomial C, with C(0) = 1
-    and deg C <= L.  The locator is Lambda(x) = x^L C(1/x), monic of degree
-    L, as a list of coefficients, low first; it has the root 0 when
-    deg C < L.  The length never decreases, so the loop stops as soon as
-    it exceeds e.  A zero term adds nothing and makes no ``Field`` call."""
-    mul, add, sub = f.mul, f.add, f.sub
-    c, prev = [1], [1]
-    length, gap, last = 0, 1, 1
-    for i, d in enumerate(syndromes):
-        for ct, s in zip(c[1:], syndromes[i - 1::-1] if i else ()):
-            if ct and s:
-                d = add(d, mul(ct, s))
-        if d == 0:
-            gap += 1
-            continue
-        scale = f.div(d, last)
-        new = c + [0] * (gap + len(prev) - len(c))
-        for t, b in enumerate(prev, gap):
-            if b:
-                new[t] = sub(new[t], mul(scale, b))
-        if 2 * length <= i:
-            length, prev, last, gap = i + 1 - length, c, d, 1
-            if length > e:
-                return None
-        else:
-            gap += 1
-        c = new
-    return (c + [0] * length)[length::-1]
+    and deg C <= L.  At step i the discrepancy d is S_i plus the sum of
+    c_t S_{i-t}; a nonzero d adds d/b x^gap times the register of the last
+    length change, whose discrepancy was b, and the length becomes
+    i + 1 - L when 2L <= i.  The locator is Lambda(x) = x^L C(1/x), monic
+    of degree L, as a list of coefficients, low first; it has the root 0
+    when deg C < L.  The length never decreases, so the loop stops as soon
+    as it exceeds e.
+
+    The field's kernel runs it (``berlekamp_massey``): over GF(p) and
+    GF(2^s) with q <= 2^8 with no ``Field`` call, and over any other
+    field with one scalar ``Field`` call per nonzero product."""
+    return f.kernel.berlekamp_massey(syndromes, e)
 
 
 def _generates(f, locator, syndromes):
@@ -442,11 +427,9 @@ def _generates(f, locator, syndromes):
     the syndromes: sum_t lambda_t S_{i+t} = 0 for every i.  Then, with L
     distinct roots a_j and L <= (n-k)/2, the syndromes are those of an
     error vector nonzero only at roots, and the word lies within L of the
-    codeword that differs from it only there."""
-    mul, add = f.mul, f.add
-    width = len(locator)
-    return not any(reduce(add, map(mul, locator, syndromes[i:i + width]))
-                   for i in range(len(syndromes) - width + 1))
+    codeword that differs from it only there.  The field's kernel checks
+    it (``generates``)."""
+    return f.kernel.generates(locator, syndromes)
 
 
 # A scheme's codes share one locator tuple and two multiplier tuples, so 32

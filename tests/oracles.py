@@ -6,6 +6,8 @@ route: with the scalar ``Field`` methods, by enumeration, or through an
 equivalent criterion.
 """
 
+from functools import reduce
+
 from pirstream.decoder import DIRECT, TRELLIS, WINDOW, RecoveredFile
 from pirstream.errors import (
     DecodingFailure,
@@ -99,6 +101,85 @@ def bw_decode(code, word):
     cw = [f.mul(v, poly_eval(f, msg, a))
           for a, v in zip(code.locators, code.multipliers)]
     return msg, frozenset(j for j, (c, w) in enumerate(zip(cw, word)) if c != w)
+
+
+# --- the steps of BMD decoding, one scalar Field call per product ---------
+#
+# The field kernels run these (``berlekamp_massey``, ``error_value``,
+# ``generates``) on their own arithmetic; these are the scalar versions
+# they replaced, kept as their oracle.
+
+def berlekamp_massey(field, syndromes, e):
+    """``grs._berlekamp_massey``: the error locator of the syndromes, low
+    first, or None if the shortest recurrence that generates them is
+    longer than e."""
+    mul, add, sub = field.mul, field.add, field.sub
+    c, prev = [1], [1]
+    length, gap, last = 0, 1, 1
+    for i, d in enumerate(syndromes):
+        for ct, s in zip(c[1:], syndromes[i - 1::-1] if i else ()):
+            if ct and s:
+                d = add(d, mul(ct, s))
+        if d == 0:
+            gap += 1
+            continue
+        scale = field.div(d, last)
+        new = c + [0] * (gap + len(prev) - len(c))
+        for t, b in enumerate(prev, gap):
+            if b:
+                new[t] = sub(new[t], mul(scale, b))
+        if 2 * length <= i:
+            length, prev, last, gap = i + 1 - length, c, d, 1
+            if length > e:
+                return None
+        else:
+            gap += 1
+        c = new
+    return (c + [0] * length)[length::-1]
+
+
+def error_value(field, locator, syndromes, a, weight):
+    """``GrsCode._error_value`` at the point a with the weight 1 / u_j:
+    Forney's formula, sum_i q_i S_i * weight / Q(a) for the quotient Q of
+    the locator by x - a; ZeroInverse where Q(a) is zero."""
+    mul, add = field.mul, field.add
+    quotient, q = [], 0
+    for c in locator[:0:-1]:
+        q = add(c, mul(q, a))
+        quotient.append(q)
+    derivative = 0
+    for q in quotient:
+        derivative = add(mul(derivative, a), q)
+    evaluator = reduce(add, map(mul, reversed(quotient), syndromes))
+    return field.div(mul(evaluator, weight), derivative)
+
+
+def generates(field, locator, syndromes):
+    """``grs._generates``: whether sum_t lambda_t S_{i+t} = 0 for every
+    window of the syndromes."""
+    mul, add = field.mul, field.add
+    width = len(locator)
+    return not any(reduce(add, map(mul, locator, syndromes[i:i + width]))
+                   for i in range(len(syndromes) - width + 1))
+
+
+def budget_counts(profile, stream_len):
+    """``channels._budget_counts`` by its recurrence, one sum over the
+    block weights per entry: counts[r + 1][best] is the sum of
+    counts[r][x + max(best, 0)] over the x-values x with best + x below
+    the window limit."""
+    d_alpha = profile.d_alpha
+    limit = profile.d1 + profile.d2 - 2 * d_alpha
+    xs = range(-d_alpha, 2 * ((profile.dbar(1) - 1) // 2) - d_alpha + 1, 2)
+    start = min(-1, limit - 1 - xs[-1])
+    states = range(min(start, xs[0]), max(limit, xs[-1] + 1))
+    counts = [dict.fromkeys(states, 1)]
+    for _ in range(stream_len):
+        prev = counts[-1]
+        counts.append({best: sum(prev[x + max(best, 0)] for x in xs
+                                 if best + x < limit)
+                       for best in states})
+    return xs, start, tuple(counts)
 
 
 def stored_symbol(system, xi, s, j):

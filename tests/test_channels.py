@@ -193,6 +193,18 @@ def test_unranking_lists_every_budget_sequence_once(profile):
                 for r in range(len(expected))] == expected
 
 
+@pytest.mark.parametrize("profile", BUDGET_PROFILES + tuple(
+    UmDistanceProfile.for_byzantine(*shape)
+    for shape in ((16, 3, 1), (100, 10, 1), (30, 5, 3))),
+    ids=lambda p: f"{p.d_alpha}-{p.d1}-{p.d2}")
+def test_budget_tables_match_the_sum_over_weights(profile):
+    # every entry of the tables, at the byzantine-budget and n = 100
+    # shapes too, is the oracle's sum over the block weights
+    for stream_len in (0, 1, 2, 5, 21, 41):
+        assert (channels._budget_counts(profile, stream_len)
+                == oracles.budget_counts(profile, stream_len))
+
+
 def test_budget_count_on_the_benchmark_shape():
     # n=16, k=3, t=1 over GF(2^8) with ell=20, M=1: 21 blocks, cap 10
     profile = UmDistanceProfile.for_byzantine(16, 3, 1)

@@ -61,7 +61,7 @@ from pirstream.protocol import (
 from pirstream.rates import min_gamma, rate_block, rate_conv, rate_report
 from pirstream.recovering import build_A, minimal_gamma
 from pirstream.seeds import derive_rng, derive_seed
-from test_grs import count_reader_builds, count_solves
+from test_grs import count_reader_builds, count_solves, refuse_field_calls
 
 GF16 = Field(2, 4)
 C6 = GrsCode(GF16, 6, 2, tuple(range(1, 7)))
@@ -645,6 +645,44 @@ def test_decode_um_encodes_each_stripe_once(monkeypatch):
                          16, 4)
     assert decode_um(noisy, sch).stripes == files[0]
     assert encodes == {}
+
+
+@pytest.mark.parametrize("f", [Field(2, 8), Field(251)], ids=repr)
+def test_decode_um_residuals_make_no_field_call(f, monkeypatch):
+    # the byzantine-budget shape (n=16, k=3, t=1) with four errors in every
+    # block, past the sum radius (3) and within the coset radius (5): no
+    # anchor holds, so the chains and the trellis decode residuals of
+    # encoded stripes.  Outside its BMD decodes (whose reader builds
+    # eliminate with the scalar methods) decode_um, residuals included,
+    # makes no Field call; the scheme's tables are built by a first call
+    ell = 5
+    code = GrsCode(f, 16, 3, tuple(range(1, 17)))
+    sch = byzantine_scheme(code, t=1, m=2, desired=0)
+    files = random_files(f, 2, ell, 3, derive_rng(3, "files"))
+    stream = run_protocol(storage_encode(files, code), sch,
+                          derive_seed(3, "run"))
+    schedule = ErrorSchedule(tuple(
+        (b, (b + 5 * i) % 16, 1 + i) for b in range(1, ell + 2)
+        for i in range(4)), "manual")
+    assert check_guarantee(schedule.weights(ell + 1),
+                           UmDistanceProfile.for_byzantine(16, 3, 1))
+    noisy = apply_errors(stream, schedule, f.q, 7)
+    clear_caches()
+    assert decode_um(noisy, sch).stripes == files[0]
+    armed = refuse_field_calls(monkeypatch)
+    bmd_decode = GrsCode.bmd_decode
+    with_stripes = [0]
+
+    def unarmed(code, word):
+        with_stripes[0] += code.k < 3 * sch.k + sch.t - 1
+        armed[0] = False
+        try:
+            return bmd_decode(code, word)
+        finally:
+            armed[0] = True
+    monkeypatch.setattr(GrsCode, "bmd_decode", unarmed)
+    assert decode_um(noisy, sch).stripes == files[0]
+    assert with_stripes[0] > 0
 
 
 def test_decode_um_builds_each_code_once_per_scheme(monkeypatch):

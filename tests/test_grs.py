@@ -17,10 +17,12 @@ from pirstream.errors import (
     LocatorMismatch,
     SymbolOutsideField,
     TooManyErasures,
+    ZeroInverse,
 )
 from pirstream.fields import Field
 from pirstream.grs import GrsCode, star_product_code
 
+import oracles
 from oracles import (
     bw_decode,
     codewords,
@@ -707,6 +709,175 @@ def test_bmd_decode_at_n_100(f, n, k):
             clean = code.encode(got)
             assert errors == {j for j in range(n) if clean[j] != word[j]}
             assert len(errors) <= e
+
+
+# --- the decoding steps of each kernel against their scalar oracles -------
+
+def symbols(f):
+    return st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+
+
+@st.composite
+def syndrome_sequences(draw, f):
+    """Syndrome sequences of three kinds: arbitrary symbols; a recurrence
+    of a drawn length L with arbitrary taps and start, so that the
+    shortest one is often L long, past e or not; and the syndromes
+    sum_j Y_j a_j^i of errors at distinct points, 0 among them at times,
+    where 0^0 = 1."""
+    n = draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(["arbitrary", "recurrence", "errors"]))
+    if kind == "arbitrary":
+        return [draw(symbols(f)) for _ in range(n)]
+    if kind == "recurrence":
+        length = draw(st.integers(0, n))
+        taps = [draw(symbols(f)) for _ in range(length)]
+        seq = [draw(symbols(f)) for _ in range(length)]
+        while len(seq) < n:
+            seq.append(f.neg(oracles.scalar_dot(f, taps, seq[:-length - 1:-1])))
+        return seq
+    points = draw(st.lists(st.integers(0, f.q - 1), max_size=8, unique=True))
+    values = [draw(st.integers(1, f.q - 1)) for _ in points]
+    return [oracles.scalar_dot(f, values, [f.pow(a, i) for a in points])
+            for i in range(n)]
+
+
+def times_root(f, poly, root):
+    """poly * (x - root), coefficients low first."""
+    out = [0] + list(poly)
+    for i, c in enumerate(poly):
+        out[i] = f.sub(out[i], f.mul(root, c))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroInverse as exc:
+        return ZeroInverse, str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_berlekamp_massey_matches_the_scalar_oracle(f, data):
+    # every e, so that the shortest recurrence is sometimes longer (None)
+    syndromes = data.draw(syndrome_sequences(f))
+    e = data.draw(st.integers(0, len(syndromes)))
+    got = grs._berlekamp_massey(f, syndromes, e)
+    assert got == oracles.berlekamp_massey(f, syndromes, e)
+    if got is not None:
+        assert len(got) - 1 <= e and got[-1] == 1
+
+
+@pytest.mark.parametrize("f", DIFF_FIELDS, ids=repr)
+def test_berlekamp_massey_fixed_cases(f):
+    # locator 0 alone: S_0 only, so C = 1 with L = 1, and Lambda = x
+    assert grs._berlekamp_massey(f, [3 % f.q or 1, 0, 0, 0], 2) == [0, 1]
+    # the recurrence S_i = a S_{i-1}: the locator x - a, too long for e = 0
+    a = f.q - 1
+    powers = [f.pow(a, i) for i in range(6)]
+    assert grs._berlekamp_massey(f, powers, 1) == [f.neg(a), 1]
+    assert grs._berlekamp_massey(f, powers, 0) is None
+    assert grs._berlekamp_massey(f, [0] * 6, 0) == [1]
+    assert grs._berlekamp_massey(f, [], 0) == [1]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_error_value_matches_the_scalar_oracle(f, data):
+    # Forney at every root of a locator with drawn roots, repeated ones
+    # (a zero derivative, ZeroInverse) and 0 among them, and at one more
+    # point, with any weight and syndromes
+    roots = data.draw(st.lists(st.integers(0, f.q - 1), min_size=1,
+                               max_size=6))
+    locator = [1]
+    for r in roots:
+        locator = times_root(f, locator, r)
+    syndromes = data.draw(st.lists(symbols(f), min_size=len(roots),
+                                   max_size=len(roots) + 4))
+    weight = data.draw(symbols(f))
+    kernel = f.kernel
+    for a in sorted(set(roots)) + [data.draw(st.integers(0, f.q - 1))]:
+        assert (outcome(kernel.error_value, locator, syndromes, a, weight)
+                == outcome(oracles.error_value, f, locator, syndromes, a,
+                           weight))
+    if len(set(roots)) < len(roots):
+        double = next(r for r in roots if roots.count(r) > 1)
+        with pytest.raises(ZeroInverse):
+            kernel.error_value(locator, syndromes, double, weight)
+
+
+@pytest.mark.parametrize("f", DIFF_FIELDS, ids=repr)
+def test_error_value_at_a_double_root_raises(f):
+    # (x - a)^2 (x - b) has the derivative 0 at a, which has no inverse:
+    # tables would read log 0 as a power, and mod p its inverse as 0
+    a, b = f.q - 1, 1
+    locator = times_root(f, times_root(f, times_root(f, [1], a), a), b)
+    with pytest.raises(ZeroInverse):
+        f.kernel.error_value(locator, [1, 2, 3], a, 1)
+    assert f.kernel.error_value(locator, [0, 0, 0], b, 1) == 0
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+def test_generates_matches_the_scalar_oracle(f, data):
+    # a monic locator against arbitrary syndromes and against syndromes
+    # its recurrence generates
+    locator = [data.draw(symbols(f)) for _ in range(data.draw(
+        st.integers(0, 5)))] + [1]
+    width = len(locator)
+    syndromes = [data.draw(symbols(f)) for _ in range(data.draw(
+        st.integers(0, 12)))]
+    generated = data.draw(st.booleans())
+    if generated:
+        for i in range(width - 1, len(syndromes)):
+            window = syndromes[i - width + 1:i]
+            syndromes[i] = f.neg(oracles.scalar_dot(f, locator, window))
+    got = grs._generates(f, locator, syndromes)
+    assert got == oracles.generates(f, locator, syndromes)
+    if generated:
+        assert got
+
+
+def refuse_field_calls(monkeypatch):
+    """Make ``Field.mul``, ``add``, ``sub``, ``div`` and ``inv`` raise while
+    the returned one-entry list holds True."""
+    armed = [True]
+    for name in ("mul", "add", "sub", "div", "inv"):
+        method = getattr(Field, name)
+
+        def refuse(self, *args, _name=name, _method=method):
+            if armed[0]:
+                raise AssertionError(f"Field.{_name} called")
+            return _method(self, *args)
+        monkeypatch.setattr(Field, name, refuse)
+    return armed
+
+
+@pytest.mark.parametrize("f", [Field(2, 8), Field(251)], ids=repr)
+def test_full_bmd_decode_makes_no_field_call(f, monkeypatch):
+    # on the native kernels Berlekamp-Massey, Chien's map, Forney's formula
+    # and the correction of the first k symbols compute without a Field
+    # method; the code's tables are built before the calls are refused
+    rng = random.Random(f.q)
+    locs = tuple(rng.sample(range(1, f.q), 16))
+    code = GrsCode(f, 16, 4, locs,
+                   tuple(rng.randrange(1, f.q) for _ in range(16)))
+    clear_caches()
+    warm = code.encode([1, 2, 3, 4])
+    warm[0] = f.add(warm[0], 1)
+    assert code.bmd_decode(warm) == ([1, 2, 3, 4], frozenset({0}))
+    cases = []
+    for bad in ({0, 2, 9}, {1, 3, 5, 7, 11, 15}, {0, 1, 2, 3}):
+        msg = [rng.randrange(f.q) for _ in range(4)]
+        word = code.encode(msg)
+        for j in bad:
+            word[j] = f.add(word[j], rng.randrange(1, f.q))
+        cases.append((word, msg, bad))
+    solves = count_solves(monkeypatch)
+    refuse_field_calls(monkeypatch)
+    for word, msg, bad in cases:
+        assert code.bmd_decode(word) == (msg, frozenset(bad))
+    assert solves[0] == len(cases)
 
 
 def erasure_outcome(decode, code, word, erased):
