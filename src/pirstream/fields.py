@@ -252,7 +252,7 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same four methods, and takes canonical symbols only,
+# Every kernel has the same methods, and takes canonical symbols only,
 # in [0, q): a caller's symbols are read once, by ``check_symbols``, at
 # the public entry point that takes them.
 #   scale(row, f)              -> the list f*row
