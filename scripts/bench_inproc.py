@@ -75,17 +75,17 @@ def trial_runner(cli, config: Path, trials: int):
 
 
 def warm_codes(name: str) -> int:
-    """How many GRS codes of the package ``name`` keep the reader positions
-    of a BMD decode: the entries of ``grs._bmd_kept``, which
-    ``clear_caches`` empties, or, in a checkout from before that cache,
-    the codes whose ``GrsCode._bmd_positions`` slot is set."""
+    """How many GRS codes of the package ``name`` keep the state of a BMD
+    decode: the live codes with a ``_kept`` entry of their own, or, in a
+    checkout from before that state moved onto the code, the entries of
+    ``grs._bmd_kept``, which ``clear_caches`` empties."""
     grs = sys.modules[f"{name}.grs"]
     if hasattr(grs, "_bmd_kept"):
         return grs._bmd_kept.cache_info().currsize
     code_type = grs.GrsCode
     gc.collect()
     return sum(1 for obj in gc.get_objects()
-               if type(obj) is code_type and "_bmd_positions" in vars(obj))
+               if type(obj) is code_type and "_kept" in vars(obj))
 
 
 def quartiles(values):

@@ -3,7 +3,9 @@
 A code-only line holds at least one token that is neither a comment nor
 part of a docstring (the first statement of a module, class or function
 when it is a string); blank lines count for neither.  Prints one row per
-module and the package total.
+module and the package total, then how many functions the package wraps
+in a module-level ``functools.lru_cache`` and how many methods it
+decorates with ``functools.cached_property``.
 
     python scripts/code_lines.py
 """
@@ -32,6 +34,17 @@ def docstring_lines(tree):
     return lines
 
 
+def decorated(tree, name):
+    """The functions and methods of a module decorated by ``name``, bare,
+    dotted (``functools.name``) or called (``name(maxsize=...)``)."""
+    def is_name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "attr", getattr(node, "id", None)) == name
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(is_name, node.decorator_list))]
+
+
 def count(source):
     """(physical lines, code-only lines) of one module's source."""
     skip = docstring_lines(ast.parse(source))
@@ -44,14 +57,20 @@ def count(source):
 
 
 def main():
-    total_physical = total_code = 0
+    total_physical = total_code = caches = properties = 0
     print(f"{'module':<16}{'physical':>10}{'code':>8}")
     for path in sorted(PACKAGE.glob("*.py")):
-        physical, code = count(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        physical, code = count(source)
         total_physical += physical
         total_code += code
+        tree = ast.parse(source)
+        caches += len(set(decorated(tree, "lru_cache")) & set(tree.body))
+        properties += len(decorated(tree, "cached_property"))
         print(f"{path.name:<16}{physical:>10}{code:>8}")
     print(f"{'total':<16}{total_physical:>10}{total_code:>8}")
+    print(f"module-level lru_caches: {caches}, "
+          f"cached_properties: {properties}")
 
 
 if __name__ == "__main__":

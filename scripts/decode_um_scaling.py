@@ -6,11 +6,11 @@ same trial path as ``pirstream simulate``, and times only the
 ``decoder.decode_um`` call of each trial.  It also counts the BMD decodes
 (``GrsCode.bmd_decode``), the Berlekamp-Massey runs
 (``grs._berlekamp_massey``) and the reader builds (the ``rref`` calls
-``grs`` makes, one per ``grs._reader`` build) the trials make, from empty
-caches.  Prints a Markdown table
-whose cells read "median ms per trial / BMD decodes / BM runs / reader
-builds", the counts summed over the trials, and checks that every trial
-decodes.
+``grs`` makes, one per ``grs._reader`` build) the trials make, on a
+scheme built afresh for each cell, whose codes keep nothing yet.  Prints
+a Markdown table whose cells read "median ms per trial / BMD decodes /
+BM runs / reader builds", the counts summed over the trials, and checks
+that every trial decodes.
 
     PYTHONPATH=src python scripts/decode_um_scaling.py --trials 5
 """
@@ -20,7 +20,7 @@ import statistics
 import sys
 from time import perf_counter
 
-from pirstream import clear_caches, cli, decoder, grs
+from pirstream import cli, decoder, grs
 from pirstream.config import ExperimentConfig, build_scheme
 
 
@@ -62,7 +62,6 @@ def decode_um_cell(n, ell, trials, seed):
     grs.GrsCode.bmd_decode = counted_bmd
     grs._berlekamp_massey = counted_bm
     grs.rref = counted_rref
-    clear_caches()
     try:
         for trial in range(trials):
             ok, desc = cli._run_one_trial(scheme, ell, channel, seed, trial, None)

@@ -7,7 +7,7 @@ errors), their decoders, locator-set search, rate formulas, and a
 seeded simulation CLI.
 """
 
-from . import channels, decoder, grs, recovering
+from . import channels, recovering
 from .channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -64,20 +64,13 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every per-process cache of the package: the kept BMD state
-    (last errors, their locator and the reader tried first), dual checks
-    and root maps of GRS codes (``grs``), the peeling tables of each plain
-    or block-erasure scheme (``decoder``), with the scheme's table of
-    window patterns and their kept solvers, the window ranks of
-    ``recovering`` and the budget weight counts of ``channels``.  Each is
-    a ``functools.lru_cache`` that bounds itself; clearing one changes no
-    result, only what the next call recomputes.  So after it a code's next
-    BMD decode reads through its map of all n positions, as its first
-    did, and a scheme's next window pattern is a first sight.  What a code
-    keeps on itself, its cached tables (generator rows, systematic form
-    with its map of all n positions, parity checks and locator values),
-    lives as long as the code and changes no result either."""
-    for cache in (grs._bmd_kept, grs._dual_checks, grs._root_map,
-                  decoder._peeling_tables, recovering._orbit_rank,
-                  channels._budget_counts):
+    """Empty the package's two per-process caches, the window ranks of
+    ``recovering`` and the budget weight counts of ``channels``: pure
+    memos of values that no object owns, each a ``functools.lru_cache``
+    that bounds itself.  Clearing one changes no result, only what the
+    next call recomputes.  What a code or scheme builds and learns, its
+    tables, the BMD state a code keeps (``GrsCode._kept``) and a scheme's
+    peeling tables with its window patterns (``PirScheme._peeling``),
+    lives on that object, so a freshly built one starts cold."""
+    for cache in (recovering._orbit_rank, channels._budget_counts):
         cache.cache_clear()

@@ -14,7 +14,7 @@ the desired-file combination on the support):
 The first two are one peeling kernel (``_peel``): plain recovery runs it
 with a one-block window on a stream that has no erasures.  It reads each
 intact block once by ``fields.check_symbols``, and then through one
-reader per scheme (``_peeling_tables``): one linear map of the field
+reader per scheme (``PirScheme._peeling``): one linear map of the field
 kernel from the block's words and the M stripes before it to the
 block's erasure checks and its right-hand sides at every support
 position, reduced by the E that takes the lag-0 support system to its
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import (
     DecodingFailure,
@@ -158,10 +158,9 @@ def _block_symbols(scheme: PirScheme, parts) -> list:
                          None if len(parts) == 1 else lambda i: divmod(i, n))
 
 
-@lru_cache(maxsize=32)
 def _peeling_tables(scheme: PirScheme):
     """(by_lag, rank, checked, read, patterns) of a plain or block-erasure
-    scheme, built once per scheme.
+    scheme, which the scheme keeps (``PirScheme._peeling``).
 
     Before the reduction, entry i of ``by_lag[z]`` is the tuple of the k
     coefficients of stripe s - z in block s's desired combination at the
@@ -194,8 +193,7 @@ def _peeling_tables(scheme: PirScheme):
 
     ``patterns`` is the scheme's table of window patterns, filled by
     ``_solve_pattern`` as ``_peel`` meets them: pattern -> None once seen,
-    then (rank, map b -> E b).  It is the scheme's own, so it goes with
-    this entry.
+    then (rank, map b -> E b).
     """
     f = scheme.field
     star = scheme.star_code()
@@ -304,7 +302,7 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
 
     Each block's stripe joins the unknowns.  Each intact block is read
     once by ``_block_symbols`` and goes through the scheme's one reader
-    (``_peeling_tables``) with the M stripes before it, which gives its
+    (``PirScheme._peeling``) with the M stripes before it, which gives its
     erasure checks and E b, its right-hand sides reduced by the kept E.
     A nonzero erasure check raises ``surviving position j disagrees with
     interpolation`` for the first such j, as ``erasure_decode`` does.
@@ -336,7 +334,7 @@ def _peel(stream: ResponseStream, scheme: PirScheme, window: int) -> RecoveredFi
     with nothing unknown must reduce to zero.
     """
     k, ell, memory = scheme.k, stream.ell, scheme.memory
-    by_lag, rank, checked, read, patterns = _peeling_tables(scheme)
+    by_lag, rank, checked, read, patterns = scheme._peeling
     cut, positions, full = len(checked), len(by_lag[0]), rank == k
     stack = partial(_stack, by_lag, k)
     zero = (0,) * k

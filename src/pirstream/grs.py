@@ -15,11 +15,11 @@ positions (``_systematic``), and a reader is one ``linalg.rref`` of it
 with the columns of its k base positions first, which eliminates only
 where the base leaves the first k positions.  Erasure decoding builds the
 reader of the first k surviving positions once per call; the peeling
-decoders build one per sub-round of a scheme (``decoder._peeling_tables``).
+decoders build one per sub-round of a scheme (``PirScheme._peeling``).
 
 Error (BMD) decoding returns the unique codeword within e = (d-1)//2 of
 the word, or fails.  It first reads the word through the reader its
-code keeps for it (``_bmd_kept``), and answers if that codeword is within
+code keeps for it (``_kept``), and answers if that codeword is within
 e.  Otherwise it runs Berlekamp-Massey on the n-k syndromes (one linear
 map of parity checks, ``_parity_checks``), finds the error locator's
 roots by one more linear map (Chien's search, ``_locator_values``), takes
@@ -31,8 +31,8 @@ nothing, and it builds a reader only for the first k positions outside
 a set of errors, once a later word's syndromes show those errors
 again.  The maps are the field kernel's ``linear_map``s, one
 ``bytes.translate`` of a matrix row (GF(2^s), q <= 2^8) or one
-multiply-accumulate (GF(p)) per input symbol; codes on the same locators
-share the syndrome and root maps.  Berlekamp-Massey, Forney's formula
+multiply-accumulate (GF(p)) per input symbol; each code builds its own
+syndrome and root maps once.  Berlekamp-Massey, Forney's formula
 and the recurrence check are the kernel's too, on its own arithmetic:
 inline mod p, the exp/log tables of GF(2^s) with q <= 2^8, and the
 scalar ``Field`` methods on the other fields.  The encoder and both
@@ -43,7 +43,7 @@ as its residue, and over any other field it raises SymbolOutsideField."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
@@ -66,8 +66,8 @@ from .linalg import solve_any  # noqa: F401
 class GrsCode:
     """RS(n, k, v) over a finite field; its fields are immutable and it is
     freely shareable.  What it builds once (its tables) and what its BMD
-    decodes keep per process (``_bmd_kept``) change no result, only how
-    fast a word decodes."""
+    decodes keep (``_kept``) live on the code and change no result, only
+    how fast a word decodes."""
 
     field: Field
     n: int
@@ -95,15 +95,6 @@ class GrsCode:
                 if not least <= a < q:
                     raise LocatorMismatch(f"{name} {a!r} at position {j} "
                                           f"outside {least}..{q - 1}")
-        # the dataclass's hash, of this tuple, computed once: every
-        # ``_bmd_kept`` lookup hashes its code.  Fields hash their ints, so
-        # the hash is the same in every process, and a pickled code (a
-        # worker's) keeps a valid one
-        object.__setattr__(self, "_hash", hash(
-            (self.field, self.n, self.k, locs, mults)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def d(self) -> int:
@@ -241,7 +232,7 @@ class GrsCode:
         ``Field`` method call once the code's tables are built.
 
         Before it, the word is read through a reader its code keeps
-        (``_bmd_kept``), and a codeword within e of the word is the
+        (``_kept``), and a codeword within e of the word is the
         answer: the map of all n positions, or, when the errors E of the
         code's last full decode hit its first k positions, the reader of
         the first k positions outside E followed by the others.  The
@@ -257,11 +248,11 @@ class GrsCode:
             raise LengthMismatch(f"word length {len(word)} != n={self.n}")
         word = check_symbols(f, word)
         k, e = self.k, (self.d - 1) // 2
-        kept = _bmd_kept(self)
+        kept = self._kept
         plan = kept[2]
         syndromes = None
         if plan is None:
-            syndromes = self._parity_checks(word)[:self.n - k]
+            syndromes = self._parity_checks(word)
             if not any(syndromes):
                 plan = self._first_plan
             elif _generates(f, kept[1], syndromes):
@@ -274,7 +265,7 @@ class GrsCode:
             if len(errors) <= e:
                 return message, errors
             if syndromes is None:
-                syndromes = self._parity_checks(word)[:self.n - k]
+                syndromes = self._parity_checks(word)
         far = f"no codeword within distance {e} of the received word"
         locator = _berlekamp_massey(f, syndromes, e)
         if locator is None:
@@ -297,6 +288,15 @@ class GrsCode:
             raise DecodingFailure(far)
         kept[:] = errors, locator, first if roots[0] >= k else None
         return message, errors
+
+    @cached_property
+    def _kept(self):
+        """[the errors E of the code's last full BMD decode, their locator,
+        the plan of the reader its next BMD decode reads through first],
+        which ``bmd_decode`` updates.  The plan is None while E hits the
+        first k positions and no later word has shown E again; at first
+        there are no errors, and the plan is ``_first_plan``."""
+        return [None, None, self._first_plan]
 
     @cached_property
     def _first_plan(self):
@@ -332,30 +332,47 @@ class GrsCode:
 
     @cached_property
     def _parity_checks(self):
-        """The map w -> (sum_j u_j a_j^i w_j)_i, with u the multipliers of
-        the dual code, whose first n-k entries are the syndromes of w
-        (``_dual_checks``, shared by every code on the same locators and
-        multipliers)."""
-        return _dual_checks(self.field, self.locators, self.multipliers)[1]
+        """The field kernel's linear map w -> (sum_j u_j a_j^i w_j)_{i < n-k}
+        of the syndromes of w, with u the multipliers of the dual code
+        (``_dual_weights``): row i of (u_j a_j^i)_j is a parity check,
+        since sum_j lambda_j g(a_j) is the coefficient of x^(n-1) in the
+        interpolant of g, so it vanishes for deg g <= n-2, and with
+        g = m x^i for every codeword (v_j m(a_j))_j.  At k = n there are
+        no checks, and the map is empty."""
+        f = self.field
+        powers = zip(*power_rows(f, self.locators, self.n - self.k))
+        return f.kernel.linear_map(
+            [f.kernel.scale(column, f.inv(w))
+             for w, column in zip(self._dual_weights, powers)])
 
     @cached_property
     def _dual_weights(self):
-        """(1 / u_j)_j for the multipliers u of the dual code
-        (``_dual_checks``)."""
-        return _dual_checks(self.field, self.locators, self.multipliers)[0]
+        """(1 / u_j)_j for the multipliers u_j = lambda_j / v_j of the dual
+        code, with lambda_j = 1 / prod_{l != j} (a_j - a_l)."""
+        f = self.field
+        weights = []
+        for a, v in zip(self.locators, self.multipliers):
+            prod = v
+            for b in self.locators:
+                if b != a:
+                    prod = f.mul(prod, f.sub(a, b))
+            weights.append(prod)
+        return tuple(weights)
 
     @cached_property
     def _locator_values(self):
-        """c -> (sum_i c_i a_j^i)_j, the values at every locator of a
-        polynomial of degree <= (n-1)/2 (``_root_map``, shared by every code
-        on the same locators)."""
-        return _root_map(self.field, self.locators)
+        """The field kernel's linear map c -> (sum_i c_i a_j^i)_j, for
+        i <= (n-1)/2: the values at every locator of an error locator of
+        degree e <= (n-k)/2 (Chien's search)."""
+        f = self.field
+        return f.kernel.linear_map(
+            power_rows(f, self.locators, (self.n - 1) // 2 + 1))
 
 
 # Erasure decoding builds the reader of its surviving positions on every
 # call, and the peeling tables one per sub-round of a scheme.  BMD decoding
 # keeps the reader of the first k positions outside a set of errors that a
-# later word showed again (``_bmd_kept``).  A build reduces the code's kept
+# later word showed again (``GrsCode._kept``).  A build reduces the code's kept
 # systematic form, whose first k positions are unit columns, so its
 # elimination works only on the base positions outside the first k.  A
 # reader holds its k rows of n bytes.
@@ -391,18 +408,6 @@ def _check_positions(positions, n):
         raise LengthMismatch(f"positions {positions} outside 0..{n - 1}")
 
 
-# A scheme's four um codes decode in turn, so 64 codes serve several
-# schemes; an evicted code's next decode reads through all n positions.
-@lru_cache(maxsize=64)
-def _bmd_kept(code):
-    """[the errors E of the code's last full BMD decode, their locator, the
-    plan of the reader its next BMD decode reads through first], which
-    ``bmd_decode`` updates.  The plan is None while E hits the first k
-    positions and no later word has shown E again; at first there are no
-    errors, and the plan is ``_first_plan``."""
-    return [None, None, code._first_plan]
-
-
 def _berlekamp_massey(f, syndromes, e):
     """The error locator of the syndromes, or None if it has degree > e.
 
@@ -430,43 +435,6 @@ def _generates(f, locator, syndromes):
     codeword that differs from it only there.  The field's kernel checks
     it (``generates``)."""
     return f.kernel.generates(locator, syndromes)
-
-
-# A scheme's codes share one locator tuple and two multiplier tuples, so 32
-# locator (and multiplier) tuples are plenty.
-@lru_cache(maxsize=32)
-def _dual_checks(f, locators, multipliers):
-    """((1 / u_j)_j, parity checks) of the codes RS(n, k, v) on these
-    locators and multipliers, whatever k.
-
-    u_j = lambda_j / v_j with lambda_j = 1 / prod_{l != j} (a_j - a_l), and
-    row i < n-k of (u_j a_j^i)_j is a parity check of RS(n, k, v):
-    sum_j lambda_j g(a_j) is the coefficient of x^(n-1) in the interpolant
-    of g, so it vanishes for deg g <= n-2, and with g = m x^i for every
-    codeword (v_j m(a_j))_j.  The checks of RS(n, k, v) are thus the first
-    n-k of the n-1 checks of RS(n, 1, v), and the second entry is the
-    field kernel's linear map w -> (sum_j u_j a_j^i w_j)_{i < n-1}."""
-    weights = []
-    for a, v in zip(locators, multipliers):
-        prod = v
-        for b in locators:
-            if b != a:
-                prod = f.mul(prod, f.sub(a, b))
-        weights.append(prod)
-    # no checks at n = 1: the table, and so the map, is empty
-    powers = zip(*power_rows(f, locators, len(locators) - 1))
-    return tuple(weights), f.kernel.linear_map(
-        [f.kernel.scale(column, f.inv(w))
-         for w, column in zip(weights, powers)])
-
-
-@lru_cache(maxsize=32)
-def _root_map(field, locators):
-    """The field kernel's linear map c -> (sum_i c_i a_j^i)_j on these
-    locators, for i <= (n-1)/2: the values at every locator of an error
-    locator of degree e <= (n-k)/2, for every k (Chien's search)."""
-    return field.kernel.linear_map(
-        power_rows(field, locators, (len(locators) - 1) // 2 + 1))
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

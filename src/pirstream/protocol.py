@@ -186,6 +186,15 @@ class PirScheme:
                 GrsCode(f, n, 2 * k + t - 1, locs),      # interference + delayed
                 self.star_code())
 
+    @cached_property
+    def _peeling(self) -> tuple:
+        """The peeling tables of a plain or block-erasure scheme, with its
+        table of window patterns (``decoder._peeling_tables``): built on
+        the first decode, and the patterns grow with the streams the
+        scheme decodes."""
+        from .decoder import _peeling_tables     # decoder imports protocol
+        return _peeling_tables(self)
+
 
 def _default_retrieval(code: GrsCode, t: int) -> GrsCode:
     return GrsCode(code.field, code.n, t, code.locators)

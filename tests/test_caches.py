@@ -1,24 +1,35 @@
 """Cache isolation: a trial gives the same outcome whatever ran before it
 in the process.
 
-Every per-process cache of the package is keyed by what its value
-depends on: the field with its modulus, a code's locators and
-multipliers, a scheme's window, a matrix's bytes.  A key that drops one
-of them still passes every single-scheme run, so this test runs trials
-of several small schemes interleaved in one process and compares each
-outcome with the same trial run alone after the caches are emptied.
-The schemes share what a careless key would confuse: GF(2^4) under two
-moduli, codes on the same locators with different multipliers, block
-schemes that differ only in window, plain schemes on one code and
-support that differ only in memory, Byzantine schemes whose codes
-share locators, budget error schedules of two distance profiles over
-streams of one length, and a block scheme on the scalar kernel.
+What a code or scheme builds and learns lives on that object, so a
+freshly built one starts cold.  The package's two per-process caches,
+the window ranks of ``recovering`` and the budget weight counts of
+``channels``, are keyed by what their values depend on: the field with
+its modulus, the locators, the window, a distance profile and a stream
+length.  A key that drops one of them still passes every single-scheme
+run, so this test runs trials of several small schemes interleaved in
+one process and compares each outcome with the same trial run alone
+after the caches are emptied.  The schemes share what a careless key
+would confuse: GF(2^4) under two moduli, codes on the same locators
+with different multipliers, block schemes that differ only in window,
+plain schemes on one code and support that differ only in memory,
+Byzantine schemes whose codes share locators, budget error schedules of
+two distance profiles over streams of one length, and a block scheme on
+the scalar kernel.  Further tests find every module-level cache and
+check that ``clear_caches`` empties it, and that a scheme pickled before
+its first trial, as a worker gets it, carries no decode state.
 """
 
+import functools
+import importlib
+import pickle
+import pkgutil
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirstream import (channels, clear_caches, cli, decoder, grs, protocol,
-                       recovering)
+import pirstream
+from pirstream import channels, clear_caches, cli, decoder, protocol
 from pirstream.fields import parse_field_spec
 from pirstream.grs import GrsCode
 from pirstream.recovering import build_A
@@ -56,10 +67,10 @@ SCHEMES = (
 )
 
 
-def run_trial(index, trial):
-    """The outcome of one trial of scheme ``index``, built from scratch:
-    (decoded correctly, channel description), and for a block scheme the
-    rank of its support's window matrix."""
+def build(index):
+    """(scheme, ell, channel, schedules, extra) of scheme ``index``, built
+    from scratch, with ``extra`` the rank of a block scheme's support's
+    window matrix as a 1-tuple, and empty for the other variants."""
     variant, spec, params = SCHEMES[index]
     field = parse_field_spec(spec)
     n = params["n"]
@@ -87,6 +98,14 @@ def run_trial(index, trial):
         if "mode" in params:
             section = {"kind": "symbol-errors", "mode": params["mode"]}
     channel = cli._check_channel(section, scheme, ell)
+    return scheme, ell, channel, schedules, extra
+
+
+def run_trial(index, trial):
+    """The outcome of one trial of scheme ``index``, built from scratch:
+    (decoded correctly, channel description), and for a block scheme the
+    rank of its support's window matrix."""
+    scheme, ell, channel, schedules, extra = build(index)
     return cli._run_one_trial(scheme, ell, channel, SEED, trial,
                               schedules) + extra
 
@@ -104,14 +123,38 @@ def test_interleaved_trials_match_trials_run_alone(runs):
         assert outcome[0], SCHEMES[index]
 
 
-def test_clear_caches_empties_every_cache(monkeypatch):
-    # a Byzantine trial with budget errors fills the kept BMD state, dual
-    # checks and root maps of its codes and the budget weight counts, and
-    # a block trial the peeling tables, with the scheme's table of window
-    # patterns, and the window ranks
-    caches = (grs._bmd_kept, grs._dual_checks, grs._root_map,
-              decoder._peeling_tables, recovering._orbit_rank,
-              channels._budget_counts)
+def module_caches():
+    """{name: wrapper} of every ``functools.lru_cache`` bound at module
+    level in a ``pirstream`` module, under the module that defines it."""
+    wrapper = type(functools.lru_cache()(lambda: None))
+    caches = {}
+    for info in pkgutil.iter_modules(pirstream.__path__):
+        module = importlib.import_module(f"pirstream.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, wrapper)
+                    and value.__module__ == module.__name__):
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def test_clear_caches_empties_every_cache():
+    # a Byzantine trial with budget errors fills the budget weight counts,
+    # and a block trial the window ranks; a module-level cache that these
+    # trials leave empty needs a trial here that fills it
+    caches = module_caches()
+    assert caches
+    run_trial(13, 0)
+    run_trial(6, 0)
+    assert [name for name, cache in caches.items()
+            if not cache.cache_info().currsize] == []
+    clear_caches()
+    assert {name: cache.cache_info().currsize
+            for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+
+
+def test_each_scheme_keeps_its_own_window_patterns(monkeypatch):
+    # every solve of a block trial reads its scheme's one table of window
+    # patterns, and an equal scheme built afresh starts a table of its own
     tables = []
     solve = decoder._solve_pattern
 
@@ -119,14 +162,49 @@ def test_clear_caches_empties_every_cache(monkeypatch):
         tables.append(patterns)
         return solve(field, patterns, *rest)
     monkeypatch.setattr(decoder, "_solve_pattern", spy)
-    run_trial(13, 0)
     run_trial(6, 0)
-    assert all(cache.cache_info().currsize for cache in caches)
     kept = tables[0]
     assert kept and all(table is kept for table in tables)
-    clear_caches()
-    assert [cache.cache_info().currsize for cache in caches] == [0] * 6
-    # the scheme's next trial starts a table of its own
     tables.clear()
     run_trial(6, 0)
-    assert tables and tables[0] is not kept
+    assert tables and all(table is not kept for table in tables)
+
+
+def state_keys(obj, seen=None):
+    """Every ``__dict__`` key of the objects reachable from ``obj`` through
+    instance attributes, tuples, lists and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return set()
+    seen.add(id(obj))
+    keys, parts = set(), []
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        parts = list(obj)
+    elif isinstance(obj, dict):
+        parts = [*obj.keys(), *obj.values()]
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        keys = set(vars(obj))
+        parts = list(vars(obj).values())
+    for part in parts:
+        keys |= state_keys(part, seen)
+    return keys
+
+
+# a plain scheme, a block scheme and a Byzantine scheme with budget errors
+@pytest.mark.parametrize("index", [0, 6, 13])
+def test_a_scheme_pickled_before_its_first_trial_carries_no_decode_state(
+        index):
+    # a worker gets the scheme and channel by pickle (``cli._fan_out``)
+    # before any trial: the copy holds no kept BMD state and no peeling
+    # tables, and its trials decode as the original's do
+    scheme, ell, channel, schedules, _ = build(index)
+    data = pickle.dumps((scheme, ell, channel, SEED, schedules))
+    copy = pickle.loads(data)
+    assert not {"_kept", "_peeling"} & state_keys(copy)
+    assert copy[0] == scheme
+    for trial in range(2):
+        assert (cli._run_one_trial(*copy[:4], trial, copy[4])
+                == cli._run_one_trial(scheme, ell, channel, SEED, trial,
+                                      schedules))
+    # the original kept state of its own meanwhile
+    assert {"_kept", "_peeling"} & state_keys(scheme)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
-from pirstream import clear_caches, cli, decoder, grs, linalg
+from pirstream import cli, decoder, grs, linalg
 from pirstream.channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -24,7 +24,6 @@ from pirstream.config import build_scheme, load_config
 from pirstream.decoder import (
     DIRECT,
     UmDistanceProfile,
-    _peeling_tables,
     check_guarantee,
     decode_um,
     recover_plain,
@@ -667,7 +666,6 @@ def test_decode_um_residuals_make_no_field_call(f, monkeypatch):
     assert check_guarantee(schedule.weights(ell + 1),
                            UmDistanceProfile.for_byzantine(16, 3, 1))
     noisy = apply_errors(stream, schedule, f.q, 7)
-    clear_caches()
     assert decode_um(noisy, sch).stripes == files[0]
     armed = refuse_field_calls(monkeypatch)
     bmd_decode = GrsCode.bmd_decode
@@ -950,8 +948,8 @@ def test_a_lag0_system_of_rank_below_k_keeps_the_record_path():
     sch, files, _ = setup_plain()
     lag0 = tuple(x if j == 3 else 0 for j, x in enumerate(sch.e_offsets[0][0]))
     low = dataclasses.replace(sch, e_offsets=((lag0,) + sch.e_offsets[0][1:],))
-    assert _peeling_tables(low)[1] == 1
-    assert _peeling_tables(sch)[1] == sch.k
+    assert low._peeling[1] == 1
+    assert sch._peeling[1] == sch.k
     stream = run_protocol(storage_encode(files, C6), low, 3)
     got = outcome(recover_plain, stream, low)
     assert got[0] is RankDeficient
@@ -1087,7 +1085,7 @@ def test_known_share_map_matches_the_scalar_sum_of_encodes(name, data):
                     acc = f.sub(acc, f.mul(rows[z][j], y))
             b.append(acc)
     _, e = linalg.reduce_with_identity(f, raw[0])
-    by_lag, _, checked, read, _ = _peeling_tables(sch)
+    by_lag, _, checked, read, _ = sch._peeling
     for z in range(memory + 1):
         assert all(isinstance(coeffs, tuple) for coeffs in by_lag[z])
         assert [list(coeffs) for coeffs in by_lag[z]] == [
@@ -1109,7 +1107,7 @@ def test_stacking_from_the_pattern_equals_stacking_from_the_records(name, data):
     # is one), and sits at the column of the first of them.  Stacking the
     # records so equals stacking their pattern, numbered from u0
     sch = share_scheme(name)
-    by_lag = _peeling_tables(sch)[0]
+    by_lag = sch._peeling[0]
     k, memory, positions = sch.k, sch.memory, len(by_lag[0])
     ell = data.draw(st.integers(1, 8))
     u0 = data.draw(st.integers(1, ell))
@@ -1135,7 +1133,7 @@ def test_stacking_from_the_pattern_equals_stacking_from_the_records(name, data):
 
 def test_each_pattern_is_eliminated_once_as_a_b_and_once_as_a_i(
         monkeypatch, capsys):
-    # simulate at seed 11 from empty caches, on two schemes: below the
+    # simulate at seed 11 on two freshly built schemes: below the
     # cell cap, each window pattern of a scheme is reduced as [A | b] on
     # its first sight and as [A | I] on its second, and never again
     counts = {}
@@ -1156,7 +1154,6 @@ def test_each_pattern_is_eliminated_once_as_a_b_and_once_as_a_i(
             return _orig(*args)
         monkeypatch.setattr(decoder, name, counted)
     monkeypatch.setattr(decoder, "_solve_pattern", spy)
-    clear_caches()
     for path, trials in ((BENCH_CONFIGS / "burst-window.ini", 30),
                          (CONFIGS / "block-gf331.ini", 5)):
         assert cli.main(["simulate", "--config", str(path), "--seed", "11",
@@ -1169,22 +1166,22 @@ def test_each_pattern_is_eliminated_once_as_a_b_and_once_as_a_i(
 def test_kept_patterns_decode_every_exhaustive_schedule_as_on_first_sight(
         monkeypatch):
     # the 1,638 schedules of the exhaustive burst-window config, decoded
-    # twice in one process from empty caches: the second pass reads kept
+    # twice by one freshly built scheme: the second pass reads kept
     # patterns, and both give the stripes, provenance and errors of the
     # oracle that rebuilds every attempt.  A corrupted support symbol in a
-    # block whose patterns are kept raises what it raises on first sight
+    # block whose patterns are kept raises what it raises on first sight,
+    # that is, on an equal scheme built afresh
     sch, ell = config_scheme(CONFIGS / "burst-window-exhaustive.ini")
     w, _, _ = linear_pair(sch, ell, 11)
     schedules = gen_burst_patterns(ell, sch.memory, sch.window, sch.burst,
                                    "exhaustive")
     assert len(schedules) == 1638
     streams = [apply_erasures(w, sched) for sched in schedules]
-    clear_caches()
     first = [outcome(recover_window, stream, sch) for stream in streams]
     assert [outcome(recover_window, stream, sch) for stream in streams] == first
     assert first == [outcome(oracles.recover_window, stream, sch)
                      for stream in streams]
-    patterns = _peeling_tables(sch)[4]
+    patterns = sch._peeling[4]
     assert any(entry is not None for entry in patterns.values())
 
     f = sch.field
@@ -1199,8 +1196,7 @@ def test_kept_patterns_decode_every_exhaustive_schedule_as_on_first_sight(
     blocks[b - 1] = Block(ERRORED, tuple(map(tuple, parts)))
     noisy = ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
                            tuple(blocks))
-    clear_caches()
-    unseen = outcome(recover_window, noisy, sch)
+    unseen = outcome(recover_window, noisy, dataclasses.replace(sch))
     assert unseen[0] is InconsistentBlock
     assert unseen == outcome(oracles.recover_window, noisy, sch)
     for _ in range(2):
@@ -1244,9 +1240,8 @@ def test_the_erasure_rule_bounds_the_patterns_a_scheme_keeps(monkeypatch):
             return _orig(*args)
         monkeypatch.setattr(decoder, name, counted)
     monkeypatch.setattr(decoder, "_solve_pattern", spy)
-    clear_caches()
     first = [outcome(recover_window, stream, sch) for stream in streams]
-    patterns = _peeling_tables(sch)[4]
+    patterns = sch._peeling[4]
     assert len(met) == 116 and len(patterns) == 110
     assert all(entry is not None for entry in patterns.values())
     assert calls == [110, 110]
@@ -1429,7 +1424,7 @@ def test_decode_um_linearity_breaks_beyond_the_budget():
 # --- kept readers: which reader a BMD decode tries first changes no answer ---
 #
 # bmd_decode reads each word first through the reader its code keeps
-# (``grs._bmd_kept``): that of all n positions, or that of the first k
+# (``GrsCode._kept``): that of all n positions, or that of the first k
 # positions outside the errors its last full decode found, once a later
 # word shows them again.  A codeword within the radius of a word is
 # unique, so the kept state only picks the reader tried first: with every
@@ -1461,7 +1456,7 @@ def test_decode_um_answers_alike_with_and_without_kept_readers(path,
     bmd_decode = GrsCode.bmd_decode
 
     def cleared(code, word):
-        grs._bmd_kept.cache_clear()
+        vars(code).pop("_kept", None)
         return bmd_decode(code, word)
     monkeypatch.setattr(GrsCode, "bmd_decode", cleared)
     solves[0] = 0
@@ -1473,12 +1468,11 @@ def test_decode_um_answers_alike_with_and_without_kept_readers(path,
 
 def trial_counts(path, trials, monkeypatch):
     """(Berlekamp-Massey runs, reader builds) of trials 0..trials-1 of the
-    config at ``path`` at simulate seed 11, from empty caches, each of
-    which must decode."""
+    config at ``path`` at simulate seed 11, on a freshly built scheme, each
+    of which must decode."""
     cfg = load_config(path)
     _, _, sch, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, sch, ell)
-    clear_caches()
     solves = count_solves(monkeypatch)
     builds = count_reader_builds(monkeypatch)
     for trial in range(trials):
@@ -1518,11 +1512,10 @@ def test_kept_readers_leave_few_fixed_solves(monkeypatch):
 ], ids=["burst-window", "block-two-rounds", "plain-stream"])
 def test_peeling_builds_one_reader_per_sub_round(path, trials, builds,
                                                  monkeypatch, capsys):
-    # simulate at seed 11, from empty caches: the peeling tables build each
-    # sub-round's star reader once per scheme, and every block reads
-    # through the scheme's one map, so no block builds a reader, and no
-    # cache of readers would hide one that did
-    clear_caches()
+    # simulate at seed 11, on a freshly built scheme: the peeling tables
+    # build each sub-round's star reader once per scheme, and every block
+    # reads through the scheme's one map, so no block builds a reader, and
+    # no cache of readers would hide one that did
     counted = count_reader_builds(monkeypatch)
     assert cli.main(["simulate", "--config", str(path), "--seed", "11",
                      "--trials", str(trials), "--workers", "1"]) == 0

@@ -128,7 +128,8 @@ def scalar_kernel(monkeypatch):
     yields the list of those fields.
 
     The caches are emptied on both sides: their keys compare fields by
-    value, so a map built on one kernel would otherwise serve the other."""
+    value, so a window rank computed on one kernel would otherwise serve
+    the other."""
     init = Field.__init__
     built = []
 
@@ -153,9 +154,9 @@ def test_scalar_kernel_output_matches_golden(tmp_path, name, scalar_kernel):
     assert scalar_kernel
 
 
-# A worker process gets the scheme's codes by pickle, each with the hash
-# it kept from construction, and builds equal codes of its own: both must
-# find the same readers and plans.
+# A worker process gets the scheme by pickle before its first trial, and
+# its codes build their own tables and kept state: both workers must
+# decode as one process does.
 @pytest.mark.parametrize("name", ["simulate-byzantine-budget",
                                   "simulate-byzantine-fixed"])
 def test_two_workers_output_matches_golden(tmp_path, name):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import pickle
@@ -8,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirstream import clear_caches, grs
+from pirstream import grs
 from pirstream.errors import (
     DecodingFailure,
     DegenerateProduct,
@@ -172,7 +173,7 @@ def test_generator_matrix_hands_out_a_copy(f):
     g[0][0] = f.add(g[0][0], 1)
     g[1].append(5)
     g.append([1] * 7)
-    clear_caches()      # readers are built after the change
+    # the code builds its readers and maps after the change
     msg = [3, 1, 2]
     word = code.encode(msg)
     assert word == [f.mul(v, poly_eval(f, msg, a)) for a, v in zip(locs, mults)]
@@ -300,7 +301,6 @@ def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     msg = [5, 0, 11]
     word = code.encode(msg)
-    clear_caches()
     solves = count_solves(monkeypatch)
     builds = count_reader_builds(monkeypatch)
 
@@ -340,7 +340,6 @@ def test_bmd_decode_solves_once_for_persistent_errors(monkeypatch):
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 3, locs, tuple(f.pow(a, -3) for a in locs))
     rng = random.Random(4)
-    clear_caches()
     solves = count_solves(monkeypatch)
     builds = count_reader_builds(monkeypatch)
     for i in range(5):
@@ -365,22 +364,17 @@ SEQUENCE_CODES = {
 
 
 def fresh_decode(code, word):
-    """``decode_or_fail`` of bmd_decode from no kept state, as a new code's
-    first decode runs, leaving what ``grs._bmd_kept`` holds for the code
-    as it was."""
-    kept = list(grs._bmd_kept(code))
-    grs._bmd_kept.cache_clear()
-    try:
-        return decode_or_fail(GrsCode.bmd_decode, code, word)
-    finally:
-        grs._bmd_kept(code)[:] = kept
+    """``decode_or_fail`` of bmd_decode from no kept state: the first
+    decode of an equal code built afresh, which leaves what the code keeps
+    (``GrsCode._kept``) as it was."""
+    return decode_or_fail(GrsCode.bmd_decode, dataclasses.replace(code), word)
 
 
 @pytest.mark.parametrize("name", SEQUENCE_CODES)
 def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
         name, monkeypatch):
     # One code decodes a sequence of words, one through each path of the
-    # kept state (``grs._bmd_kept``): errors off the first k positions,
+    # kept state (``GrsCode._kept``): errors off the first k positions,
     # read through the map of all n positions; errors that hit them,
     # which run Berlekamp-Massey; a codeword; errors that persist, which
     # the kept locator confirms and its reader then reads; errors that
@@ -395,11 +389,10 @@ def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
                    tuple(rng.randrange(1, f.q) for _ in range(n)))
     e = (code.d - 1) // 2
     first, rest = set(range(k)), set(range(k, n))
-    clear_caches()
     solves = count_solves(monkeypatch)
 
     def base():
-        return set(grs._bmd_kept(code)[2][0][:k])
+        return set(code._kept[2][0][:k])
 
     def pick(count, pool, avoid=()):
         return set(rng.sample(sorted(set(pool) - set(avoid)), count))
@@ -467,7 +460,6 @@ def test_bmd_decode_keeps_one_reader_per_set_of_non_roots(monkeypatch):
     # positions.  Errors found twice in a row get the reader of the first
     # k positions outside them, once, which reads the later words with
     # those errors
-    clear_caches()
     builds = count_reader_builds(monkeypatch)
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))
     msg = [5, 0, 11]
@@ -528,7 +520,6 @@ def test_bmd_split_locator_beyond_radius_fails_the_root_check(monkeypatch):
         locators.append(berlekamp_massey(*args))
         return locators[-1]
     monkeypatch.setattr(grs, "_berlekamp_massey", spy)
-    clear_caches()
     with pytest.raises(DecodingFailure):
         code.bmd_decode(word)
     [locator] = locators
@@ -539,26 +530,30 @@ def test_bmd_split_locator_beyond_radius_fails_the_root_check(monkeypatch):
         bw_decode(code, word)
 
 
-def test_bmd_maps_are_shared_by_codes_on_the_same_locators():
-    # the checks of RS(n, k, v) are the first n-k of RS(n, 1, v)'s, so the
-    # four codes of unit-memory decoding (two multiplier tuples, one
-    # locator tuple) build two syndrome maps and one root map between them
+def test_each_code_builds_its_syndrome_and_root_maps():
+    # the four codes of unit-memory decoding (two multiplier tuples, one
+    # locator tuple) each build their own maps: the n-k syndromes, which
+    # are the first n-k checks of RS(n, 1, v) on the same multipliers, and
+    # the values at every locator of a polynomial of degree <= (n-1)/2
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     e1 = tuple(f.pow(a, 3) for a in locs)
     codes = [GrsCode(f, 16, 9, locs, e1), GrsCode(f, 16, 6, locs, e1),
              GrsCode(f, 16, 6, locs), GrsCode(f, 16, 3, locs)]
-    assert codes[0]._parity_checks is codes[1]._parity_checks
-    assert codes[2]._parity_checks is codes[3]._parity_checks
-    assert codes[0]._parity_checks is not codes[2]._parity_checks
-    assert len({id(code._locator_values) for code in codes}) == 1
     rng = random.Random(3)
     for code in codes:
         word = code.encode([rng.randrange(256) for _ in range(code.k)])
-        checks = code._parity_checks(word)
-        assert checks[: code.n - code.k] == [0] * (code.n - code.k)
+        assert code._parity_checks(word) == [0] * (code.n - code.k)
         word[0] ^= 1    # an error at locator 1 shows in every check
-        assert all(code._parity_checks(word))
+        checks = code._parity_checks(word)
+        assert len(checks) == code.n - code.k and all(checks)
+        noise = [rng.randrange(256) for _ in range(code.n)]
+        whole = GrsCode(f, 16, 1, locs, code.multipliers)
+        assert code._parity_checks(noise) == \
+            whole._parity_checks(noise)[:code.n - code.k]
+        poly = [rng.randrange(256) for _ in range(8)]
+        assert code._locator_values(poly) == [poly_eval(f, poly, a)
+                                              for a in locs]
 
 
 # GF(2^16) has 2-byte symbols and the scalar kernel, whose linear maps are
@@ -661,9 +656,9 @@ def test_bmd_decode_corrects_an_error_at_locator_zero(name, monkeypatch):
             word = code.encode(msg)
             for j in bad:
                 word[j] = f.add(word[j], rng.randrange(1, f.q))
-            clear_caches()
+            # an equal code built afresh decodes from no kept state
             before = solves[0]
-            got = code.bmd_decode(word)
+            got = dataclasses.replace(code).bmd_decode(word)
             assert got == (msg, frozenset(bad)), (zero_at, bad)
             assert got == bw_decode(code, word)
             if min(bad) < k:
@@ -688,7 +683,6 @@ def test_bmd_decode_at_n_100(f, n, k):
     code = GrsCode(f, n, k, tuple(locs),
                    tuple(rng.randrange(1, f.q) for _ in range(n)))
     e = (code.d - 1) // 2
-    clear_caches()
     counts = [c for c in range(e + 1) for _ in range(1 + (c % 5 == 0))]
     bad = ()
     for count in counts + [e + 1, e + 2, e + 3] * 6:
@@ -862,7 +856,6 @@ def test_full_bmd_decode_makes_no_field_call(f, monkeypatch):
     locs = tuple(rng.sample(range(1, f.q), 16))
     code = GrsCode(f, 16, 4, locs,
                    tuple(rng.randrange(1, f.q) for _ in range(16)))
-    clear_caches()
     warm = code.encode([1, 2, 3, 4])
     warm[0] = f.add(warm[0], 1)
     assert code.bmd_decode(warm) == ([1, 2, 3, 4], frozenset({0}))
@@ -933,7 +926,6 @@ def test_erasure_decode_reads_the_codeword_at_any_positions(f, data):
                               max_size=n, unique=True))
     mults = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
     code = GrsCode(f, n, k, tuple(locs), tuple(mults))
-    clear_caches()
     for _ in range(2):
         msg = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k,
                                  max_size=k))
@@ -1027,7 +1019,6 @@ def test_reader_matches_the_inverse_of_its_base_block(f, data):
         further.insert(data.draw(st.integers(0, len(further))),
                        data.draw(st.sampled_from(base)))
     positions = tuple(base + further)
-    clear_caches()
     read = grs._reader(code, positions)
     rows = reader_rows(code, positions)
     # the unit inputs read the map's rows, and random ones their sums
@@ -1046,11 +1037,10 @@ def gf256_code():
     return GrsCode(f, 16, 3, locs, tuple(f.pow(a, -3) for a in locs))
 
 
-def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
-    # the hash is computed once, from the tuple of fields the dataclass
-    # hashes, so equal codes built apart find each other's kept BMD state
-    # with its reader
-    clear_caches()
+def test_equal_codes_hash_alike_and_keep_their_own_state(monkeypatch):
+    # equal codes built apart hash alike, by the dataclass's hash of their
+    # fields, and each keeps its own BMD state: a decode of one leaves the
+    # other cold
     builds = count_reader_builds(monkeypatch)
     code = gf256_code()
     f = code.field
@@ -1062,12 +1052,13 @@ def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
     msg = [7, 0, 201]
     word = code.encode(msg)
     word[4] ^= 9
-    for c in (code, twin):
-        assert c.bmd_decode(word) == (msg, frozenset({4}))
-    # the twin's BMD decode finds the code's kept state and reads through
-    # its map of all n positions, which needs no build
+    assert code.bmd_decode(word) == (msg, frozenset({4}))
+    assert "_kept" in vars(code) and "_kept" not in vars(twin)
+    assert twin.bmd_decode(word) == (msg, frozenset({4}))
+    assert twin._kept is not code._kept
+    assert twin._kept[:2] == code._kept[:2]
+    # both read through their map of all n positions, which needs no build
     assert builds[0] == 0
-    assert grs._bmd_kept.cache_info()[:2] == (1, 1)
     # each erasure decode builds its own reader, and they read alike
     for c in (code, twin):
         assert c.erasure_decode(word, erased={4}, at=(4,)) == \
@@ -1081,10 +1072,9 @@ def test_equal_codes_hash_alike_and_share_readers(monkeypatch):
 
 
 def test_code_hash_survives_a_pickle_round_trip(monkeypatch):
-    # a worker process gets its scheme's codes by pickle, kept hash
-    # included: the copy hashes as the code does, here and in a process
-    # with another string-hash seed, and reads through its readers
-    clear_caches()
+    # a worker process gets its scheme's codes by pickle, before any
+    # decode: the copy hashes as the code does, here and in a process with
+    # another string-hash seed, and decodes with state of its own
     builds = count_reader_builds(monkeypatch)
     code = gf256_code()
     data = pickle.dumps(code)
@@ -1107,16 +1097,15 @@ def test_code_hash_survives_a_pickle_round_trip(monkeypatch):
     word[11] ^= 1
     assert code.bmd_decode(word) == (msg, frozenset({11}))
     assert copy.bmd_decode(word) == (msg, frozenset({11}))
-    # the copy finds the code's kept BMD state; neither builds a reader
-    assert grs._bmd_kept.cache_info()[:2] == (1, 1)
+    assert copy._kept is not code._kept
     assert builds[0] == 0
 
 
-def test_bmd_positions_never_change_the_hash():
+def test_bmd_state_lives_on_the_code_and_never_changes_its_hash():
     # what bmd_decode keeps for a code, the errors of its last full decode
-    # and the reader it reads through first, lives in ``grs._bmd_kept``,
-    # outside the code: decodes change neither its hash nor its equality,
-    # and clear_caches resets it
+    # and the reader it reads through first, lives on the code itself
+    # (``GrsCode._kept``): decodes change neither its hash nor its
+    # equality, and an equal code built afresh starts with no errors
     code = gf256_code()
     before = hash(code)
     keyed = {code: "found"}
@@ -1130,10 +1119,8 @@ def test_bmd_positions_never_change_the_hash():
         assert hash(code) == before
         assert keyed[code] == "found"
         assert code == gf256_code()
-    assert grs._bmd_kept(code)[0] == {2, 3}
-    assert "_bmd_kept" not in vars(code)
-    clear_caches()
-    assert grs._bmd_kept(code)[:2] == [None, None]
+    assert vars(code)["_kept"][0] == {2, 3}
+    assert gf256_code()._kept[:2] == [None, None]
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -1144,7 +1131,6 @@ def test_erasure_decode_reports_errors_in_order(warm):
     # LengthMismatch for erased, TooManyErasures, LengthMismatch for at,
     # SymbolOutsideField and InconsistentWord that applies is the one
     # raised
-    clear_caches()
     code = GrsCode(GF16, 10, 3, tuple(range(1, 11)))    # 7 erasures at most
     msg = [5, 0, 11]
     word = code.encode(msg)
