@@ -2,15 +2,17 @@
 change.
 
 Imports each checkout's ``src/pirstream`` under its own module name, so
-both live in one interpreter with their own caches, and times
-``cli._run_one_trial`` for trials 0..T-1 at simulate seed 11 with the
-sides in ABBA order: the parent first in even trials, the change first
-in odd ones.  Each rep starts cold on both sides, as a benchmark process
-does: the caches are emptied and the config's scheme and channel are
-built afresh, so no code keeps the tables or the BMD reader positions of
-an earlier rep, and the run stops if one does.  Prints, per rep, each side's
-median trial time and the median of the per-trial ratios parent/change,
-then the median of the reps' ratios with their quartiles and range.
+both live in one interpreter, and times ``cli._run_one_trial`` for
+trials 0..T-1 at simulate seed 11 with the sides in ABBA order: the
+parent first in even trials, the change first in odd ones.  Each rep
+starts cold on both sides, as a benchmark process does: the config's
+scheme and channel are built afresh, so no code keeps the tables or the
+BMD state of an earlier rep, and the run stops if one does.  A side
+whose package still has ``clear_caches`` (a checkout from before the
+package kept all its state on its objects) has it called first.  Prints,
+per rep, each side's median trial time and the median of the per-trial
+ratios parent/change, then the median of the reps' ratios with their
+quartiles and range.
 
     python scripts/bench_inproc.py --parent ../parent --change . \\
         --config burst-window --trials 30 --reps 5
@@ -32,7 +34,6 @@ import argparse
 import gc
 import importlib
 import importlib.util
-import inspect
 import statistics
 import sys
 from pathlib import Path
@@ -60,11 +61,7 @@ def trial_runner(cli, config: Path, trials: int):
     runs it, on the config's scheme and channel."""
     cfg = cli.load_config(config)
     _, _, scheme, ell = cli.build_scheme(cfg)
-    check = cli._check_channel
-    # a checkout from before the channel check read the stream length
-    # takes no ell
-    extra = (ell,) if "ell" in inspect.signature(check).parameters else ()
-    channel = check(cfg.channel, scheme, *extra)
+    channel = cli._check_channel(cfg.channel, scheme, ell)
     schedules = None
     if channel.kind == "block-erasure":
         schedules = cli.channels.gen_burst_patterns(
@@ -75,14 +72,9 @@ def trial_runner(cli, config: Path, trials: int):
 
 
 def warm_codes(name: str) -> int:
-    """How many GRS codes of the package ``name`` keep the state of a BMD
-    decode: the live codes with a ``_kept`` entry of their own, or, in a
-    checkout from before that state moved onto the code, the entries of
-    ``grs._bmd_kept``, which ``clear_caches`` empties."""
-    grs = sys.modules[f"{name}.grs"]
-    if hasattr(grs, "_bmd_kept"):
-        return grs._bmd_kept.cache_info().currsize
-    code_type = grs.GrsCode
+    """How many live GRS codes of the package ``name`` keep the state of a
+    BMD decode, a ``_kept`` entry of their own."""
+    code_type = sys.modules[f"{name}.grs"].GrsCode
     gc.collect()
     return sum(1 for obj in gc.get_objects()
                if type(obj) is code_type and "_kept" in vars(obj))
@@ -118,13 +110,15 @@ def main(argv=None):
     rep_ratios = []
     for rep in range(args.reps):
         for side in SIDES:
-            sys.modules[f"pirstream_{side}"].clear_caches()
+            package = sys.modules[f"pirstream_{side}"]
+            if hasattr(package, "clear_caches"):
+                package.clear_caches()
         runs = {side: trial_runner(clis[side], config, args.trials)
                 for side in SIDES}
         for side in SIDES:
             if warm_codes(f"pirstream_{side}"):
-                sys.exit(f"rep {rep + 1}: a {side} code keeps BMD reader "
-                         "positions from an earlier rep")
+                sys.exit(f"rep {rep + 1}: a {side} code keeps BMD state "
+                         "from an earlier rep")
         times = {side: [] for side in SIDES}
         decoded = dict.fromkeys(SIDES, 0)
         for trial in range(args.trials):

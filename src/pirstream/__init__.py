@@ -7,7 +7,6 @@ errors), their decoders, locator-set search, rate formulas, and a
 seeded simulation CLI.
 """
 
-from . import channels, recovering
 from .channels import (
     ErasureSchedule,
     ErrorSchedule,
@@ -61,16 +60,3 @@ from .recovering import (
 )
 
 __version__ = "0.1.0"
-
-
-def clear_caches() -> None:
-    """Empty the package's two per-process caches, the window ranks of
-    ``recovering`` and the budget weight counts of ``channels``: pure
-    memos of values that no object owns, each a ``functools.lru_cache``
-    that bounds itself.  Clearing one changes no result, only what the
-    next call recomputes.  What a code or scheme builds and learns, its
-    tables, the BMD state a code keeps (``GrsCode._kept``) and a scheme's
-    peeling tables with its window patterns (``PirScheme._peeling``),
-    lives on that object, so a freshly built one starts cold."""
-    for cache in (recovering._orbit_rank, channels._budget_counts):
-        cache.cache_clear()

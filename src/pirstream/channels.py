@@ -8,7 +8,6 @@ accidental no-ops.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -141,9 +140,9 @@ class ErrorSchedule:
         return w
 
 
-@functools.lru_cache(maxsize=16)
 def _budget_counts(profile: UmDistanceProfile, stream_len: int) -> tuple:
-    """(xs, start, counts) for the budget weights of ``stream_len`` blocks.
+    """(xs, start, counts) for the budget weights of ``stream_len`` blocks,
+    built once per stream length and kept by the profile (its ``_budget``).
 
     xs holds the x-value 2*w - d_alpha of each block weight w up to
     (dbar(1) - 1) // 2.  counts[r][best] is the number of ways to extend
@@ -157,6 +156,8 @@ def _budget_counts(profile: UmDistanceProfile, stream_len: int) -> tuple:
     best + x < limit, a run of the first xs, which step by 2; so it is one
     difference of the row's sums over states that step by 2 (``runs``).
     """
+    if stream_len in profile._budget:
+        return profile._budget[stream_len]
     d_alpha = profile.d_alpha
     limit = profile.d1 + profile.d2 - 2 * d_alpha
     xs = range(-d_alpha, 2 * ((profile.dbar(1) - 1) // 2) - d_alpha + 1, 2)
@@ -179,7 +180,8 @@ def _budget_counts(profile: UmDistanceProfile, stream_len: int) -> tuple:
             runs[s] = prev[s] + runs.get(s - 2, 0)
         counts.append({best: runs[span[1]] - runs.get(span[0], 0)
                        if span else 0 for best, span in spans.items()})
-    return xs, start, tuple(counts)
+    profile._budget[stream_len] = xs, start, tuple(counts)
+    return profile._budget[stream_len]
 
 
 def count_budget_weights(profile: UmDistanceProfile, stream_len: int) -> int:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import (
     DecodingFailure,
@@ -60,7 +60,7 @@ from .errors import (
     UncorrectablePattern,
 )
 from .fields import check_symbols
-from .grs import _reader
+from .grs import _PicklesFieldsOnly, _reader
 from .linalg import raise_unless_unique, reduce_with_identity, solve_unique
 from .protocol import BLOCK, BYZANTINE, ERASED, PLAIN, PirScheme, ResponseStream
 
@@ -72,8 +72,9 @@ TRELLIS = "trellis"
 
 
 @dataclass(frozen=True)
-class UmDistanceProfile:
-    """Block and coset distances of a unit-memory construction."""
+class UmDistanceProfile(_PicklesFieldsOnly):
+    """Block and coset distances of a unit-memory construction, with the
+    budget weight tables built from them (``_budget``)."""
 
     d_alpha: int
     d1: int
@@ -92,6 +93,11 @@ class UmDistanceProfile:
         if length < 1:
             raise InvalidParams("window length must be >= 1")
         return self.d1 + (length - 1) * self.d_alpha + self.d2
+
+    @cached_property
+    def _budget(self) -> dict:
+        """stream length -> its ``channels._budget_counts`` tables."""
+        return {}
 
 
 def check_guarantee(weights, profile: UmDistanceProfile) -> bool:

@@ -42,7 +42,7 @@ as its residue, and over any other field it raises SymbolOutsideField."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 from operator import itemgetter
 
@@ -62,12 +62,21 @@ from .linalg import reduce_with_identity, rref
 from .linalg import solve_any  # noqa: F401
 
 
+class _PicklesFieldsOnly:
+    """A dataclass that pickles its fields alone, not what its
+    ``cached_property``s built or kept (kernel maps are closures, which
+    pickle cannot carry), so a copy starts cold wherever it was made."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+
+
 @dataclass(frozen=True)
-class GrsCode:
+class GrsCode(_PicklesFieldsOnly):
     """RS(n, k, v) over a finite field; its fields are immutable and it is
     freely shareable.  What it builds once (its tables) and what its BMD
     decodes keep (``_kept``) live on the code and change no result, only
-    how fast a word decodes."""
+    how fast a word decodes; a pickled copy carries neither."""
 
     field: Field
     n: int

@@ -33,7 +33,7 @@ from .errors import (
     SupportTooSmall,
 )
 from .fields import Field, check_symbols, power_rows
-from .grs import GrsCode, star_product_code
+from .grs import GrsCode, _PicklesFieldsOnly, star_product_code
 from .linalg import mat_rank
 from .rates import min_gamma
 from .seeds import derive_rng, draw_below
@@ -122,7 +122,7 @@ def random_files(field: Field, m: int, ell: int, k: int, rng):
 
 
 @dataclass(frozen=True)
-class PirScheme:
+class PirScheme(_PicklesFieldsOnly):
     """One retrieval plan: codes, memory, support, and offset matrices.
 
     ``e_offsets[r][z][j]`` is the offset added to query row z*m+desired at

@@ -16,16 +16,16 @@ every locator by c != 0 multiplies row (stripe i, r) of A by c^(r+ik) and
 block column j by c^(-jk), as the entry a^(r+(i-j)k) becomes
 (ca)^(r+(i-j)k); a zero locator's column keeps its single 1 at exponent
 0.  Permuting the locators permutes the columns inside each block
-column.  Neither changes the rank, so ``build_A`` ranks one canonical
-set per orbit and remembers the answer: the 4,368 five-sets of GF(16)
-fall into 292 orbits.
+column.  Neither changes the rank, so ``random_search_counts`` ranks
+one set per orbit and keeps each orbit's verdict for the rest of its
+draws: the 4,368 five-sets of GF(16) fall into 292 orbits.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     DuplicateLocators,
@@ -51,28 +51,6 @@ def minimal_gamma(k: int, M: int) -> int:
     return min_gamma(k, 2 * M + 1, M)
 
 
-def _assemble(field: Field, k: int, M: int, locators, window: int):
-    """Rows of the Nk x (N-M)gamma banded matrix A on ``locators``.
-
-    The N stripes of a window that opens with M erased blocks, against
-    the N-M intact blocks that close it, both counted from the window's
-    end: row (stripe i, r) meets block j in a^(r+(i-j)k), 0 <= i-j <= M.
-    """
-    # powers[e][j] = a_j^e for e < (M+1)k.  Band block z = 0..M is the
-    # Vandermonde block scaled per column by a^(zk): its row r is powers[r + zk].
-    powers = power_rows(field, locators, (M + 1) * k)
-    zero = [0] * len(locators)
-    rows = []
-    for bi in range(window):
-        for r in range(k):
-            row = []
-            for bj in range(window - M):
-                z = bi - bj
-                row.extend(powers[r + z * k] if 0 <= z <= M else zero)
-            rows.append(row)
-    return rows
-
-
 def _canonical(field: Field, locators) -> tuple:
     """The least sorted set c * S over the c that map a member of S to 1."""
     nonzero = [a for a in locators if a]
@@ -82,20 +60,12 @@ def _canonical(field: Field, locators) -> tuple:
     return min(tuple(sorted(scale(locators, inv(a)))) for a in nonzero)
 
 
-# 2:1:256, the largest published search row, has about 10.8k orbits
-# (C(256, 3) / 255), so every published row keeps all of its orbits; a
-# larger search only recomputes some ranks.
-@lru_cache(maxsize=1 << 15)
-def _orbit_rank(field: Field, k: int, M: int, window: int,
-                canonical: tuple) -> int:
-    return mat_rank(field, _assemble(field, k, M, canonical, window))
-
-
 @dataclass(frozen=True)
 class RecoveringMatrix:
     """Window matrix of a locator set with its rank verdict.
 
-    ``matrix`` is assembled on first read; the rank does not need it.
+    ``matrix`` and ``rank`` are each computed on first read, the rank by
+    one elimination of a matrix assembled for it alone.
     """
 
     field: Field
@@ -103,14 +73,37 @@ class RecoveringMatrix:
     M: int
     gamma: int
     locators: tuple
-    rank: int
     window: int
 
     @cached_property
     def matrix(self) -> tuple:
-        return tuple(tuple(r) for r in
-                     _assemble(self.field, self.k, self.M, self.locators,
-                               self.window))
+        return tuple(map(tuple, self._assemble()))
+
+    @cached_property
+    def rank(self) -> int:
+        return mat_rank(self.field, self._assemble())
+
+    def _assemble(self) -> list:
+        """Rows of the Nk x (N-M)gamma banded matrix A, fresh lists.
+
+        The N stripes of a window that opens with M erased blocks, against
+        the N-M intact blocks that close it, both counted from the window's
+        end: row (stripe i, r) meets block j in a^(r+(i-j)k), 0 <= i-j <= M.
+        """
+        k, M, window = self.k, self.M, self.window
+        # powers[e][j] = a_j^e for e < (M+1)k.  Row r of band block z = 0..M
+        # is powers[r + zk], the Vandermonde row r scaled by a_j^(zk).
+        powers = power_rows(self.field, self.locators, (M + 1) * k)
+        zero = [0] * self.gamma
+        rows = []
+        for bi in range(window):
+            for r in range(k):
+                row = []
+                for bj in range(window - M):
+                    z = bi - bj
+                    row.extend(powers[r + z * k] if 0 <= z <= M else zero)
+                rows.append(row)
+        return rows
 
     @property
     def full_rank(self) -> int:
@@ -123,15 +116,12 @@ class RecoveringMatrix:
 
 def build_A(field: Field, k: int, M: int, locators,
             window: int | None = None) -> RecoveringMatrix:
-    """Rank verdict of the Nk x (N-M)gamma banded matrix A of an N-block
-    window, N = ``window`` (default 2M+1).
+    """The Nk x (N-M)gamma banded matrix A of an N-block window,
+    N = ``window`` (default 2M+1), on the given locators in their order.
 
-    Scaling every locator by c != 0 scales row (stripe i, r) of A by
-    c^(r+ik) and block column j by c^(-jk); permuting the locators
-    permutes columns within each block column.  So the rank is a function
-    of the set's scaling orbit, and it is computed once per orbit, on the
-    orbit's canonical set, and remembered.  The returned ``matrix`` is
-    built on the given locators, in their order, when first read.
+    Checks the parameters and the locators, and eliminates nothing: the
+    returned matrix takes its rank from its locators when ``rank`` or
+    ``verdict`` is first read, and keeps nothing between calls.
     """
     locators = tuple(locators)
     gamma = len(locators)
@@ -148,8 +138,7 @@ def build_A(field: Field, k: int, M: int, locators,
         raise DuplicateLocators("locators must be pairwise distinct")
     if gamma < least:
         raise TooFewLocators(f"gamma={gamma} below minimum {least}")
-    rank = _orbit_rank(field, k, M, window, _canonical(field, locators))
-    return RecoveringMatrix(field, k, M, gamma, locators, rank, window)
+    return RecoveringMatrix(field, k, M, gamma, locators, window)
 
 
 def construct_regset(field: Field, k: int, M: int, gamma: int):
@@ -196,7 +185,9 @@ def random_search_counts(field: Field, k: int, M: int, trials: int, seed: int,
     included: only that convention reproduces the published k=3, M=2,
     q=16 search probability.  Per-trial seeds are derived from the master
     seed so that splitting the range across workers cannot change the
-    outcome.
+    outcome.  The call keeps each scaling orbit's verdict (keyed by
+    ``_canonical``), so it ranks one set per orbit it meets; every draw
+    still goes through ``build_A``.
     """
     if gamma is None:
         gamma = minimal_gamma(k, M)
@@ -208,9 +199,13 @@ def random_search_counts(field: Field, k: int, M: int, trials: int, seed: int,
             f"cannot draw {gamma} distinct locators from {field!r}")
     pool = list(range(field.q))
     hits = 0
+    verdicts = {}       # canonical set of an orbit -> its verdict
     for trial in range(start_trial, start_trial + trials):
         rng = random.Random(derive_seed(seed, "recovering-search", trial))
         locators = rng.sample(pool, gamma)
-        if build_A(field, k, M, locators).verdict:
-            hits += 1
+        matrix = build_A(field, k, M, locators)
+        orbit = _canonical(field, locators)
+        if orbit not in verdicts:
+            verdicts[orbit] = matrix.verdict
+        hits += verdicts[orbit]
     return hits, trials

@@ -1,23 +1,24 @@
 """Cache isolation: a trial gives the same outcome whatever ran before it
 in the process.
 
-What a code or scheme builds and learns lives on that object, so a
-freshly built one starts cold.  The package's two per-process caches,
-the window ranks of ``recovering`` and the budget weight counts of
-``channels``, are keyed by what their values depend on: the field with
-its modulus, the locators, the window, a distance profile and a stream
-length.  A key that drops one of them still passes every single-scheme
-run, so this test runs trials of several small schemes interleaved in
-one process and compares each outcome with the same trial run alone
-after the caches are emptied.  The schemes share what a careless key
-would confuse: GF(2^4) under two moduli, codes on the same locators
-with different multipliers, block schemes that differ only in window,
-plain schemes on one code and support that differ only in memory,
-Byzantine schemes whose codes share locators, budget error schedules of
-two distance profiles over streams of one length, and a block scheme on
-the scalar kernel.  Further tests find every module-level cache and
-check that ``clear_caches`` empties it, and that a scheme pickled before
-its first trial, as a worker gets it, carries no decode state.
+The package keeps no process-wide state.  What a code, a scheme or a
+distance profile builds and learns lives on that object, and a locator
+search keeps its orbit verdicts for one call, so a freshly built object
+starts cold and a pickled copy carries none of it.  Kept state that an
+object shares with an equal one, or with one that differs from it in a
+single parameter, still passes every single-scheme run, so this test
+runs trials of several small schemes interleaved in one process and
+compares each outcome with the same trial run alone on freshly built
+objects.  The schemes share what such sharing would confuse: GF(2^4)
+under two moduli, codes on the same locators with different
+multipliers, block schemes that differ only in window, plain schemes
+on one code and support that differ only in memory, Byzantine schemes
+whose codes share locators, budget error schedules of two distance
+profiles over streams of one length, and a block scheme on the scalar
+kernel.  Further tests check that no module binds a ``functools``
+cache, that each scheme and profile keeps its own tables, and that a
+scheme pickled before or after a trial, as a worker gets it, carries
+no decode state.
 """
 
 import functools
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pirstream
-from pirstream import channels, clear_caches, cli, decoder, protocol
+from pirstream import channels, cli, decoder, protocol
 from pirstream.fields import parse_field_spec
 from pirstream.grs import GrsCode
 from pirstream.recovering import build_A
@@ -114,42 +115,36 @@ def run_trial(index, trial):
 @given(st.lists(st.tuples(st.integers(0, len(SCHEMES) - 1), st.integers(0, 3)),
                 min_size=2, max_size=5))
 def test_interleaved_trials_match_trials_run_alone(runs):
-    clear_caches()
     together = [run_trial(index, trial) for index, trial in runs]
     for (index, trial), outcome in zip(runs, together):
-        clear_caches()
         assert outcome == run_trial(index, trial), SCHEMES[index]
         # every channel here is within its scheme's guarantee
         assert outcome[0], SCHEMES[index]
 
 
 def module_caches():
-    """{name: wrapper} of every ``functools.lru_cache`` bound at module
-    level in a ``pirstream`` module, under the module that defines it."""
+    """{name: wrapper} of every ``functools`` cache (``lru_cache`` or
+    ``cache``) bound at module level in ``pirstream`` or one of its
+    modules."""
     wrapper = type(functools.lru_cache()(lambda: None))
-    caches = {}
-    for info in pkgutil.iter_modules(pirstream.__path__):
-        module = importlib.import_module(f"pirstream.{info.name}")
-        for name, value in vars(module).items():
-            if (isinstance(value, wrapper)
-                    and value.__module__ == module.__name__):
-                caches[f"{info.name}.{name}"] = value
-    return caches
+    modules = [pirstream] + [
+        importlib.import_module(f"pirstream.{info.name}")
+        for info in pkgutil.iter_modules(pirstream.__path__)]
+    return {f"{module.__name__}.{name}": value for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, wrapper)}
 
 
-def test_clear_caches_empties_every_cache():
-    # a Byzantine trial with budget errors fills the budget weight counts,
-    # and a block trial the window ranks; a module-level cache that these
-    # trials leave empty needs a trial here that fills it
-    caches = module_caches()
-    assert caches
-    run_trial(13, 0)
-    run_trial(6, 0)
-    assert [name for name, cache in caches.items()
-            if not cache.cache_info().currsize] == []
-    clear_caches()
-    assert {name: cache.cache_info().currsize
-            for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+def test_no_functools_cache_is_bound_at_module_level(monkeypatch):
+    # a search, a code, a scheme and a distance profile keep what they
+    # build and learn, so the package keeps no process-wide state and has
+    # nothing to reset between runs
+    assert module_caches() == {}
+    assert not hasattr(pirstream, "clear_caches")
+    # the finder does find a cache bound at module level
+    probe = functools.lru_cache(maxsize=4)(abs)
+    monkeypatch.setattr(channels, "_probe", probe, raising=False)
+    assert module_caches() == {"pirstream.channels._probe": probe}
 
 
 def test_each_scheme_keeps_its_own_window_patterns(monkeypatch):
@@ -190,21 +185,66 @@ def state_keys(obj, seen=None):
     return keys
 
 
+# every name under which a code, a scheme or a distance profile keeps
+# what it builds or learns
+KEPT = {name for cls in (GrsCode, protocol.PirScheme,
+                    decoder.UmDistanceProfile)
+        for name, value in vars(cls).items()
+        if isinstance(value, functools.cached_property)}
+
+
+def test_a_budget_run_builds_its_tables_once_per_profile_and_length(
+        monkeypatch):
+    # the trials of one run draw against one profile, which builds the
+    # tables of its stream length once; an equal profile built afresh
+    # builds its own
+    tables = []
+    counts = channels._budget_counts
+
+    def spy(profile, stream_len):
+        tables.append((profile, stream_len, counts(profile, stream_len)))
+        return tables[-1][2]
+    monkeypatch.setattr(channels, "_budget_counts", spy)
+    scheme, ell, channel, schedules, _ = build(13)
+    for trial in range(3):
+        cli._run_one_trial(scheme, ell, channel, SEED, trial, schedules)
+    assert len(tables) >= 3
+    kept = tables[0][2]
+    assert all(profile is channel.profile and length == ell + scheme.memory
+               and table is kept for profile, length, table in tables)
+    assert vars(channel.profile)["_budget"] == {ell + scheme.memory: kept}
+    tables.clear()
+    fresh = build(13)[2]
+    assert fresh.profile == channel.profile
+    cli._run_one_trial(scheme, ell, fresh, SEED, 0, schedules)
+    assert tables and all(profile is fresh.profile and table is not kept
+                          and table == kept for profile, _, table in tables)
+
+
 # a plain scheme, a block scheme and a Byzantine scheme with budget errors
 @pytest.mark.parametrize("index", [0, 6, 13])
 def test_a_scheme_pickled_before_its_first_trial_carries_no_decode_state(
         index):
     # a worker gets the scheme and channel by pickle (``cli._fan_out``)
-    # before any trial: the copy holds no kept BMD state and no peeling
-    # tables, and its trials decode as the original's do
+    # before any trial: the copy holds no kept BMD state, no peeling
+    # tables and no budget tables, and its trials decode as the
+    # original's do
     scheme, ell, channel, schedules, _ = build(index)
     data = pickle.dumps((scheme, ell, channel, SEED, schedules))
     copy = pickle.loads(data)
-    assert not {"_kept", "_peeling"} & state_keys(copy)
+    assert not KEPT & state_keys(copy)
     assert copy[0] == scheme
     for trial in range(2):
         assert (cli._run_one_trial(*copy[:4], trial, copy[4])
                 == cli._run_one_trial(scheme, ell, channel, SEED, trial,
                                       schedules))
     # the original kept state of its own meanwhile
-    assert {"_kept", "_peeling"} & state_keys(scheme)
+    assert {"_kept", "_peeling", "_budget"} & state_keys((scheme, channel))
+    # a scheme that has decoded pickles too, as cold as before its first
+    # trial, and the copy's next trials decode as the original's do
+    copy = pickle.loads(pickle.dumps((scheme, ell, channel, SEED, schedules)))
+    assert not KEPT & state_keys(copy)
+    for trial in range(2, 4):
+        assert (cli._run_one_trial(*copy[:4], trial, copy[4])
+                == cli._run_one_trial(scheme, ell, channel, SEED, trial,
+                                      schedules))

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from pirstream import clear_caches
 from pirstream.cli import main
 from pirstream.fields import Field, _ScalarKernel
 
@@ -127,9 +126,9 @@ def scalar_kernel(monkeypatch):
     """Every ``Field`` built meanwhile computes through the scalar kernel;
     yields the list of those fields.
 
-    The caches are emptied on both sides: their keys compare fields by
-    value, so a window rank computed on one kernel would otherwise serve
-    the other."""
+    The package keeps nothing between runs: each CLI run builds its own
+    fields, codes and scheme, and a search its own orbit verdicts, so
+    nothing computed on one kernel can serve the other."""
     init = Field.__init__
     built = []
 
@@ -138,9 +137,7 @@ def scalar_kernel(monkeypatch):
         self.kernel = _ScalarKernel(self)
         built.append(self)
     monkeypatch.setattr(Field, "__init__", scalar_init)
-    clear_caches()
     yield built
-    clear_caches()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirstream import clear_caches, recovering
+from pirstream import recovering
 from pirstream.errors import (
     DuplicateLocators,
     FieldTooSmall,
@@ -65,8 +65,7 @@ def test_window_matrix_entries(k, M, window):
 
 
 def test_window_ranks_are_remembered_apart():
-    # one orbit, two windows: the memo must not hand one window's rank to
-    # the other
+    # one orbit, two windows: each matrix takes the rank of its own window
     locs = (1, 2, 6, 7)
     assert build_A(GF16, 2, 2, locs, window=4).rank == 7
     assert build_A(GF16, 2, 2, locs).rank == 10
@@ -131,12 +130,37 @@ def test_too_few_locators():
         build_A(GF16, 2, 1, (3, 5))
 
 
-def test_locators_outside_the_field():
-    before = recovering._orbit_rank.cache_info()
+def spy_on_eliminations(monkeypatch):
+    """The row counts of the matrices that ``recovering`` ranks from now
+    on, one entry per elimination."""
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return mat_rank(field, rows)
+    monkeypatch.setattr(recovering, "mat_rank", counted)
+    return calls
+
+
+def test_locators_outside_the_field(monkeypatch):
+    # an invalid set raises before any elimination
+    calls = spy_on_eliminations(monkeypatch)
     for locs in [(3, 7, 16), (3, 7, -1)]:
         with pytest.raises(LocatorMismatch):
             build_A(GF16, 2, 1, locs)
-    assert recovering._orbit_rank.cache_info() == before
+    assert calls == []
+
+
+def test_build_A_eliminates_only_when_the_rank_is_read(monkeypatch):
+    calls = spy_on_eliminations(monkeypatch)
+    rm = build_A(GF16, 2, 1, (9, 3, 7))
+    assert calls == [] and "rank" not in vars(rm)
+    assert rm.verdict and calls == [6]
+    assert rm.rank == rm.full_rank == 6 and calls == [6]
+    # the rank is taken on rows assembled for it, not on ``matrix``
+    assert "matrix" not in vars(rm)
+    # build_A keeps nothing between calls: an equal matrix ranks afresh
+    assert build_A(GF16, 2, 1, (9, 3, 7)).rank == 6 and calls == [6, 6]
 
 
 @pytest.mark.parametrize("k, M", [(0, 1), (-1, 1), (2, -1)])
@@ -248,8 +272,9 @@ def test_random_search_larger_parameters():
 @pytest.mark.parametrize("k, M, p_full", [
     (2, 1, Fraction(1)), (4, 1, Fraction(85, 91)), (3, 2, Fraction(125, 182))])
 def test_every_minimal_set_of_the_q16_rows(k, M, p_full):
-    # each set's memoised rank is the rank of its own matrix, and the exact
-    # full-rank fractions are the values the search rows estimate
+    # each set's rank, taken on rows assembled for it, is the rank of its
+    # ``matrix``, and the exact full-rank fractions are the values the
+    # search rows estimate
     gamma = minimal_gamma(k, M)
     hits = total = 0
     for locs in itertools.combinations(range(16), gamma):
@@ -277,14 +302,22 @@ def test_rank_is_invariant_under_scaling_and_permutation(f, shape, extra, data):
 
 
 def test_search_ranks_each_scaling_orbit_once(monkeypatch):
-    # the 4,368 five-sets of GF(16) fall into 292 scaling orbits
-    calls = []
+    # the 4,368 five-sets of GF(16) fall into 292 scaling orbits, and each
+    # search keeps the verdicts of the orbits it meets for its own draws
+    calls = spy_on_eliminations(monkeypatch)
+    draws = []
+    build = recovering.build_A
 
-    def counted(field, rows):
-        calls.append(len(rows))
-        return mat_rank(field, rows)
-    monkeypatch.setattr(recovering, "mat_rank", counted)
-    clear_caches()
+    def counted(*args):
+        draws.append(args)
+        return build(*args)
+    monkeypatch.setattr(recovering, "build_A", counted)
     hits, trials = random_search_counts(GF16, 3, 2, 4000, seed=12)
     assert trials == 4000 and 0 < hits < trials
     assert 0 < len(calls) <= 292
+    # every draw is one build_A call, orbit met before or not
+    assert len(draws) == 4000
+    # a second search in the same process ranks its orbits again
+    first = len(calls)
+    assert random_search_counts(GF16, 3, 2, 4000, seed=12) == (hits, trials)
+    assert len(calls) == 2 * first and len(draws) == 8000
