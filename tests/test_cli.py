@@ -480,6 +480,21 @@ def test_workers_below_one_name_their_source(tmp_path, capsys, command, config,
     assert err == f"config error: {message} must be >= 1\n"
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", PLAIN_CFG.replace("trials = 3", "trials = 0"),
+     "[run] trials = 0 must be >= 1"),
+    ("simulate", PLAIN_CFG.replace("seed = 11", "seed = x"),
+     "[run] seed = 'x' is not an integer"),
+    ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = 0"),
+     "[search] trials = 0 must be >= 1"),
+], ids=["run-trials-zero", "run-seed-x", "search-trials-zero"])
+def test_run_settings_in_the_config_name_their_key(tmp_path, capsys, command,
+                                                   config, message):
+    path = write(tmp_path, "c.ini", config)
+    assert main([command, "--config", path]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["rates", "--seed", "1"],
     ["rates", "--workers", "2"],

@@ -13,9 +13,6 @@ from pirstream.errors import (
 )
 from pirstream.fields import (
     Field,
-    _default_modulus,
-    _is_irreducible,
-    _unpack,
     parse_field_spec,
     power_rows,
 )
@@ -44,17 +41,34 @@ def test_default_modulus_is_lowest_irreducible():
     assert Field(3, 2).modulus == (1, 0, 1)                     # x^2 + 1
 
 
-def test_binary_default_modulus_matches_the_polynomial_search():
-    """The shift-and-XOR Rabin test picks the modulus that Rabin's test on
-    coefficient lists picks, candidate by candidate in packed order."""
-    def lowest(s):
-        for packed in range(2 ** s):
-            coeffs = _unpack(packed, 2, s) + [1]
-            if _is_irreducible(coeffs, 2):
-                return tuple(coeffs)
+# The default modulus of each field: the lowest monic irreducible of its
+# degree in packed order, coefficients low to high.
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+}
 
-    for s in range(2, 17):
-        assert _default_modulus(2, s) == lowest(s), s
+
+@pytest.mark.parametrize("p, s", DEFAULT_MODULI)
+def test_default_modulus_matches_the_pinned_table(p, s):
+    assert Field(p, s).modulus == DEFAULT_MODULI[p, s]
 
 
 def test_basic_arithmetic():

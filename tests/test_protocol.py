@@ -195,6 +195,44 @@ def test_scheme_validation():
         plain_scheme(C6, 1, 1, 3, 5, (3, 4, 5))
 
 
+SPLIT_FIELDS = (GF16, Field(2, 8), Field(13), Field(3, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_byzantine_components_split_uniquely(data):
+    # on every code byzantine_scheme accepts, the three desired-file
+    # components split uniquely: the stacked generators of the star code,
+    # e1*C and e2*C have rank 3k+t-1; and it refuses every other code
+    f = data.draw(st.sampled_from(SPLIT_FIELDS), label="field")
+    k = data.draw(st.integers(1, 3), label="k")
+    t = data.draw(st.integers(1, 3), label="t")
+    assume(3 * k + t <= f.q - 1)
+    n = data.draw(st.integers(3 * k + t, min(f.q - 1, 3 * k + t + 4)),
+                  label="n")
+    locators = tuple(data.draw(st.permutations(range(1, f.q)),
+                               label="locators")[:n])
+    code = GrsCode(f, n, k, locators)
+    sch = byzantine_scheme(code, t, m=2, desired=0)
+    e1 = tuple(f.pow(a, -k) for a in locators)
+    e2 = tuple(f.pow(a, k + t - 1) for a in locators)
+    assert sch.e_offsets == ((e1, e2),)
+    rows = sch.star_code().generator_matrix()
+    for e in (e1, e2):
+        rows += [[f.mul(g, x) for g, x in zip(row, e)]
+                 for row in code.generator_matrix()]
+    assert mat_rank(f, rows) == 3 * k + t - 1
+
+    short = GrsCode(f, 3 * k + t - 1, k, locators[:3 * k + t - 1])
+    with pytest.raises(InvalidParams, match="need n > 3k"):
+        byzantine_scheme(short, t, 2, 0)
+    with pytest.raises(InvalidParams, match="locator 0"):
+        byzantine_scheme(GrsCode(f, n, k, (0,) + locators[1:]), t, 2, 0)
+    scaled = (1,) * (n - 1) + (data.draw(st.integers(2, f.q - 1)),)
+    with pytest.raises(InvalidParams, match="multipliers"):
+        byzantine_scheme(GrsCode(f, n, k, locators, scaled), t, 2, 0)
+
+
 def test_server_respond_m0_single_shot():
     sch = plain_scheme(RS42, t=1, memory=0, m=2, desired=0, support=(0, 1))
     files = random_files(GF5, 2, 1, 2, derive_rng(1, "f"))
