@@ -11,6 +11,7 @@ regime or audit failure, 4 a search probability missed its expected band.
 from __future__ import annotations
 
 import argparse
+import decimal
 import errno
 import itertools
 # argparse imports locale on its first gettext lookup and shutil when it
@@ -414,7 +415,9 @@ def cmd_privacy_audit(args) -> int:
     for colluders in colluding_sets:
         report = protocol.privacy_audit(scheme, colluders)
         if report.identical:
-            lines.append(f"T={list(colluders)} PASS enumerated={report.enumerated}")
+            # through Decimal, whose str has no digit limit, unlike an int's
+            lines.append(f"T={list(colluders)} PASS "
+                         f"enumerated={decimal.Decimal(report.enumerated)}")
         else:
             all_pass = False
             r, z, offset = report.witness

@@ -623,6 +623,23 @@ def test_privacy_audit_explicit_sets(tmp_path, capsys):
                                        "T=[0] PASS enumerated=25\n")
 
 
+def test_privacy_audit_prints_counts_past_the_int_to_str_limit(tmp_path,
+                                                                capsys):
+    # 331^(t * rounds * (M+1)m) = 331^(2 * 1 * 4 * 300) has 6,048 digits,
+    # more than str() of an int may print by default
+    text = (Path(__file__).parent / "configs" / "block-gf331.ini").read_text()
+    path = write(tmp_path, "a.ini", text.replace("\nm = 2\n", "\nm = 300\n")
+                 + "\n[audit]\nsets = 0 1\n")
+    assert main(["privacy-audit", "--config", path]) == 0
+    n, chunks = 331 ** 2400, []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(f"{low:01000d}")
+    digits = str(n) + "".join(reversed(chunks))
+    assert len(digits) == 6048
+    assert capsys.readouterr().out == f"T=[0, 1] PASS enumerated={digits}\n"
+
+
 def test_privacy_audit_sets_split_at_spaced_semicolons(tmp_path, capsys):
     # only "#" starts an inline comment; a spaced ";" still splits sets
     cfg = AUDIT_CFG + "[audit]\nsets = 2 ; 0  # both sets\n; a full-line comment\n"
