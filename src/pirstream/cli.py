@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import channels, decoder, protocol, rates, recovering
-from .config import _int, _int_list, build_scheme, load_config
+from .config import _int, _int_list, build_scheme, load_config, setting
 from .errors import ConfigError, InvalidParams, PirstreamError
 from .fields import Field, factorize
 from .rates import rate_report
@@ -216,18 +216,9 @@ def _simulate_range(scheme, ell, channel, seed, schedules, lo, hi):
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     field, code, scheme, ell = build_scheme(cfg)
-    seed = args.seed if args.seed is not None else _int(
-        "run", "seed", cfg.run.get("seed", "0"))
-    trials = args.trials if args.trials is not None else _int(
-        "run", "trials", cfg.run.get("trials", "1"))
-    workers = args.workers if args.workers is not None else _int(
-        "run", "workers", cfg.run.get("workers", "1"))
-    if trials < 1:
-        source = "[run] trials" if args.trials is None else "--trials"
-        raise ConfigError(f"{source} = {trials} must be >= 1")
-    if workers < 1:
-        source = "[run] workers" if args.workers is None else "--workers"
-        raise ConfigError(f"{source} = {workers} must be >= 1")
+    seed = setting("run", "seed", cfg.run, args.seed, 0)
+    trials = setting("run", "trials", cfg.run, args.trials, 1, 1)
+    workers = setting("run", "workers", cfg.run, args.workers, 1, 1)
     channel = _check_channel(cfg.channel, scheme, ell)
     schedules = None
     if channel.kind == "block-erasure":
@@ -347,16 +338,10 @@ def cmd_recovering_search(args) -> int:
             bands.append((lo, hi))
         if len(bands) != len(rows):
             raise ConfigError("[search] bands must match rows one-to-one")
-    trials = args.trials if args.trials is not None else _int(
-        "search", "trials", cfg.search.get("trials", "10000"))
-    seed = args.seed if args.seed is not None else _int(
-        "search", "seed", cfg.search.get("seed", "0"))
-    workers = args.workers if args.workers is not None else 1
-    if trials < 1:
-        source = "[search] trials" if args.trials is None else "--trials"
-        raise ConfigError(f"{source} = {trials} must be >= 1")
-    if workers < 1:
-        raise ConfigError(f"--workers = {workers} must be >= 1")
+    trials = setting("search", "trials", cfg.search, args.trials, 10000, 1)
+    seed = setting("search", "seed", cfg.search, args.seed, 0)
+    # [search] takes no workers key, so only the flag sets it
+    workers = setting("search", "workers", cfg.search, args.workers, 1, 1)
     if not rows:
         raise ConfigError("recovering-search needs [search] rows = k:M:q[:gamma] ...")
     lines = ["k,M,N,q,gamma,trials,p_full"]

@@ -1,7 +1,9 @@
 """Experiment configuration: flat key = value files with [section] groups.
 
 Parsed with configparser, validated eagerly with precise messages so the
-CLI can fail with exit code 2 before any work starts.
+CLI can fail with exit code 2 before any work starts.  A run setting that
+a command-line flag can also give (seed, trials, workers) is read by
+``setting``, which takes the flag over the config key over the default.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ def _int(section, key, raw, minimum=None):
     if minimum is not None and v < minimum:
         raise ConfigError(f"[{section}] {key} = {v} must be >= {minimum}")
     return v
+
+
+def setting(section, key, values, flag, default, minimum=None):
+    """An integer run setting: the command-line flag ``--key`` if one was
+    given, else ``[section] key`` from ``values``, else ``default``; below
+    ``minimum`` it is an error that names the flag or the key."""
+    if flag is None:
+        return _int(section, key, values.get(key, default), minimum)
+    if minimum is not None and flag < minimum:
+        raise ConfigError(f"--{key} = {flag} must be >= {minimum}")
+    return flag
 
 
 def _int_list(section, key, raw):

@@ -182,16 +182,10 @@ def _is_irreducible(coeffs, p) -> bool:
 
 
 def _default_modulus(p, s):
-    """Lowest monic irreducible of degree s, ordered by packed integer value.
-
-    For p = 2 the packed integer is the polynomial itself, and Rabin's
-    test runs on it by shift and XOR (``_binary_irreducible``)."""
+    """Lowest monic irreducible of degree s, ordered by packed integer
+    value, found by Rabin's test (``_is_irreducible``) for every p."""
     if s == 1:
         return (0, 1)
-    if p == 2:
-        for packed in range(1 << s, 2 << s):
-            if _binary_irreducible(packed, s):
-                return tuple(_unpack(packed, 2, s + 1))
     for packed in range(p ** s):
         coeffs = _unpack(packed, p, s) + [1]
         if _is_irreducible(coeffs, p):
@@ -201,7 +195,10 @@ def _default_modulus(p, s):
 
 def _xor_mulmod(a, b, mod, s):
     """a * b in GF(2^s) on packed ints by shift and XOR: the packed bits
-    are the coefficients, and ``mod`` is the packed modulus, x^s included."""
+    are the coefficients, and ``mod`` is the packed modulus, x^s included.
+    Only the exp/log tables of GF(2^s) are built with it
+    (``Field._build_mul_tables``); the modulus is found on coefficient
+    lists, as for every p."""
     acc = 0
     top = 1 << s
     while b:
@@ -212,27 +209,6 @@ def _xor_mulmod(a, b, mod, s):
         if a & top:
             a ^= mod
     return acc
-
-
-def _binary_irreducible(mod, s) -> bool:
-    """Rabin's test for the packed degree-s polynomial ``mod`` over GF(2),
-    s >= 2: x^(2^(s/r)) - x is coprime to it for every prime r | s, and
-    x^(2^s) = x modulo it.  The powers come from s squarings of x."""
-    stops = {s // r for r in factorize(s)}
-    h = 2
-    for step in range(1, s + 1):
-        h = _xor_mulmod(h, h, mod, s)
-        if step in stops:
-            # Euclid's gcd of mod and x^(2^step) - x, on packed ints
-            a, b = mod, h ^ 2
-            while b:
-                top = b.bit_length()
-                while a.bit_length() >= top:
-                    a ^= b << (a.bit_length() - top)
-                a, b = b, a
-            if a != 1:
-                return False
-    return h == 2
 
 
 def _unpack(value, p, s):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from pirstream import protocol
+from pirstream import linalg, protocol
 from pirstream.config import build_scheme, load_config
 from pirstream.errors import (
     InconsistentWord,
@@ -231,6 +231,19 @@ def test_byzantine_components_split_uniquely(data):
     scaled = (1,) * (n - 1) + (data.draw(st.integers(2, f.q - 1)),)
     with pytest.raises(InvalidParams, match="multipliers"):
         byzantine_scheme(GrsCode(f, n, k, locators, scaled), t, 2, 0)
+
+
+def test_building_a_byzantine_scheme_eliminates_nothing(monkeypatch):
+    echelons = []
+    echelon = linalg._echelon
+
+    def counted(field, rows):
+        echelons.append(len(rows))
+        return echelon(field, rows)
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    byzantine_scheme(C10, t=2, m=2, desired=0)
+    byzantine_scheme(GrsCode(Field(13), 12, 3, tuple(range(1, 13))), 2, 3, 1)
+    assert echelons == []
 
 
 def test_server_respond_m0_single_shot():
