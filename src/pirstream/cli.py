@@ -381,6 +381,16 @@ def _audit_sets(raw: str, n: int, t: int):
     return sets
 
 
+def _digits(n: int) -> str:
+    """n in decimal.  Past the interpreter's int-to-str digit limit str
+    raises ValueError, and Decimal, whose str has no limit, prints n;
+    other counts stay on str, which is the cheaper of the two."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 def cmd_privacy_audit(args) -> int:
     cfg = load_config(args.config)
     field, code, scheme, ell = build_scheme(cfg)
@@ -400,9 +410,8 @@ def cmd_privacy_audit(args) -> int:
     for colluders in colluding_sets:
         report = protocol.privacy_audit(scheme, colluders)
         if report.identical:
-            # through Decimal, whose str has no digit limit, unlike an int's
             lines.append(f"T={list(colluders)} PASS "
-                         f"enumerated={decimal.Decimal(report.enumerated)}")
+                         f"enumerated={_digits(report.enumerated)}")
         else:
             all_pass = False
             r, z, offset = report.witness
