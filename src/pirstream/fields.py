@@ -166,6 +166,8 @@ def _is_irreducible(coeffs, p) -> bool:
         return False
     if s == 1:
         return True
+    if coeffs[0] == 0 or sum(coeffs) % p == 0:
+        return False    # a root at 0 or 1: cheaper to see than the powers
     x = [0, 1]
     for r in factorize(s):
         h = _poly_powmod(x, p ** (s // r), coeffs, p)
@@ -183,7 +185,8 @@ def _is_irreducible(coeffs, p) -> bool:
 
 def _default_modulus(p, s):
     """Lowest monic irreducible of degree s, ordered by packed integer
-    value, found by Rabin's test (``_is_irreducible``) for every p."""
+    value, found by Rabin's test (``_is_irreducible``) for every p; the
+    test's root check turns most candidates away before any power."""
     if s == 1:
         return (0, 1)
     for packed in range(p ** s):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from pirstream.errors import (
 )
 from pirstream.fields import (
     Field,
+    _is_irreducible,
     parse_field_spec,
     power_rows,
 )
@@ -33,6 +35,36 @@ def test_construction_examples():
         Field(6)
     with pytest.raises(NonPrimeCharacteristic):
         Field(1)
+
+
+def has_factor(coeffs, p):
+    """Whether a polynomial over GF(p), coefficients low to high, has a
+    monic factor of degree 1..s/2, by trial division."""
+    s = len(coeffs) - 1
+    inv_lead = pow(coeffs[-1], p - 2, p)
+    for d in range(1, s // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            rem = [c * inv_lead % p for c in coeffs]
+            for i in range(s - d, -1, -1):
+                q = rem[i + d]
+                for j, gj in enumerate(g):
+                    rem[i + j] = (rem[i + j] - q * gj) % p
+            if not any(rem[:d]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, degrees", [(2, range(1, 8)), (3, range(1, 5)),
+                                        (5, range(1, 4))])
+def test_irreducibility_matches_trial_division(p, degrees):
+    # every polynomial of these degrees, any leading coefficient: Rabin's
+    # test, with its shortcut for a root at 0 or 1, against trial division
+    for s in degrees:
+        for coeffs in itertools.product(range(p), repeat=s + 1):
+            if coeffs[-1]:
+                assert _is_irreducible(list(coeffs), p) == (
+                    not has_factor(coeffs, p)), coeffs
 
 
 def test_default_modulus_is_lowest_irreducible():
