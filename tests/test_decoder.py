@@ -60,7 +60,12 @@ from pirstream.protocol import (
 from pirstream.rates import min_gamma, rate_block, rate_conv, rate_report
 from pirstream.recovering import build_A, minimal_gamma
 from pirstream.seeds import derive_rng, derive_seed
-from test_grs import count_reader_builds, count_solves, refuse_field_calls
+from test_grs import (
+    count_key_equations,
+    count_reader_builds,
+    count_solves,
+    refuse_field_calls,
+)
 
 GF16 = Field(2, 4)
 C6 = GrsCode(GF16, 6, 2, tuple(range(1, 7)))
@@ -1466,14 +1471,14 @@ def test_decode_um_answers_alike_with_and_without_kept_readers(path,
     assert any(isinstance(got[0], type) for got in kept)
 
 
-def trial_counts(path, trials, monkeypatch):
-    """(Berlekamp-Massey runs, reader builds) of trials 0..trials-1 of the
-    config at ``path`` at simulate seed 11, on a freshly built scheme, each
-    of which must decode."""
+def trial_counts(path, trials, monkeypatch, count=count_solves):
+    """(solves, reader builds) of trials 0..trials-1 of the config at
+    ``path`` at simulate seed 11, on a freshly built scheme, each of which
+    must decode; ``count`` picks what counts as a solve."""
     cfg = load_config(path)
     _, _, sch, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, sch, ell)
-    solves = count_solves(monkeypatch)
+    solves = count(monkeypatch)
     builds = count_reader_builds(monkeypatch)
     for trial in range(trials):
         assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]
@@ -1498,10 +1503,11 @@ def test_kept_readers_leave_few_fixed_solves(monkeypatch):
     # block: of its 105 sum decodes in the first five trials at simulate
     # seed 11, 4 run Berlekamp-Massey, and each of the 4 sets of errors
     # they find is confirmed by the next word's syndromes and gets its
-    # reader, which reads the rest of the trial
+    # reader, which reads the rest of the trial: 8 key-equation
+    # computations in all
     solves, builds = trial_counts(BENCH_CONFIGS / "byzantine-fixed.ini", 5,
-                                  monkeypatch)
-    assert solves <= 5
+                                  monkeypatch, count_key_equations)
+    assert solves <= 8
     assert builds <= 4
 
 
@@ -1564,6 +1570,33 @@ def scaled_encode(scheme, offsets, stripe):
     """offsets * enc(stripe), position by position."""
     f = scheme.field
     return list(map(f.mul, offsets, scheme.storage_code.encode(list(stripe))))
+
+
+# (field, n, k, t) of Byzantine schemes whose coset codes encode the scaled
+# stripes of decode_um's residuals, GF(27) on the scalar kernel
+COSET_SCHEMES = ((GF16, 10, 2, 2), (GF256, 16, 3, 1), (GF13, 12, 2, 2),
+                 (Field(3, 3), 14, 3, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COSET_SCHEMES), st.data())
+def test_coset_codes_encode_the_scaled_stripes(shape, data):
+    # with the other message terms zero, c_fwd(cur, 0) = e1*enc(cur) and
+    # c_bwd(0, prev) = e2*enc(prev), since e1_j a_j^(k+i) = a_j^i and
+    # e2_j a_j^i = a_j^(k+t-1+i): the products decode_um's residuals
+    # subtract, here against Field.mul entry by entry
+    f, n, k, t = shape
+    locs = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n,
+                              max_size=n, unique=True))
+    sch = byzantine_scheme(GrsCode(f, n, k, tuple(locs)), t=t, m=2,
+                           desired=0)
+    e1, e2 = sch.e_offsets[0]
+    _, c_fwd, c_bwd, _ = sch.um_codes
+    stripe = data.draw(st.lists(st.integers(0, f.q - 1), min_size=k,
+                                max_size=k))
+    zeros = [0] * (k + t - 1)
+    assert c_fwd.encode(stripe + zeros) == scaled_encode(sch, e1, stripe)
+    assert c_bwd.encode(zeros + stripe) == scaled_encode(sch, e2, stripe)
 
 
 def minus(f, word, *terms):
