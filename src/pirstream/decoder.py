@@ -537,29 +537,29 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
         raise InvalidParams("decode_um needs the unit-memory error variant")
     _check_stream(stream, scheme)
     kernel = scheme.field.kernel
-    code = scheme.storage_code
     k, t = scheme.k, scheme.t
     ell = stream.ell
-    e1, e2 = scheme.e_offsets[0]
     c_sum, c_fwd, c_bwd, c_int = scheme.um_codes
     saturated = c_int.d
     zero = (0,) * k
-    scaled: dict[tuple, tuple] = {}
+    pad = [0] * (k + t - 1)
+    scaled: dict[tuple, list] = {}
 
     def residual(xi, cur=None, prev=None):
-        """Block xi's word minus e1*cur and e2*prev, for the stripes given;
-        each stripe is encoded, and scaled by e1 and e2, once per call of
-        decode_um.  The products and differences are the field kernel's
-        (``multiply``, ``subtract``)."""
+        """Block xi's word minus e1*enc(cur) and e2*enc(prev), for the
+        stripes given.  By the identities above these are c_fwd(cur, 0)
+        and c_bwd(0, prev), each encoded at most once per stripe and call
+        of decode_um; the differences are the field kernel's
+        (``subtract``)."""
         word = stream.block(xi).parts[0]
         for stripe, side in ((cur, 0), (prev, 1)):
             if stripe is None:
                 continue
-            if stripe not in scaled:
-                y = code.encode(list(stripe))
-                scaled[stripe] = (kernel.multiply(e1, y),
-                                  kernel.multiply(e2, y))
-            word = kernel.subtract(word, scaled[stripe][side])
+            if (side, stripe) not in scaled:
+                scaled[side, stripe] = (
+                    c_fwd.encode([*stripe, *pad]) if side == 0
+                    else c_bwd.encode([*pad, *stripe]))
+            word = kernel.subtract(word, scaled[side, stripe])
         return word
 
     # (block, prev, cur) -> errors of a sum or coset decode that fixed

@@ -15,10 +15,10 @@ The per-symbol loops that dominate the library, the row update of
 Gaussian elimination, the fixed linear maps of GRS coding (a codeword
 from the generator rows, syndromes, the values of an error locator at
 every locator, the message read off a codeword), a server's answers,
-the steps of BMD decoding that are no linear map (Berlekamp-Massey,
-Forney's formula, the recurrence check) and the residuals of
-unit-memory decoding, run through ``Field.kernel``, which the field
-picks once at construction:
+the steps of BMD decoding that are no linear map (Berlekamp-Massey and
+Forney's formula) and the differences of unit-memory decoding's
+residuals, run through ``Field.kernel``, which the field picks once at
+construction:
 
 * GF(p): integer arithmetic mod p, inline; a fixed linear map is one
   multiply-accumulate of the input with the matrix rows packed into
@@ -147,8 +147,9 @@ def _poly_powmod(base, e, mod, p):
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
         e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, mod, p)
     return result
 
 
@@ -255,12 +256,11 @@ def _pack(digits, p):
 #                                 for i from 0 to blocks of column + blocks
 #                                 of taps - 2 (a server's answers to its
 #                                 query at every iteration)
-#   subtract(xs, ys), multiply(xs, ys)
-#                              -> the lists of x - y and x * y, entry by
-#                                 entry
+#   subtract(xs, ys)           -> the list of x - y, entry by entry (the
+#                                 residuals of unit-memory decoding)
 #
-# and the three steps of BMD decoding that are no linear map, each
-# stated in ``grs``:
+# and the two steps of BMD decoding that are no linear map, each stated
+# in ``grs.GrsCode.bmd_decode``:
 #   berlekamp_massey(syndromes, e)
 #                              -> the error locator, low first, or None
 #                                 past degree e (``grs._berlekamp_massey``)
@@ -268,10 +268,6 @@ def _pack(digits, p):
 #                              -> Forney's formula at a root a of the
 #                                 locator, times weight; ZeroInverse where
 #                                 the locator's derivative is zero
-#                                 (``grs.GrsCode._error_value``)
-#   generates(locator, syndromes)
-#                              -> whether the locator's recurrence
-#                                 generates the syndromes (``grs._generates``)
 #
 # They live here, with the field's tables, because each differs only in
 # how it multiplies and adds: the scalar kernel keeps the ``Field``
@@ -371,9 +367,6 @@ class _ScalarKernel:
     def subtract(self, xs, ys):
         return list(map(self.field.sub, xs, ys))
 
-    def multiply(self, xs, ys):
-        return list(map(self.field.mul, xs, ys))
-
     def berlekamp_massey(self, syndromes, e):
         """A zero term adds nothing and makes no ``Field`` call."""
         f = self.field
@@ -413,12 +406,6 @@ class _ScalarKernel:
             derivative = add(mul(derivative, a), q)
         evaluator = reduce(add, map(mul, reversed(quotient), syndromes))
         return f.div(mul(evaluator, weight), derivative)
-
-    def generates(self, locator, syndromes):
-        mul, add = self.field.mul, self.field.add
-        width = len(locator)
-        return not any(reduce(add, map(mul, locator, syndromes[i:i + width]))
-                       for i in range(len(syndromes) - width + 1))
 
 
 class _PrimeKernel:
@@ -503,10 +490,6 @@ class _PrimeKernel:
         p = self.p
         return [(x - y) % p for x, y in zip(xs, ys)]
 
-    def multiply(self, xs, ys):
-        p = self.p
-        return [x * y % p for x, y in zip(xs, ys)]
-
     def berlekamp_massey(self, syndromes, e):
         """The discrepancy is one multiply-accumulate, reduced once; the
         update adds -d/b times the older register, with b the discrepancy
@@ -547,11 +530,6 @@ class _PrimeKernel:
             raise ZeroInverse("0 has no multiplicative inverse")
         evaluator = sum(map(_mul, reversed(quotient), syndromes))
         return evaluator * weight * pow(derivative, p - 2, p) % p
-
-    def generates(self, locator, syndromes):
-        p, width = self.p, len(locator)
-        return not any(sum(map(_mul, locator, syndromes[i:i + width])) % p
-                       for i in range(len(syndromes) - width + 1))
 
 
 class _BinaryKernel:
@@ -639,10 +617,6 @@ class _BinaryKernel:
     def subtract(self, xs, ys):
         return [x ^ y for x, y in zip(xs, ys)]
 
-    def multiply(self, xs, ys):
-        exp, log = self.exp, self.log
-        return [exp[log[x] + log[y]] for x, y in zip(xs, ys)]
-
     def berlekamp_massey(self, syndromes, e):
         """The syndromes' logs are read once.  The discrepancy and the
         update are XORs of exp[log a + log b], and the update's scale
@@ -696,17 +670,6 @@ class _BinaryKernel:
             return 0
         return exp[(log[evaluator] + log[weight] - log[derivative])
                    % (len(log) - 1)]
-
-    def generates(self, locator, syndromes):
-        exp, log = self.exp, self.log
-        terms = [(t, log[c]) for t, c in enumerate(locator) if c]
-        for i in range(len(syndromes) - len(locator) + 1):
-            acc = 0
-            for t, lc in terms:
-                acc ^= exp[lc + log[syndromes[i + t]]]
-            if acc:
-                return False
-        return True
 
 
 class Field:

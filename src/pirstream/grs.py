@@ -28,14 +28,14 @@ formula, and reads the corrected first k symbols through the code's map
 of all n positions in order (``_first_plan``, the rows of
 ``_systematic``).  So a BMD decode solves no linear system and encodes
 nothing, and it builds a reader only for the first k positions outside
-a set of errors, once a later word's syndromes show those errors
-again.  The maps are the field kernel's ``linear_map``s, one
-``bytes.translate`` of a matrix row (GF(2^s), q <= 2^8) or one
-multiply-accumulate (GF(p)) per input symbol; each code builds its own
-syndrome and root maps once.  Berlekamp-Massey, Forney's formula
-and the recurrence check are the kernel's too, on its own arithmetic:
-inline mod p, the exp/log tables of GF(2^s) with q <= 2^8, and the
-scalar ``Field`` methods on the other fields.  The encoder and both
+a set of errors, once Berlekamp-Massey finds their locator again in a
+later word's syndromes.  The maps are the field kernel's
+``linear_map``s, one ``bytes.translate`` of a matrix row (GF(2^s),
+q <= 2^8) or one multiply-accumulate (GF(p)) per input symbol; each
+code builds its own syndrome and root maps once.  Berlekamp-Massey and
+Forney's formula are the kernel's too, on its own arithmetic: inline
+mod p, the exp/log tables of GF(2^s) with q <= 2^8, and the scalar
+``Field`` methods on the other fields.  The encoder and both
 decoders read their symbols once by the package's symbol rule
 (``fields.check_symbols``): over GF(p) a symbol outside [0, p) is read
 as its residue, and over any other field it raises SymbolOutsideField."""
@@ -224,9 +224,10 @@ class GrsCode(_PicklesFieldsOnly):
           the locators (``_locator_values``, Chien's search).
         * For a root a_j, Q_j = Lambda / (x - a_j) vanishes at every other
           root, so sum_{i<L} q_i S_i = Y_j Q_j(a_j), where Q_j(a_j) =
-          Lambda'(a_j) is nonzero: Forney's formula (``_error_value``).
-          It gives eps_j = Y_j / u_j at each root among the first k
-          positions.
+          Lambda'(a_j) is nonzero: Forney's formula, with Q by synthetic
+          division and Q(a_j) by Horner's rule (the kernel's
+          ``error_value``).  It gives eps_j = Y_j / u_j at each root
+          among the first k positions.
         * The codeword read off the corrected first k symbols, through
           the code's map of all n positions (``_first_plan``), is the
           answer if it differs from the word only at roots, since it
@@ -235,22 +236,25 @@ class GrsCode(_PicklesFieldsOnly):
 
         Whenever a codeword lies within e, every step finds it, so the
         full decode fails exactly when none does.  Berlekamp-Massey,
-        Forney's formula, the recurrence check below and the correction
-        of the first k symbols run in the field's kernel, like the maps:
-        over GF(p) and GF(2^s) with q <= 2^8 the decode makes no
-        ``Field`` method call once the code's tables are built.
+        Forney's formula and the correction of the first k symbols run
+        in the field's kernel, like the maps: over GF(p) and GF(2^s) with
+        q <= 2^8 the decode makes no ``Field`` method call once the
+        code's tables are built.
 
         Before it, the word is read through a reader its code keeps
         (``_kept``), and a codeword within e of the word is the
         answer: the map of all n positions, or, when the errors E of the
         code's last full decode hit its first k positions, the reader of
         the first k positions outside E followed by the others.  The
-        latter is built only once a word shows E again: its syndromes are
-        generated by the recurrence of E's locator, which means that a
-        codeword differs from it only within E.  A Byzantine server lies
-        at the same positions block after block, so that reader answers
-        most words of a fixed-server stream, and errors seen once build
-        no reader.
+        latter is built only once a word shows E again.  Until then a
+        word with zero syndromes is a codeword, and any other word runs
+        Berlekamp-Massey once.  If the locator it finds is E's, with
+        |E| <= e distinct roots, the syndromes are those of errors within
+        E, so a codeword differs from the word only within E, and the new
+        reader reads it.  Otherwise the full decode goes on from that
+        locator.  A Byzantine server lies at the same positions block
+        after block, so that reader answers most words of a fixed-server
+        stream, and errors seen once build no reader.
         """
         f = self.field
         if len(word) != self.n:
@@ -258,25 +262,24 @@ class GrsCode(_PicklesFieldsOnly):
         word = check_symbols(f, word)
         k, e = self.k, (self.d - 1) // 2
         kept = self._kept
-        plan = kept[2]
-        syndromes = None
-        if plan is None:
+        if kept[2] is None:
             syndromes = self._parity_checks(word)
             if not any(syndromes):
-                plan = self._first_plan
-            elif _generates(f, kept[1], syndromes):
+                return self._read_off(self._first_plan, word)
+            locator = _berlekamp_massey(f, syndromes, e)
+            if locator == kept[1]:
                 others = [j for j in range(self.n) if j not in kept[0]]
                 positions = tuple(others[:k]
                                   + sorted(kept[0].union(others[k:])))
-                plan = kept[2] = positions, _reader(self, positions)
-        if plan is not None:
-            message, errors = self._read_off(plan, word)
+                kept[2] = positions, _reader(self, positions)
+                return self._read_off(kept[2], word)
+        else:
+            message, errors = self._read_off(kept[2], word)
             if len(errors) <= e:
                 return message, errors
-            if syndromes is None:
-                syndromes = self._parity_checks(word)
+            syndromes = self._parity_checks(word)
+            locator = _berlekamp_massey(f, syndromes, e)
         far = f"no codeword within distance {e} of the received word"
-        locator = _berlekamp_massey(f, syndromes, e)
         if locator is None:
             raise DecodingFailure(far)
         roots = [j for j, v in enumerate(self._locator_values(locator))
@@ -287,7 +290,9 @@ class GrsCode(_PicklesFieldsOnly):
         for j in roots:
             if j >= k:
                 break
-            values[j] = self._error_value(locator, syndromes, j)
+            values[j] = f.kernel.error_value(locator, syndromes,
+                                             self.locators[j],
+                                             self._dual_weights[j])
         corrected = list(word)
         corrected[:k] = f.kernel.subtract(word[:k], values)
         first = self._first_plan
@@ -328,16 +333,6 @@ class GrsCode(_PicklesFieldsOnly):
         read = reader([word[j] for j in positions[:k]])
         return read[:k], frozenset([j for j, c in zip(positions[k:], read[k:])
                                     if c != word[j]])
-
-    def _error_value(self, locator, syndromes, j):
-        """The error at position j, a root of the error locator Lambda
-        (coefficients low first), by Forney's formula: the quotient
-        Q = Lambda / (x - a_j), by synthetic division, gives
-        Y_j = sum_i q_i S_i / Q(a_j), where Q(a_j) = Lambda'(a_j) by
-        Horner's rule, and the error is Y_j / u_j.  The field's kernel
-        computes it (``error_value``)."""
-        return self.field.kernel.error_value(
-            locator, syndromes, self.locators[j], self._dual_weights[j])
 
     @cached_property
     def _parity_checks(self):
@@ -434,16 +429,6 @@ def _berlekamp_massey(f, syndromes, e):
     GF(2^s) with q <= 2^8 with no ``Field`` call, and over any other
     field with one scalar ``Field`` call per nonzero product."""
     return f.kernel.berlekamp_massey(syndromes, e)
-
-
-def _generates(f, locator, syndromes):
-    """Whether the linear recurrence of the monic locator Lambda generates
-    the syndromes: sum_t lambda_t S_{i+t} = 0 for every i.  Then, with L
-    distinct roots a_j and L <= (n-k)/2, the syndromes are those of an
-    error vector nonzero only at roots, and the word lies within L of the
-    codeword that differs from it only there.  The field's kernel checks
-    it (``generates``)."""
-    return f.kernel.generates(locator, syndromes)
 
 
 def star_product_code(c1: GrsCode, c2: GrsCode) -> GrsCode:

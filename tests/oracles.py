@@ -105,9 +105,9 @@ def bw_decode(code, word):
 
 # --- the steps of BMD decoding, one scalar Field call per product ---------
 #
-# The field kernels run these (``berlekamp_massey``, ``error_value``,
-# ``generates``) on their own arithmetic; these are the scalar versions
-# they replaced, kept as their oracle.
+# The field kernels run these (``berlekamp_massey``, ``error_value``) on
+# their own arithmetic; these are the scalar versions they replaced, kept
+# as their oracle.
 
 def berlekamp_massey(field, syndromes, e):
     """``grs._berlekamp_massey``: the error locator of the syndromes, low
@@ -139,7 +139,7 @@ def berlekamp_massey(field, syndromes, e):
 
 
 def error_value(field, locator, syndromes, a, weight):
-    """``GrsCode._error_value`` at the point a with the weight 1 / u_j:
+    """The kernel's ``error_value`` at the point a with the weight 1 / u_j:
     Forney's formula, sum_i q_i S_i * weight / Q(a) for the quotient Q of
     the locator by x - a; ZeroInverse where Q(a) is zero."""
     mul, add = field.mul, field.add
@@ -152,15 +152,6 @@ def error_value(field, locator, syndromes, a, weight):
         derivative = add(mul(derivative, a), q)
     evaluator = reduce(add, map(mul, reversed(quotient), syndromes))
     return field.div(mul(evaluator, weight), derivative)
-
-
-def generates(field, locator, syndromes):
-    """``grs._generates``: whether sum_t lambda_t S_{i+t} = 0 for every
-    window of the syndromes."""
-    mul, add = field.mul, field.add
-    width = len(locator)
-    return not any(reduce(add, map(mul, locator, syndromes[i:i + width]))
-                   for i in range(len(syndromes) - width + 1))
 
 
 def budget_counts(profile, stream_len):

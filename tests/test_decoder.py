@@ -60,12 +60,7 @@ from pirstream.protocol import (
 from pirstream.rates import min_gamma, rate_block, rate_conv, rate_report
 from pirstream.recovering import build_A, minimal_gamma
 from pirstream.seeds import derive_rng, derive_seed
-from test_grs import (
-    count_key_equations,
-    count_reader_builds,
-    count_solves,
-    refuse_field_calls,
-)
+from test_grs import count_reader_builds, count_solves, refuse_field_calls
 
 GF16 = Field(2, 4)
 C6 = GrsCode(GF16, 6, 2, tuple(range(1, 7)))
@@ -616,11 +611,12 @@ def test_decode_um_coset_chains_decode_each_state_once(monkeypatch):
 
 
 def test_decode_um_encodes_each_stripe_once(monkeypatch):
-    # the block, coset and trellis steps share one encoding per stripe.
-    # Block 1 carries three errors, past the coset radius (2), and every
-    # other block two, past the sum radius (1): no anchor holds, the
-    # forward chain stops at block 1, and the backward chain and the
-    # trellis decode with every true stripe
+    # the block, coset and trellis steps share one encoding per stripe and
+    # coset code: e1*enc(cur) is c_fwd(cur, 0) and e2*enc(prev) is
+    # c_bwd(0, prev).  Block 1 carries three errors, past the coset radius
+    # (2), and every other block two, past the sum radius (1): no anchor
+    # holds, the forward chain stops at block 1, and the backward chain
+    # and the trellis decode with every true stripe
     ell = 6
     sch, files, stream = setup_byz(ell=ell)
     entries = [(1, 9, 5)] + [(b, j, 1) for b in range(1, ell + 2)
@@ -631,19 +627,28 @@ def test_decode_um_encodes_each_stripe_once(monkeypatch):
     assert weights == [3] + [2] * ell
     assert check_guarantee(weights, UmDistanceProfile.for_byzantine(
         sch.n, sch.k, sch.t))
+    _, c_fwd, c_bwd, _ = sch.um_codes
+    k, zeros = sch.k, (0,) * (sch.k + sch.t - 1)
     encodes: dict[tuple, int] = {}
     encode = GrsCode.encode
 
     def counted(code, message):
-        if code is sch.storage_code:
-            key = tuple(message)
-            encodes[key] = encodes.get(key, 0) + 1
+        # (code, stripe): c_fwd encodes (cur, 0) and c_bwd (0, prev)
+        m = tuple(message)
+        if code is c_fwd and m[k:] == zeros:
+            key = "fwd", m[:k]
+        elif code is c_bwd and m[:len(zeros)] == zeros:
+            key = "bwd", m[len(zeros):]
+        else:
+            key = code, m
+        encodes[key] = encodes.get(key, 0) + 1
         return encode(code, message)
     monkeypatch.setattr(GrsCode, "encode", counted)
     assert decode_um(noisy, sch).stripes == files[0]
-    assert set(files[0]) <= set(encodes)
+    assert {name for name, _ in encodes} == {"fwd", "bwd"}
+    assert set(files[0]) <= {stripe for _, stripe in encodes}
     assert max(encodes.values()) == 1
-    # a stream whose every anchor holds makes no storage encode
+    # a stream whose every anchor holds makes no encode
     encodes.clear()
     noisy = apply_errors(stream, ErrorSchedule(((2, 4, 7), (5, 1, 3)), "manual"),
                          16, 4)
@@ -1471,14 +1476,14 @@ def test_decode_um_answers_alike_with_and_without_kept_readers(path,
     assert any(isinstance(got[0], type) for got in kept)
 
 
-def trial_counts(path, trials, monkeypatch, count=count_solves):
-    """(solves, reader builds) of trials 0..trials-1 of the config at
-    ``path`` at simulate seed 11, on a freshly built scheme, each of which
-    must decode; ``count`` picks what counts as a solve."""
+def trial_counts(path, trials, monkeypatch):
+    """(Berlekamp-Massey runs, reader builds) of trials 0..trials-1 of the
+    config at ``path`` at simulate seed 11, on a freshly built scheme, each
+    of which must decode."""
     cfg = load_config(path)
     _, _, sch, ell = build_scheme(cfg)
     channel = cli._check_channel(cfg.channel, sch, ell)
-    solves = count(monkeypatch)
+    solves = count_solves(monkeypatch)
     builds = count_reader_builds(monkeypatch)
     for trial in range(trials):
         assert cli._run_one_trial(sch, ell, channel, 11, trial, None)[0]
@@ -1488,10 +1493,10 @@ def trial_counts(path, trials, monkeypatch, count=count_solves):
 def test_splits_and_kept_readers_leave_few_budget_solves(monkeypatch):
     # byzantine-budget's first five trials at simulate seed 11 make 168 BMD
     # decodes once chain steps and trellis branches are read off splits.
-    # 149 run Berlekamp-Massey.  The errors move from block to block, so
-    # the four codes build one reader, for the one set of errors that a
-    # later word of its code showed again, where a reader per set of
-    # errors made 58 builds
+    # 150 run Berlekamp-Massey, each a full decode.  The errors move from
+    # block to block, so no word's locator is the one its code kept, and
+    # the four codes build no reader, where a reader per set of errors
+    # made 58 builds
     solves, builds = trial_counts(BENCH_CONFIGS / "byzantine-budget.ini", 5,
                                   monkeypatch)
     assert solves <= 150
@@ -1501,12 +1506,11 @@ def test_splits_and_kept_readers_leave_few_budget_solves(monkeypatch):
 def test_kept_readers_leave_few_fixed_solves(monkeypatch):
     # byzantine-fixed's two bad servers lie at the same positions in every
     # block: of its 105 sum decodes in the first five trials at simulate
-    # seed 11, 4 run Berlekamp-Massey, and each of the 4 sets of errors
-    # they find is confirmed by the next word's syndromes and gets its
-    # reader, which reads the rest of the trial: 8 key-equation
-    # computations in all
+    # seed 11, 4 run the full decode, and each of the 4 sets of errors
+    # they find is found again by the next word's Berlekamp-Massey run and
+    # gets its reader, which reads the rest of the trial: 8 runs in all
     solves, builds = trial_counts(BENCH_CONFIGS / "byzantine-fixed.ini", 5,
-                                  monkeypatch, count_key_equations)
+                                  monkeypatch)
     assert solves <= 8
     assert builds <= 4
 

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pirstream import fields
 from pirstream.errors import (
     InvalidParams,
     NonPrimeCharacteristic,
@@ -101,6 +102,26 @@ DEFAULT_MODULI = {
 def test_default_modulus_matches_the_pinned_table():
     for (p, s), modulus in DEFAULT_MODULI.items():
         assert Field(p, s).modulus == modulus, (p, s)
+
+
+def test_poly_powmod_squares_only_while_bits_remain(monkeypatch):
+    # powers mod x^4 + x + 1 over GF(2) and mod x^3 + 2x + 1 over GF(3)
+    # match repeated products; x^2 takes one squaring and one product,
+    # with no squaring after the exponent's last bit
+    for mod, p in (([1, 1, 0, 0, 1], 2), ([1, 2, 0, 1], 3)):
+        power = [1]
+        for e in range(20):
+            assert fields._poly_powmod([0, 1], e, mod, p) == power, (mod, e)
+            power = fields._poly_mulmod(power, [0, 1], mod, p)
+    calls = [0]
+    mulmod = fields._poly_mulmod
+
+    def counted(*args):
+        calls[0] += 1
+        return mulmod(*args)
+    monkeypatch.setattr(fields, "_poly_mulmod", counted)
+    assert fields._poly_powmod([0, 1], 2, [1, 1, 0, 0, 1], 2) == [0, 0, 1]
+    assert calls[0] == 2
 
 
 def test_basic_arithmetic():

@@ -263,8 +263,8 @@ def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
     # the parity checks and the readers are built once per code and set of
     # positions.  The scalar Field.mul calls left are Berlekamp-Massey's
     # and Forney's, on e = 3 errors, two of them among the first k
-    # positions; then the check of the kept locator against the next
-    # word's syndromes; then none.  One Field.mul call per symbol in the
+    # positions; then Berlekamp-Massey's on the next word, whose locator
+    # is the kept one; then none.  One Field.mul call per symbol in the
     # row update of an elimination made about 2000 per decode.
     f = Field(2, 8)
     locs = tuple(range(1, 17))
@@ -285,12 +285,12 @@ def test_bmd_decode_makes_few_field_mul_calls(monkeypatch):
         calls[0] += 1
         return mul(self, a, b)
     monkeypatch.setattr(Field, "mul", counted)
-    solves = count_key_equations(monkeypatch)
+    solves = count_solves(monkeypatch)
     for bound in (100, 100, 0):
         calls[0] = 0
         assert code.bmd_decode(word) == (msg, frozenset({2, 7, 11}))
         assert calls[0] <= bound
-    assert solves[0] == 3
+    assert solves[0] == 2
 
 
 def test_bmd_decode_makes_one_solve_for_a_nonzero_syndrome(monkeypatch):
@@ -330,31 +330,17 @@ def count_solves(monkeypatch):
     return solves
 
 
-def count_key_equations(monkeypatch):
-    """A one-entry list that counts the key-equation computations: the
-    runs of Berlekamp-Massey and the checks of a kept locator's recurrence
-    against a word's syndromes, ``grs._generates``."""
-    solves = count_solves(monkeypatch)
-    generates = grs._generates
-
-    def counted(*args):
-        solves[0] += 1
-        return generates(*args)
-    monkeypatch.setattr(grs, "_generates", counted)
-    return solves
-
-
 def test_bmd_decode_solves_once_for_persistent_errors(monkeypatch):
     # two servers that lie in every block, as in the byzantine-fixed
     # benchmark's star code: the first word runs Berlekamp-Massey, the
-    # second shows the same errors to the kept locator and builds the
-    # reader of the first k positions outside them, and every later word
-    # is read through that reader alone
+    # second runs it to the kept locator and builds the reader of the
+    # first k positions outside its errors, and every later word is read
+    # through that reader alone
     f = Field(2, 8)
     locs = tuple(range(1, 17))
     code = GrsCode(f, 16, 3, locs, tuple(f.pow(a, -3) for a in locs))
     rng = random.Random(4)
-    solves = count_key_equations(monkeypatch)
+    solves = count_solves(monkeypatch)
     builds = count_reader_builds(monkeypatch)
     for i in range(5):
         msg = [rng.randrange(256) for _ in range(3)]
@@ -390,12 +376,13 @@ def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
     # One code decodes a sequence of words, one through each path of the
     # kept state (``GrsCode._kept``): errors off the first k positions,
     # read through the map of all n positions; errors that hit them,
-    # which run Berlekamp-Massey; a codeword; errors that persist, which
-    # the kept locator confirms and its reader then reads; errors that
+    # which run Berlekamp-Massey; a codeword; errors that persist, whose
+    # Berlekamp-Massey run finds the kept locator and whose reader then
+    # reads the next word; errors that
     # move off or onto that reader's base; and e + 1 errors off and on the
     # first k positions.  Each answer, failures included, is the
     # Berlekamp-Welch answer and that of a decode from no kept state; the
-    # key-equation counts pin which words the kept state answers.  A kept reader
+    # Berlekamp-Massey counts pin which words the kept state answers.  A kept reader
     # that answered at distance e + 1 fails at "e+1 off the first k".
     f, n, k = SEQUENCE_CODES[name]
     rng = random.Random(name)
@@ -403,7 +390,7 @@ def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
                    tuple(rng.randrange(1, f.q) for _ in range(n)))
     e = (code.d - 1) // 2
     first, rest = set(range(k)), set(range(k, n))
-    solves = count_key_equations(monkeypatch)
+    solves = count_solves(monkeypatch)
 
     def base():
         return set(code._kept[2][0][:k])
@@ -412,7 +399,7 @@ def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
         return set(rng.sample(sorted(set(pool) - set(avoid)), count))
 
     persistent = {0} | pick(e - 1, rest)
-    # (label, positions to corrupt, key-equation solves or None if either)
+    # (label, positions to corrupt, Berlekamp-Massey runs or None if either)
     steps = [
         ("first", lambda: persistent, 1),
         ("codeword", set, 0),
@@ -422,7 +409,7 @@ def test_bmd_decode_through_the_kept_reader_matches_a_fresh_decode(
         ("moves off the base", lambda: pick(e, range(n), base()), 0),
         ("hits the base", lambda: pick(1, base() & first)
          | pick(e - 1, rest), 1),
-        ("off the first k", lambda: pick(e, rest), 2),
+        ("off the first k", lambda: pick(e, rest), 1),
         ("again off the first k", lambda: pick(e, rest), 0),
         ("e+1 off the first k", lambda: pick(e + 1, rest), 1),
         ("e+1 on the first k", lambda: pick(1, first) | pick(e, rest), None),
@@ -687,9 +674,9 @@ def test_bmd_decode_at_n_100(f, n, k):
     # GF(101) e = 33; both have random locators, locator 0 among the first
     # k.  Every count of random errors up to e decodes exactly, on a fresh
     # set of positions and, for every fifth count, on the same set again
-    # (read through its reader once the syndromes confirm it); e+1 to e+3
-    # errors raise DecodingFailure or give a codeword within e of the
-    # word, the errors being where the message re-encodes to something
+    # (read through its reader once Berlekamp-Massey finds it again); e+1
+    # to e+3 errors raise DecodingFailure or give a codeword within e of
+    # the word, the errors being where the message re-encodes to something
     # else
     rng = random.Random(n)
     locs = rng.sample(range(1, f.q), n - 1)
@@ -823,27 +810,6 @@ def test_error_value_at_a_double_root_raises(f):
     with pytest.raises(ZeroInverse):
         f.kernel.error_value(locator, [1, 2, 3], a, 1)
     assert f.kernel.error_value(locator, [0, 0, 0], b, 1) == 0
-
-
-@settings(max_examples=600, deadline=None)
-@given(st.sampled_from(DIFF_FIELDS), st.data())
-def test_generates_matches_the_scalar_oracle(f, data):
-    # a monic locator against arbitrary syndromes and against syndromes
-    # its recurrence generates
-    locator = [data.draw(symbols(f)) for _ in range(data.draw(
-        st.integers(0, 5)))] + [1]
-    width = len(locator)
-    syndromes = [data.draw(symbols(f)) for _ in range(data.draw(
-        st.integers(0, 12)))]
-    generated = data.draw(st.booleans())
-    if generated:
-        for i in range(width - 1, len(syndromes)):
-            window = syndromes[i - width + 1:i]
-            syndromes[i] = f.neg(oracles.scalar_dot(f, locator, window))
-    got = grs._generates(f, locator, syndromes)
-    assert got == oracles.generates(f, locator, syndromes)
-    if generated:
-        assert got
 
 
 def refuse_field_calls(monkeypatch):

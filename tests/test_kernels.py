@@ -325,15 +325,14 @@ def test_dot_matches_the_scalar_oracle(name, data):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_entrywise_ops_match_the_scalar_oracle(name, data):
-    # the residuals of unit-memory decoding: entrywise products and
-    # differences, of lists or tuples
+    # the residuals of unit-memory decoding: entrywise differences, of
+    # lists or tuples
     f = FIELDS[name]
     size = data.draw(st.integers(0, 12))
     entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
     xs = data.draw(st.lists(entry, min_size=size, max_size=size))
     ys = data.draw(st.lists(entry, min_size=size, max_size=size))
     assert f.kernel.subtract(tuple(xs), ys) == list(map(f.sub, xs, ys))
-    assert f.kernel.multiply(xs, tuple(ys)) == list(map(f.mul, xs, ys))
 
 
 @settings(max_examples=300, deadline=None)
