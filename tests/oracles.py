@@ -39,6 +39,25 @@ def poly_eval(field, coeffs, x):
     return acc
 
 
+def digits(field, a):
+    """The s base-p digits of a symbol: the coefficients of its residue
+    polynomial, constant term first."""
+    return [a // field.p ** i % field.p for i in range(field.s)]
+
+
+def digit_add(field, a, b):
+    """a + b as the digit-by-digit sum of the residue polynomials, mod p."""
+    p = field.p
+    return sum((x + y) % p * p ** i
+               for i, (x, y) in enumerate(zip(digits(field, a), digits(field, b))))
+
+
+def digit_neg(field, a):
+    """-a as the residue polynomial with every digit negated mod p."""
+    p = field.p
+    return sum(-x % p * p ** i for i, x in enumerate(digits(field, a)))
+
+
 def codewords(code):
     """All q^k codewords of a GRS code; only sensible for tiny codes."""
     f = code.field

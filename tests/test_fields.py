@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 
@@ -19,6 +20,8 @@ from pirstream.fields import (
     parse_field_spec,
     power_rows,
 )
+
+from oracles import digit_add, digit_neg
 
 GF5 = Field(5)
 GF7 = Field(7)
@@ -180,6 +183,39 @@ def test_field_axioms(f, data):
     if a:
         assert f.mul(a, f.inv(a)) == 1
     assert f.sub(f.add(a, b), b) == a
+
+
+# odd-characteristic extension fields small enough to add every pair
+SMALL_ODD_EXTENSIONS = [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (5, 3),
+                        (7, 3), (3, 5), (11, 2)]
+
+
+@pytest.mark.parametrize("p, s", SMALL_ODD_EXTENSIONS)
+def test_sums_match_digit_arithmetic_on_every_pair(p, s):
+    f = Field(p, s)
+    negs = [digit_neg(f, b) for b in range(f.q)]
+    assert [f.neg(a) for a in range(f.q)] == negs
+    for a in range(f.q):
+        assert [f.add(a, b) for b in range(f.q)] == [
+            digit_add(f, a, b) for b in range(f.q)], a
+        assert [f.sub(a, b) for b in range(f.q)] == [
+            digit_add(f, a, negs[b]) for b in range(f.q)], a
+
+
+@functools.cache
+def wide_field(p, s):
+    return Field(p, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(3, 10), (251, 2), (13, 4)]), st.data())
+def test_sums_match_digit_arithmetic_on_wide_fields(ps, data):
+    f = wide_field(*ps)
+    a = data.draw(st.integers(0, f.q - 1))
+    b = data.draw(st.integers(0, f.q - 1))
+    assert f.add(a, b) == digit_add(f, a, b)
+    assert f.neg(b) == digit_neg(f, b)
+    assert f.sub(a, b) == digit_add(f, a, digit_neg(f, b))
 
 
 # one field per kernel: mod p, GF(2^8) translate rows, and the scalar

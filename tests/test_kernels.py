@@ -42,7 +42,7 @@ FIELDS = {
     "GF(65537)": Field(65537),            # (p-1)^2 = 2^32: 8-byte lanes
     "GF(4294967311)": Field(4294967311),  # (p-1)^2 > 2^64: one dot per column
     "GF(9)": Field(3, 2),          # odd characteristic: scalar methods
-    "GF(17^4)": Field(17, 4),      # q > 2^16: no tables at all
+    "GF(13^4)": Field(13, 4),      # odd characteristic, q = 28,561
 }
 KERNEL_OF = {
     "GF(2)": "_PrimeKernel", "GF(2^4)": "_BinaryKernel",
@@ -50,7 +50,7 @@ KERNEL_OF = {
     "GF(2^16)": "_ScalarKernel", "GF(13)": "_PrimeKernel",
     "GF(251)": "_PrimeKernel", "GF(331)": "_PrimeKernel",
     "GF(65537)": "_PrimeKernel", "GF(4294967311)": "_PrimeKernel",
-    "GF(9)": "_ScalarKernel", "GF(17^4)": "_ScalarKernel",
+    "GF(9)": "_ScalarKernel", "GF(13^4)": "_ScalarKernel",
 }
 
 
