@@ -201,7 +201,7 @@ def _xor_mulmod(a, b, mod, s):
     """a * b in GF(2^s) on packed ints by shift and XOR: the packed bits
     are the coefficients, and ``mod`` is the packed modulus, x^s included.
     Only the exp/log tables of GF(2^s) are built with it
-    (``Field._build_mul_tables``); the modulus is found on coefficient
+    (``Field._build_tables``); the modulus is found on coefficient
     lists, as for every p."""
     acc = 0
     top = 1 << s
@@ -541,7 +541,7 @@ class _BinaryKernel:
     tables: a linear map keeps just its matrix rows.
 
     The decoding steps read the field's own exp/log tables instead
-    (``Field._build_mul_tables``): a * b is exp[log a + log b], zero when
+    (``Field._build_tables``): a * b is exp[log a + log b], zero when
     either is, since log 0 points past the powers into zeros.  A quotient
     a / b is exp[(log a - log b) mod (q - 1)], with the difference reduced
     because exp holds only two rounds of powers."""
@@ -676,8 +676,8 @@ class Field:
     """Context object for GF(p^s): parameters, tables, and arithmetic on ints."""
 
     __slots__ = (
-        "p", "s", "q", "modulus", "_exp", "_log", "_q1_factors", "kernel",
-        "_symbol_bytes",
+        "p", "s", "q", "modulus", "_exp", "_log", "_zech", "_q1_factors",
+        "kernel", "_symbol_bytes",
     )
 
     def __init__(self, p: int, s: int = 1, modulus=None):
@@ -685,6 +685,12 @@ class Field:
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if s < 1:
             raise ReducibleModulus(f"extension degree must be >= 1, got {s}")
+        # every extension field computes on its tables; s > 16 is past the
+        # limit for any p, and needs no power
+        if s > 1 and (s > 16 or p ** s > _TABLE_LIMIT):
+            raise InvalidParams(
+                f"GF({p}^{s}) has more than 2^16 = {_TABLE_LIMIT} elements, "
+                "the most an extension field may have")
         self.p = p
         self.s = s
         self.q = p ** s
@@ -702,13 +708,12 @@ class Field:
         self._q1_factors = tuple(factorize(self.q - 1))
         # every symbol as a byte, for ``check_symbols``, when they all are
         self._symbol_bytes = bytes(range(self.q)) if self.q < 256 else None
-        self._exp = None
-        self._log = None
-        if s > 1 and self.q <= _TABLE_LIMIT:
-            self._build_mul_tables()
+        self._exp = self._log = self._zech = None
         if s == 1:
             self.kernel = _PrimeKernel(p)
-        elif p == 2 and self.q <= 256:
+            return
+        self._build_tables()
+        if p == 2 and self.q <= 256:
             self.kernel = _BinaryKernel(self._exp, self._log)
         else:
             self.kernel = _ScalarKernel(self)
@@ -740,7 +745,7 @@ class Field:
             e >>= 1
         return result
 
-    def _build_mul_tables(self):
+    def _build_tables(self):
         if self.p == 2:
             mod, s = _pack(self.modulus, 2), self.s
 
@@ -748,13 +753,8 @@ class Field:
                 return _xor_mulmod(a, b, mod, s)
         else:
             mul = self._raw_mul
-        g = None
-        for cand in range(2, self.q):
-            if self._order_raw(cand, mul) == self.q - 1:
-                g = cand
-                break
-        if g is None:  # q == 2
-            g = 1
+        g = next(c for c in range(2, self.q)
+                 if self._order_raw(c, mul) == self.q - 1)
         # exp holds the powers of g twice over, so that the sum of two logs
         # needs no reduction, then zeros; log[0] points at the first zero.
         # Hence exp[log[a] + log[b]] == a*b for all a, b, zero included.
@@ -769,24 +769,37 @@ class Field:
             x = mul(x, g)
         self._exp = exp
         self._log = log
+        if self.p != 2:
+            # Zech's logarithm z[i] = log(1 + g^i): adding 1 raises only
+            # the constant digit, so 1 + v is v - v % p + (v + 1) % p
+            p = self.p
+            self._zech = [log[v - v % p + (v + 1) % p] for v in exp[:q1]]
 
     # -- arithmetic on canonical ints ------------------------------------
+    #
+    # GF(p) reduces mod p and GF(2^s) adds by XOR; every other sum and
+    # product is a lookup in the field's tables.  An odd-p extension adds
+    # by Zech's logarithm, a + b = g^(log a + z[log b - log a]), and
+    # negates as -a = g^(log a + (q-1)/2), since g^((q-1)/2) = -1.
 
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
         if self.s == 1:
             return (a + b) % self.p
-        da = _unpack(a, self.p, self.s)
-        db = _unpack(b, self.p, self.s)
-        return _pack([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
 
     def neg(self, a):
         if self.p == 2:
             return a
         if self.s == 1:
             return (-a) % self.p
-        return _pack([(-x) % self.p for x in _unpack(a, self.p, self.s)], self.p)
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a, b):
         if self.p == 2:
@@ -796,22 +809,16 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
         if self.s == 1:
             return a * b % self.p
-        return self._raw_mul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[self.q - 1 - self._log[a]]
         if self.s == 1:
             return pow(a, self.p - 2, self.p)
-        return self._pow_raw(a, self.q - 2, self._raw_mul)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -821,11 +828,9 @@ class Field:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.q - 1)]
         if self.s == 1:
             return pow(a, e, self.p)
-        return self._pow_raw(a, e % (self.q - 1) if e else 0, self._raw_mul)
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def order(self, a):
         """Multiplicative order of a nonzero element; divides q-1."""

@@ -420,6 +420,11 @@ def test_privacy_audit_cli(tmp_path, capsys):
      "[search] rows entry '4:1:5' needs 6 <= gamma <= q"),
     ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
      "[search] bands"),
+    # an extension field past 2^16 elements is refused before any work
+    ("simulate", PLAIN_CFG.replace("field = 2^4", "field = 17^4"),
+     "[scheme] field = '17^4': GF(17^4) has more than 2^16"),
+    ("privacy-audit", AUDIT_CFG.replace("field = 5", "field = 17^4"),
+     "[scheme] field = '17^4': GF(17^4) has more than 2^16"),
     ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = many"),
      "[search] trials"),
     ("recovering-search", SEARCH_CFG.replace("trials = 200", "trials = 0"),
@@ -438,7 +443,7 @@ def test_privacy_audit_cli(tmp_path, capsys):
 ], ids=["audit-sets", "search-rows", "search-rows-negative-memory",
         "search-rows-zero-k", "search-rows-gamma-below-minimum",
         "search-rows-gamma-above-q", "search-rows-default-gamma-above-q",
-        "search-bands",
+        "search-bands", "simulate-field-past-2-16", "audit-field-past-2-16",
         "search-trials", "search-trials-zero", "search-trials-negative",
         "run-seed", "run-trials-zero", "channel-b", "rates-ell",
         "rates-k-zero", "rates-ell-zero", "rates-n-zero", "rates-t-zero"])

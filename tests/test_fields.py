@@ -258,12 +258,25 @@ def test_binary_tables_match_the_polynomial_construction(f):
     assert f._log == log
 
 
-def test_large_field_beyond_tables():
-    f = Field(17, 4)   # q = 83521, no exp/log tables
-    assert f.q > 1 << 16
-    a = 54321
-    assert f.mul(a, f.inv(a)) == 1
-    assert f.pow(a, f.q - 1) == 1
+def test_large_field_beyond_tables(monkeypatch):
+    # an extension field past 2^16 elements is refused before any modulus
+    # search or check; prime fields of any size, and extension fields up
+    # to 2^16, still build
+    searched = []
+    search = fields._default_modulus
+    monkeypatch.setattr(fields, "_default_modulus",
+                        lambda p, s: searched.append((p, s)) or search(p, s))
+    for build in (lambda: Field(17, 4), lambda: Field(2, 17),
+                  lambda: Field(3, 11), lambda: parse_field_spec("17^4"),
+                  lambda: Field(2, 17, (1,) * 18)):
+        with pytest.raises(InvalidParams,
+                           match=r"has more than 2\^16 = 65536 elements"):
+            build()
+    assert searched == []
+    assert Field(65537).q == 65537
+    assert Field(2, 16).q == 1 << 16
+    assert Field(3, 10).q == 3 ** 10
+    assert searched == [(65537, 1), (2, 16), (3, 10)]
 
 
 def test_field_spec_round_trip():
