@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import channels, decoder, protocol, rates, recovering
 from .config import _int, _int_list, build_scheme, load_config, setting
 from .errors import ConfigError, InvalidParams, PirstreamError
-from .fields import Field, factorize
+from .fields import Field, factorize, is_prime
 from .rates import rate_report
 from .seeds import derive_rng, derive_seed
 
@@ -46,6 +46,8 @@ MAX_AUDIT_SETS = 100_000
 
 
 def field_for_order(q: int) -> Field:
+    if is_prime(q):
+        return Field(q)
     factors = factorize(q)
     if len(factors) != 1:
         raise ConfigError(f"q = {q} is not a prime power")
@@ -303,9 +305,10 @@ def _search_range(field, k, M, gamma, seed, lo, hi) -> int:
 
 
 def parse_search_rows(raw: str):
-    """The (k, M, q, gamma) rows of ``[search] rows``; a row without gamma
-    takes the least, ``recovering.minimal_gamma(k, M)``, which q must
-    reach as a given gamma must."""
+    """The (k, M, field, gamma) rows of ``[search] rows``, each field of
+    order q; a row without gamma takes the least,
+    ``recovering.minimal_gamma(k, M)``, which q must reach as a given gamma
+    must.  Every row's field is built before any row runs."""
     rows = []
     for token in raw.replace(",", " ").split():
         parts = token.split(":")
@@ -320,7 +323,11 @@ def parse_search_rows(raw: str):
         if not least <= gamma <= q:
             raise ConfigError(
                 f"[search] rows entry {token!r} needs {least} <= gamma <= q")
-        rows.append((k, M, q, gamma))
+        try:
+            field = field_for_order(q)
+        except (ConfigError, InvalidParams) as exc:
+            raise ConfigError(f"[search] rows entry {token!r}: {exc}") from None
+        rows.append((k, M, field, gamma))
     return rows
 
 
@@ -346,10 +353,10 @@ def cmd_recovering_search(args) -> int:
         raise ConfigError("recovering-search needs [search] rows = k:M:q[:gamma] ...")
     lines = ["k,M,N,q,gamma,trials,p_full"]
     missed = False
-    for idx, (k, M, q, gamma) in enumerate(rows):
+    for idx, (k, M, field, gamma) in enumerate(rows):
         p = sum(_fan_out(_search_range, trials, workers,
-                         field_for_order(q), k, M, gamma, seed)) / trials
-        lines.append(f"{k},{M},{2 * M + 1},{q},{gamma},{trials},{p:.4f}")
+                         field, k, M, gamma, seed)) / trials
+        lines.append(f"{k},{M},{2 * M + 1},{field.q},{gamma},{trials},{p:.4f}")
         if bands and not bands[idx][0] <= p <= bands[idx][1]:
             missed = True
     text = "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from pirstream import channels, cli
 from pirstream.cli import main, parse_search_rows, rates_csv
 from pirstream.config import load_config, build_scheme
 from pirstream.errors import ChannelGeneratorError, ConfigError
+from pirstream.fields import Field, factorize
 from pirstream.grs import GrsCode
 
 PLAIN_CFG = """\
@@ -392,13 +393,24 @@ def test_a_channel_generator_that_raises_is_named_in_its_fail_line(
 
 def test_search_rows_parse():
     rows = parse_search_rows("2:1:16, 3:2:64:6")
-    assert rows == [(2, 1, 16, 3), (3, 2, 64, 6)]
+    assert rows == [(2, 1, Field(2, 4), 3), (3, 2, Field(2, 6), 6)]
     with pytest.raises(ConfigError):
         parse_search_rows("2:1")
     for bad in ("2:-1:16", "0:1:16", "-2:1:16", "2:1:16:2", "3:2:16:4",
-                "2:1:4:5"):
+                "2:1:4:5", "2:1:6", "2:1:83521"):
         with pytest.raises(ConfigError, match=r"\[search\] rows"):
             parse_search_rows(f"2:1:16 {bad}")
+
+
+def test_field_for_order_factorizes_only_what_is_not_prime(monkeypatch):
+    factorized = []
+    monkeypatch.setattr(cli, "factorize",
+                        lambda n: factorized.append(n) or factorize(n))
+    assert cli.field_for_order(65537) == Field(65537)
+    assert cli.field_for_order(13) == Field(13)
+    assert factorized == []
+    assert cli.field_for_order(16) == Field(2, 4)
+    assert factorized == [16]
 
 
 def test_privacy_audit_cli(tmp_path, capsys):
@@ -418,6 +430,11 @@ def test_privacy_audit_cli(tmp_path, capsys):
     # the default gamma of k = 4, M = 1 is 6 locators, more than GF(5) has
     ("recovering-search", "[search]\nrows = 4:1:5\n",
      "[search] rows entry '4:1:5' needs 6 <= gamma <= q"),
+    # a q that is no prime power, or whose field is refused, names its row
+    ("recovering-search", "[search]\nrows = 2:1:16 2:1:6\n",
+     "[search] rows entry '2:1:6': q = 6 is not a prime power"),
+    ("recovering-search", "[search]\nrows = 2:1:16 2:1:83521\n",
+     "[search] rows entry '2:1:83521': GF(17^4) has more than 2^16"),
     ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
      "[search] bands"),
     # an extension field past 2^16 elements is refused before any work
@@ -443,6 +460,7 @@ def test_privacy_audit_cli(tmp_path, capsys):
 ], ids=["audit-sets", "search-rows", "search-rows-negative-memory",
         "search-rows-zero-k", "search-rows-gamma-below-minimum",
         "search-rows-gamma-above-q", "search-rows-default-gamma-above-q",
+        "search-rows-not-a-prime-power", "search-rows-field-past-2-16",
         "search-bands", "simulate-field-past-2-16", "audit-field-past-2-16",
         "search-trials", "search-trials-zero", "search-trials-negative",
         "run-seed", "run-trials-zero", "channel-b", "rates-ell",

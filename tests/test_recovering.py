@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,20 @@ def test_random_search_deterministic_and_splittable():
     h2a, _ = random_search_counts(GF16, 4, 1, 50, seed=9, start_trial=0)
     h2b, _ = random_search_counts(GF16, 4, 1, 50, seed=9, start_trial=50)
     assert h1 == h2a + h2b
+
+
+def test_random_search_draws_from_the_field_without_listing_it():
+    # 20 trials over GF(1,000,003) allocate far less than a list of the
+    # field's million symbols would
+    f = Field(1000003)
+    tracemalloc.start()
+    try:
+        hits, trials = random_search_counts(f, 2, 1, 20, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trials == 20
+    assert peak < 1 << 20
 
 
 def test_random_search_larger_parameters():
