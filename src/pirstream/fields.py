@@ -705,7 +705,7 @@ class Field:
                 raise ReducibleModulus(
                     f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self._q1_factors = tuple(factorize(self.q - 1))
+        self._q1_factors = None     # the primes of q - 1, on first order
         # every symbol as a byte, for ``check_symbols``, when they all are
         self._symbol_bytes = bytes(range(self.q)) if self.q < 256 else None
         self._exp = self._log = self._zech = None
@@ -727,6 +727,8 @@ class Field:
 
     def _order_raw(self, a, mul):
         e = self.q - 1
+        if self._q1_factors is None:
+            self._q1_factors = tuple(factorize(e))
         for r in self._q1_factors:
             while e % r == 0:
                 cand = e // r

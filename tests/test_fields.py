@@ -17,6 +17,7 @@ from pirstream.errors import (
 from pirstream.fields import (
     Field,
     _is_irreducible,
+    factorize,
     parse_field_spec,
     power_rows,
 )
@@ -144,6 +145,20 @@ def test_order():
     assert GF16.order(prim) == 15
     with pytest.raises(ZeroElement):
         GF16.order(0)
+
+
+def test_prime_field_factorizes_q_minus_1_on_first_order(monkeypatch):
+    factorized = []
+    monkeypatch.setattr(fields, "factorize",
+                        lambda n: factorized.append(n) or factorize(n))
+    f = Field(1000003)
+    assert factorized == []
+    assert f.order(2) == 1000002
+    assert factorized == [1000002]
+    assert f.order(4) == 500001
+    assert factorized == [1000002]
+    Field(2, 4)     # a table field orders candidates for its generator
+    assert factorized[-1] == 15
 
 
 def test_order_divides_group_order():
