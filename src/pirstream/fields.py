@@ -8,8 +8,12 @@ library are plain lists of these integers together with the owning
 :class:`Field`.
 
 The scalar methods (``add``, ``sub``, ``mul``, ``inv``, ``pow``) are the
-reference arithmetic.  Extension fields with q <= 2^16 multiply through
-exp/log tables, and everything else reduces polynomials.
+reference arithmetic.  GF(p) reduces mod p.  Every extension field
+computes on its exp/log tables: a product is exp[log a + log b], a sum
+is XOR for p = 2 and, for odd p, a lookup in the table of Zech's
+logarithm (Huber, IEEE Trans. IT 1990).  So an extension field may have
+at most 2^16 elements (``_TABLE_LIMIT``), and ``Field`` refuses a larger
+one with InvalidParams; a prime field may have any size.
 
 The per-symbol loops that dominate the library, the row update of
 Gaussian elimination, the fixed linear maps of GRS coding (a codeword
@@ -34,8 +38,8 @@ construction:
   decoding steps multiply as exp[log a + log b] on the field's exp/log
   tables and add by XOR;
 * any other field (odd-characteristic extensions, GF(2^s) past 2^8): the
-  scalar methods, one call per symbol; up to 2^16 their ``mul`` is one
-  lookup in the field's exp/log tables.
+  scalar methods, one call per symbol, each a lookup in the field's
+  tables.
 
 Each kernel computes exactly what the scalar methods would; only the
 number of ``Field`` method calls differs.  The kernels take canonical
@@ -281,11 +285,12 @@ def _pack(digits, p):
 # ``bytes.translate`` and XORs the products as ints
 # (``_BinaryKernel.linear_map``), and convolves with one
 # ``bytes.translate`` of the column per tap (``_BinaryKernel.convolve``).
-# The scalar kernel, which also serves GF(2^s) past 2^8, takes one dot
-# product per column and per convolution entry (``_column_dots``,
-# ``_convolve_by_dots``).  In the decoding steps GF(p) reduces mod p
-# inline, and GF(2^s) with q <= 2^8 adds by XOR and multiplies as
-# exp[log a + log b] on the field's tables.
+# The scalar kernel, which serves GF(2^s) past 2^8 and the odd-p
+# extension fields through their table lookups (``Field.add``,
+# ``Field.mul``), takes one dot product per column and per convolution
+# entry (``_column_dots``, ``_convolve_by_dots``).  In the decoding steps
+# GF(p) reduces mod p inline, and GF(2^s) with q <= 2^8 adds by XOR and
+# multiplies as exp[log a + log b] on the field's tables.
 
 
 def _lane_typecode(bound):

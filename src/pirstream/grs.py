@@ -34,8 +34,9 @@ later word's syndromes.  The maps are the field kernel's
 q <= 2^8) or one multiply-accumulate (GF(p)) per input symbol; each
 code builds its own syndrome and root maps once.  Berlekamp-Massey and
 Forney's formula are the kernel's too, on its own arithmetic: inline
-mod p, the exp/log tables of GF(2^s) with q <= 2^8, and the scalar
-``Field`` methods on the other fields.  The encoder and both
+mod p, the exp/log tables of GF(2^s) with q <= 2^8, and on the other
+fields the scalar ``Field`` methods, which look up the field's exp/log
+and Zech tables.  The encoder and both
 decoders read their symbols once by the package's symbol rule
 (``fields.check_symbols``): over GF(p) a symbol outside [0, p) is read
 as its residue, and over any other field it raises SymbolOutsideField."""

@@ -27,9 +27,10 @@ from oracles import poly_eval, scalar_dot
 # One field per kernel path, both prime sizes the benchmark uses, the
 # paper's field, one prime per width of the packed GF(p) lanes, which must
 # hold rows * (p-1)^2: 4 bytes, 8 bytes, and none (one dot per column),
-# GF(2^s) with q <= 2^8, whose kernel reads the translate rows, and past
-# 2^8 (GF(2^10), GF(2^16)), where the scalar methods read the field's
-# exp/log tables.
+# GF(2^s) with q <= 2^8, whose kernel reads the translate rows, past 2^8
+# (GF(2^10), GF(2^16)) and of odd characteristic (GF(9), GF(13^4)),
+# where the scalar methods read the field's exp/log tables and, for odd
+# p, its Zech table.
 FIELDS = {
     "GF(2)": Field(2),
     "GF(2^4)": Field(2, 4),
@@ -41,8 +42,8 @@ FIELDS = {
     "GF(331)": Field(331),
     "GF(65537)": Field(65537),            # (p-1)^2 = 2^32: 8-byte lanes
     "GF(4294967311)": Field(4294967311),  # (p-1)^2 > 2^64: one dot per column
-    "GF(9)": Field(3, 2),          # odd characteristic: scalar methods
-    "GF(13^4)": Field(13, 4),      # odd characteristic, q = 28,561
+    "GF(9)": Field(3, 2),
+    "GF(13^4)": Field(13, 4),
 }
 KERNEL_OF = {
     "GF(2)": "_PrimeKernel", "GF(2^4)": "_BinaryKernel",
