@@ -197,11 +197,12 @@ def random_search_counts(field: Field, k: int, M: int, trials: int, seed: int,
     if field.q < gamma:
         raise FieldTooSmall(
             f"cannot draw {gamma} distinct locators from {field!r}")
+    pool = range(field.q)
     hits = 0
     verdicts = {}       # canonical set of an orbit -> its verdict
     for trial in range(start_trial, start_trial + trials):
         rng = random.Random(derive_seed(seed, "recovering-search", trial))
-        locators = rng.sample(range(field.q), gamma)
+        locators = rng.sample(pool, gamma)
         matrix = build_A(field, k, M, locators)
         orbit = _canonical(field, locators)
         if orbit not in verdicts:
