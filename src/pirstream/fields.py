@@ -786,8 +786,10 @@ class Field:
     #
     # GF(p) reduces mod p and GF(2^s) adds by XOR; every other sum and
     # product is a lookup in the field's tables.  An odd-p extension adds
-    # by Zech's logarithm, a + b = g^(log a + z[log b - log a]), and
-    # negates as -a = g^(log a + (q-1)/2), since g^((q-1)/2) = -1.
+    # by Zech's logarithm, a + b = g^(log a + z[log b - log a]), where a
+    # negative difference reads z, of q - 1 entries, from its end, as the
+    # difference mod q - 1 would; it negates as -a = g^(log a + (q-1)/2),
+    # since g^((q-1)/2) = -1.
 
     def add(self, a, b):
         if self.p == 2:
@@ -799,7 +801,7 @@ class Field:
         if not b:
             return a
         la = self._log[a]
-        return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a):
         if self.p == 2:
