@@ -290,8 +290,8 @@ def test_large_field_beyond_tables(monkeypatch):
     assert searched == []
     assert Field(65537).q == 65537
     assert Field(2, 16).q == 1 << 16
-    assert Field(3, 10).q == 3 ** 10
-    assert searched == [(65537, 1), (2, 16), (3, 10)]
+    assert searched == [(65537, 1), (2, 16)]
+    assert wide_field(3, 10).q == 3 ** 10
 
 
 def test_field_spec_round_trip():
