@@ -266,11 +266,10 @@ def test_random_search_draws_from_the_field_without_listing_it():
     f = Field(1000003)
     tracemalloc.start()
     try:
-        hits, trials = random_search_counts(f, 2, 1, 20, seed=1)
+        random_search_counts(f, 2, 1, 20, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert trials == 20
     assert peak < 1 << 20
 
 
