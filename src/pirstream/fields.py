@@ -22,30 +22,32 @@ every locator, the message read off a codeword), a server's answers,
 the steps of BMD decoding that are no linear map (Berlekamp-Massey and
 Forney's formula) and the differences of unit-memory decoding's
 residuals, run through ``Field.kernel``, which the field picks once at
-construction:
+construction.  ``_ScalarKernel``, one scalar ``Field`` method call per
+symbol, is the reference; a faster kernel is a subclass of it that
+overrides an operation only where a benchmark workload runs it on its
+fields:
 
-* GF(p): integer arithmetic mod p, inline; a fixed linear map is one
-  multiply-accumulate of the input with the matrix rows packed into
-  Python ints (``_PrimeKernel.linear_map``), and a convolution is one
-  product of two such ints (``_PrimeKernel.convolve``);
-* GF(2^s) with q <= 2^8: one 256-byte table per multiplier, the
-  ``bytes.translate`` row of multiplication by it (``_BinaryKernel.rows``),
-  read for every product: ``row[c] ^= rows[f][v]`` in elimination, a
-  fixed linear map as one ``bytes.translate`` of each matrix row by its
-  input symbol, XORed as ints (``_BinaryKernel.linear_map``, the region
-  multiply of Plank, Greenan and Miller, FAST 2013), and a convolution as
-  one ``bytes.translate`` per tap (``_BinaryKernel.convolve``); the
-  decoding steps multiply as exp[log a + log b] on the field's exp/log
-  tables and add by XOR;
+* GF(p) (``_PrimeKernel``): scaling and elimination reduce mod p
+  inline; a fixed linear map is one multiply-accumulate of the input
+  with the matrix rows packed into Python ints (``linear_map``), and a
+  convolution is one product of two such ints (``convolve``).  The BMD
+  steps and the residual differences are the reference's;
+* GF(2^s) with q <= 2^8 (``_BinaryKernel``), every operation: one
+  256-byte table per multiplier, the ``bytes.translate`` row of
+  multiplication by it (``rows``), read for every product:
+  ``row[c] ^= rows[f][v]`` in elimination, a fixed linear map as one
+  ``bytes.translate`` of each matrix row by its input symbol, XORed as
+  ints (``linear_map``, the region multiply of Plank, Greenan and
+  Miller, FAST 2013), and a convolution as one ``bytes.translate`` per
+  tap (``convolve``); the decoding steps multiply as exp[log a + log b]
+  on the field's exp/log tables and add by XOR;
 * any other field (odd-characteristic extensions, GF(2^s) past 2^8): the
-  scalar methods, one call per symbol, each a lookup in the field's
-  tables.
+  reference itself, each call a lookup in the field's tables.
 
-Each kernel computes exactly what the scalar methods would; only the
-number of ``Field`` method calls differs.  The kernels take canonical
-symbols only: a caller's symbols are read once, at the public entry
-point that takes them, by ``check_symbols``, the package's one symbol
-rule.
+Each kernel computes exactly what the reference would; only the number
+of ``Field`` method calls differs.  The kernels take canonical symbols
+only: a caller's symbols are read once, at the public entry point that
+takes them, by ``check_symbols``, the package's one symbol rule.
 
 Every table of locator powers in the package (a GRS code's generator
 rows, the dual code's parity checks, Chien's map, the query offsets and
@@ -236,9 +238,11 @@ def _pack(digits, p):
 
 # --- per-field kernels for the per-symbol loops ------------------------------
 #
-# Every kernel has the same methods, and takes canonical symbols only,
-# in [0, q): a caller's symbols are read once, by ``check_symbols``, at
-# the public entry point that takes them.
+# ``_ScalarKernel`` defines the seven operations below with one scalar
+# ``Field`` method call per symbol; it is the reference, and every other
+# kernel is a subclass of it.  Each takes canonical symbols only, in
+# [0, q): a caller's symbols are read once, by ``check_symbols``, at the
+# public entry point that takes them.
 #   scale(row, f)              -> the list f*row
 #   eliminate(rows, col, prow) -> row -= row[col]*prow, in place, for each
 #                                 row with row[col] != 0; prow is zero left
@@ -273,24 +277,28 @@ def _pack(digits, p):
 #                                 locator, times weight; ZeroInverse where
 #                                 the locator's derivative is zero
 #
-# They live here, with the field's tables, because each differs only in
-# how it multiplies and adds: the scalar kernel keeps the ``Field``
-# method calls, and so stays the oracle of the other two.
-#
-# linear_map and convolve are where the kernels differ.  GF(p) packs each
-# row into integer lanes and makes one multiply-accumulate
-# (``_PrimeKernel.linear_map``), and convolves with one product of two
-# packed ints (``_PrimeKernel.convolve``).  GF(2^s) with q <= 2^8 keeps the
-# matrix rows as bytes, multiplies each by its input symbol with one
-# ``bytes.translate`` and XORs the products as ints
-# (``_BinaryKernel.linear_map``), and convolves with one
-# ``bytes.translate`` of the column per tap (``_BinaryKernel.convolve``).
-# The scalar kernel, which serves GF(2^s) past 2^8 and the odd-p
-# extension fields through their table lookups (``Field.add``,
-# ``Field.mul``), takes one dot product per column and per convolution
-# entry (``_column_dots``, ``_convolve_by_dots``).  In the decoding steps
-# GF(p) reduces mod p inline, and GF(2^s) with q <= 2^8 adds by XOR and
-# multiplies as exp[log a + log b] on the field's tables.
+# A subclass overrides an operation only where a benchmark workload
+# (``perfbench/configs``) runs that operation on its fields, and computes
+# exactly what the reference would; every other call is the reference's.
+#   _PrimeKernel (GF(p))       -> scale and eliminate reduce mod p inline;
+#                                 linear_map packs each row into integer
+#                                 lanes and makes one multiply-accumulate,
+#                                 and convolve is one product of two packed
+#                                 ints.  No workload decodes Byzantine
+#                                 errors over GF(p), so the BMD steps and
+#                                 subtract are the reference's
+#   _BinaryKernel (GF(2^s),    -> all seven: scale, eliminate, linear_map
+#    q <= 2^8)                    (one ``bytes.translate`` of each matrix
+#                                 row, XORed as ints) and convolve (one
+#                                 ``bytes.translate`` of the column per
+#                                 tap) read the translate rows; subtract is
+#                                 XOR, and the BMD steps add by XOR and
+#                                 multiply as exp[log a + log b] on the
+#                                 field's tables
+# GF(2^s) past 2^8 and the odd-p extension fields run the reference
+# itself, each call a lookup in the field's tables (``Field.add``,
+# ``Field.mul``): its linear_map is one dot product per column, and its
+# convolve one per entry.
 
 
 def _lane_typecode(bound):
@@ -309,28 +317,9 @@ def _pack_lanes(typecode, lanes):
     return int.from_bytes(array(typecode, lanes).tobytes(), sys.byteorder)
 
 
-def _column_dots(dot, matrix):
-    """linear_map by one dot product per column, ``dot(xs, column)``."""
-    columns = list(zip(*matrix))
-    return lambda xs: [dot(xs, column) for column in columns]
-
-
-def _convolve_by_dots(dot, column, taps, m):
-    """convolve by one dot product per entry.  With the blocks of the taps
-    in reverse order, the blocks that meet in entry i are one slice of
-    each vector."""
-    blocks, lags = len(column) // m, len(taps) // m
-    rev = [t for z in range(lags - 1, -1, -1) for t in taps[z * m: (z + 1) * m]]
-    out = []
-    for i in range(blocks + lags - 1):
-        lo, hi = max(i - lags + 1, 0), min(i, blocks - 1)
-        out.append(dot(rev[(lags - 1 - i + lo) * m: (lags - i + hi) * m],
-                       column[lo * m: (hi + 1) * m]))
-    return out
-
-
 class _ScalarKernel:
-    """The scalar ``Field`` methods, one call per symbol."""
+    """The scalar ``Field`` methods, one call per symbol: the reference
+    every kernel extends."""
 
     __slots__ = ("field",)
 
@@ -364,10 +353,23 @@ class _ScalarKernel:
         return acc
 
     def linear_map(self, matrix):
-        return _column_dots(self._dot, matrix)
+        """One dot product per column."""
+        dot, columns = self._dot, list(zip(*matrix))
+        return lambda xs: [dot(xs, column) for column in columns]
 
     def convolve(self, column, taps, m):
-        return _convolve_by_dots(self._dot, column, taps, m)
+        """One dot product per entry.  With the blocks of the taps in
+        reverse order, the blocks that meet in entry i are one slice of
+        each vector."""
+        blocks, lags = len(column) // m, len(taps) // m
+        rev = [t for z in range(lags - 1, -1, -1)
+               for t in taps[z * m: (z + 1) * m]]
+        dot, out = self._dot, []
+        for i in range(blocks + lags - 1):
+            lo, hi = max(i - lags + 1, 0), min(i, blocks - 1)
+            out.append(dot(rev[(lags - 1 - i + lo) * m: (lags - i + hi) * m],
+                           column[lo * m: (hi + 1) * m]))
+        return out
 
     def subtract(self, xs, ys):
         return list(map(self.field.sub, xs, ys))
@@ -413,13 +415,15 @@ class _ScalarKernel:
         return f.div(mul(evaluator, weight), derivative)
 
 
-class _PrimeKernel:
-    """GF(p): integer arithmetic reduced mod p."""
+class _PrimeKernel(_ScalarKernel):
+    """GF(p): ``scale``, ``eliminate``, ``linear_map`` and ``convolve`` on
+    integers reduced mod p; the other operations are the reference's."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self, field: "Field"):
+        super().__init__(field)
+        self.p = field.p
 
     def scale(self, row, f):
         p = self.p
@@ -437,9 +441,6 @@ class _PrimeKernel:
                 for c, nv in terms:
                     row[c] = (row[c] + f * nv) % p
 
-    def _dot(self, xs, ys):
-        return sum(map(_mul, xs, ys)) % self.p
-
     def linear_map(self, matrix):
         """Row r of the matrix packed into one int: column c is lane c of
         an ``array`` of unsigned w-byte items, read in ``sys.byteorder``.
@@ -450,12 +451,12 @@ class _PrimeKernel:
         With the symbols in [0, p) no lane ever exceeds r (p-1)^2 for r
         rows, so no carry crosses into the next lane; w is 4 bytes when
         that bound fits, else 8 (``_lane_typecode``).  Past 8 bytes the map
-        is one dot product per column.
+        is the scalar kernel's.
         """
         p = self.p
         typecode = _lane_typecode(len(matrix) * (p - 1) ** 2)
         if typecode is None:
-            return _column_dots(self._dot, matrix)
+            return super().linear_map(matrix)
         order = sys.byteorder
         size = (len(matrix[0]) if matrix else 0) * array(typecode).itemsize
         rows = tuple(_pack_lanes(typecode, row) for row in matrix)
@@ -477,13 +478,13 @@ class _PrimeKernel:
 
         No lane exceeds len(taps) * (p-1)^2, so no carry crosses lanes; w
         is 4 or 8 bytes as in ``linear_map``, and past 8 bytes the
-        convolution is one dot product per entry.  The product is unpacked
-        at its full length, which keeps lane order in either byte order.
+        convolution is the scalar kernel's.  The product is unpacked at
+        its full length, which keeps lane order in either byte order.
         """
         p = self.p
         typecode = _lane_typecode(len(taps) * (p - 1) ** 2)
         if typecode is None:
-            return _convolve_by_dots(self._dot, column, taps, m)
+            return super().convolve(column, taps, m)
         flipped = [t for z in range(0, len(taps), m)
                    for t in reversed(taps[z: z + m])]
         product = _pack_lanes(typecode, column) * _pack_lanes(typecode, flipped)
@@ -491,53 +492,8 @@ class _PrimeKernel:
         lanes = array(typecode, product.to_bytes(size, sys.byteorder))
         return [x % p for x in lanes[m - 1::m]]
 
-    def subtract(self, xs, ys):
-        p = self.p
-        return [(x - y) % p for x, y in zip(xs, ys)]
 
-    def berlekamp_massey(self, syndromes, e):
-        """The discrepancy is one multiply-accumulate, reduced once; the
-        update adds -d/b times the older register, with b the discrepancy
-        of the last length change."""
-        p = self.p
-        c, prev = [1], [1]
-        length, gap, last = 0, 1, 1
-        for i, d in enumerate(syndromes):
-            if i:
-                d = (d + sum(map(_mul, c[1:], syndromes[i - 1::-1]))) % p
-            if d == 0:
-                gap += 1
-                continue
-            scale = (p - d) * pow(last, p - 2, p) % p
-            new = c + [0] * (gap + len(prev) - len(c))
-            for t, b in enumerate(prev, gap):
-                if b:
-                    new[t] = (new[t] + scale * b) % p
-            if 2 * length <= i:
-                length, prev, last, gap = i + 1 - length, c, d, 1
-                if length > e:
-                    return None
-            else:
-                gap += 1
-            c = new
-        return (c + [0] * length)[length::-1]
-
-    def error_value(self, locator, syndromes, a, weight):
-        p = self.p
-        quotient, q = [], 0
-        for c in locator[:0:-1]:
-            q = (c + q * a) % p
-            quotient.append(q)
-        derivative = 0
-        for q in quotient:
-            derivative = (derivative * a + q) % p
-        if not derivative:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        evaluator = sum(map(_mul, reversed(quotient), syndromes))
-        return evaluator * weight * pow(derivative, p - 2, p) % p
-
-
-class _BinaryKernel:
+class _BinaryKernel(_ScalarKernel):
     """GF(2^s) with q <= 2^8: sums are XOR, and ``rows[c]`` is the 256-byte
     ``bytes.translate`` table of multiplication by c, zero past q - 1, so
     a * c is rows[c][a].  Row g^(i+1) is row g^i translated through row g,
@@ -553,8 +509,9 @@ class _BinaryKernel:
 
     __slots__ = ("rows", "exp", "log")
 
-    def __init__(self, exp, log):
-        self.exp, self.log = exp, log
+    def __init__(self, field: "Field"):
+        super().__init__(field)
+        exp, log = self.exp, self.log = field._exp, field._log
         q = len(log)
         pad = bytes(256 - q)
         times_g = bytes(exp[log[x] + 1] for x in range(q)) + pad
@@ -715,13 +672,11 @@ class Field:
         self._symbol_bytes = bytes(range(self.q)) if self.q < 256 else None
         self._exp = self._log = self._zech = None
         if s == 1:
-            self.kernel = _PrimeKernel(p)
+            self.kernel = _PrimeKernel(self)
             return
         self._build_tables()
-        if p == 2 and self.q <= 256:
-            self.kernel = _BinaryKernel(self._exp, self._log)
-        else:
-            self.kernel = _ScalarKernel(self)
+        self.kernel = (_BinaryKernel if p == 2 and self.q <= 256
+                       else _ScalarKernel)(self)
 
     # -- construction helpers ------------------------------------------
 

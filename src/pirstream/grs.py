@@ -33,10 +33,10 @@ later word's syndromes.  The maps are the field kernel's
 ``linear_map``s, one ``bytes.translate`` of a matrix row (GF(2^s),
 q <= 2^8) or one multiply-accumulate (GF(p)) per input symbol; each
 code builds its own syndrome and root maps once.  Berlekamp-Massey and
-Forney's formula are the kernel's too, on its own arithmetic: inline
-mod p, the exp/log tables of GF(2^s) with q <= 2^8, and on the other
-fields the scalar ``Field`` methods, which look up the field's exp/log
-and Zech tables.  The encoder and both
+Forney's formula are the kernel's too: over GF(2^s) with q <= 2^8 on
+its exp/log tables, and over every other field, GF(p) included, by the
+scalar kernel's ``Field`` method calls, which reduce mod p or look up
+the field's exp/log and Zech tables.  The encoder and both
 decoders read their symbols once by the package's symbol rule
 (``fields.check_symbols``): over GF(p) a symbol outside [0, p) is read
 as its residue, and over any other field it raises SymbolOutsideField."""
@@ -238,9 +238,10 @@ class GrsCode(_PicklesFieldsOnly):
         Whenever a codeword lies within e, every step finds it, so the
         full decode fails exactly when none does.  Berlekamp-Massey,
         Forney's formula and the correction of the first k symbols run
-        in the field's kernel, like the maps: over GF(p) and GF(2^s) with
-        q <= 2^8 the decode makes no ``Field`` method call once the
-        code's tables are built.
+        in the field's kernel, like the maps: over GF(2^s) with q <= 2^8
+        the decode makes no ``Field`` method call once the code's tables
+        are built, and over GF(p) these three steps call the scalar
+        ``Field`` methods, one per nonzero product.
 
         Before it, the word is read through a reader its code keeps
         (``_kept``), and a codeword within e of the word is the
@@ -426,9 +427,9 @@ def _berlekamp_massey(f, syndromes, e):
     when deg C < L.  The length never decreases, so the loop stops as soon
     as it exceeds e.
 
-    The field's kernel runs it (``berlekamp_massey``): over GF(p) and
-    GF(2^s) with q <= 2^8 with no ``Field`` call, and over any other
-    field with one scalar ``Field`` call per nonzero product."""
+    The field's kernel runs it (``berlekamp_massey``): over GF(2^s) with
+    q <= 2^8 with no ``Field`` call, and over any other field, GF(p)
+    included, with one scalar ``Field`` call per nonzero product."""
     return f.kernel.berlekamp_massey(syndromes, e)
 
 

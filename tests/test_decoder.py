@@ -656,14 +656,16 @@ def test_decode_um_encodes_each_stripe_once(monkeypatch):
     assert encodes == {}
 
 
-@pytest.mark.parametrize("f", [Field(2, 8), Field(251)], ids=repr)
+@pytest.mark.parametrize("f", [Field(2, 8)], ids=repr)
 def test_decode_um_residuals_make_no_field_call(f, monkeypatch):
     # the byzantine-budget shape (n=16, k=3, t=1) with four errors in every
     # block, past the sum radius (3) and within the coset radius (5): no
     # anchor holds, so the chains and the trellis decode residuals of
     # encoded stripes.  Outside its BMD decodes (whose reader builds
     # eliminate with the scalar methods) decode_um, residuals included,
-    # makes no Field call; the scheme's tables are built by a first call
+    # makes no Field call on the GF(2^s <= 2^8) kernel; the scheme's tables
+    # are built by a first call.  Over GF(p) the residuals are the scalar
+    # kernel's differences
     ell = 5
     code = GrsCode(f, 16, 3, tuple(range(1, 17)))
     sch = byzantine_scheme(code, t=1, m=2, desired=0)
