@@ -20,6 +20,7 @@ path at fault.
 """
 
 import contextlib
+import inspect
 import io
 import sys
 from pathlib import Path
@@ -27,7 +28,8 @@ from pathlib import Path
 import pytest
 
 from pirstream.cli import main
-from pirstream.fields import Field, _ScalarKernel
+from pirstream.fields import (
+    Field, _BinaryKernel, _PrimeKernel, _ScalarKernel)
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -95,6 +97,13 @@ CASES = {
 }
 
 
+# the six benchmark workloads (``perfbench/configs``) at their golden
+# trial counts
+WORKLOADS = ["simulate-plain-stream", "simulate-burst-window",
+             "simulate-byzantine-budget", "simulate-byzantine-fixed",
+             "recovering-search-locator-search", "privacy-audit-privacy-audit"]
+
+
 def run_case(name, out_dir, extra=()):
     """(exit code, stdout, stderr, --out CSV or None) of one case, with
     the arguments ``extra`` after its own."""
@@ -149,6 +158,32 @@ def test_cli_output_matches_golden(tmp_path, name):
 def test_scalar_kernel_output_matches_golden(tmp_path, name, scalar_kernel):
     check_case(name, tmp_path)
     assert scalar_kernel
+
+
+def test_every_kernel_override_runs_in_a_workload(tmp_path, monkeypatch):
+    # a kernel extends the scalar reference and overrides an operation
+    # only where a benchmark workload runs it on the kernel's fields
+    calls = {}
+    for kernel in (_PrimeKernel, _BinaryKernel):
+        for name, method in vars(kernel).items():
+            if inspect.isfunction(method) and not name.startswith("__"):
+                key = calls[f"{kernel.__name__}.{name}"] = [0]
+
+                def counted(self, *args, _key=key, _method=method):
+                    _key[0] += 1
+                    return _method(self, *args)
+                monkeypatch.setattr(kernel, name, counted)
+    init = Field.__init__
+    built = []
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(Field, "__init__", recording_init)
+    for name in WORKLOADS:
+        check_case(name, tmp_path)
+    assert [name for name, count in calls.items() if not count[0]] == []
+    assert built and all(isinstance(f.kernel, _ScalarKernel) for f in built)
 
 
 # A worker process gets the scheme by pickle before its first trial, and
