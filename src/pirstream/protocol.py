@@ -424,13 +424,14 @@ def privacy_audit(scheme: PirScheme, colluding) -> AuditReport:
     restricted retrieval generator; with one file there is nothing to
     compare.
 
-    For the schemes this package builds the masking code is a GRS code of
-    dimension t, which is MDS: any t of its generator's columns form a
-    column-scaled Vandermonde matrix on distinct locators, so any |T| <= t
-    columns are independent.  The restricted generator then has rank |T|,
-    its row space is all of F^|T|, and every offset lies in it.  So the
-    audit passes as soon as that rank equals |T|, and stacks offsets only
-    for a masking code of lower rank on T (a library caller's own code).
+    The masking code is a GRS code: its generator restricted to T is a
+    dim x |T| Vandermonde matrix on distinct locators with its columns
+    scaled by nonzero multipliers, of rank min(|T|, dim), so the audit
+    takes that rank without eliminating.  A scheme this package builds
+    has dim = t >= |T|, so the rank is |T|, the row space is all of
+    F^|T|, every offset lies in it, and the audit passes.  Only a masking
+    code with dim < |T| (a library caller's own code) stacks offsets onto
+    the restricted generator, one ``mat_rank`` each.
 
     ``witness`` is the first (sub-round, lag) in order whose restricted
     offset is outside the masking code on T, with that offset.
@@ -446,16 +447,15 @@ def privacy_audit(scheme: PirScheme, colluding) -> AuditReport:
     f = scheme.field
     enumerated = f.q ** (scheme.retrieval_code.k * scheme.rounds * scheme.query_rows)
     witness = None
-    if scheme.m > 1:
+    rank = min(len(colluding), scheme.retrieval_code.k)
+    if scheme.m > 1 and rank < len(colluding):
         masking = [[row[j] for j in colluding]
                    for row in scheme.retrieval_code.generator_matrix()]
-        rank = mat_rank(f, masking)
-        if rank < len(colluding):
-            outside = (
-                (r, z, seen)
-                for r, offsets in enumerate(scheme.e_offsets)
-                for z, seen in enumerate(tuple(e[j] for j in colluding)
-                                         for e in offsets)
-                if mat_rank(f, masking + [list(seen)]) > rank)
-            witness = next(outside, None)
+        outside = (
+            (r, z, seen)
+            for r, offsets in enumerate(scheme.e_offsets)
+            for z, seen in enumerate(tuple(e[j] for j in colluding)
+                                     for e in offsets)
+            if mat_rank(f, masking + [list(seen)]) > rank)
+        witness = next(outside, None)
     return AuditReport(witness is None, enumerated, colluding, witness)
