@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import channels, decoder, protocol, rates, recovering
 from .config import _int, _int_list, build_scheme, load_config, setting
 from .errors import ConfigError, InvalidParams, PirstreamError
-from .fields import Field, factorize, is_prime
+from .fields import Field, is_prime
 from .rates import rate_report
 from .seeds import derive_rng, derive_seed
 
@@ -46,12 +46,21 @@ MAX_AUDIT_SETS = 100_000
 
 
 def field_for_order(q: int) -> Field:
+    """The field of q elements.  A q that is not prime can only be the
+    order of an extension field, which has at most 2^16 elements and so a
+    characteristic below 2^8: its least prime factor is looked for below
+    2^8 only."""
     if is_prime(q):
         return Field(q)
-    factors = factorize(q)
-    if len(factors) != 1:
+    p = next((d for d in range(2, min(q, 1 << 8)) if q % d == 0), None)
+    if p is None:
+        raise ConfigError(
+            f"q = {q} is neither a prime nor a prime power up to 2^16")
+    s, rest = 0, q
+    while rest % p == 0:
+        s, rest = s + 1, rest // p
+    if rest != 1:
         raise ConfigError(f"q = {q} is not a prime power")
-    (p, s), = factors.items()
     return Field(p, s)
 
 

@@ -9,8 +9,8 @@ import pytest
 from pirstream import channels, cli
 from pirstream.cli import main, parse_search_rows, rates_csv
 from pirstream.config import load_config, build_scheme
-from pirstream.errors import ChannelGeneratorError, ConfigError
-from pirstream.fields import Field, factorize
+from pirstream.errors import ChannelGeneratorError, ConfigError, InvalidParams
+from pirstream.fields import Field
 from pirstream.grs import GrsCode
 
 PLAIN_CFG = """\
@@ -402,15 +402,26 @@ def test_search_rows_parse():
             parse_search_rows(f"2:1:16 {bad}")
 
 
-def test_field_for_order_factorizes_only_what_is_not_prime(monkeypatch):
-    factorized = []
-    monkeypatch.setattr(cli, "factorize",
-                        lambda n: factorized.append(n) or factorize(n))
+def test_field_for_order_factorizes_only_what_is_not_prime():
+    # a prime q gives a prime field of any size; any other q is searched
+    # for a prime factor below 2^8 only, the characteristic of every
+    # extension field, which has at most 2^16 elements
     assert cli.field_for_order(65537) == Field(65537)
-    assert cli.field_for_order(13) == Field(13)
-    assert factorized == []
+    assert cli.field_for_order(2 ** 61 - 1) == Field(2 ** 61 - 1)
     assert cli.field_for_order(16) == Field(2, 4)
-    assert factorized == [16]
+    assert cli.field_for_order(27) == Field(3, 3)
+    for q, text in [(6, "is not a prime power"),
+                    (2 ** 8 * 3, "is not a prime power"),
+                    (257 * 263, "is neither a prime nor a prime power up to"),
+                    (257 ** 2, "is neither a prime nor a prime power up to"),
+                    ((2 ** 61 - 1) * (2 ** 31 - 1),
+                     "is neither a prime nor a prime power up to"),
+                    (1, "is neither a prime nor a prime power up to"),
+                    (0, "is neither a prime nor a prime power up to")]:
+        with pytest.raises(ConfigError, match=f"^q = {q} {text}"):
+            cli.field_for_order(q)
+    with pytest.raises(InvalidParams, match=r"GF\(2\^17\) has more than 2\^16"):
+        cli.field_for_order(2 ** 17)
 
 
 def test_privacy_audit_cli(tmp_path, capsys):
@@ -435,6 +446,11 @@ def test_privacy_audit_cli(tmp_path, capsys):
      "[search] rows entry '2:1:6': q = 6 is not a prime power"),
     ("recovering-search", "[search]\nrows = 2:1:16 2:1:83521\n",
      "[search] rows entry '2:1:83521': GF(17^4) has more than 2^16"),
+    # a product of two large primes is refused without factoring it
+    ("recovering-search",
+     f"[search]\nrows = 2:1:16 2:1:{(2 ** 61 - 1) * (2 ** 31 - 1)}\n",
+     f"q = {(2 ** 61 - 1) * (2 ** 31 - 1)} is neither a prime nor a prime "
+     "power up to 2^16"),
     ("recovering-search", "[search]\nrows = 2:1:16\nbands = 0.6-0.7\n",
      "[search] bands"),
     # an extension field past 2^16 elements is refused before any work
@@ -461,6 +477,7 @@ def test_privacy_audit_cli(tmp_path, capsys):
         "search-rows-zero-k", "search-rows-gamma-below-minimum",
         "search-rows-gamma-above-q", "search-rows-default-gamma-above-q",
         "search-rows-not-a-prime-power", "search-rows-field-past-2-16",
+        "search-rows-two-large-primes",
         "search-bands", "simulate-field-past-2-16", "audit-field-past-2-16",
         "search-trials", "search-trials-zero", "search-trials-negative",
         "run-seed", "run-trials-zero", "channel-b", "rates-ell",
