@@ -7,9 +7,7 @@ trials 0..T-1 at simulate seed 11 with the sides in ABBA order: the
 parent first in even trials, the change first in odd ones.  Each rep
 starts cold on both sides, as a benchmark process does: the config's
 scheme and channel are built afresh, so no code keeps the tables or the
-BMD state of an earlier rep, and the run stops if one does.  A side
-whose package still has ``clear_caches`` (a checkout from before the
-package kept all its state on its objects) has it called first.  Prints,
+BMD state of an earlier rep, and the run stops if one does.  Prints,
 per rep, each side's median trial time and the median of the per-trial
 ratios parent/change, then the median of the reps' ratios with their
 quartiles and range.
@@ -109,10 +107,6 @@ def main(argv=None):
           f"seed {SEED}, ABBA order")
     rep_ratios = []
     for rep in range(args.reps):
-        for side in SIDES:
-            package = sys.modules[f"pirstream_{side}"]
-            if hasattr(package, "clear_caches"):
-                package.clear_caches()
         runs = {side: trial_runner(clis[side], config, args.trials)
                 for side in SIDES}
         for side in SIDES:
