@@ -161,16 +161,17 @@ def test_scalar_kernel_output_matches_golden(tmp_path, name, scalar_kernel):
 
 
 def test_every_kernel_override_runs_in_a_workload(tmp_path, monkeypatch):
-    # a kernel extends the scalar reference and overrides an operation
+    # every kernel extends the scalar reference and overrides an operation
     # only where a benchmark workload runs it on the kernel's fields
     calls = {}
     for kernel in (_PrimeKernel, _BinaryKernel):
-        for name, method in vars(kernel).items():
+        for name, method in list(vars(kernel).items()):
             if inspect.isfunction(method) and not name.startswith("__"):
-                key = calls[f"{kernel.__name__}.{name}"] = [0]
+                key = f"{kernel.__name__}.{name}"
+                calls[key] = 0
 
                 def counted(self, *args, _key=key, _method=method):
-                    _key[0] += 1
+                    calls[_key] += 1
                     return _method(self, *args)
                 monkeypatch.setattr(kernel, name, counted)
     init = Field.__init__
@@ -182,7 +183,7 @@ def test_every_kernel_override_runs_in_a_workload(tmp_path, monkeypatch):
     monkeypatch.setattr(Field, "__init__", recording_init)
     for name in WORKLOADS:
         check_case(name, tmp_path)
-    assert [name for name, count in calls.items() if not count[0]] == []
+    assert [name for name, count in calls.items() if not count] == []
     assert built and all(isinstance(f.kernel, _ScalarKernel) for f in built)
 
 

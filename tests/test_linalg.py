@@ -235,7 +235,7 @@ def test_scalar_kernel_patterns_read_the_answers_of_solve_unique(monkeypatch):
     # give.  Each pattern is reduced once as [A | b] and once as [A | I]
     rng = random.Random(9)
     calls = counted_eliminations(monkeypatch)
-    assert isinstance(GF9.kernel, _ScalarKernel)
+    assert type(GF9.kernel) is _ScalarKernel
     full = [[rng.randrange(9) for _ in range(4)] for _ in range(19)]
     short = [row[:3] + [GF9.mul(5, row[0])] for row in full]
     patterns = {}
