@@ -310,7 +310,7 @@ def test_decoders_reduce_symbols_outside_the_field(name):
 def test_dot_matches_the_scalar_oracle(name, data):
     # a one-column linear map and a one-block convolution are each one dot
     # product: packed lanes, translate rows, or, past 8-byte lanes and on
-    # the scalar kernel, the kernels' private dots
+    # the scalar kernel, the scalar kernel's private dot
     f = FIELDS[name]
     size = data.draw(st.integers(1, 12))
     entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
