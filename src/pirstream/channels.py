@@ -9,11 +9,11 @@ accidental no-ops.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .decoder import UmDistanceProfile, _erasure_violation, check_guarantee
 from .errors import ChannelGeneratorError, InvalidParams
 from .protocol import Block, ERASED, ERRORED, ResponseStream
+from .records import Record
 from .seeds import derive_rng
 
 # The longest stream whose schedules mode 'exhaustive' enumerates: it
@@ -21,8 +21,7 @@ from .seeds import derive_rng
 EXHAUSTIVE_BLOCKS = 22
 
 
-@dataclass(frozen=True)
-class ErasureSchedule:
+class ErasureSchedule(Record):
     """Set of erased block indices (1-based) within a stream of ell+M blocks.
 
     Valid schedules follow the erasure rule that ``recover_window``
@@ -121,8 +120,7 @@ def apply_erasures(stream: ResponseStream, schedule: ErasureSchedule) -> Respons
                           tuple(blocks))
 
 
-@dataclass(frozen=True)
-class ErrorSchedule:
+class ErrorSchedule(Record):
     """Symbol substitutions: (block, server, proposed value) triples.
 
     In fixed-Byzantine mode the corrupted server set is the same in every

@@ -26,13 +26,13 @@ import os
 import shutil  # noqa: F401
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import channels, decoder, protocol, rates, recovering
 from .config import _int, _int_list, build_scheme, load_config, setting
 from .errors import ConfigError, InvalidParams, PirstreamError
 from .fields import Field, is_prime
 from .rates import rate_report
+from .records import Record
 from .seeds import derive_rng, derive_seed
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ _CHANNEL_MODES = {
 }
 
 
-class _Channel(NamedTuple):
+class _Channel(Record):
     """The [channel] section, resolved: mode carries its default (None for
     kind none), b is None unless given, and profile is the error budget
     that kind symbol-errors draws against (None for the other kinds)."""

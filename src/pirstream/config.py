@@ -9,7 +9,6 @@ a command-line flag can also give (seed, trials, workers) is read by
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field as dfield
 
 from .errors import ConfigError
 from .fields import Field, parse_field_spec
@@ -22,6 +21,7 @@ from .protocol import (
     byzantine_scheme,
     plain_scheme,
 )
+from .records import Fresh, Record
 
 _VARIANTS = {"plain": PLAIN, "block-erasure": BLOCK, "byzantine": BYZANTINE}
 
@@ -38,16 +38,15 @@ _KEYS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record, mutable=True):
     """Everything a command needs, already cross-validated."""
 
-    scheme_cfg: dict = dfield(default_factory=dict)
-    channel: dict = dfield(default_factory=dict)
-    run: dict = dfield(default_factory=dict)
-    search: dict = dfield(default_factory=dict)
-    rates: dict = dfield(default_factory=dict)
-    audit: dict = dfield(default_factory=dict)
+    scheme_cfg: dict = Fresh(dict)
+    channel: dict = Fresh(dict)
+    run: dict = Fresh(dict)
+    search: dict = Fresh(dict)
+    rates: dict = Fresh(dict)
+    audit: dict = Fresh(dict)
 
 
 def _int(section, key, raw, minimum=None):

@@ -45,8 +45,7 @@ weight prefix it draws.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import sys
 from functools import cached_property, partial
 
 from .errors import (
@@ -60,19 +59,17 @@ from .errors import (
     UncorrectablePattern,
 )
 from .fields import check_symbols
-from .grs import _PicklesFieldsOnly, _reader
+from .grs import _reader
 from .linalg import raise_unless_unique, reduce_with_identity, solve_unique
 from .protocol import BLOCK, BYZANTINE, ERASED, PLAIN, PirScheme, ResponseStream
-
-logger = logging.getLogger(__name__)
+from .records import Record
 
 DIRECT = "direct"
 WINDOW = "window-solved"
 TRELLIS = "trellis"
 
 
-@dataclass(frozen=True)
-class UmDistanceProfile(_PicklesFieldsOnly):
+class UmDistanceProfile(Record):
     """Block and coset distances of a unit-memory construction, with the
     budget weight tables built from them (``_budget``)."""
 
@@ -127,8 +124,7 @@ def check_guarantee(weights, profile: UmDistanceProfile) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RecoveredFile:
+class RecoveredFile(Record):
     """The ell recovered stripes with per-stripe provenance."""
 
     stripes: tuple
@@ -664,6 +660,10 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
                 return saturated
         return 2 * len(errors)
 
+    # each stage is logged at debug level only once a caller has imported
+    # logging: importing it here would cost every process start-up ~6 ms
+    logging = sys.modules.get("logging")
+    logger = logging and logging.getLogger(__name__)
     cost = {zero: 0}
     back: list[dict] = []
     for xi in range(1, ell + 2):
@@ -677,7 +677,7 @@ def decode_um(stream: ResponseStream, scheme: PirScheme) -> RecoveredFile:
                     ptr[b] = a
         cost = new_cost
         back.append(ptr)
-        if logger.isEnabledFor(logging.DEBUG):
+        if logger and logger.isEnabledFor(logging.DEBUG):
             logger.debug("block %d: status=%s candidates=%d best=%s",
                          xi, stream.block(xi).status, len(nodes),
                          min(cost.values()))

@@ -43,7 +43,6 @@ as its residue, and over any other field it raises SymbolOutsideField."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 from operator import itemgetter
 
@@ -61,19 +60,10 @@ from .linalg import reduce_with_identity, rref
 # module because the benchmark's layer tracing wraps ``grs.solve_any`` by
 # name, until stage tracing moves into the package (ROADMAP item 2).
 from .linalg import solve_any  # noqa: F401
+from .records import Record
 
 
-class _PicklesFieldsOnly:
-    """A dataclass that pickles its fields alone, not what its
-    ``cached_property``s built or kept (kernel maps are closures, which
-    pickle cannot carry), so a copy starts cold wherever it was made."""
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-
-@dataclass(frozen=True)
-class GrsCode(_PicklesFieldsOnly):
+class GrsCode(Record):
     """RS(n, k, v) over a finite field; its fields are immutable and it is
     freely shareable.  What it builds once (its tables) and what its BMD
     decodes keep (``_kept``) live on the code and change no result, only

@@ -23,7 +23,6 @@ randomness enters through an explicit seed at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -33,9 +32,10 @@ from .errors import (
     SupportTooSmall,
 )
 from .fields import Field, check_symbols, power_rows
-from .grs import GrsCode, _PicklesFieldsOnly, star_product_code
+from .grs import GrsCode, star_product_code
 from .linalg import mat_rank
 from .rates import min_gamma
+from .records import Record
 from .seeds import derive_rng, draw_below
 
 PLAIN = "plain_conv"
@@ -43,8 +43,7 @@ BLOCK = "block_erasure"
 BYZANTINE = "byzantine_um"
 
 
-@dataclass(frozen=True)
-class StorageSystem:
+class StorageSystem(Record):
     """m files of ell stripes, each stripe encoded across the n servers;
     server j stores only ``server_columns[j]``, its symbols of stripe 1,
     then stripe 2, up to stripe ell, files in order within a stripe."""
@@ -121,8 +120,7 @@ def random_files(field: Field, m: int, ell: int, k: int, rng):
     return tuple(tuple(stripes[f * ell: (f + 1) * ell]) for f in range(m))
 
 
-@dataclass(frozen=True)
-class PirScheme(_PicklesFieldsOnly):
+class PirScheme(Record):
     """One retrieval plan: codes, memory, support, and offset matrices.
 
     ``e_offsets[r][z][j]`` is the offset added to query row z*m+desired at
@@ -301,8 +299,7 @@ def _support_and_limit(code: GrsCode, t: int, support):
 
 # --- queries and responses --------------------------------------------------
 
-@dataclass(frozen=True)
-class QuerySet:
+class QuerySet(Record):
     """Per-server query vectors plus the masking rows that produced them."""
 
     scheme: PirScheme
@@ -354,16 +351,14 @@ ERASED = "erased"
 ERRORED = "errored"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """One iteration's responses: a length-n vector per sub-round."""
 
     status: str
     parts: tuple | None
 
 
-@dataclass(frozen=True)
-class ResponseStream:
+class ResponseStream(Record):
     """The ell+M response blocks of one protocol run."""
 
     n: int
@@ -400,8 +395,7 @@ def run_protocol(system: StorageSystem, scheme: PirScheme,
 
 # --- privacy audit -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Outcome of ``privacy_audit`` for one colluding set."""
 
     identical: bool

@@ -7,10 +7,10 @@ downloads and retrieves, from the scheme's shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParams
+from .records import Record
 
 
 def rate_star(n: int, k: int, t: int) -> Fraction:
@@ -81,8 +81,7 @@ def rate_byz(n: int, k: int, t: int, ell=None) -> Fraction:
     return Fraction(ell * k, (ell + 1) * n)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(Record):
     """What one trial of a simulated scheme downloads and retrieves."""
 
     downloaded: int       # symbols: every server answers every sub-round

@@ -24,7 +24,6 @@ draws: the 4,368 five-sets of GF(16) fall into 292 orbits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -40,6 +39,7 @@ from .errors import (
 from .fields import Field, power_rows
 from .linalg import mat_rank
 from .rates import min_gamma
+from .records import Record
 from .seeds import derive_seed
 
 
@@ -60,8 +60,7 @@ def _canonical(field: Field, locators) -> tuple:
     return min(tuple(sorted(scale(locators, inv(a)))) for a in nonzero)
 
 
-@dataclass(frozen=True)
-class RecoveringMatrix:
+class RecoveringMatrix(Record):
     """Window matrix of a locator set with its rank verdict.
 
     ``matrix`` and ``rank`` are each computed on first read, the rank by

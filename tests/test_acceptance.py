@@ -5,7 +5,6 @@ These run the full-size workloads (10000-trial searches, 1000-trial
 decoding campaigns); the rest of the suite uses smaller counts.
 """
 
-import dataclasses
 import itertools
 import random
 import time
@@ -29,6 +28,7 @@ from pirstream.errors import NoSuitableSubgroup, OrderNotDividing
 from pirstream.fields import Field, is_prime
 from pirstream.grs import GrsCode
 from pirstream.protocol import (
+    PirScheme,
     block_scheme,
     byzantine_scheme,
     plain_scheme,
@@ -244,9 +244,11 @@ def test_criterion_7_privacy_audit():
             rep = privacy_audit(sch2, (j,))
             assert rep.identical and rep.enumerated == 256
         c10 = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
-        broken = dataclasses.replace(
-            plain_scheme(c10, t=2, memory=0, m=2, desired=0, support=(5, 6)),
-            retrieval_code=GrsCode(GF16, 10, 1, tuple(range(1, 11))))
+        sch10 = plain_scheme(c10, t=2, memory=0, m=2, desired=0, support=(5, 6))
+        broken = PirScheme(
+            sch10.variant, c10, GrsCode(GF16, 10, 1, tuple(range(1, 11))),
+            sch10.t, sch10.m, sch10.memory, sch10.desired, sch10.support,
+            sch10.sub_supports, sch10.e_offsets)
         rep = privacy_audit(broken, (4, 5))
         assert not rep.identical and rep.witness is not None
 

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +11,7 @@ from pirstream.config import load_config, build_scheme
 from pirstream.errors import ChannelGeneratorError, ConfigError, InvalidParams
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
+from pirstream.protocol import PirScheme
 
 PLAIN_CFG = """\
 [scheme]
@@ -628,7 +628,10 @@ def test_privacy_audit_fail_line_names_the_witness(tmp_path, capsys,
     def under_dimensioned(cfg):
         field, code, scheme, ell = build_scheme(cfg)
         masking = GrsCode(field, code.n, 1, code.locators)
-        return field, code, dataclasses.replace(scheme, retrieval_code=masking), ell
+        return field, code, PirScheme(
+            scheme.variant, code, masking, scheme.t, scheme.m, scheme.memory,
+            scheme.desired, scheme.support, scheme.sub_supports,
+            scheme.e_offsets, scheme.window, scheme.burst), ell
 
     monkeypatch.setattr(cli, "build_scheme", under_dimensioned)
     cfg = AUDIT_CFG.replace("t = 1", "t = 2") + "[audit]\nsets = 0 1 ; 1 2\n"

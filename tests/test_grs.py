@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import pickle
@@ -367,7 +366,8 @@ def fresh_decode(code, word):
     """``decode_or_fail`` of bmd_decode from no kept state: the first
     decode of an equal code built afresh, which leaves what the code keeps
     (``GrsCode._kept``) as it was."""
-    return decode_or_fail(GrsCode.bmd_decode, dataclasses.replace(code), word)
+    return decode_or_fail(GrsCode.bmd_decode, GrsCode(
+        code.field, code.n, code.k, code.locators, code.multipliers), word)
 
 
 @pytest.mark.parametrize("name", SEQUENCE_CODES)
@@ -659,7 +659,8 @@ def test_bmd_decode_corrects_an_error_at_locator_zero(name, monkeypatch):
                 word[j] = f.add(word[j], rng.randrange(1, f.q))
             # an equal code built afresh decodes from no kept state
             before = solves[0]
-            got = dataclasses.replace(code).bmd_decode(word)
+            got = GrsCode(code.field, code.n, code.k, code.locators,
+                          code.multipliers).bmd_decode(word)
             assert got == (msg, frozenset(bad)), (zero_at, bad)
             assert got == bw_decode(code, word)
             if min(bad) < k:
@@ -1020,7 +1021,7 @@ def gf256_code():
 
 
 def test_equal_codes_hash_alike_and_keep_their_own_state(monkeypatch):
-    # equal codes built apart hash alike, by the dataclass's hash of their
+    # equal codes built apart hash alike, by the record's hash of their
     # fields, and each keeps its own BMD state: a decode of one leaves the
     # other cold
     builds = count_reader_builds(monkeypatch)

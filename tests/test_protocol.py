@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -20,6 +19,8 @@ from pirstream.fields import Field
 from pirstream.grs import GrsCode
 from pirstream.linalg import mat_rank
 from pirstream.protocol import (
+    PirScheme,
+    QuerySet,
     block_scheme,
     byzantine_scheme,
     make_queries,
@@ -49,8 +50,7 @@ def worked_scheme():
 
 
 def test_storage_encode_examples():
-    assert "server_columns" in {f.name for f in dataclasses.fields(
-        protocol.StorageSystem)}
+    assert "server_columns" in protocol.StorageSystem._fields
     sysm = storage_encode((((0, 1),),), RS42)
     assert sysm.server_columns == ((1,), (2,), (3,), (4,))
     zeros = storage_encode(
@@ -157,8 +157,8 @@ def test_query_model_check_catches_an_offset_on_the_wrong_row(path):
         col[right] = f.sub(col[right], offset)
         col[wrong] = f.add(col[wrong], offset)
         cols = qs.queries[r][:j] + (tuple(col),) + qs.queries[r][j + 1:]
-        moved = dataclasses.replace(
-            qs, queries=qs.queries[:r] + (cols,) + qs.queries[r + 1:])
+        moved = QuerySet(qs.scheme, qs.d_rows,
+                         qs.queries[:r] + (cols,) + qs.queries[r + 1:])
         assert query_model_errors(moved) == [
             f"sub-round {r} server {j} row {row} has the wrong offset"
             for row in sorted((right, wrong))]
@@ -512,8 +512,11 @@ def under_dimensioned(scheme, dim):
     """The scheme with a masking code of dimension ``dim`` below t: its
     collusion audit can fail."""
     code = scheme.storage_code
-    return dataclasses.replace(
-        scheme, retrieval_code=GrsCode(code.field, code.n, dim, code.locators))
+    masking = GrsCode(code.field, code.n, dim, code.locators)
+    return PirScheme(scheme.variant, code, masking, scheme.t, scheme.m,
+                     scheme.memory, scheme.desired, scheme.support,
+                     scheme.sub_supports, scheme.e_offsets, scheme.window,
+                     scheme.burst)
 
 
 def test_privacy_audit_negative_control():
