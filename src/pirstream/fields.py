@@ -60,7 +60,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import mul as _mul, xor as _xor
 
 from .errors import (
@@ -707,28 +707,6 @@ class Field:
             e >>= 1
         return result
 
-    def _odd_powers(self, g):
-        """The q - 1 powers of g, g^0 = 1 first, of an odd-p extension.
-        Multiplying by g is a GF(p)-linear map of the s digits, whose
-        column i is x^i * g (one ``_raw_mul`` each).  With the columns
-        packed into integer lanes that hold a sum of s products
-        (``_pack_lanes``), a power's digits times the map is one sum of s
-        int products, and its lanes mod p are the next power's digits: no
-        list-polynomial product per power."""
-        p, s = self.p, self.s
-        bound = s * (p - 1) ** 2
-        code = _lane_typecode(bound)
-        size = array(code).itemsize * s
-        columns = [_pack_lanes(code, _unpack(self._raw_mul(p ** i, g), p, s))
-                   for i in range(s)]
-        residue = [v % p for v in range(bound + 1)].__getitem__
-        weights = [p ** i for i in range(s)]
-        digits = _unpack(1, p, s)
-        for _ in range(self.q - 1):
-            yield sum(map(_mul, digits, weights))
-            lanes = sum(map(_mul, digits, columns)).to_bytes(size, sys.byteorder)
-            digits = list(map(residue, array(code, lanes)))
-
     def _build_tables(self):
         if self.p == 2:
             mod, s = _pack(self.modulus, 2), self.s
@@ -737,21 +715,20 @@ class Field:
                 return _xor_mulmod(a, b, mod, s)
         else:
             mul = self._raw_mul
-        # the least primitive element; one below p lies in GF(p), of order
-        # dividing p - 1, and is not tried
-        q1 = self.q - 1
-        g = next(c for c in range(self.p, self.q)
-                 if self._order_raw(c, mul) == q1)
-        powers = (accumulate(repeat(g, q1 - 1), mul, initial=1) if self.p == 2
-                  else self._odd_powers(g))
+        g = next(c for c in range(2, self.q)
+                 if self._order_raw(c, mul) == self.q - 1)
         # exp holds the powers of g twice over, so that the sum of two logs
         # needs no reduction, then zeros; log[0] points at the first zero.
         # Hence exp[log[a] + log[b]] == a*b for all a, b, zero included.
+        q1 = self.q - 1
         exp = [0] * (4 * q1 + 1)
         log = [2 * q1] * self.q
-        for i, x in enumerate(powers):
-            exp[i] = exp[i + q1] = x
+        x = 1
+        for i in range(q1):
+            exp[i] = x
+            exp[i + q1] = x
             log[x] = i
+            x = mul(x, g)
         self._exp = exp
         self._log = log
         if self.p != 2:

