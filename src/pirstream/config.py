@@ -38,7 +38,7 @@ _KEYS = {
 }
 
 
-class ExperimentConfig(Record, mutable=True):
+class ExperimentConfig(Record):
     """Everything a command needs, already cross-validated."""
 
     scheme_cfg: dict = Fresh(dict)

@@ -10,8 +10,7 @@ slower) and then runs the class's ``__post_init__``, if it has one.
 
 A record compares, hashes and prints by its fields in order, as
 ``Name(field=value, ...)``, and refuses assignment and deletion with
-``AttributeError``; a class declared with ``mutable=True`` allows both
-and is unhashable.  It pickles its fields alone, not what its
+``AttributeError``.  It pickles its fields alone, not what its
 ``cached_property``s built or kept (kernel maps are closures, which
 pickle cannot carry), so a copy starts cold wherever it was made.
 
@@ -33,7 +32,7 @@ class Record:
 
     _fields = ()
 
-    def __init_subclass__(cls, mutable=False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = names = tuple(cls.__annotations__)
         env = {"_setattr": object.__setattr__}
@@ -56,9 +55,6 @@ class Record:
              + f"\ndef _values(self): return ({values})", env)
         cls.__init__, cls._values = env["__init__"], env["_values"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-        if mutable:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

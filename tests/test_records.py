@@ -60,8 +60,6 @@ def samples():
 
 SAMPLES = samples()
 IDS = [type(r).__name__ for r in SAMPLES]
-FROZEN = [r for r in SAMPLES if not isinstance(r, config.ExperimentConfig)]
-FROZEN_IDS = [type(r).__name__ for r in FROZEN]
 
 
 def values(record):
@@ -137,7 +135,7 @@ def test_post_init_checks_raise_typed_errors(build, error):
     assert isinstance(info.value, PirstreamError)
 
 
-@pytest.mark.parametrize("record", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
 def test_frozen_records_refuse_assignment_and_deletion(record):
     name = type(record)._fields[0]
     before = values(record)
@@ -150,16 +148,6 @@ def test_frozen_records_refuse_assignment_and_deletion(record):
     assert values(record) == before
 
 
-def test_the_mutable_config_allows_assignment_and_is_unhashable():
-    cfg = config.ExperimentConfig()
-    cfg.run = {"trials": "2"}
-    assert cfg.run == {"trials": "2"}
-    del cfg.run
-    assert not hasattr(cfg, "run")
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(config.ExperimentConfig())
-
-
 @pytest.mark.parametrize("record", SAMPLES, ids=IDS)
 def test_equality_hash_and_repr_are_the_dataclass_ones(record):
     cls = type(record)
@@ -167,7 +155,11 @@ def test_equality_hash_and_repr_are_the_dataclass_ones(record):
     assert again == record and again is not record
     assert not record != again
     assert repr(record) == repr(twin(record))
-    if cls.__hash__ is not None:
+    if cls is config.ExperimentConfig:
+        # its fields are dicts, so it hashes as its twin does: not at all
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
         assert hash(again) == hash(record) == hash(twin(record))
     # another class with the same fields is never equal
     assert record != twin(record)
