@@ -3,7 +3,8 @@ never needs.
 
 Each computes something a library function also gives, by another
 route: with the scalar ``Field`` methods, by enumeration, or through an
-equivalent criterion.
+equivalent criterion.  ``replace`` rebuilds a record with some fields
+changed, which the package itself never does.
 """
 
 from pirstream.decoder import DIRECT, TRELLIS, WINDOW, RecoveredFile
@@ -54,6 +55,15 @@ def digit_neg(field, a):
     """-a as the residue polynomial with every digit negated mod p."""
     p = field.p
     return sum(-x % p * p ** i for i, x in enumerate(digits(field, a)))
+
+
+def replace(record, **changes):
+    """A record of ``record``'s class built afresh from its fields, with
+    ``changes`` in place of the fields they name; it keeps none of what
+    ``record`` cached."""
+    cls = type(record)
+    fields = {name: getattr(record, name) for name in cls._fields}
+    return cls(**{**fields, **changes})
 
 
 def codewords(code):

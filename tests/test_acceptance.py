@@ -28,7 +28,6 @@ from pirstream.errors import NoSuitableSubgroup, OrderNotDividing
 from pirstream.fields import Field, is_prime
 from pirstream.grs import GrsCode
 from pirstream.protocol import (
-    PirScheme,
     block_scheme,
     byzantine_scheme,
     plain_scheme,
@@ -47,7 +46,7 @@ from pirstream.recovering import (
 )
 from pirstream.seeds import derive_rng, derive_seed
 
-from oracles import check_direct_sum, codewords
+from oracles import check_direct_sum, codewords, replace
 
 GF16 = Field(2, 4)
 
@@ -244,11 +243,9 @@ def test_criterion_7_privacy_audit():
             rep = privacy_audit(sch2, (j,))
             assert rep.identical and rep.enumerated == 256
         c10 = GrsCode(GF16, 10, 2, tuple(range(1, 11)))
-        sch10 = plain_scheme(c10, t=2, memory=0, m=2, desired=0, support=(5, 6))
-        broken = PirScheme(
-            sch10.variant, c10, GrsCode(GF16, 10, 1, tuple(range(1, 11))),
-            sch10.t, sch10.m, sch10.memory, sch10.desired, sch10.support,
-            sch10.sub_supports, sch10.e_offsets)
+        broken = replace(
+            plain_scheme(c10, t=2, memory=0, m=2, desired=0, support=(5, 6)),
+            retrieval_code=GrsCode(GF16, 10, 1, tuple(range(1, 11))))
         rep = privacy_audit(broken, (4, 5))
         assert not rep.identical and rep.witness is not None
 

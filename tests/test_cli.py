@@ -11,7 +11,8 @@ from pirstream.config import load_config, build_scheme
 from pirstream.errors import ChannelGeneratorError, ConfigError, InvalidParams
 from pirstream.fields import Field
 from pirstream.grs import GrsCode
-from pirstream.protocol import PirScheme
+
+from oracles import replace
 
 PLAIN_CFG = """\
 [scheme]
@@ -628,10 +629,7 @@ def test_privacy_audit_fail_line_names_the_witness(tmp_path, capsys,
     def under_dimensioned(cfg):
         field, code, scheme, ell = build_scheme(cfg)
         masking = GrsCode(field, code.n, 1, code.locators)
-        return field, code, PirScheme(
-            scheme.variant, code, masking, scheme.t, scheme.m, scheme.memory,
-            scheme.desired, scheme.support, scheme.sub_supports,
-            scheme.e_offsets, scheme.window, scheme.burst), ell
+        return field, code, replace(scheme, retrieval_code=masking), ell
 
     monkeypatch.setattr(cli, "build_scheme", under_dimensioned)
     cfg = AUDIT_CFG.replace("t = 1", "t = 2") + "[audit]\nsets = 0 1 ; 1 2\n"

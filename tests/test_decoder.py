@@ -48,7 +48,6 @@ from pirstream.protocol import (
     ERRORED,
     INTACT,
     PLAIN,
-    PirScheme,
     ResponseStream,
     block_scheme,
     byzantine_scheme,
@@ -959,9 +958,7 @@ def test_a_lag0_system_of_rank_below_k_keeps_the_record_path():
     # what the rebuild-every-attempt oracle gives
     sch, files, _ = setup_plain()
     lag0 = tuple(x if j == 3 else 0 for j, x in enumerate(sch.e_offsets[0][0]))
-    low = PirScheme(sch.variant, sch.storage_code, sch.retrieval_code, sch.t,
-                    sch.m, sch.memory, sch.desired, sch.support,
-                    sch.sub_supports, ((lag0,) + sch.e_offsets[0][1:],))
+    low = oracles.replace(sch, e_offsets=((lag0,) + sch.e_offsets[0][1:],))
     assert low._peeling[1] == 1
     assert sch._peeling[1] == sch.k
     stream = run_protocol(storage_encode(files, C6), low, 3)
@@ -1210,10 +1207,7 @@ def test_kept_patterns_decode_every_exhaustive_schedule_as_on_first_sight(
     blocks[b - 1] = Block(ERRORED, tuple(map(tuple, parts)))
     noisy = ResponseStream(stream.n, stream.ell, stream.memory, stream.rounds,
                            tuple(blocks))
-    unseen = outcome(recover_window, noisy, PirScheme(
-        sch.variant, sch.storage_code, sch.retrieval_code, sch.t, sch.m,
-        sch.memory, sch.desired, sch.support, sch.sub_supports, sch.e_offsets,
-        sch.window, sch.burst))
+    unseen = outcome(recover_window, noisy, oracles.replace(sch))
     assert unseen[0] is InconsistentBlock
     assert unseen == outcome(oracles.recover_window, noisy, sch)
     for _ in range(2):

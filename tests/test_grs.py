@@ -366,8 +366,7 @@ def fresh_decode(code, word):
     """``decode_or_fail`` of bmd_decode from no kept state: the first
     decode of an equal code built afresh, which leaves what the code keeps
     (``GrsCode._kept``) as it was."""
-    return decode_or_fail(GrsCode.bmd_decode, GrsCode(
-        code.field, code.n, code.k, code.locators, code.multipliers), word)
+    return decode_or_fail(GrsCode.bmd_decode, oracles.replace(code), word)
 
 
 @pytest.mark.parametrize("name", SEQUENCE_CODES)
@@ -659,8 +658,7 @@ def test_bmd_decode_corrects_an_error_at_locator_zero(name, monkeypatch):
                 word[j] = f.add(word[j], rng.randrange(1, f.q))
             # an equal code built afresh decodes from no kept state
             before = solves[0]
-            got = GrsCode(code.field, code.n, code.k, code.locators,
-                          code.multipliers).bmd_decode(word)
+            got = oracles.replace(code).bmd_decode(word)
             assert got == (msg, frozenset(bad)), (zero_at, bad)
             assert got == bw_decode(code, word)
             if min(bad) < k:

@@ -19,8 +19,6 @@ from pirstream.fields import Field
 from pirstream.grs import GrsCode
 from pirstream.linalg import mat_rank
 from pirstream.protocol import (
-    PirScheme,
-    QuerySet,
     block_scheme,
     byzantine_scheme,
     make_queries,
@@ -34,7 +32,7 @@ from pirstream.protocol import (
 from pirstream.rates import rate_report
 from pirstream.seeds import derive_rng, derive_seed
 
-from oracles import poly_eval, stored_symbol
+from oracles import poly_eval, replace, stored_symbol
 
 GF4 = Field(2, 2)
 GF5 = Field(5)
@@ -157,8 +155,8 @@ def test_query_model_check_catches_an_offset_on_the_wrong_row(path):
         col[right] = f.sub(col[right], offset)
         col[wrong] = f.add(col[wrong], offset)
         cols = qs.queries[r][:j] + (tuple(col),) + qs.queries[r][j + 1:]
-        moved = QuerySet(qs.scheme, qs.d_rows,
-                         qs.queries[:r] + (cols,) + qs.queries[r + 1:])
+        moved = replace(
+            qs, queries=qs.queries[:r] + (cols,) + qs.queries[r + 1:])
         assert query_model_errors(moved) == [
             f"sub-round {r} server {j} row {row} has the wrong offset"
             for row in sorted((right, wrong))]
@@ -512,11 +510,8 @@ def under_dimensioned(scheme, dim):
     """The scheme with a masking code of dimension ``dim`` below t: its
     collusion audit can fail."""
     code = scheme.storage_code
-    masking = GrsCode(code.field, code.n, dim, code.locators)
-    return PirScheme(scheme.variant, code, masking, scheme.t, scheme.m,
-                     scheme.memory, scheme.desired, scheme.support,
-                     scheme.sub_supports, scheme.e_offsets, scheme.window,
-                     scheme.burst)
+    return replace(
+        scheme, retrieval_code=GrsCode(code.field, code.n, dim, code.locators))
 
 
 def test_privacy_audit_negative_control():
