@@ -32,8 +32,8 @@ class Record:
 
     _fields = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
         cls._fields = names = tuple(cls.__annotations__)
         env = {"_setattr": object.__setattr__}
         params, body = [], []
